@@ -360,6 +360,85 @@ def allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# batched operations
+#
+# A batch stacks the payloads of N elements of one realization along a new
+# leading axis: shape (N, 2, 2), (N, m) or (N,).  Each function applies its
+# one-element counterpart above to every sample with the same arithmetic
+# (a stacked matmul is the per-matrix product), so batch and loop agree bit
+# for bit, except that the 2x2 eigenvalues take np.hypot where the scalar
+# path takes math.hypot; the two can differ in the last ulp, and only when
+# the off-diagonal entry is non-zero.  Spaces (realization and grid) are the
+# caller's to check, since a payload carries neither.
+# ---------------------------------------------------------------------------
+
+def _require_finite_batch(data: np.ndarray) -> None:
+    if not np.all(np.isfinite(data)):
+        raise ValueError("payload must be finite (no NaN/Inf)")
+
+
+def _sym2_eigvals_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    half_tr = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
+    disc = np.hypot(0.5 * (m[:, 0, 0] - m[:, 1, 1]), m[:, 0, 1])
+    return half_tr - disc, half_tr + disc
+
+
+def _require_self_adjoint_batch(stacks: tuple[np.ndarray, ...], tol: np.ndarray) -> None:
+    """``_require_self_adjoint`` on each sample of each stack, raising for the
+    first sample that fails, and within it for the first stack."""
+    skew = np.stack([np.abs(m[:, 0, 1] - m[:, 1, 0]) for m in stacks], axis=1)
+    limit = np.stack([tol * (1.0 + np.abs(m).max(axis=(1, 2))) for m in stacks], axis=1)
+    bad = np.argwhere(skew > limit)
+    if bad.size:
+        i, k = bad[0]
+        raise NotSelfAdjoint(f"matrix is not symmetric (skew {skew[i, k]:.3e})")
+
+
+def batch_mul(realization: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``mul`` sample by sample; either side may be a single payload."""
+    out = np.matmul(a, b) if realization == MAT2 else a * b
+    _require_finite_batch(out)
+    return out
+
+
+def batch_norm(realization: str, data: np.ndarray,
+               kind: NormKind = NormKind.OPERATOR) -> np.ndarray:
+    """``norm`` of every sample."""
+    if realization == SCALAR:
+        return np.abs(data)
+    if kind is NormKind.ENTRY_SUM_SQUARES:
+        return np.sqrt(np.sum(data * data, axis=tuple(range(1, data.ndim))))
+    if realization == MAT2:
+        _, hi = _sym2_eigvals_batch(np.matmul(np.swapaxes(data, 1, 2), data))
+        return np.sqrt(np.maximum(hi, 0.0))
+    return np.max(np.abs(data), axis=1)
+
+
+def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
+              order: OrderKind, tol: np.ndarray) -> np.ndarray:
+    """``leq(a[i], b[i], order, tol[i])`` for every sample, as a bool array.
+
+    Raises what ``leq`` raises.  The checks run in ``leq``'s order, each
+    over the whole batch, and each reports its first failing sample.
+    """
+    if order is OrderKind.ENTRYWISE:
+        if realization != MAT2 and len(a):
+            raise RealizationMismatch("entrywise order is defined for mat2 only")
+        t = tol[:, None, None]
+        return np.all(b >= a - t, axis=(1, 2)) & np.all(a >= -t, axis=(1, 2))
+    if realization == MAT2:
+        _require_self_adjoint_batch((a, b), tol)
+    diff = b - a
+    _require_finite_batch(diff)
+    if realization != MAT2:
+        lo = diff if diff.ndim == 1 else diff.min(axis=1)
+        return lo >= -tol
+    _require_self_adjoint_batch((diff,), tol)
+    lo, _ = _sym2_eigvals_batch(0.5 * (diff + np.swapaxes(diff, 1, 2)))
+    return lo >= -tol
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

@@ -32,9 +32,7 @@ from .contraction import (
     Regime,
     certificate_from_json,
     search_scalar_coefficient,
-    verify_global,
-    verify_orbital_type,
-    verify_two_step,
+    verify,
 )
 from .convergence import WindowTooLarge, classify, trace
 from .gallery import run_gallery
@@ -86,10 +84,10 @@ def _resolve_out(path: str, out_dir: str | None) -> Path:
 
 def _write_report(path: str | None, manifest: dict, report: dict,
                   out_dir: str | None) -> None:
-    payload = json.dumps({"manifest": manifest, "report": report},
-                         sort_keys=True, indent=2) + "\n"
     if path is None:
         return
+    payload = json.dumps({"manifest": manifest, "report": report},
+                         sort_keys=True, indent=2) + "\n"
     target = _resolve_out(path, out_dir)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(payload, encoding="utf-8")
@@ -156,6 +154,16 @@ def _build_map(name: str) -> MapSpec:
         raise SystemExit(f"unknown map {name!r}; "
                          f"choose from {sorted(MAP_CATALOG)} or table:<file>")
     return MAP_CATALOG[name]()
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
 
 
 def _common_config(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -237,17 +245,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if args.a is None:
             print("either --a or --search is required", file=sys.stderr)
             return 2
-        a = element_from_json(json.loads(args.a))
-        if regime is Regime.FORWARD_GLOBAL:
-            cert = verify_global(map_spec, spec, a, pairs, "forward", args.tol)
-        elif regime is Regime.BACKWARD_GLOBAL:
-            cert = verify_global(map_spec, spec, a, pairs, "backward", args.tol)
-        elif regime is Regime.ORBITAL:
-            cert = verify_orbital_type(map_spec, spec, a, args.seed,
-                                       args.orbit_len, args.tol)
-        else:
-            cert = verify_two_step(map_spec, spec, a, args.seed,
-                                   args.orbit_len, args.tol)
+        cert = verify(regime, map_spec, spec,
+                      element_from_json(json.loads(args.a)), pairs=pairs,
+                      seed=args.seed, orbit_len=args.orbit_len, tol=args.tol)
     print(f"regime {cert.regime.value}: coefficient norm {cert.a_norm:.9f}, "
           f"{cert.samples_checked} samples, "
           f"{len(cert.violations)} violations")
@@ -371,7 +371,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--search", action="store_true")
     p.add_argument("--grid", default="21")
     p.add_argument("--seed", type=float, default=1.0)
-    p.add_argument("--orbit-len", type=int, default=30, dest="orbit_len")
+    p.add_argument("--orbit-len", type=_int_at_least(2), default=30,
+                   dest="orbit_len")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)
 
@@ -380,7 +381,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--seed", type=float, required=True)
     p.add_argument("--cert", required=True)
-    p.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
+    p.add_argument("--max-iter", type=_int_at_least(1), default=1000,
+                   dest="max_iter")
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_solve)

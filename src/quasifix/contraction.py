@@ -12,6 +12,19 @@ Four regimes are recognised:
   most 1/2.  Its certificate also carries ``h = a (I - a)^-1``, the step
   rate the solver uses.
 
+All four check ``lhs <= rhs`` sample by sample in the metric's order, and one
+core does it for each of them.  A regime only decides the two distances of a
+sample, its *tables*: ``lhs`` is d(Tx, Ty) for the global regimes and
+d(Ty, T^2 y) for the orbit regimes, and ``base`` is d(x, y) (forward),
+d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  Both are
+gathered once through ``eval_metric`` and stacked in sample order.  The core
+forms ``rhs`` -- the sandwich (a* base) a, or a base for two-step, in the
+operation order of ``mul`` -- and runs the order check on the whole batch
+with the per-sample tolerance tol (1 + ||rhs||_op).  ``verify`` is the one
+dispatch over regimes; ``search_scalar_coefficient`` reuses the tables across
+all its bisection attempts.  ``samples_checked`` and the order and fields of
+the violations are those of a sample-by-sample loop.
+
 Certificates verify finitely many samples, so they are recorded evidence,
 never proofs; every certificate remembers how many samples it checked and
 which ones failed.
@@ -35,7 +48,6 @@ from .algebra import (
     inverse_one_minus,
     is_diagonal,
     is_positive,
-    leq,
     mul,
     norm,
 )
@@ -131,82 +143,22 @@ def _violation_json(v: dict) -> dict:
     return {k: _point_json(val) if k in ("x", "y") else val for k, val in v.items()}
 
 
-def _order_holds(lhs: AlgebraElement, rhs: AlgebraElement,
-                 metric: MetricSpec, tol: float) -> bool:
-    tolr = tol * (1.0 + norm(rhs, NormKind.OPERATOR))
-    return leq(lhs, rhs, metric.order, tolr)
+_GLOBAL = (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
 
 
-def verify_global(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
-                  pairs: list, direction: str = "forward",
-                  tol: float = 1e-9) -> ContractionCertificate:
-    """Check the sandwich inequality on every supplied ordered pair.
+def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement,
+          tol: float) -> tuple[NormKind, float, AlgebraElement | None, float | None]:
+    """The regime's admissibility gates on ``a``.
 
-    ``direction`` picks the base distance: "forward" compares against
-    a* d(x, y) a, "backward" against a* d(y, x) a.
+    Returns the certificate's (norm kind, coefficient norm, h, ||h||); h is
+    None outside the two-step regime.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    a_norm = norm(a, metric.norm)
-    if a_norm >= 1.0:
-        raise CoefficientNormTooLarge(
-            f"coefficient norm {a_norm:.6f} is not below 1")
-    a_star = adjoint(a)
-    violations = []
-    for x, y in pairs:
-        lhs = eval_metric(metric, map_spec.apply(x), map_spec.apply(y))
-        base = eval_metric(metric, x, y) if direction == "forward" \
-            else eval_metric(metric, y, x)
-        rhs = mul(mul(a_star, base), a)
-        if not _order_holds(lhs, rhs, metric, tol):
-            violations.append({"x": x, "y": y,
-                               "lhs_norm": norm(lhs, metric.norm),
-                               "rhs_norm": norm(rhs, metric.norm)})
-    regime = Regime.FORWARD_GLOBAL if direction == "forward" else Regime.BACKWARD_GLOBAL
-    return ContractionCertificate(
-        regime=regime, a=a, norm_kind=metric.norm, a_norm=a_norm,
-        samples_checked=len(pairs), violations=tuple(violations),
-        map_name=map_spec.name, metric_name=metric.name)
-
-
-def verify_orbital_type(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
-                        seed: Any, orbit_len: int = 30,
-                        tol: float = 1e-9) -> ContractionCertificate:
-    """Check d(Ty, T^2 y) <= a* d(y, Ty) a for y along the orbit of ``seed``."""
-    if orbit_len < 2:
-        raise ValueError("orbit_len must be at least 2")
-    a_norm = norm(a, metric.norm)
-    if a_norm >= 1.0:
-        raise CoefficientNormTooLarge(
-            f"coefficient norm {a_norm:.6f} is not below 1")
-    a_star = adjoint(a)
-    points = map_spec.orbit(seed, orbit_len + 2)
-    violations = []
-    for i in range(orbit_len + 1):
-        y, ty, t2y = points[i], points[i + 1], points[i + 2]
-        lhs = eval_metric(metric, ty, t2y)
-        rhs = mul(mul(a_star, eval_metric(metric, y, ty)), a)
-        if not _order_holds(lhs, rhs, metric, tol):
-            violations.append({"x": y, "y": ty,
-                               "lhs_norm": norm(lhs, metric.norm),
-                               "rhs_norm": norm(rhs, metric.norm)})
-    return ContractionCertificate(
-        regime=Regime.ORBITAL, a=a, norm_kind=metric.norm, a_norm=a_norm,
-        samples_checked=orbit_len + 1, violations=tuple(violations),
-        seed_point=seed, map_name=map_spec.name, metric_name=metric.name)
-
-
-def verify_two_step(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
-                    seed: Any, orbit_len: int = 30,
-                    tol: float = 1e-9) -> ContractionCertificate:
-    """Check the one-sided condition d(Ty, T^2 y) <= a d(y, T^2 y) on an orbit.
-
-    The coefficient must be positive, structurally commuting (scalar,
-    sampled, or diagonal matrix), and of operator norm at most 1/2.  The
-    certificate carries h = a (I - a)^-1 and its norm for the solver's
-    step-rate bound; at the boundary norm exactly 1/2 the resolvent still
-    exists but h is no longer a contraction, which shows up as h_norm >= 1.
-    """
+    if regime is not Regime.TWO_STEP:
+        a_norm = norm(a, metric.norm)
+        if a_norm >= 1.0:
+            raise CoefficientNormTooLarge(
+                f"coefficient norm {a_norm:.6f} is not below 1")
+        return metric.norm, a_norm, None, None
     if not is_positive(a, tol):
         raise NotPositive("two-step coefficient must be positive")
     if not is_diagonal(a, tol):
@@ -221,35 +173,146 @@ def verify_two_step(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
     else:
         h = algebra._inverse_one_minus_unchecked(a)
     h = mul(a, h)
-    h_norm = norm(h, NormKind.OPERATOR)
-    points = map_spec.orbit(seed, orbit_len + 2)
-    violations = []
-    for i in range(orbit_len + 1):
-        y, ty, t2y = points[i], points[i + 1], points[i + 2]
-        lhs = eval_metric(metric, ty, t2y)
-        rhs = mul(a, eval_metric(metric, y, t2y))
-        if not _order_holds(lhs, rhs, metric, tol):
-            violations.append({"x": y, "y": ty,
-                               "lhs_norm": norm(lhs, metric.norm),
-                               "rhs_norm": norm(rhs, metric.norm)})
+    return NormKind.OPERATOR, op_norm, h, norm(h, NormKind.OPERATOR)
+
+
+def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
+            like: AlgebraElement, pairs: list | None, seed: Any,
+            orbit_len: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The regime's samples as (points, lhs, base), in sample order.
+
+    ``lhs`` and ``base`` stack the payloads of each sample's two distances,
+    every one evaluated through ``eval_metric``; ``points[i]`` is the (x, y)
+    a violation of sample i records.  Each distance must live in the space
+    of ``like`` (the coefficient), as ``mul`` and ``leq`` require.
+    """
+    points: list = []
+    lhs: list = []
+    base: list = []
+
+    def add(x: Any, y: Any, d_lhs: AlgebraElement, d_base: AlgebraElement) -> None:
+        algebra._require_same_space(like, d_base)
+        algebra._require_same_space(d_lhs, like)
+        points.append((x, y))
+        lhs.append(d_lhs.data)
+        base.append(d_base.data)
+
+    if regime in _GLOBAL:
+        if pairs is None:
+            raise ValueError("global regimes need sample pairs")
+        for x, y in pairs:
+            d_lhs = eval_metric(metric, map_spec.apply(x), map_spec.apply(y))
+            if regime is Regime.FORWARD_GLOBAL:
+                add(x, y, d_lhs, eval_metric(metric, x, y))
+            else:
+                add(x, y, d_lhs, eval_metric(metric, y, x))
+    else:
+        if seed is None:
+            raise ValueError("orbital regimes need a seed point")
+        if orbit_len < 2:
+            raise ValueError("orbit_len must be at least 2")
+        orbit = map_spec.orbit(seed, orbit_len + 2)
+        for y, ty, t2y in zip(orbit, orbit[1:], orbit[2:]):
+            d_lhs = eval_metric(metric, ty, t2y)
+            if regime is Regime.ORBITAL:
+                add(y, ty, d_lhs, eval_metric(metric, y, ty))
+            else:
+                add(y, ty, d_lhs, eval_metric(metric, y, t2y))
+
+    def stack(rows: list) -> np.ndarray:
+        return np.stack(rows) if rows else np.empty((0,) + like.data.shape)
+
+    return points, stack(lhs), stack(base)
+
+
+def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
+              lhs: np.ndarray, base: np.ndarray,
+              tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rhs, mask of the samples where lhs <= rhs fails) for coefficient ``a``.
+
+    ``rhs`` is the sandwich (a* base) a, or a base for two-step, and each
+    sample is compared in the metric's order with tolerance
+    tol (1 + ||rhs||_op).
+    """
+    kind = a.realization
+    if regime is Regime.TWO_STEP:
+        rhs = algebra.batch_mul(kind, a.data, base)
+    else:
+        rhs = algebra.batch_mul(
+            kind, algebra.batch_mul(kind, adjoint(a).data, base), a.data)
+    tolr = tol * (1.0 + algebra.batch_norm(kind, rhs))
+    return rhs, ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr)
+
+
+def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
+                 a: AlgebraElement, gate: tuple, tables: tuple, seed: Any,
+                 tol: float) -> ContractionCertificate:
+    """The certificate of ``a`` on ``tables``, given its ``_gate`` result."""
+    norm_kind, a_norm, h, h_norm = gate
+    points, lhs, base = tables
+    rhs, failed = _failures(regime, metric, a, lhs, base, tol)
+    bad = np.flatnonzero(failed)
+    lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
+    rhs_norms = algebra.batch_norm(a.realization, rhs[bad], metric.norm).tolist()
+    violations = tuple(
+        {"x": points[i][0], "y": points[i][1], "lhs_norm": ln, "rhs_norm": rn}
+        for i, ln, rn in zip(bad, lhs_norms, rhs_norms))
     return ContractionCertificate(
-        regime=Regime.TWO_STEP, a=a, norm_kind=NormKind.OPERATOR,
-        a_norm=op_norm, samples_checked=orbit_len + 1,
-        violations=tuple(violations), seed_point=seed, h=h, h_norm=h_norm,
+        regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
+        samples_checked=len(points), violations=violations,
+        seed_point=None if regime in _GLOBAL else seed, h=h, h_norm=h_norm,
         map_name=map_spec.name, metric_name=metric.name)
 
 
-def _verify_scalar(map_spec: MapSpec, metric: MetricSpec, regime: Regime,
-                   c: float, pairs: list | None, seed: Any, orbit_len: int,
-                   tol: float) -> ContractionCertificate:
-    a = codomain_scalar(metric, c)
-    if regime is Regime.FORWARD_GLOBAL:
-        return verify_global(map_spec, metric, a, pairs, "forward", tol)
-    if regime is Regime.BACKWARD_GLOBAL:
-        return verify_global(map_spec, metric, a, pairs, "backward", tol)
-    if regime is Regime.ORBITAL:
-        return verify_orbital_type(map_spec, metric, a, seed, orbit_len, tol)
-    return verify_two_step(map_spec, metric, a, seed, orbit_len, tol)
+def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
+           a: AlgebraElement, *, pairs: list | None = None, seed: Any = None,
+           orbit_len: int = 30, tol: float = 1e-9) -> ContractionCertificate:
+    """Check coefficient ``a`` against the regime's inequality on every sample.
+
+    Global regimes check the supplied ordered ``pairs``; the orbital and
+    two-step regimes check the orbit_len + 1 consecutive steps of the orbit
+    of ``seed`` (orbit_len >= 2).  The regime's gates on ``a`` run first.
+    """
+    gate = _gate(regime, metric, a, tol)
+    tables = _tables(regime, map_spec, metric, a, pairs, seed, orbit_len)
+    return _certificate(regime, map_spec, metric, a, gate, tables, seed, tol)
+
+
+def verify_global(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
+                  pairs: list, direction: str = "forward",
+                  tol: float = 1e-9) -> ContractionCertificate:
+    """Check the sandwich inequality on every supplied ordered pair.
+
+    ``direction`` picks the base distance: "forward" compares against
+    a* d(x, y) a, "backward" against a* d(y, x) a.
+    """
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be forward or backward, got {direction!r}")
+    regime = Regime.FORWARD_GLOBAL if direction == "forward" else Regime.BACKWARD_GLOBAL
+    return verify(regime, map_spec, metric, a, pairs=pairs, tol=tol)
+
+
+def verify_orbital_type(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
+                        seed: Any, orbit_len: int = 30,
+                        tol: float = 1e-9) -> ContractionCertificate:
+    """Check d(Ty, T^2 y) <= a* d(y, Ty) a for y along the orbit of ``seed``."""
+    return verify(Regime.ORBITAL, map_spec, metric, a, seed=seed,
+                  orbit_len=orbit_len, tol=tol)
+
+
+def verify_two_step(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
+                    seed: Any, orbit_len: int = 30,
+                    tol: float = 1e-9) -> ContractionCertificate:
+    """Check the one-sided condition d(Ty, T^2 y) <= a d(y, T^2 y) on an orbit.
+
+    The coefficient must be positive, structurally commuting (scalar,
+    sampled, or diagonal matrix), and of operator norm at most 1/2.  The
+    certificate carries h = a (I - a)^-1 and its norm for the solver's
+    step-rate bound; at the boundary norm exactly 1/2 the resolvent still
+    exists but h is no longer a contraction, which shows up as h_norm >= 1.
+    """
+    return verify(Regime.TWO_STEP, map_spec, metric, a, seed=seed,
+                  orbit_len=orbit_len, tol=tol)
 
 
 def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
@@ -259,42 +322,46 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     """Bisect for the smallest scalar multiple of the identity that certifies.
 
     The admissible range is capped by the regime's norm gate (||c I|| < 1 in
-    the metric's norm kind, or operator norm <= 1/2 for two-step).  Returns
-    the certificate at the guaranteed-valid upper end of the final bracket,
-    or None when even the cap fails.  The returned certificate re-verifies
-    through the corresponding verify_* call by construction.
+    the metric's norm kind, or operator norm <= 1/2 for two-step).  Every
+    sample is evaluated once: the tables of the regime are built up front,
+    and each attempt c runs the regime's gates and the core's order check
+    on them with a = c I, asking only whether any sample fails -- no
+    certificate and no violation list per attempt.  Returns the certificate
+    at the guaranteed-valid upper end of the final bracket, or None when
+    even the cap fails.  That certificate comes from the same core on the
+    same tables, so it equals what the corresponding verify_* call returns
+    for the coefficient: the same samples_checked, and its (empty) violation
+    list in sample order.
     """
-    if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
-        if pairs is None:
-            raise ValueError("global regimes need sample pairs")
-    elif seed is None:
-        raise ValueError("orbital regimes need a seed point")
-
     if regime is Regime.TWO_STEP:
         cap = 0.5
     else:
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
+    tables = _tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
+                     pairs, seed, orbit_len)
+    _, lhs, base = tables
 
-    def attempt(c: float) -> ContractionCertificate | None:
+    def holds(c: float) -> bool:
+        a = codomain_scalar(metric, c)
         try:
-            cert = _verify_scalar(map_spec, metric, regime, c, pairs, seed,
-                                  orbit_len, tol)
+            _gate(regime, metric, a, tol)
         except (CoefficientNormTooLarge, NotPositive, NotInCommutant):
-            return None
-        return cert if cert.valid else None
+            return False
+        return not _failures(regime, metric, a, lhs, base, tol)[1].any()
 
-    at_zero = attempt(0.0)
-    if at_zero is not None:
-        return at_zero
-    hi_cert = attempt(cap)
-    if hi_cert is None:
+    if holds(0.0):
+        c = 0.0
+    elif holds(cap):
+        lo, c = 0.0, cap
+        for _ in range(BISECTION_STEPS):
+            mid = 0.5 * (lo + c)
+            if holds(mid):
+                c = mid
+            else:
+                lo = mid
+    else:
         return None
-    lo, hi = 0.0, cap
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if attempt(mid) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return attempt(hi)
+    a = codomain_scalar(metric, c)
+    return _certificate(regime, map_spec, metric, a, _gate(regime, metric, a, tol),
+                        tables, seed, tol)

@@ -66,21 +66,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class OrbitTrace:
-    """Iterates with per-step distance elements and norms in both orders.
+    """Iterates with per-step distance norms in both orders.
 
     ``fwd_step_norms[i]`` is the norm of d(x_i, x_{i+1}) (old, new) and
-    ``bwd_step_norms[i]`` of d(x_{i+1}, x_i), both in the display norm;
-    the corresponding algebra elements are kept alongside.  Operator-norm
-    twins are recorded when the display norm differs.
+    ``bwd_step_norms[i]`` of d(x_{i+1}, x_i), both in the display norm.
     """
 
     points: tuple
     fwd_step_norms: tuple[float, ...]
     bwd_step_norms: tuple[float, ...]
-    fwd_step_elements: tuple[AlgebraElement, ...] = ()
-    bwd_step_elements: tuple[AlgebraElement, ...] = ()
-    fwd_step_opnorms: tuple[float, ...] | None = None
-    bwd_step_opnorms: tuple[float, ...] | None = None
 
     def write_csv(self, path, bounds: tuple[float, ...] | None = None) -> None:
         with open(path, "w", newline="") as fh:
@@ -205,10 +199,6 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     points = [seed]
     fwd_steps: list[float] = []
     bwd_steps: list[float] = []
-    fwd_elems: list[AlgebraElement] = []
-    bwd_elems: list[AlgebraElement] = []
-    fwd_ops: list[float] = []
-    bwd_ops: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
         current = points[-1]
@@ -217,10 +207,6 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         step_bwd = eval_metric(metric, nxt, current)
         fwd_steps.append(norm(step_fwd, display))
         bwd_steps.append(norm(step_bwd, display))
-        fwd_elems.append(step_fwd)
-        bwd_elems.append(step_bwd)
-        fwd_ops.append(norm(step_fwd, NormKind.OPERATOR))
-        bwd_ops.append(norm(step_bwd, NormKind.OPERATOR))
         points.append(nxt)
         done = fwd_steps[-1] <= cfg.tol and (forward_only or bwd_steps[-1] <= cfg.tol)
         if done:
@@ -269,11 +255,7 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
 
     trace = None
     if cfg.record_trace:
-        same = display is NormKind.OPERATOR
-        trace = OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps),
-                           tuple(fwd_elems), tuple(bwd_elems),
-                           None if same else tuple(fwd_ops),
-                           None if same else tuple(bwd_ops))
+        trace = OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps))
     return SolverReport(
         fixed_point=fixed_point, iterations=iterations, converged=converged,
         max_iter_exceeded=not converged, residual_forward=residual_forward,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from quasifix.cli import main
+from quasifix.cli import _write_report, main
 
 
 def _load(path: Path) -> dict:
@@ -121,6 +121,30 @@ def test_certify_two_step_verifies_explicit_coefficient(tmp_path):
     assert code == 0
     payload = _load(cert)["report"]
     assert payload["h_norm"] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", [
+    ["--a", '{"realization": "scalar", "value": 0.5}'], ["--search"]])
+def test_certify_rejects_orbits_shorter_than_two_steps(mode, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--map", "linear-quarter",
+              "--metric", "scalar-backward-one", "--regime", "orbital",
+              "--orbit-len", "1", *mode])
+    assert exc.value.code == 2
+    assert "--orbit-len" in capsys.readouterr().err
+
+
+def test_solve_rejects_zero_iterations(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--map", "linear-quarter", "--metric", "mat2-split",
+              "--seed", "1", "--cert", "unused.json", "--max-iter", "0"])
+    assert exc.value.code == 2
+    assert "--max-iter" in capsys.readouterr().err
+
+
+def test_unwritten_reports_are_not_serialized():
+    # an object json cannot encode shows whether the report was serialized
+    _write_report(None, {}, {"unserializable": object()}, None)
 
 
 # --- demo-integral ----------------------------------------------------------------

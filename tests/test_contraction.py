@@ -2,16 +2,30 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasifix import contraction, metrics
 from quasifix.algebra import (
+    NormKind,
     NotPositive,
+    NotSelfAdjoint,
+    OrderKind,
+    adjoint,
     allclose,
     diag2,
+    leq,
     mat2,
+    mul,
+    norm,
+    sampled,
     scalar,
+    scale,
 )
 from quasifix.contraction import (
     CoefficientNormTooLarge,
@@ -19,15 +33,21 @@ from quasifix.contraction import (
     Regime,
     certificate_from_json,
     search_scalar_coefficient,
+    verify,
     verify_global,
     verify_orbital_type,
     verify_two_step,
 )
-from quasifix.maps import MapSpec, linear_quarter, piecewise_quarter
+from quasifix.maps import MapSpec, from_table, linear_quarter, piecewise_quarter
 from quasifix.metrics import (
+    DomainMismatch,
+    MetricSpec,
+    eval_metric,
     mat2_split,
     mat2_split_scaled,
+    periodic_fn,
     scalar_backward_one,
+    scalar_forward_one,
 )
 
 GRID = np.linspace(-2.0, 2.0, 17)
@@ -59,6 +79,19 @@ def test_backward_one_metric_defeats_small_coefficients():
     assert not cert.valid
     # the violations are exactly the x < y pairs, where 1 <= a^2 is forced
     assert all(v["x"] < v["y"] for v in cert.violations)
+
+
+def test_order_tolerance_scales_with_the_rhs_norm():
+    # lhs = 1000 k against rhs = 0.25 * 1000 = 250, with tolerance
+    # 1e-9 * (1 + 250): an excess of 1e-7 is inside it, 1e-6 is not
+    def scaled(k):
+        return MapSpec("scaled", lambda x: k * x)
+
+    pair = [(1000.0, 0.0)]
+    assert verify_global(scaled(0.25 + 1e-10), scalar_backward_one(),
+                         scalar(0.5), pair).valid
+    assert not verify_global(scaled(0.25 + 1e-9), scalar_backward_one(),
+                             scalar(0.5), pair).valid
 
 
 def test_coefficient_norm_gate():
@@ -181,6 +214,44 @@ def test_global_certificate_implies_orbital_certificate():
                                    orbit_len=20, tol=1e-12).valid
 
 
+def test_search_evaluates_each_sample_once(monkeypatch):
+    calls = []
+    real = contraction.eval_metric
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(contraction, "eval_metric", counting)
+    cert = search_scalar_coefficient(linear_quarter(), mat2_split_scaled(0.25),
+                                     Regime.FORWARD_GLOBAL, pairs=PAIRS,
+                                     tol=1e-12)
+    assert cert is not None and cert.samples_checked == len(PAIRS)
+    assert len(calls) <= 2 * len(GRID) ** 2
+
+
+@pytest.mark.parametrize("regime", [Regime.ORBITAL, Regime.TWO_STEP])
+def test_orbit_regimes_need_at_least_two_steps(regime):
+    check = verify_orbital_type if regime is Regime.ORBITAL else verify_two_step
+    with pytest.raises(ValueError, match="orbit_len"):
+        check(linear_quarter(), scalar_backward_one(), scalar(0.4), seed=1.0,
+              orbit_len=1)
+    with pytest.raises(ValueError, match="orbit_len"):
+        search_scalar_coefficient(linear_quarter(), scalar_backward_one(),
+                                  regime, seed=1.0, orbit_len=1)
+    assert check(linear_quarter(), scalar_backward_one(), scalar(0.4),
+                 seed=1.0, orbit_len=2).samples_checked == 3
+
+
+def test_points_outside_the_map_domain_still_raise():
+    table = from_table({0.0: 0.0, 1.0: 0.25})
+    with pytest.raises(DomainMismatch):
+        verify_global(table, mat2_split(), diag2(0.5, 0.5),
+                      [(0.0, 1.0), (1.0, 2.0)], "forward")
+    with pytest.raises(DomainMismatch):
+        search_scalar_coefficient(table, mat2_split(), Regime.ORBITAL, seed=1.0)
+
+
 def test_search_argument_validation():
     with pytest.raises(ValueError):
         search_scalar_coefficient(linear_quarter(), mat2_split(),
@@ -202,3 +273,109 @@ def test_certificate_json_roundtrip():
     assert back.h_norm == pytest.approx(cert.h_norm, abs=0.0)
     assert allclose(back.a, cert.a, tol=0.0)
     assert back.map_name == "linear-quarter"
+
+
+# --- batched core against the sample-by-sample loop ----------------------------
+
+def reference_violations(regime, map_spec, metric, a, *, pairs=None,
+                         seed=None, orbit_len=30, tol=1e-9):
+    """The per-sample loop the batched core replaced: one ``eval_metric``
+    per distance and one ``leq`` per sample, in sample order."""
+    if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
+        backward = regime is Regime.BACKWARD_GLOBAL
+        samples = [(x, y, eval_metric(metric, map_spec.apply(x), map_spec.apply(y)),
+                    eval_metric(metric, y, x) if backward else eval_metric(metric, x, y))
+                   for x, y in pairs]
+    else:
+        pts = map_spec.orbit(seed, orbit_len + 2)
+        far = 1 if regime is Regime.ORBITAL else 2
+        samples = [(pts[i], pts[i + 1], eval_metric(metric, pts[i + 1], pts[i + 2]),
+                    eval_metric(metric, pts[i], pts[i + far]))
+                   for i in range(orbit_len + 1)]
+    found = []
+    for x, y, lhs, base in samples:
+        if regime is Regime.TWO_STEP:
+            rhs = mul(a, base)
+        else:
+            rhs = mul(mul(adjoint(a), base), a)
+        tolr = tol * (1.0 + norm(rhs, NormKind.OPERATOR))
+        if not leq(lhs, rhs, metric.order, tolr):
+            found.append((x, y, norm(lhs, metric.norm), norm(rhs, metric.norm)))
+    return found
+
+
+T_GRID = 8
+CODOMAINS = {
+    "mat2-split": mat2_split,
+    "mat2-split-scaled": lambda: mat2_split_scaled(0.3),
+    "periodic-fn": lambda: periodic_fn(grid_size=T_GRID),
+    "scalar-forward-one": scalar_forward_one,
+    "scalar-backward-one": scalar_backward_one,
+}
+
+
+def random_coefficient(rng, metric, regime):
+    """A random coefficient scaled into the regime's gates: norm up to 0.99
+    in the metric's norm for the sandwich; nonnegative, diagonal for mat2,
+    and of operator norm up to 1/2 for two-step."""
+    two_step = regime is Regime.TWO_STEP
+    lo = 0.0 if two_step else -1.0
+    if metric.codomain == "mat2":
+        m = rng.uniform(lo, 1.0, size=(2, 2))
+        if two_step or rng.random() < 0.5:
+            m = np.diag(np.diag(m))
+        a = mat2(*m.ravel())
+    elif metric.codomain == "sampled":
+        a = sampled(metric.grid_array, rng.uniform(lo, 1.0, size=T_GRID))
+    else:
+        a = scalar(rng.uniform(lo, 1.0))
+    size = norm(a, NormKind.OPERATOR if two_step else metric.norm)
+    target = rng.uniform(0.0, 0.5 if two_step else 0.99)
+    return scale(a, target / size) if size > target else a
+
+
+@pytest.mark.parametrize("codomain", sorted(CODOMAINS))
+@settings(max_examples=60, deadline=None)
+@given(order=st.sampled_from(OrderKind), norm_kind=st.sampled_from(NormKind),
+       regime=st.sampled_from(Regime), seed=st.integers(0, 2**32 - 1))
+def test_batched_core_matches_the_per_sample_loop(codomain, order, norm_kind,
+                                                  regime, seed):
+    rng = np.random.default_rng(seed)
+    metric = replace(CODOMAINS[codomain](), order=order, norm=norm_kind)
+    slope, shift = rng.uniform(-1.0, 1.0, size=2)
+    if rng.random() < 0.75:
+        map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    else:
+        map_spec = piecewise_quarter()
+    # one decimal place, so that grids repeat points and distances tie
+    grid = np.round(rng.uniform(-4.0, 4.0, size=rng.integers(1, 7)), 1).tolist()
+    kwargs = {"pairs": [(x, y) for x in grid for y in grid], "seed": grid[0],
+              "orbit_len": int(rng.integers(2, 9)), "tol": 1e-9}
+    a = random_coefficient(rng, metric, regime)
+    try:
+        expected = reference_violations(regime, map_spec, metric, a, **kwargs)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            verify(regime, map_spec, metric, a, **kwargs)
+        return
+    cert = verify(regime, map_spec, metric, a, **kwargs)
+    assert [(v["x"], v["y"]) for v in cert.violations] == \
+        [(x, y) for x, y, _, _ in expected]
+    for v, (_, _, lhs_norm, rhs_norm) in zip(cert.violations, expected):
+        assert math.isclose(v["lhs_norm"], lhs_norm, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(v["rhs_norm"], rhs_norm, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_self_adjointness_gate_fires_on_the_same_sample(monkeypatch):
+    def skewed(spec, x, y):
+        return mat2(abs(x - y), 0.0, 0.1 * x if x > 1.0 else 0.0, abs(x - y))
+
+    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "skewed", skewed)
+    metric = MetricSpec("skewed", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)
+    pairs = [(0.0, 0.5), (1.5, 0.0), (2.0, 0.0)]
+    with pytest.raises(NotSelfAdjoint) as want:
+        reference_violations(Regime.FORWARD_GLOBAL, linear_quarter(), metric,
+                             diag2(0.5, 0.5), pairs=pairs)
+    with pytest.raises(NotSelfAdjoint) as got:
+        verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs)
+    assert str(got.value) == str(want.value)
