@@ -275,7 +275,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"backward {report.residual_backward:.3e}")
     print(f"bound envelope ok: {report.bound_envelope_ok}; "
           f"certified: {report.fixed_point_certified}")
-    if args.trace and report.trace is not None:
+    if args.trace:
         report.trace.write_csv(_resolve_out(args.trace, args.out_dir),
                                report.predicted_bounds)
     config = _common_config(args, ["map", "metric", "seed", "tol", "max_iter"])
@@ -408,6 +408,10 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
+    # the solvers stop once a step distance is at most --tol (0 may never be
+    # reached); check-axioms compares with a tolerance of 0 just fine
+    if args.command in ("solve", "demo-integral") and not args.tol > 0:
+        parser.error(f"argument --tol: must be positive, got {args.tol}")
     try:
         return args.func(args)
     except (AlgebraError, DomainMismatch, WindowTooLarge, CertificateInvalid,

@@ -141,7 +141,7 @@ def apply_T(f: np.ndarray, prob: IntegralProblem) -> np.ndarray:
 
 
 def integral_operator(prob: IntegralProblem) -> MapSpec:
-    return MapSpec("integral-op", lambda f: apply_T(f, prob), domain="sampled-fn")
+    return MapSpec("integral-op", lambda f: apply_T(f, prob))
 
 
 def problem_metric(prob: IntegralProblem) -> MetricSpec:
@@ -277,9 +277,7 @@ def run_demo(prob: IntegralProblem,
             f"alpha={prob.alpha}, k={prob.k}")
     cert = demo_certificate(prob)
     solve_cfg = SolverConfig(max_iter=cfg.max_iter, tol=cfg.tol,
-                             norm_kind=cfg.norm_kind,
-                             bound_mode=BoundMode.SANDWICH,
-                             record_trace=cfg.record_trace)
+                             bound_mode=BoundMode.SANDWICH)
     solved: SolverReport = picard_solve(integral_operator(prob),
                                         problem_metric(prob),
                                         prob.f0_array, cert, solve_cfg)

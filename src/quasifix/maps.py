@@ -13,11 +13,10 @@ PIECEWISE_QUARTER = "piecewise-quarter"
 
 @dataclass(frozen=True)
 class MapSpec:
-    """A named self-map with a point-domain descriptor."""
+    """A named self-map."""
 
     name: str
     fn: Callable[[Any], Any] = field(repr=False)
-    domain: str = "real"
 
     def apply(self, x: Any) -> Any:
         return self.fn(x)
@@ -48,7 +47,7 @@ def from_table(table: dict) -> MapSpec:
         except KeyError:
             raise DomainMismatch(f"point {x!r} is outside the table domain") from None
 
-    return MapSpec("user-table", lookup, domain="table")
+    return MapSpec("user-table", lookup)
 
 
 CATALOG: dict[str, Callable[[], MapSpec]] = {

@@ -7,7 +7,13 @@ questions split into a forward and a backward variant downstream.
 The axiom checker sweeps positivity, identity of indiscernibles, and the
 triangle inequality (in the metric's declared partial order) over every
 ordered triple of a sample set, and records one asymmetry witness pair when
-it finds one.  Violations are data, not exceptions.
+it finds one.  Violations are data, not exceptions.  Every value it compares
+is diagonal, sampled or scalar, so it lives in a commutative subalgebra where
+the order is componentwise: the sweep builds one table of the components of
+d(x_i, x_j) for all pairs and checks the axioms on that table.  ``eval_metric``
+keeps a one-pair form of the same formulas, because per-call array overhead
+would make a batched kernel two to three times slower on a single pair; the
+two forms reject the same points and distances.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .algebra import (
     AlgebraElement,
     NormKind,
     OrderKind,
+    RealizationMismatch,
     diag2,
     leq,
     norm,
@@ -154,9 +161,21 @@ def _require_fn_point(spec: MetricSpec, value: Any) -> np.ndarray:
     return f
 
 
+_OVERFLOW = "distance overflows: the points are too far apart"
+
+
+def _finite(value: float) -> float:
+    """``value`` if it is a finite distance component, else DomainMismatch."""
+    if not math.isfinite(value):
+        raise DomainMismatch(_OVERFLOW)
+    return value
+
+
 def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Symbol of the multiplication-operator distance between two samples."""
-    return np.where(f > g, 0.5 * (f - g), np.where(g > f, g - f, 0.0))
+    """Symbol of the multiplication-operator distance between two samples
+    (inf, without a warning, where a difference overflows)."""
+    with np.errstate(over="ignore"):
+        return np.where(f > g, 0.5 * (f - g), np.where(g > f, g - f, 0.0))
 
 
 def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
@@ -167,26 +186,31 @@ def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
         a, b = _require_real_point(x), _require_real_point(y)
         beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
         if a >= b:
-            return diag2(a - b, 0.0)
-        return diag2(0.0, beta * (b - a))
+            return diag2(_finite(a - b), 0.0)
+        return diag2(0.0, _finite(beta * (b - a)))
     if spec.name == PERIODIC_FN:
         a, b = _require_real_point(x), _require_real_point(y)
         t = spec.grid_array
+        # the samples are monotone in t: check the largest one (the last
+        # when x >= y, else the first) before computing them all
         if a >= b:
+            _finite((a - b) * float(t[-1]))
             values = (a - b) * t
         else:
+            _finite((b - a) * (spec.period - float(t[0])) / spec.period)
             values = (b - a) * (spec.period - t) / spec.period
         return sampled(t, values)
     if spec.name == SCALAR_FORWARD_ONE:
         a, b = _require_real_point(x), _require_real_point(y)
-        return scalar(b - a if b >= a else 1.0)
+        return scalar(_finite(b - a) if b >= a else 1.0)
     if spec.name == SCALAR_BACKWARD_ONE:
         a, b = _require_real_point(x), _require_real_point(y)
-        return scalar(a - b if a >= b else 1.0)
+        return scalar(_finite(a - b) if a >= b else 1.0)
     if spec.name == MULT_OP:
-        f = _require_fn_point(spec, x)
-        g = _require_fn_point(spec, y)
-        return sampled(spec.grid_array, mult_op_values(f, g))
+        values = mult_op_values(_require_fn_point(spec, x), _require_fn_point(spec, y))
+        if not np.all(np.isfinite(values)):
+            raise DomainMismatch(_OVERFLOW)
+        return sampled(spec.grid_array, values)
     evaluator = _EXTRA_EVALUATORS.get(spec.name)
     if evaluator is None:
         raise ValueError(f"unknown metric {spec.name!r}")
@@ -303,43 +327,79 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
-def _component_table(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
-    """Vectorized d(x_i, x_j) as component arrays C[i, j, :].
+def _components(d: AlgebraElement) -> np.ndarray:
+    """Diagonal of a 2x2 value, samples of a sampled value, a scalar's value."""
+    if d.realization == MAT2:
+        if d.data[0, 1] != 0.0 or d.data[1, 0] != 0.0:
+            raise ValueError("the axiom sweep compares diagonal 2x2 values only")
+        return d.data.diagonal()
+    return d.data.reshape(-1)
+
+
+def _component_table(spec: MetricSpec, points: Any) -> tuple[Any, np.ndarray]:
+    """The validated points and d(x_i, x_j) as component arrays C[i, j, :].
 
     Components are diagonal entries for the matrix metrics, samples for the
-    periodic metric, and a single value for the scalar metrics.  Only the
-    real-point catalog metrics are supported here.
+    function-valued metrics, and a single value for the scalar metrics; a
+    registered evaluator's values are stacked the same way.  Points are
+    validated as ``eval_metric`` validates them, and a distance with a
+    non-finite component raises ``DomainMismatch`` as it does there.
     """
-    X = pts[:, None]
-    Y = pts[None, :]
-    ge = X >= Y
-    if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
-        beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
-        c0 = np.where(ge, X - Y, 0.0)
-        c1 = np.where(ge, 0.0, beta * (Y - X))
-        table = np.stack([c0, c1], axis=-1)
-    elif spec.name == SCALAR_FORWARD_ONE:
-        table = np.where(Y >= X, Y - X, 1.0)[..., None]
-    elif spec.name == SCALAR_BACKWARD_ONE:
-        table = np.where(ge, X - Y, 1.0)[..., None]
-    elif spec.name == PERIODIC_FN:
-        t = spec.grid_array
-        up = (X - Y)[..., None] * t
-        down = (Y - X)[..., None] * (spec.period - t) / spec.period
-        table = np.where(ge[..., None], up, down)
+    if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
+        raise RealizationMismatch("entrywise order is defined for mat2 only")
+    if spec.name not in CATALOG:
+        pts = list(points)
+        rows = [[_components(eval_metric(spec, x, y)) for y in pts] for x in pts]
+        n = len(pts)
+        return pts, np.reshape(rows, (n, n, -1)) if n else np.zeros((0, 0, 1))
+    if spec.name == MULT_OP:
+        pts = np.reshape([_require_fn_point(spec, f) for f in points],
+                         (-1, spec.grid_array.size))
+        table = mult_op_values(pts[:, None], pts[None, :])
     else:
-        raise ValueError(f"no vectorized table for metric {spec.name!r}")
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 1 or not np.all(np.isfinite(pts)):
+            raise DomainMismatch("points must be finite reals")
+        X = pts[:, None]
+        Y = pts[None, :]
+        ge = X >= Y
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
+                beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
+                c0 = np.where(ge, X - Y, 0.0)
+                c1 = np.where(ge, 0.0, beta * (Y - X))
+                table = np.stack([c0, c1], axis=-1)
+            elif spec.name == SCALAR_FORWARD_ONE:
+                table = np.where(Y >= X, Y - X, 1.0)[..., None]
+            elif spec.name == SCALAR_BACKWARD_ONE:
+                table = np.where(ge, X - Y, 1.0)[..., None]
+            else:
+                t = spec.grid_array
+                up = (X - Y)[..., None] * t
+                down = (Y - X)[..., None] * (spec.period - t) / spec.period
+                table = np.where(ge[..., None], up, down)
+    if not np.all(np.isfinite(table)):
+        raise DomainMismatch(_OVERFLOW)
     if spec.swap_args:
         table = np.swapaxes(table, 0, 1)
-    return table
+    return pts, table
 
 
-def _check_axioms_vectorized(spec: MetricSpec, pts: np.ndarray,
-                             tol: float) -> AxiomReport:
-    n = pts.size
+def check_axioms(spec: MetricSpec, sample_points: list,
+                 tol: float = 1e-9) -> AxiomReport:
+    """Sweep the metric axioms over every ordered pair and triple of samples.
+
+    Sample sets shorter than three points are allowed and yield a vacuous
+    (or partially vacuous) pass.  Every metric goes through one component
+    table and one sweep; the triangle step takes one x at a time, so memory
+    is O(n^2) components.  Points ``eval_metric`` rejects and overflowing
+    distances raise ``DomainMismatch``; the entrywise order on a codomain
+    other than 2x2 matrices raises ``RealizationMismatch``.
+    """
+    pts, table = _component_table(spec, sample_points)
+    n = len(pts)
     report = AxiomReport(metric=spec.name, tol=tol,
                          pairs_tested=n * n, triples_tested=n * n * n)
-    table = _component_table(spec, pts)
 
     # positivity over all ordered pairs
     min_comp = table.min(axis=-1)
@@ -361,94 +421,23 @@ def _check_axioms_vectorized(spec: MetricSpec, pts: np.ndarray,
             {"x": pts[i], "y": pts[j], "kind": "zero-at-distinct-points",
              "max_component": float(offdiag_norm[i, j])})
 
-    # triangle over all ordered triples (x, y, z)
-    lhs = table[:, :, None, :]
-    rhs = table[:, None, :, :] + np.transpose(table, (1, 0, 2))[None, :, :, :]
-    tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True))
-    fails = np.any(rhs - lhs < -tolr, axis=-1)
-    if spec.order is OrderKind.ENTRYWISE:
-        fails |= np.any(lhs < -tol, axis=-1)
-    for i, j, k in np.argwhere(fails):
-        report.triangle_violations.append(
-            {"x": pts[i], "y": pts[j], "z": pts[k],
-             "lhs": table[i, j].tolist(), "rhs": rhs[i, j, k].tolist()})
-
-    report.asymmetry_witness = _witness_from_table(table, pts, tol)
-    return report
-
-
-def _witness_from_table(table: np.ndarray, pts: np.ndarray,
-                        tol: float) -> tuple | None:
-    n = pts.size
-    gap = np.abs(table - np.swapaxes(table, 0, 1)).max(axis=-1)
+    # triangle over all ordered triples (x, y, z), one x at a time: for
+    # x = pts[i], lhs[j] = d(x, y_j) and rhs[j, k] = d(x, z_k) + d(z_k, y_j)
+    table_t = np.swapaxes(table, 0, 1)
     for i in range(n):
-        for j in range(i + 1, n):
-            if gap[i, j] > tol:
-                return (pts[i], pts[j])
-    return None
+        lhs = table[i][:, None, :]
+        rhs = table[i][None, :, :] + table_t
+        tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True))
+        fails = np.any(rhs - lhs < -tolr, axis=-1)
+        if spec.order is OrderKind.ENTRYWISE:
+            fails |= np.any(lhs < -tol, axis=-1)
+        for j, k in np.argwhere(fails):
+            report.triangle_violations.append(
+                {"x": pts[i], "y": pts[j], "z": pts[k],
+                 "lhs": table[i, j].tolist(), "rhs": rhs[j, k].tolist()})
 
-
-def _check_axioms_generic(spec: MetricSpec, points: list,
-                          tol: float) -> AxiomReport:
-    n = len(points)
-    report = AxiomReport(metric=spec.name, tol=tol,
-                         pairs_tested=n * n, triples_tested=n * n * n)
-    table = [[eval_metric(spec, x, y) for y in points] for x in points]
-
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            d = table[i][j]
-            lo = float(np.min(d.data))
-            if lo < -tol:
-                report.positivity_violations.append(
-                    {"x": x, "y": y, "min_component": lo})
-            if i == j and np.any(d.data != 0.0):
-                report.identity_violations.append(
-                    {"x": x, "y": y, "kind": "nonzero-at-diagonal",
-                     "max_component": float(np.max(np.abs(d.data)))})
-            if i != j and norm(d, spec.norm) <= tol:
-                report.identity_violations.append(
-                    {"x": x, "y": y, "kind": "zero-at-distinct-points",
-                     "max_component": float(np.max(np.abs(d.data)))})
-
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            for k, z in enumerate(points):
-                lhs = table[i][j]
-                rhs = table[i][k] + table[k][j]
-                tolr = tol * (1.0 + norm(rhs, NormKind.OPERATOR))
-                if not leq(lhs, rhs, spec.order, tolr):
-                    report.triangle_violations.append(
-                        {"x": x, "y": y, "z": z,
-                         "lhs": lhs.data.tolist(), "rhs": rhs.data.tolist()})
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = float(np.max(np.abs(table[i][j].data - table[j][i].data)))
-            if gap > tol:
-                report.asymmetry_witness = (points[i], points[j])
-                break
-        if report.asymmetry_witness is not None:
-            break
+    # the first pair i < j, in row-major order, whose two orders differ
+    gap = np.abs(table - table_t).max(axis=-1)
+    for i, j in np.argwhere(np.triu(gap > tol, k=1))[:1]:
+        report.asymmetry_witness = (pts[i], pts[j])
     return report
-
-
-def check_axioms(spec: MetricSpec, sample_points: list,
-                 tol: float = 1e-9) -> AxiomReport:
-    """Sweep the metric axioms over every ordered pair and triple of samples.
-
-    Sample sets shorter than three points are allowed and yield a vacuous
-    (or partially vacuous) pass.  The real-point catalog metrics run through
-    a vectorized kernel; anything else takes the generic element-by-element
-    path.
-    """
-    try:
-        pts = np.asarray(sample_points, dtype=float)
-        vectorizable = pts.ndim == 1 and spec.name in (
-            MAT2_SPLIT, MAT2_SPLIT_SCALED, PERIODIC_FN,
-            SCALAR_FORWARD_ONE, SCALAR_BACKWARD_ONE)
-    except (TypeError, ValueError):
-        vectorizable = False
-    if vectorizable:
-        return _check_axioms_vectorized(spec, pts, tol)
-    return _check_axioms_generic(spec, list(sample_points), tol)

@@ -53,9 +53,7 @@ class BoundMode(Enum):
 class SolverConfig:
     max_iter: int = 1000
     tol: float = 1e-10
-    norm_kind: NormKind | None = None  # None: use the metric's display norm
     bound_mode: BoundMode = BoundMode.SANDWICH
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
@@ -111,14 +109,14 @@ class SolverReport:
     seed: Any
     map_name: str
     metric_name: str
-    trace: OrbitTrace | None = None
+    trace: OrbitTrace
     uniqueness_spread: float | None = None
 
     def to_json_dict(self) -> dict:
         def pt(p: Any) -> Any:
             return p.tolist() if isinstance(p, np.ndarray) else p
 
-        payload = {
+        return {
             "fixed_point": pt(self.fixed_point),
             "iterations": self.iterations,
             "converged": self.converged,
@@ -141,14 +139,12 @@ class SolverReport:
             "map": self.map_name,
             "metric": self.metric_name,
             "uniqueness_spread": self.uniqueness_spread,
-        }
-        if self.trace is not None:
-            payload["trace"] = {
+            "trace": {
                 "points": [pt(p) for p in self.trace.points],
                 "fwd_step_norms": list(self.trace.fwd_step_norms),
                 "bwd_step_norms": list(self.trace.bwd_step_norms),
-            }
-        return payload
+            },
+        }
 
 
 def apriori_bound(d1: AlgebraElement, coeff_norm: float, p: int,
@@ -193,7 +189,7 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     coeff_norm, rate = _certificate_rate(cert, cfg.bound_mode)
     if rate >= 1.0:
         raise RateNotLessThanOne(f"certificate rate {rate:.6f} is not below 1")
-    display = cfg.norm_kind or metric.norm
+    display = metric.norm
     forward_only = cert.regime in (Regime.ORBITAL, Regime.TWO_STEP)
 
     points = [seed]
@@ -253,9 +249,6 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         certified = (converged and residual_forward <= cfg.tol
                      and residual_backward <= cfg.tol)
 
-    trace = None
-    if cfg.record_trace:
-        trace = OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps))
     return SolverReport(
         fixed_point=fixed_point, iterations=iterations, converged=converged,
         max_iter_exceeded=not converged, residual_forward=residual_forward,
@@ -265,7 +258,8 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         predicted_bounds_rev=predicted_rev, observed_tail_rev=observed_rev,
         bound_envelope_ok=envelope_ok, lsc_check=lsc,
         fixed_point_certified=certified, seed=seed,
-        map_name=map_spec.name, metric_name=metric.name, trace=trace)
+        map_name=map_spec.name, metric_name=metric.name,
+        trace=OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps)))
 
 
 def uniqueness_probe(map_spec: MapSpec, metric: MetricSpec,
@@ -282,7 +276,7 @@ def uniqueness_probe(map_spec: MapSpec, metric: MetricSpec,
         raise CertificateInvalid(
             "uniqueness needs a forward-global certificate; "
             f"got {cert.regime.value}")
-    display = cfg.norm_kind or metric.norm
+    display = metric.norm
     results = [picard_solve(map_spec, metric, seed, cert, cfg).fixed_point
                for seed in seeds]
     spread = 0.0

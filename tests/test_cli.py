@@ -53,6 +53,23 @@ def test_check_axioms_random_grid_is_seeded(tmp_path):
     assert _strip_timestamp(_load(first)) == _strip_timestamp(_load(second))
 
 
+@pytest.mark.parametrize("argv", [
+    ["--metric", "mat2-split", "--grid=nan,1,2"],
+    ["--metric", "mat2-split", "--grid=inf,0,1"],
+    ["--metric", "mat2-split", "--grid", "1e308,-1e308,0"],
+    ["--metric", "periodic-fn", "--order", "entrywise"],
+    ["--metric", "scalar-forward-one", "--order", "entrywise"],
+], ids=["nan", "inf", "overflow", "entrywise-sampled", "entrywise-scalar"])
+def test_check_axioms_refuses_what_it_cannot_compare(argv, capsys):
+    assert main(["check-axioms", *argv]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_check_axioms_accepts_a_zero_tolerance():
+    assert main(["check-axioms", "--metric", "mat2-split", "--grid", "5",
+                 "--tol", "0"]) == 0
+
+
 # --- classify ----------------------------------------------------------------
 
 def test_classify_forward_only_sequence(tmp_path, capsys):
@@ -140,6 +157,27 @@ def test_solve_rejects_zero_iterations(capsys):
               "--seed", "1", "--cert", "unused.json", "--max-iter", "0"])
     assert exc.value.code == 2
     assert "--max-iter" in capsys.readouterr().err
+
+
+def test_certify_on_an_overflowing_grid_is_a_domain_error(capsys):
+    code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--regime", "forward", "--grid", "1e308,-1e308,0", "--a",
+                 '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}'])
+    assert code == 1
+    assert "error: distance overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--map", "linear-quarter", "--metric", "mat2-split",
+     "--seed", "1", "--cert", "unused.json"],
+    ["demo-integral", "--grid", "64"],
+], ids=["solve", "demo-integral"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_solver_subcommands_reject_a_non_positive_tolerance(argv, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_unwritten_reports_are_not_serialized():
