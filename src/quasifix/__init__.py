@@ -83,6 +83,7 @@ from .solver import (
     SolverConfig,
     SolverReport,
     apriori_bound,
+    apriori_envelope,
     picard_solve,
     uniqueness_probe,
 )

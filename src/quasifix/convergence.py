@@ -9,6 +9,12 @@ and that is the implemented reading.
 
 Verdicts are evidence over a finite window, not proofs; every verdict
 records the tail data it was derived from.
+
+A trace takes its distances as rectangular tables through
+``metrics.distance_norm_table``: the candidate against every point in both
+argument orders, and the inspection window against itself.  The values are
+the one-pair ``distance_norm`` values bit for bit, and the tables cover the
+pairs the one-pair loop would evaluate, so they reject the same points.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from enum import Enum
 from typing import Any
 
 from .maps import MapSpec
-from .metrics import MetricSpec, distance_norm
+from .metrics import MetricSpec, distance_norm, distance_norm_table
 
 
 class WindowTooLarge(Exception):
@@ -76,18 +82,17 @@ def trace(points: list, metric: MetricSpec, candidate: Any = None,
     pts = tuple(points)
     fwd: tuple[float, ...] = ()
     bwd: tuple[float, ...] = ()
-    if candidate is not None:
-        fwd = tuple(distance_norm(metric, candidate, x) for x in pts)
-        bwd = tuple(distance_norm(metric, x, candidate) for x in pts)
-    pairs: list[tuple[int, int, float, float]] = []
+    if candidate is not None and pts:
+        fwd = tuple(distance_norm_table(metric, [candidate], pts)[0].tolist())
+        bwd = tuple(distance_norm_table(metric, pts, [candidate])[:, 0].tolist())
+    pairs: tuple[tuple[int, int, float, float], ...] = ()
     if window is not None and window >= 2:
-        start = len(pts) - window
-        for p in range(start, len(pts)):
-            for n in range(p + 1, len(pts)):
-                pairs.append((p, n,
-                              distance_norm(metric, pts[p], pts[n]),
-                              distance_norm(metric, pts[n], pts[p])))
-    return SequenceTrace(pts, metric.name, fwd, bwd, tuple(pairs))
+        idx = range(len(pts) - window, len(pts))
+        tail = [pts[p] for p in idx]
+        rows = distance_norm_table(metric, tail, tail).tolist()
+        pairs = tuple((idx[i], idx[j], rows[i][j], rows[j][i])
+                      for i in range(window) for j in range(i + 1, window))
+    return SequenceTrace(pts, metric.name, fwd, bwd, pairs)
 
 
 def orbit_trace(map_spec: MapSpec, metric: MetricSpec, seed: Any, length: int,

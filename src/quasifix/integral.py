@@ -15,6 +15,10 @@ the samples and retains its O(h^2) accuracy on these smooth integrands.
 Distances between iterates use the multiplication-operator metric: the
 distance symbol is (1/2)(f - g) where f > g and (g - f) where g > f, with
 sup norm over the grid, so the metric is asymmetric by the factor 2.
+
+A problem is immutable, so what depends only on it -- the grid as an array,
+the quadrature weights and the metric spec -- is built once per problem, on
+first use, and shared by every application and distance after that.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -63,7 +68,9 @@ class IntegralProblem:
     """Kernel parameters, grid, and quadrature choice.
 
     ``f0`` is the seed function for the demo orbit; by default the identity
-    x -> x sampled on the grid.
+    x -> x sampled on the grid.  ``grid_array`` and ``weights`` are built on
+    first use and cached read-only, and ``problem_metric`` returns one spec
+    per problem.
     """
 
     alpha: float
@@ -83,9 +90,22 @@ class IntegralProblem:
         if self.f0 is not None and len(self.f0) != g.size:
             raise ValueError("f0 must be sampled on the grid")
 
-    @property
+    @cached_property
     def grid_array(self) -> np.ndarray:
-        return np.asarray(self.grid)
+        g = np.array(self.grid, dtype=float)
+        g.setflags(write=False)
+        return g
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """``quadrature_weights`` of the grid under the problem's rule."""
+        w = quadrature_weights(self.grid_array, self.quadrature)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def _metric(self) -> MetricSpec:
+        return mult_op(self.grid_array)
 
     @property
     def f0_array(self) -> np.ndarray:
@@ -126,8 +146,7 @@ def quadrature_weights(grid: np.ndarray,
 
 
 def quadrature(values: np.ndarray, prob: IntegralProblem) -> float:
-    return float(np.dot(quadrature_weights(prob.grid_array, prob.quadrature),
-                        values))
+    return float(np.dot(prob.weights, values))
 
 
 def apply_T(f: np.ndarray, prob: IntegralProblem) -> np.ndarray:
@@ -145,7 +164,9 @@ def integral_operator(prob: IntegralProblem) -> MapSpec:
 
 
 def problem_metric(prob: IntegralProblem) -> MetricSpec:
-    return mult_op(prob.grid_array)
+    """The multiplication-operator metric on the problem grid, one spec per
+    problem."""
+    return prob._metric
 
 
 def mult_op_distance(f: np.ndarray, g: np.ndarray,

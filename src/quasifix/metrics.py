@@ -4,22 +4,26 @@ Each metric maps a pair of points to an algebra element.  Asymmetry is the
 point: ``d(x, y)`` and ``d(y, x)`` may differ, so convergence and contraction
 questions split into a forward and a backward variant downstream.
 
-The axiom checker sweeps positivity, identity of indiscernibles, and the
-triangle inequality (in the metric's declared partial order) over every
-ordered triple of a sample set, and records one asymmetry witness pair when
-it finds one.  Violations are data, not exceptions.  Every value it compares
-is diagonal, sampled or scalar, so it lives in a commutative subalgebra where
-the order is componentwise: the sweep builds one table of the components of
-d(x_i, x_j) for all pairs and checks the axioms on that table.  ``eval_metric``
-keeps a one-pair form of the same formulas, because per-call array overhead
-would make a batched kernel two to three times slower on a single pair; the
-two forms reject the same points and distances.
+Every catalog value is diagonal, sampled or scalar, so it lives in a
+commutative subalgebra where the order is componentwise.  One table function
+turns two point sets into the components of d(x_i, y_j) for every pair; it
+serves the axiom sweep (one set against itself) and, through
+``distance_norm_table``, the convergence windows (a candidate against a
+sequence, and a sequence's tail against itself).  The axiom checker sweeps
+positivity, identity of indiscernibles, and the triangle inequality (in the
+metric's declared partial order) over every ordered triple of a sample set,
+and records one asymmetry witness pair when it finds one.  Violations are
+data, not exceptions.  ``eval_metric`` keeps a one-pair form of the same
+formulas, because per-call array overhead would make a batched kernel two to
+three times slower on a single pair; the two forms reject the same points
+and distances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -32,6 +36,7 @@ from .algebra import (
     NormKind,
     OrderKind,
     RealizationMismatch,
+    batch_norm,
     diag2,
     leq,
     norm,
@@ -56,9 +61,10 @@ class MetricSpec:
     """A named asymmetric metric with its codomain, order, and norm.
 
     ``grid`` carries the sample sites of function-valued codomains (tuple so
-    the spec stays hashable); ``beta`` scales the lower-right block of the
-    scaled matrix split; ``period`` is the period of the periodic-function
-    metric.  ``swap_args`` evaluates ``d(y, x)`` instead of ``d(x, y)``,
+    the spec stays hashable and comparable), and ``grid_array`` holds the
+    same sites as a read-only float array, built once per spec; ``beta``
+    scales the lower-right block of the scaled matrix split; ``period`` is
+    the period of the periodic-function metric.  ``swap_args`` evaluates ``d(y, x)`` instead of ``d(x, y)``,
     which is handy for order-reversal properties.
     """
 
@@ -71,9 +77,13 @@ class MetricSpec:
     grid: tuple[float, ...] | None = None
     swap_args: bool = False
 
-    @property
+    @cached_property
     def grid_array(self) -> np.ndarray | None:
-        return None if self.grid is None else np.asarray(self.grid)
+        if self.grid is None:
+            return None
+        g = np.array(self.grid, dtype=float)
+        g.setflags(write=False)
+        return g
 
 
 def mat2_split(order: OrderKind = OrderKind.ENTRYWISE,
@@ -331,37 +341,50 @@ def _components(d: AlgebraElement) -> np.ndarray:
     """Diagonal of a 2x2 value, samples of a sampled value, a scalar's value."""
     if d.realization == MAT2:
         if d.data[0, 1] != 0.0 or d.data[1, 0] != 0.0:
-            raise ValueError("the axiom sweep compares diagonal 2x2 values only")
+            raise ValueError("component tables hold diagonal 2x2 values only")
         return d.data.diagonal()
     return d.data.reshape(-1)
 
 
-def _component_table(spec: MetricSpec, points: Any) -> tuple[Any, np.ndarray]:
-    """The validated points and d(x_i, x_j) as component arrays C[i, j, :].
+def _points(spec: MetricSpec, points: Any) -> np.ndarray:
+    """Catalog points validated as ``eval_metric`` validates them: a float
+    vector for the real-point metrics, one row per function for ``mult-op``."""
+    if spec.name == MULT_OP:
+        return np.reshape([_require_fn_point(spec, f) for f in points],
+                          (-1, spec.grid_array.size))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1 or not np.all(np.isfinite(pts)):
+        raise DomainMismatch("points must be finite reals")
+    return pts
 
+
+def _component_table(spec: MetricSpec, xs: Any,
+                     ys: Any = None) -> tuple[Any, np.ndarray]:
+    """The validated ``xs`` and d(x_i, y_j) as component arrays C[i, j, :].
+
+    ``ys`` defaults to ``xs``, which is the axiom sweep's square table.
     Components are diagonal entries for the matrix metrics, samples for the
     function-valued metrics, and a single value for the scalar metrics; a
     registered evaluator's values are stacked the same way.  Points are
     validated as ``eval_metric`` validates them, and a distance with a
     non-finite component raises ``DomainMismatch`` as it does there.
     """
-    if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
-        raise RealizationMismatch("entrywise order is defined for mat2 only")
     if spec.name not in CATALOG:
-        pts = list(points)
-        rows = [[_components(eval_metric(spec, x, y)) for y in pts] for x in pts]
-        n = len(pts)
-        return pts, np.reshape(rows, (n, n, -1)) if n else np.zeros((0, 0, 1))
+        xs = list(xs)
+        ys = xs if ys is None else list(ys)
+        rows = [[_components(eval_metric(spec, x, y)) for y in ys] for x in xs]
+        shape = (len(xs), len(ys))
+        return xs, np.reshape(rows, shape + (-1,)) if xs and ys else np.zeros(shape + (1,))
+    xs = _points(spec, xs)
+    ys = xs if ys is None else _points(spec, ys)
+    # the formulas take d(a, b); a swapped metric computes the table of
+    # d(y_j, x_i) and transposes it
+    a, b = (ys, xs) if spec.swap_args else (xs, ys)
     if spec.name == MULT_OP:
-        pts = np.reshape([_require_fn_point(spec, f) for f in points],
-                         (-1, spec.grid_array.size))
-        table = mult_op_values(pts[:, None], pts[None, :])
+        table = mult_op_values(a[:, None], b[None, :])
     else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 1 or not np.all(np.isfinite(pts)):
-            raise DomainMismatch("points must be finite reals")
-        X = pts[:, None]
-        Y = pts[None, :]
+        X = a[:, None]
+        Y = b[None, :]
         ge = X >= Y
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
@@ -382,7 +405,25 @@ def _component_table(spec: MetricSpec, points: Any) -> tuple[Any, np.ndarray]:
         raise DomainMismatch(_OVERFLOW)
     if spec.swap_args:
         table = np.swapaxes(table, 0, 1)
-    return pts, table
+    return xs, table
+
+
+def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
+    """Norms of d(x_i, y_j) for every pair, as an array N[i, j].
+
+    The batched form of ``distance_norm``, with the same values bit for bit:
+    the component table's diagonal 2x2 values are stacked back into 2x2
+    payloads, so every codomain goes through the norm's own closed form.
+    """
+    _, table = _component_table(spec, xs, ys)
+    pairs = table.shape[:2]
+    if spec.codomain == MAT2:
+        data = (table[..., :, None] * np.eye(2)).reshape(-1, 2, 2)
+    elif spec.codomain == SCALAR:
+        data = table.reshape(-1)
+    else:
+        data = table.reshape(-1, table.shape[-1])
+    return batch_norm(spec.codomain, data, spec.norm).reshape(pairs)
 
 
 def check_axioms(spec: MetricSpec, sample_points: list,
@@ -396,6 +437,8 @@ def check_axioms(spec: MetricSpec, sample_points: list,
     distances raise ``DomainMismatch``; the entrywise order on a codomain
     other than 2x2 matrices raises ``RealizationMismatch``.
     """
+    if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
+        raise RealizationMismatch("entrywise order is defined for mat2 only")
     pts, table = _component_table(spec, sample_points)
     n = len(pts)
     report = AxiomReport(metric=spec.name, tol=tol,

@@ -7,7 +7,8 @@ rate models are supported:
   ``r = ||a||^2`` (operator norm), giving the tail envelope
   ``B_p = ||d1^(1/2)||^2 * r^p / (1 - r)`` against ``d(T^p x, T^(n+1) x)``
   with ``d1 = d(x, Tx)``, and against the reversed order with
-  ``d1 = d(Tx, x)``;
+  ``d1 = d(Tx, x)``; for positive ``d1`` the C*-identity makes the head
+  ``||d1^(1/2)||^2`` equal to ``||d1||``, which is what is computed;
 * ONE_SIDED -- the two-step regime contracts at rate ``r = ||h||`` with
   ``h = a (I - a)^-1``; only the (old, new) argument order is covered.
 
@@ -29,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement, NormKind, NotPositive, is_positive, norm, sqrt_positive
+from .algebra import AlgebraElement, NormKind, NotPositive, is_positive, norm
 from .contraction import ContractionCertificate, Regime
 from .convergence import orbital_lsc_check
 from .maps import MapSpec
@@ -155,13 +156,21 @@ def apriori_bound(d1: AlgebraElement, coeff_norm: float, p: int,
     SANDWICH mode (rate r = coeff_norm^2) and the norm of
     h = a (I - a)^-1 for ONE_SIDED mode (rate r = coeff_norm).
     """
+    return apriori_envelope(d1, coeff_norm, p + 1, mode)[p]
+
+
+def apriori_envelope(d1: AlgebraElement, coeff_norm: float, count: int,
+                     mode: BoundMode = BoundMode.SANDWICH) -> tuple[float, ...]:
+    """``apriori_bound`` at p = 0 .. count - 1, with the gates checked and
+    the head taken once."""
     rate = coeff_norm ** 2 if mode is BoundMode.SANDWICH else coeff_norm
     if not 0.0 <= rate < 1.0:
         raise RateNotLessThanOne(f"rate {rate:.6f} is not inside [0, 1)")
     if not is_positive(d1):
         raise NotPositive("the first step distance must be positive")
-    head = norm(sqrt_positive(d1), NormKind.OPERATOR) ** 2
-    return head * rate ** p / (1.0 - rate)
+    # ||d1^(1/2)||^2 = ||d1|| for positive d1, by the C*-identity
+    head = norm(d1, NormKind.OPERATOR)
+    return tuple(head * rate ** p / (1.0 - rate) for p in range(count))
 
 
 def _certificate_rate(cert: ContractionCertificate, mode: BoundMode) -> tuple[float, float]:
@@ -226,15 +235,13 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     d1 = eval_metric(metric, seed, points[1]) if len(points) > 1 else None
     d1_rev = eval_metric(metric, points[1], seed) if len(points) > 1 else None
     if d1 is not None:
-        predicted = tuple(apriori_bound(d1, coeff_norm, p, cfg.bound_mode)
-                          for p in range(len(points) - 1))
+        predicted = apriori_envelope(d1, coeff_norm, len(points) - 1, cfg.bound_mode)
     else:
         predicted = ()
     rev_covered = cert.regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
     if rev_covered and d1_rev is not None and cfg.bound_mode is BoundMode.SANDWICH:
-        predicted_rev: tuple[float, ...] | None = tuple(
-            apriori_bound(d1_rev, coeff_norm, p, cfg.bound_mode)
-            for p in range(len(points) - 1))
+        predicted_rev: tuple[float, ...] | None = apriori_envelope(
+            d1_rev, coeff_norm, len(points) - 1, cfg.bound_mode)
     else:
         predicted_rev = None
     envelope_ok = all(o <= b + cfg.tol for o, b in zip(observed, predicted))

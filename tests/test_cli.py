@@ -65,6 +65,30 @@ def test_check_axioms_refuses_what_it_cannot_compare(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan"])
+def test_check_axioms_rejects_a_negative_tolerance(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-axioms", "--metric", "mat2-split", "--grid", "lin:-2:2:9",
+              "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-axioms", "--metric", "mult-op"],
+    ["classify", "--metric", "mult-op", "--seq", "1,2,3", "--candidate", "1",
+     "--eps", "0.1", "--window", "2"],
+    ["check-axioms", "--metric", "no-such-metric"],
+    ["check-axioms", "--metric", "mat2-split", "--fn-grid", "64"],
+], ids=["mult-op", "classify-mult-op", "unknown", "fn-grid"])
+def test_metrics_the_cli_cannot_parse_points_for_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--metric" in err or "--fn-grid" in err
+
+
 def test_check_axioms_accepts_a_zero_tolerance():
     assert main(["check-axioms", "--metric", "mat2-split", "--grid", "5",
                  "--tol", "0"]) == 0

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasifix.algebra import NormKind, OrderKind, scalar
+from quasifix import metrics
+from quasifix.algebra import MAT2, NormKind, OrderKind, diag2, scalar
 from quasifix.convergence import (
     PreconditionNotEstablished,
+    SequenceTrace,
     Verdict,
     WindowTooLarge,
     classify,
@@ -19,12 +26,35 @@ from quasifix.metrics import (
     MetricSpec,
     distance_norm,
     mat2_split,
+    mat2_split_scaled,
+    mult_op,
     periodic_fn,
     register_evaluator,
     reversed_metric,
     scalar_backward_one,
     scalar_forward_one,
 )
+
+
+# One-pair reference: every distance goes through distance_norm, in the
+# order the classification reads them.
+def reference_trace(points: list, metric: MetricSpec, candidate=None,
+                    window: int | None = None) -> SequenceTrace:
+    pts = tuple(points)
+    fwd: tuple[float, ...] = ()
+    bwd: tuple[float, ...] = ()
+    if candidate is not None:
+        fwd = tuple(distance_norm(metric, candidate, x) for x in pts)
+        bwd = tuple(distance_norm(metric, x, candidate) for x in pts)
+    pairs: list[tuple[int, int, float, float]] = []
+    if window is not None and window >= 2:
+        start = len(pts) - window
+        for p in range(start, len(pts)):
+            for n in range(p + 1, len(pts)):
+                pairs.append((p, n,
+                              distance_norm(metric, pts[p], pts[n]),
+                              distance_norm(metric, pts[n], pts[p])))
+    return SequenceTrace(pts, metric.name, fwd, bwd, tuple(pairs))
 
 
 def harmonic_scaled(x: float, n: int) -> list[float]:
@@ -174,3 +204,102 @@ def test_trace_records_pairwise_window():
     assert (p, n) == (0, 1)
     assert old_new == distance_norm(spec, 1.0, 0.5)
     assert new_old == distance_norm(spec, 0.5, 1.0)
+
+
+# --- batched trace against the one-pair reference ----------------------------------
+
+def _split_gap(spec, x, y):
+    # both diagonal entries non-zero, unlike the catalog's split metrics
+    return diag2(abs(x - y), abs(x - y) + 2.0 * max(y - x, 0.0))
+
+
+register_evaluator("split-gap", _split_gap)
+
+FN_GRID = np.linspace(0.125, 1.0, 4)
+TRACE_SPECS = [
+    mat2_split(),
+    mat2_split_scaled(0.25),
+    periodic_fn(3.0, 8),
+    scalar_forward_one(),
+    scalar_backward_one(),
+    mult_op(FN_GRID),
+    MetricSpec("split-gap", MAT2, OrderKind.POSITIVE_CONE, NormKind.OPERATOR),
+]
+TRACE_SPECS = [replace(spec, norm=kind) for spec in TRACE_SPECS for kind in NormKind]
+TRACE_SPECS += [reversed_metric(spec) for spec in TRACE_SPECS]
+
+
+def _trace_id(spec):
+    return "-".join([spec.name, spec.norm.value] + ["reversed"] * spec.swap_args)
+
+
+def _outcome(fn, *args):
+    """The trace's values as exact bits (``float.hex``), or the exception type.
+
+    Norms of distances above ~1e154 overflow with a RuntimeWarning in both
+    forms; it is silenced here so that both run to their first exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            data = fn(*args)
+        except Exception as exc:
+            return type(exc)
+    values = [*data.forward_dists, *data.backward_dists,
+              *(v for pair in data.pair_dists for v in pair[2:])]
+    assert all(type(v) is float for v in values)
+    return (data.metric_name, len(data.points),
+            [v.hex() for v in data.forward_dists],
+            [v.hex() for v in data.backward_dists],
+            [(p, n, a.hex(), b.hex()) for p, n, a, b in data.pair_dists])
+
+
+@pytest.mark.parametrize("spec", TRACE_SPECS, ids=_trace_id)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_trace_matches_the_one_pair_reference(spec, data):
+    # a small pool drawn with repeats, so points and distances coincide;
+    # values near the largest float make distances and their norms overflow
+    value = st.one_of(st.floats(-8.0, 8.0), st.floats(allow_infinity=False),
+                      st.sampled_from([-1.7e308, -1e308, 1e308, 1.7e308]))
+    if spec.name == "mult-op":
+        value = st.lists(value, min_size=FN_GRID.size, max_size=FN_GRID.size)
+    pool = data.draw(st.lists(value, min_size=1, max_size=4))
+    point = st.sampled_from(pool)
+    seq = data.draw(st.lists(point, max_size=7))
+    candidate = data.draw(st.none() | point)
+    window = data.draw(st.none() | st.integers(-1, len(seq) + 2))
+    if spec.name == "mult-op":
+        seq = [np.asarray(f) for f in seq]
+        candidate = None if candidate is None else np.asarray(candidate)
+    assert _outcome(trace, seq, spec, candidate, window) == \
+        _outcome(reference_trace, seq, spec, candidate, window)
+
+
+def test_trace_windows_evaluate_no_pair_one_at_a_time(monkeypatch):
+    calls = []
+    one_pair = metrics.eval_metric
+
+    def counted(spec, x, y):
+        calls.append((x, y))
+        return one_pair(spec, x, y)
+
+    monkeypatch.setattr(metrics, "eval_metric", counted)
+    seq = harmonic_scaled(1.0, 400)
+    reference_trace(seq, scalar_forward_one(), 1.0, 40)
+    assert len(calls) == 2 * 400 + 40 * 39
+    calls.clear()
+    verdict = classify(seq, 1.0, scalar_forward_one(), eps=0.01, window=40)
+    assert verdict.forward is Verdict.CONVERGES
+    # the candidate distances and the window pairs come from tables
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("spec", TRACE_SPECS, ids=_trace_id)
+def test_trace_of_an_empty_sequence_evaluates_nothing(spec):
+    # the one-pair loop never looks at the candidate when there is no point
+    candidate = np.full(FN_GRID.size, np.nan) if spec.name == "mult-op" else np.nan
+    data = trace([], spec, candidate, window=None)
+    assert data.forward_dists == data.backward_dists == data.pair_dists == ()
+    point = np.zeros(FN_GRID.size) if spec.name == "mult-op" else 0.0
+    assert metrics.distance_norm_table(spec, [], [point] * 3).shape == (0, 3)
+    assert metrics.distance_norm_table(spec, [point] * 2, []).shape == (2, 0)

@@ -20,7 +20,9 @@ from quasifix.integral import (
     growth_value,
     make_problem,
     mult_op_distance,
+    problem_metric,
     quadrature,
+    quadrature_weights,
     regime_report,
     run_demo,
     uniform_grid,
@@ -186,3 +188,24 @@ def test_problem_validation():
         IntegralProblem(0.5, 4.0, (0.0, 0.5, 1.0))
     with pytest.raises(ValueError):
         IntegralProblem(0.5, 4.0, (0.5, 0.25, 1.0))
+
+
+# --- per-problem state built once ---------------------------------------------------
+
+@pytest.mark.parametrize("kind", list(QuadratureKind))
+def test_problem_state_is_built_once_and_read_only(kind):
+    prob = make_problem(0.5, 4.0, n=64, quadrature=kind)
+    g = prob.grid_array
+    assert prob.grid_array is g
+    assert g.tolist() == list(prob.grid)
+    with pytest.raises(ValueError):
+        g[0] = 0.5
+    w = prob.weights
+    assert prob.weights is w
+    assert np.array_equal(w, quadrature_weights(np.asarray(prob.grid), kind))
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    metric = problem_metric(prob)
+    assert problem_metric(prob) is metric
+    assert metric.grid_array is metric.grid_array
+    assert np.array_equal(metric.grid_array, g)

@@ -164,6 +164,20 @@ def test_domain_checks():
         eval_metric(spec, np.ones(5), np.ones(8))
 
 
+@pytest.mark.parametrize("spec", [periodic_fn(2.0, 16), mult_op(FN_GRID)], ids=_spec_id)
+def test_grid_array_is_built_once_and_read_only(spec):
+    g = spec.grid_array
+    assert spec.grid_array is g
+    assert g.dtype == np.float64 and g.tolist() == list(spec.grid)
+    with pytest.raises(ValueError):
+        g[0] = 1.0
+    # a changed copy builds its own array; hashing and equality use the tuple
+    other = reversed_metric(spec)
+    assert other.grid_array is not g and np.array_equal(other.grid_array, g)
+    assert hash(replace(spec)) == hash(spec) and replace(spec) == spec
+    assert mat2_split().grid_array is None
+
+
 def test_reversed_metric_swaps_arguments():
     spec = scalar_forward_one()
     rev = reversed_metric(spec)

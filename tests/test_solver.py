@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from quasifix.algebra import NormKind, diag2, scalar
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from quasifix.algebra import NormKind, diag2, mat2, norm, sampled, scalar, sqrt_positive
 from quasifix.contraction import (
     ContractionCertificate,
     Regime,
@@ -15,7 +19,15 @@ from quasifix.contraction import (
     verify_two_step,
 )
 from quasifix.maps import linear_quarter, piecewise_quarter
-from quasifix.metrics import mat2_split_scaled, scalar_backward_one
+from quasifix.metrics import (
+    eval_metric,
+    mat2_split,
+    mat2_split_scaled,
+    mult_op,
+    periodic_fn,
+    scalar_backward_one,
+    scalar_forward_one,
+)
 from quasifix.solver import (
     BoundMode,
     CertificateInvalid,
@@ -194,3 +206,62 @@ def test_trace_csv_columns(tmp_path, sandwich_cert):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,x_n,fwd_step_norm,bwd_step_norm,bound_p"
     assert len(lines) == len(report.trace.points) + 1
+
+
+# --- envelope head -------------------------------------------------------------------
+
+def _old_head(d1):
+    """The head as computed through the square root: ||d1^(1/2)||^2."""
+    return norm(sqrt_positive(d1), NormKind.OPERATOR) ** 2
+
+
+FN_GRID = np.linspace(0.125, 1.0, 5)
+STEP_METRICS = [mat2_split(), mat2_split_scaled(0.25), periodic_fn(2.0, 16),
+                scalar_forward_one(), scalar_backward_one()]
+MAGNITUDE = st.floats(1e-6, 1e6) | st.just(0.0)
+
+
+def _in_norm_range(d1):
+    # the 2x2 operator norm squares the entries, so it underflows to 0 below
+    # about 1e-154, where the square root still kept the head
+    return bool(np.all((d1.data == 0.0) | (np.abs(d1.data) >= 1e-150)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_envelope_head_matches_the_square_root_head(data):
+    # first step distances of catalog metrics (diagonal 2x2, sampled and
+    # scalar values), and positive sampled values
+    kind = data.draw(st.sampled_from(["catalog", "mult-op", "sampled"]))
+    if kind == "catalog":
+        spec = data.draw(st.sampled_from(STEP_METRICS))
+        x, y = data.draw(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+        d1 = eval_metric(spec, x, y)
+    elif kind == "mult-op":
+        f, g = (np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=5)))
+                for _ in range(2))
+        d1 = eval_metric(mult_op(FN_GRID), f, g)
+    else:
+        d1 = sampled(FN_GRID, data.draw(st.lists(MAGNITUDE, min_size=5, max_size=5)))
+    assume(_in_norm_range(d1))
+    old = _old_head(d1)
+    new = apriori_bound(d1, 0.0, 0)  # B_0 at rate 0 is the head itself
+    assert new == norm(d1, NormKind.OPERATOR)
+    assert abs(new - old) <= 4 * math.ulp(max(old, new))
+
+
+@settings(max_examples=200, deadline=None)
+@given(b=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), c=MAGNITUDE)
+def test_envelope_head_of_a_positive_matrix_is_its_top_eigenvalue(b, c):
+    # c * b^T b is positive with an off-diagonal entry; the square root's
+    # rotation is up to 7 ulp off the top eigenvalue, the norm within 2
+    off = c * (b[0] * b[1] + b[2] * b[3])
+    d1 = mat2(c * (b[0] * b[0] + b[2] * b[2]), off, off, c * (b[1] * b[1] + b[3] * b[3]))
+    assume(_in_norm_range(d1))
+    p, q, r = (Decimal(float(v)) for v in (d1.data[0, 0], off, d1.data[1, 1]))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        top = float((p + r) / 2 + (((p - r) / 2) ** 2 + q * q).sqrt())
+    new = apriori_bound(d1, 0.0, 0)
+    assert abs(new - top) <= 2 * math.ulp(top)
+    assert abs(_old_head(d1) - top) <= 8 * math.ulp(top)
