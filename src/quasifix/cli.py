@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -321,7 +322,10 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps its state
+    in the returned namespace, so one parser serves every ``main`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--norm", choices=[k.value for k in NormKind],

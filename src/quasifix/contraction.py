@@ -16,14 +16,16 @@ All four check ``lhs <= rhs`` sample by sample in the metric's order, and one
 core does it for each of them.  A regime only decides the two distances of a
 sample, its *tables*: ``lhs`` is d(Tx, Ty) for the global regimes and
 d(Ty, T^2 y) for the orbit regimes, and ``base`` is d(x, y) (forward),
-d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  Both are
-gathered once through ``eval_metric`` and stacked in sample order.  The core
-forms ``rhs`` -- the sandwich (a* base) a, or a base for two-step, in the
-operation order of ``mul`` -- and runs the order check on the whole batch
-with the per-sample tolerance tol (1 + ||rhs||_op).  ``verify`` is the one
-dispatch over regimes; ``search_scalar_coefficient`` reuses the tables across
-all its bisection attempts.  ``samples_checked`` and the order and fields of
-the violations are those of a sample-by-sample loop.
+d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  The
+points are mapped one by one, and each table is then one paired evaluation
+of the metric (``metrics.paired_payloads``, the batched form of
+``eval_metric``) in sample order.  The core forms ``rhs`` -- the sandwich
+(a* base) a, or a base for two-step, in the operation order of ``mul`` --
+and runs the order check on the whole batch with the per-sample tolerance
+tol (1 + ||rhs||_op).  ``verify`` is the one dispatch over regimes;
+``search_scalar_coefficient`` reuses the tables across all its bisection
+attempts.  ``samples_checked`` and the order and fields of the violations
+are those of a sample-by-sample loop.
 
 Certificates verify finitely many samples, so they are recorded evidence,
 never proofs; every certificate remembers how many samples it checked and
@@ -52,7 +54,7 @@ from .algebra import (
     norm,
 )
 from .maps import MapSpec
-from .metrics import MetricSpec, codomain_scalar, eval_metric
+from .metrics import MetricSpec, codomain_scalar, paired_payloads
 
 from enum import Enum
 
@@ -147,18 +149,17 @@ _GLOBAL = (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
 
 
 def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement,
-          tol: float) -> tuple[NormKind, float, AlgebraElement | None, float | None]:
+          tol: float) -> tuple[NormKind, float]:
     """The regime's admissibility gates on ``a``.
 
-    Returns the certificate's (norm kind, coefficient norm, h, ||h||); h is
-    None outside the two-step regime.
+    Returns the certificate's norm kind and the coefficient's norm in it.
     """
     if regime is not Regime.TWO_STEP:
         a_norm = norm(a, metric.norm)
         if a_norm >= 1.0:
             raise CoefficientNormTooLarge(
                 f"coefficient norm {a_norm:.6f} is not below 1")
-        return metric.norm, a_norm, None, None
+        return metric.norm, a_norm
     if not is_positive(a, tol):
         raise NotPositive("two-step coefficient must be positive")
     if not is_diagonal(a, tol):
@@ -168,12 +169,7 @@ def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement,
     if op_norm > 0.5 + tol:
         raise CoefficientNormTooLarge(
             f"two-step coefficient operator norm {op_norm:.6f} exceeds 1/2")
-    if op_norm < 0.5:
-        h = inverse_one_minus(a, tol)
-    else:
-        h = algebra._inverse_one_minus_unchecked(a)
-    h = mul(a, h)
-    return NormKind.OPERATOR, op_norm, h, norm(h, NormKind.OPERATOR)
+    return NormKind.OPERATOR, op_norm
 
 
 def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
@@ -181,48 +177,36 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             orbit_len: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The regime's samples as (points, lhs, base), in sample order.
 
-    ``lhs`` and ``base`` stack the payloads of each sample's two distances,
-    every one evaluated through ``eval_metric``; ``points[i]`` is the (x, y)
-    a violation of sample i records.  Each distance must live in the space
-    of ``like`` (the coefficient), as ``mul`` and ``leq`` require.
+    The points are mapped one by one; ``lhs`` and ``base`` are then the
+    stacked payloads of two paired metric evaluations.  ``points[i]`` is the
+    (x, y) a violation of sample i records.  The distances must live in the
+    space of ``like`` (the coefficient), as ``mul`` and ``leq`` require.
     """
-    points: list = []
-    lhs: list = []
-    base: list = []
-
-    def add(x: Any, y: Any, d_lhs: AlgebraElement, d_base: AlgebraElement) -> None:
-        algebra._require_same_space(like, d_base)
-        algebra._require_same_space(d_lhs, like)
-        points.append((x, y))
-        lhs.append(d_lhs.data)
-        base.append(d_base.data)
-
     if regime in _GLOBAL:
         if pairs is None:
             raise ValueError("global regimes need sample pairs")
-        for x, y in pairs:
-            d_lhs = eval_metric(metric, map_spec.apply(x), map_spec.apply(y))
-            if regime is Regime.FORWARD_GLOBAL:
-                add(x, y, d_lhs, eval_metric(metric, x, y))
-            else:
-                add(x, y, d_lhs, eval_metric(metric, y, x))
+        points = [(x, y) for x, y in pairs]
+        if not points:
+            empty = np.empty((0,) + like.data.shape)
+            return points, empty, empty
+        mapped = [(map_spec.apply(x), map_spec.apply(y)) for x, y in points]
+        lhs = paired_payloads(metric, *zip(*mapped))
+        xs, ys = zip(*points)
+        if regime is Regime.BACKWARD_GLOBAL:
+            xs, ys = ys, xs
+        base = paired_payloads(metric, xs, ys)
     else:
         if seed is None:
             raise ValueError("orbital regimes need a seed point")
         if orbit_len < 2:
             raise ValueError("orbit_len must be at least 2")
         orbit = map_spec.orbit(seed, orbit_len + 2)
-        for y, ty, t2y in zip(orbit, orbit[1:], orbit[2:]):
-            d_lhs = eval_metric(metric, ty, t2y)
-            if regime is Regime.ORBITAL:
-                add(y, ty, d_lhs, eval_metric(metric, y, ty))
-            else:
-                add(y, ty, d_lhs, eval_metric(metric, y, t2y))
-
-    def stack(rows: list) -> np.ndarray:
-        return np.stack(rows) if rows else np.empty((0,) + like.data.shape)
-
-    return points, stack(lhs), stack(base)
+        points = list(zip(orbit, orbit[1:-1]))
+        lhs = paired_payloads(metric, orbit[1:-1], orbit[2:])
+        far = orbit[1:-1] if regime is Regime.ORBITAL else orbit[2:]
+        base = paired_payloads(metric, orbit[:-2], far)
+    algebra._require_same_space(like, codomain_scalar(metric, 0.0))
+    return points, lhs, base
 
 
 def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
@@ -248,7 +232,13 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
                  a: AlgebraElement, gate: tuple, tables: tuple, seed: Any,
                  tol: float) -> ContractionCertificate:
     """The certificate of ``a`` on ``tables``, given its ``_gate`` result."""
-    norm_kind, a_norm, h, h_norm = gate
+    norm_kind, a_norm = gate
+    h = None
+    if regime is Regime.TWO_STEP:
+        # the step rate h = a (I - a)^-1
+        inv = (inverse_one_minus(a, tol) if a_norm < 0.5
+               else algebra._inverse_one_minus_unchecked(a))
+        h = mul(a, inv)
     points, lhs, base = tables
     rhs, failed = _failures(regime, metric, a, lhs, base, tol)
     bad = np.flatnonzero(failed)
@@ -260,7 +250,8 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     return ContractionCertificate(
         regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
         samples_checked=len(points), violations=violations,
-        seed_point=None if regime in _GLOBAL else seed, h=h, h_norm=h_norm,
+        seed_point=None if regime in _GLOBAL else seed, h=h,
+        h_norm=None if h is None else norm(h, NormKind.OPERATOR),
         map_name=map_spec.name, metric_name=metric.name)
 
 
@@ -324,14 +315,15 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     The admissible range is capped by the regime's norm gate (||c I|| < 1 in
     the metric's norm kind, or operator norm <= 1/2 for two-step).  Every
     sample is evaluated once: the tables of the regime are built up front,
-    and each attempt c runs the regime's gates and the core's order check
-    on them with a = c I, asking only whether any sample fails -- no
-    certificate and no violation list per attempt.  Returns the certificate
-    at the guaranteed-valid upper end of the final bracket, or None when
-    even the cap fails.  That certificate comes from the same core on the
-    same tables, so it equals what the corresponding verify_* call returns
-    for the coefficient: the same samples_checked, and its (empty) violation
-    list in sample order.
+    and each attempt c runs the core's order check on them with a = c I,
+    asking only whether any sample fails -- no certificate and no violation
+    list per attempt.  The regime's gates are monotone in c, so they run
+    once, at the cap, and h is built only for the returned certificate.
+    Returns the certificate at the guaranteed-valid upper end of the final
+    bracket, or None when even the cap fails.  That certificate comes from
+    the same core on the same tables, so it equals what the corresponding
+    verify_* call returns for the coefficient: the same samples_checked, and
+    its (empty) violation list in sample order.
     """
     if regime is Regime.TWO_STEP:
         cap = 0.5
@@ -341,13 +333,15 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     tables = _tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
                      pairs, seed, orbit_len)
     _, lhs, base = tables
+    # for a = c I with c >= 0 every gate is monotone in c, so the gates
+    # pass on all of [0, cap] once they pass at the cap
+    try:
+        _gate(regime, metric, codomain_scalar(metric, cap), tol)
+    except (CoefficientNormTooLarge, NotPositive, NotInCommutant):
+        return None
 
     def holds(c: float) -> bool:
         a = codomain_scalar(metric, c)
-        try:
-            _gate(regime, metric, a, tol)
-        except (CoefficientNormTooLarge, NotPositive, NotInCommutant):
-            return False
         return not _failures(regime, metric, a, lhs, base, tol)[1].any()
 
     if holds(0.0):

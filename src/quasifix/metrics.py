@@ -5,18 +5,21 @@ point: ``d(x, y)`` and ``d(y, x)`` may differ, so convergence and contraction
 questions split into a forward and a backward variant downstream.
 
 Every catalog value is diagonal, sampled or scalar, so it lives in a
-commutative subalgebra where the order is componentwise.  One table function
-turns two point sets into the components of d(x_i, y_j) for every pair; it
-serves the axiom sweep (one set against itself) and, through
-``distance_norm_table``, the convergence windows (a candidate against a
-sequence, and a sequence's tail against itself).  The axiom checker sweeps
-positivity, identity of indiscernibles, and the triangle inequality (in the
-metric's declared partial order) over every ordered triple of a sample set,
-and records one asymmetry witness pair when it finds one.  Violations are
-data, not exceptions.  ``eval_metric`` keeps a one-pair form of the same
-formulas, because per-call array overhead would make a batched kernel two to
-three times slower on a single pair; the two forms reject the same points
-and distances.
+commutative subalgebra where the order is componentwise.  One kernel writes
+each catalog metric's formulas over broadcastable point arrays, in two
+forms.  The table form turns two point sets into the components of
+d(x_i, y_j) for every pair; it serves the axiom sweep (one set against
+itself) and, through ``distance_norm_table``, the convergence windows (a
+candidate against a sequence, and a sequence's tail against itself).  The
+paired form, ``paired_payloads``, gives the payloads of d(x_i, y_i) for two
+equally long point lists; it serves the contraction certificates' tables.
+The axiom checker sweeps positivity, identity of indiscernibles, and the
+triangle inequality (in the metric's declared partial order) over every
+ordered triple of a sample set, and records one asymmetry witness pair when
+it finds one.  Violations are data, not exceptions.  ``eval_metric`` keeps a one-pair form of the same
+formulas, because per-call array overhead would make the kernel two to three
+times slower on a single pair; every form rejects the same points and
+distances.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .algebra import (
     NormKind,
     OrderKind,
     RealizationMismatch,
+    _require_same_space,
     batch_norm,
     diag2,
     leq,
@@ -346,6 +350,16 @@ def _components(d: AlgebraElement) -> np.ndarray:
     return d.data.reshape(-1)
 
 
+def _payloads(codomain: str, components: np.ndarray) -> np.ndarray:
+    """Element payloads from components along the last axis: diagonal 2x2
+    matrices, sample vectors, or scalars."""
+    if codomain == MAT2:
+        return components[..., :, None] * np.eye(2)
+    if codomain == SCALAR:
+        return components[..., 0]
+    return components
+
+
 def _points(spec: MetricSpec, points: Any) -> np.ndarray:
     """Catalog points validated as ``eval_metric`` validates them: a float
     vector for the real-point metrics, one row per function for ``mult-op``."""
@@ -358,6 +372,41 @@ def _points(spec: MetricSpec, points: Any) -> np.ndarray:
     return pts
 
 
+def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Components of d(X, Y) for broadcastable arrays of validated catalog
+    points, with the components along a new last axis (``mult-op`` points
+    carry their samples on the last axis already).
+
+    The formulas are those of ``eval_metric``, with the same arithmetic, so
+    every value agrees with it bit for bit; a distance with a non-finite
+    component raises ``DomainMismatch`` as it does there.
+    """
+    if spec.swap_args:
+        X, Y = Y, X
+    if spec.name == MULT_OP:
+        comps = mult_op_values(X, Y)
+    else:
+        ge = X >= Y
+        with np.errstate(over="ignore", invalid="ignore"):
+            if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
+                beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
+                c0 = np.where(ge, X - Y, 0.0)
+                c1 = np.where(ge, 0.0, beta * (Y - X))
+                comps = np.stack([c0, c1], axis=-1)
+            elif spec.name == SCALAR_FORWARD_ONE:
+                comps = np.where(Y >= X, Y - X, 1.0)[..., None]
+            elif spec.name == SCALAR_BACKWARD_ONE:
+                comps = np.where(ge, X - Y, 1.0)[..., None]
+            else:
+                t = spec.grid_array
+                up = (X - Y)[..., None] * t
+                down = (Y - X)[..., None] * (spec.period - t) / spec.period
+                comps = np.where(ge[..., None], up, down)
+    if not np.all(np.isfinite(comps)):
+        raise DomainMismatch(_OVERFLOW)
+    return comps
+
+
 def _component_table(spec: MetricSpec, xs: Any,
                      ys: Any = None) -> tuple[Any, np.ndarray]:
     """The validated ``xs`` and d(x_i, y_j) as component arrays C[i, j, :].
@@ -365,9 +414,7 @@ def _component_table(spec: MetricSpec, xs: Any,
     ``ys`` defaults to ``xs``, which is the axiom sweep's square table.
     Components are diagonal entries for the matrix metrics, samples for the
     function-valued metrics, and a single value for the scalar metrics; a
-    registered evaluator's values are stacked the same way.  Points are
-    validated as ``eval_metric`` validates them, and a distance with a
-    non-finite component raises ``DomainMismatch`` as it does there.
+    registered evaluator's values are stacked the same way.
     """
     if spec.name not in CATALOG:
         xs = list(xs)
@@ -377,35 +424,29 @@ def _component_table(spec: MetricSpec, xs: Any,
         return xs, np.reshape(rows, shape + (-1,)) if xs and ys else np.zeros(shape + (1,))
     xs = _points(spec, xs)
     ys = xs if ys is None else _points(spec, ys)
-    # the formulas take d(a, b); a swapped metric computes the table of
-    # d(y_j, x_i) and transposes it
-    a, b = (ys, xs) if spec.swap_args else (xs, ys)
-    if spec.name == MULT_OP:
-        table = mult_op_values(a[:, None], b[None, :])
-    else:
-        X = a[:, None]
-        Y = b[None, :]
-        ge = X >= Y
-        with np.errstate(over="ignore", invalid="ignore"):
-            if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
-                beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
-                c0 = np.where(ge, X - Y, 0.0)
-                c1 = np.where(ge, 0.0, beta * (Y - X))
-                table = np.stack([c0, c1], axis=-1)
-            elif spec.name == SCALAR_FORWARD_ONE:
-                table = np.where(Y >= X, Y - X, 1.0)[..., None]
-            elif spec.name == SCALAR_BACKWARD_ONE:
-                table = np.where(ge, X - Y, 1.0)[..., None]
-            else:
-                t = spec.grid_array
-                up = (X - Y)[..., None] * t
-                down = (Y - X)[..., None] * (spec.period - t) / spec.period
-                table = np.where(ge[..., None], up, down)
-    if not np.all(np.isfinite(table)):
-        raise DomainMismatch(_OVERFLOW)
-    if spec.swap_args:
-        table = np.swapaxes(table, 0, 1)
-    return xs, table
+    return xs, _kernel(spec, xs[:, None], ys[None, :])
+
+
+def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
+    """Payloads of d(x_i, y_i) for the pairs of two equally long point
+    lists, stacked along a new leading axis.
+
+    The paired form of ``eval_metric``, with the same values bit for bit:
+    catalog metrics go through the table's kernel, which rejects the same
+    points and distances.  A registered evaluator is called one pair at a
+    time, and its values must live in the metric's codomain.
+    """
+    if len(xs) != len(ys):
+        raise ValueError("paired distances need as many xs as ys")
+    if spec.name not in CATALOG:
+        space = codomain_scalar(spec, 0.0)
+        rows = []
+        for x, y in zip(xs, ys):
+            d = eval_metric(spec, x, y)
+            _require_same_space(space, d)
+            rows.append(d.data)
+        return np.reshape(rows, (len(rows),) + space.data.shape)
+    return _payloads(spec.codomain, _kernel(spec, _points(spec, xs), _points(spec, ys)))
 
 
 def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
@@ -416,14 +457,9 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
     payloads, so every codomain goes through the norm's own closed form.
     """
     _, table = _component_table(spec, xs, ys)
-    pairs = table.shape[:2]
-    if spec.codomain == MAT2:
-        data = (table[..., :, None] * np.eye(2)).reshape(-1, 2, 2)
-    elif spec.codomain == SCALAR:
-        data = table.reshape(-1)
-    else:
-        data = table.reshape(-1, table.shape[-1])
-    return batch_norm(spec.codomain, data, spec.norm).reshape(pairs)
+    data = _payloads(spec.codomain, table)
+    flat = data.reshape((-1,) + data.shape[2:])
+    return batch_norm(spec.codomain, flat, spec.norm).reshape(table.shape[:2])
 
 
 def check_axioms(spec: MetricSpec, sample_points: list,

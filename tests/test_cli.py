@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from quasifix.cli import _write_report, main
+from quasifix.cli import _make_parser, _write_report, main
+from quasifix.gallery import run_gallery
 
 
 def _load(path: Path) -> dict:
@@ -137,6 +138,20 @@ def test_certify_search_then_solve(tmp_path, capsys):
     assert trace.read_text().startswith("n,x_n,fwd_step_norm")
 
 
+def test_explicit_check_on_a_catalog_metric_makes_no_one_pair_calls(
+        tmp_path, one_pair_calls):
+    cert = tmp_path / "cert.json"
+    code = main(["certify", "--map", "linear-quarter",
+                 "--metric", "mat2-split-scaled", "--regime", "forward",
+                 "--a", '{"realization": "mat2", "entries": [[0.3, 0], [0, 0.3]]}',
+                 "--grid", "lin:-2:2:21", "--out", str(cert)])
+    assert code == 1
+    report = _load(cert)["report"]
+    assert report["samples_checked"] == 21 * 21
+    assert len(report["violations"]) == 21 * 20
+    assert one_pair_calls == []
+
+
 def test_certify_rejects_oversized_coefficient(capsys):
     code = main(["certify", "--map", "linear-quarter",
                  "--metric", "scalar-backward-one", "--regime", "forward",
@@ -248,7 +263,83 @@ def test_gallery_passes_with_documented_xfails(capsys):
                    for line in lines)
 
 
+#: The gallery's stdout, line for line: a change in the last printed digit of
+#: a search result, a norm or a solve shows up here.
+GALLERY_LINES = [
+    "PASS  split-matrix-axioms — matrix-split metric satisfies all axioms on a "
+    "41-point grid and distinguishes d(1,2) from d(2,1) (68921 triples, 0 "
+    "triangle violations, d(1,2) != d(2,1): True)",
+    "PASS  periodic-function-axioms — periodic-function metric satisfies all "
+    "axioms; d(T/2,0) and d(0,T/2) have the published sample shapes and "
+    "different norms (9261 triples clean, sampled halves match, sup-norm "
+    "asymmetry gap 0.0078)",
+    "PASS  forward-only-convergence — x_n = x(1 + 1/n) forward-converges to x "
+    "while every backward distance equals 1 (forward converges, backward "
+    "diverges, backward distances all 1: True)",
+    "PASS  quarter-map-sandwich-equality — x/4 under the beta=1/4 split metric "
+    "meets the sandwich bound with equality at coefficient I/2; the minimal "
+    "scalar is 1/2 (half-identity certificate valid, minimal scalar "
+    "0.499999999999502)",
+    "XFAIL sandwich-coefficient-consistency — the two published coefficient "
+    "displays for the quarter-map sandwich agree with each other (stated "
+    "diagonal 0.577350 vs displayed 0.500000) [documented inconsistency: the "
+    "stated coefficient is diag(1/sqrt(3)) but the displayed factors are "
+    "diag(1/2)]",
+    "PASS  backward-one-quarter-orbital — under the backward-one metric x/4 "
+    "admits no forward-global scalar certificate below norm 1, yet the "
+    "orbital certificate at 1/sqrt(2) holds and 0 is certified as the fixed "
+    "point (no global scalar certificate: True; orbital 1/sqrt(2) valid; "
+    "limit 1.455e-11 certified via lower semicontinuity)",
+    "PASS  diag-matrix-piecewise-orbital — piecewise quarter map under the "
+    "matrix-split metric certifies orbitally at diag(1/sqrt(3)) in the "
+    "defining argument order (defining argument order certifies; flipped "
+    "base order fails as expected: True)",
+    "PASS  integral-closed-forms — quadrature reproduces both kernel integrals "
+    "to 1e-6; the contractive demo at alpha=0.5, k=4 solves the discrete "
+    "equation (max quadrature error 8.95e-09, rate 0.115912, equation "
+    "residual 8.86e-11)",
+    "XFAIL integral-growth-vs-contraction — some parameter pair grows the "
+    "identity seed while keeping the contraction rate below 1 (no (alpha, k) "
+    "satisfies both demands on a 80x120 scan) [documented inconsistency: the "
+    "growth demand forces the rate above 1 for every parameter pair]",
+]
+
+
+def test_gallery_lines_are_pinned():
+    lines: list[str] = []
+    assert run_gallery(lines.append) == 0
+    assert lines == GALLERY_LINES
+
+
 # --- usage and output routing ----------------------------------------------------
+
+def test_main_calls_in_a_row_share_no_parser_state(tmp_path, capsys):
+    # one parser serves every call: what a call parses, and what it fails to
+    # parse, must not reach the next one
+    assert _make_parser() is _make_parser()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["check-axioms", "--metric", "mat2-split", "--grid", "5",
+                 "--tol", "0.5", "--seed-rng", "3", "--report", str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--metric", "mat2-split", "--regime", "forward"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check-axioms", "--metric", "mat2-split", "--tol", "-1"])
+    assert exc.value.code == 2
+    assert main(["classify", "--metric", "scalar-forward-one",
+                 "--seq", "harmonic:1:50", "--candidate", "1", "--eps", "0.1",
+                 "--window", "5"]) == 0
+    assert main(["check-axioms", "--metric", "scalar-forward-one",
+                 "--report", str(second)]) == 0
+    capsys.readouterr()
+    assert _load(first)["manifest"]["config"] == {
+        "metric": "mat2-split", "grid": "5", "tol": 0.5, "seed_rng": 3}
+    assert _load(second)["manifest"]["config"] == {
+        "metric": "scalar-forward-one", "grid": "41", "tol": 1e-9, "seed_rng": 0}
+    args = _make_parser().parse_args(["gallery"])
+    assert sorted(vars(args)) == ["command", "func", "norm", "order", "out_dir",
+                                  "seed_rng", "tol"]
+
 
 def test_missing_required_flag_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifix import contraction, metrics
+from quasifix import algebra, contraction, metrics
 from quasifix.algebra import (
     NormKind,
     NotPositive,
     NotSelfAdjoint,
     OrderKind,
+    RealizationMismatch,
     adjoint,
     allclose,
     diag2,
@@ -49,6 +50,8 @@ from quasifix.metrics import (
     scalar_backward_one,
     scalar_forward_one,
 )
+
+from budget import examples
 
 GRID = np.linspace(-2.0, 2.0, 17)
 PAIRS = [(x, y) for x in GRID for y in GRID]
@@ -214,20 +217,62 @@ def test_global_certificate_implies_orbital_certificate():
                                    orbit_len=20, tol=1e-12).valid
 
 
-def test_search_evaluates_each_sample_once(monkeypatch):
-    calls = []
-    real = contraction.eval_metric
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(contraction, "eval_metric", counting)
-    cert = search_scalar_coefficient(linear_quarter(), mat2_split_scaled(0.25),
+def test_search_evaluates_each_sample_once(monkeypatch, one_pair_calls):
+    spec = mat2_split_scaled(0.25)
+    cert = search_scalar_coefficient(linear_quarter(), spec,
                                      Regime.FORWARD_GLOBAL, pairs=PAIRS,
                                      tol=1e-12)
     assert cert is not None and cert.samples_checked == len(PAIRS)
-    assert len(calls) <= 2 * len(GRID) ** 2
+    # a catalog metric's tables come from the batched kernel
+    assert one_pair_calls == []
+    # a registered evaluator is called once per distance, not per attempt
+    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "split-copy",
+                        lambda _, x, y: eval_metric(spec, x, y))
+    copy = search_scalar_coefficient(linear_quarter(), replace(spec, name="split-copy"),
+                                     Regime.FORWARD_GLOBAL, pairs=PAIRS,
+                                     tol=1e-12)
+    assert copy.a.data.tobytes() == cert.a.data.tobytes()
+    assert len(one_pair_calls) == 2 * len(PAIRS)
+
+
+@pytest.mark.parametrize("map_spec, metric", [
+    (piecewise_quarter(), periodic_fn()),
+    (linear_quarter(), scalar_backward_one()),
+    (linear_quarter(), mat2_split()),
+], ids=["periodic-fn", "scalar-backward-one", "mat2-split"])
+def test_two_step_search_builds_the_resolvent_once(monkeypatch, map_spec, metric):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(contraction, "inverse_one_minus",
+                        counted(contraction.inverse_one_minus))
+    monkeypatch.setattr(algebra, "_inverse_one_minus_unchecked",
+                        counted(algebra._inverse_one_minus_unchecked))
+    cert = search_scalar_coefficient(map_spec, metric, Regime.TWO_STEP,
+                                     seed=1.0, orbit_len=30)
+    assert cert is not None and cert.valid
+    assert calls.count("inverse_one_minus") <= 2
+    # every resolvent, checked or not, goes through the unchecked builder
+    assert calls.count("_inverse_one_minus_unchecked") <= 2
+
+
+@pytest.mark.parametrize("regime, map_spec, metric, samples", [
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), {"pairs": PAIRS}),
+    (Regime.ORBITAL, piecewise_quarter(), mat2_split(), {"seed": 1.0}),
+    (Regime.TWO_STEP, piecewise_quarter(), periodic_fn(), {"seed": 1.0}),
+    (Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), {"seed": 2.5}),
+], ids=["forward", "orbital", "two-step-periodic", "two-step-scalar"])
+def test_search_certificate_is_the_verify_certificate_at_its_coefficient(
+        regime, map_spec, metric, samples):
+    found = search_scalar_coefficient(map_spec, metric, regime, **samples)
+    assert found is not None
+    again = verify(regime, map_spec, metric, found.a, **samples)
+    assert json.dumps(found.to_json_dict()) == json.dumps(again.to_json_dict())
 
 
 @pytest.mark.parametrize("regime", [Regime.ORBITAL, Regime.TWO_STEP])
@@ -250,6 +295,25 @@ def test_points_outside_the_map_domain_still_raise():
                       [(0.0, 1.0), (1.0, 2.0)], "forward")
     with pytest.raises(DomainMismatch):
         search_scalar_coefficient(table, mat2_split(), Regime.ORBITAL, seed=1.0)
+
+
+def test_distances_must_live_in_the_coefficient_space(monkeypatch):
+    pairs = [(0.0, 1.0), (1.0, 0.0)]
+    with pytest.raises(RealizationMismatch, match="cannot combine 'scalar' with 'mat2'"):
+        verify_global(linear_quarter(), mat2_split(), scalar(0.5), pairs)
+    with pytest.raises(RealizationMismatch, match="different grids"):
+        verify_orbital_type(linear_quarter(), periodic_fn(grid_size=8),
+                            sampled(np.linspace(0.0, 1.0, 8), np.full(8, 0.5)),
+                            seed=1.0)
+    # a registered metric whose values leave its declared codomain
+    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "scalar-in-mat2",
+                        lambda spec, x, y: scalar(abs(x - y)))
+    metric = MetricSpec("scalar-in-mat2", "mat2", OrderKind.POSITIVE_CONE,
+                        NormKind.OPERATOR)
+    with pytest.raises(RealizationMismatch):
+        verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs)
+    # no sample, nothing to compare: the certificate is vacuous
+    assert verify_global(linear_quarter(), mat2_split(), scalar(0.5), []).valid
 
 
 def test_search_argument_validation():
@@ -335,7 +399,7 @@ def random_coefficient(rng, metric, regime):
 
 
 @pytest.mark.parametrize("codomain", sorted(CODOMAINS))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(order=st.sampled_from(OrderKind), norm_kind=st.sampled_from(NormKind),
        regime=st.sampled_from(Regime), seed=st.integers(0, 2**32 - 1))
 def test_batched_core_matches_the_per_sample_loop(codomain, order, norm_kind,

@@ -35,6 +35,8 @@ from quasifix.metrics import (
     scalar_forward_one,
 )
 
+from budget import examples
+
 
 # One-pair reference: every distance goes through distance_norm, in the
 # order the classification reads them.
@@ -254,7 +256,7 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize("spec", TRACE_SPECS, ids=_trace_id)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(data=st.data())
 def test_trace_matches_the_one_pair_reference(spec, data):
     # a small pool drawn with repeats, so points and distances coincide;

@@ -15,6 +15,7 @@ from quasifix.algebra import (
     OrderKind,
     RealizationMismatch,
     allclose,
+    diag2,
     leq,
     mat2,
     norm,
@@ -25,11 +26,13 @@ from quasifix.metrics import (
     DomainMismatch,
     MetricSpec,
     check_axioms,
+    codomain_scalar,
     distance_norm,
     eval_metric,
     mat2_split,
     mat2_split_scaled,
     mult_op,
+    paired_payloads,
     periodic_fn,
     register_evaluator,
     reversed_metric,
@@ -37,6 +40,8 @@ from quasifix.metrics import (
     scalar_forward_one,
     _component_table,
 )
+
+from budget import examples
 
 CATALOG_SPECS = [
     mat2_split(),
@@ -289,7 +294,7 @@ def _outcome(report):
 
 
 @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=_spec_id)
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sweep_matches_the_element_by_element_reference(spec, seed):
     points = _sample_points(np.random.default_rng(seed), spec)
@@ -301,7 +306,7 @@ BINDING_SPECS = SWEEP_SPECS + [periodic_fn(3.0, 8)]
 
 
 @pytest.mark.parametrize("spec", BINDING_SPECS, ids=_spec_id)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(data=st.data())
 def test_component_table_rows_are_eval_metric_components(spec, data):
     # near the largest float, so that distances overflow
@@ -325,6 +330,56 @@ def test_component_table_rows_are_eval_metric_components(spec, data):
             d = eval_metric(spec, x, y)
             want = np.diagonal(d.data) if d.realization == "mat2" else np.ravel(d.data)
             assert table[i, j].tobytes() == want.tobytes()
+
+
+def _gap_sum(spec, x, y):
+    # a registered (non-catalog) metric with two non-zero diagonal entries
+    return diag2(abs(x - y), abs(x - y) + max(y - x, 0.0))
+
+
+register_evaluator("gap-sum", _gap_sum)
+PAIRED_SPECS = BINDING_SPECS + [
+    MetricSpec("gap-sum", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)]
+
+
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
+@pytest.mark.parametrize("spec", PAIRED_SPECS, ids=_spec_id)
+@settings(max_examples=examples(40), deadline=None)
+@given(data=st.data())
+def test_paired_payloads_are_eval_metric_payloads(spec, data):
+    # NaN, and values near the largest float, so that distances overflow
+    huge = st.sampled_from([-1.7e308, -1e308, 1e308, 1.7e308])
+    value = st.floats(allow_infinity=False) | huge
+    if spec.name == "mult-op":
+        value = st.lists(value, min_size=FN_GRID.size, max_size=FN_GRID.size)
+    pairs = data.draw(st.lists(st.tuples(value, value), max_size=5))
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    try:
+        want = [eval_metric(spec, x, y) for x, y in pairs]
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            paired_payloads(spec, xs, ys)
+        return
+    got = paired_payloads(spec, xs, ys)
+    assert got.shape == (len(pairs),) + codomain_scalar(spec, 0.0).data.shape
+    assert _hex(got) == _hex([d.data for d in want])
+
+
+@pytest.mark.parametrize("spec", PAIRED_SPECS, ids=_spec_id)
+def test_paired_payloads_of_no_pairs_and_of_bad_pairs(spec):
+    point = FN_GRID if spec.name == "mult-op" else 1.0
+    empty = paired_payloads(spec, [], [])
+    assert empty.shape == (0,) + codomain_scalar(spec, 0.0).data.shape
+    with pytest.raises(ValueError, match="as many"):
+        paired_payloads(spec, [point, point], [point])
+    nan = np.full(FN_GRID.size, np.nan) if spec.name == "mult-op" else np.nan
+    with pytest.raises(Exception) as one_pair:
+        eval_metric(spec, point, nan)
+    with pytest.raises(one_pair.type):
+        paired_payloads(spec, [point, point], [point, nan])
 
 
 @pytest.mark.parametrize("spec, points, message", [
