@@ -101,16 +101,9 @@ class AlgebraElement:
         elif self.realization == SAMPLED:
             if self.grid is None:
                 raise ValueError("sampled elements need a grid")
-            grid = np.array(self.grid, dtype=float)
-            if grid.ndim != 1 or grid.size < 2:
-                raise ValueError("grid must be 1-D with at least two points")
-            if not np.all(np.isfinite(grid)):
-                raise ValueError("grid must be finite")
-            if not np.all(np.diff(grid) > 0):
-                raise ValueError("grid must be strictly increasing")
+            grid = _checked_grid(self.grid)
             if data.shape != grid.shape:
                 raise ValueError("values and grid must have matching length")
-            grid.setflags(write=False)
             object.__setattr__(self, "grid", grid)
         elif self.realization == SCALAR:
             if data.shape != ():
@@ -119,10 +112,7 @@ class AlgebraElement:
                 raise ValueError("scalar elements carry no grid")
         else:
             raise ValueError(f"unknown realization {self.realization!r}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("payload must be finite (no NaN/Inf)")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
+        _set_payload(self, data)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return add(self, other)
@@ -139,6 +129,45 @@ class AlgebraElement:
         if self.realization == MAT2:
             return f"AlgebraElement(mat2 {self.data.tolist()!r})"
         return f"AlgebraElement(sampled, {self.data.size} points)"
+
+
+def _checked_grid(grid: Any) -> np.ndarray:
+    """``grid`` as a read-only float copy, if it can carry sampled elements."""
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("grid must be 1-D with at least two points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite")
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
+    grid.setflags(write=False)
+    return grid
+
+
+def _set_payload(a: AlgebraElement, data: np.ndarray) -> None:
+    """Freeze ``data`` as the payload of ``a``, if all its entries are finite."""
+    if not np.all(np.isfinite(data)):
+        raise ValueError("payload must be finite (no NaN/Inf)")
+    data.setflags(write=False)
+    object.__setattr__(a, "data", data)
+
+
+def _sampled_on(grid: np.ndarray, values: Any) -> AlgebraElement:
+    """The sampled element with ``values`` on ``grid``, a ``_checked_grid``
+    result that the element shares as it is, without copying or checking it
+    again.  The values are copied and checked as construction checks them.
+
+    This skips ``AlgebraElement.__init__``, so it is for callers that hold
+    one checked grid for many elements (a metric spec's grid).
+    """
+    data = np.array(values, dtype=float)
+    if data.shape != grid.shape:
+        raise ValueError("values and grid must have matching length")
+    a = object.__new__(AlgebraElement)
+    object.__setattr__(a, "realization", SAMPLED)
+    object.__setattr__(a, "grid", grid)
+    _set_payload(a, data)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -412,11 +412,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     # the solvers stop once a step distance is at most --tol (0 may never be
-    # reached); check-axioms compares with a tolerance of 0 just fine, but a
-    # negative one turns every comparison against the metric
+    # reached); check-axioms and certify compare with a tolerance of 0 just
+    # fine, but a negative one turns every comparison against what it checks
     if args.command in ("solve", "demo-integral") and not args.tol > 0:
         parser.error(f"argument --tol: must be positive, got {args.tol}")
-    if args.command == "check-axioms" and not args.tol >= 0:
+    if args.command in ("check-axioms", "certify") and not args.tol >= 0:
         parser.error(f"argument --tol: must not be negative, got {args.tol}")
     try:
         return args.func(args)

@@ -17,9 +17,11 @@ core does it for each of them.  A regime only decides the two distances of a
 sample, its *tables*: ``lhs`` is d(Tx, Ty) for the global regimes and
 d(Ty, T^2 y) for the orbit regimes, and ``base`` is d(x, y) (forward),
 d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  The
-points are mapped one by one, and each table is then one paired evaluation
-of the metric (``metrics.paired_payloads``, the batched form of
-``eval_metric``) in sample order.  The core forms ``rhs`` -- the sandwich
+points are mapped one by one, and the tables then come from paired
+evaluations of the metric (``metrics.paired_payloads``, the batched form of
+``eval_metric``) in sample order, each distance evaluated once: the orbital
+lhs and base are one evaluation of the orbit's consecutive steps, shifted
+by one against each other.  The core forms ``rhs`` -- the sandwich
 (a* base) a, or a base for two-step, in the operation order of ``mul`` --
 and runs the order check on the whole batch with the per-sample tolerance
 tol (1 + ||rhs||_op).  ``verify`` is the one dispatch over regimes;
@@ -177,8 +179,13 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             orbit_len: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The regime's samples as (points, lhs, base), in sample order.
 
-    The points are mapped one by one; ``lhs`` and ``base`` are then the
-    stacked payloads of two paired metric evaluations.  ``points[i]`` is the
+    The points are mapped one by one, and every distance is evaluated once,
+    by paired metric evaluations.  On an orbit o, ``lhs[i]`` =
+    d(o[i+1], o[i+2]) and the orbital ``base[i]`` = d(o[i], o[i+1]) are the
+    orbit's consecutive steps shifted by one, so one evaluation of the steps
+    gives both.  The global regimes and two-step take two evaluations, one
+    for ``lhs`` and one for ``base``; two-step does not evaluate the orbit's
+    first step d(o[0], o[1]), which it never compares.  ``points[i]`` is the
     (x, y) a violation of sample i records.  The distances must live in the
     space of ``like`` (the coefficient), as ``mul`` and ``leq`` require.
     """
@@ -202,9 +209,12 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             raise ValueError("orbit_len must be at least 2")
         orbit = map_spec.orbit(seed, orbit_len + 2)
         points = list(zip(orbit, orbit[1:-1]))
-        lhs = paired_payloads(metric, orbit[1:-1], orbit[2:])
-        far = orbit[1:-1] if regime is Regime.ORBITAL else orbit[2:]
-        base = paired_payloads(metric, orbit[:-2], far)
+        if regime is Regime.ORBITAL:
+            steps = paired_payloads(metric, orbit[:-1], orbit[1:])
+            lhs, base = steps[1:], steps[:-1]
+        else:
+            lhs = paired_payloads(metric, orbit[1:-1], orbit[2:])
+            base = paired_payloads(metric, orbit[:-2], orbit[2:])
     algebra._require_same_space(like, codomain_scalar(metric, 0.0))
     return points, lhs, base
 

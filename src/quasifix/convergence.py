@@ -173,7 +173,14 @@ def orbital_lsc_check(orbit: SequenceTrace | list, x0: Any, map_spec: MapSpec,
     points = orbit.points if isinstance(orbit, SequenceTrace) else tuple(orbit)
     g0 = distance_norm(metric, x0, map_spec.apply(x0))
     tail = points[len(points) // 2:]
-    if not tail:
-        return g0 <= tol
-    liminf_est = min(distance_norm(metric, p, map_spec.apply(p)) for p in tail)
-    return g0 <= liminf_est + tol
+    return lsc_holds(g0, [distance_norm(metric, p, map_spec.apply(p)) for p in tail], tol)
+
+
+def lsc_holds(g0: float, tail: list[float], tol: float) -> bool:
+    """The lower-semicontinuity comparison of ``orbital_lsc_check``.
+
+    ``g0`` is G at the candidate limit and ``tail`` holds G over the
+    trailing half of the orbit; the liminf estimate is the least of them,
+    and 0 for an empty tail.
+    """
+    return g0 <= (min(tail) if tail else 0.0) + tol

@@ -10,16 +10,24 @@ each catalog metric's formulas over broadcastable point arrays, in two
 forms.  The table form turns two point sets into the components of
 d(x_i, y_j) for every pair; it serves the axiom sweep (one set against
 itself) and, through ``distance_norm_table``, the convergence windows (a
-candidate against a sequence, and a sequence's tail against itself).  The
-paired form, ``paired_payloads``, gives the payloads of d(x_i, y_i) for two
-equally long point lists; it serves the contraction certificates' tables.
-The axiom checker sweeps positivity, identity of indiscernibles, and the
-triangle inequality (in the metric's declared partial order) over every
-ordered triple of a sample set, and records one asymmetry witness pair when
-it finds one.  Violations are data, not exceptions.  ``eval_metric`` keeps a one-pair form of the same
-formulas, because per-call array overhead would make the kernel two to three
-times slower on a single pair; every form rejects the same points and
-distances.
+candidate against a sequence, and a sequence's tail against itself) and
+the solver's observed tails, in either norm kind.  The paired form,
+``paired_payloads``, gives the payloads of d(x_i, y_i) for two equally long
+point lists; it serves the contraction certificates' tables.  The axiom
+checker sweeps positivity, identity of indiscernibles, and the triangle
+inequality (in the metric's declared partial order) over every ordered
+triple of a sample set, and records one asymmetry witness pair when it
+finds one.  Violations are data, not exceptions.  ``eval_metric`` keeps a
+one-pair form of the same formulas, because per-call array overhead would
+make the kernel two to three times slower on a single pair; every form
+rejects the same points and distances.
+
+A function-valued spec checks its grid once, as an element grid, and its
+sampled values are then built by a private trusted constructor
+(``algebra._sampled_on``) that shares that grid instead of copying and
+checking it again for every value; the values themselves are still checked
+to be finite.  Public construction (``algebra.sampled``) keeps checking
+everything.
 """
 
 from __future__ import annotations
@@ -39,12 +47,13 @@ from .algebra import (
     NormKind,
     OrderKind,
     RealizationMismatch,
+    _checked_grid,
     _require_same_space,
+    _sampled_on,
     batch_norm,
     diag2,
     leq,
     norm,
-    sampled,
     scalar,
 )
 
@@ -66,10 +75,12 @@ class MetricSpec:
 
     ``grid`` carries the sample sites of function-valued codomains (tuple so
     the spec stays hashable and comparable), and ``grid_array`` holds the
-    same sites as a read-only float array, built once per spec; ``beta``
-    scales the lower-right block of the scaled matrix split; ``period`` is
-    the period of the periodic-function metric.  ``swap_args`` evaluates ``d(y, x)`` instead of ``d(x, y)``,
-    which is handy for order-reversal properties.
+    same sites as a read-only float array, built once per spec.  The spec's
+    sampled values share one more copy of the sites, checked once as an
+    element grid.  ``beta`` scales the lower-right block of the scaled
+    matrix split; ``period`` is the period of the periodic-function metric.
+    ``swap_args`` evaluates ``d(y, x)`` instead of ``d(x, y)``, which is
+    handy for order-reversal properties.
     """
 
     name: str
@@ -88,6 +99,14 @@ class MetricSpec:
         g = np.array(self.grid, dtype=float)
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def _element_grid(self) -> np.ndarray:
+        return _checked_grid(self.grid_array)
+
+    def _sampled(self, values: np.ndarray) -> AlgebraElement:
+        """The sampled element with ``values`` on the spec's grid."""
+        return _sampled_on(self._element_grid, values)
 
 
 def mat2_split(order: OrderKind = OrderKind.ENTRYWISE,
@@ -186,10 +205,19 @@ def _finite(value: float) -> float:
 
 
 def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Symbol of the multiplication-operator distance between two samples
-    (inf, without a warning, where a difference overflows)."""
+    """Symbol of the multiplication-operator distance between two arrays of
+    finite samples (inf, without a warning, where a difference overflows).
+
+    |f - g|, halved where f > g, is (1/2)(f - g) there, g - f where g > f
+    and 0 on ties, bit for bit: a rounded difference is rounded
+    symmetrically, so it is zero exactly on ties and |f - g| = g - f
+    where g > f.
+    """
     with np.errstate(over="ignore"):
-        return np.where(f > g, 0.5 * (f - g), np.where(g > f, g - f, 0.0))
+        d = np.subtract(f, g)
+    out = np.abs(d)
+    np.multiply(out, 0.5, out=out, where=d > 0)
+    return out
 
 
 def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
@@ -213,7 +241,7 @@ def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
         else:
             _finite((b - a) * (spec.period - float(t[0])) / spec.period)
             values = (b - a) * (spec.period - t) / spec.period
-        return sampled(t, values)
+        return spec._sampled(values)
     if spec.name == SCALAR_FORWARD_ONE:
         a, b = _require_real_point(x), _require_real_point(y)
         return scalar(_finite(b - a) if b >= a else 1.0)
@@ -224,7 +252,7 @@ def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
         values = mult_op_values(_require_fn_point(spec, x), _require_fn_point(spec, y))
         if not np.all(np.isfinite(values)):
             raise DomainMismatch(_OVERFLOW)
-        return sampled(spec.grid_array, values)
+        return spec._sampled(values)
     evaluator = _EXTRA_EVALUATORS.get(spec.name)
     if evaluator is None:
         raise ValueError(f"unknown metric {spec.name!r}")
@@ -250,8 +278,7 @@ def codomain_scalar(spec: MetricSpec, c: float) -> AlgebraElement:
     if spec.codomain == MAT2:
         return diag2(c, c)
     if spec.codomain == SAMPLED:
-        g = spec.grid_array
-        return sampled(g, np.full(g.shape, float(c)))
+        return spec._sampled(np.full(spec.grid_array.shape, float(c)))
     return scalar(c)
 
 
@@ -352,9 +379,10 @@ def _components(d: AlgebraElement) -> np.ndarray:
 
 def _payloads(codomain: str, components: np.ndarray) -> np.ndarray:
     """Element payloads from components along the last axis: diagonal 2x2
-    matrices, sample vectors, or scalars."""
+    matrices, sample vectors, or scalars.  The off-diagonal entries are +0.0,
+    as in ``diag2``, also next to a -0.0 component."""
     if codomain == MAT2:
-        return components[..., :, None] * np.eye(2)
+        return np.where(np.eye(2, dtype=bool), components[..., :, None], 0.0)
     if codomain == SCALAR:
         return components[..., 0]
     return components
@@ -362,10 +390,22 @@ def _payloads(codomain: str, components: np.ndarray) -> np.ndarray:
 
 def _points(spec: MetricSpec, points: Any) -> np.ndarray:
     """Catalog points validated as ``eval_metric`` validates them: a float
-    vector for the real-point metrics, one row per function for ``mult-op``."""
+    vector for the real-point metrics, one row per function for ``mult-op``.
+
+    ``mult-op`` points are stacked and checked as one array; only when that
+    check fails are they checked one at a time, so that the first bad point
+    raises what ``eval_metric`` raises for it.
+    """
     if spec.name == MULT_OP:
-        return np.reshape([_require_fn_point(spec, f) for f in points],
-                          (-1, spec.grid_array.size))
+        size = spec.grid_array.size
+        try:
+            pts = np.array(points, dtype=float)
+        except ValueError:  # ragged rows, or a row that is not numeric
+            pts = None
+        if (pts is None or pts.ndim != 2 or pts.shape[1] != size
+                or not np.all(np.isfinite(pts))):
+            pts = np.reshape([_require_fn_point(spec, f) for f in points], (-1, size))
+        return pts
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or not np.all(np.isfinite(pts)):
         raise DomainMismatch("points must be finite reals")
@@ -449,17 +489,27 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
     return _payloads(spec.codomain, _kernel(spec, _points(spec, xs), _points(spec, ys)))
 
 
-def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
-    """Norms of d(x_i, y_j) for every pair, as an array N[i, j].
+def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
+                        kind: NormKind | None = None) -> np.ndarray:
+    """Norms of d(x_i, y_j) for every pair, as an array N[i, j], in norm
+    ``kind`` (by default the metric's own).
 
-    The batched form of ``distance_norm``, with the same values bit for bit:
-    the component table's diagonal 2x2 values are stacked back into 2x2
-    payloads, so every codomain goes through the norm's own closed form.
+    The batched form of ``norm(eval_metric(spec, x, y), kind)``, with the
+    same values bit for bit: the component table's diagonal 2x2 values are
+    stacked back into 2x2 payloads, so every codomain goes through the
+    norm's own closed form.  A registered evaluator's values need not be
+    diagonal, so they are evaluated and normed one pair at a time, in
+    row-major order.
     """
+    kind = spec.norm if kind is None else kind
+    if spec.name not in CATALOG:
+        xs, ys = list(xs), list(ys)
+        norms = [norm(eval_metric(spec, x, y), kind) for x in xs for y in ys]
+        return np.reshape(np.array(norms, dtype=float), (len(xs), len(ys)))
     _, table = _component_table(spec, xs, ys)
     data = _payloads(spec.codomain, table)
     flat = data.reshape((-1,) + data.shape[2:])
-    return batch_norm(spec.codomain, flat, spec.norm).reshape(table.shape[:2])
+    return batch_norm(spec.codomain, flat, kind).reshape(table.shape[:2])
 
 
 def check_axioms(spec: MetricSpec, sample_points: list,

@@ -19,6 +19,14 @@ distance to fall below tolerance before stopping; orbital and two-step
 certificates promise forward convergence only, so they stop on the
 (old, new) order and additionally gate fixed-point acceptance on the
 lower-semicontinuity check of G(x) = d(x, Tx).
+
+Each distance is evaluated once.  The loop evaluates the step pair of every
+iteration, and the first pair is the envelope's d1 in both orders.  The
+observed tails d(x_p, x_N) and d(x_N, x_p) are two rows of distance norm
+tables (``metrics.distance_norm_table``).  The lower-semicontinuity gate
+reads G from the step list: G(x_i) = d(x_i, x_{i+1}) is the i-th forward
+step for i < N, and G(x_N) is the forward residual, so the gate applies T
+to no point again.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, NormKind, NotPositive, is_positive, norm
 from .contraction import ContractionCertificate, Regime
-from .convergence import orbital_lsc_check
+from .convergence import lsc_holds
 from .maps import MapSpec
-from .metrics import MetricSpec, eval_metric
+from .metrics import MetricSpec, distance_norm_table, eval_metric
 
 
 class CertificateInvalid(Exception):
@@ -210,6 +218,8 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         nxt = map_spec.apply(current)
         step_fwd = eval_metric(metric, current, nxt)
         step_bwd = eval_metric(metric, nxt, current)
+        if not fwd_steps:  # the envelope's d1, in both orders
+            d1, d1_rev = step_fwd, step_bwd
         fwd_steps.append(norm(step_fwd, display))
         bwd_steps.append(norm(step_bwd, display))
         points.append(nxt)
@@ -227,21 +237,15 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised
     # by the global sandwich regimes.
-    last = points[-1]
-    observed = tuple(norm(eval_metric(metric, points[p], last), NormKind.OPERATOR)
-                     for p in range(len(points) - 1))
-    observed_rev = tuple(norm(eval_metric(metric, last, points[p]), NormKind.OPERATOR)
-                         for p in range(len(points) - 1))
-    d1 = eval_metric(metric, seed, points[1]) if len(points) > 1 else None
-    d1_rev = eval_metric(metric, points[1], seed) if len(points) > 1 else None
-    if d1 is not None:
-        predicted = apriori_envelope(d1, coeff_norm, len(points) - 1, cfg.bound_mode)
-    else:
-        predicted = ()
+    before, last = points[:-1], [fixed_point]
+    op = NormKind.OPERATOR
+    observed = tuple(distance_norm_table(metric, before, last, op)[:, 0].tolist())
+    observed_rev = tuple(distance_norm_table(metric, last, before, op)[0].tolist())
+    predicted = apriori_envelope(d1, coeff_norm, iterations, cfg.bound_mode)
     rev_covered = cert.regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
-    if rev_covered and d1_rev is not None and cfg.bound_mode is BoundMode.SANDWICH:
+    if rev_covered and cfg.bound_mode is BoundMode.SANDWICH:
         predicted_rev: tuple[float, ...] | None = apriori_envelope(
-            d1_rev, coeff_norm, len(points) - 1, cfg.bound_mode)
+            d1_rev, coeff_norm, iterations, cfg.bound_mode)
     else:
         predicted_rev = None
     envelope_ok = all(o <= b + cfg.tol for o, b in zip(observed, predicted))
@@ -249,7 +253,9 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         envelope_ok = envelope_ok and all(
             o <= b + cfg.tol for o, b in zip(observed_rev, predicted_rev))
 
-    lsc = orbital_lsc_check(points, fixed_point, map_spec, metric, cfg.tol)
+    # G(x_i) = d(x_i, T x_i) over the orbit's trailing half, x_N included
+    half = len(points) // 2
+    lsc = lsc_holds(residual_forward, fwd_steps[half:] + [residual_forward], cfg.tol)
     if forward_only:
         certified = converged and residual_forward <= cfg.tol and lsc
     else:
@@ -283,13 +289,11 @@ def uniqueness_probe(map_spec: MapSpec, metric: MetricSpec,
         raise CertificateInvalid(
             "uniqueness needs a forward-global certificate; "
             f"got {cert.regime.value}")
-    display = metric.norm
     results = [picard_solve(map_spec, metric, seed, cert, cfg).fixed_point
                for seed in seeds]
+    table = distance_norm_table(metric, results, results).tolist()
     spread = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):
-            spread = max(spread,
-                         norm(eval_metric(metric, results[i], results[j]), display),
-                         norm(eval_metric(metric, results[j], results[i]), display))
+            spread = max(spread, table[i][j], table[j][i])
     return spread

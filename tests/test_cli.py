@@ -95,6 +95,27 @@ def test_check_axioms_accepts_a_zero_tolerance():
                  "--tol", "0"]) == 0
 
 
+_HALF_IDENTITY_CHECK = [
+    "certify", "--map", "linear-quarter", "--metric", "mat2-split",
+    "--regime", "forward", "--grid", "lin:-2:2:5",
+    "--a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}']
+
+
+@pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan"])
+def test_certify_rejects_a_negative_tolerance(tol, capsys):
+    # at --tol=-1 the order check turned against a certificate that holds
+    # and reported 25 violations of 25
+    with pytest.raises(SystemExit) as exc:
+        main([*_HALF_IDENTITY_CHECK, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_certify_accepts_a_zero_tolerance(capsys):
+    assert main([*_HALF_IDENTITY_CHECK, "--tol=0"]) == 0
+    assert "25 samples, 0 violations" in capsys.readouterr().out
+
+
 # --- classify ----------------------------------------------------------------
 
 def test_classify_forward_only_sequence(tmp_path, capsys):

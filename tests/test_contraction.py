@@ -43,9 +43,11 @@ from quasifix.maps import MapSpec, from_table, linear_quarter, piecewise_quarter
 from quasifix.metrics import (
     DomainMismatch,
     MetricSpec,
+    codomain_scalar,
     eval_metric,
     mat2_split,
     mat2_split_scaled,
+    mult_op,
     periodic_fn,
     scalar_backward_one,
     scalar_forward_one,
@@ -443,3 +445,64 @@ def test_self_adjointness_gate_fires_on_the_same_sample(monkeypatch):
     with pytest.raises(NotSelfAdjoint) as got:
         verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs)
     assert str(got.value) == str(want.value)
+
+
+# --- orbit tables --------------------------------------------------------------------
+
+def _two_call_orbit_tables(regime, map_spec, metric, seed, orbit_len):
+    """The orbit regimes' tables as two paired evaluations: lhs[i] =
+    d(o[i+1], o[i+2]), and base[i] = d(o[i], o[i+1]) or d(o[i], o[i+2])."""
+    orbit = map_spec.orbit(seed, orbit_len + 2)
+    far = orbit[1:-1] if regime is Regime.ORBITAL else orbit[2:]
+    return (list(zip(orbit, orbit[1:-1])),
+            metrics.paired_payloads(metric, orbit[1:-1], orbit[2:]),
+            metrics.paired_payloads(metric, orbit[:-2], far))
+
+
+ORBIT_METRICS = [metric() for _, metric in sorted(CODOMAINS.items())] + [
+    mult_op(np.linspace(0.25, 1.0, 4))]
+
+
+@pytest.mark.parametrize("metric", ORBIT_METRICS, ids=lambda m: m.name)
+@settings(max_examples=examples(40), deadline=None)
+@given(regime=st.sampled_from([Regime.ORBITAL, Regime.TWO_STEP]),
+       slope=st.floats(-2.0, 2.0), shift=st.floats(-1.0, 1.0),
+       seed=st.floats(-1e3, 1e3) | st.sampled_from([-1.7e308, 1e308]),
+       orbit_len=st.integers(2, 8))
+def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shift,
+                                                     seed, orbit_len):
+    # slopes above 1 and seeds near the largest float make orbits overflow
+    map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    if metric.name == "mult-op":
+        seed = seed * metric.grid_array
+    args = (regime, map_spec, metric, seed, orbit_len)
+    try:
+        want = _two_call_orbit_tables(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
+                                None, seed, orbit_len)
+        return
+    got = contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
+                              None, seed, orbit_len)
+    assert len(got[0]) == len(want[0]) == orbit_len + 1
+    for (gx, gy), (wx, wy) in zip(got[0], want[0]):
+        assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
+    for g, w in zip(got[1:], want[1:]):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("regime, evaluations", [(Regime.ORBITAL, 1),
+                                                 (Regime.TWO_STEP, 2)])
+def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
+    applied, evaluated = [], []
+    quarter = MapSpec("counted-quarter", lambda x: applied.append(x) or x / 4.0)
+    paired = contraction.paired_payloads
+    monkeypatch.setattr(contraction, "paired_payloads",
+                        lambda *args: evaluated.append(args) or paired(*args))
+    points, lhs, base = contraction._tables(regime, quarter, mat2_split(),
+                                            diag2(0.0, 0.0), None, 1.0, 10)
+    assert len(points) == len(lhs) == len(base) == 11
+    assert len(applied) == 12  # the orbit of 12 steps, once
+    assert len(evaluated) == evaluations

@@ -176,6 +176,30 @@ def test_demo_zero_seed_is_immediate():
     assert report.equation_residual == 0.0
 
 
+@pytest.mark.parametrize("kind", list(QuadratureKind), ids=[k.value for k in QuadratureKind])
+@pytest.mark.parametrize("n", [300, 1500, 4000])
+def test_demo_follows_the_rank_one_closed_form(kind, n):
+    # T f = alpha <w/(g^2+k), f> g, so the orbit of f0 = g is c_n g with
+    # c_n = rho^n, rho = alpha <w, g/(g^2+k)>; the grid's largest point is 1
+    alpha, k, tol = 0.6, 2.0, 1e-8
+    prob = make_problem(alpha, k, n=n, quadrature=kind)
+    g = prob.grid_array
+    rho = alpha * quadrature(g / (g * g + k), prob)
+    c, steps = 1.0, []
+    while not steps or steps[-1] > tol:
+        # the forward step from c g to rho c g: (1/2)(c - rho c) at x = 1
+        steps.append(0.5 * (c - rho * c))
+        c *= rho
+    # the closed form decides the stop clearly, not within rounding of tol
+    assert all(abs(step - tol) > 1e-6 * tol for step in steps[-2:])
+    report = run_demo(prob, SolverConfig(tol=tol, max_iter=200))
+    assert report.solver["iterations"] == len(steps)
+    assert report.solver["fixed_point_sup"] == pytest.approx(c, rel=1e-12)
+    assert report.solver["residual_forward"] == pytest.approx(0.5 * c * (1.0 - rho),
+                                                              rel=1e-12)
+    assert report.equation_residual == pytest.approx(c * (1.0 - rho), rel=1e-12)
+
+
 def test_demo_refuses_non_contractive_parameters():
     with pytest.raises(NotContractive):
         run_demo(make_problem(2.0, 0.3, n=128))

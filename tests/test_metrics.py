@@ -3,14 +3,17 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quasifix.algebra import (
+    SAMPLED,
     NormKind,
     OrderKind,
     RealizationMismatch,
@@ -19,16 +22,20 @@ from quasifix.algebra import (
     leq,
     mat2,
     norm,
+    sampled,
     scalar,
 )
 from quasifix.metrics import (
     AxiomReport,
     DomainMismatch,
     MetricSpec,
+    MULT_OP,
     check_axioms,
     codomain_scalar,
     distance_norm,
+    distance_norm_table,
     eval_metric,
+    mult_op_values,
     mat2_split,
     mat2_split_scaled,
     mult_op,
@@ -39,6 +46,8 @@ from quasifix.metrics import (
     scalar_backward_one,
     scalar_forward_one,
     _component_table,
+    _points,
+    _require_fn_point,
 )
 
 from budget import examples
@@ -368,6 +377,15 @@ def test_paired_payloads_are_eval_metric_payloads(spec, data):
     assert _hex(got) == _hex([d.data for d in want])
 
 
+@pytest.mark.parametrize("spec", [mat2_split(), mat2_split_scaled(0.25),
+                                  reversed_metric(mat2_split())], ids=_spec_id)
+def test_paired_payloads_keep_the_sign_of_a_zero_component(spec):
+    # -0.0 - 0.0 is -0.0 on the diagonal; the off-diagonal entries stay +0.0
+    pairs = [(-0.0, 0.0), (0.0, -0.0)]
+    want = [eval_metric(spec, x, y).data for x, y in pairs]
+    assert _hex(paired_payloads(spec, *zip(*pairs))) == _hex(want)
+
+
 @pytest.mark.parametrize("spec", PAIRED_SPECS, ids=_spec_id)
 def test_paired_payloads_of_no_pairs_and_of_bad_pairs(spec):
     point = FN_GRID if spec.name == "mult-op" else 1.0
@@ -440,3 +458,154 @@ def test_triangle_sweep_memory_is_quadratic_in_the_sample_count():
         tracemalloc.stop()
     assert report.passed
     assert peak < 32 * 2**20
+
+
+# --- fast forms against their references -------------------------------------------
+
+def _reference_mult_op_values(f, g):
+    """The nested-where form of the multiplication-operator symbol."""
+    with np.errstate(over="ignore"):
+        return np.where(f > g, 0.5 * (f - g), np.where(g > f, g - f, 0.0))
+
+
+# finite samples from a small pool (so that they tie), subnormals and
+# samples whose differences overflow
+SAMPLE = (st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e308, -1e308, 1.7976931348623157e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(data=st.data())
+def test_mult_op_values_are_the_nested_where_form(data):
+    f_shape, g_shape = data.draw(st.sampled_from(
+        [((4,), (4,)), ((3, 1, 4), (1, 2, 4)), ((2, 4), (4,))]))
+    f = data.draw(arrays(float, f_shape, elements=SAMPLE))
+    g = data.draw(arrays(float, g_shape, elements=SAMPLE))
+    got, want = mult_op_values(f, g), _reference_mult_op_values(f, g)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _outcome_of(fn, *args):
+    """The returned array's shape and bytes, or the exception's type and text."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value.shape, value.tobytes()
+
+
+def _fn_points_one_at_a_time(spec, points):
+    return np.reshape([_require_fn_point(spec, f) for f in points],
+                      (-1, spec.grid_array.size))
+
+
+FN_ROW = st.lists(st.floats(-1e3, 1e3), min_size=FN_GRID.size, max_size=FN_GRID.size)
+BAD_FN_ROW = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6).filter(
+        lambda r: len(r) != FN_GRID.size),                        # wrong length
+    FN_ROW.map(lambda r: [r]),                                    # a 2-D row
+    st.tuples(FN_ROW, st.integers(0, FN_GRID.size - 1),
+              st.sampled_from([math.nan, math.inf, -math.inf])).map(
+        lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:]),        # NaN or inf
+)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@given(rows=st.lists(FN_ROW | BAD_FN_ROW, max_size=5),
+       as_arrays=st.booleans())
+def test_mult_op_points_are_checked_as_one_at_a_time(rows, as_arrays):
+    # wrong lengths and 2-D rows among good rows make the list ragged
+    spec = mult_op(FN_GRID)
+    points = [np.array(r) for r in rows] if as_arrays else rows
+    assert _outcome_of(_points, spec, points) == \
+        _outcome_of(_fn_points_one_at_a_time, spec, points)
+
+
+@pytest.mark.parametrize("points", [
+    [], [FN_GRID, np.ones(3)], [[FN_GRID]], [FN_GRID, [1.0, 2.0, np.nan, 4.0]],
+    [[np.inf] * 4, np.ones(3)], [np.ones(3), [np.inf] * 4], np.ones((2, 4)),
+], ids=["empty", "wrong-length", "2-d-row", "nan", "inf-then-short",
+        "short-then-inf", "array"])
+def test_mult_op_point_checks_on_named_cases(points):
+    spec = mult_op(FN_GRID)
+    assert _outcome_of(_points, spec, points) == \
+        _outcome_of(_fn_points_one_at_a_time, spec, points)
+
+
+def _skewed(spec, x, y):
+    # a registered metric with non-diagonal 2x2 values
+    return mat2(abs(x - y), x - y, x - y, abs(x - y))
+
+
+register_evaluator("skewed-norms", _skewed)
+TABLE_SPECS = PAIRED_SPECS + [
+    MetricSpec("skewed-norms", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+@settings(max_examples=examples(30), deadline=None)
+@given(kind=st.sampled_from(NormKind), data=st.data())
+def test_distance_norm_table_is_the_norm_of_each_distance(spec, kind, data):
+    huge = st.sampled_from([-1.7e308, -1e308, 1e200, 1e308])
+    value = st.floats(-1e6, 1e6) | huge
+    if spec.name == MULT_OP:
+        value = st.lists(value, min_size=FN_GRID.size, max_size=FN_GRID.size)
+    xs = data.draw(st.lists(value, max_size=4))
+    ys = data.draw(st.lists(value, max_size=4))
+    # entry-sum-squares norms above ~1e154 overflow with a RuntimeWarning in
+    # both forms; silenced, each runs to its result or first exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            want = [[norm(eval_metric(spec, x, y), kind) for y in ys] for x in xs]
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                distance_norm_table(spec, xs, ys, kind)
+            return
+        got = distance_norm_table(spec, xs, ys, kind)
+        default = distance_norm_table(spec, xs, ys)
+    assert got.shape == (len(xs), len(ys))
+    assert _hex(got) == _hex(want)
+    if kind is spec.norm:
+        assert _hex(default) == _hex(want)
+
+
+# --- sampled values on a spec's grid --------------------------------------------------
+
+@pytest.mark.parametrize("spec, x, y", [
+    (mult_op(FN_GRID), FN_GRID, np.zeros(FN_GRID.size)),
+    (periodic_fn(3.0, 8), 1.0, 2.5),
+], ids=["mult-op", "periodic-fn"])
+def test_sampled_values_share_the_spec_grid(spec, x, y):
+    values = [eval_metric(spec, x, y), eval_metric(spec, y, x),
+              codomain_scalar(spec, 0.5)]
+    for d in values:
+        built = sampled(spec.grid_array, d.data)
+        assert d.realization == SAMPLED
+        assert d.grid is values[0].grid
+        assert d.grid.tobytes() == built.grid.tobytes()
+        assert d.data.tobytes() == built.data.tobytes()
+        assert not d.grid.flags.writeable and not d.data.flags.writeable
+    # the values are still checked
+    with pytest.raises(ValueError, match="finite"):
+        codomain_scalar(spec, math.inf)
+
+
+@pytest.mark.parametrize("name, grid, message", [
+    (MULT_OP, (0.0, 1.0, math.inf), "finite"),
+    (MULT_OP, (0.0, 1.0, 1.0), "increasing"),
+    ("periodic-fn", (0.5, 0.25), "increasing"),
+    ("periodic-fn", (0.5,), "two points"),
+], ids=["mult-op-inf", "mult-op-tie", "periodic-decreasing", "periodic-short"])
+def test_values_on_a_grid_that_cannot_carry_them_are_refused(name, grid, message):
+    # a spec built directly is not checked; its first value checks the grid
+    spec = MetricSpec(name, SAMPLED, OrderKind.POSITIVE_CONE, NormKind.OPERATOR,
+                      grid=grid)
+    point = np.ones(len(grid)) if name == MULT_OP else 1.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            eval_metric(spec, point, 0.5 * point)
+        with pytest.raises(ValueError, match=message):
+            codomain_scalar(spec, 0.5)

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quasifix.algebra import NormKind, diag2, mat2, norm, sampled, scalar, sqrt_positive
@@ -18,8 +18,10 @@ from quasifix.contraction import (
     verify_orbital_type,
     verify_two_step,
 )
-from quasifix.maps import linear_quarter, piecewise_quarter
+from quasifix.convergence import orbital_lsc_check
+from quasifix.maps import MapSpec, linear_quarter, piecewise_quarter
 from quasifix.metrics import (
+    codomain_scalar,
     eval_metric,
     mat2_split,
     mat2_split_scaled,
@@ -37,6 +39,8 @@ from quasifix.solver import (
     picard_solve,
     uniqueness_probe,
 )
+
+from budget import examples
 
 GRID = np.linspace(-3.0, 7.0, 21)
 PAIRS = [(x, y) for x in GRID for y in GRID]
@@ -265,3 +269,98 @@ def test_envelope_head_of_a_positive_matrix_is_its_top_eigenvalue(b, c):
     new = apriori_bound(d1, 0.0, 0)
     assert abs(new - top) <= 2 * math.ulp(top)
     assert abs(_old_head(d1) - top) <= 8 * math.ulp(top)
+
+
+# --- each distance once ---------------------------------------------------------------
+
+def _counted(map_spec, applied):
+    return MapSpec(map_spec.name, lambda x: applied.append(x) or map_spec.apply(x))
+
+
+def _certificate(regime, metric, c=0.5):
+    """A certificate of rate c^2 that nothing checked: the solver trusts it."""
+    a = codomain_scalar(metric, c)
+    return ContractionCertificate(regime, a, NormKind.OPERATOR, c, 0, ())
+
+
+@pytest.mark.parametrize("regime, map_spec, metric, seed", [
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), 7.0),
+    (Regime.ORBITAL, piecewise_quarter(), scalar_backward_one(), -3.0),
+    (Regime.ORBITAL, linear_quarter(), mult_op(FN_GRID), FN_GRID),
+], ids=["forward-mat2", "orbital-scalar", "orbital-mult-op"])
+def test_solve_evaluates_each_distance_once(one_pair_calls, regime, map_spec,
+                                            metric, seed):
+    applied = []
+    report = picard_solve(_counted(map_spec, applied), metric, seed,
+                          _certificate(regime, metric), SolverConfig(tol=1e-10))
+    assert report.converged and report.iterations > 2
+    # the step pair of every iteration and the residual pair; the tails and
+    # d1 are not evaluated again, and the LSC gate reads the steps
+    assert len(one_pair_calls) == 2 * report.iterations + 2
+    assert len(applied) == report.iterations + 1
+
+
+JUMP = MapSpec("jump-half", lambda x: x / 2.0 if x > 0 else 1.0)
+# steps of 0.3 down to the first point at or below 0, then back to 1: under
+# scalar-backward-one G = 0.3 above 0 and G = 1 at or below it
+DROP = MapSpec("drop", lambda x: x - 0.3 if x > 0 else 1.0)
+# under scalar-forward-one G(x) = x on the orbit of a positive seed, least at
+# the start of the trailing half
+DOUBLE = MapSpec("double", lambda x: 2.0 * x)
+LSC_MAPS = {"linear-quarter": linear_quarter(), "piecewise-quarter": piecewise_quarter(),
+            "jump-half": JUMP, "drop": DROP, "double": DOUBLE}
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(map_name=st.sampled_from(sorted(LSC_MAPS)),
+       metric=st.sampled_from([scalar_backward_one(), scalar_forward_one(),
+                               mat2_split(), periodic_fn(2.0, 8)]),
+       seed=st.floats(-4.0, 4.0), max_iter=st.integers(1, 40),
+       tol=st.sampled_from([1e-10, 1e-3, 0.35]))
+@example(map_name="drop", metric=scalar_backward_one(), seed=1.0, max_iter=4,
+         tol=1e-10)
+@example(map_name="jump-half", metric=scalar_backward_one(), seed=1.0,
+         max_iter=40, tol=1e-10)
+@example(map_name="double", metric=scalar_forward_one(), seed=1.0, max_iter=3,
+         tol=1e-10)
+def test_solver_lsc_verdict_is_orbital_lsc_check(map_name, metric, seed, max_iter, tol):
+    map_spec = LSC_MAPS[map_name]
+    report = picard_solve(map_spec, metric, seed, _certificate(Regime.ORBITAL, metric),
+                          SolverConfig(max_iter=max_iter, tol=tol))
+    assert report.lsc_check is orbital_lsc_check(
+        list(report.trace.points), report.fixed_point, map_spec, metric, tol)
+
+
+def test_solver_lsc_gate_fails_after_a_jump():
+    # 1, 0.7, 0.4, 0.1, -0.2: G falls to 0.3 and jumps to 1 at the last point
+    report = picard_solve(DROP, scalar_backward_one(), 1.0,
+                          _certificate(Regime.ORBITAL, scalar_backward_one()),
+                          SolverConfig(max_iter=4))
+    assert report.trace.points[-1] == pytest.approx(-0.2)
+    assert report.lsc_check is False
+    assert not report.fixed_point_certified
+
+
+def _reference_spread(metric, points):
+    """The largest norm of d(p, q) over both orders of every pair of points,
+    one pair at a time."""
+    spread = 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            spread = max(spread, norm(eval_metric(metric, points[i], points[j]), metric.norm),
+                         norm(eval_metric(metric, points[j], points[i]), metric.norm))
+    return spread
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(metric=st.sampled_from([mat2_split(), mat2_split_scaled(0.25), periodic_fn(2.0, 8),
+                               scalar_forward_one(), scalar_backward_one()]),
+       seeds=st.lists(st.floats(-8.0, 8.0), max_size=5),
+       tol=st.sampled_from([1e-10, 1e-3, 0.1]))
+def test_uniqueness_spread_is_the_one_pair_loop(metric, seeds, tol):
+    # a loose tol leaves the fixed points apart
+    cert = _certificate(Regime.FORWARD_GLOBAL, metric)
+    cfg = SolverConfig(tol=tol)
+    points = [picard_solve(linear_quarter(), metric, s, cert, cfg).fixed_point for s in seeds]
+    spread = uniqueness_probe(linear_quarter(), metric, cert, seeds, cfg)
+    assert spread.hex() == _reference_spread(metric, points).hex()
