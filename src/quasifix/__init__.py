@@ -82,7 +82,6 @@ from .solver import (
     RateNotLessThanOne,
     SolverConfig,
     SolverReport,
-    apriori_bound,
     apriori_envelope,
     picard_solve,
     uniqueness_probe,

@@ -190,10 +190,6 @@ def scalar(value: float) -> AlgebraElement:
     return AlgebraElement(SCALAR, np.asarray(float(value)))
 
 
-def zero_like(a: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(a.realization, np.zeros_like(a.data), a.grid)
-
-
 def identity_like(a: AlgebraElement) -> AlgebraElement:
     if a.realization == MAT2:
         return AlgebraElement(MAT2, np.eye(2))

@@ -42,7 +42,6 @@ from .maps import MapSpec, from_table
 from .metrics import CATALOG as METRIC_CATALOG
 from .metrics import MULT_OP, DomainMismatch, MetricSpec, check_axioms
 from .solver import (
-    BoundMode,
     CertificateInvalid,
     RateNotLessThanOne,
     SolverConfig,
@@ -265,9 +264,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cert_path = Path(args.cert)
     payload = json.loads(cert_path.read_text(encoding="utf-8"))
     cert = certificate_from_json(payload.get("report", payload))
-    mode = BoundMode.ONE_SIDED if cert.regime is Regime.TWO_STEP \
-        else BoundMode.SANDWICH
-    cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol, bound_mode=mode)
+    cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     report = picard_solve(map_spec, spec, args.seed, cert, cfg)
     print(f"fixed point {report.fixed_point!r} after {report.iterations} "
           f"iterations (converged: {report.converged})")

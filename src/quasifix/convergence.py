@@ -95,11 +95,6 @@ def trace(points: list, metric: MetricSpec, candidate: Any = None,
     return SequenceTrace(pts, metric.name, fwd, bwd, pairs)
 
 
-def orbit_trace(map_spec: MapSpec, metric: MetricSpec, seed: Any, length: int,
-                candidate: Any = None, window: int | None = None) -> SequenceTrace:
-    return trace(map_spec.orbit(seed, length), metric, candidate, window)
-
-
 def classify(seq: list, candidate: Any, metric: MetricSpec, eps: float,
              window: int) -> ConvergenceVerdict:
     """Four-way convergence verdict over the trailing ``window`` entries.
@@ -162,7 +157,7 @@ def limit_uniqueness_check(seq: list, x: Any, y: Any, metric: MetricSpec,
     return distance_norm(metric, x, y) <= eps
 
 
-def orbital_lsc_check(orbit: SequenceTrace | list, x0: Any, map_spec: MapSpec,
+def orbital_lsc_check(orbit: list, x0: Any, map_spec: MapSpec,
                       metric: MetricSpec, tol: float = 1e-9) -> bool:
     """Lower-semicontinuity probe of G(x) = d(x, Tx) along an orbit.
 
@@ -170,9 +165,8 @@ def orbital_lsc_check(orbit: SequenceTrace | list, x0: Any, map_spec: MapSpec,
     the trailing half of the orbit.  A finite orbit can only estimate the
     liminf, so this is evidence with an explicit window, not a proof.
     """
-    points = orbit.points if isinstance(orbit, SequenceTrace) else tuple(orbit)
     g0 = distance_norm(metric, x0, map_spec.apply(x0))
-    tail = points[len(points) // 2:]
+    tail = orbit[len(orbit) // 2:]
     return lsc_holds(g0, [distance_norm(metric, p, map_spec.apply(p)) for p in tail], tol)
 
 

@@ -31,11 +31,10 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement
 from .contraction import ContractionCertificate, verify_orbital_type
 from .maps import MapSpec
-from .metrics import MetricSpec, codomain_scalar, eval_metric, mult_op
-from .solver import BoundMode, SolverConfig, SolverReport, picard_solve
+from .metrics import MetricSpec, codomain_scalar, mult_op
+from .solver import SolverConfig, SolverReport, picard_solve
 
 
 class GridMismatch(Exception):
@@ -54,6 +53,12 @@ class QuadratureKind(Enum):
 REGIME_CONTRACTIVE = "contractive"
 REGIME_CONTRACTIVE_GROWING = "contractive-growing"
 REGIME_NOT_CONTRACTIVE = "not-contractive"
+
+#: ``regime_report`` checks T^(i+1) f0 > T^i f0 for i = 0 .. MONOTONE_STEPS - 1.
+MONOTONE_STEPS = 5
+
+#: Consecutive orbit steps the demo's orbital certificate checks.
+DEMO_ORBIT_LEN = 30
 
 
 def uniform_grid(n: int) -> np.ndarray:
@@ -169,16 +174,6 @@ def problem_metric(prob: IntegralProblem) -> MetricSpec:
     return prob._metric
 
 
-def mult_op_distance(f: np.ndarray, g: np.ndarray,
-                     prob: IntegralProblem) -> AlgebraElement:
-    """Multiplication-operator distance between two sampled functions."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != prob.grid_array.shape or g.shape != prob.grid_array.shape:
-        raise GridMismatch("functions must be sampled on the problem grid")
-    return eval_metric(problem_metric(prob), f, g)
-
-
 # closed forms of the two kernel integrals over (0, 1], Lebesgue measure
 def closed_form_identity_integral(k: float) -> float:
     return 0.5 * math.log(1.0 + 1.0 / k)
@@ -236,7 +231,7 @@ class DemoReport:
         }
 
 
-def regime_report(prob: IntegralProblem, monotone_steps: int = 5) -> DemoReport:
+def regime_report(prob: IntegralProblem) -> DemoReport:
     """Classify the (alpha, k) pair and record the numeric evidence.
 
     "contractive" means the rate is below 1; "contractive-growing"
@@ -257,7 +252,7 @@ def regime_report(prob: IntegralProblem, monotone_steps: int = 5) -> DemoReport:
     tf0_exceeds = bool(np.all(tf0 > f0))
     increasing = True
     prev, cur = f0, tf0
-    for _ in range(monotone_steps):
+    for _ in range(MONOTONE_STEPS):
         if not np.all(cur > prev):
             increasing = False
             break
@@ -276,8 +271,7 @@ def regime_report(prob: IntegralProblem, monotone_steps: int = 5) -> DemoReport:
         regime=regime)
 
 
-def demo_certificate(prob: IntegralProblem,
-                     orbit_len: int = 30) -> ContractionCertificate:
+def demo_certificate(prob: IntegralProblem) -> ContractionCertificate:
     """Orbital certificate for the demo orbit with coefficient sqrt(rate) * I."""
     rate = contraction_rate(prob.alpha, prob.k)
     if rate >= 1.0:
@@ -285,7 +279,7 @@ def demo_certificate(prob: IntegralProblem,
     metric = problem_metric(prob)
     a = codomain_scalar(metric, math.sqrt(rate))
     return verify_orbital_type(integral_operator(prob), metric, a,
-                               prob.f0_array, orbit_len)
+                               prob.f0_array, DEMO_ORBIT_LEN)
 
 
 def run_demo(prob: IntegralProblem,
@@ -297,11 +291,9 @@ def run_demo(prob: IntegralProblem,
             f"rate {report.rate:.6f} is not below 1 for "
             f"alpha={prob.alpha}, k={prob.k}")
     cert = demo_certificate(prob)
-    solve_cfg = SolverConfig(max_iter=cfg.max_iter, tol=cfg.tol,
-                             bound_mode=BoundMode.SANDWICH)
     solved: SolverReport = picard_solve(integral_operator(prob),
                                         problem_metric(prob),
-                                        prob.f0_array, cert, solve_cfg)
+                                        prob.f0_array, cert, cfg)
     fstar = np.asarray(solved.fixed_point)
     residual = float(np.max(np.abs(fstar - apply_T(fstar, prob))))
     report.solver = {

@@ -155,11 +155,8 @@ def mult_op(grid: Any) -> MetricSpec:
     (g - f) where g > f, and 0 on ties; its operator norm is the sup over
     the grid.
     """
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
-        raise ValueError("grid must be 1-D, strictly increasing, length >= 2")
     return MetricSpec(MULT_OP, SAMPLED, OrderKind.POSITIVE_CONE,
-                      NormKind.OPERATOR, grid=tuple(g))
+                      NormKind.OPERATOR, grid=tuple(_checked_grid(grid)))
 
 
 def reversed_metric(spec: MetricSpec) -> MetricSpec:

@@ -1,16 +1,17 @@
 """Picard iteration with geometric a-priori error envelopes.
 
-The iteration x, Tx, T^2 x, ... runs under a contraction certificate.  Two
-rate models are supported:
+The iteration x, Tx, T^2 x, ... runs under a contraction certificate, and
+the certificate's regime picks the rate model; no caller chooses it:
 
-* SANDWICH -- the sandwich regimes contract step distances at rate
-  ``r = ||a||^2`` (operator norm), giving the tail envelope
-  ``B_p = ||d1^(1/2)||^2 * r^p / (1 - r)`` against ``d(T^p x, T^(n+1) x)``
-  with ``d1 = d(x, Tx)``, and against the reversed order with
-  ``d1 = d(Tx, x)``; for positive ``d1`` the C*-identity makes the head
-  ``||d1^(1/2)||^2`` equal to ``||d1||``, which is what is computed;
-* ONE_SIDED -- the two-step regime contracts at rate ``r = ||h||`` with
-  ``h = a (I - a)^-1``; only the (old, new) argument order is covered.
+* the sandwich regimes (forward-global, backward-global, orbital) contract
+  step distances at rate ``r = ||a||^2`` (operator norm);
+* the two-step regime contracts at rate ``r = ||h||`` with
+  ``h = a (I - a)^-1``, and its report calls the bound one-sided.
+
+The envelope ``apriori_envelope(d1, r, count)`` bounds d(T^p x, T^(n+1) x)
+with ``d1 = d(x, Tx)``.  The global regimes also cover the reversed order,
+with ``d1 = d(Tx, x)``; orbital and two-step certificates cover only the
+(old, new) order.
 
 Envelopes always use the operator norm because the chain they come from
 needs the C*-identity; stopping and residual norms use the metric's display
@@ -62,12 +63,11 @@ class BoundMode(Enum):
 class SolverConfig:
     max_iter: int = 1000
     tol: float = 1e-10
-    bound_mode: BoundMode = BoundMode.SANDWICH
 
     def __post_init__(self) -> None:
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN included
             raise ValueError("tol must be positive")
 
 
@@ -156,22 +156,11 @@ class SolverReport:
         }
 
 
-def apriori_bound(d1: AlgebraElement, coeff_norm: float, p: int,
-                  mode: BoundMode = BoundMode.SANDWICH) -> float:
-    """Geometric tail envelope B_p = ||d1^(1/2)||^2 * r^p / (1 - r).
-
-    ``coeff_norm`` is the certificate coefficient's operator norm for
-    SANDWICH mode (rate r = coeff_norm^2) and the norm of
-    h = a (I - a)^-1 for ONE_SIDED mode (rate r = coeff_norm).
-    """
-    return apriori_envelope(d1, coeff_norm, p + 1, mode)[p]
-
-
-def apriori_envelope(d1: AlgebraElement, coeff_norm: float, count: int,
-                     mode: BoundMode = BoundMode.SANDWICH) -> tuple[float, ...]:
-    """``apriori_bound`` at p = 0 .. count - 1, with the gates checked and
-    the head taken once."""
-    rate = coeff_norm ** 2 if mode is BoundMode.SANDWICH else coeff_norm
+def apriori_envelope(d1: AlgebraElement, rate: float,
+                     count: int) -> tuple[float, ...]:
+    """The geometric tail envelope B_p = ||d1^(1/2)||^2 * r^p / (1 - r) at
+    p = 0 .. count - 1, for a positive first step distance ``d1`` and a
+    contraction rate ``r = rate`` in [0, 1)."""
     if not 0.0 <= rate < 1.0:
         raise RateNotLessThanOne(f"rate {rate:.6f} is not inside [0, 1)")
     if not is_positive(d1):
@@ -181,14 +170,14 @@ def apriori_envelope(d1: AlgebraElement, coeff_norm: float, count: int,
     return tuple(head * rate ** p / (1.0 - rate) for p in range(count))
 
 
-def _certificate_rate(cert: ContractionCertificate, mode: BoundMode) -> tuple[float, float]:
-    """(coeff_norm argument for apriori_bound, effective rate)."""
-    if mode is BoundMode.ONE_SIDED:
+def _certificate_rate(cert: ContractionCertificate) -> float:
+    """The step rate the certificate's regime proves: ||h|| for two-step,
+    ||a||^2 (operator norm) for the sandwich regimes."""
+    if cert.regime is Regime.TWO_STEP:
         if cert.h_norm is None:
-            raise CertificateInvalid("one-sided bounds need a two-step certificate")
-        return cert.h_norm, cert.h_norm
-    a_op = norm(cert.a, NormKind.OPERATOR)
-    return a_op, a_op ** 2
+            raise CertificateInvalid("the two-step certificate carries no h_norm")
+        return cert.h_norm
+    return norm(cert.a, NormKind.OPERATOR) ** 2
 
 
 def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
@@ -203,7 +192,7 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     if not cert.valid:
         raise CertificateInvalid(
             f"certificate has {len(cert.violations)} recorded violations")
-    coeff_norm, rate = _certificate_rate(cert, cfg.bound_mode)
+    rate = _certificate_rate(cert)
     if rate >= 1.0:
         raise RateNotLessThanOne(f"certificate rate {rate:.6f} is not below 1")
     display = metric.norm
@@ -241,13 +230,8 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     op = NormKind.OPERATOR
     observed = tuple(distance_norm_table(metric, before, last, op)[:, 0].tolist())
     observed_rev = tuple(distance_norm_table(metric, last, before, op)[0].tolist())
-    predicted = apriori_envelope(d1, coeff_norm, iterations, cfg.bound_mode)
-    rev_covered = cert.regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
-    if rev_covered and cfg.bound_mode is BoundMode.SANDWICH:
-        predicted_rev: tuple[float, ...] | None = apriori_envelope(
-            d1_rev, coeff_norm, iterations, cfg.bound_mode)
-    else:
-        predicted_rev = None
+    predicted = apriori_envelope(d1, rate, iterations)
+    predicted_rev = None if forward_only else apriori_envelope(d1_rev, rate, iterations)
     envelope_ok = all(o <= b + cfg.tol for o, b in zip(observed, predicted))
     if predicted_rev is not None:
         envelope_ok = envelope_ok and all(
@@ -266,7 +250,9 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         fixed_point=fixed_point, iterations=iterations, converged=converged,
         max_iter_exceeded=not converged, residual_forward=residual_forward,
         residual_backward=residual_backward, rate=rate,
-        bound_mode=cfg.bound_mode, norm_kind=display,
+        bound_mode=(BoundMode.ONE_SIDED if cert.regime is Regime.TWO_STEP
+                    else BoundMode.SANDWICH),
+        norm_kind=display,
         predicted_bounds=predicted, observed_tail=observed,
         predicted_bounds_rev=predicted_rev, observed_tail_rev=observed_rev,
         bound_envelope_ok=envelope_ok, lsc_check=lsc,

@@ -41,7 +41,6 @@ from quasifix.metrics import (
     scalar_forward_one,
 )
 from quasifix.solver import (
-    BoundMode,
     SolverConfig,
     picard_solve,
     uniqueness_probe,
@@ -163,7 +162,7 @@ def test_criterion_6_two_step_rate():
     cert = verify_two_step(linear_quarter(), scalar_backward_one(),
                            scalar(1 / 3), seed=1.0, orbit_len=30)
     h_ok = cert.valid and abs(cert.h_norm - 0.5) <= 1e-12
-    cfg = SolverConfig(max_iter=30, tol=1e-300, bound_mode=BoundMode.ONE_SIDED)
+    cfg = SolverConfig(max_iter=30, tol=1e-300)
     rep = picard_solve(linear_quarter(), scalar_backward_one(), 1.0, cert, cfg)
     steps = rep.trace.fwd_step_norms
     rate_ok = len(steps) == 30 and all(

@@ -32,7 +32,6 @@ from quasifix.algebra import (
     scalar,
     sqrt_positive,
     sub,
-    zero_like,
 )
 
 from lemma_checks import random_psd, random_sym
@@ -235,9 +234,9 @@ def test_cstar_identity_for_operator_norm(seed):
     assert abs(lhs - rhs) <= 1e-10
 
 
-def test_zero_like_and_identity_like():
+def test_identity_like_and_sub():
     g = [0.0, 0.5, 1.0]
-    z = zero_like(sampled(g, [1, 2, 3]))
-    assert np.all(z.data == 0.0)
-    assert np.all(identity_like(z).data == 1.0)
+    one = identity_like(sampled(g, [1, 2, 3]))
+    assert np.all(one.data == 1.0)
+    assert np.array_equal(one.grid, g)
     assert allclose(sub(scalar(5.0), scalar(2.0)), scalar(3.0))

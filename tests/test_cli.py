@@ -200,6 +200,44 @@ def test_certify_two_step_verifies_explicit_coefficient(tmp_path):
     assert payload["h_norm"] == pytest.approx(0.5, abs=1e-12)
 
 
+_THIRD = '{"realization": "scalar", "value": 0.3333333333333333}'
+
+
+def _two_step_cert(path: Path) -> dict:
+    assert main(["certify", "--map", "linear-quarter",
+                 "--metric", "scalar-backward-one", "--regime", "two-step",
+                 "--a", _THIRD, "--seed", "1", "--out", str(path)]) == 0
+    return _load(path)
+
+
+def test_two_step_certify_then_solve_runs_at_the_h_rate(tmp_path):
+    cert = tmp_path / "cert.json"
+    h_norm = _two_step_cert(cert)["report"]["h_norm"]
+    report = tmp_path / "solve.json"
+    code = main(["solve", "--map", "linear-quarter",
+                 "--metric", "scalar-backward-one", "--seed", "1",
+                 "--cert", str(cert), "--report", str(report)])
+    assert code == 0
+    solved = _load(report)["report"]
+    assert solved["bound_mode"] == "one-sided"
+    assert solved["rate"] == h_norm
+    assert solved["predicted_bounds_rev"] is None
+
+
+def test_solve_refuses_a_two_step_certificate_without_h(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    payload = _two_step_cert(cert)
+    payload["report"]["h"] = payload["report"]["h_norm"] = None
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["solve", "--map", "linear-quarter",
+                 "--metric", "scalar-backward-one", "--seed", "1",
+                 "--cert", str(cert)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mode", [
     ["--a", '{"realization": "scalar", "value": 0.5}'], ["--search"]])
 def test_certify_rejects_orbits_shorter_than_two_steps(mode, capsys):

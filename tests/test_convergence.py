@@ -18,7 +18,6 @@ from quasifix.convergence import (
     classify,
     limit_uniqueness_check,
     orbital_lsc_check,
-    orbit_trace,
     trace,
 )
 from quasifix.maps import MapSpec, linear_quarter
@@ -160,14 +159,14 @@ def test_uniqueness_flags_a_triangle_breaking_metric():
 def test_lsc_at_zero_for_quarter_map():
     spec = scalar_backward_one()
     quarter = linear_quarter()
-    orbit = orbit_trace(quarter, spec, seed=1.0, length=40)
+    orbit = quarter.orbit(1.0, 40)
     assert orbital_lsc_check(orbit, 0.0, quarter, spec)
 
 
 def test_lsc_trivial_on_fixed_point_orbit():
     spec = scalar_backward_one()
     quarter = linear_quarter()
-    orbit = orbit_trace(quarter, spec, seed=0.0, length=10)
+    orbit = quarter.orbit(0.0, 10)
     assert orbital_lsc_check(orbit, 0.0, quarter, spec)
 
 

@@ -19,7 +19,6 @@ from quasifix.integral import (
     contraction_rate,
     growth_value,
     make_problem,
-    mult_op_distance,
     problem_metric,
     quadrature,
     quadrature_weights,
@@ -27,6 +26,7 @@ from quasifix.integral import (
     run_demo,
     uniform_grid,
 )
+from quasifix.metrics import eval_metric
 from quasifix.solver import SolverConfig
 
 
@@ -109,8 +109,6 @@ def test_grid_mismatch_is_rejected():
     prob = make_problem(0.5, 4.0, n=64)
     with pytest.raises(GridMismatch):
         apply_T(np.ones(32), prob)
-    with pytest.raises(GridMismatch):
-        mult_op_distance(np.ones(32), np.ones(64), prob)
 
 
 # --- metric --------------------------------------------------------------------
@@ -119,8 +117,9 @@ def test_distance_asymmetry_factor_on_dominated_pairs():
     prob = make_problem(0.5, 4.0, n=128)
     g = prob.grid_array
     f_hi = g + 1.0
-    d_hi_lo = mult_op_distance(f_hi, g, prob)
-    d_lo_hi = mult_op_distance(g, f_hi, prob)
+    metric = problem_metric(prob)
+    d_hi_lo = eval_metric(metric, f_hi, g)
+    d_lo_hi = eval_metric(metric, g, f_hi)
     n_hi = norm(d_hi_lo, NormKind.OPERATOR)
     n_lo = norm(d_lo_hi, NormKind.OPERATOR)
     assert abs(n_hi - 0.5 * n_lo) <= 1e-12

@@ -178,6 +178,20 @@ def test_domain_checks():
         eval_metric(spec, np.ones(5), np.ones(8))
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([0.0, 1.0, np.inf], "finite"),
+    ([-np.inf, 0.0, 1.0], "finite"),
+    ([0.0, np.nan, 1.0], "finite"),
+    ([0.0, 1.0, 1.0], "increasing"),
+    ([0.0], "two points"),
+])
+def test_mult_op_refuses_a_grid_sampled_elements_cannot_use(grid, message):
+    # the spec's grid is the one its distances are sampled on, so it is
+    # refused when the spec is built, not on the first distance
+    with pytest.raises(ValueError, match=message):
+        mult_op(grid)
+
+
 @pytest.mark.parametrize("spec", [periodic_fn(2.0, 16), mult_op(FN_GRID)], ids=_spec_id)
 def test_grid_array_is_built_once_and_read_only(spec):
     g = spec.grid_array

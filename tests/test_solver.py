@@ -35,7 +35,7 @@ from quasifix.solver import (
     CertificateInvalid,
     RateNotLessThanOne,
     SolverConfig,
-    apriori_bound,
+    apriori_envelope,
     picard_solve,
     uniqueness_probe,
 )
@@ -108,24 +108,20 @@ def test_max_iter_flags_but_returns_the_report(sandwich_cert):
 
 def test_bound_plugin_value():
     # head 3/4, rate 1/2, p = 4: (3/4) * (1/16) / (1/2) = 3/32
-    b4 = apriori_bound(scalar(0.75), math.sqrt(0.5), 4, BoundMode.SANDWICH)
+    b4 = apriori_envelope(scalar(0.75), 0.5, 5)[4]
     assert b4 == pytest.approx(3 / 32, abs=1e-14)
 
 
 def test_bound_head_and_ratio():
-    d1 = scalar(0.75)
-    full = apriori_bound(d1, 0.5, 0, BoundMode.SANDWICH)
-    assert full == pytest.approx(0.75 / (1 - 0.25), abs=1e-14)
-    ratio = apriori_bound(d1, 0.5, 5, BoundMode.SANDWICH) / \
-        apriori_bound(d1, 0.5, 4, BoundMode.SANDWICH)
-    assert ratio == pytest.approx(0.25, abs=1e-12)
+    envelope = apriori_envelope(scalar(0.75), 0.25, 6)
+    assert envelope[0] == pytest.approx(0.75 / (1 - 0.25), abs=1e-14)
+    assert envelope[5] / envelope[4] == pytest.approx(0.25, abs=1e-12)
 
 
-def test_bound_requires_contractive_rate():
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.25, float("nan")])
+def test_bound_requires_contractive_rate(rate):
     with pytest.raises(RateNotLessThanOne):
-        apriori_bound(scalar(1.0), 1.0, 0, BoundMode.SANDWICH)
-    with pytest.raises(RateNotLessThanOne):
-        apriori_bound(scalar(1.0), 1.0, 0, BoundMode.ONE_SIDED)
+        apriori_envelope(scalar(1.0), rate, 1)
 
 
 def test_envelope_covers_both_argument_orders(sandwich_cert):
@@ -154,8 +150,7 @@ def test_one_step_decay_under_the_sandwich(sandwich_cert):
 def test_one_sided_rate_matches_the_resolvent_coefficient():
     cert = verify_two_step(linear_quarter(), scalar_backward_one(),
                            scalar(1 / 3), seed=1.0, orbit_len=30)
-    cfg = SolverConfig(max_iter=30, tol=1e-300,
-                       bound_mode=BoundMode.ONE_SIDED)
+    cfg = SolverConfig(max_iter=30, tol=1e-300)
     report = picard_solve(linear_quarter(), scalar_backward_one(), 1.0,
                           cert, cfg)
     assert report.rate == pytest.approx(0.5, abs=1e-12)
@@ -166,6 +161,26 @@ def test_one_sided_rate_matches_the_resolvent_coefficient():
     # only the (old, new) order carries a predicted envelope here
     assert report.predicted_bounds_rev is None
     assert report.bound_envelope_ok
+
+
+def test_two_step_certificate_sets_the_rate_under_the_default_config():
+    # a = 0.2 I: h = a (I - a)^-1 = 0.25 I, while ||a||^2 would be 0.04
+    cert = verify_two_step(piecewise_quarter(), periodic_fn(), codomain_scalar(
+        periodic_fn(), 0.2), seed=1.0, orbit_len=30)
+    assert cert.valid
+    report = picard_solve(piecewise_quarter(), periodic_fn(), 2.0, cert,
+                          SolverConfig())
+    assert report.rate == cert.h_norm
+    assert report.rate == pytest.approx(0.25, abs=1e-12)
+    assert report.bound_mode is BoundMode.ONE_SIDED
+    assert report.predicted_bounds_rev is None
+    assert report.bound_envelope_ok
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_config_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        SolverConfig(tol=tol)
 
 
 # --- uniqueness --------------------------------------------------------------------
@@ -249,7 +264,7 @@ def test_envelope_head_matches_the_square_root_head(data):
         d1 = sampled(FN_GRID, data.draw(st.lists(MAGNITUDE, min_size=5, max_size=5)))
     assume(_in_norm_range(d1))
     old = _old_head(d1)
-    new = apriori_bound(d1, 0.0, 0)  # B_0 at rate 0 is the head itself
+    new = apriori_envelope(d1, 0.0, 1)[0]  # B_0 at rate 0 is the head itself
     assert new == norm(d1, NormKind.OPERATOR)
     assert abs(new - old) <= 4 * math.ulp(max(old, new))
 
@@ -266,7 +281,7 @@ def test_envelope_head_of_a_positive_matrix_is_its_top_eigenvalue(b, c):
     with localcontext() as ctx:
         ctx.prec = 60
         top = float((p + r) / 2 + (((p - r) / 2) ** 2 + q * q).sqrt())
-    new = apriori_bound(d1, 0.0, 0)
+    new = apriori_envelope(d1, 0.0, 1)[0]
     assert abs(new - top) <= 2 * math.ulp(top)
     assert abs(_old_head(d1) - top) <= 8 * math.ulp(top)
 
