@@ -54,6 +54,11 @@ OUT_DIR_ENV = "QUASIFIX_OUT_DIR"
 #: parses (mult-op takes sampled functions and is reachable from the API).
 _REAL_POINT_METRICS = [name for name in METRIC_CATALOG if name != MULT_OP]
 
+#: Parsed names that are not part of a run's configuration: the subcommand's
+#: plumbing, where outputs go, and ``--cert``, which is recorded by its hash.
+_NOT_CONFIG = frozenset({"command", "func", "out_dir", "report", "out",
+                         "trace", "solution", "cert"})
+
 
 # ---------------------------------------------------------------------------
 # manifest and report plumbing
@@ -63,14 +68,15 @@ def _canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def build_manifest(command: str, config: dict,
-                   file_inputs: dict[str, Path] | None = None) -> dict:
+def build_manifest(args: argparse.Namespace) -> dict:
+    parsed = vars(args)
+    config = {k: v for k, v in parsed.items() if k not in _NOT_CONFIG}
     hashes = {"config": hashlib.sha256(
         _canonical_json(config).encode()).hexdigest()}
-    for label, path in (file_inputs or {}).items():
-        hashes[label] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    if "cert" in parsed:
+        hashes["cert"] = hashlib.sha256(Path(args.cert).read_bytes()).hexdigest()
     return {
-        "command": command,
+        "command": args.command,
         "config": config,
         "input_hashes": hashes,
         "version": __version__,
@@ -98,8 +104,31 @@ def _write_report(path: str | None, manifest: dict, report: dict,
 
 
 # ---------------------------------------------------------------------------
-# argument helpers
+# argument types and parsers
 # ---------------------------------------------------------------------------
+
+def _bounded(kind: type, low: float | None = None, *, strict: bool = False):
+    """argparse type: a finite ``kind`` value, at least ``low`` (above it
+    when ``strict``) unless ``low`` is None."""
+    rule = "" if low is None else f" {'above' if strict else 'at least'} {low:g}"
+
+    def number(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (low is None or value > low
+                                          or value == low and not strict)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {kind.__name__}{rule}, got {text}")
+        return value
+    number.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return number
+
+
+#: ``--tol``: check-axioms and certify compare with a tolerance of 0 just
+#: fine, but a negative one turns every comparison against what it checks;
+#: the solvers stop once a step is at most ``--tol``, which 0 may never meet.
+_NON_NEGATIVE = _bounded(float, 0.0)
+_POSITIVE = _bounded(float, 0.0, strict=True)
+
 
 def _parse_grid(spec: str, rng: np.random.Generator) -> np.ndarray:
     if spec.startswith("lin:"):
@@ -155,28 +184,13 @@ def _build_map(name: str) -> MapSpec:
     return MAP_CATALOG[name]()
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-    return integer
-
-
-def _common_config(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed_rng)
     spec = _build_metric(args)
-    pts = _parse_grid(args.grid, rng)
+    pts = _parse_grid(args.grid, np.random.default_rng(args.seed_rng))
     report = check_axioms(spec, pts, tol=args.tol)
     print(f"metric {spec.name}: {report.pairs_tested} pairs, "
           f"{report.triples_tested} triples")
@@ -185,9 +199,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     print(f"  triangle violations   : {len(report.triangle_violations)}")
     witness = report.asymmetry_witness
     print(f"  asymmetry witness     : {witness}")
-    config = _common_config(args, ["metric", "grid", "tol", "seed_rng"])
-    manifest = build_manifest("check-axioms", config)
-    _write_report(args.report, manifest, report.to_json_dict(), args.out_dir)
+    _write_report(args.report, build_manifest(args), report.to_json_dict(),
+                  args.out_dir)
     return 0 if report.passed else 1
 
 
@@ -208,10 +221,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             for n, x in enumerate(data.points):
                 writer.writerow([n, x, data.forward_dists[n],
                                  data.backward_dists[n]])
-    config = _common_config(
-        args, ["metric", "seq", "candidate", "eps", "window"])
-    manifest = build_manifest("classify", config)
-    _write_report(args.report, manifest, verdict.to_json_dict(), args.out_dir)
+    _write_report(args.report, build_manifest(args), verdict.to_json_dict(),
+                  args.out_dir)
     return 0
 
 
@@ -224,13 +235,12 @@ _REGIMES = {
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed_rng)
     spec = _build_metric(args)
     map_spec = _build_map(args.map)
     regime = _REGIMES[args.regime]
     pairs = None
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
-        grid = _parse_grid(args.grid, rng)
+        grid = _parse_grid(args.grid, np.random.default_rng(args.seed_rng))
         pairs = [(x, y) for x in grid for y in grid]
     if args.search:
         cert = search_scalar_coefficient(
@@ -241,20 +251,14 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
     else:
-        if args.a is None:
-            print("either --a or --search is required", file=sys.stderr)
-            return 2
         cert = verify(regime, map_spec, spec,
                       element_from_json(json.loads(args.a)), pairs=pairs,
                       seed=args.seed, orbit_len=args.orbit_len, tol=args.tol)
     print(f"regime {cert.regime.value}: coefficient norm {cert.a_norm:.9f}, "
           f"{cert.samples_checked} samples, "
           f"{len(cert.violations)} violations")
-    config = _common_config(
-        args, ["map", "metric", "regime", "search", "a", "grid", "seed",
-               "orbit_len", "tol"])
-    manifest = build_manifest("certify", config)
-    _write_report(args.out, manifest, cert.to_json_dict(), args.out_dir)
+    _write_report(args.out, build_manifest(args), cert.to_json_dict(),
+                  args.out_dir)
     return 0 if cert.valid else 1
 
 
@@ -275,9 +279,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         report.trace.write_csv(_resolve_out(args.trace, args.out_dir),
                                report.predicted_bounds)
-    config = _common_config(args, ["map", "metric", "seed", "tol", "max_iter"])
-    manifest = build_manifest("solve", config, {"cert": cert_path})
-    _write_report(args.report, manifest, report.to_json_dict(), args.out_dir)
+    _write_report(args.report, build_manifest(args), report.to_json_dict(),
+                  args.out_dir)
     return 0 if report.fixed_point_certified else 1
 
 
@@ -304,15 +307,9 @@ def _cmd_demo_integral(args: argparse.Namespace) -> int:
                 writer.writerow(["x", "f_star"])
                 for x, fx in zip(prob.grid_array, report.solution):
                     writer.writerow([x, fx])
-    config = _common_config(
-        args, ["alpha", "k", "grid_size", "tol", "quadrature"])
-    manifest = build_manifest("demo-integral", config)
-    _write_report(args.report, manifest, report.to_json_dict(), args.out_dir)
+    _write_report(args.report, build_manifest(args), report.to_json_dict(),
+                  args.out_dir)
     return status
-
-
-def _cmd_gallery(args: argparse.Namespace) -> int:
-    return run_gallery()
 
 
 # ---------------------------------------------------------------------------
@@ -322,24 +319,27 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
 @functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing keeps its state
-    in the returned namespace, so one parser serves every ``main`` call."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--norm", choices=[k.value for k in NormKind],
-                        default=None, help="override the metric's norm kind")
-    common.add_argument("--order", choices=[k.value for k in OrderKind],
-                        default=None, help="override the metric's order kind")
-    common.add_argument("--seed-rng", type=int, default=0, dest="seed_rng",
-                        help="seed for any sampled grids")
-    common.add_argument("--out-dir", default=None, dest="out_dir",
-                        help=f"base directory for outputs (default ${OUT_DIR_ENV})")
+    in the returned namespace, so one parser serves every ``main`` call.
+    Each subcommand declares exactly the options it reads."""
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out-dir", default=None, dest="out_dir",
+                         help=f"base directory for outputs (default ${OUT_DIR_ENV})")
 
     metric_opts = argparse.ArgumentParser(add_help=False)
     metric_opts.add_argument("--metric", required=True, choices=_REAL_POINT_METRICS,
                              help="catalog metric between real points")
-    metric_opts.add_argument("--beta", type=float, default=0.25)
-    metric_opts.add_argument("--period", type=float, default=1.0)
-    metric_opts.add_argument("--t-grid", type=int, default=64, dest="t_grid")
+    metric_opts.add_argument("--beta", type=_bounded(float), default=0.25)
+    metric_opts.add_argument("--period", type=_POSITIVE, default=1.0)
+    metric_opts.add_argument("--t-grid", type=_bounded(int, 2), default=64,
+                             dest="t_grid")
+    metric_opts.add_argument("--norm", choices=[k.value for k in NormKind],
+                             default=None, help="override the metric's norm kind")
+    metric_opts.add_argument("--order", choices=[k.value for k in OrderKind],
+                             default=None, help="override the metric's order kind")
+
+    seed_rng_opts = argparse.ArgumentParser(add_help=False)
+    seed_rng_opts.add_argument("--seed-rng", type=_bounded(int, 0), default=0,
+                               dest="seed_rng", help="seed for random: grids")
 
     parser = argparse.ArgumentParser(
         prog="quasifix",
@@ -347,74 +347,71 @@ def _make_parser() -> argparse.ArgumentParser:
                     "fixed-point solving")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-axioms", parents=[common, metric_opts],
+    p = sub.add_parser("check-axioms", parents=[metric_opts, seed_rng_opts, outputs],
                        help="sweep metric axioms over a sample grid")
     p.add_argument("--grid", default="41")
+    p.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_check_axioms)
 
-    p = sub.add_parser("classify", parents=[common, metric_opts],
+    p = sub.add_parser("classify", parents=[metric_opts, outputs],
                        help="forward/backward convergence verdicts")
     p.add_argument("--seq", required=True)
     p.add_argument("--candidate", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_POSITIVE, required=True)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("certify", parents=[common, metric_opts],
+    p = sub.add_parser("certify", parents=[metric_opts, seed_rng_opts, outputs],
                        help="verify or search a contraction certificate")
     p.add_argument("--map", required=True)
     p.add_argument("--regime", choices=sorted(_REGIMES), required=True)
-    p.add_argument("--a", default=None, help="coefficient element as JSON")
-    p.add_argument("--search", action="store_true")
+    coefficient = p.add_mutually_exclusive_group(required=True)
+    coefficient.add_argument("--a", default=None,
+                             help="coefficient element as JSON")
+    coefficient.add_argument("--search", action="store_true")
     p.add_argument("--grid", default="21")
     p.add_argument("--seed", type=float, default=1.0)
-    p.add_argument("--orbit-len", type=_int_at_least(2), default=30,
+    p.add_argument("--orbit-len", type=_bounded(int, 2), default=30,
                    dest="orbit_len")
+    p.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("solve", parents=[common, metric_opts],
+    p = sub.add_parser("solve", parents=[metric_opts, outputs],
                        help="Picard iteration under a certificate")
     p.add_argument("--map", required=True)
     p.add_argument("--seed", type=float, required=True)
     p.add_argument("--cert", required=True)
-    p.add_argument("--max-iter", type=_int_at_least(1), default=1000,
+    p.add_argument("--max-iter", type=_bounded(int, 1), default=1000,
                    dest="max_iter")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9)
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("demo-integral", parents=[common],
+    p = sub.add_parser("demo-integral", parents=[outputs],
                        help="discretized integral-equation demo")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--k", type=float, default=4.0)
-    p.add_argument("--grid", type=int, default=2048, dest="grid_size")
+    p.add_argument("--alpha", type=_POSITIVE, default=0.5)
+    p.add_argument("--k", type=_POSITIVE, default=4.0)
+    p.add_argument("--grid", type=_bounded(int, 2), default=2048, dest="grid_size")
     p.add_argument("--quadrature",
                    choices=[k.value for k in integral.QuadratureKind],
                    default="trapezoid")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9)
     p.add_argument("--report", default=None)
     p.add_argument("--solution", default=None)
     p.set_defaults(func=_cmd_demo_integral)
 
-    p = sub.add_parser("gallery", parents=[common],
-                       help="run the worked-example fixtures")
-    p.set_defaults(func=_cmd_gallery)
+    p = sub.add_parser("gallery", help="run the worked-example fixtures")
+    p.set_defaults(func=lambda args: run_gallery())
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
-    # the solvers stop once a step distance is at most --tol (0 may never be
-    # reached); check-axioms and certify compare with a tolerance of 0 just
-    # fine, but a negative one turns every comparison against what it checks
-    if args.command in ("solve", "demo-integral") and not args.tol > 0:
-        parser.error(f"argument --tol: must be positive, got {args.tol}")
-    if args.command in ("check-axioms", "certify") and not args.tol >= 0:
-        parser.error(f"argument --tol: must not be negative, got {args.tol}")
+    args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
     except (AlgebraError, DomainMismatch, WindowTooLarge, CertificateInvalid,

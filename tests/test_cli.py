@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
@@ -391,13 +392,16 @@ def test_main_calls_in_a_row_share_no_parser_state(tmp_path, capsys):
     assert main(["check-axioms", "--metric", "scalar-forward-one",
                  "--report", str(second)]) == 0
     capsys.readouterr()
+    metric_defaults = {"beta": 0.25, "period": 1.0, "t_grid": 64,
+                       "norm": None, "order": None}
     assert _load(first)["manifest"]["config"] == {
-        "metric": "mat2-split", "grid": "5", "tol": 0.5, "seed_rng": 3}
+        "metric": "mat2-split", "grid": "5", "tol": 0.5, "seed_rng": 3,
+        **metric_defaults}
     assert _load(second)["manifest"]["config"] == {
-        "metric": "scalar-forward-one", "grid": "41", "tol": 1e-9, "seed_rng": 0}
+        "metric": "scalar-forward-one", "grid": "41", "tol": 1e-9, "seed_rng": 0,
+        **metric_defaults}
     args = _make_parser().parse_args(["gallery"])
-    assert sorted(vars(args)) == ["command", "func", "norm", "order", "out_dir",
-                                  "seed_rng", "tol"]
+    assert sorted(vars(args)) == ["command", "func"]
 
 
 def test_missing_required_flag_is_a_usage_error():
@@ -418,3 +422,101 @@ def test_out_dir_env_routes_relative_outputs(tmp_path, monkeypatch):
                  "--report", "nested/axioms.json"])
     assert code == 0
     assert (tmp_path / "nested" / "axioms.json").exists()
+
+
+# --- the parser as the one description of a run ----------------------------------
+
+_CERTIFY = ["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+            "--regime", "forward", "--search", "--grid", "lin:-2:2:5"]
+_CLASSIFY = ["classify", "--metric", "scalar-forward-one", "--seq", "1,2,3",
+             "--candidate", "1", "--eps", "0.1", "--window", "2"]
+_DEMO = ["demo-integral", "--grid", "64"]
+
+
+def _usage_error(argv: list[str], capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    [*_CLASSIFY, "--tol", "1e-9"],
+    [*_CLASSIFY, "--seed-rng", "1"],
+    ["solve", "--map", "linear-quarter", "--metric", "mat2-split", "--seed", "1",
+     "--cert", "unused.json", "--seed-rng", "1"],
+    [*_DEMO, "--norm", "operator"],
+    [*_DEMO, "--order", "entrywise"],
+    [*_DEMO, "--seed-rng", "1"],
+    ["gallery", "--tol", "1e-9"],
+    ["gallery", "--norm", "operator"],
+    ["gallery", "--order", "entrywise"],
+    ["gallery", "--seed-rng", "1"],
+    ["gallery", "--out-dir", "out"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    assert "unrecognized arguments" in _usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize("argv, option", [
+    *[([*_CLASSIFY[:-4], "--window", "2", "--eps", v], "--eps")
+      for v in ("0", "-1", "nan")],
+    *[(["check-axioms", "--metric", "periodic-fn", "--period", v], "--period")
+      for v in ("0", "-1", "nan")],
+    (["check-axioms", "--metric", "periodic-fn", "--t-grid", "1"], "--t-grid"),
+    (["check-axioms", "--metric", "mat2-split-scaled", "--beta", "nan"], "--beta"),
+    ([*_DEMO, "--alpha", "0"], "--alpha"),
+    ([*_DEMO, "--k", "0"], "--k"),
+    (["demo-integral", "--grid", "1"], "--grid"),
+    (["check-axioms", "--metric", "mat2-split", "--grid", "lin:-2:2:5",
+      "--seed-rng", "-1"], "--seed-rng"),
+    ([*_CERTIFY, "--seed-rng", "-1"], "--seed-rng"),
+])
+def test_bad_values_are_usage_errors_that_name_their_option(argv, option, capsys):
+    assert f"argument {option}" in _usage_error(argv, capsys)
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in _make_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+#: The parsed names a manifest leaves out: the subcommand's plumbing, the
+#: output paths, and the certificate, which it records by its hash.
+_NOT_CONFIG = {"command", "func", "out_dir", "report", "out", "trace",
+               "solution", "cert"}
+
+
+def test_manifests_record_every_option_the_subcommand_accepts(tmp_path):
+    cert = tmp_path / "cert.json"
+    runs = {
+        "check-axioms": ["check-axioms", "--metric", "mat2-split", "--grid", "5",
+                         "--report"],
+        "classify": [*_CLASSIFY, "--window", "1", "--report"],
+        "certify": [*_CERTIFY, "--out"],
+        "solve": ["solve", "--map", "linear-quarter", "--metric", "mat2-split",
+                  "--seed", "1", "--cert", str(cert), "--report"],
+        "demo-integral": [*_DEMO, "--report"],
+    }
+    main([*_CERTIFY, "--out", str(cert)])
+    subcommands = _subcommands()
+    assert set(subcommands) == {*runs, "gallery"}
+    for name, argv in runs.items():
+        report = tmp_path / f"{name}.json"
+        assert main([*argv, str(report)]) == 0
+        manifest = _load(report)["manifest"]
+        dests = {a.dest for a in subcommands[name]._actions} - {"help"}
+        assert set(manifest["config"]) == dests - _NOT_CONFIG, name
+        assert ("cert" in manifest["input_hashes"]) == ("cert" in dests)
+
+
+def test_the_seed_of_a_random_grid_reaches_the_config_hash(tmp_path):
+    hashes = set()
+    for seed in ("1", "2"):
+        out = tmp_path / f"cert-{seed}.json"
+        main([*_CERTIFY[:-1], "random:9", "--seed-rng", seed, "--out", str(out)])
+        hashes.add(_load(out)["manifest"]["input_hashes"]["config"])
+    assert len(hashes) == 2
