@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: check-axioms, classify, certify, solve, demo-integral, gallery.
-Exit codes follow the usual convention: 0 on success, 1 when a violation or
-failure was found, 2 on usage errors.  Every emitted JSON report embeds a
-run manifest (resolved configuration, input hashes, package version,
-timestamp); re-running the same configuration reproduces the report
-byte-for-byte up to the timestamp.
+Each subcommand accepts only the options it reads, and each option's
+argparse ``type`` checks its value.  Exit codes follow the usual
+convention: 0 on success, 1 when a violation or failure was found or an
+input file cannot be read, 2 on usage errors.  Every emitted JSON report
+embeds a run manifest: the configuration, which is every option the
+subcommand accepts as parsed except the output paths and ``--cert``; the
+hashes of that configuration and of the ``--cert`` file; the package
+version; and a timestamp.  Re-running the same configuration reproduces the
+report byte-for-byte up to the timestamp.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__, integral
-from .algebra import AlgebraError, NormKind, OrderKind, element_from_json
+from .algebra import AlgebraElement, AlgebraError, NormKind, OrderKind, element_from_json
 from .contraction import (
     CoefficientNormTooLarge,
+    ContractionCertificate,
     NotInCommutant,
     Regime,
     certificate_from_json,
@@ -58,6 +63,11 @@ _REAL_POINT_METRICS = [name for name in METRIC_CATALOG if name != MULT_OP]
 #: plumbing, where outputs go, and ``--cert``, which is recorded by its hash.
 _NOT_CONFIG = frozenset({"command", "func", "out_dir", "report", "out",
                          "trace", "solution", "cert"})
+
+
+class InputFileError(Exception):
+    """A file named on the command line is missing or does not hold what its
+    option expects."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +113,17 @@ def _write_report(path: str | None, manifest: dict, report: dict,
     target.write_text(payload, encoding="utf-8")
 
 
+def _read_input(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` applied to the open text file at ``path``; a missing file,
+    or one ``parse`` cannot read, raises ``InputFileError``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputFileError(
+            f"cannot read {path}: {type(exc).__name__}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # argument types and parsers
 # ---------------------------------------------------------------------------
@@ -130,32 +151,73 @@ _NON_NEGATIVE = _bounded(float, 0.0)
 _POSITIVE = _bounded(float, 0.0, strict=True)
 
 
-def _parse_grid(spec: str, rng: np.random.Generator) -> np.ndarray:
+def _checked_by(check: Callable[[str], Any], name: str):
+    """argparse type: the text as typed, once ``check`` accepts it; argparse
+    reports a ``ValueError`` from ``check`` as an invalid ``name`` value."""
+    def text_as_typed(text: str) -> str:
+        check(text)
+        return text
+    text_as_typed.__name__ = name
+    return text_as_typed
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"a count must not be negative, got {n}")
+    return n
+
+
+def _grid_points(spec: str, rng: np.random.Generator | None) -> np.ndarray | None:
+    """The points of a ``--grid`` spec; with ``rng`` None the spec is only
+    checked, and a malformed one raises ``ValueError``."""
     if spec.startswith("lin:"):
         _, lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    if spec.startswith("random:"):
-        parts = spec.split(":")
-        n = int(parts[1])
-        lo = float(parts[2]) if len(parts) > 2 else -2.0
-        hi = float(parts[3]) if len(parts) > 3 else 2.0
-        return np.sort(rng.uniform(lo, hi, size=n))
-    if "," in spec:
+        lo, hi, n = float(lo), float(hi), _count(n)
+    elif spec.startswith("random:"):
+        _, n, *bounds = spec.split(":")
+        n = _count(n)
+        lo, hi = map(float, bounds + ["-2.0", "2.0"][len(bounds):])
+        if not -math.inf < lo <= hi < math.inf:
+            raise ValueError(f"bounds must be finite and ordered, got {lo}, {hi}")
+        return None if rng is None else np.sort(rng.uniform(lo, hi, size=n))
+    elif "," in spec:
         return np.asarray([float(v) for v in spec.split(",")])
-    return np.linspace(-2.0, 2.0, int(spec))
+    else:
+        lo, hi, n = -2.0, 2.0, _count(spec)
+    return None if rng is None else np.linspace(lo, hi, n)
 
 
-def _parse_seq(spec: str) -> list[float]:
+def _seq_points(spec: str) -> list[float]:
+    """The points of a ``--seq`` spec; a malformed one raises ``ValueError``,
+    and an ``@file`` that cannot be read, ``InputFileError``."""
     if spec.startswith("@"):
-        with open(spec[1:], newline="") as fh:
-            return [float(row[0]) for row in csv.reader(fh) if row]
+        return _read_input(spec[1:], lambda fh: [float(row[0])
+                                                 for row in csv.reader(fh) if row])
     if spec.startswith("harmonic:"):
         _, x, n = spec.split(":")
-        return [float(x) * (1.0 + 1.0 / i) for i in range(1, int(n) + 1)]
+        return [float(x) * (1.0 + 1.0 / i) for i in range(1, _count(n) + 1)]
     if spec.startswith("geom:"):
         _, x0, ratio, n = spec.split(":")
-        return [float(x0) * float(ratio) ** i for i in range(int(n))]
+        try:
+            return [float(x0) * float(ratio) ** i for i in range(_count(n))]
+        except OverflowError:
+            raise ValueError("the sequence overflows") from None
     return [float(v) for v in spec.split(",")]
+
+
+def _coefficient(text: str) -> AlgebraElement:
+    """The element ``--a`` holds as JSON; ``ValueError`` when it holds none."""
+    try:
+        return element_from_json(json.loads(text))
+    except (KeyError, AttributeError) as exc:
+        raise ValueError(f"not an element: {exc!r}") from None
+
+
+def _check_map(name: str) -> None:
+    if name not in MAP_CATALOG and not name.startswith("table:"):
+        raise argparse.ArgumentTypeError(
+            f"unknown map {name!r}; choose from {sorted(MAP_CATALOG)} or table:FILE")
 
 
 def _build_metric(args: argparse.Namespace) -> MetricSpec:
@@ -175,13 +237,14 @@ def _build_metric(args: argparse.Namespace) -> MetricSpec:
 
 def _build_map(name: str) -> MapSpec:
     if name.startswith("table:"):
-        with open(name[len("table:"):], encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return from_table({float(k): float(v) for k, v in raw.items()})
-    if name not in MAP_CATALOG:
-        raise SystemExit(f"unknown map {name!r}; "
-                         f"choose from {sorted(MAP_CATALOG)} or table:<file>")
+        return _read_input(name[len("table:"):], lambda fh: from_table(
+            {float(k): float(v) for k, v in json.load(fh).items()}))
     return MAP_CATALOG[name]()
+
+
+def _certificate(fh) -> ContractionCertificate:
+    payload = json.load(fh)
+    return certificate_from_json(payload.get("report", payload))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +253,7 @@ def _build_map(name: str) -> MapSpec:
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
     spec = _build_metric(args)
-    pts = _parse_grid(args.grid, np.random.default_rng(args.seed_rng))
+    pts = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
     report = check_axioms(spec, pts, tol=args.tol)
     print(f"metric {spec.name}: {report.pairs_tested} pairs, "
           f"{report.triples_tested} triples")
@@ -206,7 +269,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     spec = _build_metric(args)
-    seq = _parse_seq(args.seq)
+    seq = _seq_points(args.seq)
     verdict = classify(seq, args.candidate, spec, args.eps, args.window)
     print(f"forward          : {verdict.forward.value}")
     print(f"backward         : {verdict.backward.value}")
@@ -240,7 +303,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     regime = _REGIMES[args.regime]
     pairs = None
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
-        grid = _parse_grid(args.grid, np.random.default_rng(args.seed_rng))
+        grid = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
         pairs = [(x, y) for x in grid for y in grid]
     if args.search:
         cert = search_scalar_coefficient(
@@ -251,8 +314,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
     else:
-        cert = verify(regime, map_spec, spec,
-                      element_from_json(json.loads(args.a)), pairs=pairs,
+        cert = verify(regime, map_spec, spec, _coefficient(args.a), pairs=pairs,
                       seed=args.seed, orbit_len=args.orbit_len, tol=args.tol)
     print(f"regime {cert.regime.value}: coefficient norm {cert.a_norm:.9f}, "
           f"{cert.samples_checked} samples, "
@@ -265,9 +327,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _build_metric(args)
     map_spec = _build_map(args.map)
-    cert_path = Path(args.cert)
-    payload = json.loads(cert_path.read_text(encoding="utf-8"))
-    cert = certificate_from_json(payload.get("report", payload))
+    cert = _read_input(args.cert, _certificate)
     cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     report = picard_solve(map_spec, spec, args.seed, cert, cfg)
     print(f"fixed point {report.fixed_point!r} after {report.iterations} "
@@ -337,6 +397,9 @@ def _make_parser() -> argparse.ArgumentParser:
     metric_opts.add_argument("--order", choices=[k.value for k in OrderKind],
                              default=None, help="override the metric's order kind")
 
+    grid_type = _checked_by(lambda spec: _grid_points(spec, None), "grid")
+    grid_help = ("N points on [-2, 2], lin:LO:HI:N, random:N[:LO[:HI]] "
+                 "(drawn with --seed-rng) or X,Y,...")
     seed_rng_opts = argparse.ArgumentParser(add_help=False)
     seed_rng_opts.add_argument("--seed-rng", type=_bounded(int, 0), default=0,
                                dest="seed_rng", help="seed for random: grids")
@@ -349,14 +412,19 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-axioms", parents=[metric_opts, seed_rng_opts, outputs],
                        help="sweep metric axioms over a sample grid")
-    p.add_argument("--grid", default="41")
+    p.add_argument("--grid", type=grid_type, default="41", help=grid_help)
     p.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_check_axioms)
 
     p = sub.add_parser("classify", parents=[metric_opts, outputs],
                        help="forward/backward convergence verdicts")
-    p.add_argument("--seq", required=True)
+    # an @FILE sequence is read by the command, where a bad file exits 1
+    p.add_argument("--seq", required=True,
+                   type=_checked_by(lambda spec: spec.startswith("@")
+                                    or _seq_points(spec), "sequence"),
+                   help="@FILE (first CSV column), harmonic:X:N, geom:X0:R:N "
+                        "or X,Y,...")
     p.add_argument("--candidate", type=float, required=True)
     p.add_argument("--eps", type=_POSITIVE, required=True)
     p.add_argument("--window", type=int, required=True)
@@ -364,15 +432,17 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_classify)
 
+    map_type = _checked_by(_check_map, "map")
+    map_help = f"one of {sorted(MAP_CATALOG)} or table:FILE (JSON point -> point)"
     p = sub.add_parser("certify", parents=[metric_opts, seed_rng_opts, outputs],
                        help="verify or search a contraction certificate")
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", type=map_type, required=True, help=map_help)
     p.add_argument("--regime", choices=sorted(_REGIMES), required=True)
     coefficient = p.add_mutually_exclusive_group(required=True)
-    coefficient.add_argument("--a", default=None,
-                             help="coefficient element as JSON")
+    coefficient.add_argument("--a", type=_checked_by(_coefficient, "element"),
+                             default=None, help="coefficient element as JSON")
     coefficient.add_argument("--search", action="store_true")
-    p.add_argument("--grid", default="21")
+    p.add_argument("--grid", type=grid_type, default="21", help=grid_help)
     p.add_argument("--seed", type=float, default=1.0)
     p.add_argument("--orbit-len", type=_bounded(int, 2), default=30,
                    dest="orbit_len")
@@ -382,7 +452,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[metric_opts, outputs],
                        help="Picard iteration under a certificate")
-    p.add_argument("--map", required=True)
+    p.add_argument("--map", type=map_type, required=True, help=map_help)
     p.add_argument("--seed", type=float, required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--max-iter", type=_bounded(int, 1), default=1000,
@@ -416,7 +486,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (AlgebraError, DomainMismatch, WindowTooLarge, CertificateInvalid,
             CoefficientNormTooLarge, NotInCommutant, RateNotLessThanOne,
-            integral.GridMismatch, integral.NotContractive) as exc:
+            integral.GridMismatch, integral.NotContractive,
+            InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

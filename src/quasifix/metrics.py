@@ -109,22 +109,19 @@ class MetricSpec:
         return _sampled_on(self._element_grid, values)
 
 
-def mat2_split(order: OrderKind = OrderKind.ENTRYWISE,
-               norm_kind: NormKind = NormKind.ENTRY_SUM_SQUARES) -> MetricSpec:
+def mat2_split() -> MetricSpec:
     """d(x, y) = diag(x - y, 0) when x >= y, else diag(0, y - x)."""
-    return MetricSpec(MAT2_SPLIT, MAT2, order, norm_kind)
+    return MetricSpec(MAT2_SPLIT, MAT2, OrderKind.ENTRYWISE,
+                      NormKind.ENTRY_SUM_SQUARES)
 
 
-def mat2_split_scaled(beta: float = 0.25,
-                      order: OrderKind = OrderKind.ENTRYWISE,
-                      norm_kind: NormKind = NormKind.ENTRY_SUM_SQUARES) -> MetricSpec:
+def mat2_split_scaled(beta: float = 0.25) -> MetricSpec:
     """Matrix split with the x < y block scaled by ``beta``."""
-    return MetricSpec(MAT2_SPLIT_SCALED, MAT2, order, norm_kind, beta=beta)
+    return MetricSpec(MAT2_SPLIT_SCALED, MAT2, OrderKind.ENTRYWISE,
+                      NormKind.ENTRY_SUM_SQUARES, beta=beta)
 
 
-def periodic_fn(period: float = 1.0, grid_size: int = 64,
-                order: OrderKind = OrderKind.POSITIVE_CONE,
-                norm_kind: NormKind = NormKind.OPERATOR) -> MetricSpec:
+def periodic_fn(period: float = 1.0, grid_size: int = 64) -> MetricSpec:
     """Function-valued metric sampled on [0, period).
 
     d(x, y)(t) = (x - y) t when x >= y, else (y - x)(period - t)/period.
@@ -132,8 +129,8 @@ def periodic_fn(period: float = 1.0, grid_size: int = 64,
     if period <= 0 or grid_size < 2:
         raise ValueError("period must be positive and grid_size >= 2")
     t = np.linspace(0.0, period, grid_size, endpoint=False)
-    return MetricSpec(PERIODIC_FN, SAMPLED, order, norm_kind,
-                      period=period, grid=tuple(t))
+    return MetricSpec(PERIODIC_FN, SAMPLED, OrderKind.POSITIVE_CONE,
+                      NormKind.OPERATOR, period=period, grid=tuple(t))
 
 
 def scalar_forward_one() -> MetricSpec:

@@ -119,7 +119,6 @@ class SolverReport:
     map_name: str
     metric_name: str
     trace: OrbitTrace
-    uniqueness_spread: float | None = None
 
     def to_json_dict(self) -> dict:
         def pt(p: Any) -> Any:
@@ -147,7 +146,6 @@ class SolverReport:
             "seed": pt(self.seed),
             "map": self.map_name,
             "metric": self.metric_name,
-            "uniqueness_spread": self.uniqueness_spread,
             "trace": {
                 "points": [pt(p) for p in self.trace.points],
                 "fwd_step_norms": list(self.trace.fwd_step_norms),

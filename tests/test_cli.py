@@ -473,6 +473,14 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     (["check-axioms", "--metric", "mat2-split", "--grid", "lin:-2:2:5",
       "--seed-rng", "-1"], "--seed-rng"),
     ([*_CERTIFY, "--seed-rng", "-1"], "--seed-rng"),
+    *[(["check-axioms", "--metric", "mat2-split", f"--grid={v}"], "--grid")
+      for v in ("lin:-2:2", "lin:0:1:x", "lin:-2:2:-1", "-3", "random:x",
+                "random:5:2:1", "random:5:0:inf")],
+    *[([*_CLASSIFY[:3], "--seq", v, *_CLASSIFY[5:]], "--seq")
+      for v in ("harmonic:1:x", "geom:1:0.5:x", "1,2,abc", "geom:1:1e300:5")],
+    *[([*_CERTIFY[:7], "--a", v], "--a")
+      for v in ("notjson", '{"realization": "mat2"}', "[0.5]")],
+    ([*_CERTIFY[:1], "--map", "no-such-map", *_CERTIFY[3:]], "--map"),
 ])
 def test_bad_values_are_usage_errors_that_name_their_option(argv, option, capsys):
     assert f"argument {option}" in _usage_error(argv, capsys)
@@ -520,3 +528,57 @@ def test_the_seed_of_a_random_grid_reaches_the_config_hash(tmp_path):
         main([*_CERTIFY[:-1], "random:9", "--seed-rng", seed, "--out", str(out)])
         hashes.add(_load(out)["manifest"]["input_hashes"]["config"])
     assert len(hashes) == 2
+
+
+# --- input files ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("content", [None, "not json",
+                                     '{"report": {"regime": "forward-global"}}'],
+                         ids=["missing", "not-json", "no-coefficient"])
+def test_unreadable_certificates_are_errors(tmp_path, content, capsys):
+    cert = tmp_path / "cert.json"
+    if content is not None:
+        cert.write_text(content, encoding="utf-8")
+    code = main(["solve", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--seed", "1", "--cert", str(cert)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(cert) in err
+
+
+@pytest.mark.parametrize("content", [None, '{"0.5": "x"}'], ids=["missing", "bad-point"])
+def test_unreadable_map_tables_are_errors(tmp_path, content, capsys):
+    table = tmp_path / "table.json"
+    if content is not None:
+        table.write_text(content, encoding="utf-8")
+    code = main([*_CERTIFY[:2], f"table:{table}", *_CERTIFY[3:]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_missing_sequence_file_is_an_error(tmp_path, capsys):
+    code = main([*_CLASSIFY[:3], "--seq", f"@{tmp_path / 'missing.csv'}",
+                 *_CLASSIFY[5:]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_map_table_certifies_as_the_catalog_map_it_tabulates(tmp_path, capsys):
+    table = tmp_path / "quarter.json"
+    table.write_text(json.dumps({x: x / 4 for x in (0.0, 1.0, 2.0)}), encoding="utf-8")
+    check = [*_HALF_IDENTITY_CHECK, "--grid", "0,1,2"]
+    assert main(check) == 0
+    catalog = capsys.readouterr().out
+    assert main([*check, "--map", f"table:{table}"]) == 0
+    assert capsys.readouterr().out == catalog
+
+
+def test_a_sequence_file_classifies_as_the_inline_sequence(tmp_path, capsys):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("1.5\n1.25\n\n1.125\n", encoding="utf-8")
+    argv = [*_CLASSIFY[:3], "--seq", "1.5,1.25,1.125", *_CLASSIFY[5:]]
+    assert main(argv) == 0
+    inline = capsys.readouterr().out
+    argv[4] = f"@{seq}"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == inline
