@@ -481,7 +481,7 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     *[([*_CERTIFY[:7], "--a", v], "--a")
       for v in ("notjson", '{"realization": "mat2"}', "[0.5]")],
     ([*_CERTIFY[:1], "--map", "no-such-map", *_CERTIFY[3:]], "--map"),
-])
+], ids=lambda v: v[-1] if isinstance(v, list) else v)
 def test_bad_values_are_usage_errors_that_name_their_option(argv, option, capsys):
     assert f"argument {option}" in _usage_error(argv, capsys)
 
