@@ -7,9 +7,14 @@ convention: 0 on success, 1 when a violation or failure was found or an
 input file cannot be read, 2 on usage errors.  Every emitted JSON report
 embeds a run manifest: the configuration, which is every option the
 subcommand accepts as parsed except the output paths and ``--cert``; the
-hashes of that configuration and of the ``--cert`` file; the package
-version; and a timestamp.  Re-running the same configuration reproduces the
-report byte-for-byte up to the timestamp.
+hashes of that configuration and of the content of every input file (the
+``--cert`` file, a ``table:`` map file, an ``@`` sequence file); the
+package version; and a timestamp.  Re-running the same configuration on the
+same files reproduces the report byte-for-byte up to the timestamp.
+
+The report text is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
+newline, byte for byte, written by ``_json_text`` without ``json``'s
+pure-Python encoder; a change to the writer must keep those bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
@@ -78,13 +84,27 @@ def _canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _input_files(parsed: dict) -> dict[str, str]:
+    """The files a run reads, by the key of their hash in the manifest:
+    ``cert`` for ``--cert``, ``map`` for a ``table:FILE`` map and ``seq``
+    for an ``@FILE`` sequence."""
+    files = {}
+    if "cert" in parsed:
+        files["cert"] = parsed["cert"]
+    if parsed.get("map", "").startswith("table:"):
+        files["map"] = parsed["map"][len("table:"):]
+    if parsed.get("seq", "").startswith("@"):
+        files["seq"] = parsed["seq"][1:]
+    return files
+
+
 def build_manifest(args: argparse.Namespace) -> dict:
     parsed = vars(args)
     config = {k: v for k, v in parsed.items() if k not in _NOT_CONFIG}
     hashes = {"config": hashlib.sha256(
         _canonical_json(config).encode()).hexdigest()}
-    if "cert" in parsed:
-        hashes["cert"] = hashlib.sha256(Path(args.cert).read_bytes()).hexdigest()
+    for key, path in _input_files(parsed).items():
+        hashes[key] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     return {
         "command": args.command,
         "config": config,
@@ -102,12 +122,100 @@ def _resolve_out(path: str, out_dir: str | None) -> Path:
     return (Path(base) / p) if base else p
 
 
+def _json_text(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    ``indent`` makes ``json`` fall back to its pure-Python encoder, a chain
+    of generators per container.  This writer appends the same pieces to one
+    list: strings through the encoder's own ASCII escaper, floats through
+    ``float.__repr__`` (NaN and the infinities spelled as ``json`` spells
+    them), keys sorted as ``json`` sorts them.  A report repeats few
+    distinct floats (grid points, distance norms), so each text is made once
+    per call.  It raises what ``json.dumps`` raises for what it refuses.
+    """
+    out: list[str] = []
+    _append_json(obj, "\n", out, set(), {})
+    return "".join(out)
+
+
+#: ``float.__repr__`` of the floats that JSON spells otherwise.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _append_json(o: Any, newline: str, out: list[str], open_ids: set,
+                 floats: dict) -> None:
+    """Append the JSON text of ``o`` at the indent that ``newline`` ends
+    with.  ``open_ids`` holds the containers being written around it, and
+    ``floats`` the float texts made so far."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append("null" if o is None else "true" if o else "false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            out.append("{}" if is_dict else "[]")
+            return
+        if id(o) in open_ids:
+            raise ValueError("Circular reference detected")
+        open_ids.add(id(o))
+        inner = newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for key, value in sorted(o.items()) if is_dict else enumerate(o):
+            if is_dict:
+                sep += (encode_basestring_ascii(key) if type(key) is str
+                        else _key_text(key)) + ": "
+            # the leaves a report is made of, written in place
+            cls = type(value)
+            if cls is float and value:  # 0.0 == -0.0, but the texts differ
+                text = floats.get(value)
+                if text is None:
+                    text = floats[value] = _float_text(value)
+                out.append(sep + text)
+            elif cls is str:
+                out.append(sep + encode_basestring_ascii(value))
+            else:
+                out.append(sep)
+                _append_json(value, inner, out, open_ids, floats)
+            sep = "," + inner
+        out.append(newline + ("}" if is_dict else "]"))
+        open_ids.remove(id(o))
+    else:
+        raise TypeError(
+            f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as ``json`` writes it: a str, or the text of a float,
+    bool, None or int key, quoted."""
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _float_text(key)
+    elif key is True or key is False or key is None:
+        text = "null" if key is None else "true" if key else "false"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return encode_basestring_ascii(text)
+
+
 def _write_report(path: str | None, manifest: dict, report: dict,
                   out_dir: str | None) -> None:
     if path is None:
         return
-    payload = json.dumps({"manifest": manifest, "report": report},
-                         sort_keys=True, indent=2) + "\n"
+    payload = _json_text({"manifest": manifest, "report": report}) + "\n"
     target = _resolve_out(path, out_dir)
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(payload, encoding="utf-8")
@@ -261,6 +369,8 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     print(f"  identity violations   : {len(report.identity_violations)}")
     print(f"  triangle violations   : {len(report.triangle_violations)}")
     witness = report.asymmetry_witness
+    if witness is not None:  # numpy scalars print by numpy version
+        witness = tuple(float(p) for p in witness)
     print(f"  asymmetry witness     : {witness}")
     _write_report(args.report, build_manifest(args), report.to_json_dict(),
                   args.out_dir)
@@ -487,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     except (AlgebraError, DomainMismatch, WindowTooLarge, CertificateInvalid,
             CoefficientNormTooLarge, NotInCommutant, RateNotLessThanOne,
             integral.GridMismatch, integral.NotContractive,
-            InputFileError) as exc:
+            integral.ParameterOutOfRange, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

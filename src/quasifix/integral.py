@@ -45,6 +45,10 @@ class NotContractive(Exception):
     """The demo requires a contraction rate below 1."""
 
 
+class ParameterOutOfRange(Exception):
+    """A parameter whose report values are not finite floats."""
+
+
 class QuadratureKind(Enum):
     TRAPEZOID = "trapezoid"
     MIDPOINT_LOG = "midpoint-log"
@@ -238,9 +242,18 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
     additionally has the identity seed growing under T (no parameter pair
     actually satisfies both, which the gallery records as a documented
     inconsistency); "not-contractive" means the rate is at least 1 and the
-    fixed-point argument does not apply.
+    fixed-point argument does not apply.  An alpha too small for the growth
+    threshold to be a finite float raises ``ParameterOutOfRange``.
     """
     alpha, k = prob.alpha, prob.k
+    # expm1 keeps the small alpha/2 that exp(alpha/2) - 1 rounds to 0; the
+    # reciprocal still overflows for alpha below about 1e-308
+    half = math.expm1(alpha / 2.0)
+    threshold_k = 1.0 / half if half else math.inf
+    if not math.isfinite(threshold_k):
+        raise ParameterOutOfRange(
+            f"alpha {alpha!r} is too small: the growth threshold "
+            f"1/expm1(alpha/2) is not a finite float")
     rate = contraction_rate(alpha, k)
     growth = growth_value(alpha, k)
     g = prob.grid_array
@@ -265,7 +278,7 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
     return DemoReport(
         alpha=alpha, k=k, grid_size=g.size, quadrature=prob.quadrature,
         rate=rate, rate_coarse_bound=alpha / k, growth=growth,
-        growth_threshold_k=1.0 / (math.exp(alpha / 2.0) - 1.0),
+        growth_threshold_k=threshold_k,
         quadrature_errors={"identity-seed": id_err, "constant-seed": const_err},
         tf0_exceeds_f0=tf0_exceeds, iterates_increasing=increasing,
         regime=regime)

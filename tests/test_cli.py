@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quasifix.cli import _make_parser, _write_report, main
+from quasifix.cli import _json_text, _make_parser, _write_report, main
 from quasifix.gallery import run_gallery
+
+from budget import examples
 
 
 def _load(path: Path) -> dict:
@@ -53,6 +60,12 @@ def test_check_axioms_random_grid_is_seeded(tmp_path):
     assert main(argv + ["--report", str(first)]) == 0
     assert main(argv + ["--report", str(second)]) == 0
     assert _strip_timestamp(_load(first)) == _strip_timestamp(_load(second))
+
+
+def test_check_axioms_prints_the_witness_as_plain_floats(capsys):
+    # numpy 2 prints its scalars as np.float64(...), numpy 1 as plain floats
+    assert main(["check-axioms", "--metric", "mat2-split", "--grid", "2"]) == 0
+    assert "  asymmetry witness     : (-2.0, 2.0)" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +292,55 @@ def test_solver_subcommands_reject_a_non_positive_tolerance(argv, tol, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+# --- the report writer ------------------------------------------------------------
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\[]{},: \n\t\x00\u2028é€😀')),
+                max_size=6)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    # a small pool repeats floats within a tree, zeros of both signs too
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 0.1, -2.5]),
+    st.floats().map(np.float64), _TEXT)
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _json_trees(leaves: st.SearchStrategy) -> st.SearchStrategy:
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3)), max_leaves=16)
+
+
+#: What json.dumps refuses: values and keys it cannot encode, or keys of
+#: types that do not sort together.
+_REFUSED = st.sampled_from([object(), {1, 2}, b"bytes", 1j, np.int64(3),
+                            np.array([1.0]), {(1, 2): 0}, {"a": 0, 1: 0}])
+
+
+def _dumps_outcome(write, tree):
+    try:
+        return write(tree)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=examples(200), deadline=None)
+@example([0.0, -0.0, {"x": -0.0, "y": 0.0}, (1.5, 1.5, math.nan, math.nan)])
+@given(st.one_of(_json_trees(_LEAVES), _json_trees(st.one_of(_LEAVES, _REFUSED))))
+def test_the_report_writer_writes_what_json_dumps_writes(tree):
+    expected = _dumps_outcome(lambda t: json.dumps(t, sort_keys=True, indent=2), tree)
+    assert _dumps_outcome(_json_text, tree) == expected
+
+
+def test_the_report_writer_refuses_circular_containers():
+    loop: list = [1.0]
+    loop.append({"again": loop})
+    for write in (lambda t: json.dumps(t, sort_keys=True, indent=2), _json_text):
+        with pytest.raises(ValueError, match="Circular reference"):
+            write(loop)
+
+
 def test_unwritten_reports_are_not_serialized():
     # an object json cannot encode shows whether the report was serialized
     _write_report(None, {}, {"unserializable": object()}, None)
@@ -299,6 +361,25 @@ def test_demo_integral_contractive(tmp_path, capsys):
     lines = solution.read_text().strip().splitlines()
     assert lines[0] == "x,f_star"
     assert len(lines) == 513
+
+
+def test_demo_integral_at_a_tiny_alpha_keeps_its_growth_threshold(tmp_path, capsys):
+    # exp(alpha/2) - 1 rounds to 0 here; expm1 keeps alpha/2
+    report = tmp_path / "demo.json"
+    code = main(["demo-integral", "--alpha", "1e-300", "--grid", "64",
+                 "--report", str(report)])
+    assert code == 0
+    assert _load(report)["report"]["growth_threshold_k"] == 1.0 / math.expm1(5e-301)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["5e-324", "1e-308"])
+def test_demo_integral_below_the_float_range_of_its_threshold_is_an_error(
+        alpha, capsys):
+    code = main(["demo-integral", "--alpha", alpha, "--grid", "64"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha") and "Traceback" not in err
 
 
 def test_demo_integral_inconsistent_parameters(capsys):
@@ -582,3 +663,28 @@ def test_a_sequence_file_classifies_as_the_inline_sequence(tmp_path, capsys):
     argv[4] = f"@{seq}"
     assert main(argv) == 0
     assert capsys.readouterr().out == inline
+
+
+@pytest.mark.parametrize("kind", ["map", "seq"])
+def test_manifests_hash_the_content_of_map_and_sequence_files(tmp_path, kind):
+    # the same path with different contents: the config hash stays, the
+    # file's hash moves
+    path = tmp_path / ("table.json" if kind == "map" else "seq.csv")
+    if kind == "map":
+        argv = [*_HALF_IDENTITY_CHECK, "--grid", "0,1,2", "--map", f"table:{path}",
+                "--out"]
+        contents = [json.dumps({x: x * r for x in (0.0, 1.0, 2.0)})
+                    for r in (0.25, 0.3)]
+    else:
+        argv = [*_CLASSIFY[:3], "--seq", f"@{path}", *_CLASSIFY[5:], "--report"]
+        contents = ["1.5\n1.25\n1.125\n", "1.5\n1.25\n1.0625\n"]
+    manifests = []
+    for i, content in enumerate(contents):
+        path.write_text(content, encoding="utf-8")
+        report = tmp_path / f"report-{i}.json"
+        main([*argv, str(report)])
+        manifests.append(_load(report)["manifest"]["input_hashes"])
+    first, second = manifests
+    assert first["config"] == second["config"]
+    assert first[kind] != second[kind]
+    assert first[kind] == hashlib.sha256(contents[0].encode()).hexdigest()

@@ -54,6 +54,7 @@ from quasifix.metrics import (
 )
 
 from budget import examples
+from reference_search import plain_search
 
 GRID = np.linspace(-2.0, 2.0, 17)
 PAIRS = [(x, y) for x in GRID for y in GRID]
@@ -316,6 +317,136 @@ def test_distances_must_live_in_the_coefficient_space(monkeypatch):
         verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs)
     # no sample, nothing to compare: the certificate is vacuous
     assert verify_global(linear_quarter(), mat2_split(), scalar(0.5), []).valid
+
+
+# --- the guided search against plain bisection ---------------------------------------
+
+def _counted_failures(monkeypatch) -> list:
+    """Every exact order check of the core that the test makes."""
+    calls = []
+    exact = contraction._failures
+
+    def counted(*args):
+        calls.append(args[0])
+        return exact(*args)
+
+    monkeypatch.setattr(contraction, "_failures", counted)
+    return calls
+
+
+def _search_outcome(search, *args, **kwargs):
+    """What a search returns, as bytes to compare: the coefficient's hex and
+    the certificate JSON, None, or the type of what it raised."""
+    try:
+        cert = search(*args, **kwargs)
+    except Exception as exc:  # both searches must raise the same
+        return type(exc)
+    if cert is None:
+        return None
+    return (float(cert.a.data.flat[0]).hex(),
+            json.dumps(cert.to_json_dict(), sort_keys=True))
+
+
+@st.composite
+def _search_tables(draw):
+    """A regime, a metric, a tolerance and (lhs, base) tables for it.
+
+    lhs is mostly base times a rate, so that the threshold lies near
+    u = rate (u = c^2, or c for two-step) and the bisection runs, with
+    relative noise, components of order tol (where the check cancels),
+    zeros, and scales up to 1e300; some tables have negative or
+    non-diagonal values, where no closed form applies.
+    """
+    regime = draw(st.sampled_from(list(Regime)))
+    codomain = draw(st.sampled_from([algebra.MAT2, algebra.SAMPLED, algebra.SCALAR]))
+    order = (draw(st.sampled_from(list(OrderKind))) if codomain == algebra.MAT2
+             else OrderKind.POSITIVE_CONE)
+    metric = MetricSpec("random-tables", codomain, order,
+                        draw(st.sampled_from(list(NormKind))),
+                        grid=(0.0, 0.5, 1.0) if codomain == algebra.SAMPLED else None)
+    tol = draw(st.sampled_from([1e-9, 1e-12, 0.0, 1e-3, 0.5]))
+    n = draw(st.integers(1, 10))
+    width = {algebra.MAT2: 2, algebra.SAMPLED: 3, algebra.SCALAR: 1}[codomain]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e9, 1e150, 1e300, None]))
+    scale = scale or tol or 1e-9  # None: base of the order of tol
+    base = rng.uniform(0.0, 4.0, (n, width)) * scale
+    base[rng.random((n, width)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    rate = draw(st.floats(0.0, 1.2))
+    noise = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3]))
+    lhs = base * rate * (1.0 + noise * rng.uniform(-1.0, 1.0, (n, width)))
+    if draw(st.integers(0, 2)):  # components where the check compares l with tol
+        near_tol = rng.random((n, width)) < 0.5
+        tol_noise = draw(st.sampled_from([0.0, 1e-15, 1e-12]))
+        lhs[near_tol] = tol * (1.0 + tol_noise * rng.uniform(-1.0, 1.0, near_tol.sum()))
+    if draw(st.integers(0, 9)) == 0:
+        lhs[0, 0] = -lhs[0, 0] - 1.0
+    lhs, base = (metrics._payloads(codomain, t if width > 1 else t[:, 0])
+                 for t in (lhs, base))
+    if codomain == algebra.MAT2 and draw(st.integers(0, 9)) == 0:
+        for t in (lhs, base):
+            t[:, 0, 1] = t[:, 1, 0] = 0.1 * t[:, 0, 0]
+    points = [(float(i), float(i + 1)) for i in range(n)]
+    return regime, metric, tol, (points, lhs, base)
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(_search_tables())
+def test_the_guided_search_is_plain_bisection_on_random_tables(case):
+    regime, metric, tol, tables = case
+    identity = MapSpec("identity", lambda x: x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(contraction, "_tables", lambda *args: tables)
+        outcomes = [_search_outcome(search, identity, metric, regime, pairs=[],
+                                    seed=1.0, tol=tol)
+                    for search in (search_scalar_coefficient, plain_search)]
+    assert outcomes[0] == outcomes[1]
+
+
+_CATALOG_SEARCHES = [
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), {"pairs": PAIRS}),
+    (Regime.FORWARD_GLOBAL, linear_quarter(),
+     replace(mat2_split(), order=OrderKind.POSITIVE_CONE), {"pairs": PAIRS}),
+    (Regime.FORWARD_GLOBAL, linear_quarter(), periodic_fn(grid_size=16),
+     {"pairs": PAIRS}),
+    (Regime.ORBITAL, piecewise_quarter(), mat2_split(), {"seed": 1.0}),
+    (Regime.ORBITAL, linear_quarter(), scalar_backward_one(), {"seed": 2.0}),
+    (Regime.TWO_STEP, piecewise_quarter(), periodic_fn(), {"seed": 1.0}),
+    (Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), {"seed": 2.5}),
+]
+_CATALOG_IDS = ["forward-split-scaled", "forward-cone", "forward-periodic",
+                "orbital-split", "orbital-scalar", "two-step-periodic",
+                "two-step-scalar"]
+
+
+@pytest.mark.parametrize("regime, map_spec, metric, samples", _CATALOG_SEARCHES,
+                         ids=_CATALOG_IDS)
+def test_a_catalog_search_makes_at_most_sixteen_exact_checks(
+        monkeypatch, regime, map_spec, metric, samples):
+    # plain bisection makes 43: both end points, 40 midpoints, the certificate
+    calls = _counted_failures(monkeypatch)
+    guided = _search_outcome(search_scalar_coefficient, map_spec, metric, regime,
+                             **samples)
+    assert guided is not None and 1 <= len(calls) <= 16
+    assert guided == _search_outcome(plain_search, map_spec, metric, regime,
+                                     **samples)
+
+
+def test_a_non_diagonal_registered_metric_checks_every_midpoint(monkeypatch):
+    def tilted(spec, x, y):
+        g = abs(x - y)
+        return mat2(g, 0.1 * g, 0.1 * g, 0.5 * g)
+
+    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "tilted", tilted)
+    metric = MetricSpec("tilted", algebra.MAT2, OrderKind.POSITIVE_CONE,
+                        NormKind.OPERATOR)
+    calls = _counted_failures(monkeypatch)
+    guided = _search_outcome(search_scalar_coefficient, linear_quarter(), metric,
+                             Regime.FORWARD_GLOBAL, pairs=PAIRS)
+    assert len(calls) == 2 + contraction.BISECTION_STEPS + 1
+    assert guided is not None
+    assert guided == _search_outcome(plain_search, linear_quarter(), metric,
+                                     Regime.FORWARD_GLOBAL, pairs=PAIRS)
 
 
 def test_search_argument_validation():
