@@ -214,9 +214,18 @@ def _sym2_rotation(m: np.ndarray) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def _op_norm_mat2(m: np.ndarray) -> float:
-    _, hi = _sym2_eigvals(m.T @ m)
-    return math.sqrt(max(hi, 0.0))
+def _root(square: Any, data: np.ndarray) -> float:
+    """sqrt(square(data)), where a square beyond the normal float range is
+    taken on data / 2^e, 2^e just above max |data| (exact), and scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = square(data)
+    if not 2.0 ** -1022 <= sq < math.inf and data.any():
+        _, e = math.frexp(float(np.abs(data).max()))
+        try:
+            return math.ldexp(_root(square, np.ldexp(data, -e)), e)
+        except OverflowError:
+            return math.inf
+    return math.sqrt(max(sq, 0.0))
 
 
 def _inv_mat2(m: np.ndarray) -> np.ndarray:
@@ -277,13 +286,13 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
 
 
 def norm(a: AlgebraElement, kind: NormKind = NormKind.OPERATOR) -> float:
-    if kind is NormKind.OPERATOR:
-        if a.realization == MAT2:
-            return _op_norm_mat2(a.data)
-        return float(np.max(np.abs(a.data))) if a.data.ndim else abs(float(a.data))
     if a.realization == SCALAR:
         return abs(float(a.data))
-    return float(math.sqrt(np.sum(a.data * a.data)))
+    if kind is NormKind.ENTRY_SUM_SQUARES:
+        return _root(lambda d: np.sum(d * d), a.data)
+    if a.realization == MAT2:
+        return _root(lambda m: _sym2_eigvals(m.T @ m)[1], a.data)
+    return float(np.max(np.abs(a.data)))
 
 
 def min_spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> float:
@@ -426,16 +435,28 @@ def batch_mul(realization: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _root_batch(square: Any, data: np.ndarray) -> np.ndarray:
+    """``_root`` of every sample."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = square(data)
+    out = np.sqrt(sq)  # sq >= +0, or NaN where the square overflowed
+    if len(sq) and not 2.0 ** -1022 <= sq.min() <= sq.max() < math.inf:
+        rows = np.flatnonzero(~((sq >= 2.0 ** -1022) & (sq < math.inf)))
+        for i in rows[data[rows].any(axis=tuple(range(1, data.ndim)))].tolist():
+            out[i] = _root(lambda d: square(d[None])[0], data[i])
+    return out
+
+
 def batch_norm(realization: str, data: np.ndarray,
                kind: NormKind = NormKind.OPERATOR) -> np.ndarray:
     """``norm`` of every sample."""
     if realization == SCALAR:
         return np.abs(data)
     if kind is NormKind.ENTRY_SUM_SQUARES:
-        return np.sqrt(np.sum(data * data, axis=tuple(range(1, data.ndim))))
+        return _root_batch(lambda d: (d * d).sum(axis=tuple(range(1, d.ndim))), data)
     if realization == MAT2:
-        _, hi = _sym2_eigvals_batch(np.matmul(np.swapaxes(data, 1, 2), data))
-        return np.sqrt(np.maximum(hi, 0.0))
+        return _root_batch(
+            lambda d: _sym2_eigvals_batch(np.matmul(np.swapaxes(d, 1, 2), d))[1], data)
     return np.max(np.abs(data), axis=1)
 
 

@@ -18,10 +18,10 @@ sample, its *tables*: ``lhs`` is d(Tx, Ty) for the global regimes and
 d(Ty, T^2 y) for the orbit regimes, and ``base`` is d(x, y) (forward),
 d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  The
 points are mapped one by one, and the tables then come from paired
-evaluations of the metric (``metrics.paired_payloads``, the batched form of
-``eval_metric``) in sample order, each distance evaluated once: the orbital
-lhs and base are one evaluation of the orbit's consecutive steps, shifted
-by one against each other.  The core forms ``rhs`` -- the sandwich
+evaluations of the metric (``metrics.paired_payloads``, whose one-pair form
+is ``eval_metric``) in sample order, each distance evaluated once: the
+orbital lhs and base are one evaluation of the orbit's consecutive steps,
+shifted by one against each other.  The core forms ``rhs`` -- the sandwich
 (a* base) a, or a base for two-step, in the operation order of ``mul`` --
 and runs the order check on the whole batch with the per-sample tolerance
 tol (1 + ||rhs||_op).  ``verify`` is the one dispatch over regimes;
@@ -65,7 +65,7 @@ from .algebra import (
     norm,
 )
 from .maps import MapSpec
-from .metrics import MetricSpec, codomain_scalar, paired_payloads
+from .metrics import MetricSpec, _paired_on, codomain_scalar, paired_payloads
 
 from enum import Enum
 
@@ -112,6 +112,9 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class ContractionCertificate:
+    """A checked coefficient; ``violations`` holds one dict per failing
+    sample, its points already JSON values."""
+
     regime: Regime
     a: AlgebraElement
     norm_kind: NormKind
@@ -135,7 +138,7 @@ class ContractionCertificate:
             "norm_kind": self.norm_kind.value,
             "a_norm": self.a_norm,
             "samples_checked": self.samples_checked,
-            "violations": [_violation_json(v) for v in self.violations],
+            "violations": list(self.violations),
             "seed_point": _point_json(self.seed_point),
             "h": None if self.h is None else element_to_json(self.h),
             "h_norm": self.h_norm,
@@ -162,15 +165,9 @@ def certificate_from_json(obj: dict) -> ContractionCertificate:
 
 
 def _point_json(p: Any) -> Any:
-    if p is None:
-        return None
     if isinstance(p, np.ndarray):
         return p.tolist()
-    return float(p) if np.isscalar(p) else p
-
-
-def _violation_json(v: dict) -> dict:
-    return {k: _point_json(val) if k in ("x", "y") else val for k, val in v.items()}
+    return float(p) if isinstance(p, float) or np.isscalar(p) else p
 
 
 _GLOBAL = (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
@@ -236,11 +233,11 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         orbit = map_spec.orbit(seed, orbit_len + 2)
         points = list(zip(orbit, orbit[1:-1]))
         if regime is Regime.ORBITAL:
-            steps = paired_payloads(metric, orbit[:-1], orbit[1:])
+            steps = _paired_on(metric, orbit, slice(None, -1), slice(1, None))
             lhs, base = steps[1:], steps[:-1]
         else:
-            lhs = paired_payloads(metric, orbit[1:-1], orbit[2:])
-            base = paired_payloads(metric, orbit[:-2], orbit[2:])
+            lhs = _paired_on(metric, orbit, slice(1, -1), slice(2, None))
+            base = _paired_on(metric, orbit, slice(None, -2), slice(2, None))
     algebra._require_same_space(like, codomain_scalar(metric, 0.0))
     return points, lhs, base
 
@@ -334,8 +331,9 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
     rhs_norms = algebra.batch_norm(a.realization, rhs[bad], metric.norm).tolist()
     violations = tuple(
-        {"x": points[i][0], "y": points[i][1], "lhs_norm": ln, "rhs_norm": rn}
-        for i, ln, rn in zip(bad, lhs_norms, rhs_norms))
+        {"x": _point_json(points[i][0]), "y": _point_json(points[i][1]),
+         "lhs_norm": ln, "rhs_norm": rn}
+        for i, ln, rn in zip(bad.tolist(), lhs_norms, rhs_norms))
     return ContractionCertificate(
         regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
         samples_checked=len(points), violations=violations,

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+from .algebra import batch_norm
 from .maps import MapSpec
-from .metrics import MetricSpec, distance_norm, distance_norm_table
+from .metrics import MetricSpec, distance_norm, distance_norm_table, paired_payloads
 
 
 class WindowTooLarge(Exception):
@@ -165,9 +166,10 @@ def orbital_lsc_check(orbit: list, x0: Any, map_spec: MapSpec,
     the trailing half of the orbit.  A finite orbit can only estimate the
     liminf, so this is evidence with an explicit window, not a proof.
     """
-    g0 = distance_norm(metric, x0, map_spec.apply(x0))
-    tail = orbit[len(orbit) // 2:]
-    return lsc_holds(g0, [distance_norm(metric, p, map_spec.apply(p)) for p in tail], tol)
+    points = [x0, *orbit[len(orbit) // 2:]]
+    pairs = paired_payloads(metric, points, [map_spec.apply(p) for p in points])
+    g0, *tail = batch_norm(metric.codomain, pairs, metric.norm).tolist()
+    return lsc_holds(g0, tail, tol)
 
 
 def lsc_holds(g0: float, tail: list[float], tol: float) -> bool:

@@ -6,21 +6,20 @@ questions split into a forward and a backward variant downstream.
 
 Every catalog value is diagonal, sampled or scalar, so it lives in a
 commutative subalgebra where the order is componentwise.  One kernel writes
-each catalog metric's formulas over broadcastable point arrays, in two
-forms.  The table form turns two point sets into the components of
+each catalog metric's formulas, once, over broadcastable point arrays, in
+two forms.  The table form turns two point sets into the components of
 d(x_i, y_j) for every pair; it serves the axiom sweep (one set against
 itself) and, through ``distance_norm_table``, the convergence windows (a
 candidate against a sequence, and a sequence's tail against itself) and
 the solver's observed tails, in either norm kind.  The paired form,
 ``paired_payloads``, gives the payloads of d(x_i, y_i) for two equally long
-point lists; it serves the contraction certificates' tables.  The axiom
-checker sweeps positivity, identity of indiscernibles, and the triangle
-inequality (in the metric's declared partial order) over every ordered
-triple of a sample set, and records one asymmetry witness pair when it
-finds one.  Violations are data, not exceptions.  ``eval_metric`` keeps a
-one-pair form of the same formulas, because per-call array overhead would
-make the kernel two to three times slower on a single pair; every form
-rejects the same points and distances.
+point lists; it serves the contraction certificates' tables, the solver's
+step pairs and the lower-semicontinuity probe.  ``eval_metric`` is the
+paired form on one pair.  The axiom checker sweeps positivity, identity of
+indiscernibles, and the triangle inequality (in the metric's declared
+partial order) over every ordered triple of a sample set, and records one
+asymmetry witness pair when it finds one.  Violations are data, not
+exceptions.
 
 A function-valued spec checks its grid once, as an element grid, and its
 sampled values are then built by a private trusted constructor
@@ -32,7 +31,6 @@ everything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Callable
@@ -172,13 +170,6 @@ CATALOG: dict[str, Callable[..., MetricSpec]] = {
 }
 
 
-def _require_real_point(value: Any) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise DomainMismatch("points must be finite reals")
-    return x
-
-
 def _require_fn_point(spec: MetricSpec, value: Any) -> np.ndarray:
     f = np.asarray(value, dtype=float)
     if f.shape != spec.grid_array.shape:
@@ -189,13 +180,7 @@ def _require_fn_point(spec: MetricSpec, value: Any) -> np.ndarray:
 
 
 _OVERFLOW = "distance overflows: the points are too far apart"
-
-
-def _finite(value: float) -> float:
-    """``value`` if it is a finite distance component, else DomainMismatch."""
-    if not math.isfinite(value):
-        raise DomainMismatch(_OVERFLOW)
-    return value
+_DIAGONAL = np.eye(2, dtype=bool)
 
 
 def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -215,42 +200,21 @@ def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
-    """Evaluate the metric at an ordered pair of points."""
-    if spec.swap_args:
-        x, y = y, x
-    if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
-        a, b = _require_real_point(x), _require_real_point(y)
-        beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
-        if a >= b:
-            return diag2(_finite(a - b), 0.0)
-        return diag2(0.0, _finite(beta * (b - a)))
-    if spec.name == PERIODIC_FN:
-        a, b = _require_real_point(x), _require_real_point(y)
-        t = spec.grid_array
-        # the samples are monotone in t: check the largest one (the last
-        # when x >= y, else the first) before computing them all
-        if a >= b:
-            _finite((a - b) * float(t[-1]))
-            values = (a - b) * t
-        else:
-            _finite((b - a) * (spec.period - float(t[0])) / spec.period)
-            values = (b - a) * (spec.period - t) / spec.period
-        return spec._sampled(values)
-    if spec.name == SCALAR_FORWARD_ONE:
-        a, b = _require_real_point(x), _require_real_point(y)
-        return scalar(_finite(b - a) if b >= a else 1.0)
-    if spec.name == SCALAR_BACKWARD_ONE:
-        a, b = _require_real_point(x), _require_real_point(y)
-        return scalar(_finite(a - b) if a >= b else 1.0)
-    if spec.name == MULT_OP:
-        values = mult_op_values(_require_fn_point(spec, x), _require_fn_point(spec, y))
-        if not np.all(np.isfinite(values)):
-            raise DomainMismatch(_OVERFLOW)
-        return spec._sampled(values)
+    """Evaluate the metric at an ordered pair of points: for a catalog
+    metric, the one payload of ``paired_payloads(spec, [x], [y])``."""
+    if spec.name in CATALOG:
+        return _element(spec, paired_payloads(spec, [x], [y])[0])
     evaluator = _EXTRA_EVALUATORS.get(spec.name)
     if evaluator is None:
         raise ValueError(f"unknown metric {spec.name!r}")
-    return evaluator(spec, x, y)
+    return evaluator(spec, y, x) if spec.swap_args else evaluator(spec, x, y)
+
+
+def _element(spec: MetricSpec, payload: np.ndarray) -> AlgebraElement:
+    """The element of the metric's codomain with payload ``payload``."""
+    if spec.codomain == SAMPLED:
+        return spec._sampled(payload)
+    return AlgebraElement(spec.codomain, payload)
 
 
 #: Extension point for programmatic metrics (used mainly by tests).
@@ -286,7 +250,7 @@ class AxiomReport:
 
     Violation entries carry the offending points plus enough numeric detail
     to re-evaluate them; ``recheck`` re-runs every recorded violation through
-    the scalar evaluation path and reports whether they all still fail.
+    one-pair ``eval_metric`` and reports whether they all still fail.
     """
 
     metric: str
@@ -376,19 +340,19 @@ def _payloads(codomain: str, components: np.ndarray) -> np.ndarray:
     matrices, sample vectors, or scalars.  The off-diagonal entries are +0.0,
     as in ``diag2``, also next to a -0.0 component."""
     if codomain == MAT2:
-        return np.where(np.eye(2, dtype=bool), components[..., :, None], 0.0)
+        return np.where(_DIAGONAL, components[..., :, None], 0.0)
     if codomain == SCALAR:
         return components[..., 0]
     return components
 
 
 def _points(spec: MetricSpec, points: Any) -> np.ndarray:
-    """Catalog points validated as ``eval_metric`` validates them: a float
-    vector for the real-point metrics, one row per function for ``mult-op``.
+    """Validated catalog points: a vector of finite floats for the
+    real-point metrics, one row per function for ``mult-op``.
 
     ``mult-op`` points are stacked and checked as one array; only when that
     check fails are they checked one at a time, so that the first bad point
-    raises what ``eval_metric`` raises for it.
+    raises what ``_require_fn_point`` raises for it alone.
     """
     if spec.name == MULT_OP:
         size = spec.grid_array.size
@@ -397,11 +361,11 @@ def _points(spec: MetricSpec, points: Any) -> np.ndarray:
         except ValueError:  # ragged rows, or a row that is not numeric
             pts = None
         if (pts is None or pts.ndim != 2 or pts.shape[1] != size
-                or not np.all(np.isfinite(pts))):
+                or not np.isfinite(pts).all()):
             pts = np.reshape([_require_fn_point(spec, f) for f in points], (-1, size))
         return pts
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or not np.all(np.isfinite(pts)):
+    if pts.ndim != 1 or not np.isfinite(pts).all():
         raise DomainMismatch("points must be finite reals")
     return pts
 
@@ -411,9 +375,9 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     points, with the components along a new last axis (``mult-op`` points
     carry their samples on the last axis already).
 
-    The formulas are those of ``eval_metric``, with the same arithmetic, so
-    every value agrees with it bit for bit; a distance with a non-finite
-    component raises ``DomainMismatch`` as it does there.
+    This is the one definition of each catalog metric, which every other
+    form reads; a distance with a non-finite component raises
+    ``DomainMismatch``.
     """
     if spec.swap_args:
         X, Y = Y, X
@@ -423,10 +387,14 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         ge = X >= Y
         with np.errstate(over="ignore", invalid="ignore"):
             if spec.name in (MAT2_SPLIT, MAT2_SPLIT_SCALED):
+                # beta (y - x) is -beta (x - y) exactly: one difference serves both
                 beta = spec.beta if spec.name == MAT2_SPLIT_SCALED else 1.0
-                c0 = np.where(ge, X - Y, 0.0)
-                c1 = np.where(ge, 0.0, beta * (Y - X))
-                comps = np.stack([c0, c1], axis=-1)
+                comps = np.empty(ge.shape + (2,))
+                c0, c1 = comps[..., 0], comps[..., 1]
+                np.subtract(X, Y, out=c0)
+                np.multiply(c0, -beta, out=c1)
+                np.copyto(c0, 0.0, where=~ge)
+                np.copyto(c1, 0.0, where=ge)
             elif spec.name == SCALAR_FORWARD_ONE:
                 comps = np.where(Y >= X, Y - X, 1.0)[..., None]
             elif spec.name == SCALAR_BACKWARD_ONE:
@@ -436,7 +404,7 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
                 up = (X - Y)[..., None] * t
                 down = (Y - X)[..., None] * (spec.period - t) / spec.period
                 comps = np.where(ge[..., None], up, down)
-    if not np.all(np.isfinite(comps)):
+    if not np.isfinite(comps).all():
         raise DomainMismatch(_OVERFLOW)
     return comps
 
@@ -465,22 +433,28 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
     """Payloads of d(x_i, y_i) for the pairs of two equally long point
     lists, stacked along a new leading axis.
 
-    The paired form of ``eval_metric``, with the same values bit for bit:
-    catalog metrics go through the table's kernel, which rejects the same
-    points and distances.  A registered evaluator is called one pair at a
-    time, and its values must live in the metric's codomain.
+    ``eval_metric`` is this form on one pair.  A registered evaluator is
+    called one pair at a time, and its values must live in the metric's
+    codomain.
     """
     if len(xs) != len(ys):
         raise ValueError("paired distances need as many xs as ys")
+    return _paired_on(spec, [*xs, *ys], slice(None, len(xs)), slice(len(xs), None))
+
+
+def _paired_on(spec: MetricSpec, points: list, xs: slice, ys: slice) -> np.ndarray:
+    """``paired_payloads(spec, points[xs], points[ys])`` for two equally
+    long slices of one point list, whose points are checked once."""
     if spec.name not in CATALOG:
         space = codomain_scalar(spec, 0.0)
         rows = []
-        for x, y in zip(xs, ys):
+        for x, y in zip(points[xs], points[ys]):
             d = eval_metric(spec, x, y)
             _require_same_space(space, d)
             rows.append(d.data)
         return np.reshape(rows, (len(rows),) + space.data.shape)
-    return _payloads(spec.codomain, _kernel(spec, _points(spec, xs), _points(spec, ys)))
+    pts = _points(spec, points)
+    return _payloads(spec.codomain, _kernel(spec, pts[xs], pts[ys]))
 
 
 def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,

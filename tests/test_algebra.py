@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasifix.algebra import (
+    MAT2,
+    SAMPLED,
     AlgebraElement,
     NormKind,
     NotPositive,
@@ -18,6 +22,7 @@ from quasifix.algebra import (
     add,
     adjoint,
     allclose,
+    batch_norm,
     diag2,
     element_from_json,
     element_to_json,
@@ -108,6 +113,93 @@ def test_norm_examples():
 def test_operator_norm_general_matrix():
     m = mat2(0.0, 3.0, 0.0, 0.0)
     assert norm(m, NormKind.OPERATOR) == pytest.approx(3.0, abs=1e-12)
+
+
+# --- norms beyond the squaring range ---------------------------------------------
+
+def _decimal_norms(data):
+    """(operator, entry-sum-squares) norms in 60-digit decimal arithmetic:
+    the operator norm of a 2x2 matrix m is the root of the top eigenvalue
+    of m^T m; sampled values have no operator norm here."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        entries = [Decimal(v) for v in data.ravel().tolist()]
+        total = sum(v * v for v in entries).sqrt()
+        if data.shape != (2, 2):
+            return None, float(total)
+        a, b, c, d = entries
+        p, q, r = a * a + c * c, a * b + c * d, b * b + d * d
+        top = (p + r) / 2 + (((p - r) / 2) ** 2 + q * q).sqrt()
+        return float(top.sqrt()), float(total)
+
+
+def _plain_norms(m):
+    """The unscaled arithmetic of both 2x2 norms, which squares the entries."""
+    g = m.T @ m
+    hi = 0.5 * (g[0, 0] + g[1, 1]) + math.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
+    return math.sqrt(max(hi, 0.0)), math.sqrt(np.sum(m * m))
+
+
+def _entries(lo, hi, ends=(5e-324, -2.7e-273, 1e200)):
+    """Entries of magnitude 10^lo to 10^hi, zeros and ``ends`` included."""
+    mantissa = st.floats(1.0, 9.99) | st.floats(-9.99, -1.0)
+    scaled = st.builds(lambda m, e: m * 10.0 ** e, mantissa, st.integers(lo, hi))
+    return scaled | st.sampled_from([0.0, -0.0, *ends])
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_entries(-330, 306), min_size=4, max_size=4),
+       diagonal=st.booleans())
+def test_mat2_norms_match_a_decimal_oracle_over_the_float_range(entries, diagonal):
+    if diagonal:
+        entries[1] = entries[2] = 0.0
+    m = mat2(*entries)
+    want = _decimal_norms(m.data)
+    for kind, w in zip(NormKind, want):
+        got = norm(m, kind)
+        batched = batch_norm(MAT2, m.data[None], kind)[0]
+        assert abs(got - w) <= 4 * math.ulp(w)
+        # np.hypot and math.hypot can round apart off the diagonal
+        assert abs(batched - got) <= (0.0 if diagonal else math.ulp(got))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_entries(-330, 300), min_size=4, max_size=4))
+def test_sampled_sum_squares_norm_matches_a_decimal_oracle(values):
+    a = sampled([0.0, 1.0, 2.0, 3.0], values)
+    _, want = _decimal_norms(a.data)
+    got = norm(a, NormKind.ENTRY_SUM_SQUARES)
+    assert abs(got - want) <= 4 * math.ulp(want)
+    assert batch_norm(SAMPLED, a.data[None], NormKind.ENTRY_SUM_SQUARES)[0] == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_entries(-150, 150, ends=()), min_size=4, max_size=4))
+def test_in_range_norms_keep_the_unscaled_arithmetic(entries):
+    m = mat2(*entries)
+    for kind, plain in zip(NormKind, _plain_norms(m.data)):
+        assert norm(m, kind).hex() == float(plain).hex()
+
+
+def test_norms_at_the_ends_of_the_float_range():
+    # squaring took the first to 0 and the second to inf with a RuntimeWarning
+    for value in (2.7e-273, 1e200):
+        m = diag2(value, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in NormKind:
+                assert norm(m, kind) == value
+                assert batch_norm(MAT2, m.data[None], kind).tolist() == [value]
+    # a batch scales only its out-of-range samples, zeros stay zero
+    tiny = math.ldexp(1.0, -1000)
+    stack = np.stack([diag2(1e200, 0.0).data, diag2(3.0, 4.0).data,
+                      np.zeros((2, 2)), mat2(3 * tiny, 0.0, 4 * tiny, 0.0).data])
+    assert batch_norm(MAT2, stack).tolist() == [1e200, 4.0, 0.0, 5 * tiny]
+    assert batch_norm(MAT2, stack, NormKind.ENTRY_SUM_SQUARES).tolist() == \
+        [1e200, 5.0, 0.0, 5 * tiny]
+    # a norm beyond the largest float is inf
+    huge = mat2(1e308, 1e308, 1e308, 1e308)
+    assert norm(huge) == norm(huge, NormKind.ENTRY_SUM_SQUARES) == math.inf
 
 
 # --- positivity and order ----------------------------------------------------

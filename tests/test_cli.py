@@ -130,6 +130,17 @@ def test_certify_accepts_a_zero_tolerance(capsys):
     assert "25 samples, 0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("grid", ["1e150,-1e150,0", "1e160,-1e160,0"])
+def test_certify_finds_violations_beyond_the_squaring_range(grid, capsys):
+    # d(1e160, -1e160) has a squared norm above the largest float; the order
+    # check's tolerance tol (1 + ||rhs||) was inf there, so every sample passed
+    code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--regime", "forward", "--grid", grid,
+                 "--a", '{"realization": "mat2", "entries": [[0.1, 0], [0, 0.1]]}'])
+    assert code == 1
+    assert "9 samples, 6 violations" in capsys.readouterr().out
+
+
 # --- classify ----------------------------------------------------------------
 
 def test_classify_forward_only_sequence(tmp_path, capsys):

@@ -54,6 +54,7 @@ from quasifix.metrics import (
 )
 
 from budget import examples
+from reference_metrics import reference_eval_metric
 from reference_search import plain_search
 
 GRID = np.linspace(-2.0, 2.0, 17)
@@ -476,18 +477,19 @@ def test_certificate_json_roundtrip():
 
 def reference_violations(regime, map_spec, metric, a, *, pairs=None,
                          seed=None, orbit_len=30, tol=1e-9):
-    """The per-sample loop the batched core replaced: one ``eval_metric``
-    per distance and one ``leq`` per sample, in sample order."""
+    """The per-sample loop the batched core replaced: each distance from the
+    one-pair reference formulas and one ``leq`` per sample, in sample order."""
+    d = reference_eval_metric
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
         backward = regime is Regime.BACKWARD_GLOBAL
-        samples = [(x, y, eval_metric(metric, map_spec.apply(x), map_spec.apply(y)),
-                    eval_metric(metric, y, x) if backward else eval_metric(metric, x, y))
+        samples = [(x, y, d(metric, map_spec.apply(x), map_spec.apply(y)),
+                    d(metric, y, x) if backward else d(metric, x, y))
                    for x, y in pairs]
     else:
         pts = map_spec.orbit(seed, orbit_len + 2)
         far = 1 if regime is Regime.ORBITAL else 2
-        samples = [(pts[i], pts[i + 1], eval_metric(metric, pts[i + 1], pts[i + 2]),
-                    eval_metric(metric, pts[i], pts[i + far]))
+        samples = [(pts[i], pts[i + 1], d(metric, pts[i + 1], pts[i + 2]),
+                    d(metric, pts[i], pts[i + far]))
                    for i in range(orbit_len + 1)]
     found = []
     for x, y, lhs, base in samples:
@@ -629,8 +631,8 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
 def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
     applied, evaluated = [], []
     quarter = MapSpec("counted-quarter", lambda x: applied.append(x) or x / 4.0)
-    paired = contraction.paired_payloads
-    monkeypatch.setattr(contraction, "paired_payloads",
+    paired = contraction._paired_on
+    monkeypatch.setattr(contraction, "_paired_on",
                         lambda *args: evaluated.append(args) or paired(*args))
     points, lhs, base = contraction._tables(regime, quarter, mat2_split(),
                                             diag2(0.0, 0.0), None, 1.0, 10)

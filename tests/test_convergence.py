@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -35,26 +34,26 @@ from quasifix.metrics import (
 )
 
 from budget import examples
+from reference_metrics import reference_distance_norm
 
 
-# One-pair reference: every distance goes through distance_norm, in the
-# order the classification reads them.
+# One-pair reference: every distance goes through the one-pair reference
+# formulas, in the order the classification reads them.
 def reference_trace(points: list, metric: MetricSpec, candidate=None,
                     window: int | None = None) -> SequenceTrace:
+    d = reference_distance_norm
     pts = tuple(points)
     fwd: tuple[float, ...] = ()
     bwd: tuple[float, ...] = ()
     if candidate is not None:
-        fwd = tuple(distance_norm(metric, candidate, x) for x in pts)
-        bwd = tuple(distance_norm(metric, x, candidate) for x in pts)
+        fwd = tuple(d(metric, candidate, x) for x in pts)
+        bwd = tuple(d(metric, x, candidate) for x in pts)
     pairs: list[tuple[int, int, float, float]] = []
     if window is not None and window >= 2:
         start = len(pts) - window
         for p in range(start, len(pts)):
             for n in range(p + 1, len(pts)):
-                pairs.append((p, n,
-                              distance_norm(metric, pts[p], pts[n]),
-                              distance_norm(metric, pts[n], pts[p])))
+                pairs.append((p, n, d(metric, pts[p], pts[n]), d(metric, pts[n], pts[p])))
     return SequenceTrace(pts, metric.name, fwd, bwd, tuple(pairs))
 
 
@@ -203,8 +202,8 @@ def test_trace_records_pairwise_window():
     assert len(data.pair_dists) == 3  # (0,1), (0,2), (1,2)
     p, n, old_new, new_old = data.pair_dists[0]
     assert (p, n) == (0, 1)
-    assert old_new == distance_norm(spec, 1.0, 0.5)
-    assert new_old == distance_norm(spec, 0.5, 1.0)
+    assert old_new == reference_distance_norm(spec, 1.0, 0.5)
+    assert new_old == reference_distance_norm(spec, 0.5, 1.0)
 
 
 # --- batched trace against the one-pair reference ----------------------------------
@@ -237,14 +236,12 @@ def _trace_id(spec):
 def _outcome(fn, *args):
     """The trace's values as exact bits (``float.hex``), or the exception type.
 
-    Norms of distances above ~1e154 overflow with a RuntimeWarning in both
-    forms; it is silenced here so that both run to their first exception."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            data = fn(*args)
-        except Exception as exc:
-            return type(exc)
+    Norms whose squares are beyond the float range are taken on scaled
+    values, without a RuntimeWarning, in both forms."""
+    try:
+        data = fn(*args)
+    except Exception as exc:
+        return type(exc)
     values = [*data.forward_dists, *data.backward_dists,
               *(v for pair in data.pair_dists for v in pair[2:])]
     assert all(type(v) is float for v in values)
@@ -286,8 +283,9 @@ def test_trace_windows_evaluate_no_pair_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(metrics, "eval_metric", counted)
     seq = harmonic_scaled(1.0, 400)
-    reference_trace(seq, scalar_forward_one(), 1.0, 40)
-    assert len(calls) == 2 * 400 + 40 * 39
+    # the counter sees one-pair evaluations
+    metrics.distance_norm(scalar_forward_one(), seq[0], seq[1])
+    assert len(calls) == 1
     calls.clear()
     verdict = classify(seq, 1.0, scalar_forward_one(), eps=0.01, window=40)
     assert verdict.forward is Verdict.CONVERGES

@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +50,7 @@ from quasifix.metrics import (
 )
 
 from budget import examples
+from reference_metrics import reference_distance_norm, reference_eval_metric
 
 CATALOG_SPECS = [
     mat2_split(),
@@ -70,13 +70,13 @@ def _spec_id(spec):
 
 
 # Element-by-element reference sweep: every ordered pair and triple goes
-# through eval_metric, the algebra's add, norm and leq.
+# through the one-pair reference formulas, the algebra's add, norm and leq.
 def _check_axioms_generic(spec: MetricSpec, points: list,
                           tol: float) -> AxiomReport:
     n = len(points)
     report = AxiomReport(metric=spec.name, tol=tol,
                          pairs_tested=n * n, triples_tested=n * n * n)
-    table = [[eval_metric(spec, x, y) for y in points] for x in points]
+    table = [[reference_eval_metric(spec, x, y) for y in points] for x in points]
 
     for i, x in enumerate(points):
         for j, y in enumerate(points):
@@ -328,6 +328,10 @@ def test_sweep_matches_the_element_by_element_reference(spec, seed):
 BINDING_SPECS = SWEEP_SPECS + [periodic_fn(3.0, 8)]
 
 
+def _hex(values):
+    return [v.hex() for v in np.ravel(values).tolist()]
+
+
 @pytest.mark.parametrize("spec", BINDING_SPECS, ids=_spec_id)
 @settings(max_examples=examples(40), deadline=None)
 @given(data=st.data())
@@ -341,18 +345,18 @@ def test_component_table_rows_are_eval_metric_components(spec, data):
     try:
         _, table = _component_table(spec, points)
     except DomainMismatch:
-        # the one-pair form must reject some pair as well
+        # the one-pair reference must reject some pair as well
         with pytest.raises(DomainMismatch):
             for x in points:
                 for y in points:
-                    eval_metric(spec, x, y)
+                    reference_eval_metric(spec, x, y)
         return
     assert table.shape[:2] == (len(points), len(points))
     for i, x in enumerate(points):
         for j, y in enumerate(points):
-            d = eval_metric(spec, x, y)
+            d = reference_eval_metric(spec, x, y)
             want = np.diagonal(d.data) if d.realization == "mat2" else np.ravel(d.data)
-            assert table[i, j].tobytes() == want.tobytes()
+            assert _hex(table[i, j]) == _hex(want)
 
 
 def _gap_sum(spec, x, y):
@@ -363,10 +367,6 @@ def _gap_sum(spec, x, y):
 register_evaluator("gap-sum", _gap_sum)
 PAIRED_SPECS = BINDING_SPECS + [
     MetricSpec("gap-sum", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)]
-
-
-def _hex(values):
-    return [v.hex() for v in np.ravel(values).tolist()]
 
 
 @pytest.mark.parametrize("spec", PAIRED_SPECS, ids=_spec_id)
@@ -381,7 +381,7 @@ def test_paired_payloads_are_eval_metric_payloads(spec, data):
     pairs = data.draw(st.lists(st.tuples(value, value), max_size=5))
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     try:
-        want = [eval_metric(spec, x, y) for x, y in pairs]
+        want = [reference_eval_metric(spec, x, y) for x, y in pairs]
     except Exception as exc:
         with pytest.raises(type(exc)):
             paired_payloads(spec, xs, ys)
@@ -396,7 +396,7 @@ def test_paired_payloads_are_eval_metric_payloads(spec, data):
 def test_paired_payloads_keep_the_sign_of_a_zero_component(spec):
     # -0.0 - 0.0 is -0.0 on the diagonal; the off-diagonal entries stay +0.0
     pairs = [(-0.0, 0.0), (0.0, -0.0)]
-    want = [eval_metric(spec, x, y).data for x, y in pairs]
+    want = [reference_eval_metric(spec, x, y).data for x, y in pairs]
     assert _hex(paired_payloads(spec, *zip(*pairs))) == _hex(want)
 
 
@@ -409,26 +409,35 @@ def test_paired_payloads_of_no_pairs_and_of_bad_pairs(spec):
         paired_payloads(spec, [point, point], [point])
     nan = np.full(FN_GRID.size, np.nan) if spec.name == "mult-op" else np.nan
     with pytest.raises(Exception) as one_pair:
-        eval_metric(spec, point, nan)
+        reference_eval_metric(spec, point, nan)
     with pytest.raises(one_pair.type):
         paired_payloads(spec, [point, point], [point, nan])
 
 
-@pytest.mark.parametrize("spec, points, message", [
-    (mat2_split(), [0.0, float("nan")], "finite reals"),
-    (mat2_split(), [float("inf"), 0.0], "finite reals"),
-    (mat2_split(), [[0.0, 1.0]], "finite reals"),
-    (mat2_split(), [1e308, -1e308, 0.0], "overflows"),
-    (periodic_fn(3.0, 8), [1e308, 0.0], "overflows"),
-    (scalar_forward_one(), [-1e308, 1e308], "overflows"),
-    (mult_op(FN_GRID), [np.ones(3)], "grid"),
-    (mult_op(FN_GRID), [np.full(4, 1e308), np.full(4, -1e308)], "overflows"),
+@pytest.mark.parametrize("spec, points, message, reference_error", [
+    (mat2_split(), [0.0, float("nan")], "finite reals", DomainMismatch),
+    (mat2_split(), [float("inf"), 0.0], "finite reals", DomainMismatch),
+    # float() refuses a 2-D point before the one-pair reference checks it
+    (mat2_split(), [[0.0, 1.0]], "finite reals", TypeError),
+    (mat2_split(), [1e308, -1e308, 0.0], "overflows", DomainMismatch),
+    (periodic_fn(3.0, 8), [1e308, 0.0], "overflows", DomainMismatch),
+    (scalar_forward_one(), [-1e308, 1e308], "overflows", DomainMismatch),
+    (mult_op(FN_GRID), [np.ones(3)], "grid", DomainMismatch),
+    (mult_op(FN_GRID), [np.full(4, 1e308), np.full(4, -1e308)], "overflows",
+     DomainMismatch),
 ], ids=["nan", "inf", "not-real", "mat2-overflow", "periodic-overflow",
         "scalar-overflow", "fn-shape", "fn-overflow"])
 def test_sweep_rejects_points_and_distances_eval_metric_rejects(spec, points,
-                                                                message):
+                                                                message,
+                                                                reference_error):
     with pytest.raises(DomainMismatch, match=message):
         check_axioms(spec, points)
+    for one_pair, error in [(eval_metric, DomainMismatch),
+                            (reference_eval_metric, reference_error)]:
+        with pytest.raises(error):
+            for x in points:
+                for y in points:
+                    one_pair(spec, x, y)
 
 
 @pytest.mark.parametrize("spec, x, y", [
@@ -442,8 +451,9 @@ def test_sweep_rejects_points_and_distances_eval_metric_rejects(spec, points,
 ], ids=["mat2-split", "mat2-split-scaled", "periodic-up", "periodic-down",
         "scalar-forward-one", "scalar-backward-one", "mult-op"])
 def test_eval_metric_rejects_overflowing_distances(spec, x, y):
-    with pytest.raises(DomainMismatch, match="overflows"):
-        eval_metric(spec, x, y)
+    for one_pair in (eval_metric, reference_eval_metric):
+        with pytest.raises(DomainMismatch, match="overflows"):
+            one_pair(spec, x, y)
 
 
 @pytest.mark.parametrize("spec", [periodic_fn(), scalar_forward_one(),
@@ -568,18 +578,16 @@ def test_distance_norm_table_is_the_norm_of_each_distance(spec, kind, data):
         value = st.lists(value, min_size=FN_GRID.size, max_size=FN_GRID.size)
     xs = data.draw(st.lists(value, max_size=4))
     ys = data.draw(st.lists(value, max_size=4))
-    # entry-sum-squares norms above ~1e154 overflow with a RuntimeWarning in
-    # both forms; silenced, each runs to its result or first exception
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            want = [[norm(eval_metric(spec, x, y), kind) for y in ys] for x in xs]
-        except Exception as exc:
-            with pytest.raises(type(exc)):
-                distance_norm_table(spec, xs, ys, kind)
-            return
-        got = distance_norm_table(spec, xs, ys, kind)
-        default = distance_norm_table(spec, xs, ys)
+    # squared norms above ~1e308 are taken on scaled values, without a
+    # RuntimeWarning, in both forms
+    try:
+        want = [[reference_distance_norm(spec, x, y, kind) for y in ys] for x in xs]
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            distance_norm_table(spec, xs, ys, kind)
+        return
+    got = distance_norm_table(spec, xs, ys, kind)
+    default = distance_norm_table(spec, xs, ys)
     assert got.shape == (len(xs), len(ys))
     assert _hex(got) == _hex(want)
     if kind is spec.norm:

@@ -2,15 +2,29 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasifix.algebra import NormKind, diag2, mat2, norm, sampled, scalar, sqrt_positive
+from quasifix import solver
+from quasifix.algebra import (
+    MAT2,
+    NormKind,
+    OrderKind,
+    RealizationMismatch,
+    batch_norm,
+    diag2,
+    mat2,
+    norm,
+    sampled,
+    scalar,
+    sqrt_positive,
+)
 from quasifix.contraction import (
     ContractionCertificate,
     Regime,
@@ -21,12 +35,14 @@ from quasifix.contraction import (
 from quasifix.convergence import orbital_lsc_check
 from quasifix.maps import MapSpec, linear_quarter, piecewise_quarter
 from quasifix.metrics import (
+    MetricSpec,
     codomain_scalar,
     eval_metric,
     mat2_split,
     mat2_split_scaled,
     mult_op,
     periodic_fn,
+    register_evaluator,
     scalar_backward_one,
     scalar_forward_one,
 )
@@ -41,6 +57,7 @@ from quasifix.solver import (
 )
 
 from budget import examples
+from reference_metrics import reference_distance_norm
 
 GRID = np.linspace(-3.0, 7.0, 21)
 PAIRS = [(x, y) for x in GRID for y in GRID]
@@ -240,12 +257,6 @@ STEP_METRICS = [mat2_split(), mat2_split_scaled(0.25), periodic_fn(2.0, 16),
 MAGNITUDE = st.floats(1e-6, 1e6) | st.just(0.0)
 
 
-def _in_norm_range(d1):
-    # the 2x2 operator norm squares the entries, so it underflows to 0 below
-    # about 1e-154, where the square root still kept the head
-    return bool(np.all((d1.data == 0.0) | (np.abs(d1.data) >= 1e-150)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_envelope_head_matches_the_square_root_head(data):
@@ -262,7 +273,6 @@ def test_envelope_head_matches_the_square_root_head(data):
         d1 = eval_metric(mult_op(FN_GRID), f, g)
     else:
         d1 = sampled(FN_GRID, data.draw(st.lists(MAGNITUDE, min_size=5, max_size=5)))
-    assume(_in_norm_range(d1))
     old = _old_head(d1)
     new = apriori_envelope(d1, 0.0, 1)[0]  # B_0 at rate 0 is the head itself
     assert new == norm(d1, NormKind.OPERATOR)
@@ -271,12 +281,13 @@ def test_envelope_head_matches_the_square_root_head(data):
 
 @settings(max_examples=200, deadline=None)
 @given(b=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), c=MAGNITUDE)
+# a head whose square underflows: the 2x2 norm once returned 0 for it
+@example(b=[0.0, 0.0, 0.0, 1.0], c=2.73e-273)
 def test_envelope_head_of_a_positive_matrix_is_its_top_eigenvalue(b, c):
     # c * b^T b is positive with an off-diagonal entry; the square root's
     # rotation is up to 7 ulp off the top eigenvalue, the norm within 2
     off = c * (b[0] * b[1] + b[2] * b[3])
     d1 = mat2(c * (b[0] * b[0] + b[2] * b[2]), off, off, c * (b[1] * b[1] + b[3] * b[3]))
-    assume(_in_norm_range(d1))
     p, q, r = (Decimal(float(v)) for v in (d1.data[0, 0], off, d1.data[1, 1]))
     with localcontext() as ctx:
         ctx.prec = 60
@@ -303,16 +314,89 @@ def _certificate(regime, metric, c=0.5):
     (Regime.ORBITAL, piecewise_quarter(), scalar_backward_one(), -3.0),
     (Regime.ORBITAL, linear_quarter(), mult_op(FN_GRID), FN_GRID),
 ], ids=["forward-mat2", "orbital-scalar", "orbital-mult-op"])
-def test_solve_evaluates_each_distance_once(one_pair_calls, regime, map_spec,
-                                            metric, seed):
-    applied = []
+def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
+                                            map_spec, metric, seed):
+    applied, paired = [], []
+    paired_on = solver._paired_on
+    monkeypatch.setattr(solver, "_paired_on",
+                        lambda *args: paired.append(args) or paired_on(*args))
     report = picard_solve(_counted(map_spec, applied), metric, seed,
                           _certificate(regime, metric), SolverConfig(tol=1e-10))
     assert report.converged and report.iterations > 2
-    # the step pair of every iteration and the residual pair; the tails and
-    # d1 are not evaluated again, and the LSC gate reads the steps
-    assert len(one_pair_calls) == 2 * report.iterations + 2
+    # one paired evaluation for the step pair of every iteration and one for
+    # the residual pair, and none one pair at a time; the tails and d1 are
+    # not evaluated again, and the LSC gate reads the steps
+    assert one_pair_calls == []
+    assert len(paired) == report.iterations + 1
     assert len(applied) == report.iterations + 1
+
+
+def _tilted(spec, x, y):
+    # a registered metric with positive, non-diagonal 2x2 values
+    d = x - y
+    return mat2(abs(d), d / 3, d / 3, 2 * abs(d) + max(-d, 0.0))
+
+
+register_evaluator("tilted", _tilted)
+TILTED = MetricSpec("tilted", MAT2, OrderKind.POSITIVE_CONE, NormKind.OPERATOR)
+
+
+def test_registered_metric_steps_are_batched_norms(one_pair_calls):
+    # from this seed, np.hypot (in the batched 2x2 norm) rounds every forward
+    # step's norm one ulp below math.hypot (in the norm of one element)
+    cert = _certificate(Regime.FORWARD_GLOBAL, TILTED)
+    report = picard_solve(linear_quarter(), TILTED, 3.958748893975639, cert,
+                          SolverConfig(tol=1e-10))
+    assert report.converged and report.iterations > 2
+    # the evaluator is called for every step pair and the residual pair, and
+    # for the two observed tails, whose tables call it one pair at a time
+    assert len(one_pair_calls) == (2 * report.iterations + 2) + 2 * report.iterations
+    pts = report.trace.points
+    for steps, pairs in [(report.trace.fwd_step_norms, zip(pts, pts[1:])),
+                         (report.trace.bwd_step_norms, zip(pts[1:], pts))]:
+        for got, (x, y) in zip(steps, pairs):
+            d = _tilted(TILTED, x, y)
+            assert got == batch_norm(MAT2, d.data[None])[0]
+            assert abs(got - norm(d)) <= math.ulp(got)
+    first = _tilted(TILTED, pts[0], pts[1])
+    assert report.trace.fwd_step_norms[0] == math.nextafter(norm(first), 0.0)
+    # the values must live in the metric's codomain
+    register_evaluator("tilted-scalar", lambda spec, x, y: scalar(abs(x - y)))
+    with pytest.raises(RealizationMismatch):
+        picard_solve(linear_quarter(), replace(TILTED, name="tilted-scalar"),
+                     1.0, cert)
+
+
+SOLVE_METRICS = STEP_METRICS + [mult_op(FN_GRID)]
+# seeds whose distances have squares beyond the float range
+SOLVE_SEED = st.floats(-1e3, 1e3) | st.sampled_from([3e-200, -1e-170, 1e200, -5e300])
+
+
+@pytest.mark.parametrize("metric", SOLVE_METRICS, ids=lambda m: m.name)
+@settings(max_examples=examples(25), deadline=None)
+@given(kind=st.sampled_from(NormKind), slope=st.floats(-0.9, 0.9),
+       shift=st.floats(-1.0, 1.0), seed=SOLVE_SEED, max_iter=st.integers(1, 12))
+def test_step_and_residual_norms_are_the_reference_norms(metric, kind, slope, shift,
+                                                        seed, max_iter):
+    metric = replace(metric, norm=kind)
+    map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    if metric.name == "mult-op":
+        seed = seed * FN_GRID
+    report = picard_solve(map_spec, metric, seed,
+                          _certificate(Regime.FORWARD_GLOBAL, metric),
+                          SolverConfig(max_iter=max_iter, tol=1e-10))
+
+    def want(x, y):
+        return reference_distance_norm(metric, x, y).hex()
+
+    pts = report.trace.points
+    x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
+    assert [v.hex() for v in report.trace.fwd_step_norms] == \
+        [want(x, y) for x, y in zip(pts, pts[1:])]
+    assert [v.hex() for v in report.trace.bwd_step_norms] == \
+        [want(y, x) for x, y in zip(pts, pts[1:])]
+    assert report.residual_forward.hex() == want(x_n, after)
+    assert report.residual_backward.hex() == want(after, x_n)
 
 
 JUMP = MapSpec("jump-half", lambda x: x / 2.0 if x > 0 else 1.0)
@@ -358,12 +442,12 @@ def test_solver_lsc_gate_fails_after_a_jump():
 
 def _reference_spread(metric, points):
     """The largest norm of d(p, q) over both orders of every pair of points,
-    one pair at a time."""
+    one pair at a time, by the reference formulas."""
     spread = 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            spread = max(spread, norm(eval_metric(metric, points[i], points[j]), metric.norm),
-                         norm(eval_metric(metric, points[j], points[i]), metric.norm))
+            spread = max(spread, reference_distance_norm(metric, points[i], points[j]),
+                         reference_distance_norm(metric, points[j], points[i]))
     return spread
 
 
