@@ -215,14 +215,15 @@ def _sym2_rotation(m: np.ndarray) -> tuple[float, float]:
 
 
 def _root(square: Any, data: np.ndarray) -> float:
-    """sqrt(square(data)), where a square beyond the normal float range is
-    taken on data / 2^e, 2^e just above max |data| (exact), and scaled back."""
+    """sqrt(square(data)), where a square of finite, non-zero data beyond the
+    normal float range is taken on data / 2^e, 2^e just above max |data|
+    (exact), and scaled back; non-finite data keep their inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         sq = square(data)
-    if not 2.0 ** -1022 <= sq < math.inf and data.any():
+    if not 2.0 ** -1022 <= sq < math.inf and data.any() and np.isfinite(data).all():
         _, e = math.frexp(float(np.abs(data).max()))
         try:
-            return math.ldexp(_root(square, np.ldexp(data, -e)), e)
+            return math.ldexp(math.sqrt(square(np.ldexp(data, -e))), e)
         except OverflowError:
             return math.inf
     return math.sqrt(max(sq, 0.0))
@@ -439,11 +440,16 @@ def _root_batch(square: Any, data: np.ndarray) -> np.ndarray:
     """``_root`` of every sample."""
     with np.errstate(over="ignore", invalid="ignore"):
         sq = square(data)
-    out = np.sqrt(sq)  # sq >= +0, or NaN where the square overflowed
+    out = np.sqrt(sq)  # sq >= +0, or inf/NaN where the square overflowed
     if len(sq) and not 2.0 ** -1022 <= sq.min() <= sq.max() < math.inf:
         rows = np.flatnonzero(~((sq >= 2.0 ** -1022) & (sq < math.inf)))
-        for i in rows[data[rows].any(axis=tuple(range(1, data.ndim)))].tolist():
-            out[i] = _root(lambda d: square(d[None])[0], data[i])
+        top = np.abs(data[rows]).reshape(len(rows), -1).max(axis=1)
+        scale = (top > 0) & (top < math.inf)  # zero rows stay zero
+        if scale.any():
+            rows, (_, e) = rows[scale], np.frexp(top[scale])
+            scaled = np.ldexp(data[rows], -e.reshape((-1,) + (1,) * (data.ndim - 1)))
+            with np.errstate(over="ignore"):
+                out[rows] = np.ldexp(np.sqrt(square(scaled)), e)
     return out
 
 

@@ -463,17 +463,17 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
     ``kind`` (by default the metric's own).
 
     The batched form of ``norm(eval_metric(spec, x, y), kind)``, with the
-    same values bit for bit: the component table's diagonal 2x2 values are
-    stacked back into 2x2 payloads, so every codomain goes through the
-    norm's own closed form.  A registered evaluator's values need not be
-    diagonal, so they are evaluated and normed one pair at a time, in
-    row-major order.
+    same values bit for bit on the catalog: the component table's diagonal
+    2x2 values are stacked back into 2x2 payloads, so every codomain goes
+    through the norm's own closed form.  A registered evaluator's values,
+    which need not be diagonal, are the paired payloads of every pair under
+    one ``batch_norm``, which can put a non-diagonal 2x2 value one ulp off.
     """
     kind = spec.norm if kind is None else kind
     if spec.name not in CATALOG:
         xs, ys = list(xs), list(ys)
-        norms = [norm(eval_metric(spec, x, y), kind) for x in xs for y in ys]
-        return np.reshape(np.array(norms, dtype=float), (len(xs), len(ys)))
+        data = paired_payloads(spec, [x for x in xs for _ in ys], ys * len(xs))
+        return batch_norm(spec.codomain, data, kind).reshape(len(xs), len(ys))
     _, table = _component_table(spec, xs, ys)
     data = _payloads(spec.codomain, table)
     flat = data.reshape((-1,) + data.shape[2:])

@@ -22,14 +22,14 @@ certificates promise forward convergence only, so they stop on the
 lower-semicontinuity check of G(x) = d(x, Tx).
 
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
-first is the envelope's d1) and the residual pair is one paired evaluation
-with one batched norm, which can put a registered metric's non-diagonal 2x2
-step one ulp off ``norm`` of its element.  The observed tails d(x_p, x_N)
-and d(x_N, x_p) are two rows of distance norm tables
-(``metrics.distance_norm_table``).  The lower-semicontinuity gate reads G
-from the step list: G(x_i) = d(x_i, x_{i+1}) is the i-th forward step for
-i < N, and G(x_N) is the forward residual, so the gate applies T to no
-point again.
+first is the envelope's d1) is one paired evaluation with one batched norm,
+as are the observed tails d(x_p, x_N) and d(x_N, x_p), two rows of distance
+norm tables (``metrics.distance_norm_table``); a registered metric's
+non-diagonal 2x2 value can so be one ulp off ``norm`` of its element.  The
+residual pair at the final point is two one-pair ``eval_metric`` values.
+The lower-semicontinuity gate reads G from the step list: G(x_i) =
+d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is the
+forward residual, so the gate applies T to no point again.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .algebra import AlgebraElement, NormKind, NotPositive, batch_norm, is_posit
 from .contraction import ContractionCertificate, Regime
 from .convergence import lsc_holds
 from .maps import MapSpec
-from .metrics import MetricSpec, _element, _paired_on, distance_norm_table
+from .metrics import MetricSpec, _element, _paired_on, distance_norm_table, eval_metric
 
 
 class CertificateInvalid(Exception):
@@ -198,10 +198,6 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     display = metric.norm
     forward_only = cert.regime in (Regime.ORBITAL, Regime.TWO_STEP)
 
-    def both_orders(x: Any, tx: Any) -> tuple[np.ndarray, list[float]]:
-        pair = _paired_on(metric, [x, tx], slice(None), slice(None, None, -1))
-        return pair, batch_norm(metric.codomain, pair, display).tolist()
-
     points = [seed]
     fwd_steps: list[float] = []
     bwd_steps: list[float] = []
@@ -209,7 +205,8 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     for _ in range(cfg.max_iter):
         current = points[-1]
         nxt = map_spec.apply(current)
-        pair, (fwd, bwd) = both_orders(current, nxt)
+        pair = _paired_on(metric, [current, nxt], slice(None), slice(None, None, -1))
+        fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
         if not fwd_steps:  # the envelope's d1, in both orders
             d1 = pair
         fwd_steps.append(fwd)
@@ -221,8 +218,9 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
 
     fixed_point = points[-1]
     iterations = len(points) - 1
-    _, (residual_forward, residual_backward) = both_orders(
-        fixed_point, map_spec.apply(fixed_point))
+    after = map_spec.apply(fixed_point)
+    residual_forward = norm(eval_metric(metric, fixed_point, after), display)
+    residual_backward = norm(eval_metric(metric, after, fixed_point), display)
 
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised

@@ -200,6 +200,24 @@ def test_norms_at_the_ends_of_the_float_range():
     # a norm beyond the largest float is inf
     huge = mat2(1e308, 1e308, 1e308, 1e308)
     assert norm(huge) == norm(huge, NormKind.ENTRY_SUM_SQUARES) == math.inf
+    # and a batch of huge samples is inf too, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert batch_norm(MAT2, np.stack([huge.data] * 2)).tolist() == [math.inf] * 2
+
+
+def test_batched_norms_of_non_finite_samples_stay_non_finite():
+    # such samples are not rescaled: inf stays inf and NaN stays NaN, next to
+    # a finite sample that is, and nothing raises or warns
+    stack = np.array([[[np.inf, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                      [[1e200, 0.0], [0.0, 0.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in NormKind:
+            got = batch_norm(MAT2, stack, kind)
+            assert got[0] == math.inf and math.isnan(got[1]) and got[2] == 1e200
+            got = batch_norm(SAMPLED, stack.reshape(3, 4), kind)
+            assert got[0] == math.inf and math.isnan(got[1]) and got[2] == 1e200
 
 
 # --- positivity and order ----------------------------------------------------

@@ -323,11 +323,14 @@ def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
     report = picard_solve(_counted(map_spec, applied), metric, seed,
                           _certificate(regime, metric), SolverConfig(tol=1e-10))
     assert report.converged and report.iterations > 2
-    # one paired evaluation for the step pair of every iteration and one for
-    # the residual pair, and none one pair at a time; the tails and d1 are
-    # not evaluated again, and the LSC gate reads the steps
-    assert one_pair_calls == []
-    assert len(paired) == report.iterations + 1
+    # one paired evaluation for the step pair of every iteration, and the
+    # residual pair one pair at a time; the tails and d1 are not evaluated
+    # again, and the LSC gate reads the steps
+    x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
+    assert len(one_pair_calls) == 2
+    for (_, x, y), pair in zip(one_pair_calls, [(x_n, after), (after, x_n)]):
+        assert np.array_equal((x, y), pair)
+    assert len(paired) == report.iterations
     assert len(applied) == report.iterations + 1
 
 
@@ -351,6 +354,9 @@ def test_registered_metric_steps_are_batched_norms(one_pair_calls):
     # the evaluator is called for every step pair and the residual pair, and
     # for the two observed tails, whose tables call it one pair at a time
     assert len(one_pair_calls) == (2 * report.iterations + 2) + 2 * report.iterations
+    # the tails end in the last step pair, with the same norms
+    assert report.observed_tail[-1] == report.trace.fwd_step_norms[-1]
+    assert report.observed_tail_rev[-1] == report.trace.bwd_step_norms[-1]
     pts = report.trace.points
     for steps, pairs in [(report.trace.fwd_step_norms, zip(pts, pts[1:])),
                          (report.trace.bwd_step_norms, zip(pts[1:], pts))]:
