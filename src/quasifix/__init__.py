@@ -24,6 +24,7 @@ from .algebra import (
     OrderKind,
     PreconditionNormTooLarge,
     RealizationMismatch,
+    ResolventInaccurate,
     add,
     adjoint,
     diag2,

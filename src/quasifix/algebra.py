@@ -51,6 +51,10 @@ class PreconditionNormTooLarge(AlgebraError):
     """Norm precondition of the resolvent inverse is violated."""
 
 
+class ResolventInaccurate(AlgebraError, ArithmeticError):
+    """The computed resolvent inverse fails its identity check."""
+
+
 class NormKind(Enum):
     """Norm selector.
 
@@ -230,9 +234,9 @@ def _root(square: Any, data: np.ndarray) -> float:
 
 
 def _inv_mat2(m: np.ndarray) -> np.ndarray:
+    """The adjugate over the determinant: not finite where ``m`` is singular
+    or its determinant overflows."""
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if det == 0.0:
-        raise ZeroDivisionError("singular 2x2 matrix")
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
@@ -352,15 +356,21 @@ def sqrt_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement
 
 
 def _inverse_one_minus_unchecked(a: AlgebraElement) -> AlgebraElement:
+    """``(I - a)^-1`` without the norm gate; ``ResolventInaccurate`` when
+    ``I - a`` is singular or the computed inverse fails its identity check."""
     one = identity_like(a)
-    if a.realization == MAT2:
-        inv = _inv_mat2(np.eye(2) - a.data)
-        result = AlgebraElement(MAT2, inv)
-    else:
-        result = AlgebraElement(a.realization, 1.0 / (one.data - a.data), a.grid)
-    residual = mul(sub(one, a), result)
-    if norm(sub(residual, one), NormKind.OPERATOR) > 1e-10 * (1.0 + norm(result)):
-        raise ArithmeticError("resolvent inverse failed its identity check")
+    with np.errstate(all="ignore"):
+        if a.realization == MAT2:
+            inv = _inv_mat2(np.eye(2) - a.data)
+        else:
+            inv = 1.0 / (one.data - a.data)
+        if not np.all(np.isfinite(inv)):
+            raise ResolventInaccurate("resolvent inverse is not finite")
+        result = AlgebraElement(a.realization, inv, a.grid)
+        residual = mul(sub(one, a), result)
+        if not (norm(sub(residual, one), NormKind.OPERATOR)
+                <= 1e-10 * (1.0 + norm(result))):
+            raise ResolventInaccurate("resolvent inverse failed its identity check")
     return result
 
 

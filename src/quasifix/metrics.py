@@ -18,8 +18,12 @@ step pairs and the lower-semicontinuity probe.  ``eval_metric`` is the
 paired form on one pair.  The axiom checker sweeps positivity, identity of
 indiscernibles, and the triangle inequality (in the metric's declared
 partial order) over every ordered triple of a sample set, and records one
-asymmetry witness pair when it finds one.  Violations are data, not
-exceptions.
+asymmetry witness pair when it finds one.  Its triangle step first screens
+the pairs (x, y) with the table's min-plus square, the componentwise
+``fmin`` over z of d(x, z) + d(z, y): at tol >= 0 a triple can fail only
+where a component of that min lies more than tol below d(x, y).  The exact
+order check then runs on the flagged pairs alone, and memory is the table
+plus two buffers of its size.  Violations are data, not exceptions.
 
 A function-valued spec checks its grid once, as an element grid, and its
 sampled values are then built by a private trusted constructor
@@ -486,11 +490,33 @@ def check_axioms(spec: MetricSpec, sample_points: list,
 
     Sample sets shorter than three points are allowed and yield a vacuous
     (or partially vacuous) pass.  Every metric goes through one component
-    table and one sweep; the triangle step takes one x at a time, so memory
-    is O(n^2) components.  Points ``eval_metric`` rejects and overflowing
-    distances raise ``DomainMismatch``; the entrywise order on a codomain
-    other than 2x2 matrices raises ``RealizationMismatch``.
+    table and one sweep.
+
+    The triangle step screens before it checks.  A triple (x, y, z) fails
+    when some component of d(x, z) + d(z, y) - d(x, y) is below
+    -tol (1 + ||d(x, z) + d(z, y)||), and for tol >= 0 that bound is at
+    most -tol.  So a failure needs a component c with
+    low(x, y)_c - d(x, y)_c < -tol, where low(x, y) is the componentwise
+    min over every z of d(x, z) + d(z, y): the table's min-plus square.
+    Float subtraction is monotone, so the rounded differences keep that
+    order, and the screen flags every pair (x, y) that can fail; for the
+    entrywise order it also flags every d(x, y) with a component below
+    -tol.  The min is taken with ``fmin``, which skips NaN: a NaN sum fails
+    no comparison at its own z, and must not hide a failing sum at another
+    z.  The exact check then runs on the flagged pairs alone, one x at a
+    time, with the arithmetic of an exhaustive check, so violations come
+    out in (x, y, z) order with the same ``lhs`` and ``rhs`` values.
+    Memory is O(n^2) components: the table, plus two buffers of its size
+    for the screen (the min-plus square, and the sums of one x).
+
+    A negative or NaN ``tol`` raises ``ValueError``; the screen is not
+    sound for the one, and every comparison passes with the other.  Points
+    ``eval_metric`` rejects and overflowing distances raise
+    ``DomainMismatch``; the entrywise order on a codomain other than 2x2
+    matrices raises ``RealizationMismatch``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
         raise RealizationMismatch("entrywise order is defined for mat2 only")
     pts, table = _component_table(spec, sample_points)
@@ -518,20 +544,34 @@ def check_axioms(spec: MetricSpec, sample_points: list,
             {"x": pts[i], "y": pts[j], "kind": "zero-at-distinct-points",
              "max_component": float(offdiag_norm[i, j])})
 
-    # triangle over all ordered triples (x, y, z), one x at a time: for
-    # x = pts[i], lhs[j] = d(x, y_j) and rhs[j, k] = d(x, z_k) + d(z_k, y_j)
-    table_t = np.swapaxes(table, 0, 1)
+    # triangle over all ordered triples (x, y, z).  The screen, one x at a
+    # time: sums[k, j] = d(x_i, z_k) + d(z_k, y_j), and low[i, j] is their
+    # fmin over k (see the docstring)
+    low = np.empty_like(table)
+    sums = np.empty_like(table)
     for i in range(n):
-        lhs = table[i][:, None, :]
-        rhs = table[i][None, :, :] + table_t
+        np.add(table[i][:, None, :], table, out=sums)
+        np.fmin.reduce(sums, axis=0, out=low[i])
+    flagged = np.any(np.subtract(low, table, out=sums) < -tol, axis=-1)
+    del low, sums
+    if spec.order is OrderKind.ENTRYWISE:
+        flagged |= np.any(table < -tol, axis=-1)
+    # the exact check on the flagged pairs, one x at a time: for x = pts[i]
+    # and y_j = pts[rows[r]], lhs[r] = d(x, y_j) and
+    # rhs[r, k] = d(x, z_k) + d(z_k, y_j)
+    table_t = np.swapaxes(table, 0, 1)
+    for i in np.flatnonzero(flagged.any(axis=1)):
+        rows = np.flatnonzero(flagged[i])
+        lhs = table[i, rows][:, None, :]
+        rhs = table[i][None, :, :] + table_t[rows]
         tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True))
         fails = np.any(rhs - lhs < -tolr, axis=-1)
         if spec.order is OrderKind.ENTRYWISE:
             fails |= np.any(lhs < -tol, axis=-1)
-        for j, k in np.argwhere(fails):
+        for r, k in np.argwhere(fails):
             report.triangle_violations.append(
-                {"x": pts[i], "y": pts[j], "z": pts[k],
-                 "lhs": table[i, j].tolist(), "rhs": rhs[j, k].tolist()})
+                {"x": pts[i], "y": pts[rows[r]], "z": pts[k],
+                 "lhs": lhs[r, 0].tolist(), "rhs": rhs[r, k].tolist()})
 
     # the first pair i < j, in row-major order, whose two orders differ
     gap = np.abs(table - table_t).max(axis=-1)

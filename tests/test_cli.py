@@ -225,6 +225,19 @@ def test_certify_two_step_verifies_explicit_coefficient(tmp_path):
     assert payload["h_norm"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", ["1e300", "1"], ids=["huge", "singular"])
+def test_certify_two_step_reports_a_resolvent_it_cannot_invert(c, capsys):
+    # a large --tol lets c I through the two-step norm gate; I - c I then
+    # has no usable inverse (its determinant overflows, or it is singular)
+    code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--regime", "two-step", "--tol", "1e300",
+                 "--a", f'{{"realization": "mat2", "entries": [[{c}, 0], [0, {c}]]}}'])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolvent inverse")
+    assert "Traceback" not in err
+
+
 _THIRD = '{"realization": "scalar", "value": 0.3333333333333333}'
 
 

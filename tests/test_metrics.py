@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from quasifix.algebra import (
     MAT2,
     SAMPLED,
+    AlgebraElement,
     NormKind,
     OrderKind,
     RealizationMismatch,
@@ -54,6 +55,7 @@ from quasifix.metrics import (
 
 from budget import examples
 from reference_metrics import reference_distance_norm, reference_eval_metric
+from reference_sweep import reference_check_axioms
 
 CATALOG_SPECS = [
     mat2_split(),
@@ -328,6 +330,104 @@ def test_sweep_matches_the_element_by_element_reference(spec, seed):
         _outcome(_check_axioms_generic(spec, points, tol=1e-9))
 
 
+# --- the screened triangle step against the exhaustive one ----------------------
+
+_NAN_POINT = 5.0
+
+
+def _squared_gap_nan_at_marker(spec, x, y):
+    # the squared gap, but NaN on every distance to or from _NAN_POINT.  The
+    # element constructor refuses NaN, so the value is built unchecked, as a
+    # careless evaluator might build it
+    d = object.__new__(AlgebraElement)
+    value = math.nan if _NAN_POINT in (x, y) else (x - y) ** 2
+    object.__setattr__(d, "realization", "scalar")
+    object.__setattr__(d, "data", np.array(value))
+    object.__setattr__(d, "grid", None)
+    return d
+
+
+def _signed_gap(spec, x, y):
+    # a diagonal value with a negative entry off the diagonal of the table,
+    # which fails the entrywise order at every z
+    return diag2(x - y, y - x)
+
+
+register_evaluator("squared-gap", _squared_gap)
+register_evaluator("squared-gap-nan", _squared_gap_nan_at_marker)
+register_evaluator("signed-gap", _signed_gap)
+SQUARED_GAP = MetricSpec("squared-gap", "scalar", OrderKind.POSITIVE_CONE,
+                         NormKind.OPERATOR)
+SQUARED_GAP_NAN = replace(SQUARED_GAP, name="squared-gap-nan")
+SCREEN_SPECS = SWEEP_SPECS + [
+    SQUARED_GAP, SQUARED_GAP_NAN,
+    MetricSpec("signed-gap", MAT2, OrderKind.ENTRYWISE, NormKind.ENTRY_SUM_SQUARES)]
+
+
+def _hexed(obj):
+    """``obj`` with every float written by ``float.hex``."""
+    if isinstance(obj, dict):
+        return {k: _hexed(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_hexed(v) for v in obj]
+    return obj.hex() if isinstance(obj, float) else obj
+
+
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=_spec_id)
+@settings(max_examples=examples(25), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_screened_sweep_is_the_exhaustive_sweep(spec, seed, tol):
+    rng = np.random.default_rng(seed)
+    points = _sample_points(rng, spec)
+    if spec is SQUARED_GAP_NAN:
+        points.insert(int(rng.integers(0, len(points) + 1)), _NAN_POINT)
+    assert _hexed(check_axioms(spec, points, tol).to_json_dict()) == \
+        _hexed(reference_check_axioms(spec, points, tol).to_json_dict())
+
+
+def test_a_nan_sum_at_one_z_hides_no_failure_at_another():
+    # d(0, 2) = 4 exceeds d(0, 1) + d(1, 2) = 2, while the sum through z = 5
+    # is NaN; a screen that let the NaN win the min would flag no pair
+    points = [0.0, 1.0, 2.0, _NAN_POINT]
+    report = check_axioms(SQUARED_GAP_NAN, points, tol=1e-9)
+    assert [(v["x"], v["y"], v["z"]) for v in report.triangle_violations] == \
+        [(0.0, 2.0, 1.0), (2.0, 0.0, 1.0)]
+    assert _hexed(report.to_json_dict()) == \
+        _hexed(reference_check_axioms(SQUARED_GAP_NAN, points, 1e-9).to_json_dict())
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(beta=st.floats(1e-6, 1e6), tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+       ulps=st.integers(-3, 3))
+def test_screen_keeps_the_failures_at_the_tolerance_edge(beta, tol, ulps):
+    # d = beta |x - y|, with d(0, 2) raised to fail the triple (0, 2, 1) by
+    # about its tolerance tol (1 + 2 beta), give or take a few ulps; a
+    # screen looser than tol misses the failures just past the edge
+    edge = tol * (1.0 + 2.0 * beta) if tol else math.ulp(2.0 * beta)
+    raised = max(0.0, edge + ulps * math.ulp(edge))
+
+    def raised_gap(spec, x, y):
+        return scalar(beta * abs(x - y) + (raised if (x, y) == (0.0, 2.0) else 0.0))
+
+    register_evaluator("raised-gap", raised_gap)
+    spec = replace(SQUARED_GAP, name="raised-gap")
+    points = [0.0, 1.0, 2.0]
+    assert _hexed(check_axioms(spec, points, tol).to_json_dict()) == \
+        _hexed(reference_check_axioms(spec, points, tol).to_json_dict())
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_sweep_refuses_a_negative_or_nan_tolerance(tol):
+    # a NaN tolerance failed no comparison, so every axiom passed; a negative
+    # one makes the triangle screen unsound
+    with pytest.raises(ValueError, match="tol must be a non-negative number"):
+        check_axioms(SQUARED_GAP, [0.0, 1.0, 2.0], tol=tol)
+
+
+def test_sweep_accepts_a_zero_tolerance():
+    assert check_axioms(mat2_split(), np.linspace(-2, 2, 9), tol=0.0).passed
+
+
 BINDING_SPECS = SWEEP_SPECS + [periodic_fn(3.0, 8)]
 
 
@@ -475,8 +575,9 @@ def test_non_diagonal_values_are_not_compared_componentwise():
 
 
 def test_triangle_sweep_memory_is_quadratic_in_the_sample_count():
-    # 61 points x 64 samples: the table is 1.9 MB; a sweep that holds all
-    # n^3 triples at once needs over 100 MB per temporary
+    # 61 points x 64 samples: the table is 1.9 MB, and the screened triangle
+    # step holds one more buffer of its size (the sums of one x); a sweep
+    # that holds all n^3 triples at once needs over 100 MB per temporary
     tracemalloc.start()
     try:
         report = check_axioms(periodic_fn(1.0, 64), np.linspace(-2, 2, 61), tol=1e-12)
