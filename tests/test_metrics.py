@@ -348,8 +348,8 @@ def _squared_gap_nan_at_marker(spec, x, y):
 
 
 def _signed_gap(spec, x, y):
-    # a diagonal value with a negative entry off the diagonal of the table,
-    # which fails the entrywise order at every z
+    # d(x, y) has a negative entry whenever x != y, so under the entrywise
+    # order the triangle fails at every z, whatever the sums through z
     return diag2(x - y, y - x)
 
 
