@@ -132,6 +132,12 @@ def _json_text(obj: Any) -> str:
     them), keys sorted as ``json`` sorts them.  A report repeats few
     distinct floats (grid points, distance norms), so each text is made once
     per call.  It raises what ``json.dumps`` raises for what it refuses.
+
+    A list of flat dicts -- a certificate's violations -- is written as
+    rows (``_append_rows``): when every row has the first row's ``str``
+    keys and only ``float`` or ``str`` values, the keys are sorted and their
+    texts made once for the whole list.  Any other list is written element
+    by element, as is one whose rows stop fitting part way.
     """
     out: list[str] = []
     _append_json(obj, "\n", out, set(), {})
@@ -167,8 +173,11 @@ def _append_json(o: Any, newline: str, out: list[str], open_ids: set,
             return
         if id(o) in open_ids:
             raise ValueError("Circular reference detected")
-        open_ids.add(id(o))
         inner = newline + "  "
+        if not is_dict and type(o[0]) is dict and _append_rows(o, inner, out, floats):
+            out.append(newline + "]")
+            return
+        open_ids.add(id(o))
         sep = ("{" if is_dict else "[") + inner
         for key, value in sorted(o.items()) if is_dict else enumerate(o):
             if is_dict:
@@ -192,6 +201,46 @@ def _append_json(o: Any, newline: str, out: list[str], open_ids: set,
     else:
         raise TypeError(
             f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _append_rows(rows: list | tuple, inner: str, out: list[str],
+                 floats: dict) -> bool:
+    """Append the JSON text of ``rows`` up to its closing bracket, which
+    ``inner`` indents one level deeper than, and return True; or append
+    nothing and return False when some row is not a dict with the first
+    row's ``str`` keys and only ``float`` or ``str`` values."""
+    first = rows[0]
+    if not first or any(type(key) is not str for key in first):
+        return False
+    row_inner = inner + "  "
+    fields = [(key, ("," if i else "{") + row_inner + encode_basestring_ascii(key) + ": ")
+              for i, key in enumerate(sorted(first))]
+    start = len(out)
+    sep = "[" + inner
+    for row in rows:
+        if type(row) is not dict or len(row) != len(fields):
+            del out[start:]
+            return False
+        out.append(sep)
+        for key, head in fields:
+            value = row.get(key)  # None, which does not fit, if it lacks the key
+            cls = type(value)
+            if cls is float:
+                if value:
+                    text = floats.get(value)
+                    if text is None:
+                        text = floats[value] = _float_text(value)
+                else:  # 0.0 == -0.0, but the texts differ
+                    text = _float_text(value)
+            elif cls is str:
+                text = encode_basestring_ascii(value)
+            else:
+                del out[start:]
+                return False
+            out.append(head + text)
+        out.append(inner + "}")
+        sep = "," + inner
+    return True
 
 
 def _key_text(key: Any) -> str:
@@ -414,7 +463,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     pairs = None
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
         grid = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
-        pairs = [(x, y) for x in grid for y in grid]
+        # floats, so that the n^2 pairs share n point objects
+        points = grid.tolist()
+        pairs = [(x, y) for x in points for y in points]
     if args.search:
         cert = search_scalar_coefficient(
             map_spec, spec, regime, pairs=pairs, seed=args.seed,
@@ -597,7 +648,7 @@ def main(argv: list[str] | None = None) -> int:
     except (AlgebraError, DomainMismatch, WindowTooLarge, CertificateInvalid,
             CoefficientNormTooLarge, NotInCommutant, RateNotLessThanOne,
             integral.GridMismatch, integral.NotContractive,
-            integral.ParameterOutOfRange, InputFileError) as exc:
+            InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

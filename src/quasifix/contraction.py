@@ -16,10 +16,10 @@ All four check ``lhs <= rhs`` sample by sample in the metric's order, and one
 core does it for each of them.  A regime only decides the two distances of a
 sample, its *tables*: ``lhs`` is d(Tx, Ty) for the global regimes and
 d(Ty, T^2 y) for the orbit regimes, and ``base`` is d(x, y) (forward),
-d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  The
-points are mapped one by one, and the tables then come from paired
-evaluations of the metric (``metrics.paired_payloads``, whose one-pair form
-is ``eval_metric``) in sample order, each distance evaluated once: the
+d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  Each
+point is mapped once, and the tables then come from paired evaluations of
+the metric (``metrics.paired_payloads``, whose one-pair form is
+``eval_metric``) in sample order, each distance evaluated once: the
 orbital lhs and base are one evaluation of the orbit's consecutive steps,
 shifted by one against each other.  The core forms ``rhs`` -- the sandwich
 (a* base) a, or a base for two-step, in the operation order of ``mul`` --
@@ -191,7 +191,7 @@ def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement,
         raise NotInCommutant(
             "two-step coefficient must be scalar, sampled, or diagonal")
     op_norm = norm(a, NormKind.OPERATOR)
-    if op_norm > 0.5 + tol:
+    if op_norm > 0.5:  # no tol slack: a large tol would admit any norm
         raise CoefficientNormTooLarge(
             f"two-step coefficient operator norm {op_norm:.6f} exceeds 1/2")
     return NormKind.OPERATOR, op_norm
@@ -202,11 +202,12 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             orbit_len: int) -> tuple[list, np.ndarray, np.ndarray]:
     """The regime's samples as (points, lhs, base), in sample order.
 
-    The points are mapped one by one, and every distance is evaluated once,
-    by paired metric evaluations.  On an orbit o, ``lhs[i]`` =
-    d(o[i+1], o[i+2]) and the orbital ``base[i]`` = d(o[i], o[i+1]) are the
-    orbit's consecutive steps shifted by one, so one evaluation of the steps
-    gives both.  The global regimes and two-step take two evaluations, one
+    Every point is mapped once and every distance is evaluated once, by
+    paired metric evaluations.  The global regimes map each distinct point
+    object once, by identity: a grid's n^2 pairs share its n points.  On an
+    orbit o, ``lhs[i]`` = d(o[i+1], o[i+2]) and the orbital ``base[i]`` =
+    d(o[i], o[i+1]) are the orbit's consecutive steps shifted by one, so one
+    evaluation of the steps gives both.  The global regimes and two-step take two evaluations, one
     for ``lhs`` and one for ``base``; two-step does not evaluate the orbit's
     first step d(o[0], o[1]), which it never compares.  ``points[i]`` is the
     (x, y) a violation of sample i records.  The distances must live in the
@@ -219,9 +220,15 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         if not points:
             empty = np.empty((0,) + like.data.shape)
             return points, empty, empty
-        mapped = [(map_spec.apply(x), map_spec.apply(y)) for x, y in points]
-        lhs = paired_payloads(metric, *zip(*mapped))
+        # by identity: points may be unhashable arrays, and -0.0 == 0.0
+        images: dict[int, Any] = {}
+        for pair in points:
+            for p in pair:
+                if id(p) not in images:
+                    images[id(p)] = map_spec.apply(p)
         xs, ys = zip(*points)
+        lhs = paired_payloads(metric, [images[id(x)] for x in xs],
+                              [images[id(y)] for y in ys])
         if regime is Regime.BACKWARD_GLOBAL:
             xs, ys = ys, xs
         base = paired_payloads(metric, xs, ys)
@@ -330,10 +337,13 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     bad = np.flatnonzero(failed)
     lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
     rhs_norms = algebra.batch_norm(a.realization, rhs[bad], metric.norm).tolist()
+    failing = [points[i] for i in bad.tolist()]
+    # plain floats are JSON values already
+    if not all(type(x) is float and type(y) is float for x, y in failing):
+        failing = [(_point_json(x), _point_json(y)) for x, y in failing]
     violations = tuple(
-        {"x": _point_json(points[i][0]), "y": _point_json(points[i][1]),
-         "lhs_norm": ln, "rhs_norm": rn}
-        for i, ln, rn in zip(bad.tolist(), lhs_norms, rhs_norms))
+        {"x": x, "y": y, "lhs_norm": ln, "rhs_norm": rn}
+        for (x, y), ln, rn in zip(failing, lhs_norms, rhs_norms))
     return ContractionCertificate(
         regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
         samples_checked=len(points), violations=violations,

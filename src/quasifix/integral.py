@@ -45,10 +45,6 @@ class NotContractive(Exception):
     """The demo requires a contraction rate below 1."""
 
 
-class ParameterOutOfRange(Exception):
-    """A parameter whose report values are not finite floats."""
-
-
 class QuadratureKind(Enum):
     TRAPEZOID = "trapezoid"
     MIDPOINT_LOG = "midpoint-log"
@@ -242,18 +238,15 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
     additionally has the identity seed growing under T (no parameter pair
     actually satisfies both, which the gallery records as a documented
     inconsistency); "not-contractive" means the rate is at least 1 and the
-    fixed-point argument does not apply.  An alpha too small for the growth
-    threshold to be a finite float raises ``ParameterOutOfRange``.
+    fixed-point argument does not apply.  ``growth_threshold_k`` is the k
+    at which ``growth_value`` crosses 1: (alpha/2) ln(1 + 1/k) = 1 at
+    k = 1/(exp(2/alpha) - 1), and growth exceeds 1 for every smaller k.
     """
     alpha, k = prob.alpha, prob.k
-    # expm1 keeps the small alpha/2 that exp(alpha/2) - 1 rounds to 0; the
-    # reciprocal still overflows for alpha below about 1e-308
-    half = math.expm1(alpha / 2.0)
-    threshold_k = 1.0 / half if half else math.inf
-    if not math.isfinite(threshold_k):
-        raise ParameterOutOfRange(
-            f"alpha {alpha!r} is too small: the growth threshold "
-            f"1/expm1(alpha/2) is not a finite float")
+    try:
+        threshold_k = 1.0 / math.expm1(2.0 / alpha)
+    except OverflowError:  # exp(2/alpha) is beyond the floats: k rounds to 0
+        threshold_k = 0.0
     rate = contraction_rate(alpha, k)
     growth = growth_value(alpha, k)
     g = prob.grid_array

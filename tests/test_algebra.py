@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasifix import algebra
 from quasifix.algebra import (
     MAT2,
     SAMPLED,
@@ -19,6 +20,7 @@ from quasifix.algebra import (
     OrderKind,
     PreconditionNormTooLarge,
     RealizationMismatch,
+    ResolventInaccurate,
     add,
     adjoint,
     allclose,
@@ -293,6 +295,14 @@ def test_inverse_one_minus_gates():
         inverse_one_minus(scalar(0.6))
     with pytest.raises(NotPositive):
         inverse_one_minus(scalar(-0.1))
+
+
+@pytest.mark.parametrize("c", [1e300, 1.0], ids=["huge", "singular"])
+def test_the_ungated_resolvent_refuses_what_it_cannot_invert(c):
+    # I - c I has no usable inverse: its determinant overflows, or it is
+    # singular
+    with pytest.raises(ResolventInaccurate):
+        algebra._inverse_one_minus_unchecked(diag2(c, c))
 
 
 # --- serialization -----------------------------------------------------------

@@ -198,6 +198,22 @@ def test_explicit_check_on_a_catalog_metric_makes_no_one_pair_calls(
     assert one_pair_calls == []
 
 
+@pytest.mark.parametrize("regime, grid", [("forward", "random:19"),
+                                          ("backward", "lin:-2:2:9"),
+                                          ("forward", "-0.0,0.0,1e-300,2")])
+def test_a_violating_certificate_is_written_as_json_dumps_writes_it(
+        tmp_path, regime, grid):
+    cert = tmp_path / "cert.json"
+    code = main(["certify", "--map", "linear-quarter",
+                 "--metric", "mat2-split-scaled", "--regime", regime,
+                 "--a", '{"realization": "mat2", "entries": [[0.3, 0], [0, 0.3]]}',
+                 f"--grid={grid}", "--out", str(cert)])
+    assert code == 1
+    text = cert.read_text(encoding="utf-8")
+    assert json.loads(text)["report"]["violations"]
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_certify_rejects_oversized_coefficient(capsys):
     code = main(["certify", "--map", "linear-quarter",
                  "--metric", "scalar-backward-one", "--regime", "forward",
@@ -225,17 +241,27 @@ def test_certify_two_step_verifies_explicit_coefficient(tmp_path):
     assert payload["h_norm"] == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("c", ["1e300", "1"], ids=["huge", "singular"])
-def test_certify_two_step_reports_a_resolvent_it_cannot_invert(c, capsys):
-    # a large --tol lets c I through the two-step norm gate; I - c I then
-    # has no usable inverse (its determinant overflows, or it is singular)
+@pytest.mark.parametrize("c", ["2", "1", "1e300", "0.5000000000000001"])
+def test_certify_two_step_gate_gives_no_tol_slack(c, capsys):
+    # the gate compares the operator norm with 1/2 itself: a huge --tol
+    # certifies no coefficient above it, and no singular or overflowing
+    # resolvent I - c I is ever formed
     code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
-                 "--regime", "two-step", "--tol", "1e300",
+                 "--regime", "two-step", "--seed", "2", "--tol", "1e300",
                  "--a", f'{{"realization": "mat2", "entries": [[{c}, 0], [0, {c}]]}}'])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: resolvent inverse")
+    assert err.startswith("error: two-step coefficient operator norm")
     assert "Traceback" not in err
+
+
+def test_certify_two_step_admits_the_norm_one_half(tmp_path):
+    cert = tmp_path / "cert.json"
+    code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--regime", "two-step", "--seed", "2", "--out", str(cert),
+                 "--a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}'])
+    assert code == 0
+    assert _load(cert)["report"]["h_norm"] == 1.0
 
 
 _THIRD = '{"realization": "scalar", "value": 0.3333333333333333}'
@@ -357,6 +383,53 @@ def test_the_report_writer_writes_what_json_dumps_writes(tree):
     assert _dumps_outcome(_json_text, tree) == expected
 
 
+#: How a row of a list of flat dicts can stop fitting the row writer, each
+#: applied to one drawn row; None leaves every row fitting.
+_MISFITS = [None, "missing key", "extra key", "non-str key", "nested value",
+            "np.float64", "int", "not a dict"]
+_ROW_VALUES = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1]),
+    _TEXT)
+
+
+@st.composite
+def _row_lists(draw):
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: _ROW_VALUES for k in keys}),
+                         min_size=1, max_size=6))
+    misfit = draw(st.sampled_from(_MISFITS))
+    row = draw(st.sampled_from(rows))
+    key = draw(st.sampled_from(keys))
+    if misfit == "missing key":
+        del row[key]
+    elif misfit == "extra key":
+        row[draw(_TEXT.filter(lambda k: k not in keys))] = draw(_ROW_VALUES)
+    elif misfit == "non-str key":  # in place of a str key, or besides them
+        if draw(st.booleans()):
+            del row[key]
+        row[draw(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()))] = 0.5
+    elif misfit == "nested value":
+        row[key] = draw(st.sampled_from([[row[key]], {"k": row[key]}, (), {}]))
+    elif misfit == "np.float64":
+        row[key] = np.float64(draw(st.floats()))
+    elif misfit == "int":
+        row[key] = draw(st.sampled_from([0, 1, True, None]))
+    elif misfit == "not a dict":
+        rows[rows.index(row)] = draw(st.sampled_from([[], 0.5, "row", None]))
+    # the rows at the depths a report puts them
+    return draw(st.sampled_from([rows, {"violations": rows}, [{"report": {"v": rows}}]]))
+
+
+@settings(max_examples=examples(200), deadline=None)
+@example([{"x": 0.0, "y": -0.0}, {"x": -0.0, "y": 0.0}])
+@example([{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": 2.0, "z": 3.0}])
+@example([{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": [2.0]}])
+@given(_row_lists())
+def test_the_report_writer_writes_rows_as_json_dumps_does(rows):
+    expected = _dumps_outcome(lambda t: json.dumps(t, sort_keys=True, indent=2), rows)
+    assert _dumps_outcome(_json_text, rows) == expected
+
+
 def test_the_report_writer_refuses_circular_containers():
     loop: list = [1.0]
     loop.append({"again": loop})
@@ -388,22 +461,26 @@ def test_demo_integral_contractive(tmp_path, capsys):
 
 
 def test_demo_integral_at_a_tiny_alpha_keeps_its_growth_threshold(tmp_path, capsys):
-    # exp(alpha/2) - 1 rounds to 0 here; expm1 keeps alpha/2
+    # growth (alpha/2) ln(1 + 1/k) reaches 1 only at k = 1/expm1(2e300),
+    # which is below every float
     report = tmp_path / "demo.json"
     code = main(["demo-integral", "--alpha", "1e-300", "--grid", "64",
                  "--report", str(report)])
     assert code == 0
-    assert _load(report)["report"]["growth_threshold_k"] == 1.0 / math.expm1(5e-301)
+    assert _load(report)["report"]["growth_threshold_k"] == 0.0
     assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", ["5e-324", "1e-308"])
-def test_demo_integral_below_the_float_range_of_its_threshold_is_an_error(
-        alpha, capsys):
-    code = main(["demo-integral", "--alpha", alpha, "--grid", "64"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: alpha") and "Traceback" not in err
+def test_demo_integral_at_the_float_floor_of_alpha_has_a_zero_growth_threshold(
+        alpha, tmp_path, capsys):
+    # 2/alpha overflows to inf at 5e-324, and expm1 overflows at 1e-308
+    report = tmp_path / "demo.json"
+    code = main(["demo-integral", "--alpha", alpha, "--grid", "64",
+                 "--report", str(report)])
+    assert code == 0
+    assert _load(report)["report"]["growth_threshold_k"] == 0.0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_demo_integral_inconsistent_parameters(capsys):

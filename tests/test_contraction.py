@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -169,6 +170,13 @@ def test_two_step_gates():
     with pytest.raises(NotInCommutant):
         verify_two_step(linear_quarter(), mat2_split(),
                         mat2(0.3, 0.1, 0.1, 0.3), seed=1.0)
+    # the norm gate is 1/2 itself, whatever the order tolerance
+    for tol in (1e-9, 1.0, 1e300):
+        with pytest.raises(CoefficientNormTooLarge):
+            verify_two_step(linear_quarter(), scalar_backward_one(),
+                            scalar(0.5000000000000001), seed=1.0, tol=tol)
+    assert verify_two_step(linear_quarter(), scalar_backward_one(), scalar(0.5),
+                           seed=1.0).h_norm == 1.0
 
 
 # --- scalar search -----------------------------------------------------------------
@@ -639,3 +647,78 @@ def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
     assert len(points) == len(lhs) == len(base) == 11
     assert len(applied) == 12  # the orbit of 12 steps, once
     assert len(evaluated) == evaluations
+
+
+# --- global tables -------------------------------------------------------------------
+
+def _counting_quarter(applied: list) -> MapSpec:
+    return MapSpec("counted-quarter", lambda x: applied.append(x) or x / 4.0)
+
+
+@pytest.mark.parametrize("regime", [Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL])
+def test_global_regimes_map_each_distinct_point_once(regime):
+    grid = np.linspace(-2.0, 2.0, 9).tolist()
+    pairs = [(x, y) for x in grid for y in grid]
+    metric = mat2_split_scaled(0.25)
+    applied: list = []
+    verify(regime, _counting_quarter(applied), metric, diag2(0.3, 0.3), pairs=pairs)
+    assert len(applied) == len(grid)
+    assert all(p is q for p, q in zip(applied, grid))
+    applied.clear()
+    search_scalar_coefficient(_counting_quarter(applied), metric, regime, pairs=pairs)
+    assert len(applied) == len(grid)
+
+
+def test_global_tables_key_their_images_by_identity():
+    # -0.0 == 0.0, and each gets its own image; equal arrays are unhashable
+    zeros = [0.0, -0.0]
+    applied: list = []
+    signed = MapSpec("signed", lambda x: applied.append(x) or math.copysign(0.5, x))
+    points, lhs, _ = contraction._tables(
+        Regime.FORWARD_GLOBAL, signed, scalar_forward_one(), scalar(0.0),
+        [(x, y) for x in zeros for y in zeros], None, 0)
+    assert [math.copysign(1.0, p) for p in applied] == [1.0, -1.0]
+    want = metrics.paired_payloads(scalar_forward_one(), [0.5, 0.5, -0.5, -0.5],
+                                   [0.5, -0.5, 0.5, -0.5])
+    assert lhs.tobytes() == want.tobytes()
+    metric = mult_op(np.linspace(0.25, 1.0, 4))
+    f, g = np.ones(4), np.ones(4)
+    applied.clear()
+    contraction._tables(Regime.FORWARD_GLOBAL, _counting_quarter(applied), metric,
+                        codomain_scalar(metric, 0.0), [(f, g), (g, f), (f, f)], None, 0)
+    assert [id(p) for p in applied] == [id(f), id(g)]
+
+
+def _hex_floats(value):
+    """``value`` with every float as its ``float.hex``, so that equal trees
+    have the same bits."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, dict):
+        return {k: _hex_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex_floats(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("regime", [Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL])
+@pytest.mark.parametrize("metric", [mat2_split_scaled(0.4), mat2_split(),
+                                    scalar_forward_one(), periodic_fn()],
+                         ids=lambda m: m.name)
+def test_numpy_float_pairs_certify_as_their_float_pairs(regime, metric):
+    grid = np.sort(np.random.default_rng(5).uniform(-2.0, 2.0, 11))
+    grid[3] = -0.0
+    as_floats = grid.tolist()
+    a = codomain_scalar(metric, 0.3)
+    got = verify(regime, linear_quarter(), metric, a,
+                 pairs=[(x, y) for x in grid for y in grid])
+    want = verify(regime, linear_quarter(), metric, a,
+                  pairs=[(x, y) for x in as_floats for y in as_floats])
+    assert got.violations
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, algebra.AlgebraElement):
+            g, w = algebra.element_to_json(g), algebra.element_to_json(w)
+        assert _hex_floats(g) == _hex_floats(w), field.name
+    assert all(type(v["x"]) is float and type(v["y"]) is float
+               for v in got.violations)

@@ -140,6 +140,13 @@ def test_reference_parameters_are_contractive_without_growth():
     assert report.rate < report.rate_coarse_bound
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 50.0])
+def test_the_growth_threshold_is_where_growth_crosses_one(alpha):
+    k = regime_report(make_problem(alpha, 4.0, n=64)).growth_threshold_k
+    assert growth_value(alpha, k) == pytest.approx(1.0, rel=1e-12)
+    assert growth_value(alpha, 0.5 * k) > 1.0 > growth_value(alpha, 2.0 * k)
+
+
 def test_tiny_alpha_is_trivially_contractive():
     report = regime_report(make_problem(1e-6, 1.0, n=128))
     assert report.regime == REGIME_CONTRACTIVE
