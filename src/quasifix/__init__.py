@@ -3,8 +3,9 @@
 The package provides:
 
 * concrete algebra realizations (2x2 matrices, sampled functions, scalars)
-  with positivity, partial orders, square roots, and the resolvent inverse;
-* a catalog of asymmetric metrics with empirical axiom checking;
+  with positivity, partial orders, and the resolvent inverse;
+* a fixed catalog of asymmetric metrics (matrix-valued, function-valued and
+  scalar) with empirical axiom checking;
 * forward/backward convergence classification for sequences;
 * contraction-certificate verification and scalar coefficient search;
 * Picard fixed-point solving with geometric a-priori error envelopes;
@@ -38,7 +39,6 @@ from .algebra import (
     norm,
     sampled,
     scalar,
-    sqrt_positive,
 )
 from .contraction import (
     CoefficientNormTooLarge,
@@ -46,18 +46,16 @@ from .contraction import (
     NotInCommutant,
     Regime,
     search_scalar_coefficient,
+    verify,
     verify_global,
     verify_orbital_type,
-    verify_two_step,
 )
 from .convergence import (
     ConvergenceVerdict,
-    PreconditionNotEstablished,
     SequenceTrace,
     Verdict,
     WindowTooLarge,
     classify,
-    limit_uniqueness_check,
     orbital_lsc_check,
 )
 from .maps import MapSpec, from_table, linear_quarter, piecewise_quarter

@@ -211,13 +211,6 @@ def _sym2_eigvals(m: np.ndarray) -> tuple[float, float]:
     return half_tr - disc, half_tr + disc
 
 
-def _sym2_rotation(m: np.ndarray) -> tuple[float, float]:
-    """Cosine/sine of the rotation whose first column is the eigenvector
-    of the *high* eigenvalue."""
-    theta = 0.5 * math.atan2(2.0 * m[0, 1], m[0, 0] - m[1, 1])
-    return math.cos(theta), math.sin(theta)
-
-
 def _root(square: Any, data: np.ndarray) -> float:
     """sqrt(square(data)), where a square of finite, non-zero data beyond the
     normal float range is taken on data / 2^e, 2^e just above max |data|
@@ -331,28 +324,6 @@ def leq(a: AlgebraElement, b: AlgebraElement,
     _require_self_adjoint(a, tol)
     _require_self_adjoint(b, tol)
     return is_positive(sub(b, a), tol)
-
-
-def sqrt_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
-    """Positive square root of a positive element.
-
-    Matrices go through the closed-form eigendecomposition; sampled
-    functions and scalars take pointwise roots.  Eigenvalues/samples in
-    ``[-tol, 0)`` are clipped to zero.
-    """
-    if not is_positive(a, tol):
-        raise NotPositive("square root requires a positive element")
-    if a.realization == MAT2:
-        sym = 0.5 * (a.data + a.data.T)
-        lo, hi = _sym2_eigvals(sym)
-        c, s = _sym2_rotation(sym)
-        s_hi = math.sqrt(max(hi, 0.0))
-        s_lo = math.sqrt(max(lo, 0.0))
-        v_hi = np.array([c, s])
-        v_lo = np.array([-s, c])
-        root = s_hi * np.outer(v_hi, v_hi) + s_lo * np.outer(v_lo, v_lo)
-        return AlgebraElement(MAT2, root)
-    return AlgebraElement(a.realization, np.sqrt(np.clip(a.data, 0.0, None)), a.grid)
 
 
 def _inverse_one_minus_unchecked(a: AlgebraElement) -> AlgebraElement:

@@ -90,10 +90,6 @@ THRESHOLD_MARGIN = 1e-12
 _ROUNDING_ULPS = 64
 _UNDERFLOW = 2.0 ** -1060
 
-#: The 2x2 operator norm squares the entries, so it keeps that bound only
-#: for entries up to about 1e154; the closed form stays below.
-_MAT2_NORM_TOP = 2.0 ** 500
-
 
 class CoefficientNormTooLarge(Exception):
     """Coefficient norm violates the regime's admissibility gate."""
@@ -173,11 +169,13 @@ def _point_json(p: Any) -> Any:
 _GLOBAL = (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
 
 
-def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement,
-          tol: float) -> tuple[NormKind, float]:
+def _gate(regime: Regime, metric: MetricSpec,
+          a: AlgebraElement) -> tuple[NormKind, float]:
     """The regime's admissibility gates on ``a``.
 
     Returns the certificate's norm kind and the coefficient's norm in it.
+    The gates take no order tolerance as slack: a large tol would admit any
+    coefficient.
     """
     if regime is not Regime.TWO_STEP:
         a_norm = norm(a, metric.norm)
@@ -185,13 +183,13 @@ def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement,
             raise CoefficientNormTooLarge(
                 f"coefficient norm {a_norm:.6f} is not below 1")
         return metric.norm, a_norm
-    if not is_positive(a, tol):
+    if not is_positive(a, 0.0):
         raise NotPositive("two-step coefficient must be positive")
-    if not is_diagonal(a, tol):
+    if not is_diagonal(a):
         raise NotInCommutant(
             "two-step coefficient must be scalar, sampled, or diagonal")
     op_norm = norm(a, NormKind.OPERATOR)
-    if op_norm > 0.5:  # no tol slack: a large tol would admit any norm
+    if op_norm > 0.5:
         raise CoefficientNormTooLarge(
             f"two-step coefficient operator norm {op_norm:.6f} exceeds 1/2")
     return NormKind.OPERATOR, op_norm
@@ -279,25 +277,22 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
     differ from Q_j by the sample's rounding bound e, so a component
     certainly fails for u < (r_j - e)/k_j and certainly holds for
     u > (r_j + e)/k_j; the maxima over all components give the band, which
-    is then widened by ``THRESHOLD_MARGIN``.  The closed form needs
-    non-negative diagonal, sampled or scalar values (there the entrywise
-    order's other condition, l >= -tol (1 + u ||b||_op), always holds) and
-    tol >= 0; otherwise, and when the band is not finite, it is
-    (-inf, inf) and every c needs the exact check.
+    is then widened by ``THRESHOLD_MARGIN``.  Every 2x2 value of a table
+    is diagonal (``metrics._payloads`` writes +0.0 off the diagonal), so
+    the components are its diagonal entries.  The closed form needs
+    non-negative values (there the entrywise order's other condition,
+    l >= -tol (1 + u ||b||_op), always holds) and tol >= 0; otherwise, and
+    when the band is not finite, it is (-inf, inf) and every c needs the
+    exact check.
     """
     unknown = (-math.inf, math.inf)
     if not (len(lhs) and tol >= 0.0):
         return unknown
-    top = math.inf
-    if lhs.ndim == 3:  # 2x2 values, componentwise when diagonal
-        if (np.any(lhs[:, 0, 1]) or np.any(lhs[:, 1, 0])
-                or np.any(base[:, 0, 1]) or np.any(base[:, 1, 0])):
-            return unknown
+    if lhs.ndim == 3:
         lhs, base = (np.diagonal(t, axis1=1, axis2=2) for t in (lhs, base))
-        top = _MAT2_NORM_TOP
     l = lhs.reshape(len(lhs), -1)
     b = base.reshape(len(base), -1)
-    if not (np.all((l >= 0.0) & (l <= top)) and np.all((b >= 0.0) & (b <= top))):
+    if not (np.all(l >= 0.0) and np.all(b >= 0.0)):
         return unknown
     b_norm = b.max(axis=1, keepdims=True)
     k = b + tol * b_norm
@@ -360,8 +355,11 @@ def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     Global regimes check the supplied ordered ``pairs``; the orbital and
     two-step regimes check the orbit_len + 1 consecutive steps of the orbit
     of ``seed`` (orbit_len >= 2).  The regime's gates on ``a`` run first.
+    A two-step certificate carries h = a (I - a)^-1 and its norm; at the
+    boundary norm exactly 1/2 the resolvent still exists but h is no longer
+    a contraction, which shows up as h_norm >= 1.
     """
-    gate = _gate(regime, metric, a, tol)
+    gate = _gate(regime, metric, a)
     tables = _tables(regime, map_spec, metric, a, pairs, seed, orbit_len)
     return _certificate(regime, map_spec, metric, a, gate, tables, seed, tol)
 
@@ -385,21 +383,6 @@ def verify_orbital_type(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement
                         tol: float = 1e-9) -> ContractionCertificate:
     """Check d(Ty, T^2 y) <= a* d(y, Ty) a for y along the orbit of ``seed``."""
     return verify(Regime.ORBITAL, map_spec, metric, a, seed=seed,
-                  orbit_len=orbit_len, tol=tol)
-
-
-def verify_two_step(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
-                    seed: Any, orbit_len: int = 30,
-                    tol: float = 1e-9) -> ContractionCertificate:
-    """Check the one-sided condition d(Ty, T^2 y) <= a d(y, T^2 y) on an orbit.
-
-    The coefficient must be positive, structurally commuting (scalar,
-    sampled, or diagonal matrix), and of operator norm at most 1/2.  The
-    certificate carries h = a (I - a)^-1 and its norm for the solver's
-    step-rate bound; at the boundary norm exactly 1/2 the resolvent still
-    exists but h is no longer a contraction, which shows up as h_norm >= 1.
-    """
-    return verify(Regime.TWO_STEP, map_spec, metric, a, seed=seed,
                   orbit_len=orbit_len, tol=tol)
 
 
@@ -427,14 +410,13 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     the exact check decides it and the returned c is bit for bit that of
     checking every midpoint; on the catalog metrics 3 to 6 exact checks
     remain of the 43 that checking every midpoint takes.  Where
-    no closed form applies (non-diagonal 2x2 values from a registered
-    evaluator, negative values, a band that is not finite, no samples) the
-    band is unbounded and every midpoint takes the exact check.
+    no closed form applies (negative values, a band that is not finite, no
+    samples) the band is unbounded and every midpoint takes the exact check.
 
     Returns the certificate at the guaranteed-valid upper end of the final
     bracket, or None when even the cap fails.  That certificate comes from
     the same core on the same tables, so it equals what the corresponding
-    verify_* call returns for the coefficient: the same samples_checked, and
+    ``verify`` call returns for the coefficient: the same samples_checked, and
     its (empty) violation list in sample order.
     """
     if regime is Regime.TWO_STEP:
@@ -448,7 +430,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     # for a = c I with c >= 0 every gate is monotone in c, so the gates
     # pass on all of [0, cap] once they pass at the cap
     try:
-        _gate(regime, metric, codomain_scalar(metric, cap), tol)
+        _gate(regime, metric, codomain_scalar(metric, cap))
     except (CoefficientNormTooLarge, NotPositive, NotInCommutant):
         return None
 
@@ -470,5 +452,5 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     else:
         return None
     a = codomain_scalar(metric, c)
-    return _certificate(regime, map_spec, metric, a, _gate(regime, metric, a, tol),
+    return _certificate(regime, map_spec, metric, a, _gate(regime, metric, a),
                         tables, seed, tol)

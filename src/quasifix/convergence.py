@@ -25,15 +25,11 @@ from typing import Any
 
 from .algebra import batch_norm
 from .maps import MapSpec
-from .metrics import MetricSpec, distance_norm, distance_norm_table, paired_payloads
+from .metrics import MetricSpec, distance_norm_table, paired_payloads
 
 
 class WindowTooLarge(Exception):
     """The inspection window does not fit inside the sequence."""
-
-
-class PreconditionNotEstablished(Exception):
-    """A check refused to run because its convergence premise failed."""
 
 
 class Verdict(Enum):
@@ -136,26 +132,6 @@ def classify(seq: list, candidate: Any, metric: MetricSpec, eps: float,
     }
     return ConvergenceVerdict(forward, backward, forward_cauchy,
                               backward_cauchy, evidence)
-
-
-def limit_uniqueness_check(seq: list, x: Any, y: Any, metric: MetricSpec,
-                           eps: float, window: int | None = None) -> bool:
-    """Chained-triangle uniqueness probe for a doubly convergent sequence.
-
-    Requires the sequence to forward-converge to ``x`` and backward-converge
-    to ``y`` at eps/2 over the window; then d(x, y) <= d(x, x_n) + d(x_n, y)
-    forces the two limits together, and the returned flag is whether the
-    norm of d(x, y) is within ``eps``.
-    """
-    if window is None:
-        window = min(10, len(seq) - 1)
-    fwd = classify(seq, x, metric, eps / 2.0, window)
-    bwd = classify(seq, y, metric, eps / 2.0, window)
-    if fwd.forward is not Verdict.CONVERGES:
-        raise PreconditionNotEstablished("no forward convergence to x at eps/2")
-    if bwd.backward is not Verdict.CONVERGES:
-        raise PreconditionNotEstablished("no backward convergence to y at eps/2")
-    return distance_norm(metric, x, y) <= eps
 
 
 def orbital_lsc_check(orbit: list, x0: Any, map_spec: MapSpec,

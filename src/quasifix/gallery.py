@@ -23,7 +23,6 @@ from .convergence import Verdict, classify, orbital_lsc_check
 from .maps import linear_quarter, piecewise_quarter
 from .metrics import (
     check_axioms,
-    distance_norm,
     eval_metric,
     mat2_split,
     mat2_split_scaled,

@@ -191,7 +191,7 @@ def contraction_rate(alpha: float, k: float) -> float:
 
 def growth_value(alpha: float, k: float) -> float:
     """(alpha/2) ln(1 + 1/k); above 1 the identity seed grows under T."""
-    return 0.5 * alpha * math.log(1.0 + 1.0 / k)
+    return 0.5 * alpha * math.log1p(1.0 / k)
 
 
 @dataclass

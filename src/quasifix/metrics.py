@@ -25,6 +25,9 @@ where a component of that min lies more than tol below d(x, y).  The exact
 order check then runs on the flagged pairs alone, and memory is the table
 plus two buffers of its size.  Violations are data, not exceptions.
 
+The catalog is the only kind of metric: a spec whose name the kernel does
+not know raises ``ValueError``.
+
 A function-valued spec checks its grid once, as an element grid, and its
 sampled values are then built by a private trusted constructor
 (``algebra._sampled_on``) that shares that grid instead of copying and
@@ -50,11 +53,9 @@ from .algebra import (
     OrderKind,
     RealizationMismatch,
     _checked_grid,
-    _require_same_space,
     _sampled_on,
     batch_norm,
     diag2,
-    leq,
     norm,
     scalar,
 )
@@ -204,14 +205,9 @@ def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
-    """Evaluate the metric at an ordered pair of points: for a catalog
-    metric, the one payload of ``paired_payloads(spec, [x], [y])``."""
-    if spec.name in CATALOG:
-        return _element(spec, paired_payloads(spec, [x], [y])[0])
-    evaluator = _EXTRA_EVALUATORS.get(spec.name)
-    if evaluator is None:
-        raise ValueError(f"unknown metric {spec.name!r}")
-    return evaluator(spec, y, x) if spec.swap_args else evaluator(spec, x, y)
+    """Evaluate the metric at an ordered pair of points: the one payload of
+    ``paired_payloads(spec, [x], [y])``."""
+    return _element(spec, paired_payloads(spec, [x], [y])[0])
 
 
 def _element(spec: MetricSpec, payload: np.ndarray) -> AlgebraElement:
@@ -219,15 +215,6 @@ def _element(spec: MetricSpec, payload: np.ndarray) -> AlgebraElement:
     if spec.codomain == SAMPLED:
         return spec._sampled(payload)
     return AlgebraElement(spec.codomain, payload)
-
-
-#: Extension point for programmatic metrics (used mainly by tests).
-_EXTRA_EVALUATORS: dict[str, Callable[[MetricSpec, Any, Any], AlgebraElement]] = {}
-
-
-def register_evaluator(name: str,
-                       fn: Callable[[MetricSpec, Any, Any], AlgebraElement]) -> None:
-    _EXTRA_EVALUATORS[name] = fn
 
 
 def distance_norm(spec: MetricSpec, x: Any, y: Any) -> float:
@@ -252,9 +239,8 @@ def codomain_scalar(spec: MetricSpec, c: float) -> AlgebraElement:
 class AxiomReport:
     """Outcome of an axiom sweep over a finite sample set.
 
-    Violation entries carry the offending points plus enough numeric detail
-    to re-evaluate them; ``recheck`` re-runs every recorded violation through
-    one-pair ``eval_metric`` and reports whether they all still fail.
+    Violation entries carry the offending points plus the numeric detail
+    that failed: the extreme component, or the triangle's two sides.
     """
 
     metric: str
@@ -295,28 +281,6 @@ class AxiomReport:
             "asymmetry_witness": _jsonify(self.asymmetry_witness),
         }
 
-    def recheck(self, spec: MetricSpec) -> bool:
-        """True iff every recorded violation fails again on re-evaluation."""
-        for v in self.identity_violations:
-            d = eval_metric(spec, v["x"], v["y"])
-            if v["kind"] == "nonzero-at-diagonal":
-                still = bool(np.any(d.data != 0.0))
-            else:
-                still = norm(d, spec.norm) <= self.tol
-            if not still:
-                return False
-        for v in self.positivity_violations:
-            d = eval_metric(spec, v["x"], v["y"])
-            if float(np.min(d.data)) >= -self.tol:
-                return False
-        for v in self.triangle_violations:
-            lhs = eval_metric(spec, v["x"], v["y"])
-            rhs = eval_metric(spec, v["x"], v["z"]) + eval_metric(spec, v["z"], v["y"])
-            tolr = self.tol * (1.0 + norm(rhs, NormKind.OPERATOR))
-            if leq(lhs, rhs, spec.order, tolr):
-                return False
-        return True
-
 
 def _jsonify(obj: Any) -> Any:
     if isinstance(obj, dict):
@@ -328,15 +292,6 @@ def _jsonify(obj: Any) -> Any:
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
-
-
-def _components(d: AlgebraElement) -> np.ndarray:
-    """Diagonal of a 2x2 value, samples of a sampled value, a scalar's value."""
-    if d.realization == MAT2:
-        if d.data[0, 1] != 0.0 or d.data[1, 0] != 0.0:
-            raise ValueError("component tables hold diagonal 2x2 values only")
-        return d.data.diagonal()
-    return d.data.reshape(-1)
 
 
 def _payloads(codomain: str, components: np.ndarray) -> np.ndarray:
@@ -381,7 +336,8 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     This is the one definition of each catalog metric, which every other
     form reads; a distance with a non-finite component raises
-    ``DomainMismatch``.
+    ``DomainMismatch``, and a spec whose name is not in the catalog raises
+    ``ValueError``.
     """
     if spec.swap_args:
         X, Y = Y, X
@@ -403,11 +359,13 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
                 comps = np.where(Y >= X, Y - X, 1.0)[..., None]
             elif spec.name == SCALAR_BACKWARD_ONE:
                 comps = np.where(ge, X - Y, 1.0)[..., None]
-            else:
+            elif spec.name == PERIODIC_FN:
                 t = spec.grid_array
                 up = (X - Y)[..., None] * t
                 down = (Y - X)[..., None] * (spec.period - t) / spec.period
                 comps = np.where(ge[..., None], up, down)
+            else:
+                raise ValueError(f"unknown metric {spec.name!r}")
     if not np.isfinite(comps).all():
         raise DomainMismatch(_OVERFLOW)
     return comps
@@ -419,15 +377,8 @@ def _component_table(spec: MetricSpec, xs: Any,
 
     ``ys`` defaults to ``xs``, which is the axiom sweep's square table.
     Components are diagonal entries for the matrix metrics, samples for the
-    function-valued metrics, and a single value for the scalar metrics; a
-    registered evaluator's values are stacked the same way.
+    function-valued metrics, and a single value for the scalar metrics.
     """
-    if spec.name not in CATALOG:
-        xs = list(xs)
-        ys = xs if ys is None else list(ys)
-        rows = [[_components(eval_metric(spec, x, y)) for y in ys] for x in xs]
-        shape = (len(xs), len(ys))
-        return xs, np.reshape(rows, shape + (-1,)) if xs and ys else np.zeros(shape + (1,))
     xs = _points(spec, xs)
     ys = xs if ys is None else _points(spec, ys)
     return xs, _kernel(spec, xs[:, None], ys[None, :])
@@ -437,9 +388,7 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
     """Payloads of d(x_i, y_i) for the pairs of two equally long point
     lists, stacked along a new leading axis.
 
-    ``eval_metric`` is this form on one pair.  A registered evaluator is
-    called one pair at a time, and its values must live in the metric's
-    codomain.
+    ``eval_metric`` is this form on one pair.
     """
     if len(xs) != len(ys):
         raise ValueError("paired distances need as many xs as ys")
@@ -449,14 +398,6 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
 def _paired_on(spec: MetricSpec, points: list, xs: slice, ys: slice) -> np.ndarray:
     """``paired_payloads(spec, points[xs], points[ys])`` for two equally
     long slices of one point list, whose points are checked once."""
-    if spec.name not in CATALOG:
-        space = codomain_scalar(spec, 0.0)
-        rows = []
-        for x, y in zip(points[xs], points[ys]):
-            d = eval_metric(spec, x, y)
-            _require_same_space(space, d)
-            rows.append(d.data)
-        return np.reshape(rows, (len(rows),) + space.data.shape)
     pts = _points(spec, points)
     return _payloads(spec.codomain, _kernel(spec, pts[xs], pts[ys]))
 
@@ -467,17 +408,11 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
     ``kind`` (by default the metric's own).
 
     The batched form of ``norm(eval_metric(spec, x, y), kind)``, with the
-    same values bit for bit on the catalog: the component table's diagonal
-    2x2 values are stacked back into 2x2 payloads, so every codomain goes
-    through the norm's own closed form.  A registered evaluator's values,
-    which need not be diagonal, are the paired payloads of every pair under
-    one ``batch_norm``, which can put a non-diagonal 2x2 value one ulp off.
+    same values bit for bit: the component table's diagonal 2x2 values are
+    stacked back into 2x2 payloads, so every codomain goes through the
+    norm's own closed form.
     """
     kind = spec.norm if kind is None else kind
-    if spec.name not in CATALOG:
-        xs, ys = list(xs), list(ys)
-        data = paired_payloads(spec, [x for x in xs for _ in ys], ys * len(xs))
-        return batch_norm(spec.codomain, data, kind).reshape(len(xs), len(ys))
     _, table = _component_table(spec, xs, ys)
     data = _payloads(spec.codomain, table)
     flat = data.reshape((-1,) + data.shape[2:])
@@ -490,7 +425,7 @@ def check_axioms(spec: MetricSpec, sample_points: list,
 
     Sample sets shorter than three points are allowed and yield a vacuous
     (or partially vacuous) pass.  Every metric goes through one component
-    table and one sweep.
+    table and one sweep, ``_sweep``.
 
     The triangle step screens before it checks.  A triple (x, y, z) fails
     when some component of d(x, z) + d(z, y) - d(x, y) is below
@@ -519,7 +454,13 @@ def check_axioms(spec: MetricSpec, sample_points: list,
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
         raise RealizationMismatch("entrywise order is defined for mat2 only")
-    pts, table = _component_table(spec, sample_points)
+    return _sweep(spec, *_component_table(spec, sample_points), tol)
+
+
+def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
+           tol: float) -> AxiomReport:
+    """The axiom report of the component table C[i, j, :] = d(pts[i], pts[j])
+    at ``tol`` >= 0, as ``check_axioms`` describes it."""
     n = len(pts)
     report = AxiomReport(metric=spec.name, tol=tol,
                          pairs_tested=n * n, triples_tested=n * n * n)

@@ -24,9 +24,8 @@ lower-semicontinuity check of G(x) = d(x, Tx).
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
 first is the envelope's d1) is one paired evaluation with one batched norm,
 as are the observed tails d(x_p, x_N) and d(x_N, x_p), two rows of distance
-norm tables (``metrics.distance_norm_table``); a registered metric's
-non-diagonal 2x2 value can so be one ulp off ``norm`` of its element.  The
-residual pair at the final point is two one-pair ``eval_metric`` values.
+norm tables (``metrics.distance_norm_table``), with the values of ``norm``
+bit for bit.  The residual pair at the final point is two one-pair ``eval_metric`` values.
 The lower-semicontinuity gate reads G from the step list: G(x_i) =
 d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is the
 forward residual, so the gate applies T to no point again.

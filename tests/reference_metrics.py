@@ -1,9 +1,8 @@
 """One-pair catalog formulas: the reference oracle of the batched metric kernel.
 
 ``reference_eval_metric`` writes each catalog metric's formula for a single
-pair of points with Python floats, as ``metrics.eval_metric`` once did, and
-calls a registered evaluator as ``eval_metric`` does.  The library keeps each
-formula once, in ``metrics._kernel``; the property tests hold every batched
+pair of points with Python floats, as ``metrics.eval_metric`` once did.  The
+library keeps each formula once, in ``metrics._kernel``; the property tests hold every batched
 form (the component table, paired payloads, norm tables, the sweep, the
 certificate tables and the solver's step norms) to these formulas bit for
 bit, and to the exceptions they raise.
@@ -16,7 +15,6 @@ from typing import Any
 
 import numpy as np
 
-from quasifix import metrics
 from quasifix.algebra import AlgebraElement, NormKind, diag2, norm, scalar
 from quasifix.metrics import (
     MAT2_SPLIT,
@@ -81,10 +79,7 @@ def reference_eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
         if not np.all(np.isfinite(values)):
             raise DomainMismatch(_OVERFLOW)
         return spec._sampled(values)
-    evaluator = metrics._EXTRA_EVALUATORS.get(spec.name)
-    if evaluator is None:
-        raise ValueError(f"unknown metric {spec.name!r}")
-    return evaluator(spec, x, y)
+    raise ValueError(f"unknown metric {spec.name!r}")
 
 
 def reference_distance_norm(spec: MetricSpec, x: Any, y: Any,

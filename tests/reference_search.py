@@ -40,7 +40,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
                                  orbit_len)
     _, lhs, base = tables
     try:
-        contraction._gate(regime, metric, codomain_scalar(metric, cap), tol)
+        contraction._gate(regime, metric, codomain_scalar(metric, cap))
     except (CoefficientNormTooLarge, NotPositive, NotInCommutant):
         return None
 
@@ -62,5 +62,5 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
         return None
     a = codomain_scalar(metric, c)
     return contraction._certificate(
-        regime, map_spec, metric, a, contraction._gate(regime, metric, a, tol),
+        regime, map_spec, metric, a, contraction._gate(regime, metric, a),
         tables, seed, tol)

@@ -1,10 +1,12 @@
 """The exhaustive triangle sweep: the reference oracle of the screened one.
 
-``reference_check_axioms`` is ``metrics.check_axioms`` with the triangle
-step taken over every ordered triple, one x at a time, as the sweep did
-before it screened the pairs (x, y) with the table's min-plus square.  The
-property tests hold the screened sweep's reports to it field for field,
-with every ``lhs`` and ``rhs`` value bit for bit.
+``reference_sweep`` is ``metrics._sweep`` with the triangle step taken over
+every ordered triple, one x at a time, as the sweep did before it screened
+the pairs (x, y) with the table's min-plus square; ``reference_check_axioms``
+is ``metrics.check_axioms`` with that sweep.  The property tests hold the
+screened sweep's reports to them field for field, with every ``lhs`` and
+``rhs`` value bit for bit, on catalog tables and on hand-built tables with
+NaN, negative and tolerance-edge components.
 """
 
 from __future__ import annotations
@@ -40,10 +42,15 @@ def reference_triangle_violations(spec: MetricSpec, pts: Any, table: np.ndarray,
     return violations
 
 
+def reference_sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
+                    tol: float) -> AxiomReport:
+    """``metrics._sweep`` with the exhaustive triangle step."""
+    report = metrics._sweep(spec, pts, table, tol)
+    report.triangle_violations = reference_triangle_violations(spec, pts, table, tol)
+    return report
+
+
 def reference_check_axioms(spec: MetricSpec, points: list,
                            tol: float) -> AxiomReport:
     """``check_axioms`` with the exhaustive triangle step."""
-    report = metrics.check_axioms(spec, points, tol)
-    pts, table = metrics._component_table(spec, points)
-    report.triangle_violations = reference_triangle_violations(spec, pts, table, tol)
-    return report
+    return reference_sweep(spec, *metrics._component_table(spec, points), tol)

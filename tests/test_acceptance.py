@@ -16,9 +16,9 @@ from quasifix.algebra import NormKind, allclose, diag2, norm, scalar
 from quasifix.contraction import (
     Regime,
     search_scalar_coefficient,
+    verify,
     verify_global,
     verify_orbital_type,
-    verify_two_step,
 )
 from quasifix.convergence import Verdict, classify
 from quasifix.gallery import run_gallery
@@ -159,8 +159,8 @@ def test_criterion_5_solver_and_bound_envelope():
 
 
 def test_criterion_6_two_step_rate():
-    cert = verify_two_step(linear_quarter(), scalar_backward_one(),
-                           scalar(1 / 3), seed=1.0, orbit_len=30)
+    cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                  scalar(1 / 3), seed=1.0, orbit_len=30)
     h_ok = cert.valid and abs(cert.h_norm - 0.5) <= 1e-12
     cfg = SolverConfig(max_iter=30, tol=1e-300)
     rep = picard_solve(linear_quarter(), scalar_backward_one(), 1.0, cert, cfg)

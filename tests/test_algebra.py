@@ -37,7 +37,6 @@ from quasifix.algebra import (
     norm,
     sampled,
     scalar,
-    sqrt_positive,
     sub,
 )
 
@@ -250,28 +249,6 @@ def test_entrywise_order_requires_nonnegative_lower_element():
     assert not leq(diag2(-1, 0), diag2(1, 1), OrderKind.ENTRYWISE)
     with pytest.raises(RealizationMismatch):
         leq(scalar(0), scalar(1), OrderKind.ENTRYWISE)
-
-
-# --- square roots ------------------------------------------------------------
-
-def test_sqrt_examples():
-    assert allclose(sqrt_positive(diag2(4, 9)), diag2(2, 3))
-    assert float(sqrt_positive(scalar(0.0)).data) == 0.0
-    y = 1.7
-    root = sqrt_positive(diag2(0.75 * y, 0.0))
-    assert allclose(mul(root, root), diag2(0.75 * y, 0.0), tol=1e-12)
-
-
-def test_sqrt_rejects_indefinite():
-    with pytest.raises(NotPositive):
-        sqrt_positive(diag2(-1.0, 1.0))
-
-
-def test_sqrt_of_non_diagonal_psd():
-    a = random_psd(np.random.default_rng(3))
-    root = sqrt_positive(a)
-    assert is_positive(root)
-    assert allclose(mul(root, root), a, tol=1e-10)
 
 
 # --- resolvent inverse -------------------------------------------------------

@@ -255,6 +255,23 @@ def test_certify_two_step_gate_gives_no_tol_slack(c, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("entries, message", [
+    ("[[-0.4, 0], [0, -0.4]]", "error: two-step coefficient must be positive"),
+    ("[[0.3, 1e-12], [1e-12, 0.3]]", "error: two-step coefficient must be scalar"),
+], ids=["negative", "non-diagonal"])
+def test_certify_two_step_positivity_and_commutant_give_no_tol_slack(entries, message,
+                                                                     capsys):
+    # the gate gives no --tol slack: a = -0.4 I and a non-diagonal a are
+    # refused even at --tol 1e300
+    code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--regime", "two-step", "--seed", "2", "--tol", "1e300",
+                 "--a", f'{{"realization": "mat2", "entries": {entries}}}'])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 _THIRD = '{"realization": "scalar", "value": 0.3333333333333333}'
 
 

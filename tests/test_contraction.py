@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifix import algebra, contraction, metrics
@@ -38,14 +38,12 @@ from quasifix.contraction import (
     verify,
     verify_global,
     verify_orbital_type,
-    verify_two_step,
 )
 from quasifix.maps import MapSpec, from_table, linear_quarter, piecewise_quarter
 from quasifix.metrics import (
     DomainMismatch,
     MetricSpec,
     codomain_scalar,
-    eval_metric,
     mat2_split,
     mat2_split_scaled,
     mult_op,
@@ -142,8 +140,8 @@ def test_orbital_matrix_variant_certifies_at_inverse_sqrt_three():
 # --- two-step ----------------------------------------------------------------------
 
 def test_two_step_certificate_carries_the_resolvent_rate():
-    cert = verify_two_step(linear_quarter(), scalar_backward_one(),
-                           scalar(1 / 3), seed=1.0, orbit_len=30)
+    cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                  scalar(1 / 3), seed=1.0, orbit_len=30)
     assert cert.valid
     assert cert.h_norm == pytest.approx(0.5, abs=1e-12)
     # the orbit inequality is 3y/16 <= (1/3)(15y/16)
@@ -152,31 +150,43 @@ def test_two_step_certificate_carries_the_resolvent_rate():
 
 
 def test_two_step_zero_coefficient_needs_a_fixed_point_seed():
-    cert = verify_two_step(linear_quarter(), scalar_backward_one(),
-                           scalar(0.0), seed=0.0, orbit_len=10)
+    cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                  scalar(0.0), seed=0.0, orbit_len=10)
     assert cert.valid
-    moving = verify_two_step(linear_quarter(), scalar_backward_one(),
-                             scalar(0.0), seed=1.0, orbit_len=10)
+    moving = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                    scalar(0.0), seed=1.0, orbit_len=10)
     assert not moving.valid
 
 
 def test_two_step_gates():
     with pytest.raises(CoefficientNormTooLarge):
-        verify_two_step(linear_quarter(), scalar_backward_one(), scalar(0.6),
-                        seed=1.0)
+        verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), scalar(0.6),
+               seed=1.0)
     with pytest.raises(NotPositive):
-        verify_two_step(linear_quarter(), scalar_backward_one(), scalar(-0.1),
-                        seed=1.0)
+        verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), scalar(-0.1),
+               seed=1.0)
     with pytest.raises(NotInCommutant):
-        verify_two_step(linear_quarter(), mat2_split(),
-                        mat2(0.3, 0.1, 0.1, 0.3), seed=1.0)
+        verify(Regime.TWO_STEP, linear_quarter(), mat2_split(),
+               mat2(0.3, 0.1, 0.1, 0.3), seed=1.0)
     # the norm gate is 1/2 itself, whatever the order tolerance
     for tol in (1e-9, 1.0, 1e300):
         with pytest.raises(CoefficientNormTooLarge):
-            verify_two_step(linear_quarter(), scalar_backward_one(),
-                            scalar(0.5000000000000001), seed=1.0, tol=tol)
-    assert verify_two_step(linear_quarter(), scalar_backward_one(), scalar(0.5),
-                           seed=1.0).h_norm == 1.0
+            verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                   scalar(0.5000000000000001), seed=1.0, tol=tol)
+    assert verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), scalar(0.5),
+                  seed=1.0).h_norm == 1.0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1.0, 1e300])
+def test_two_step_positivity_and_commutant_gates_give_no_tol_slack(tol):
+    # the order tolerance is no slack for positivity or the commutant
+    for a in (scalar(-1e-12), diag2(-0.4, -0.4)):
+        metric = mat2_split() if a.realization == "mat2" else scalar_backward_one()
+        with pytest.raises(NotPositive):
+            verify(Regime.TWO_STEP, linear_quarter(), metric, a, seed=2.0, tol=tol)
+    with pytest.raises(NotInCommutant):
+        verify(Regime.TWO_STEP, linear_quarter(), mat2_split(),
+               mat2(0.3, 1e-12, 1e-12, 0.3), seed=2.0, tol=tol)
 
 
 # --- scalar search -----------------------------------------------------------------
@@ -235,16 +245,17 @@ def test_search_evaluates_each_sample_once(monkeypatch, one_pair_calls):
                                      Regime.FORWARD_GLOBAL, pairs=PAIRS,
                                      tol=1e-12)
     assert cert is not None and cert.samples_checked == len(PAIRS)
-    # a catalog metric's tables come from the batched kernel
+    # the tables come from the batched kernel: one paired evaluation of
+    # lhs and one of base, each over every pair, not one per attempt
     assert one_pair_calls == []
-    # a registered evaluator is called once per distance, not per attempt
-    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "split-copy",
-                        lambda _, x, y: eval_metric(spec, x, y))
-    copy = search_scalar_coefficient(linear_quarter(), replace(spec, name="split-copy"),
-                                     Regime.FORWARD_GLOBAL, pairs=PAIRS,
-                                     tol=1e-12)
-    assert copy.a.data.tobytes() == cert.a.data.tobytes()
-    assert len(one_pair_calls) == 2 * len(PAIRS)
+    paired = []
+    payloads = contraction.paired_payloads
+    monkeypatch.setattr(contraction, "paired_payloads",
+                        lambda spec, xs, ys: paired.append(len(xs)) or payloads(spec, xs, ys))
+    again = search_scalar_coefficient(linear_quarter(), spec, Regime.FORWARD_GLOBAL,
+                                      pairs=PAIRS, tol=1e-12)
+    assert again.a.data.tobytes() == cert.a.data.tobytes()
+    assert paired == [len(PAIRS), len(PAIRS)]
 
 
 @pytest.mark.parametrize("map_spec, metric", [
@@ -289,15 +300,14 @@ def test_search_certificate_is_the_verify_certificate_at_its_coefficient(
 
 @pytest.mark.parametrize("regime", [Regime.ORBITAL, Regime.TWO_STEP])
 def test_orbit_regimes_need_at_least_two_steps(regime):
-    check = verify_orbital_type if regime is Regime.ORBITAL else verify_two_step
     with pytest.raises(ValueError, match="orbit_len"):
-        check(linear_quarter(), scalar_backward_one(), scalar(0.4), seed=1.0,
-              orbit_len=1)
+        verify(regime, linear_quarter(), scalar_backward_one(), scalar(0.4),
+               seed=1.0, orbit_len=1)
     with pytest.raises(ValueError, match="orbit_len"):
         search_scalar_coefficient(linear_quarter(), scalar_backward_one(),
                                   regime, seed=1.0, orbit_len=1)
-    assert check(linear_quarter(), scalar_backward_one(), scalar(0.4),
-                 seed=1.0, orbit_len=2).samples_checked == 3
+    assert verify(regime, linear_quarter(), scalar_backward_one(), scalar(0.4),
+                  seed=1.0, orbit_len=2).samples_checked == 3
 
 
 def test_points_outside_the_map_domain_still_raise():
@@ -309,7 +319,7 @@ def test_points_outside_the_map_domain_still_raise():
         search_scalar_coefficient(table, mat2_split(), Regime.ORBITAL, seed=1.0)
 
 
-def test_distances_must_live_in_the_coefficient_space(monkeypatch):
+def test_distances_must_live_in_the_coefficient_space():
     pairs = [(0.0, 1.0), (1.0, 0.0)]
     with pytest.raises(RealizationMismatch, match="cannot combine 'scalar' with 'mat2'"):
         verify_global(linear_quarter(), mat2_split(), scalar(0.5), pairs)
@@ -317,13 +327,6 @@ def test_distances_must_live_in_the_coefficient_space(monkeypatch):
         verify_orbital_type(linear_quarter(), periodic_fn(grid_size=8),
                             sampled(np.linspace(0.0, 1.0, 8), np.full(8, 0.5)),
                             seed=1.0)
-    # a registered metric whose values leave its declared codomain
-    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "scalar-in-mat2",
-                        lambda spec, x, y: scalar(abs(x - y)))
-    metric = MetricSpec("scalar-in-mat2", "mat2", OrderKind.POSITIVE_CONE,
-                        NormKind.OPERATOR)
-    with pytest.raises(RealizationMismatch):
-        verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs)
     # no sample, nothing to compare: the certificate is vacuous
     assert verify_global(linear_quarter(), mat2_split(), scalar(0.5), []).valid
 
@@ -363,8 +366,9 @@ def _search_tables(draw):
     lhs is mostly base times a rate, so that the threshold lies near
     u = rate (u = c^2, or c for two-step) and the bisection runs, with
     relative noise, components of order tol (where the check cancels),
-    zeros, and scales up to 1e300; some tables have negative or
-    non-diagonal values, where no closed form applies.
+    zeros, and scales up to 1e300; some tables have negative values, where
+    no closed form applies.  2x2 values are diagonal, as every table of
+    the kernel is.
     """
     regime = draw(st.sampled_from(list(Regime)))
     codomain = draw(st.sampled_from([algebra.MAT2, algebra.SAMPLED, algebra.SCALAR]))
@@ -392,15 +396,35 @@ def _search_tables(draw):
         lhs[0, 0] = -lhs[0, 0] - 1.0
     lhs, base = (metrics._payloads(codomain, t if width > 1 else t[:, 0])
                  for t in (lhs, base))
-    if codomain == algebra.MAT2 and draw(st.integers(0, 9)) == 0:
-        for t in (lhs, base):
-            t[:, 0, 1] = t[:, 1, 0] = 0.1 * t[:, 0, 0]
     points = [(float(i), float(i + 1)) for i in range(n)]
     return regime, metric, tol, (points, lhs, base)
 
 
+def _named_tables(regime, order, top):
+    """Diagonal 2x2 tables whose largest entry is ``top``, with lhs at 0.3
+    times base, so that the threshold is u = 0.3."""
+    metric = MetricSpec("named-tables", algebra.MAT2, order, NormKind.OPERATOR)
+    base = np.array([[1.0, 0.5], [0.25, 1.0], [1.0, 0.0]]) * top
+    lhs, base = (metrics._payloads(algebra.MAT2, t) for t in (0.3 * base, base))
+    return regime, metric, 1e-9, ([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], lhs, base)
+
+
+_NAMED_TOPS = {"2^500-ulp": math.nextafter(2.0 ** 500, 0.0), "2^500": 2.0 ** 500,
+               "2^500+ulp": math.nextafter(2.0 ** 500, math.inf), "1e300": 1e300}
+_NAMED_TABLES = {f"{regime.value}-{order.value}-{name}": _named_tables(regime, order, top)
+                 for regime in (Regime.FORWARD_GLOBAL, Regime.TWO_STEP)
+                 for order in OrderKind for name, top in _NAMED_TOPS.items()}
+
+
+def _with_named_tables(test):
+    for case in _NAMED_TABLES.values():
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=examples(300), deadline=None)
 @given(_search_tables())
+@_with_named_tables
 def test_the_guided_search_is_plain_bisection_on_random_tables(case):
     regime, metric, tol, tables = case
     identity = MapSpec("identity", lambda x: x)
@@ -441,21 +465,39 @@ def test_a_catalog_search_makes_at_most_sixteen_exact_checks(
                                      **samples)
 
 
-def test_a_non_diagonal_registered_metric_checks_every_midpoint(monkeypatch):
-    def tilted(spec, x, y):
-        g = abs(x - y)
-        return mat2(g, 0.1 * g, 0.1 * g, 0.5 * g)
-
-    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "tilted", tilted)
-    metric = MetricSpec("tilted", algebra.MAT2, OrderKind.POSITIVE_CONE,
-                        NormKind.OPERATOR)
+def _guided_and_plain(monkeypatch, case):
+    """The guided and the plain search on the tables of ``case``, and the
+    exact checks the guided one made."""
+    regime, metric, tol, tables = case
+    identity = MapSpec("identity", lambda x: x)
+    monkeypatch.setattr(contraction, "_tables", lambda *args: tables)
     calls = _counted_failures(monkeypatch)
-    guided = _search_outcome(search_scalar_coefficient, linear_quarter(), metric,
-                             Regime.FORWARD_GLOBAL, pairs=PAIRS)
-    assert len(calls) == 2 + contraction.BISECTION_STEPS + 1
-    assert guided is not None
-    assert guided == _search_outcome(plain_search, linear_quarter(), metric,
-                                     Regime.FORWARD_GLOBAL, pairs=PAIRS)
+    guided = _search_outcome(search_scalar_coefficient, identity, metric, regime,
+                             pairs=[], seed=1.0, tol=tol)
+    checks = len(calls)
+    plain = _search_outcome(plain_search, identity, metric, regime, pairs=[],
+                            seed=1.0, tol=tol)
+    return guided, plain, checks
+
+
+def test_a_table_without_a_closed_form_checks_every_midpoint(monkeypatch):
+    # a negative lhs value leaves the band unbounded; sample 0 holds at every
+    # c, and sample 1 needs c^2 >= 1/4
+    metric = MetricSpec("hand-built", algebra.SCALAR, OrderKind.POSITIVE_CONE,
+                        NormKind.OPERATOR)
+    tables = ([(0.0, 1.0), (1.0, 2.0)], np.array([-1.0, 0.25]), np.array([1.0, 1.0]))
+    guided, plain, checks = _guided_and_plain(
+        monkeypatch, (Regime.FORWARD_GLOBAL, metric, 1e-9, tables))
+    assert checks == 2 + contraction.BISECTION_STEPS + 1
+    assert guided is not None and guided == plain
+
+
+@pytest.mark.parametrize("case", _NAMED_TABLES.values(), ids=_NAMED_TABLES.keys())
+def test_tables_at_any_scale_take_the_closed_form(monkeypatch, case):
+    # the closed form holds for 2x2 tables at every scale, as for the others
+    guided, plain, checks = _guided_and_plain(monkeypatch, case)
+    assert guided is not None and 1 <= checks <= 16
+    assert guided == plain
 
 
 def test_search_argument_validation():
@@ -470,8 +512,8 @@ def test_search_argument_validation():
 # --- serialization ------------------------------------------------------------------
 
 def test_certificate_json_roundtrip():
-    cert = verify_two_step(linear_quarter(), scalar_backward_one(),
-                           scalar(1 / 3), seed=1.0, orbit_len=12)
+    cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                  scalar(1 / 3), seed=1.0, orbit_len=12)
     payload = json.loads(json.dumps(cert.to_json_dict()))
     back = certificate_from_json(payload)
     assert back.regime is Regime.TWO_STEP
@@ -573,19 +615,24 @@ def test_batched_core_matches_the_per_sample_loop(codomain, order, norm_kind,
         assert math.isclose(v["rhs_norm"], rhs_norm, rel_tol=1e-12, abs_tol=0.0)
 
 
-def test_self_adjointness_gate_fires_on_the_same_sample(monkeypatch):
-    def skewed(spec, x, y):
-        return mat2(abs(x - y), 0.0, 0.1 * x if x > 1.0 else 0.0, abs(x - y))
-
-    monkeypatch.setitem(metrics._EXTRA_EVALUATORS, "skewed", skewed)
-    metric = MetricSpec("skewed", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)
+def test_self_adjointness_gate_fires_on_the_same_sample():
+    # under the positive cone at tol = 0, the sandwich a* d a of a
+    # non-symmetric coefficient is symmetric only up to rounding.  With
+    # d = diag(b, 0), its off-diagonal entries are (a_00 b) a_01 and
+    # (a_01 b) a_00, a bit apart at b = 1.5 and equal at b = 2; the first
+    # pair's d = diag(0, 1/2) gives a symmetric sandwich as well
+    metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
+    a = mat2(0.1, 0.3, 0.0, 0.3)
     pairs = [(0.0, 0.5), (1.5, 0.0), (2.0, 0.0)]
     with pytest.raises(NotSelfAdjoint) as want:
-        reference_violations(Regime.FORWARD_GLOBAL, linear_quarter(), metric,
-                             diag2(0.5, 0.5), pairs=pairs)
+        reference_violations(Regime.FORWARD_GLOBAL, linear_quarter(), metric, a,
+                             pairs=pairs, tol=0.0)
     with pytest.raises(NotSelfAdjoint) as got:
-        verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs)
+        verify_global(linear_quarter(), metric, a, pairs, tol=0.0)
     assert str(got.value) == str(want.value)
+    # without the middle pair every sandwich is symmetric, and the check runs
+    assert verify_global(linear_quarter(), metric, a, pairs[::2],
+                         tol=0.0).samples_checked == 2
 
 
 # --- orbit tables --------------------------------------------------------------------

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasifix import metrics
-from quasifix.algebra import MAT2, NormKind, OrderKind, diag2, scalar
+from quasifix.algebra import NormKind
 from quasifix.convergence import (
-    PreconditionNotEstablished,
     SequenceTrace,
     Verdict,
     WindowTooLarge,
     classify,
-    limit_uniqueness_check,
     orbital_lsc_check,
     trace,
 )
@@ -27,7 +25,6 @@ from quasifix.metrics import (
     mat2_split_scaled,
     mult_op,
     periodic_fn,
-    register_evaluator,
     reversed_metric,
     scalar_backward_one,
     scalar_forward_one,
@@ -128,31 +125,6 @@ def test_reversed_metric_swaps_all_verdicts():
     assert plain.backward_cauchy == flipped.forward_cauchy
 
 
-# --- limit uniqueness -----------------------------------------------------------
-
-def test_uniqueness_holds_for_doubly_convergent_orbit():
-    spec = mat2_split()
-    seq = [0.25 ** n for n in range(30)]
-    assert limit_uniqueness_check(seq, 0.0, 0.0, spec, eps=1e-6)
-
-
-def test_uniqueness_refuses_without_backward_limit():
-    spec = scalar_forward_one()
-    seq = harmonic_scaled(1.0, 100)
-    with pytest.raises(PreconditionNotEstablished):
-        limit_uniqueness_check(seq, 1.0, 1.0, spec, eps=0.01)
-
-
-def test_uniqueness_flags_a_triangle_breaking_metric():
-    # with a metric violating the triangle inequality, both preconditions can
-    # hold for two far-apart candidates and the lemma's bound fails
-    register_evaluator("squared-gap", lambda spec, x, y: scalar((x - y) ** 2))
-    spec = MetricSpec("squared-gap", "scalar", OrderKind.POSITIVE_CONE,
-                      NormKind.OPERATOR)
-    seq = [0.5] * 12
-    assert limit_uniqueness_check(seq, 0.0, 1.0, spec, eps=0.6) is False
-
-
 # --- orbital lower semicontinuity ------------------------------------------------
 
 def test_lsc_at_zero_for_quarter_map():
@@ -208,13 +180,6 @@ def test_trace_records_pairwise_window():
 
 # --- batched trace against the one-pair reference ----------------------------------
 
-def _split_gap(spec, x, y):
-    # both diagonal entries non-zero, unlike the catalog's split metrics
-    return diag2(abs(x - y), abs(x - y) + 2.0 * max(y - x, 0.0))
-
-
-register_evaluator("split-gap", _split_gap)
-
 FN_GRID = np.linspace(0.125, 1.0, 4)
 TRACE_SPECS = [
     mat2_split(),
@@ -223,7 +188,6 @@ TRACE_SPECS = [
     scalar_forward_one(),
     scalar_backward_one(),
     mult_op(FN_GRID),
-    MetricSpec("split-gap", MAT2, OrderKind.POSITIVE_CONE, NormKind.OPERATOR),
 ]
 TRACE_SPECS = [replace(spec, norm=kind) for spec in TRACE_SPECS for kind in NormKind]
 TRACE_SPECS += [reversed_metric(spec) for spec in TRACE_SPECS]

@@ -140,11 +140,17 @@ def test_reference_parameters_are_contractive_without_growth():
     assert report.rate < report.rate_coarse_bound
 
 
-@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 50.0])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 50.0, 1e308])
 def test_the_growth_threshold_is_where_growth_crosses_one(alpha):
     k = regime_report(make_problem(alpha, 4.0, n=64)).growth_threshold_k
     assert growth_value(alpha, k) == pytest.approx(1.0, rel=1e-12)
     assert growth_value(alpha, 0.5 * k) > 1.0 > growth_value(alpha, 2.0 * k)
+
+
+def test_growth_keeps_its_value_where_one_over_k_is_below_an_ulp_of_one():
+    # ln(1 + 1/k) as log(1.0 + 1.0 / k) rounds to 0 once 1/k < 2^-53
+    assert growth_value(1.0, 1e17) == pytest.approx(5e-18, rel=1e-15)
+    assert growth_value(2.0, 2.0 ** 60) == 2.0 ** -60
 
 
 def test_tiny_alpha_is_trivially_contractive():

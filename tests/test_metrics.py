@@ -14,21 +14,15 @@ from hypothesis.extra.numpy import arrays
 from quasifix.algebra import (
     MAT2,
     SAMPLED,
-    AlgebraElement,
     NormKind,
     OrderKind,
     RealizationMismatch,
     allclose,
-    batch_norm,
-    diag2,
     leq,
-    mat2,
     norm,
     sampled,
-    scalar,
 )
 from quasifix.metrics import (
-    CATALOG,
     AxiomReport,
     DomainMismatch,
     MetricSpec,
@@ -44,18 +38,18 @@ from quasifix.metrics import (
     mult_op,
     paired_payloads,
     periodic_fn,
-    register_evaluator,
     reversed_metric,
     scalar_backward_one,
     scalar_forward_one,
     _component_table,
     _points,
     _require_fn_point,
+    _sweep,
 )
 
 from budget import examples
 from reference_metrics import reference_distance_norm, reference_eval_metric
-from reference_sweep import reference_check_axioms
+from reference_sweep import reference_check_axioms, reference_sweep
 
 CATALOG_SPECS = [
     mat2_split(),
@@ -272,23 +266,56 @@ def test_vectorized_path_matches_generic_path():
 
 # --- violation reporting -------------------------------------------------------
 
-def _squared_gap(spec, x, y):
-    return scalar((x - y) ** 2)
+# Tables that break the axioms, built by hand: the sweep reads only the
+# component table and the spec's name and order
+SQUARED_GAP = MetricSpec("squared-gap", "scalar", OrderKind.POSITIVE_CONE,
+                         NormKind.OPERATOR)
+SQUARED_GAP_NAN = replace(SQUARED_GAP, name="squared-gap-nan")
+SIGNED_GAP = MetricSpec("signed-gap", MAT2, OrderKind.ENTRYWISE,
+                        NormKind.ENTRY_SUM_SQUARES)
+_NAN_POINT = 5.0
 
 
-def test_broken_metric_violations_recheck_and_serialize():
-    register_evaluator("squared-gap", _squared_gap)
-    from quasifix.metrics import MetricSpec
-    spec = MetricSpec("squared-gap", "scalar", OrderKind.POSITIVE_CONE,
-                      NormKind.OPERATOR)
-    report = check_axioms(spec, [0.0, 1.0, 2.0], tol=1e-9)
+def _gaps(pts):
+    return pts[:, None] - pts[None, :]
+
+
+def _squared_gap_table(pts):
+    return (_gaps(pts) ** 2)[..., None]
+
+
+def _squared_gap_nan_table(pts):
+    # the squared gap, but NaN on every distance to or from _NAN_POINT
+    table = _squared_gap_table(pts)
+    marked = pts == _NAN_POINT
+    table[marked] = math.nan
+    table[:, marked] = math.nan
+    return table
+
+
+def _signed_gap_table(pts):
+    # d(x, y) = diag(x - y, y - x) has a negative entry whenever x != y, so
+    # under the entrywise order the triangle fails at every z, whatever the
+    # sums through z
+    gap = _gaps(pts)
+    return np.stack([gap, -gap], axis=-1)
+
+
+HAND_BUILT = {SQUARED_GAP: _squared_gap_table, SQUARED_GAP_NAN: _squared_gap_nan_table,
+              SIGNED_GAP: _signed_gap_table}
+
+
+def test_broken_metric_violations_serialize():
+    pts = np.array([0.0, 1.0, 2.0])
+    report = _sweep(SQUARED_GAP, pts, _squared_gap_table(pts), tol=1e-9)
     # d(0,2) = 4 exceeds d(0,1) + d(1,2) = 2
     assert not report.triangle_ok
     assert report.identity_ok and report.positivity_ok
-    assert report.recheck(spec)
+    assert [(v["x"], v["y"], v["z"]) for v in report.triangle_violations] == \
+        [(0.0, 2.0, 1.0), (2.0, 0.0, 1.0)]
     payload = json.loads(json.dumps(report.to_json_dict()))
     assert payload["passed"] is False
-    assert payload["triangle_violations"]
+    assert payload["triangle_violations"][0]["lhs"] == [4.0]
 
 
 def test_report_json_is_serializable_for_clean_runs():
@@ -332,36 +359,7 @@ def test_sweep_matches_the_element_by_element_reference(spec, seed):
 
 # --- the screened triangle step against the exhaustive one ----------------------
 
-_NAN_POINT = 5.0
-
-
-def _squared_gap_nan_at_marker(spec, x, y):
-    # the squared gap, but NaN on every distance to or from _NAN_POINT.  The
-    # element constructor refuses NaN, so the value is built unchecked, as a
-    # careless evaluator might build it
-    d = object.__new__(AlgebraElement)
-    value = math.nan if _NAN_POINT in (x, y) else (x - y) ** 2
-    object.__setattr__(d, "realization", "scalar")
-    object.__setattr__(d, "data", np.array(value))
-    object.__setattr__(d, "grid", None)
-    return d
-
-
-def _signed_gap(spec, x, y):
-    # d(x, y) has a negative entry whenever x != y, so under the entrywise
-    # order the triangle fails at every z, whatever the sums through z
-    return diag2(x - y, y - x)
-
-
-register_evaluator("squared-gap", _squared_gap)
-register_evaluator("squared-gap-nan", _squared_gap_nan_at_marker)
-register_evaluator("signed-gap", _signed_gap)
-SQUARED_GAP = MetricSpec("squared-gap", "scalar", OrderKind.POSITIVE_CONE,
-                         NormKind.OPERATOR)
-SQUARED_GAP_NAN = replace(SQUARED_GAP, name="squared-gap-nan")
-SCREEN_SPECS = SWEEP_SPECS + [
-    SQUARED_GAP, SQUARED_GAP_NAN,
-    MetricSpec("signed-gap", MAT2, OrderKind.ENTRYWISE, NormKind.ENTRY_SUM_SQUARES)]
+SCREEN_SPECS = SWEEP_SPECS + list(HAND_BUILT)
 
 
 def _hexed(obj):
@@ -381,19 +379,25 @@ def test_screened_sweep_is_the_exhaustive_sweep(spec, seed, tol):
     points = _sample_points(rng, spec)
     if spec is SQUARED_GAP_NAN:
         points.insert(int(rng.integers(0, len(points) + 1)), _NAN_POINT)
-    assert _hexed(check_axioms(spec, points, tol).to_json_dict()) == \
-        _hexed(reference_check_axioms(spec, points, tol).to_json_dict())
+    if spec in HAND_BUILT:
+        pts = np.array(points, dtype=float)
+        table = HAND_BUILT[spec](pts)
+        got, want = _sweep(spec, pts, table, tol), reference_sweep(spec, pts, table, tol)
+    else:
+        got, want = check_axioms(spec, points, tol), reference_check_axioms(spec, points, tol)
+    assert _hexed(got.to_json_dict()) == _hexed(want.to_json_dict())
 
 
 def test_a_nan_sum_at_one_z_hides_no_failure_at_another():
     # d(0, 2) = 4 exceeds d(0, 1) + d(1, 2) = 2, while the sum through z = 5
     # is NaN; a screen that let the NaN win the min would flag no pair
-    points = [0.0, 1.0, 2.0, _NAN_POINT]
-    report = check_axioms(SQUARED_GAP_NAN, points, tol=1e-9)
+    pts = np.array([0.0, 1.0, 2.0, _NAN_POINT])
+    table = _squared_gap_nan_table(pts)
+    report = _sweep(SQUARED_GAP_NAN, pts, table, tol=1e-9)
     assert [(v["x"], v["y"], v["z"]) for v in report.triangle_violations] == \
         [(0.0, 2.0, 1.0), (2.0, 0.0, 1.0)]
     assert _hexed(report.to_json_dict()) == \
-        _hexed(reference_check_axioms(SQUARED_GAP_NAN, points, 1e-9).to_json_dict())
+        _hexed(reference_sweep(SQUARED_GAP_NAN, pts, table, 1e-9).to_json_dict())
 
 
 @settings(max_examples=examples(100), deadline=None)
@@ -405,15 +409,12 @@ def test_screen_keeps_the_failures_at_the_tolerance_edge(beta, tol, ulps):
     # screen looser than tol misses the failures just past the edge
     edge = tol * (1.0 + 2.0 * beta) if tol else math.ulp(2.0 * beta)
     raised = max(0.0, edge + ulps * math.ulp(edge))
-
-    def raised_gap(spec, x, y):
-        return scalar(beta * abs(x - y) + (raised if (x, y) == (0.0, 2.0) else 0.0))
-
-    register_evaluator("raised-gap", raised_gap)
+    pts = np.array([0.0, 1.0, 2.0])
+    table = (beta * np.abs(_gaps(pts)))[..., None]
+    table[0, 2] += raised
     spec = replace(SQUARED_GAP, name="raised-gap")
-    points = [0.0, 1.0, 2.0]
-    assert _hexed(check_axioms(spec, points, tol).to_json_dict()) == \
-        _hexed(reference_check_axioms(spec, points, tol).to_json_dict())
+    assert _hexed(_sweep(spec, pts, table, tol).to_json_dict()) == \
+        _hexed(reference_sweep(spec, pts, table, tol).to_json_dict())
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
@@ -421,7 +422,7 @@ def test_sweep_refuses_a_negative_or_nan_tolerance(tol):
     # a NaN tolerance failed no comparison, so every axiom passed; a negative
     # one makes the triangle screen unsound
     with pytest.raises(ValueError, match="tol must be a non-negative number"):
-        check_axioms(SQUARED_GAP, [0.0, 1.0, 2.0], tol=tol)
+        check_axioms(scalar_forward_one(), [0.0, 1.0, 2.0], tol=tol)
 
 
 def test_sweep_accepts_a_zero_tolerance():
@@ -462,17 +463,7 @@ def test_component_table_rows_are_eval_metric_components(spec, data):
             assert _hex(table[i, j]) == _hex(want)
 
 
-def _gap_sum(spec, x, y):
-    # a registered (non-catalog) metric with two non-zero diagonal entries
-    return diag2(abs(x - y), abs(x - y) + max(y - x, 0.0))
-
-
-register_evaluator("gap-sum", _gap_sum)
-PAIRED_SPECS = BINDING_SPECS + [
-    MetricSpec("gap-sum", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)]
-
-
-@pytest.mark.parametrize("spec", PAIRED_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", BINDING_SPECS, ids=_spec_id)
 @settings(max_examples=examples(40), deadline=None)
 @given(data=st.data())
 def test_paired_payloads_are_eval_metric_payloads(spec, data):
@@ -503,7 +494,7 @@ def test_paired_payloads_keep_the_sign_of_a_zero_component(spec):
     assert _hex(paired_payloads(spec, *zip(*pairs))) == _hex(want)
 
 
-@pytest.mark.parametrize("spec", PAIRED_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", BINDING_SPECS, ids=_spec_id)
 def test_paired_payloads_of_no_pairs_and_of_bad_pairs(spec):
     point = FN_GRID if spec.name == "mult-op" else 1.0
     empty = paired_payloads(spec, [], [])
@@ -567,11 +558,23 @@ def test_entrywise_order_is_refused_off_mat2(spec):
         check_axioms(spec, [])
 
 
-def test_non_diagonal_values_are_not_compared_componentwise():
-    register_evaluator("skewed", lambda spec, x, y: mat2(0.0, x - y, y - x, 0.0))
-    spec = MetricSpec("skewed", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)
-    with pytest.raises(ValueError, match="diagonal"):
-        check_axioms(spec, [0.0, 1.0])
+@pytest.mark.parametrize("codomain, grid", [(MAT2, None), (SAMPLED, (0.0, 0.5)),
+                                            ("scalar", None)],
+                         ids=["mat2", "sampled", "scalar"])
+def test_a_metric_outside_the_catalog_is_refused_everywhere(codomain, grid):
+    # the kernel's last branch; a sampled spec must not be taken for the
+    # periodic-function metric, whose codomain and grid it shares
+    spec = MetricSpec("no-such-metric", codomain, OrderKind.POSITIVE_CONE,
+                      NormKind.OPERATOR, grid=grid)
+    for points in ([], [0.0, 1.0]):
+        for form in (lambda: check_axioms(spec, points),
+                     lambda: paired_payloads(spec, points, points),
+                     lambda: distance_norm_table(spec, points, points)):
+            with pytest.raises(ValueError, match="unknown metric 'no-such-metric'"):
+                form()
+    for one_pair in (eval_metric, distance_norm, reference_eval_metric):
+        with pytest.raises(ValueError, match="unknown metric 'no-such-metric'"):
+            one_pair(spec, 0.0, 1.0)
 
 
 def test_triangle_sweep_memory_is_quadratic_in_the_sample_count():
@@ -662,17 +665,7 @@ def test_mult_op_point_checks_on_named_cases(points):
         _outcome_of(_fn_points_one_at_a_time, spec, points)
 
 
-def _skewed(spec, x, y):
-    # a registered metric with non-diagonal 2x2 values
-    return mat2(abs(x - y), x - y, x - y, abs(x - y))
-
-
-register_evaluator("skewed-norms", _skewed)
-TABLE_SPECS = PAIRED_SPECS + [
-    MetricSpec("skewed-norms", "mat2", OrderKind.POSITIVE_CONE, NormKind.OPERATOR)]
-
-
-@pytest.mark.parametrize("spec", TABLE_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", BINDING_SPECS, ids=_spec_id)
 @settings(max_examples=examples(30), deadline=None)
 @given(kind=st.sampled_from(NormKind), data=st.data())
 def test_distance_norm_table_is_the_norm_of_each_distance(spec, kind, data):
@@ -693,13 +686,6 @@ def test_distance_norm_table_is_the_norm_of_each_distance(spec, kind, data):
     got = distance_norm_table(spec, xs, ys, kind)
     default = distance_norm_table(spec, xs, ys)
     assert got.shape == (len(xs), len(ys))
-    if spec.name not in CATALOG:
-        # a registered metric's non-diagonal values take the batched norm,
-        # whose np.hypot can round one ulp away from math.hypot in ``norm``
-        assert all(g == w or abs(g - w) <= math.ulp(w)
-                   for g, w in zip(np.ravel(got).tolist(), np.ravel(want).tolist()))
-        want = [[batch_norm(MAT2, reference_eval_metric(spec, x, y).data[None], kind)[0]
-                 for y in ys] for x in xs]
     assert _hex(got) == _hex(want)
     if kind is spec.norm:
         assert _hex(default) == _hex(want)

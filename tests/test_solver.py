@@ -13,36 +13,33 @@ from hypothesis import strategies as st
 
 from quasifix import solver
 from quasifix.algebra import (
-    MAT2,
     NormKind,
-    OrderKind,
-    RealizationMismatch,
-    batch_norm,
+    NotPositive,
+    allclose,
     diag2,
+    is_positive,
     mat2,
+    mul,
     norm,
     sampled,
     scalar,
-    sqrt_positive,
 )
 from quasifix.contraction import (
     ContractionCertificate,
     Regime,
+    verify,
     verify_global,
     verify_orbital_type,
-    verify_two_step,
 )
 from quasifix.convergence import orbital_lsc_check
 from quasifix.maps import MapSpec, linear_quarter, piecewise_quarter
 from quasifix.metrics import (
-    MetricSpec,
     codomain_scalar,
     eval_metric,
     mat2_split,
     mat2_split_scaled,
     mult_op,
     periodic_fn,
-    register_evaluator,
     scalar_backward_one,
     scalar_forward_one,
 )
@@ -57,7 +54,9 @@ from quasifix.solver import (
 )
 
 from budget import examples
+from lemma_checks import random_psd
 from reference_metrics import reference_distance_norm
+from reference_sqrt import sqrt_positive
 
 GRID = np.linspace(-3.0, 7.0, 21)
 PAIRS = [(x, y) for x in GRID for y in GRID]
@@ -165,8 +164,8 @@ def test_one_step_decay_under_the_sandwich(sandwich_cert):
 
 
 def test_one_sided_rate_matches_the_resolvent_coefficient():
-    cert = verify_two_step(linear_quarter(), scalar_backward_one(),
-                           scalar(1 / 3), seed=1.0, orbit_len=30)
+    cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                  scalar(1 / 3), seed=1.0, orbit_len=30)
     cfg = SolverConfig(max_iter=30, tol=1e-300)
     report = picard_solve(linear_quarter(), scalar_backward_one(), 1.0,
                           cert, cfg)
@@ -182,8 +181,8 @@ def test_one_sided_rate_matches_the_resolvent_coefficient():
 
 def test_two_step_certificate_sets_the_rate_under_the_default_config():
     # a = 0.2 I: h = a (I - a)^-1 = 0.25 I, while ||a||^2 would be 0.04
-    cert = verify_two_step(piecewise_quarter(), periodic_fn(), codomain_scalar(
-        periodic_fn(), 0.2), seed=1.0, orbit_len=30)
+    cert = verify(Regime.TWO_STEP, piecewise_quarter(), periodic_fn(),
+                  codomain_scalar(periodic_fn(), 0.2), seed=1.0, orbit_len=30)
     assert cert.valid
     report = picard_solve(piecewise_quarter(), periodic_fn(), 2.0, cert,
                           SolverConfig())
@@ -245,6 +244,26 @@ def test_trace_csv_columns(tmp_path, sandwich_cert):
 
 
 # --- envelope head -------------------------------------------------------------------
+
+def test_sqrt_examples():
+    assert allclose(sqrt_positive(diag2(4, 9)), diag2(2, 3))
+    assert float(sqrt_positive(scalar(0.0)).data) == 0.0
+    y = 1.7
+    root = sqrt_positive(diag2(0.75 * y, 0.0))
+    assert allclose(mul(root, root), diag2(0.75 * y, 0.0), tol=1e-12)
+
+
+def test_sqrt_rejects_indefinite():
+    with pytest.raises(NotPositive):
+        sqrt_positive(diag2(-1.0, 1.0))
+
+
+def test_sqrt_of_non_diagonal_psd():
+    a = random_psd(np.random.default_rng(3))
+    root = sqrt_positive(a)
+    assert is_positive(root)
+    assert allclose(mul(root, root), a, tol=1e-10)
+
 
 def _old_head(d1):
     """The head as computed through the square root: ||d1^(1/2)||^2."""
@@ -334,45 +353,6 @@ def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
     assert len(applied) == report.iterations + 1
 
 
-def _tilted(spec, x, y):
-    # a registered metric with positive, non-diagonal 2x2 values
-    d = x - y
-    return mat2(abs(d), d / 3, d / 3, 2 * abs(d) + max(-d, 0.0))
-
-
-register_evaluator("tilted", _tilted)
-TILTED = MetricSpec("tilted", MAT2, OrderKind.POSITIVE_CONE, NormKind.OPERATOR)
-
-
-def test_registered_metric_steps_are_batched_norms(one_pair_calls):
-    # from this seed, np.hypot (in the batched 2x2 norm) rounds every forward
-    # step's norm one ulp below math.hypot (in the norm of one element)
-    cert = _certificate(Regime.FORWARD_GLOBAL, TILTED)
-    report = picard_solve(linear_quarter(), TILTED, 3.958748893975639, cert,
-                          SolverConfig(tol=1e-10))
-    assert report.converged and report.iterations > 2
-    # the evaluator is called for every step pair and the residual pair, and
-    # for the two observed tails, whose tables call it one pair at a time
-    assert len(one_pair_calls) == (2 * report.iterations + 2) + 2 * report.iterations
-    # the tails end in the last step pair, with the same norms
-    assert report.observed_tail[-1] == report.trace.fwd_step_norms[-1]
-    assert report.observed_tail_rev[-1] == report.trace.bwd_step_norms[-1]
-    pts = report.trace.points
-    for steps, pairs in [(report.trace.fwd_step_norms, zip(pts, pts[1:])),
-                         (report.trace.bwd_step_norms, zip(pts[1:], pts))]:
-        for got, (x, y) in zip(steps, pairs):
-            d = _tilted(TILTED, x, y)
-            assert got == batch_norm(MAT2, d.data[None])[0]
-            assert abs(got - norm(d)) <= math.ulp(got)
-    first = _tilted(TILTED, pts[0], pts[1])
-    assert report.trace.fwd_step_norms[0] == math.nextafter(norm(first), 0.0)
-    # the values must live in the metric's codomain
-    register_evaluator("tilted-scalar", lambda spec, x, y: scalar(abs(x - y)))
-    with pytest.raises(RealizationMismatch):
-        picard_solve(linear_quarter(), replace(TILTED, name="tilted-scalar"),
-                     1.0, cert)
-
-
 SOLVE_METRICS = STEP_METRICS + [mult_op(FN_GRID)]
 # seeds whose distances have squares beyond the float range
 SOLVE_SEED = st.floats(-1e3, 1e3) | st.sampled_from([3e-200, -1e-170, 1e200, -5e300])
@@ -403,6 +383,12 @@ def test_step_and_residual_norms_are_the_reference_norms(metric, kind, slope, sh
         [want(y, x) for x, y in zip(pts, pts[1:])]
     assert report.residual_forward.hex() == want(x_n, after)
     assert report.residual_backward.hex() == want(after, x_n)
+    # the observed tails d(x_p, x_N) and d(x_N, x_p), in the operator norm
+    op = NormKind.OPERATOR
+    assert [v.hex() for v in report.observed_tail] == \
+        [reference_distance_norm(metric, p, x_n, op).hex() for p in pts[:-1]]
+    assert [v.hex() for v in report.observed_tail_rev] == \
+        [reference_distance_norm(metric, x_n, p, op).hex() for p in pts[:-1]]
 
 
 JUMP = MapSpec("jump-half", lambda x: x / 2.0 if x > 0 else 1.0)
