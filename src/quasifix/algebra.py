@@ -3,9 +3,10 @@
 Three realizations back the metric catalog: real 2x2 matrices, real-valued
 functions sampled on a fixed grid, and plain scalars.  Elements are immutable
 and every operation is a pure function, so values can be shared freely across
-threads.  Positivity, the cone partial order, square roots, and the
-``(I - a)^-1`` resolvent are computed in closed form (2x2 eigenvalues from
-trace and determinant); nothing here needs an iterative eigensolver.
+threads.  Norms, positivity, the partial orders and the ``(I - a)^-1``
+resolvent are computed in closed form (2x2 eigenvalues from trace and
+determinant); nothing here needs an iterative eigensolver.  Norms,
+positivity and the orders are defined once, on batches of payloads.
 
 Two norms are available because the matrix examples this library reproduces
 use the entry-sum-of-squares (Frobenius) norm, which is *not* a C*-norm
@@ -204,28 +205,6 @@ def identity_like(a: AlgebraElement) -> AlgebraElement:
 # closed-form 2x2 helpers
 # ---------------------------------------------------------------------------
 
-def _sym2_eigvals(m: np.ndarray) -> tuple[float, float]:
-    """Eigenvalues (low, high) of a symmetric 2x2 matrix."""
-    half_tr = 0.5 * (m[0, 0] + m[1, 1])
-    disc = math.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1])
-    return half_tr - disc, half_tr + disc
-
-
-def _root(square: Any, data: np.ndarray) -> float:
-    """sqrt(square(data)), where a square of finite, non-zero data beyond the
-    normal float range is taken on data / 2^e, 2^e just above max |data|
-    (exact), and scaled back; non-finite data keep their inf or NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = square(data)
-    if not 2.0 ** -1022 <= sq < math.inf and data.any() and np.isfinite(data).all():
-        _, e = math.frexp(float(np.abs(data).max()))
-        try:
-            return math.ldexp(math.sqrt(square(np.ldexp(data, -e))), e)
-        except OverflowError:
-            return math.inf
-    return math.sqrt(max(sq, 0.0))
-
-
 def _inv_mat2(m: np.ndarray) -> np.ndarray:
     """The adjugate over the determinant: not finite where ``m`` is singular
     or its determinant overflows."""
@@ -239,14 +218,6 @@ def _require_same_space(a: AlgebraElement, b: AlgebraElement) -> None:
             f"cannot combine {a.realization!r} with {b.realization!r}")
     if a.realization == SAMPLED and not np.array_equal(a.grid, b.grid):
         raise RealizationMismatch("sampled elements live on different grids")
-
-
-def _require_self_adjoint(a: AlgebraElement, tol: float) -> None:
-    if a.realization == MAT2:
-        skew = abs(a.data[0, 1] - a.data[1, 0])
-        if skew > tol * (1.0 + float(np.max(np.abs(a.data)))):
-            raise NotSelfAdjoint(f"matrix is not symmetric (skew {skew:.3e})")
-    # sampled functions and scalars are real-valued, hence self-adjoint
 
 
 # ---------------------------------------------------------------------------
@@ -284,46 +255,24 @@ def adjoint(a: AlgebraElement) -> AlgebraElement:
 
 
 def norm(a: AlgebraElement, kind: NormKind = NormKind.OPERATOR) -> float:
-    if a.realization == SCALAR:
-        return abs(float(a.data))
-    if kind is NormKind.ENTRY_SUM_SQUARES:
-        return _root(lambda d: np.sum(d * d), a.data)
-    if a.realization == MAT2:
-        return _root(lambda m: _sym2_eigvals(m.T @ m)[1], a.data)
-    return float(np.max(np.abs(a.data)))
-
-
-def min_spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> float:
-    """Smallest eigenvalue (mat2) or smallest sample/value otherwise.
-
-    Requires a self-adjoint input; the matrix check allows skew up to
-    ``tol`` relative to the largest entry.
-    """
-    _require_self_adjoint(a, tol)
-    if a.realization == MAT2:
-        sym = 0.5 * (a.data + a.data.T)
-        lo, _ = _sym2_eigvals(sym)
-        return lo
-    return float(np.min(a.data)) if a.data.ndim else float(a.data)
+    """``batch_norm`` of the one sample ``a``."""
+    return float(batch_norm(a.realization, a.data[None], kind)[0])
 
 
 def is_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the element lies in the positive cone, up to ``tol``."""
-    return min_spectrum(a, tol) >= -tol
+    """True iff the element lies in the positive cone, up to ``tol``; see
+    ``_in_cone``."""
+    return bool(_in_cone(a.realization, a.data[None], np.array([tol], dtype=float))[0])
 
 
 def leq(a: AlgebraElement, b: AlgebraElement,
         order: OrderKind = OrderKind.POSITIVE_CONE,
         tol: float = DEFAULT_TOL) -> bool:
-    """Partial-order comparison ``a <= b`` in the chosen order."""
+    """Partial-order comparison ``a <= b`` in the chosen order: ``batch_leq``
+    on the one pair."""
     _require_same_space(a, b)
-    if order is OrderKind.ENTRYWISE:
-        if a.realization != MAT2:
-            raise RealizationMismatch("entrywise order is defined for mat2 only")
-        return bool(np.all(b.data >= a.data - tol) and np.all(a.data >= -tol))
-    _require_self_adjoint(a, tol)
-    _require_self_adjoint(b, tol)
-    return is_positive(sub(b, a), tol)
+    return bool(batch_leq(a.realization, a.data[None], b.data[None], order,
+                          np.array([tol], dtype=float))[0])
 
 
 def _inverse_one_minus_unchecked(a: AlgebraElement) -> AlgebraElement:
@@ -359,15 +308,16 @@ def inverse_one_minus(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraEle
     return _inverse_one_minus_unchecked(a)
 
 
-def is_diagonal(a: AlgebraElement, tol: float = 0.0) -> bool:
-    """True for scalars, sampled functions, and (near-)diagonal matrices.
+def is_diagonal(a: AlgebraElement) -> bool:
+    """True for scalars, sampled functions, and matrices whose off-diagonal
+    entries are zero.
 
     These are exactly the realizations whose elements commute with each
     other, which some certificate regimes require structurally.
     """
     if a.realization != MAT2:
         return True
-    return abs(a.data[0, 1]) <= tol and abs(a.data[1, 0]) <= tol
+    return bool(a.data[0, 1] == 0.0 and a.data[1, 0] == 0.0)
 
 
 def allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
@@ -379,13 +329,10 @@ def allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
 # batched operations
 #
 # A batch stacks the payloads of N elements of one realization along a new
-# leading axis: shape (N, 2, 2), (N, m) or (N,).  Each function applies its
-# one-element counterpart above to every sample with the same arithmetic
-# (a stacked matmul is the per-matrix product), so batch and loop agree bit
-# for bit, except that the 2x2 eigenvalues take np.hypot where the scalar
-# path takes math.hypot; the two can differ in the last ulp, and only when
-# the off-diagonal entry is non-zero.  Spaces (realization and grid) are the
-# caller's to check, since a payload carries neither.
+# leading axis: shape (N, 2, 2), (N, m) or (N,).  These are the only
+# definitions of the norms, the cone and the orders; ``norm``, ``is_positive``
+# and ``leq`` run them on a batch of one.  Spaces (realization and grid) are
+# the caller's to check, since a payload carries neither.
 # ---------------------------------------------------------------------------
 
 def _require_finite_batch(data: np.ndarray) -> None:
@@ -400,8 +347,9 @@ def _sym2_eigvals_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _require_self_adjoint_batch(stacks: tuple[np.ndarray, ...], tol: np.ndarray) -> None:
-    """``_require_self_adjoint`` on each sample of each stack, raising for the
-    first sample that fails, and within it for the first stack."""
+    """``NotSelfAdjoint`` for the first sample i where some stack's matrix has
+    off-diagonal entries more than tol[i] (1 + its largest |entry|) apart,
+    naming the first such stack's skew."""
     skew = np.stack([np.abs(m[:, 0, 1] - m[:, 1, 0]) for m in stacks], axis=1)
     limit = np.stack([tol * (1.0 + np.abs(m).max(axis=(1, 2))) for m in stacks], axis=1)
     bad = np.argwhere(skew > limit)
@@ -418,7 +366,9 @@ def batch_mul(realization: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _root_batch(square: Any, data: np.ndarray) -> np.ndarray:
-    """``_root`` of every sample."""
+    """sqrt(square(sample)) per sample; a finite, non-zero sample whose square
+    leaves the normal float range is divided by 2^e, just above its largest
+    |entry| (exact), squared and scaled back.  inf and NaN stay as they are."""
     with np.errstate(over="ignore", invalid="ignore"):
         sq = square(data)
     out = np.sqrt(sq)  # sq >= +0, or inf/NaN where the square overflowed
@@ -436,7 +386,7 @@ def _root_batch(square: Any, data: np.ndarray) -> np.ndarray:
 
 def batch_norm(realization: str, data: np.ndarray,
                kind: NormKind = NormKind.OPERATOR) -> np.ndarray:
-    """``norm`` of every sample."""
+    """The norm of every sample; see ``NormKind``."""
     if realization == SCALAR:
         return np.abs(data)
     if kind is NormKind.ENTRY_SUM_SQUARES:
@@ -449,10 +399,12 @@ def batch_norm(realization: str, data: np.ndarray,
 
 def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
               order: OrderKind, tol: np.ndarray) -> np.ndarray:
-    """``leq(a[i], b[i], order, tol[i])`` for every sample, as a bool array.
+    """Whether a[i] <= b[i] in ``order`` up to tol[i], as a bool array.
 
-    Raises what ``leq`` raises.  The checks run in ``leq``'s order, each
-    over the whole batch, and each reports its first failing sample.
+    Raises ``RealizationMismatch`` for the entrywise order off 2x2, and under
+    the cone ``NotSelfAdjoint`` for a skewed matrix of a or b, ``ValueError``
+    for a non-finite b - a, then what ``_in_cone`` raises: in that order,
+    each for its first failing sample.
     """
     if order is OrderKind.ENTRYWISE:
         if realization != MAT2 and len(a):
@@ -463,11 +415,17 @@ def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
         _require_self_adjoint_batch((a, b), tol)
     diff = b - a
     _require_finite_batch(diff)
+    return _in_cone(realization, diff, tol)
+
+
+def _in_cone(realization: str, d: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """Whether the least sample of d[i], or the low eigenvalue of a matrix
+    that must be symmetric up to tol[i], is at least -tol[i], as a bool array."""
     if realization != MAT2:
-        lo = diff if diff.ndim == 1 else diff.min(axis=1)
+        lo = d if d.ndim == 1 else d.min(axis=1)
         return lo >= -tol
-    _require_self_adjoint_batch((diff,), tol)
-    lo, _ = _sym2_eigvals_batch(0.5 * (diff + np.swapaxes(diff, 1, 2)))
+    _require_self_adjoint_batch((d,), tol)
+    lo, _ = _sym2_eigvals_batch(0.5 * (d + np.swapaxes(d, 1, 2)))
     return lo >= -tol
 
 

@@ -58,7 +58,6 @@ from .algebra import (
     adjoint,
     element_from_json,
     element_to_json,
-    inverse_one_minus,
     is_diagonal,
     is_positive,
     mul,
@@ -254,7 +253,9 @@ def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
 
     ``rhs`` is the sandwich (a* base) a, or a base for two-step, and each
     sample is compared in the metric's order with tolerance
-    tol (1 + ||rhs||_op).
+    tol (1 + ||rhs||_op).  The sandwich of a symmetric 2x2 base is
+    symmetric, so where rounding splits its off-diagonal entries apart both
+    get their mean; the diagonal and equal entries stay as they are.
     """
     kind = a.realization
     if regime is Regime.TWO_STEP:
@@ -262,6 +263,11 @@ def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
     else:
         rhs = algebra.batch_mul(
             kind, algebra.batch_mul(kind, adjoint(a).data, base), a.data)
+        if kind == algebra.MAT2:
+            up, down = rhs[:, 0, 1], rhs[:, 1, 0]
+            split = (up != down) & (base[:, 0, 1] == base[:, 1, 0])
+            if split.any():  # halves first: the sum of two entries can overflow
+                rhs[split, 0, 1] = rhs[split, 1, 0] = 0.5 * up[split] + 0.5 * down[split]
     tolr = tol * (1.0 + algebra.batch_norm(kind, rhs))
     return rhs, ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr)
 
@@ -323,10 +329,9 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     norm_kind, a_norm = gate
     h = None
     if regime is Regime.TWO_STEP:
-        # the step rate h = a (I - a)^-1
-        inv = (inverse_one_minus(a, tol) if a_norm < 0.5
-               else algebra._inverse_one_minus_unchecked(a))
-        h = mul(a, inv)
+        # the step rate h = a (I - a)^-1; the gate has shown a positive with
+        # ||a||_op <= 1/2, so the resolvent needs no gates of its own
+        h = mul(a, algebra._inverse_one_minus_unchecked(a))
     points, lhs, base = tables
     rhs, failed = _failures(regime, metric, a, lhs, base, tol)
     bad = np.flatnonzero(failed)

@@ -40,7 +40,14 @@ from quasifix.algebra import (
     sub,
 )
 
+from budget import examples
 from lemma_checks import random_psd, random_sym
+from reference_algebra import (
+    min_spectrum,
+    reference_is_positive,
+    reference_leq,
+    reference_norm,
+)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -137,7 +144,7 @@ def _decimal_norms(data):
 def _plain_norms(m):
     """The unscaled arithmetic of both 2x2 norms, which squares the entries."""
     g = m.T @ m
-    hi = 0.5 * (g[0, 0] + g[1, 1]) + math.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
+    hi = 0.5 * (g[0, 0] + g[1, 1]) + np.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
     return math.sqrt(max(hi, 0.0)), math.sqrt(np.sum(m * m))
 
 
@@ -158,10 +165,10 @@ def test_mat2_norms_match_a_decimal_oracle_over_the_float_range(entries, diagona
     want = _decimal_norms(m.data)
     for kind, w in zip(NormKind, want):
         got = norm(m, kind)
-        batched = batch_norm(MAT2, m.data[None], kind)[0]
+        ref = reference_norm(m, kind)
         assert abs(got - w) <= 4 * math.ulp(w)
         # np.hypot and math.hypot can round apart off the diagonal
-        assert abs(batched - got) <= (0.0 if diagonal else math.ulp(got))
+        assert abs(ref - got) <= (0.0 if diagonal else math.ulp(got))
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,7 +178,7 @@ def test_sampled_sum_squares_norm_matches_a_decimal_oracle(values):
     _, want = _decimal_norms(a.data)
     got = norm(a, NormKind.ENTRY_SUM_SQUARES)
     assert abs(got - want) <= 4 * math.ulp(want)
-    assert batch_norm(SAMPLED, a.data[None], NormKind.ENTRY_SUM_SQUARES)[0] == got
+    assert reference_norm(a, NormKind.ENTRY_SUM_SQUARES) == got
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,7 +197,7 @@ def test_norms_at_the_ends_of_the_float_range():
             warnings.simplefilter("error")
             for kind in NormKind:
                 assert norm(m, kind) == value
-                assert batch_norm(MAT2, m.data[None], kind).tolist() == [value]
+                assert reference_norm(m, kind) == value
     # a batch scales only its out-of-range samples, zeros stay zero
     tiny = math.ldexp(1.0, -1000)
     stack = np.stack([diag2(1e200, 0.0).data, diag2(3.0, 4.0).data,
@@ -249,6 +256,69 @@ def test_entrywise_order_requires_nonnegative_lower_element():
     assert not leq(diag2(-1, 0), diag2(1, 1), OrderKind.ENTRYWISE)
     with pytest.raises(RealizationMismatch):
         leq(scalar(0), scalar(1), OrderKind.ENTRYWISE)
+
+
+# --- one definition against the one-element reference ------------------------
+
+ELEMENT_KINDS = ["diagonal", "symmetric", "general", "sampled", "scalar"]
+FN_GRID = [0.0, 1.0, 2.0, 3.0]
+
+
+@st.composite
+def _elements(draw, kind):
+    """An element of ``kind`` with entries over the float range."""
+    entries = _entries(-330, 306, ends=(5e-324, -2.7e-273, 1e200, -1.7e308))
+    if kind == "scalar":
+        return scalar(draw(entries))
+    if kind == "sampled":
+        return sampled(FN_GRID, draw(st.lists(entries, min_size=4, max_size=4)))
+    m11, m12, m21, m22 = draw(st.lists(entries, min_size=4, max_size=4))
+    if kind == "diagonal":
+        m12 = m21 = 0.0
+    elif kind == "symmetric":
+        m21 = m12
+    return mat2(m11, m12, m21, m22)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the error itself is the outcome
+        return type(exc), str(exc)
+
+
+def _near_the_edge(d, tol):
+    """Whether the low eigenvalue of the symmetric d is within 4 ulps of
+    -tol, in ulps of d's largest entry, the scale at which it rounds."""
+    return abs(min_spectrum(d, math.inf) + tol) <= 4 * math.ulp(np.abs(d.data).max())
+
+
+@settings(max_examples=examples(400), deadline=None)
+@given(kind=st.sampled_from(ELEMENT_KINDS), tol=st.sampled_from([0.0, 1e-9]),
+       data=st.data())
+def test_element_operations_are_the_reference_forms(kind, tol, data):
+    a, b = data.draw(_elements(kind)), data.draw(_elements(kind))
+    # bit for bit wherever the 2x2 eigenvalues meet no off-diagonal entry;
+    # off it, np.hypot and math.hypot can round apart by an ulp
+    exact = kind not in ("symmetric", "general")
+    for x in (a, b):
+        for nk in NormKind:
+            got, want = norm(x, nk), reference_norm(x, nk)
+            assert got == want or (not exact and abs(got - want) <= math.ulp(want))
+
+    def agree(library, reference, in_cone):
+        got, want = _outcome(library), _outcome(reference)
+        if isinstance(want, tuple):  # an error: the same type and message
+            assert got == want
+        else:
+            assert isinstance(got, bool)
+            assert got == want or (not exact and in_cone is not None
+                                   and _near_the_edge(in_cone(), tol))
+
+    agree(lambda: is_positive(a, tol), lambda: reference_is_positive(a, tol), lambda: a)
+    for order in OrderKind:
+        agree(lambda: leq(a, b, order, tol), lambda: reference_leq(a, b, order, tol),
+              None if order is OrderKind.ENTRYWISE else lambda: sub(b, a))
 
 
 # --- resolvent inverse -------------------------------------------------------

@@ -272,6 +272,20 @@ def test_certify_two_step_positivity_and_commutant_give_no_tol_slack(entries, me
     assert "Traceback" not in err
 
 
+def test_certify_at_tol_zero_takes_the_sandwich_as_symmetric(capsys):
+    # the sandwich a* d a at d = diag(1.5, 0) has off-diagonal entries
+    # (0.1 * 1.5) * 0.3 and (0.3 * 1.5) * 0.1, a rounding bit apart; the exact
+    # sandwich is symmetric, so the check runs instead of refusing it
+    code = main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--order", "cone", "--regime", "forward", "--tol", "0",
+                 "--grid", "0,1.5,2",
+                 "--a", '{"realization": "mat2", "entries": [[0.1, 0.3], [0, 0.3]]}'])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "9 samples, 6 violations" in captured.out
+    assert captured.err == ""
+
+
 _THIRD = '{"realization": "scalar", "value": 0.3333333333333333}'
 
 

@@ -21,7 +21,6 @@ from quasifix.algebra import (
     adjoint,
     allclose,
     diag2,
-    leq,
     mat2,
     mul,
     norm,
@@ -53,6 +52,7 @@ from quasifix.metrics import (
 )
 
 from budget import examples
+from reference_algebra import reference_leq, reference_norm
 from reference_metrics import reference_eval_metric
 from reference_search import plain_search
 
@@ -272,16 +272,14 @@ def test_two_step_search_builds_the_resolvent_once(monkeypatch, map_spec, metric
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(contraction, "inverse_one_minus",
-                        counted(contraction.inverse_one_minus))
     monkeypatch.setattr(algebra, "_inverse_one_minus_unchecked",
                         counted(algebra._inverse_one_minus_unchecked))
     cert = search_scalar_coefficient(map_spec, metric, Regime.TWO_STEP,
                                      seed=1.0, orbit_len=30)
     assert cert is not None and cert.valid
-    assert calls.count("inverse_one_minus") <= 2
-    # every resolvent, checked or not, goes through the unchecked builder
-    assert calls.count("_inverse_one_minus_unchecked") <= 2
+    # the gate has checked the coefficient, so h takes the ungated builder
+    # once, for the returned certificate only
+    assert calls == ["_inverse_one_minus_unchecked"]
 
 
 @pytest.mark.parametrize("regime, map_spec, metric, samples", [
@@ -528,7 +526,9 @@ def test_certificate_json_roundtrip():
 def reference_violations(regime, map_spec, metric, a, *, pairs=None,
                          seed=None, orbit_len=30, tol=1e-9):
     """The per-sample loop the batched core replaced: each distance from the
-    one-pair reference formulas and one ``leq`` per sample, in sample order."""
+    one-pair reference formulas and one reference ``leq`` per sample, in
+    sample order.  Off-diagonal entries of a sandwich of a symmetric base
+    that rounding split apart get their mean, as in the core."""
     d = reference_eval_metric
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
         backward = regime is Regime.BACKWARD_GLOBAL
@@ -547,9 +547,15 @@ def reference_violations(regime, map_spec, metric, a, *, pairs=None,
             rhs = mul(a, base)
         else:
             rhs = mul(mul(adjoint(a), base), a)
-        tolr = tol * (1.0 + norm(rhs, NormKind.OPERATOR))
-        if not leq(lhs, rhs, metric.order, tolr):
-            found.append((x, y, norm(lhs, metric.norm), norm(rhs, metric.norm)))
+            m = rhs.data
+            if (rhs.realization == "mat2" and m[0, 1] != m[1, 0]
+                    and base.data[0, 1] == base.data[1, 0]):
+                mean = 0.5 * m[0, 1] + 0.5 * m[1, 0]
+                rhs = mat2(m[0, 0], mean, mean, m[1, 1])
+        tolr = tol * (1.0 + reference_norm(rhs, NormKind.OPERATOR))
+        if not reference_leq(lhs, rhs, metric.order, tolr):
+            found.append((x, y, reference_norm(lhs, metric.norm),
+                          reference_norm(rhs, metric.norm)))
     return found
 
 
@@ -615,24 +621,64 @@ def test_batched_core_matches_the_per_sample_loop(codomain, order, norm_kind,
         assert math.isclose(v["rhs_norm"], rhs_norm, rel_tol=1e-12, abs_tol=0.0)
 
 
-def test_self_adjointness_gate_fires_on_the_same_sample():
+def test_a_rounding_skew_of_the_sandwich_is_no_error():
     # under the positive cone at tol = 0, the sandwich a* d a of a
     # non-symmetric coefficient is symmetric only up to rounding.  With
     # d = diag(b, 0), its off-diagonal entries are (a_00 b) a_01 and
-    # (a_01 b) a_00, a bit apart at b = 1.5 and equal at b = 2; the first
-    # pair's d = diag(0, 1/2) gives a symmetric sandwich as well
+    # (a_01 b) a_00, a bit apart at b = 1.5 and equal at b = 2.  The exact
+    # sandwich is symmetric, so both entries get their mean and every sample
+    # is checked
     metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
     a = mat2(0.1, 0.3, 0.0, 0.3)
-    pairs = [(0.0, 0.5), (1.5, 0.0), (2.0, 0.0)]
+    pairs = [(x, y) for x in (0.0, 1.5, 2.0) for y in (0.0, 1.5, 2.0)]
+    sandwich = a.data.T @ np.diag([1.5, 0.0]) @ a.data
+    assert sandwich[0, 1] != sandwich[1, 0]
+    expected = reference_violations(Regime.FORWARD_GLOBAL, linear_quarter(), metric,
+                                    a, pairs=pairs, tol=0.0)
+    cert = verify_global(linear_quarter(), metric, a, pairs, tol=0.0)
+    assert len(expected) == 6
+    assert [(v["x"], v["y"], v["lhs_norm"]) for v in cert.violations] == \
+        [found[:3] for found in expected]
+    # np.hypot and math.hypot can round apart off the diagonal
+    for v, (_, _, _, rhs_norm) in zip(cert.violations, expected):
+        assert abs(v["rhs_norm"] - rhs_norm) <= math.ulp(rhs_norm)
+
+
+def test_the_sandwich_mean_does_not_overflow():
+    # off-diagonal entries 1.4535e308 and one ulp below: their sum overflows,
+    # their mean does not, and the check runs
+    metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
+    a = mat2(0.9, 0.95, 0.0, 0.95)
+    base = np.diag([1.7e308, 0.0])[None]
+    split = a.data.T @ base[0] @ a.data
+    assert split[0, 1] != split[1, 0]
+    rhs, failed = contraction._failures(Regime.FORWARD_GLOBAL, metric, a,
+                                        np.zeros((1, 2, 2)), base, 0.0)
+    assert rhs[0, 0, 1] == rhs[0, 1, 0] == 0.5 * split[0, 1] + 0.5 * split[1, 0]
+    assert math.isfinite(rhs[0, 0, 1]) and failed.shape == (1,)
+
+
+SKEW = np.array([[0.0, 1e-3], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("skewed", ["lhs", "base"])
+def test_self_adjointness_gate_fires_on_the_same_sample(skewed):
+    # a skew that is not the sandwich's rounding, in lhs or in a non-symmetric
+    # base, is refused at tol 0 for the first sample that has it, with the
+    # message the one-pair reference gives
+    metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
+    a = diag2(0.5, 0.25)
+    lhs, base = np.zeros((3, 2, 2)), np.stack([np.eye(2)] * 3)
+    tables = {"lhs": lhs, "base": base}
+    tables[skewed][1] += SKEW
+    tables[skewed][2] += 2 * SKEW
     with pytest.raises(NotSelfAdjoint) as want:
-        reference_violations(Regime.FORWARD_GLOBAL, linear_quarter(), metric, a,
-                             pairs=pairs, tol=0.0)
+        for l, b in zip(lhs, base):
+            rhs = mul(mul(adjoint(a), mat2(*b.ravel())), a)
+            reference_leq(mat2(*l.ravel()), rhs, metric.order, 0.0)
     with pytest.raises(NotSelfAdjoint) as got:
-        verify_global(linear_quarter(), metric, a, pairs, tol=0.0)
+        contraction._failures(Regime.FORWARD_GLOBAL, metric, a, lhs, base, 0.0)
     assert str(got.value) == str(want.value)
-    # without the middle pair every sandwich is symmetric, and the check runs
-    assert verify_global(linear_quarter(), metric, a, pairs[::2],
-                         tol=0.0).samples_checked == 2
 
 
 # --- orbit tables --------------------------------------------------------------------

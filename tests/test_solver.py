@@ -56,7 +56,7 @@ from quasifix.solver import (
 from budget import examples
 from lemma_checks import random_psd
 from reference_metrics import reference_distance_norm
-from reference_sqrt import sqrt_positive
+from reference_algebra import reference_norm, sqrt_positive
 
 GRID = np.linspace(-3.0, 7.0, 21)
 PAIRS = [(x, y) for x in GRID for y in GRID]
@@ -267,7 +267,7 @@ def test_sqrt_of_non_diagonal_psd():
 
 def _old_head(d1):
     """The head as computed through the square root: ||d1^(1/2)||^2."""
-    return norm(sqrt_positive(d1), NormKind.OPERATOR) ** 2
+    return reference_norm(sqrt_positive(d1), NormKind.OPERATOR) ** 2
 
 
 FN_GRID = np.linspace(0.125, 1.0, 5)
