@@ -341,8 +341,9 @@ def _require_finite_batch(data: np.ndarray) -> None:
 
 
 def _sym2_eigvals_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    half_tr = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
-    disc = np.hypot(0.5 * (m[:, 0, 0] - m[:, 1, 1]), m[:, 0, 1])
+    # halves first: the sum of two finite entries can overflow, their mean not
+    half_tr = 0.5 * m[:, 0, 0] + 0.5 * m[:, 1, 1]
+    disc = np.hypot(0.5 * m[:, 0, 0] - 0.5 * m[:, 1, 1], m[:, 0, 1])
     return half_tr - disc, half_tr + disc
 
 
@@ -425,7 +426,9 @@ def _in_cone(realization: str, d: np.ndarray, tol: np.ndarray) -> np.ndarray:
         lo = d if d.ndim == 1 else d.min(axis=1)
         return lo >= -tol
     _require_self_adjoint_batch((d,), tol)
-    lo, _ = _sym2_eigvals_batch(0.5 * (d + np.swapaxes(d, 1, 2)))
+    # an eigenvalue beyond the float range is +-inf, on its side of the cone
+    with np.errstate(over="ignore"):
+        lo, _ = _sym2_eigvals_batch(0.5 * d + 0.5 * np.swapaxes(d, 1, 2))
     return lo >= -tol
 
 

@@ -268,7 +268,8 @@ def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
             split = (up != down) & (base[:, 0, 1] == base[:, 1, 0])
             if split.any():  # halves first: the sum of two entries can overflow
                 rhs[split, 0, 1] = rhs[split, 1, 0] = 0.5 * up[split] + 0.5 * down[split]
-    tolr = tol * (1.0 + algebra.batch_norm(kind, rhs))
+    # at tol 0 the tolerance is 0 even where ||rhs||_op overflows (0 * inf is NaN)
+    tolr = tol * (1.0 + algebra.batch_norm(kind, rhs)) if tol else np.zeros(len(rhs))
     return rhs, ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr)
 
 

@@ -40,8 +40,8 @@ from quasifix.algebra import (
 
 def _sym2_eigvals(m: np.ndarray) -> tuple[float, float]:
     """Eigenvalues (low, high) of a symmetric 2x2 matrix."""
-    half_tr = 0.5 * (m[0, 0] + m[1, 1])
-    disc = math.hypot(0.5 * (m[0, 0] - m[1, 1]), m[0, 1])
+    half_tr = 0.5 * m[0, 0] + 0.5 * m[1, 1]
+    disc = math.hypot(0.5 * m[0, 0] - 0.5 * m[1, 1], m[0, 1])
     return half_tr - disc, half_tr + disc
 
 
@@ -86,8 +86,9 @@ def min_spectrum(a: AlgebraElement, tol: float = DEFAULT_TOL) -> float:
     """
     _require_self_adjoint(a, tol)
     if a.realization == MAT2:
-        sym = 0.5 * (a.data + a.data.T)
-        lo, _ = _sym2_eigvals(sym)
+        sym = 0.5 * a.data + 0.5 * a.data.T
+        with np.errstate(over="ignore"):  # beyond the float range, -inf
+            lo, _ = _sym2_eigvals(sym)
         return lo
     return float(np.min(a.data)) if a.data.ndim else float(a.data)
 
@@ -128,7 +129,7 @@ def sqrt_positive(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement
     if not reference_is_positive(a, tol):
         raise NotPositive("square root requires a positive element")
     if a.realization == MAT2:
-        sym = 0.5 * (a.data + a.data.T)
+        sym = 0.5 * a.data + 0.5 * a.data.T
         lo, hi = _sym2_eigvals(sym)
         c, s = _sym2_rotation(sym)
         s_hi = math.sqrt(max(hi, 0.0))

@@ -552,7 +552,7 @@ def reference_violations(regime, map_spec, metric, a, *, pairs=None,
                     and base.data[0, 1] == base.data[1, 0]):
                 mean = 0.5 * m[0, 1] + 0.5 * m[1, 0]
                 rhs = mat2(m[0, 0], mean, mean, m[1, 1])
-        tolr = tol * (1.0 + reference_norm(rhs, NormKind.OPERATOR))
+        tolr = tol * (1.0 + reference_norm(rhs, NormKind.OPERATOR)) if tol else 0.0
         if not reference_leq(lhs, rhs, metric.order, tolr):
             found.append((x, y, reference_norm(lhs, metric.norm),
                           reference_norm(rhs, metric.norm)))
