@@ -213,10 +213,17 @@ def _inv_mat2(m: np.ndarray) -> np.ndarray:
 
 
 def _require_same_space(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.realization != b.realization:
+    _require_space(a, b.realization, b.grid)
+
+
+def _require_space(a: AlgebraElement, realization: str,
+                   grid: np.ndarray | None) -> None:
+    """``RealizationMismatch`` unless ``a`` lives in ``realization``, on
+    ``grid`` if that is ``SAMPLED``."""
+    if a.realization != realization:
         raise RealizationMismatch(
-            f"cannot combine {a.realization!r} with {b.realization!r}")
-    if a.realization == SAMPLED and not np.array_equal(a.grid, b.grid):
+            f"cannot combine {a.realization!r} with {realization!r}")
+    if realization == SAMPLED and not np.array_equal(a.grid, grid):
         raise RealizationMismatch("sampled elements live on different grids")
 
 
@@ -351,17 +358,22 @@ def _require_self_adjoint_batch(stacks: tuple[np.ndarray, ...], tol: np.ndarray)
     """``NotSelfAdjoint`` for the first sample i where some stack's matrix has
     off-diagonal entries more than tol[i] (1 + its largest |entry|) apart,
     naming the first such stack's skew."""
-    skew = np.stack([np.abs(m[:, 0, 1] - m[:, 1, 0]) for m in stacks], axis=1)
-    limit = np.stack([tol * (1.0 + np.abs(m).max(axis=(1, 2))) for m in stacks], axis=1)
-    bad = np.argwhere(skew > limit)
-    if bad.size:
-        i, k = bad[0]
-        raise NotSelfAdjoint(f"matrix is not symmetric (skew {skew[i, k]:.3e})")
+    first = None  # (sample, skew) of the earliest failing sample so far
+    for m in stacks:
+        skew = np.abs(m[:, 0, 1] - m[:, 1, 0])
+        bad = np.flatnonzero(skew > tol * (1.0 + np.abs(m).max(axis=(1, 2))))
+        if bad.size and (first is None or bad[0] < first[0]):
+            first = (bad[0], skew[bad[0]])
+    if first is not None:
+        raise NotSelfAdjoint(f"matrix is not symmetric (skew {first[1]:.3e})")
 
 
-def batch_mul(realization: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``mul`` sample by sample; either side may be a single payload."""
-    out = np.matmul(a, b) if realization == MAT2 else a * b
+def batch_mul(realization: str, a: np.ndarray, b: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """``mul`` sample by sample; either side may be a single payload.  The
+    product goes into ``out`` when one is given, which may be ``a`` or ``b``."""
+    product = np.matmul if realization == MAT2 else np.multiply
+    out = product(a, b, out=out)
     _require_finite_batch(out)
     return out
 
@@ -395,12 +407,17 @@ def batch_norm(realization: str, data: np.ndarray,
     if realization == MAT2:
         return _root_batch(
             lambda d: _sym2_eigvals_batch(np.matmul(np.swapaxes(d, 1, 2), d))[1], data)
-    return np.max(np.abs(data), axis=1)
+    # max |x| is max(max x, -min x), without an array of |x|; the abs turns
+    # a -0.0 that either side can leave into +0.0, as max |x| has it
+    out = np.maximum(data.max(axis=1), -data.min(axis=1))
+    return np.abs(out, out=out)
 
 
 def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
-              order: OrderKind, tol: np.ndarray) -> np.ndarray:
-    """Whether a[i] <= b[i] in ``order`` up to tol[i], as a bool array.
+              order: OrderKind, tol: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Whether a[i] <= b[i] in ``order`` up to tol[i], as a bool array.  The
+    cone order takes b - a into ``out`` when one is given, which may be ``b``.
 
     Raises ``RealizationMismatch`` for the entrywise order off 2x2, and under
     the cone ``NotSelfAdjoint`` for a skewed matrix of a or b, ``ValueError``
@@ -414,7 +431,7 @@ def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
         return np.all(b >= a - t, axis=(1, 2)) & np.all(a >= -t, axis=(1, 2))
     if realization == MAT2:
         _require_self_adjoint_batch((a, b), tol)
-    diff = b - a
+    diff = np.subtract(b, a, out=out)
     _require_finite_batch(diff)
     return _in_cone(realization, diff, tol)
 

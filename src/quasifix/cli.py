@@ -516,7 +516,7 @@ def _cmd_demo_integral(args: argparse.Namespace) -> int:
     if report.regime == integral.REGIME_NOT_CONTRACTIVE:
         status = 1
     else:
-        report = integral.run_demo(prob, SolverConfig(tol=args.tol, max_iter=200))
+        integral.run_demo(prob, SolverConfig(tol=args.tol, max_iter=200), report)
         print(f"solver: {report.solver}")
         print(f"equation residual {report.equation_residual:.3e}")
         if report.equation_residual > args.tol:

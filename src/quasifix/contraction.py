@@ -24,10 +24,10 @@ orbital lhs and base are one evaluation of the orbit's consecutive steps,
 shifted by one against each other.  The core forms ``rhs`` -- the sandwich
 (a* base) a, or a base for two-step, in the operation order of ``mul`` --
 and runs the order check on the whole batch with the per-sample tolerance
-tol (1 + ||rhs||_op).  ``verify`` is the one dispatch over regimes;
-``search_scalar_coefficient`` reuses the tables across all its bisection
-attempts.  ``samples_checked`` and the order and fields of the violations
-are those of a sample-by-sample loop.
+tol (1 + ||rhs||_op), or 0 where that overflows.  ``verify`` is the one
+dispatch over regimes; ``search_scalar_coefficient`` reuses the tables
+across all its bisection attempts.  ``samples_checked`` and the order and
+fields of the violations are those of a sample-by-sample loop.
 
 For a = c I on a catalog codomain the check is componentwise (every value
 is diagonal, sampled or scalar) and monotone in u = c^2 (u = c for
@@ -64,7 +64,7 @@ from .algebra import (
     norm,
 )
 from .maps import MapSpec
-from .metrics import MetricSpec, _paired_on, codomain_scalar, paired_payloads
+from .metrics import MetricSpec, _paired_on, _require_tol, codomain_scalar, paired_payloads
 
 from enum import Enum
 
@@ -208,7 +208,9 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     for ``lhs`` and one for ``base``; two-step does not evaluate the orbit's
     first step d(o[0], o[1]), which it never compares.  ``points[i]`` is the
     (x, y) a violation of sample i records.  The distances must live in the
-    space of ``like`` (the coefficient), as ``mul`` and ``leq`` require.
+    space of ``like`` (the coefficient), as ``mul`` and ``leq`` require:
+    its realization is the metric's codomain, and a sampled one lies on the
+    metric's element grid.
     """
     if regime in _GLOBAL:
         if pairs is None:
@@ -242,35 +244,48 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         else:
             lhs = _paired_on(metric, orbit, slice(1, -1), slice(2, None))
             base = _paired_on(metric, orbit, slice(None, -2), slice(2, None))
-    algebra._require_same_space(like, codomain_scalar(metric, 0.0))
+    grid = metric._element_grid if metric.codomain == algebra.SAMPLED else None
+    algebra._require_space(like, metric.codomain, grid)
     return points, lhs, base
 
 
-def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
-              lhs: np.ndarray, base: np.ndarray,
-              tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rhs, mask of the samples where lhs <= rhs fails) for coefficient ``a``.
-
-    ``rhs`` is the sandwich (a* base) a, or a base for two-step, and each
-    sample is compared in the metric's order with tolerance
-    tol (1 + ||rhs||_op).  The sandwich of a symmetric 2x2 base is
-    symmetric, so where rounding splits its off-diagonal entries apart both
-    get their mean; the diagonal and equal entries stay as they are.
-    """
+def _sandwich(regime: Regime, a: AlgebraElement, base: np.ndarray) -> np.ndarray:
+    """The right-hand side of each sample for coefficient ``a``: the
+    sandwich (a* base) a, or a base for two-step, in the operation order of
+    ``mul``.  The sandwich of a symmetric 2x2 base is symmetric, so where
+    rounding splits its off-diagonal entries apart both get their mean; the
+    diagonal and equal entries stay as they are."""
     kind = a.realization
     if regime is Regime.TWO_STEP:
-        rhs = algebra.batch_mul(kind, a.data, base)
-    else:
-        rhs = algebra.batch_mul(
-            kind, algebra.batch_mul(kind, adjoint(a).data, base), a.data)
-        if kind == algebra.MAT2:
-            up, down = rhs[:, 0, 1], rhs[:, 1, 0]
-            split = (up != down) & (base[:, 0, 1] == base[:, 1, 0])
-            if split.any():  # halves first: the sum of two entries can overflow
-                rhs[split, 0, 1] = rhs[split, 1, 0] = 0.5 * up[split] + 0.5 * down[split]
-    # at tol 0 the tolerance is 0 even where ||rhs||_op overflows (0 * inf is NaN)
-    tolr = tol * (1.0 + algebra.batch_norm(kind, rhs)) if tol else np.zeros(len(rhs))
-    return rhs, ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr)
+        return algebra.batch_mul(kind, a.data, base)
+    rhs = algebra.batch_mul(kind, adjoint(a).data, base)
+    algebra.batch_mul(kind, rhs, a.data, out=rhs)
+    if kind == algebra.MAT2:
+        up, down = rhs[:, 0, 1], rhs[:, 1, 0]
+        split = (up != down) & (base[:, 0, 1] == base[:, 1, 0])
+        if split.any():  # halves first: the sum of two entries can overflow
+            rhs[split, 0, 1] = rhs[split, 1, 0] = 0.5 * up[split] + 0.5 * down[split]
+    return rhs
+
+
+def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
+              lhs: np.ndarray, base: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the samples where lhs <= rhs fails, for rhs the ``_sandwich``
+    of ``a`` and ``base``.
+
+    Each sample is compared in the metric's order with tolerance
+    tol (1 + ||rhs||_op), or with tolerance 0 where that is not finite: an
+    infinite tolerance would pass any sample.  The order check writes
+    rhs - lhs over rhs, which nothing reads after it.
+    """
+    kind = a.realization
+    rhs = _sandwich(regime, a, base)
+    tolr = np.zeros(len(rhs))
+    if tol:
+        with np.errstate(over="ignore"):
+            scaled = tol * (1.0 + algebra.batch_norm(kind, rhs))
+        np.copyto(tolr, scaled, where=np.isfinite(scaled))
+    return ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr, out=rhs)
 
 
 def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
@@ -288,12 +303,12 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
     is diagonal (``metrics._payloads`` writes +0.0 off the diagonal), so
     the components are its diagonal entries.  The closed form needs
     non-negative values (there the entrywise order's other condition,
-    l >= -tol (1 + u ||b||_op), always holds) and tol >= 0; otherwise, and
-    when the band is not finite, it is (-inf, inf) and every c needs the
-    exact check.
+    l >= -tol (1 + u ||b||_op), always holds) and tol >= 0, which the
+    search requires; otherwise, and when the band is not finite, it is
+    (-inf, inf) and every c needs the exact check.
     """
     unknown = (-math.inf, math.inf)
-    if not (len(lhs) and tol >= 0.0):
+    if not len(lhs):
         return unknown
     if lhs.ndim == 3:
         lhs, base = (np.diagonal(t, axis1=1, axis2=2) for t in (lhs, base))
@@ -334,10 +349,11 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         # ||a||_op <= 1/2, so the resolvent needs no gates of its own
         h = mul(a, algebra._inverse_one_minus_unchecked(a))
     points, lhs, base = tables
-    rhs, failed = _failures(regime, metric, a, lhs, base, tol)
-    bad = np.flatnonzero(failed)
+    bad = np.flatnonzero(_failures(regime, metric, a, lhs, base, tol))
+    # the order check wrote over its sandwiches: form the failing ones again
     lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
-    rhs_norms = algebra.batch_norm(a.realization, rhs[bad], metric.norm).tolist()
+    rhs_norms = algebra.batch_norm(a.realization, _sandwich(regime, a, base[bad]),
+                                   metric.norm).tolist()
     failing = [points[i] for i in bad.tolist()]
     # plain floats are JSON values already
     if not all(type(x) is float and type(y) is float for x, y in failing):
@@ -363,8 +379,11 @@ def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     of ``seed`` (orbit_len >= 2).  The regime's gates on ``a`` run first.
     A two-step certificate carries h = a (I - a)^-1 and its norm; at the
     boundary norm exactly 1/2 the resolvent still exists but h is no longer
-    a contraction, which shows up as h_norm >= 1.
+    a contraction, which shows up as h_norm >= 1.  A negative or NaN
+    ``tol`` raises ``ValueError``: the one makes the order strict, and every
+    comparison fails with the other.
     """
+    _require_tol(tol)
     gate = _gate(regime, metric, a)
     tables = _tables(regime, map_spec, metric, a, pairs, seed, orbit_len)
     return _certificate(regime, map_spec, metric, a, gate, tables, seed, tol)
@@ -423,8 +442,10 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     bracket, or None when even the cap fails.  That certificate comes from
     the same core on the same tables, so it equals what the corresponding
     ``verify`` call returns for the coefficient: the same samples_checked, and
-    its (empty) violation list in sample order.
+    its (empty) violation list in sample order.  ``tol`` must be a
+    non-negative number, as for ``verify``.
     """
+    _require_tol(tol)
     if regime is Regime.TWO_STEP:
         cap = 0.5
     else:
@@ -442,7 +463,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
 
     def holds(c: float) -> bool:
         a = codomain_scalar(metric, c)
-        return not _failures(regime, metric, a, lhs, base, tol)[1].any()
+        return not _failures(regime, metric, a, lhs, base, tol).any()
 
     if holds(0.0):
         c = 0.0

@@ -16,9 +16,13 @@ Distances between iterates use the multiplication-operator metric: the
 distance symbol is (1/2)(f - g) where f > g and (g - f) where g > f, with
 sup norm over the grid, so the metric is asymmetric by the factor 2.
 
-A problem is immutable, so what depends only on it -- the grid as an array,
-the quadrature weights and the metric spec -- is built once per problem, on
-first use, and shared by every application and distance after that.
+A problem is immutable, so what depends only on it is built once per
+problem and shared by every application and distance after that.  The grid
+becomes one read-only array when the problem checks it on construction;
+the quadrature weights, the kernel's denominator y^2 + k on the grid, and
+the metric spec follow on first use.  The spec (``metrics.mult_op``) keeps
+one checked copy of that array, which its sampled values share as their
+element grid.
 """
 
 from __future__ import annotations
@@ -73,9 +77,10 @@ class IntegralProblem:
     """Kernel parameters, grid, and quadrature choice.
 
     ``f0`` is the seed function for the demo orbit; by default the identity
-    x -> x sampled on the grid.  ``grid_array`` and ``weights`` are built on
-    first use and cached read-only, and ``problem_metric`` returns one spec
-    per problem.
+    x -> x sampled on the grid.  ``grid_array`` is the grid as the one
+    read-only array that construction checks; ``weights`` and
+    ``denominator`` are built on first use and cached read-only, and
+    ``problem_metric`` returns one spec per problem.
     """
 
     alpha: float
@@ -87,7 +92,7 @@ class IntegralProblem:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.k <= 0:
             raise ValueError("alpha and k must be positive")
-        g = np.asarray(self.grid, dtype=float)
+        g = self.grid_array
         if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
             raise ValueError("grid must be 1-D, strictly increasing, length >= 2")
         if g[0] <= 0 or g[-1] > 1:
@@ -100,6 +105,14 @@ class IntegralProblem:
         g = np.array(self.grid, dtype=float)
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def denominator(self) -> np.ndarray:
+        """The kernel's denominator y^2 + k at every grid point y."""
+        g = self.grid_array
+        d = g * g + self.k
+        d.setflags(write=False)
+        return d
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -122,7 +135,7 @@ class IntegralProblem:
 def make_problem(alpha: float, k: float, n: int = 2048,
                  quadrature: QuadratureKind = QuadratureKind.TRAPEZOID,
                  f0: Any = None) -> IntegralProblem:
-    return IntegralProblem(alpha, k, tuple(uniform_grid(n)), quadrature,
+    return IntegralProblem(alpha, k, tuple(uniform_grid(n).tolist()), quadrature,
                            None if f0 is None else tuple(np.asarray(f0, dtype=float)))
 
 
@@ -160,7 +173,7 @@ def apply_T(f: np.ndarray, prob: IntegralProblem) -> np.ndarray:
     g = prob.grid_array
     if f.shape != g.shape:
         raise GridMismatch("function is not sampled on the problem grid")
-    coefficient = prob.alpha * quadrature(f / (g * g + prob.k), prob)
+    coefficient = prob.alpha * quadrature(f / prob.denominator, prob)
     return coefficient * g
 
 
@@ -251,8 +264,9 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
     growth = growth_value(alpha, k)
     g = prob.grid_array
     f0 = prob.f0_array
-    id_err = abs(quadrature(g / (g * g + k), prob) - closed_form_identity_integral(k))
-    const_err = abs(quadrature(1.0 / (g * g + k), prob) - closed_form_constant_integral(k))
+    id_err = abs(quadrature(g / prob.denominator, prob) - closed_form_identity_integral(k))
+    const_err = abs(quadrature(1.0 / prob.denominator, prob)
+                    - closed_form_constant_integral(k))
 
     tf0 = apply_T(f0, prob)
     tf0_exceeds = bool(np.all(tf0 > f0))
@@ -289,9 +303,15 @@ def demo_certificate(prob: IntegralProblem) -> ContractionCertificate:
 
 
 def run_demo(prob: IntegralProblem,
-             cfg: SolverConfig = SolverConfig(tol=1e-8, max_iter=200)) -> DemoReport:
-    """Certify, solve, and verify the discretized equation residual."""
-    report = regime_report(prob)
+             cfg: SolverConfig = SolverConfig(tol=1e-8, max_iter=200),
+             report: DemoReport | None = None) -> DemoReport:
+    """Certify, solve, and verify the discretized equation residual.
+
+    ``report`` is the problem's ``regime_report`` when the caller has it
+    already; it is completed in place and returned.
+    """
+    if report is None:
+        report = regime_report(prob)
     if report.regime == REGIME_NOT_CONTRACTIVE:
         raise NotContractive(
             f"rate {report.rate:.6f} is not below 1 for "

@@ -33,7 +33,14 @@ sampled values are then built by a private trusted constructor
 (``algebra._sampled_on``) that shares that grid instead of copying and
 checking it again for every value; the values themselves are still checked
 to be finite.  Public construction (``algebra.sampled``) keeps checking
-everything.
+everything.  ``mult_op`` checks its grid as it builds the spec, and that one
+read-only array is both the spec's ``grid_array`` and its element grid.
+
+The ``mult-op`` kernel writes each symbol into its array of differences,
+so a pair's symbol takes one float array of its n samples (and a mask of n
+bools), and the sampled operator norm (``algebra.batch_norm``) takes no
+n-sized array.  The solver's observed tails (``_tail_norms``) take both
+orders from one validated stack of the orbit.
 """
 
 from __future__ import annotations
@@ -79,9 +86,10 @@ class MetricSpec:
     ``grid`` carries the sample sites of function-valued codomains (tuple so
     the spec stays hashable and comparable), and ``grid_array`` holds the
     same sites as a read-only float array, built once per spec.  The spec's
-    sampled values share one more copy of the sites, checked once as an
-    element grid.  ``beta`` scales the lower-right block of the scaled
-    matrix split; ``period`` is the period of the periodic-function metric.
+    sampled values share one copy of the sites, checked once as an element
+    grid; for ``mult_op`` that copy is ``grid_array`` itself.  ``beta``
+    scales the lower-right block of the scaled matrix split; ``period`` is
+    the period of the periodic-function metric.
     ``swap_args`` evaluates ``d(y, x)`` instead of ``d(x, y)``, which is
     handy for order-reversal properties.
     """
@@ -155,8 +163,13 @@ def mult_op(grid: Any) -> MetricSpec:
     (g - f) where g > f, and 0 on ties; its operator norm is the sup over
     the grid.
     """
-    return MetricSpec(MULT_OP, SAMPLED, OrderKind.POSITIVE_CONE,
-                      NormKind.OPERATOR, grid=tuple(_checked_grid(grid)))
+    g = _checked_grid(grid)
+    spec = MetricSpec(MULT_OP, SAMPLED, OrderKind.POSITIVE_CONE,
+                      NormKind.OPERATOR, grid=tuple(g.tolist()))
+    # the checked copy is both cached arrays (a cached_property keeps its
+    # value in the instance dict), so the spec converts its grid no further
+    vars(spec).update(grid_array=g, _element_grid=g)
+    return spec
 
 
 def reversed_metric(spec: MetricSpec) -> MetricSpec:
@@ -195,13 +208,14 @@ def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     |f - g|, halved where f > g, is (1/2)(f - g) there, g - f where g > f
     and 0 on ties, bit for bit: a rounded difference is rounded
     symmetrically, so it is zero exactly on ties and |f - g| = g - f
-    where g > f.
+    where g > f.  The symbol is written into the array of differences.
     """
     with np.errstate(over="ignore"):
         d = np.subtract(f, g)
-    out = np.abs(d)
-    np.multiply(out, 0.5, out=out, where=d > 0)
-    return out
+    halve = d > 0
+    np.abs(d, out=d)
+    np.multiply(d, 0.5, out=d, where=halve)
+    return d
 
 
 def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
@@ -413,10 +427,26 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
     norm's own closed form.
     """
     kind = spec.norm if kind is None else kind
-    _, table = _component_table(spec, xs, ys)
-    data = _payloads(spec.codomain, table)
-    flat = data.reshape((-1,) + data.shape[2:])
-    return batch_norm(spec.codomain, flat, kind).reshape(table.shape[:2])
+    return _norms(spec, _component_table(spec, xs, ys)[1], kind)
+
+
+def _tail_norms(spec: MetricSpec, points: list,
+                kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """Norms in ``kind`` of d(p, q) and of d(q, p) for q = points[-1] and
+    every p before it, from one validated stack of ``points``: the column
+    and the row of ``distance_norm_table`` for those points, bit for bit."""
+    pts = _points(spec, points)
+    before, last = pts[:-1], pts[-1]
+    return (_norms(spec, _kernel(spec, before, last), kind),
+            _norms(spec, _kernel(spec, last, before), kind))
+
+
+def _norms(spec: MetricSpec, comps: np.ndarray, kind: NormKind) -> np.ndarray:
+    """The norm in ``kind`` of every distance of the component array
+    ``comps`` (components on its last axis), shaped like its other axes."""
+    data = _payloads(spec.codomain, comps)
+    flat = data.reshape((-1,) + data.shape[comps.ndim - 1:])
+    return batch_norm(spec.codomain, flat, kind).reshape(comps.shape[:-1])
 
 
 def check_axioms(spec: MetricSpec, sample_points: list,
@@ -450,11 +480,15 @@ def check_axioms(spec: MetricSpec, sample_points: list,
     ``DomainMismatch``; the entrywise order on a codomain other than 2x2
     matrices raises ``RealizationMismatch``.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    _require_tol(tol)
     if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
         raise RealizationMismatch("entrywise order is defined for mat2 only")
     return _sweep(spec, *_component_table(spec, sample_points), tol)
+
+
+def _require_tol(tol: float) -> None:
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
 
 
 def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,

@@ -22,10 +22,11 @@ certificates promise forward convergence only, so they stop on the
 lower-semicontinuity check of G(x) = d(x, Tx).
 
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
-first is the envelope's d1) is one paired evaluation with one batched norm,
-as are the observed tails d(x_p, x_N) and d(x_N, x_p), two rows of distance
-norm tables (``metrics.distance_norm_table``), with the values of ``norm``
-bit for bit.  The residual pair at the final point is two one-pair ``eval_metric`` values.
+first is the envelope's d1) is one paired evaluation with one batched norm.
+The observed tails d(x_p, x_N) and d(x_N, x_p) come from one validated
+stack of the orbit: the column and the row of ``metrics.distance_norm_table``
+at x_N.  All of these are the values of ``norm`` bit for bit.  The residual
+pair at the final point is two one-pair ``eval_metric`` values.
 The lower-semicontinuity gate reads G from the step list: G(x_i) =
 d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is the
 forward residual, so the gate applies T to no point again.
@@ -44,7 +45,14 @@ from .algebra import AlgebraElement, NormKind, NotPositive, batch_norm, is_posit
 from .contraction import ContractionCertificate, Regime
 from .convergence import lsc_holds
 from .maps import MapSpec
-from .metrics import MetricSpec, _element, _paired_on, distance_norm_table, eval_metric
+from .metrics import (
+    MetricSpec,
+    _element,
+    _paired_on,
+    _tail_norms,
+    distance_norm_table,
+    eval_metric,
+)
 
 
 class CertificateInvalid(Exception):
@@ -224,10 +232,8 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised
     # by the global sandwich regimes.
-    before, last = points[:-1], [fixed_point]
-    op = NormKind.OPERATOR
-    observed = tuple(distance_norm_table(metric, before, last, op)[:, 0].tolist())
-    observed_rev = tuple(distance_norm_table(metric, last, before, op)[0].tolist())
+    observed, observed_rev = (tuple(t.tolist()) for t in
+                              _tail_norms(metric, points, NormKind.OPERATOR))
     predicted = apriori_envelope(_element(metric, d1[0]), rate, iterations)
     predicted_rev = (None if forward_only
                      else apriori_envelope(_element(metric, d1[1]), rate, iterations))

@@ -6,6 +6,12 @@ library keeps each formula once, in ``metrics._kernel``; the property tests hold
 form (the component table, paired payloads, norm tables, the sweep, the
 certificate tables and the solver's step norms) to these formulas bit for
 bit, and to the exceptions they raise.
+
+The multiplication-operator symbol is ``reference_mult_op_values``, the
+library kernel's body as it was before the kernel wrote its result into
+the array of differences, so the in-place kernel is held to an array
+computed apart from it.  ``reference_distance_norm`` takes the one-element
+norm of ``reference_algebra``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Any
 
 import numpy as np
 
-from quasifix.algebra import AlgebraElement, NormKind, diag2, norm, scalar
+from quasifix.algebra import AlgebraElement, NormKind, diag2, scalar
 from quasifix.metrics import (
     MAT2_SPLIT,
     MAT2_SPLIT_SCALED,
@@ -26,8 +32,9 @@ from quasifix.metrics import (
     DomainMismatch,
     MetricSpec,
     _require_fn_point,
-    mult_op_values,
 )
+
+from reference_algebra import reference_norm
 
 _OVERFLOW = "distance overflows: the points are too far apart"
 
@@ -44,6 +51,16 @@ def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise DomainMismatch(_OVERFLOW)
     return value
+
+
+def reference_mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Symbol of the multiplication-operator distance between two arrays of
+    finite samples (inf, without a warning, where a difference overflows)."""
+    with np.errstate(over="ignore"):
+        d = np.subtract(f, g)
+    out = np.abs(d)
+    np.multiply(out, 0.5, out=out, where=d > 0)
+    return out
 
 
 def reference_eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
@@ -75,7 +92,8 @@ def reference_eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
         a, b = _require_real_point(x), _require_real_point(y)
         return scalar(_finite(a - b) if a >= b else 1.0)
     if spec.name == MULT_OP:
-        values = mult_op_values(_require_fn_point(spec, x), _require_fn_point(spec, y))
+        values = reference_mult_op_values(_require_fn_point(spec, x),
+                                          _require_fn_point(spec, y))
         if not np.all(np.isfinite(values)):
             raise DomainMismatch(_OVERFLOW)
         return spec._sampled(values)
@@ -85,4 +103,5 @@ def reference_eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
 def reference_distance_norm(spec: MetricSpec, x: Any, y: Any,
                             kind: NormKind | None = None) -> float:
     """Norm of the reference d(x, y), in ``kind`` (by default the metric's own)."""
-    return norm(reference_eval_metric(spec, x, y), spec.norm if kind is None else kind)
+    return reference_norm(reference_eval_metric(spec, x, y),
+                          spec.norm if kind is None else kind)

@@ -46,7 +46,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
 
     def holds(c: float) -> bool:
         a = codomain_scalar(metric, c)
-        return not contraction._failures(regime, metric, a, lhs, base, tol)[1].any()
+        return not contraction._failures(regime, metric, a, lhs, base, tol).any()
 
     if holds(0.0):
         c = 0.0

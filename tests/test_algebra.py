@@ -407,3 +407,20 @@ def test_identity_like_and_sub():
     assert np.all(one.data == 1.0)
     assert np.array_equal(one.grid, g)
     assert allclose(sub(scalar(5.0), scalar(2.0)), scalar(3.0))
+
+
+def test_the_self_adjointness_check_names_the_first_failing_sample():
+    # the first sample where some stack is skewed, and at that sample the
+    # first skewed stack, as the one-element check of each pair in turn
+    a, b = np.zeros((3, 2, 2)), np.zeros((3, 2, 2))
+    zero = np.zeros(3)
+    algebra._require_self_adjoint_batch((a, b), zero)
+    a[2, 0, 1] = 1.0
+    b[1, 0, 1] = 2.0
+    with pytest.raises(NotSelfAdjoint, match=r"skew 2\.000e\+00"):
+        algebra._require_self_adjoint_batch((a, b), zero)
+    a[1, 0, 1] = 3.0
+    with pytest.raises(NotSelfAdjoint, match=r"skew 3\.000e\+00"):
+        algebra._require_self_adjoint_batch((a, b), zero)
+    # a skew within tol (1 + the largest |entry|) of its sample passes
+    algebra._require_self_adjoint_batch((a, b), np.full(3, 1.0))

@@ -496,6 +496,21 @@ def test_demo_integral_at_a_tiny_alpha_keeps_its_growth_threshold(
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_demo_integral_classifies_once(monkeypatch, capsys):
+    # the CLI prints the regime before it solves, and the solve completes
+    # that same report instead of classifying again
+    from quasifix import integral
+
+    reports = []
+    classify = integral.regime_report
+    monkeypatch.setattr(integral, "regime_report",
+                        lambda prob: reports.append(classify(prob)) or reports[-1])
+    assert main(["demo-integral", "--grid", "64"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(reports) == 1
+    assert [line.split(" ")[0] for line in out] == ["rate", "solver:", "equation"]
+
+
 def test_demo_integral_inconsistent_parameters(capsys):
     code = main(["demo-integral", "--alpha", "2", "--k", "0.3",
                  "--grid", "256"])

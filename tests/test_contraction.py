@@ -553,6 +553,8 @@ def reference_violations(regime, map_spec, metric, a, *, pairs=None,
                 mean = 0.5 * m[0, 1] + 0.5 * m[1, 0]
                 rhs = mat2(m[0, 0], mean, mean, m[1, 1])
         tolr = tol * (1.0 + reference_norm(rhs, NormKind.OPERATOR)) if tol else 0.0
+        if not math.isfinite(tolr):  # an infinite tolerance would pass any sample
+            tolr = 0.0
         if not reference_leq(lhs, rhs, metric.order, tolr):
             found.append((x, y, reference_norm(lhs, metric.norm),
                           reference_norm(rhs, metric.norm)))
@@ -652,10 +654,56 @@ def test_the_sandwich_mean_does_not_overflow():
     base = np.diag([1.7e308, 0.0])[None]
     split = a.data.T @ base[0] @ a.data
     assert split[0, 1] != split[1, 0]
-    rhs, failed = contraction._failures(Regime.FORWARD_GLOBAL, metric, a,
-                                        np.zeros((1, 2, 2)), base, 0.0)
+    rhs = contraction._sandwich(Regime.FORWARD_GLOBAL, a, base)
     assert rhs[0, 0, 1] == rhs[0, 1, 0] == 0.5 * split[0, 1] + 0.5 * split[1, 0]
-    assert math.isfinite(rhs[0, 0, 1]) and failed.shape == (1,)
+    assert math.isfinite(rhs[0, 0, 1])
+    failed = contraction._failures(Regime.FORWARD_GLOBAL, metric, a,
+                                   np.zeros((1, 2, 2)), base, 0.0)
+    assert failed.shape == (1,)
+
+
+@pytest.mark.parametrize("metric, a, lhs, base, tol", [
+    # ||rhs||_op = 1.7e308 (0.81 + 0.9025) is beyond the floats
+    (replace(mat2_split(), order=OrderKind.POSITIVE_CONE), mat2(0.9, 0.95, 0.0, 0.95),
+     np.diag([1.7e308, 1.7e308]), np.diag([1.7e308, 0.0]), 1e-9),
+    # ||rhs||_op = 1e10 is finite, tol (1 + ||rhs||_op) is not
+    (scalar_forward_one(), scalar(0.5), np.array(2e10), np.array(4e10), 1e300),
+], ids=["norm-overflows", "tolerance-overflows"])
+def test_an_infinite_tolerance_checks_the_sample_at_zero(metric, a, lhs, base, tol):
+    # the sample fails at tol 0; an infinite tolerance passed it unseen
+    for t in (0.0, tol):
+        failed = contraction._failures(Regime.FORWARD_GLOBAL, metric, a,
+                                       lhs[None], base[None], t)
+        assert failed.tolist() == [True]
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_verify_and_search_refuse_a_negative_or_nan_tol(tol):
+    # a NaN tol reported both samples of a true contraction as violations,
+    # and a negative one made the order strict
+    pairs = [(0.0, 1.0), (1.0, 0.0)]
+    calls = [
+        lambda: verify(Regime.FORWARD_GLOBAL, linear_quarter(), scalar_forward_one(),
+                       scalar(0.5), pairs=pairs, tol=tol),
+        lambda: verify_orbital_type(linear_quarter(), mat2_split(), diag2(0.5, 0.5),
+                                    seed=1.0, tol=tol),
+        lambda: search_scalar_coefficient(linear_quarter(), scalar_forward_one(),
+                                          Regime.FORWARD_GLOBAL, pairs=pairs, tol=tol),
+        lambda: search_scalar_coefficient(linear_quarter(), mat2_split(),
+                                          Regime.TWO_STEP, seed=1.0, tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be a non-negative number"):
+            call()
+
+
+def test_verify_and_search_accept_a_zero_tol():
+    cert = verify_global(linear_quarter(), mat2_split_scaled(0.25), diag2(0.5, 0.5),
+                         PAIRS, tol=0.0)
+    assert cert.valid and cert.samples_checked == len(PAIRS)
+    found = search_scalar_coefficient(linear_quarter(), mat2_split(), Regime.ORBITAL,
+                                      seed=1.0, tol=0.0)
+    assert found is not None and found.valid
 
 
 SKEW = np.array([[0.0, 1e-3], [0.0, 0.0]])

@@ -26,7 +26,7 @@ from quasifix.integral import (
     run_demo,
     uniform_grid,
 )
-from quasifix.metrics import eval_metric
+from quasifix.metrics import codomain_scalar, eval_metric
 from quasifix.solver import SolverConfig
 
 
@@ -241,7 +241,15 @@ def test_problem_state_is_built_once_and_read_only(kind):
     assert np.array_equal(w, quadrature_weights(np.asarray(prob.grid), kind))
     with pytest.raises(ValueError):
         w[0] = 0.0
+    d = prob.denominator
+    assert prob.denominator is d
+    assert d.tobytes() == (g * g + prob.k).tobytes()
+    with pytest.raises(ValueError):
+        d[0] = 1.0
     metric = problem_metric(prob)
     assert problem_metric(prob) is metric
     assert metric.grid_array is metric.grid_array
     assert np.array_equal(metric.grid_array, g)
+    # the spec's sampled values share its one checked copy of the grid
+    assert metric._element_grid is metric.grid_array
+    assert codomain_scalar(metric, 0.5).grid is metric.grid_array

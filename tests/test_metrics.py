@@ -18,6 +18,7 @@ from quasifix.algebra import (
     OrderKind,
     RealizationMismatch,
     allclose,
+    batch_norm,
     leq,
     norm,
     sampled,
@@ -45,10 +46,16 @@ from quasifix.metrics import (
     _points,
     _require_fn_point,
     _sweep,
+    _tail_norms,
 )
 
 from budget import examples
-from reference_metrics import reference_distance_norm, reference_eval_metric
+from reference_algebra import reference_norm
+from reference_metrics import (
+    reference_distance_norm,
+    reference_eval_metric,
+    reference_mult_op_values,
+)
 from reference_sweep import reference_check_axioms, reference_sweep
 
 CATALOG_SPECS = [
@@ -616,6 +623,51 @@ def test_mult_op_values_are_the_nested_where_form(data):
     got, want = mult_op_values(f, g), _reference_mult_op_values(f, g)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# rows that are sampled zeros of either sign: their norm is +0.0
+ZERO_ROWS = np.array([[-0.0] * FN_GRID.size, [0.0, -0.0, -0.0, 0.0]])
+
+
+@pytest.mark.parametrize("spec", [mult_op(FN_GRID), reversed_metric(mult_op(FN_GRID))],
+                         ids=_spec_id)
+@settings(max_examples=examples(100), deadline=None)
+@given(kind=st.sampled_from(NormKind), data=st.data())
+def test_in_place_kernels_are_the_reference_forms(spec, kind, data):
+    # up to five functions from the SAMPLE pool, so that samples tie, carry
+    # +-0.0 and differ by more than the largest float; sometimes the last
+    # function repeats an earlier one
+    rows = data.draw(st.lists(arrays(float, FN_GRID.shape, elements=SAMPLE), max_size=5))
+    if rows and data.draw(st.booleans()):
+        rows.append(rows[data.draw(st.integers(0, len(rows) - 1))].copy())
+    stack = np.reshape(rows, (-1, FN_GRID.size))
+    g = data.draw(arrays(float, FN_GRID.shape, elements=SAMPLE))
+    held = stack.copy(), g.copy()
+
+    # the kernel writes into its own array of differences, not into f or g,
+    # also for an empty batch
+    assert _hex(mult_op_values(stack, g)) == _hex(reference_mult_op_values(stack, g))
+    assert _hex(mult_op_values(g, stack)) == _hex(reference_mult_op_values(g, stack))
+    assert np.array_equal(stack, held[0]) and np.array_equal(g, held[1])
+
+    # the sampled operator norm, row by row, of the functions, of +-0.0 rows
+    # and of no rows
+    for batch in (stack, ZERO_ROWS, stack[:0]):
+        want = [reference_norm(sampled(FN_GRID, row)) for row in batch]
+        assert _hex(batch_norm(SAMPLED, batch)) == _hex(want)
+
+    # the solver's tails d(p, q) and d(q, p) for q the last function; one
+    # function leaves two empty tails
+    if not rows:
+        return
+    try:
+        want = [[reference_distance_norm(spec, p, rows[-1], kind) for p in rows[:-1]],
+                [reference_distance_norm(spec, rows[-1], p, kind) for p in rows[:-1]]]
+    except DomainMismatch:
+        with pytest.raises(DomainMismatch):
+            _tail_norms(spec, rows, kind)
+        return
+    assert [_hex(t) for t in _tail_norms(spec, rows, kind)] == [_hex(t) for t in want]
 
 
 def _outcome_of(fn, *args):
