@@ -75,7 +75,6 @@ from .metrics import (
     scalar_forward_one,
 )
 from .solver import (
-    BoundMode,
     CertificateInvalid,
     OrbitTrace,
     RateNotLessThanOne,

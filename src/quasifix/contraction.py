@@ -27,7 +27,9 @@ and runs the order check on the whole batch with the per-sample tolerance
 tol (1 + ||rhs||_op), or 0 where that overflows.  ``verify`` is the one
 dispatch over regimes; ``search_scalar_coefficient`` reuses the tables
 across all its bisection attempts.  ``samples_checked`` and the order and
-fields of the violations are those of a sample-by-sample loop.
+fields of the violations are those of a sample-by-sample loop.  An orbital
+certificate keeps the orbit it checked, its stack and its step payloads,
+in memory for the solver (``CheckedOrbit``); they are not part of its JSON.
 
 For a = c I on a catalog codomain the check is componentwise (every value
 is diagonal, sampled or scalar) and monotone in u = c^2 (u = c for
@@ -45,7 +47,7 @@ which ones failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -64,7 +66,15 @@ from .algebra import (
     norm,
 )
 from .maps import MapSpec
-from .metrics import MetricSpec, _paired_on, _require_tol, codomain_scalar, paired_payloads
+from .metrics import (
+    MetricSpec,
+    _orbit_stack,
+    _paired_on,
+    _require_tol,
+    _rows,
+    codomain_scalar,
+    paired_payloads,
+)
 
 from enum import Enum
 
@@ -105,10 +115,32 @@ class Regime(Enum):
     TWO_STEP = "two-step"
 
 
+@dataclass(frozen=True, eq=False)
+class CheckedOrbit:
+    """The orbit an orbital certificate checked: ``points`` is its validated
+    stack (row 0 the seed, one row per point) and ``steps[i]`` the payload
+    of d(o_i, o_(i+1)) in ``metric``.  Both arrays are read-only."""
+
+    metric: MetricSpec
+    points: np.ndarray
+    steps: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.points.setflags(write=False)
+        self.steps.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class ContractionCertificate:
     """A checked coefficient; ``violations`` holds one dict per failing
-    sample, its points already JSON values."""
+    sample, its points already JSON values.
+
+    An orbital certificate that ``verify`` or the search built also keeps,
+    in memory only, the orbit it checked (``orbit``), which
+    ``solver.picard_solve`` takes as known iterates.  ``orbit`` is outside
+    the JSON contract: ``to_json_dict`` leaves it out, and a certificate
+    read back from JSON has none.
+    """
 
     regime: Regime
     a: AlgebraElement
@@ -121,6 +153,7 @@ class ContractionCertificate:
     h_norm: float | None = None
     map_name: str = ""
     metric_name: str = ""
+    orbit: CheckedOrbit | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -196,29 +229,34 @@ def _gate(regime: Regime, metric: MetricSpec,
 
 def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             like: AlgebraElement, pairs: list | None, seed: Any,
-            orbit_len: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """The regime's samples as (points, lhs, base), in sample order.
+            orbit_len: int) -> tuple[list, np.ndarray, np.ndarray,
+                                     CheckedOrbit | None]:
+    """The regime's samples as (points, lhs, base), in sample order, and the
+    orbital regime's ``CheckedOrbit`` (None for the other regimes).
 
     Every point is mapped once and every distance is evaluated once, by
     paired metric evaluations.  The global regimes map each distinct point
     object once, by identity: a grid's n^2 pairs share its n points.  On an
-    orbit o, ``lhs[i]`` = d(o[i+1], o[i+2]) and the orbital ``base[i]`` =
-    d(o[i], o[i+1]) are the orbit's consecutive steps shifted by one, so one
-    evaluation of the steps gives both.  The global regimes and two-step take two evaluations, one
-    for ``lhs`` and one for ``base``; two-step does not evaluate the orbit's
-    first step d(o[0], o[1]), which it never compares.  ``points[i]`` is the
-    (x, y) a violation of sample i records.  The distances must live in the
-    space of ``like`` (the coefficient), as ``mul`` and ``leq`` require:
-    its realization is the metric's codomain, and a sampled one lies on the
-    metric's element grid.
+    orbit o, each point goes into its row of one validated stack as it is
+    made (``metrics._orbit_stack``), and ``lhs[i]`` = d(o[i+1], o[i+2]) and
+    the orbital ``base[i]`` = d(o[i], o[i+1]) are the orbit's consecutive
+    steps shifted by one, so one evaluation of the steps gives both.  The
+    global regimes and two-step take two evaluations, one for ``lhs`` and
+    one for ``base``; two-step does not evaluate the orbit's first step
+    d(o[0], o[1]), which it never compares.  ``points[i]`` is the (x, y) a
+    violation of sample i records, rows of the stack on an orbit.  The
+    distances must live in the space of ``like`` (the coefficient), as
+    ``mul`` and ``leq`` require: its realization is the metric's codomain,
+    and a sampled one lies on the metric's element grid.
     """
+    orbit = None
     if regime in _GLOBAL:
         if pairs is None:
             raise ValueError("global regimes need sample pairs")
         points = [(x, y) for x, y in pairs]
         if not points:
             empty = np.empty((0,) + like.data.shape)
-            return points, empty, empty
+            return points, empty, empty, orbit
         # by identity: points may be unhashable arrays, and -0.0 == 0.0
         images: dict[int, Any] = {}
         for pair in points:
@@ -236,17 +274,19 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             raise ValueError("orbital regimes need a seed point")
         if orbit_len < 2:
             raise ValueError("orbit_len must be at least 2")
-        orbit = map_spec.orbit(seed, orbit_len + 2)
-        points = list(zip(orbit, orbit[1:-1]))
+        stack = _orbit_stack(metric, map_spec.fn, seed, orbit_len + 2)
+        rows = _rows(stack)
+        points = list(zip(rows, rows[1:-1]))
         if regime is Regime.ORBITAL:
-            steps = _paired_on(metric, orbit, slice(None, -1), slice(1, None))
+            steps = _paired_on(metric, stack, slice(None, -1), slice(1, None))
             lhs, base = steps[1:], steps[:-1]
+            orbit = CheckedOrbit(metric, stack, steps)
         else:
-            lhs = _paired_on(metric, orbit, slice(1, -1), slice(2, None))
-            base = _paired_on(metric, orbit, slice(None, -2), slice(2, None))
+            lhs = _paired_on(metric, stack, slice(1, -1), slice(2, None))
+            base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
     grid = metric._element_grid if metric.codomain == algebra.SAMPLED else None
     algebra._require_space(like, metric.codomain, grid)
-    return points, lhs, base
+    return points, lhs, base, orbit
 
 
 def _sandwich(regime: Regime, a: AlgebraElement, base: np.ndarray) -> np.ndarray:
@@ -348,7 +388,7 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         # the step rate h = a (I - a)^-1; the gate has shown a positive with
         # ||a||_op <= 1/2, so the resolvent needs no gates of its own
         h = mul(a, algebra._inverse_one_minus_unchecked(a))
-    points, lhs, base = tables
+    points, lhs, base, orbit = tables
     bad = np.flatnonzero(_failures(regime, metric, a, lhs, base, tol))
     # the order check wrote over its sandwiches: form the failing ones again
     lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
@@ -366,7 +406,7 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         samples_checked=len(points), violations=violations,
         seed_point=None if regime in _GLOBAL else seed, h=h,
         h_norm=None if h is None else norm(h, NormKind.OPERATOR),
-        map_name=map_spec.name, metric_name=metric.name)
+        map_name=map_spec.name, metric_name=metric.name, orbit=orbit)
 
 
 def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
@@ -453,7 +493,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
                                                metric.norm)
     tables = _tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
                      pairs, seed, orbit_len)
-    _, lhs, base = tables
+    _, lhs, base, _ = tables
     # for a = c I with c >= 0 every gate is monotone in c, so the gates
     # pass on all of [0, cap] once they pass at the cap
     try:

@@ -23,6 +23,11 @@ the quadrature weights, the kernel's denominator y^2 + k on the grid, and
 the metric spec follow on first use.  The spec (``metrics.mult_op``) keeps
 one checked copy of that array, which its sampled values share as their
 element grid.
+
+The demo maps the orbit of f0 once: the orbital certificate keeps the
+orbit it checked, in memory and not in its JSON, and ``picard_solve`` takes
+its rows as known iterates.  The report keeps the fixed point for
+``--solution`` as a read-only array.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ class IntegralProblem:
 
     ``f0`` is the seed function for the demo orbit; by default the identity
     x -> x sampled on the grid.  ``grid_array`` is the grid as the one
-    read-only array that construction checks; ``weights`` and
+    read-only array that construction checks; ``f0_array``, ``weights`` and
     ``denominator`` are built on first use and cached read-only, and
     ``problem_metric`` returns one spec per problem.
     """
@@ -125,11 +130,14 @@ class IntegralProblem:
     def _metric(self) -> MetricSpec:
         return mult_op(self.grid_array)
 
-    @property
+    @cached_property
     def f0_array(self) -> np.ndarray:
+        """The seed as a read-only array: ``grid_array`` itself by default."""
         if self.f0 is None:
-            return self.grid_array.copy()
-        return np.asarray(self.f0, dtype=float)
+            return self.grid_array
+        f = np.array(self.f0, dtype=float)
+        f.setflags(write=False)
+        return f
 
 
 def make_problem(alpha: float, k: float, n: int = 2048,
@@ -223,7 +231,7 @@ class DemoReport:
     regime: str
     solver: dict | None = None
     equation_residual: float | None = None
-    solution: tuple[float, ...] | None = None  # CSV export; kept out of JSON
+    solution: np.ndarray | None = None  # read-only; CSV export, kept out of JSON
 
     def to_json_dict(self) -> dict:
         return {
@@ -292,7 +300,8 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
 
 
 def demo_certificate(prob: IntegralProblem) -> ContractionCertificate:
-    """Orbital certificate for the demo orbit with coefficient sqrt(rate) * I."""
+    """Orbital certificate for the demo orbit with coefficient sqrt(rate) * I;
+    it keeps the orbit of f0 that it checked, for the solve."""
     rate = contraction_rate(prob.alpha, prob.k)
     if rate >= 1.0:
         raise NotContractive(f"rate {rate:.6f} is not below 1")
@@ -307,8 +316,9 @@ def run_demo(prob: IntegralProblem,
              report: DemoReport | None = None) -> DemoReport:
     """Certify, solve, and verify the discretized equation residual.
 
-    ``report`` is the problem's ``regime_report`` when the caller has it
-    already; it is completed in place and returned.
+    The solve starts from the orbit the certificate checked (see the module
+    docstring).  ``report`` is the problem's ``regime_report`` when the
+    caller has it already; it is completed in place and returned.
     """
     if report is None:
         report = regime_report(prob)
@@ -321,6 +331,7 @@ def run_demo(prob: IntegralProblem,
                                         problem_metric(prob),
                                         prob.f0_array, cert, cfg)
     fstar = np.asarray(solved.fixed_point)
+    fstar.setflags(write=False)
     residual = float(np.max(np.abs(fstar - apply_T(fstar, prob))))
     report.solver = {
         "iterations": solved.iterations,
@@ -332,5 +343,5 @@ def run_demo(prob: IntegralProblem,
         "bound_envelope_ok": solved.bound_envelope_ok,
     }
     report.equation_residual = residual
-    report.solution = tuple(fstar.tolist())
+    report.solution = fstar
     return report

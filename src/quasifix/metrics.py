@@ -39,8 +39,10 @@ read-only array is both the spec's ``grid_array`` and its element grid.
 The ``mult-op`` kernel writes each symbol into its array of differences,
 so a pair's symbol takes one float array of its n samples (and a mask of n
 bools), and the sampled operator norm (``algebra.batch_norm``) takes no
-n-sized array.  The solver's observed tails (``_tail_norms``) take both
-orders from one validated stack of the orbit.
+n-sized array.  An orbit goes into one validated stack as it is mapped
+(``_orbit_stack``), and paired evaluations and the solver's observed tails
+(``_tail_norms``, both orders) run on such stacks without stacking them
+again.
 """
 
 from __future__ import annotations
@@ -343,6 +345,38 @@ def _points(spec: MetricSpec, points: Any) -> np.ndarray:
     return pts
 
 
+def _orbit_stack(spec: MetricSpec, step: Callable[[Any], Any], seed: Any,
+                 length: int) -> np.ndarray:
+    """The ``_points`` stack of the orbit seed, step(seed), ...,
+    step^length(seed), with each point written into its row as it is made
+    instead of collected in a list and stacked after.  ``step`` gets the
+    point it returned last, as ``MapSpec.orbit`` hands it on; the first bad
+    point raises what ``_points`` raises for it.
+    """
+    shape = spec.grid_array.shape if spec.name == MULT_OP else ()
+    stack = np.empty((length + 1,) + shape)
+    x = seed
+    for i in range(length + 1):
+        if i:
+            x = step(x)
+        try:
+            row = np.asarray(x, dtype=float)
+        except (TypeError, ValueError):  # ragged, or not numeric
+            row = None
+        if row is None or row.shape != shape:
+            _points(spec, [*stack[:i], x])  # raises for the first bad point
+        stack[i] = row
+    if not np.isfinite(stack).all():
+        _points(spec, list(stack))  # raises for the first point that is not finite
+    return stack
+
+
+def _rows(stack: np.ndarray) -> list:
+    """The points of a stack one by one: floats for the real points, and
+    views of its rows for functions."""
+    return stack.tolist() if stack.ndim == 1 else list(stack)
+
+
 def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Components of d(X, Y) for broadcastable arrays of validated catalog
     points, with the components along a new last axis (``mult-op`` points
@@ -406,13 +440,14 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
     """
     if len(xs) != len(ys):
         raise ValueError("paired distances need as many xs as ys")
-    return _paired_on(spec, [*xs, *ys], slice(None, len(xs)), slice(len(xs), None))
+    return _paired_on(spec, _points(spec, [*xs, *ys]), slice(None, len(xs)),
+                      slice(len(xs), None))
 
 
-def _paired_on(spec: MetricSpec, points: list, xs: slice, ys: slice) -> np.ndarray:
-    """``paired_payloads(spec, points[xs], points[ys])`` for two equally
-    long slices of one point list, whose points are checked once."""
-    pts = _points(spec, points)
+def _paired_on(spec: MetricSpec, pts: np.ndarray, xs: slice, ys: slice) -> np.ndarray:
+    """``paired_payloads`` of two equally long slices of ``pts``, a stack of
+    validated points (what ``_points`` or ``_orbit_stack`` returns), which
+    is not checked or copied again."""
     return _payloads(spec.codomain, _kernel(spec, pts[xs], pts[ys]))
 
 
@@ -430,15 +465,19 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
     return _norms(spec, _component_table(spec, xs, ys)[1], kind)
 
 
-def _tail_norms(spec: MetricSpec, points: list,
+def _tail_norms(spec: MetricSpec, blocks: list,
                 kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
-    """Norms in ``kind`` of d(p, q) and of d(q, p) for q = points[-1] and
-    every p before it, from one validated stack of ``points``: the column
-    and the row of ``distance_norm_table`` for those points, bit for bit."""
-    pts = _points(spec, points)
-    before, last = pts[:-1], pts[-1]
-    return (_norms(spec, _kernel(spec, before, last), kind),
-            _norms(spec, _kernel(spec, last, before), kind))
+    """Norms in ``kind`` of d(p, q) and of d(q, p) for q the last point of a
+    sequence and every p before it, in sequence order.  ``blocks`` are
+    stacks of validated points (``_points`` or ``_orbit_stack`` results)
+    whose rows, block after block, are the sequence; they are not stacked
+    again.  The values are the column and the row of
+    ``distance_norm_table`` for those points, bit for bit."""
+    last = blocks[-1][-1]
+    before = [*blocks[:-1], blocks[-1][:-1]]
+    to_last = [_norms(spec, _kernel(spec, b, last), kind) for b in before]
+    from_last = [_norms(spec, _kernel(spec, last, b), kind) for b in before]
+    return np.concatenate(to_last), np.concatenate(from_last)
 
 
 def _norms(spec: MetricSpec, comps: np.ndarray, kind: NormKind) -> np.ndarray:

@@ -23,32 +23,47 @@ lower-semicontinuity check of G(x) = d(x, Tx).
 
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
 first is the envelope's d1) is one paired evaluation with one batched norm.
-The observed tails d(x_p, x_N) and d(x_N, x_p) come from one validated
-stack of the orbit: the column and the row of ``metrics.distance_norm_table``
-at x_N.  All of these are the values of ``norm`` bit for bit.  The residual
-pair at the final point is two one-pair ``eval_metric`` values.
-The lower-semicontinuity gate reads G from the step list: G(x_i) =
-d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is the
-forward residual, so the gate applies T to no point again.
+The observed tails d(x_p, x_N) and d(x_N, x_p) come from validated stacks
+of the orbit, none stacked twice: the column and the row of
+``metrics.distance_norm_table`` at x_N.  All of these are the values of
+``norm`` bit for bit.  The residual pair at the final point is two one-pair
+``eval_metric`` values of a fresh ``T x_N``.  The lower-semicontinuity gate
+reads G from the step list: G(x_i) = d(x_i, x_{i+1}) is the i-th forward
+step for i < N, and G(x_N) is the forward residual, so the gate applies T
+to no point again.
+
+An orbital certificate from ``contraction.verify`` (or the search) keeps
+the orbit it checked in memory: its validated stack and its forward step
+payloads d(o_i, o_{i+1}) (``contraction.CheckedOrbit``; not part of the
+certificate's JSON, so a certificate read from a file has none).  When the
+solve starts from that orbit's seed, bit for bit, under the same metric,
+and ``T(seed)`` is its row 1 bit for bit, the loop takes the rows as known
+iterates before it applies T: their forward norms and d1 come from the
+stored payloads, their reverse steps from one paired evaluation after the
+loop, and their tails from the stack itself.  These are the payloads the
+step pairs would give, so the report is the same as without the orbit.
+The residual still applies T afresh, so a row that T does not map to the
+next one cannot certify a point that T does not fix.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any
 
 import numpy as np
 
 from .algebra import AlgebraElement, NormKind, NotPositive, batch_norm, is_positive, norm
-from .contraction import ContractionCertificate, Regime
+from .contraction import CheckedOrbit, ContractionCertificate, Regime
 from .convergence import lsc_holds
 from .maps import MapSpec
 from .metrics import (
     MetricSpec,
     _element,
     _paired_on,
+    _points,
+    _rows,
     _tail_norms,
     distance_norm_table,
     eval_metric,
@@ -61,11 +76,6 @@ class CertificateInvalid(Exception):
 
 class RateNotLessThanOne(Exception):
     """Geometric bounds need a contraction rate strictly below 1."""
-
-
-class BoundMode(Enum):
-    SANDWICH = "sandwich"
-    ONE_SIDED = "one-sided"
 
 
 @dataclass(frozen=True)
@@ -115,7 +125,7 @@ class SolverReport:
     residual_forward: float
     residual_backward: float
     rate: float
-    bound_mode: BoundMode
+    bound_mode: str  # "sandwich", or "one-sided" for two-step
     norm_kind: NormKind
     predicted_bounds: tuple[float, ...]
     observed_tail: tuple[float, ...]
@@ -141,7 +151,7 @@ class SolverReport:
             "residual_forward": self.residual_forward,
             "residual_backward": self.residual_backward,
             "rate": self.rate,
-            "bound_mode": self.bound_mode.value,
+            "bound_mode": self.bound_mode,
             "norm_kind": self.norm_kind.value,
             "bound_norm_kind": NormKind.OPERATOR.value,
             "predicted_bounds": list(self.predicted_bounds),
@@ -187,6 +197,36 @@ def _certificate_rate(cert: ContractionCertificate) -> float:
     return norm(cert.a, NormKind.OPERATOR) ** 2
 
 
+#: The regimes that promise forward convergence only.
+_FORWARD_ONLY = (Regime.ORBITAL, Regime.TWO_STEP)
+
+
+def _checked_orbit(map_spec: MapSpec, metric: MetricSpec, seed: Any,
+                   cert: ContractionCertificate) -> CheckedOrbit | None:
+    """The orbit the certificate checked, when the solve may take its rows
+    as known iterates: under a forward-only regime (the loop then stops on
+    forward steps alone), in the same metric, from a seed equal to its row 0
+    bit for bit, whose image ``map_spec.apply(seed)`` equals its row 1 bit
+    for bit.  Otherwise None, and the solve maps every iterate itself."""
+    orbit = cert.orbit
+    if (orbit is None or cert.regime not in _FORWARD_ONLY
+            or (orbit.metric is not metric and orbit.metric != metric)
+            or not _same_bits(seed, orbit.points[0])
+            or not _same_bits(map_spec.apply(seed), orbit.points[1])):
+        return None
+    return orbit
+
+
+def _same_bits(point: Any, row: np.ndarray) -> bool:
+    """Whether ``point`` as a float array is ``row``, bit for bit (so -0.0
+    is not 0.0)."""
+    try:
+        x = np.asarray(point, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return x.shape == row.shape and x.tobytes() == row.tobytes()
+
+
 def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
                  cert: ContractionCertificate,
                  cfg: SolverConfig = SolverConfig()) -> SolverReport:
@@ -194,7 +234,10 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
 
     Also evaluates the geometric tail envelope at every recorded index and
     the lower-semicontinuity gate at the final point, and reports whether
-    the fixed point is certified under the certificate's regime.
+    the fixed point is certified under the certificate's regime.  The first
+    iterates come from the orbit the certificate checked, when it carries
+    one that starts at ``seed`` under this map and metric (see the module
+    docstring); the report is the same as without it.
     """
     if not cert.valid:
         raise CertificateInvalid(
@@ -203,21 +246,30 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     if rate >= 1.0:
         raise RateNotLessThanOne(f"certificate rate {rate:.6f} is not below 1")
     display = metric.norm
-    forward_only = cert.regime in (Regime.ORBITAL, Regime.TWO_STEP)
+    forward_only = cert.regime in _FORWARD_ONLY
 
+    orbit = _checked_orbit(map_spec, metric, seed, cert)
+    known = 0 if orbit is None else min(len(orbit.steps), cfg.max_iter)
+    if known:
+        rows = _rows(orbit.points)
+        known_fwd = batch_norm(metric.codomain, orbit.steps[:known], display).tolist()
     points = [seed]
     fwd_steps: list[float] = []
-    bwd_steps: list[float] = []
+    bwd_steps: list[float] = []  # of the mapped steps; the known ones follow the loop
     converged = False
-    for _ in range(cfg.max_iter):
-        current = points[-1]
-        nxt = map_spec.apply(current)
-        pair = _paired_on(metric, [current, nxt], slice(None), slice(None, None, -1))
-        fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
-        if not fwd_steps:  # the envelope's d1, in both orders
-            d1 = pair
+    for i in range(cfg.max_iter):
+        if i < known:  # forward-only: the reverse order does not stop the loop
+            nxt, fwd = rows[i + 1], known_fwd[i]
+        else:
+            current = points[-1]
+            nxt = map_spec.apply(current)
+            pair = _paired_on(metric, _points(metric, [current, nxt]),
+                              slice(None), slice(None, None, -1))
+            fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
+            if not i:  # the envelope's d1, in both orders
+                d1 = pair
+            bwd_steps.append(bwd)
         fwd_steps.append(fwd)
-        bwd_steps.append(bwd)
         points.append(nxt)
         if fwd <= cfg.tol and (forward_only or bwd <= cfg.tol):
             converged = True
@@ -229,11 +281,27 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     residual_forward = norm(eval_metric(metric, fixed_point, after), display)
     residual_backward = norm(eval_metric(metric, after, fixed_point), display)
 
+    # the known steps in the reverse order, as one paired evaluation whose
+    # payloads are freed before the tails are formed, and the orbit as
+    # stacks: the known rows as the certificate stacked them, and the mapped
+    # points after them
+    consumed = min(known, iterations)
+    blocks = []
+    if consumed:
+        bwd_steps[:0] = batch_norm(metric.codomain, _paired_on(
+            metric, orbit.points, slice(1, consumed + 1), slice(None, consumed)),
+            display).tolist()
+        d1 = orbit.steps[:1]  # a forward-only envelope reads no reverse d1
+        blocks.append(orbit.points[:consumed + 1])
+    mapped = points[consumed + 1:] if consumed else points
+    if mapped:
+        blocks.append(_points(metric, mapped))
+
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised
     # by the global sandwich regimes.
     observed, observed_rev = (tuple(t.tolist()) for t in
-                              _tail_norms(metric, points, NormKind.OPERATOR))
+                              _tail_norms(metric, blocks, NormKind.OPERATOR))
     predicted = apriori_envelope(_element(metric, d1[0]), rate, iterations)
     predicted_rev = (None if forward_only
                      else apriori_envelope(_element(metric, d1[1]), rate, iterations))
@@ -255,8 +323,7 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
         fixed_point=fixed_point, iterations=iterations, converged=converged,
         max_iter_exceeded=not converged, residual_forward=residual_forward,
         residual_backward=residual_backward, rate=rate,
-        bound_mode=(BoundMode.ONE_SIDED if cert.regime is Regime.TWO_STEP
-                    else BoundMode.SANDWICH),
+        bound_mode="one-sided" if cert.regime is Regime.TWO_STEP else "sandwich",
         norm_kind=display,
         predicted_bounds=predicted, observed_tail=observed,
         predicted_bounds_rev=predicted_rev, observed_tail_rev=observed_rev,

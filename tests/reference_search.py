@@ -38,7 +38,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
     tables = contraction._tables(regime, map_spec, metric,
                                  codomain_scalar(metric, 0.0), pairs, seed,
                                  orbit_len)
-    _, lhs, base = tables
+    _, lhs, base, _ = tables
     try:
         contraction._gate(regime, metric, codomain_scalar(metric, cap))
     except (CoefficientNormTooLarge, NotPositive, NotInCommutant):

@@ -395,7 +395,7 @@ def _search_tables(draw):
     lhs, base = (metrics._payloads(codomain, t if width > 1 else t[:, 0])
                  for t in (lhs, base))
     points = [(float(i), float(i + 1)) for i in range(n)]
-    return regime, metric, tol, (points, lhs, base)
+    return regime, metric, tol, (points, lhs, base, None)
 
 
 def _named_tables(regime, order, top):
@@ -404,7 +404,7 @@ def _named_tables(regime, order, top):
     metric = MetricSpec("named-tables", algebra.MAT2, order, NormKind.OPERATOR)
     base = np.array([[1.0, 0.5], [0.25, 1.0], [1.0, 0.0]]) * top
     lhs, base = (metrics._payloads(algebra.MAT2, t) for t in (0.3 * base, base))
-    return regime, metric, 1e-9, ([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], lhs, base)
+    return regime, metric, 1e-9, ([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], lhs, base, None)
 
 
 _NAMED_TOPS = {"2^500-ulp": math.nextafter(2.0 ** 500, 0.0), "2^500": 2.0 ** 500,
@@ -483,7 +483,8 @@ def test_a_table_without_a_closed_form_checks_every_midpoint(monkeypatch):
     # c, and sample 1 needs c^2 >= 1/4
     metric = MetricSpec("hand-built", algebra.SCALAR, OrderKind.POSITIVE_CONE,
                         NormKind.OPERATOR)
-    tables = ([(0.0, 1.0), (1.0, 2.0)], np.array([-1.0, 0.25]), np.array([1.0, 1.0]))
+    tables = ([(0.0, 1.0), (1.0, 2.0)], np.array([-1.0, 0.25]), np.array([1.0, 1.0]),
+              None)
     guided, plain, checks = _guided_and_plain(
         monkeypatch, (Regime.FORWARD_GLOBAL, metric, 1e-9, tables))
     assert checks == 2 + contraction.BISECTION_STEPS + 1
@@ -770,9 +771,44 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
     assert len(got[0]) == len(want[0]) == orbit_len + 1
     for (gx, gy), (wx, wy) in zip(got[0], want[0]):
         assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
-    for g, w in zip(got[1:], want[1:]):
+    for g, w in zip(got[1:3], want[1:]):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
+    # the orbital regime keeps the orbit it checked, stacked, and its steps
+    orbit = got[3]
+    if regime is Regime.TWO_STEP:
+        assert orbit is None
+        return
+    stack = np.array(map_spec.orbit(seed, orbit_len + 2), dtype=float)
+    assert orbit.metric is metric and orbit.points.tobytes() == stack.tobytes()
+    assert orbit.steps.tobytes() == metrics.paired_payloads(
+        metric, list(stack[:-1]), list(stack[1:])).tobytes()
+    assert not orbit.points.flags.writeable and not orbit.steps.flags.writeable
+
+
+_FN = np.linspace(0.25, 1.0, 4)
+_BAD_ORBITS = {  # a metric and an orbit (seed first) with a bad point in it
+    "fn-shape": (mult_op(_FN), [_FN, _FN / 2, np.ones(3), _FN]),
+    "fn-nan-then-shape": (mult_op(_FN), [_FN, np.full(4, np.nan), np.ones(3)]),
+    "fn-scalar": (mult_op(_FN), [_FN, _FN / 2, 1.0]),
+    "fn-inf": (mult_op(_FN), [_FN, _FN / 4, np.full(4, np.inf)]),
+    "fn-seed": (mult_op(_FN), [np.ones(3), _FN]),
+    "real-list": (mat2_split(), [1.0, 0.5, [1.0, 2.0]]),
+    "real-nan": (scalar_forward_one(), [1.0, float("nan"), 0.1]),
+    "real-none": (scalar_forward_one(), [1.0, 0.5, None]),
+    "real-text": (scalar_forward_one(), [1.0, "x", 0.1]),
+}
+
+
+@pytest.mark.parametrize("metric, orbit", _BAD_ORBITS.values(), ids=_BAD_ORBITS.keys())
+def test_an_orbit_stack_raises_what_the_point_check_raises(metric, orbit):
+    # the stack checks the points as it fills its rows; its error is that of
+    # checking the whole orbit at once
+    with pytest.raises(Exception) as want:
+        metrics._points(metric, orbit)
+    images = iter(orbit[1:])
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        metrics._orbit_stack(metric, lambda x: next(images), orbit[0], len(orbit) - 1)
 
 
 @pytest.mark.parametrize("regime, evaluations", [(Regime.ORBITAL, 1),
@@ -783,8 +819,8 @@ def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
     paired = contraction._paired_on
     monkeypatch.setattr(contraction, "_paired_on",
                         lambda *args: evaluated.append(args) or paired(*args))
-    points, lhs, base = contraction._tables(regime, quarter, mat2_split(),
-                                            diag2(0.0, 0.0), None, 1.0, 10)
+    points, lhs, base, _ = contraction._tables(regime, quarter, mat2_split(),
+                                               diag2(0.0, 0.0), None, 1.0, 10)
     assert len(points) == len(lhs) == len(base) == 11
     assert len(applied) == 12  # the orbit of 12 steps, once
     assert len(evaluated) == evaluations
@@ -815,7 +851,7 @@ def test_global_tables_key_their_images_by_identity():
     zeros = [0.0, -0.0]
     applied: list = []
     signed = MapSpec("signed", lambda x: applied.append(x) or math.copysign(0.5, x))
-    points, lhs, _ = contraction._tables(
+    points, lhs, _, _ = contraction._tables(
         Regime.FORWARD_GLOBAL, signed, scalar_forward_one(), scalar(0.0),
         [(x, y) for x in zeros for y in zeros], None, 0)
     assert [math.copysign(1.0, p) for p in applied] == [1.0, -1.0]

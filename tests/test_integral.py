@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from quasifix import contraction, integral, solver
 from quasifix.algebra import NormKind, norm
 from quasifix.integral import (
+    DEMO_ORBIT_LEN,
     GridMismatch,
     IntegralProblem,
     NotContractive,
@@ -253,3 +255,38 @@ def test_problem_state_is_built_once_and_read_only(kind):
     # the spec's sampled values share its one checked copy of the grid
     assert metric._element_grid is metric.grid_array
     assert codomain_scalar(metric, 0.5).grid is metric.grid_array
+    # the default seed x -> x is the grid array itself; a given one is cached
+    assert prob.f0_array is g
+    seeded = make_problem(0.5, 4.0, n=64, quadrature=kind, f0=np.full(64, 0.25))
+    f0 = seeded.f0_array
+    assert seeded.f0_array is f0
+    assert f0.tolist() == [0.25] * 64
+    with pytest.raises(ValueError):
+        f0[0] = 1.0
+
+
+def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
+    prob = make_problem(0.5, 2.0, n=512)
+    report = regime_report(prob)
+    applied, paired, stacked = [], [], []
+    monkeypatch.setattr(integral, "apply_T", lambda f, p: applied.append(f) or apply_T(f, p))
+    for module in (contraction, solver):
+        monkeypatch.setattr(module, "_paired_on", lambda *args, _f=module._paired_on:
+                            paired.append(args) or _f(*args))
+    points = solver._points
+    monkeypatch.setattr(solver, "_points", lambda *args: stacked.append(args) or points(*args))
+    run_demo(prob, SolverConfig(tol=1e-8, max_iter=200), report)
+    assert report.solver["converged"] and report.solver["iterations"] <= DEMO_ORBIT_LEN
+    # T maps the certificate's orbit (DEMO_ORBIT_LEN + 2 steps) and then f0
+    # once more, for the solver's check of the orbit's row 1; the solver's
+    # and the demo's residuals map the fixed point
+    assert len(applied) == DEMO_ORBIT_LEN + 5
+    # one paired evaluation of the orbit's steps in the certificate, one of
+    # their reverse order in the solve, and the residual pair one pair at a
+    # time; the solver stacks no point again
+    assert len(paired) == 2
+    assert len(one_pair_calls) == 2
+    assert stacked == []
+    assert not report.solution.flags.writeable
+    assert report.solution.shape == prob.grid_array.shape
+    assert np.max(np.abs(report.solution)) == report.solver["fixed_point_sup"]

@@ -8,10 +8,10 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quasifix import solver
+from quasifix import integral, solver
 from quasifix.algebra import (
     NormKind,
     NotPositive,
@@ -27,6 +27,7 @@ from quasifix.algebra import (
 from quasifix.contraction import (
     ContractionCertificate,
     Regime,
+    certificate_from_json,
     verify,
     verify_global,
     verify_orbital_type,
@@ -40,11 +41,11 @@ from quasifix.metrics import (
     mat2_split_scaled,
     mult_op,
     periodic_fn,
+    reversed_metric,
     scalar_backward_one,
     scalar_forward_one,
 )
 from quasifix.solver import (
-    BoundMode,
     CertificateInvalid,
     RateNotLessThanOne,
     SolverConfig,
@@ -188,7 +189,7 @@ def test_two_step_certificate_sets_the_rate_under_the_default_config():
                           SolverConfig())
     assert report.rate == cert.h_norm
     assert report.rate == pytest.approx(0.25, abs=1e-12)
-    assert report.bound_mode is BoundMode.ONE_SIDED
+    assert report.bound_mode == "one-sided"
     assert report.predicted_bounds_rev is None
     assert report.bound_envelope_ok
 
@@ -455,3 +456,150 @@ def test_uniqueness_spread_is_the_one_pair_loop(metric, seeds, tol):
     points = [picard_solve(linear_quarter(), metric, s, cert, cfg).fixed_point for s in seeds]
     spread = uniqueness_probe(linear_quarter(), metric, cert, seeds, cfg)
     assert spread.hex() == _reference_spread(metric, points).hex()
+
+
+# --- the certificate's checked orbit ------------------------------------------------
+
+def _hexed(value):
+    """A JSON value with every float as its hex text, so that equal values
+    are equal bit for bit (-0.0 is not 0.0)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hexed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hexed(v) for v in value]
+    return value
+
+
+def _with_and_without_orbit(map_spec, metric, seed, cert, cfg):
+    """The hexed JSON report, the report and the applications of T, of the
+    solve under ``cert`` and under ``cert`` without its orbit."""
+    runs = []
+    for c in (cert, replace(cert, orbit=None)):
+        applied = []
+        report = picard_solve(_counted(map_spec, applied), metric, seed, c, cfg)
+        runs.append((_hexed(report.to_json_dict()), report, len(applied)))
+    return runs
+
+
+def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID):
+    """The demo problem of contraction rate ``rate``, its operator, metric
+    and seed, and its orbital certificate."""
+    rk = math.sqrt(k)
+    prob = integral.make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
+    return (prob, integral.integral_operator(prob), integral.problem_metric(prob),
+            prob.f0_array, integral.demo_certificate(prob))
+
+
+def _assert_the_orbit_was_used(cert, runs, max_iter):
+    """Both solves gave the same report; the one with the orbit applied T to
+    the seed (the check of row 1), past the known rows and at the residual."""
+    (json_with, report, applied_with), (json_without, _, applied_without) = runs
+    assert json_with == json_without
+    known = min(len(cert.orbit.steps), max_iter)
+    assert applied_with == 2 + max(0, report.iterations - known)
+    assert applied_without == report.iterations + 1
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(rate=st.floats(0.05, 0.95), k=st.floats(0.2, 8.0), n=st.integers(2, 300),
+       kind=st.sampled_from(integral.QuadratureKind),
+       tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
+       max_iter=st.sampled_from([1, 5, 31, 32, 33, 200]))
+def test_the_demo_solve_is_the_same_with_and_without_the_checked_orbit(
+        rate, k, n, kind, tol, max_iter):
+    _, op, metric, f0, cert = _demo_parts(rate, k, n, kind)
+    assume(cert.valid)
+    cfg = SolverConfig(max_iter=max_iter, tol=tol)
+    _assert_the_orbit_was_used(cert, _with_and_without_orbit(op, metric, f0, cert, cfg),
+                               max_iter)
+
+
+@pytest.mark.parametrize("map_spec, metric, a", [
+    (linear_quarter(), scalar_backward_one(), scalar(1 / math.sqrt(2))),
+    (piecewise_quarter(), mat2_split(), diag2(1 / math.sqrt(3), 1 / math.sqrt(3))),
+], ids=["linear-quarter", "piecewise-quarter"])
+@pytest.mark.parametrize("tol, max_iter", [(1e-10, 1000), (1e-300, 200), (1e-10, 4)],
+                         ids=["converges", "exhausts", "short"])
+def test_gallery_orbital_certificates_give_the_same_solve(map_spec, metric, a, tol,
+                                                          max_iter):
+    cert = verify_orbital_type(map_spec, metric, a, seed=1.0, orbit_len=30)
+    cfg = SolverConfig(max_iter=max_iter, tol=tol)
+    runs = _with_and_without_orbit(map_spec, metric, 1.0, cert, cfg)
+    _assert_the_orbit_was_used(cert, runs, max_iter)
+    assert type(runs[0][1].fixed_point) is float
+    # from another seed the solve maps every iterate itself
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        map_spec, metric, 2.0, cert, cfg)
+    assert json_with == json_without and applied == report.iterations + 1
+
+
+def test_a_seed_of_the_other_sign_of_zero_is_not_the_checked_seed():
+    # 0.0 and -0.0 are equal, but their orbits under x / 4 differ in sign
+    cert = verify_orbital_type(linear_quarter(), scalar_forward_one(), scalar(0.5),
+                               seed=0.0, orbit_len=30)
+    cfg = SolverConfig(tol=1e-10)
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        linear_quarter(), scalar_forward_one(), -0.0, cert, cfg)
+    assert json_with == json_without and applied == report.iterations + 1
+    assert math.copysign(1.0, report.fixed_point) == -1.0
+
+
+def test_a_solve_past_the_checked_orbit_maps_the_rest():
+    # at rate 0.95 and k = 2 the demo's orbit contracts by about 0.44 a step,
+    # so a solve to 1e-15 outruns the certificate's 32 steps
+    _, op, metric, f0, cert = _demo_parts(0.95, 2.0, 64)
+    cfg = SolverConfig(tol=1e-15, max_iter=200)
+    runs = _with_and_without_orbit(op, metric, f0, cert, cfg)
+    assert runs[0][1].converged and runs[0][1].iterations > len(cert.orbit.steps)
+    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
+
+
+def test_a_max_iter_inside_the_checked_orbit_stops_there():
+    _, op, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
+    cfg = SolverConfig(tol=1e-12, max_iter=5)
+    runs = _with_and_without_orbit(op, metric, f0, cert, cfg)
+    assert runs[0][1].iterations == 5 and runs[0][1].max_iter_exceeded
+    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
+
+
+def test_a_certificate_of_another_problem_is_not_taken_as_known_iterates():
+    # same grid and seed f0, another alpha: row 0 matches, row 1 does not
+    prob, _, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
+    other = integral.make_problem(prob.alpha * 1.25, 2.0, n=64)
+    assert np.array_equal(other.f0_array, f0)
+    cfg = SolverConfig(tol=1e-8, max_iter=200)
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        integral.integral_operator(other), integral.problem_metric(other), other.f0_array,
+        cert, cfg)
+    assert json_with == json_without
+    assert applied == report.iterations + 2  # T(f0) for the check, then the solve's own
+    # nor is the orbit of this problem in another metric, though the seed matches
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        integral.integral_operator(prob), reversed_metric(metric), f0, cert, cfg)
+    assert json_with == json_without and applied == report.iterations + 1
+
+
+def test_a_checked_orbit_of_another_map_cannot_certify_a_point_it_does_not_fix():
+    # the same first step from 1.0, then another orbit: the solve walks the
+    # certificate's rows, but the residual maps the last one afresh
+    cert = verify_orbital_type(linear_quarter(), scalar_backward_one(),
+                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
+    lifted = MapSpec("lifted", lambda x: x / 4.0 if x >= 0.2 else x / 4.0 + 0.1)
+    cfg = SolverConfig(tol=1e-10)
+    report = picard_solve(lifted, scalar_backward_one(), 1.0, cert, cfg)
+    assert report.converged and report.fixed_point < 1e-9
+    assert report.residual_forward == 1.0 and not report.fixed_point_certified
+    honest = picard_solve(lifted, scalar_backward_one(), 1.0, replace(cert, orbit=None), cfg)
+    assert honest.fixed_point_certified
+    assert honest.fixed_point == pytest.approx(0.4 / 3.0)
+
+
+def test_the_checked_orbit_stays_out_of_the_certificate_json():
+    cert = verify_orbital_type(linear_quarter(), scalar_backward_one(),
+                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
+    assert cert.orbit is not None and len(cert.orbit.points) == 33
+    assert "orbit" not in cert.to_json_dict()
+    assert cert == replace(cert, orbit=None) and "orbit=" not in repr(cert)
+    assert certificate_from_json(json.loads(json.dumps(cert.to_json_dict()))).orbit is None
