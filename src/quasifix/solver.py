@@ -210,7 +210,7 @@ def _checked_orbit(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     for bit.  Otherwise None, and the solve maps every iterate itself."""
     orbit = cert.orbit
     if (orbit is None or cert.regime not in _FORWARD_ONLY
-            or (orbit.metric is not metric and orbit.metric != metric)
+            or orbit.metric != metric
             or not _same_bits(seed, orbit.points[0])
             or not _same_bits(map_spec.apply(seed), orbit.points[1])):
         return None
