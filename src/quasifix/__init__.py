@@ -47,7 +47,6 @@ from .contraction import (
     Regime,
     search_scalar_coefficient,
     verify,
-    verify_global,
     verify_orbital_type,
 )
 from .convergence import (

@@ -304,8 +304,12 @@ def _inverse_one_minus_unchecked(a: AlgebraElement) -> AlgebraElement:
 def inverse_one_minus(a: AlgebraElement, tol: float = DEFAULT_TOL) -> AlgebraElement:
     """Resolvent ``(I - a)^-1`` for positive ``a`` with operator norm < 1/2.
 
-    The norm gate keeps the product ``a (I - a)^-1`` inside the open unit
-    ball, which downstream rate bounds rely on.
+    The paper's resolvent lemma, which ``tests/lemma_checks.py`` checks: the
+    norm gate keeps the product ``a (I - a)^-1`` inside the open unit ball.
+    The two-step certificate (``contraction._certificate``) builds its h
+    with the ungated ``_inverse_one_minus_unchecked`` instead, because its
+    own gate admits operator norm exactly 1/2, which this one refuses; at
+    that boundary h is no contraction, and its certificate shows h_norm >= 1.
     """
     if not is_positive(a, tol):
         raise NotPositive("resolvent inverse requires a positive element")

@@ -325,9 +325,9 @@ def _count(text: str) -> int:
     return n
 
 
-def _grid_points(spec: str, rng: np.random.Generator | None) -> np.ndarray | None:
-    """The points of a ``--grid`` spec; with ``rng`` None the spec is only
-    checked, and a malformed one raises ``ValueError``."""
+def _grid_points(spec: str, rng: np.random.Generator | None) -> np.ndarray | int:
+    """The points of a ``--grid`` spec, or with ``rng`` None only their
+    number; a malformed spec raises ``ValueError``."""
     if spec.startswith("lin:"):
         _, lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), _count(n)
@@ -337,12 +337,21 @@ def _grid_points(spec: str, rng: np.random.Generator | None) -> np.ndarray | Non
         lo, hi = map(float, bounds + ["-2.0", "2.0"][len(bounds):])
         if not -math.inf < lo <= hi < math.inf:
             raise ValueError(f"bounds must be finite and ordered, got {lo}, {hi}")
-        return None if rng is None else np.sort(rng.uniform(lo, hi, size=n))
+        return n if rng is None else np.sort(rng.uniform(lo, hi, size=n))
     elif "," in spec:
-        return np.asarray([float(v) for v in spec.split(",")])
+        points = np.asarray([float(v) for v in spec.split(",")])
+        return len(points) if rng is None else points
     else:
         lo, hi, n = -2.0, 2.0, _count(spec)
-    return None if rng is None else np.linspace(lo, hi, n)
+    return n if rng is None else np.linspace(lo, hi, n)
+
+
+def _nonempty_grid(spec: str) -> None:
+    """A certify ``--grid``: a global certificate checks every pair of its
+    points, and one with no point would certify any map."""
+    if not _grid_points(spec, None):
+        raise argparse.ArgumentTypeError(
+            f"a certificate needs at least one grid point, got {spec!r}")
 
 
 def _seq_points(spec: str) -> list[float]:
@@ -460,22 +469,19 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     spec = _build_metric(args)
     map_spec = _build_map(args.map)
     regime = _REGIMES[args.regime]
-    pairs = None
+    points = None
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
-        grid = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
-        # floats, so that the n^2 pairs share n point objects
-        points = grid.tolist()
-        pairs = [(x, y) for x in points for y in points]
+        points = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
     if args.search:
         cert = search_scalar_coefficient(
-            map_spec, spec, regime, pairs=pairs, seed=args.seed,
+            map_spec, spec, regime, points=points, seed=args.seed,
             orbit_len=args.orbit_len, tol=args.tol)
         if cert is None:
             print("no scalar certificate exists below the regime cap",
                   file=sys.stderr)
             return 1
     else:
-        cert = verify(regime, map_spec, spec, _coefficient(args.a), pairs=pairs,
+        cert = verify(regime, map_spec, spec, _coefficient(args.a), points=points,
                       seed=args.seed, orbit_len=args.orbit_len, tol=args.tol)
     print(f"regime {cert.regime.value}: coefficient norm {cert.a_norm:.9f}, "
           f"{cert.samples_checked} samples, "
@@ -603,7 +609,8 @@ def _make_parser() -> argparse.ArgumentParser:
     coefficient.add_argument("--a", type=_checked_by(_coefficient, "element"),
                              default=None, help="coefficient element as JSON")
     coefficient.add_argument("--search", action="store_true")
-    p.add_argument("--grid", type=grid_type, default="21", help=grid_help)
+    p.add_argument("--grid", type=_checked_by(_nonempty_grid, "grid"), default="21",
+                   help=grid_help)
     p.add_argument("--seed", type=float, default=1.0)
     p.add_argument("--orbit-len", type=_bounded(int, 2), default=30,
                    dest="orbit_len")

@@ -1,10 +1,11 @@
-"""Contraction certificates over sampled pairs and orbits.
+"""Contraction certificates over sampled point grids and orbits.
 
 Four regimes are recognised:
 
 * forward-global / backward-global -- the sandwich inequality
   ``d(Tx, Ty) <= a* d(x, y) a`` (backward swaps the base pair) must hold for
-  every supplied pair, with ``||a|| < 1`` in the certificate's norm kind;
+  every ordered pair of the supplied points, with ``||a|| < 1`` in the
+  certificate's norm kind;
 * orbital -- the sandwich is only required between consecutive orbit points
   ``d(Ty, T^2 y) <= a* d(y, Ty) a`` for y running along one orbit;
 * two-step -- the one-sided inequality ``d(Ty, T^2 y) <= a d(y, T^2 y)``
@@ -16,12 +17,12 @@ All four check ``lhs <= rhs`` sample by sample in the metric's order, and one
 core does it for each of them.  A regime only decides the two distances of a
 sample, its *tables*: ``lhs`` is d(Tx, Ty) for the global regimes and
 d(Ty, T^2 y) for the orbit regimes, and ``base`` is d(x, y) (forward),
-d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  Each
-point is mapped once, and the tables then come from paired evaluations of
-the metric (``metrics.paired_payloads``, whose one-pair form is
-``eval_metric``) in sample order, each distance evaluated once: the
-orbital lhs and base are one evaluation of the orbit's consecutive steps,
-shifted by one against each other.  The core forms ``rhs`` -- the sandwich
+d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  A
+global certificate checks a point set X_n on X_n x X_n, as the paper's
+condition ranges over every ordered pair.  Each point is mapped once and
+each distance evaluated once: the global tables are the metric's table
+form on the points and on their images, and the orbital lhs and base are
+one paired evaluation of the orbit's steps, shifted by one.  The core forms ``rhs`` -- the sandwich
 (a* base) a, or a base for two-step, in the operation order of ``mul`` --
 and runs the order check on the whole batch with the per-sample tolerance
 tol (1 + ||rhs||_op), or 0 where that overflows.  ``verify`` is the one
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any
 
 import numpy as np
@@ -68,15 +70,14 @@ from .algebra import (
 from .maps import MapSpec
 from .metrics import (
     MetricSpec,
+    _component_table,
     _orbit_stack,
     _paired_on,
+    _payloads,
     _require_tol,
     _rows,
     codomain_scalar,
-    paired_payloads,
 )
-
-from enum import Enum
 
 BISECTION_STEPS = 40
 
@@ -228,55 +229,46 @@ def _gate(regime: Regime, metric: MetricSpec,
 
 
 def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
-            like: AlgebraElement, pairs: list | None, seed: Any,
-            orbit_len: int) -> tuple[list, np.ndarray, np.ndarray,
+            like: AlgebraElement, points: Any, seed: Any,
+            orbit_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                      CheckedOrbit | None]:
-    """The regime's samples as (points, lhs, base), in sample order, and the
-    orbital regime's ``CheckedOrbit`` (None for the other regimes).
+    """The regime's samples as (stack, lhs, base, orbit): the validated
+    points, the two tables in sample order, and the orbital regime's
+    ``CheckedOrbit`` (None for the other regimes).
 
-    Every point is mapped once and every distance is evaluated once, by
-    paired metric evaluations.  The global regimes map each distinct point
-    object once, by identity: a grid's n^2 pairs share its n points.  On an
-    orbit o, each point goes into its row of one validated stack as it is
-    made (``metrics._orbit_stack``), and ``lhs[i]`` = d(o[i+1], o[i+2]) and
-    the orbital ``base[i]`` = d(o[i], o[i+1]) are the orbit's consecutive
-    steps shifted by one, so one evaluation of the steps gives both.  The
-    global regimes and two-step take two evaluations, one for ``lhs`` and
-    one for ``base``; two-step does not evaluate the orbit's first step
-    d(o[0], o[1]), which it never compares.  ``points[i]`` is the (x, y) a
-    violation of sample i records, rows of the stack on an orbit.  The
-    distances must live in the space of ``like`` (the coefficient), as
-    ``mul`` and ``leq`` require: its realization is the metric's codomain,
-    and a sampled one lies on the metric's element grid.
+    Every point is mapped once and every distance is evaluated once.  For
+    the n ``points`` of a global regime, sample i n + j is (x_i, x_j), and
+    lhs and base are the metric's table form (``metrics._component_table``)
+    on the images and on the points, base transposed for the backward
+    regime, flattened to n^2 payloads.  On an orbit o, stacked as it is
+    made (``metrics._orbit_stack``), sample i is (o[i], o[i+1]): ``lhs[i]``
+    = d(o[i+1], o[i+2]) and the orbital ``base[i]`` = d(o[i], o[i+1]) are
+    one paired evaluation of the steps, shifted by one; two-step evaluates
+    its base d(o[i], o[i+2]) apart.  An empty point set raises
+    ``ValueError``, as an orbit shorter than two steps does.  The distances
+    must live in the space of ``like`` (the coefficient), as ``mul`` and
+    ``leq`` require: its realization is the metric's codomain, and a
+    sampled one lies on the metric's element grid.
     """
     orbit = None
     if regime in _GLOBAL:
-        if pairs is None:
-            raise ValueError("global regimes need sample pairs")
-        points = [(x, y) for x, y in pairs]
-        if not points:
-            empty = np.empty((0,) + like.data.shape)
-            return points, empty, empty, orbit
-        # by identity: points may be unhashable arrays, and -0.0 == 0.0
-        images: dict[int, Any] = {}
-        for pair in points:
-            for p in pair:
-                if id(p) not in images:
-                    images[id(p)] = map_spec.apply(p)
-        xs, ys = zip(*points)
-        lhs = paired_payloads(metric, [images[id(x)] for x in xs],
-                              [images[id(y)] for y in ys])
+        if points is None:
+            raise ValueError("global regimes need sample points")
+        stack, base = _component_table(metric, points)
+        n = len(stack)
+        if not n:
+            raise ValueError("global regimes need at least one sample point")
+        _, lhs = _component_table(metric, [map_spec.apply(p) for p in _rows(stack)])
         if regime is Regime.BACKWARD_GLOBAL:
-            xs, ys = ys, xs
-        base = paired_payloads(metric, xs, ys)
+            base = base.swapaxes(0, 1)
+        lhs, base = (_payloads(metric.codomain, t.reshape(n * n, -1))
+                     for t in (lhs, base))
     else:
         if seed is None:
             raise ValueError("orbital regimes need a seed point")
         if orbit_len < 2:
             raise ValueError("orbit_len must be at least 2")
         stack = _orbit_stack(metric, map_spec.fn, seed, orbit_len + 2)
-        rows = _rows(stack)
-        points = list(zip(rows, rows[1:-1]))
         if regime is Regime.ORBITAL:
             steps = _paired_on(metric, stack, slice(None, -1), slice(1, None))
             lhs, base = steps[1:], steps[:-1]
@@ -286,7 +278,7 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
     grid = metric._element_grid if metric.codomain == algebra.SAMPLED else None
     algebra._require_space(like, metric.codomain, grid)
-    return points, lhs, base, orbit
+    return stack, lhs, base, orbit
 
 
 def _sandwich(regime: Regime, a: AlgebraElement, base: np.ndarray) -> np.ndarray:
@@ -348,8 +340,6 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
     (-inf, inf) and every c needs the exact check.
     """
     unknown = (-math.inf, math.inf)
-    if not len(lhs):
-        return unknown
     if lhs.ndim == 3:
         lhs, base = (np.diagonal(t, axis1=1, axis2=2) for t in (lhs, base))
     l = lhs.reshape(len(lhs), -1)
@@ -388,33 +378,33 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         # the step rate h = a (I - a)^-1; the gate has shown a positive with
         # ||a||_op <= 1/2, so the resolvent needs no gates of its own
         h = mul(a, algebra._inverse_one_minus_unchecked(a))
-    points, lhs, base, orbit = tables
+    stack, lhs, base, orbit = tables
     bad = np.flatnonzero(_failures(regime, metric, a, lhs, base, tol))
     # the order check wrote over its sandwiches: form the failing ones again
     lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
     rhs_norms = algebra.batch_norm(a.realization, _sandwich(regime, a, base[bad]),
                                    metric.norm).tolist()
-    failing = [points[i] for i in bad.tolist()]
-    # plain floats are JSON values already
-    if not all(type(x) is float and type(y) is float for x, y in failing):
-        failing = [(_point_json(x), _point_json(y)) for x, y in failing]
+    # the (x, y) of the failing samples only, as JSON values
+    xs, ys = np.divmod(bad, len(stack)) if regime in _GLOBAL else (bad, bad + 1)
     violations = tuple(
         {"x": x, "y": y, "lhs_norm": ln, "rhs_norm": rn}
-        for (x, y), ln, rn in zip(failing, lhs_norms, rhs_norms))
+        for x, y, ln, rn in zip(stack[xs].tolist(), stack[ys].tolist(),
+                                lhs_norms, rhs_norms))
     return ContractionCertificate(
         regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
-        samples_checked=len(points), violations=violations,
+        samples_checked=len(lhs), violations=violations,
         seed_point=None if regime in _GLOBAL else seed, h=h,
         h_norm=None if h is None else norm(h, NormKind.OPERATOR),
         map_name=map_spec.name, metric_name=metric.name, orbit=orbit)
 
 
 def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
-           a: AlgebraElement, *, pairs: list | None = None, seed: Any = None,
+           a: AlgebraElement, *, points: Any = None, seed: Any = None,
            orbit_len: int = 30, tol: float = 1e-9) -> ContractionCertificate:
     """Check coefficient ``a`` against the regime's inequality on every sample.
 
-    Global regimes check the supplied ordered ``pairs``; the orbital and
+    Global regimes check every ordered pair (x_i, x_j) of the n supplied
+    ``points`` (n >= 1), n^2 samples in row-major order; the orbital and
     two-step regimes check the orbit_len + 1 consecutive steps of the orbit
     of ``seed`` (orbit_len >= 2).  The regime's gates on ``a`` run first.
     A two-step certificate carries h = a (I - a)^-1 and its norm; at the
@@ -425,34 +415,25 @@ def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     """
     _require_tol(tol)
     gate = _gate(regime, metric, a)
-    tables = _tables(regime, map_spec, metric, a, pairs, seed, orbit_len)
+    tables = _tables(regime, map_spec, metric, a, points, seed, orbit_len)
     return _certificate(regime, map_spec, metric, a, gate, tables, seed, tol)
-
-
-def verify_global(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
-                  pairs: list, direction: str = "forward",
-                  tol: float = 1e-9) -> ContractionCertificate:
-    """Check the sandwich inequality on every supplied ordered pair.
-
-    ``direction`` picks the base distance: "forward" compares against
-    a* d(x, y) a, "backward" against a* d(y, x) a.
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    regime = Regime.FORWARD_GLOBAL if direction == "forward" else Regime.BACKWARD_GLOBAL
-    return verify(regime, map_spec, metric, a, pairs=pairs, tol=tol)
 
 
 def verify_orbital_type(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
                         seed: Any, orbit_len: int = 30,
                         tol: float = 1e-9) -> ContractionCertificate:
-    """Check d(Ty, T^2 y) <= a* d(y, Ty) a for y along the orbit of ``seed``."""
+    """Check d(Ty, T^2 y) <= a* d(y, Ty) a for y along the orbit of ``seed``.
+
+    ``verify`` on ``Regime.ORBITAL``, kept because it is the one name in
+    ``perfbench/tracing.py``'s ``VERIFY`` on a benchmarked path, and
+    ``perfbench/selftest.py`` fails when no workload counts a verify call.
+    """
     return verify(Regime.ORBITAL, map_spec, metric, a, seed=seed,
                   orbit_len=orbit_len, tol=tol)
 
 
 def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
-                              regime: Regime, *, pairs: list | None = None,
+                              regime: Regime, *, points: Any = None,
                               seed: Any = None, orbit_len: int = 30,
                               tol: float = 1e-9) -> ContractionCertificate | None:
     """Bisect for the smallest scalar multiple of the identity that certifies.
@@ -474,9 +455,9 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     exact check's answer by construction, so every midpoint is decided as
     the exact check decides it and the returned c is bit for bit that of
     checking every midpoint; on the catalog metrics 3 to 6 exact checks
-    remain of the 43 that checking every midpoint takes.  Where
-    no closed form applies (negative values, a band that is not finite, no
-    samples) the band is unbounded and every midpoint takes the exact check.
+    remain of the 43 that checking every midpoint takes.  Where no closed
+    form applies (negative values, or a band that is not finite) the band
+    is unbounded and every midpoint takes the exact check.
 
     Returns the certificate at the guaranteed-valid upper end of the final
     bracket, or None when even the cap fails.  That certificate comes from
@@ -492,7 +473,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
     tables = _tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
-                     pairs, seed, orbit_len)
+                     points, seed, orbit_len)
     _, lhs, base, _ = tables
     # for a = c I with c >= 0 every gate is monotone in c, so the gates
     # pass on all of [0, cap] once they pass at the cap

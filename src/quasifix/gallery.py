@@ -18,7 +18,7 @@ import numpy as np
 
 from . import integral
 from .algebra import NormKind, allclose, diag2, norm, scalar
-from .contraction import Regime, search_scalar_coefficient, verify_global, verify_orbital_type
+from .contraction import Regime, search_scalar_coefficient, verify, verify_orbital_type
 from .convergence import Verdict, classify, orbital_lsc_check
 from .maps import linear_quarter, piecewise_quarter
 from .metrics import (
@@ -86,11 +86,10 @@ def _sandwich_equality() -> tuple[bool, str]:
     spec = mat2_split_scaled(0.25)
     quarter = linear_quarter()
     grid = np.linspace(-2.0, 2.0, 17)
-    pairs = [(x, y) for x in grid for y in grid]
-    cert = verify_global(quarter, spec, diag2(0.5, 0.5), pairs, "forward",
-                         tol=1e-12)
+    cert = verify(Regime.FORWARD_GLOBAL, quarter, spec, diag2(0.5, 0.5),
+                  points=grid, tol=1e-12)
     found = search_scalar_coefficient(quarter, spec, Regime.FORWARD_GLOBAL,
-                                      pairs=pairs, tol=1e-12)
+                                      points=grid, tol=1e-12)
     c = None if found is None else float(found.a.data[0, 0])
     ok = cert.valid and found is not None and abs(c - 0.5) <= 1e-9
     return ok, f"half-identity certificate valid, minimal scalar {c}"
@@ -107,10 +106,8 @@ def _coefficient_consistency() -> tuple[bool, str]:
 def _backward_one_orbital() -> tuple[bool, str]:
     spec = scalar_backward_one()
     quarter = linear_quarter()
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-    pairs = [(x, y) for x in grid for y in grid]
     no_global = search_scalar_coefficient(quarter, spec, Regime.FORWARD_GLOBAL,
-                                          pairs=pairs) is None
+                                          points=[0.0, 0.5, 1.0, 1.5, 2.0]) is None
     cert = verify_orbital_type(quarter, spec, scalar(1.0 / math.sqrt(2.0)),
                                seed=1.0, orbit_len=30)
     lsc = orbital_lsc_check(quarter.orbit(1.0, 40), 0.0, quarter, spec)

@@ -8,13 +8,14 @@ Every catalog value is diagonal, sampled or scalar, so it lives in a
 commutative subalgebra where the order is componentwise.  One kernel writes
 each catalog metric's formulas, once, over broadcastable point arrays, in
 two forms.  The table form turns two point sets into the components of
-d(x_i, y_j) for every pair; it serves the axiom sweep (one set against
-itself) and, through ``distance_norm_table``, the convergence windows (a
-candidate against a sequence, and a sequence's tail against itself) and
-the solver's observed tails, in either norm kind.  The paired form,
-``paired_payloads``, gives the payloads of d(x_i, y_i) for two equally long
-point lists; it serves the contraction certificates' tables, the solver's
-step pairs and the lower-semicontinuity probe.  ``eval_metric`` is the
+d(x_i, y_j) for every pair; it serves the axiom sweep and the global
+contraction certificates (a point set against itself) and, through
+``distance_norm_table``, the convergence windows (a candidate against a
+sequence, and a sequence's tail against itself) and the solver's observed
+tails, in either norm kind.  The paired form, ``paired_payloads``, gives
+the payloads of d(x_i, y_i) for two equally long point lists; it serves
+the orbit certificates, the solver's step pairs and the
+lower-semicontinuity probe.  ``eval_metric`` is the
 paired form on one pair.  The axiom checker sweeps positivity, identity of
 indiscernibles, and the triangle inequality (in the metric's declared
 partial order) over every ordered triple of a sample set, and records one
@@ -423,7 +424,8 @@ def _component_table(spec: MetricSpec, xs: Any,
                      ys: Any = None) -> tuple[Any, np.ndarray]:
     """The validated ``xs`` and d(x_i, y_j) as component arrays C[i, j, :].
 
-    ``ys`` defaults to ``xs``, which is the axiom sweep's square table.
+    ``ys`` defaults to ``xs``: the square table of the axiom sweep and of
+    the global contraction certificates.
     Components are diagonal entries for the matrix metrics, samples for the
     function-valued metrics, and a single value for the scalar metrics.
     """

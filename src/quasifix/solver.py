@@ -237,11 +237,14 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     the fixed point is certified under the certificate's regime.  The first
     iterates come from the orbit the certificate checked, when it carries
     one that starts at ``seed`` under this map and metric (see the module
-    docstring); the report is the same as without it.
+    docstring); the report is the same as without it.  A certificate with
+    violations or of no sample is refused with ``CertificateInvalid``.
     """
     if not cert.valid:
         raise CertificateInvalid(
             f"certificate has {len(cert.violations)} recorded violations")
+    if cert.samples_checked < 1:
+        raise CertificateInvalid("certificate checked no samples")
     rate = _certificate_rate(cert)
     if rate >= 1.0:
         raise RateNotLessThanOne(f"certificate rate {rate:.6f} is not below 1")

@@ -26,7 +26,7 @@ from quasifix.metrics import MetricSpec, codomain_scalar
 
 
 def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
-                 pairs: list | None = None, seed: Any = None,
+                 points: Any = None, seed: Any = None,
                  orbit_len: int = 30,
                  tol: float = 1e-9) -> ContractionCertificate | None:
     """The scalar search with the exact check at every bisection midpoint."""
@@ -36,7 +36,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
     tables = contraction._tables(regime, map_spec, metric,
-                                 codomain_scalar(metric, 0.0), pairs, seed,
+                                 codomain_scalar(metric, 0.0), points, seed,
                                  orbit_len)
     _, lhs, base, _ = tables
     try:

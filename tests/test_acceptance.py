@@ -17,7 +17,6 @@ from quasifix.contraction import (
     Regime,
     search_scalar_coefficient,
     verify,
-    verify_global,
     verify_orbital_type,
 )
 from quasifix.convergence import Verdict, classify
@@ -106,18 +105,16 @@ def test_criterion_3_lemma_suite():
 
 
 def test_criterion_4_contraction_certificates():
-    pairs = [(x, y) for x in np.linspace(-2, 2, 17)
-             for y in np.linspace(-2, 2, 17)]
     found = search_scalar_coefficient(linear_quarter(), mat2_split_scaled(0.25),
-                                      Regime.FORWARD_GLOBAL, pairs=pairs,
+                                      Regime.FORWARD_GLOBAL,
+                                      points=np.linspace(-2, 2, 17),
                                       tol=1e-12)
     c = None if found is None else float(found.a.data[0, 0])
     search_ok = found is not None and abs(c - 0.5) <= 1e-9
 
-    nonneg = [(x, y) for x in (0.0, 0.5, 1.0, 2.0) for y in (0.0, 0.5, 1.0, 2.0)]
     negative_ok = search_scalar_coefficient(
         piecewise_quarter(), scalar_backward_one(), Regime.FORWARD_GLOBAL,
-        pairs=nonneg) is None
+        points=[0.0, 0.5, 1.0, 2.0]) is None
 
     orbital = verify_orbital_type(piecewise_quarter(), scalar_backward_one(),
                                   scalar(1 / math.sqrt(2)), seed=1.0,
@@ -130,10 +127,8 @@ def test_criterion_4_contraction_certificates():
 
 def test_criterion_5_solver_and_bound_envelope():
     metric = mat2_split_scaled(0.25)
-    pairs = [(x, y) for x in np.linspace(-3, 7, 21)
-             for y in np.linspace(-3, 7, 21)]
-    cert = verify_global(linear_quarter(), metric, diag2(0.5, 0.5), pairs,
-                         "forward", tol=1e-12)
+    cert = verify(Regime.FORWARD_GLOBAL, linear_quarter(), metric, diag2(0.5, 0.5),
+                  points=np.linspace(-3, 7, 21), tol=1e-12)
     cfg = SolverConfig(tol=1e-10)
     details = []
     ok = True

@@ -324,6 +324,30 @@ def test_solve_refuses_a_two_step_certificate_without_h(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_refuses_a_certificate_of_no_sample(tmp_path, capsys):
+    # the zero coefficient that an empty grid once certified for any map,
+    # as certify wrote it: no violation, and no sample
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--regime", "forward", "--search", "--grid", "1",
+                 "--out", str(cert)]) == 0
+    payload = _load(cert)
+    assert payload["report"]["a_norm"] == 0.0
+    payload["report"]["samples_checked"] = 0
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["solve", "--map", "piecewise-quarter", "--metric", "mat2-split",
+                 "--seed", "3", "--cert", str(cert)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: certificate checked no samples\n"
+
+
+def test_check_axioms_keeps_the_vacuous_pass_of_an_empty_grid(capsys):
+    assert main(["check-axioms", "--metric", "mat2-split", "--grid", "0"]) == 0
+    assert capsys.readouterr().out.startswith("metric mat2-split: 0 pairs, 0 triples")
+
+
 @pytest.mark.parametrize("mode", [
     ["--a", '{"realization": "scalar", "value": 0.5}'], ["--search"]])
 def test_certify_rejects_orbits_shorter_than_two_steps(mode, capsys):
@@ -683,6 +707,8 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
     (["check-axioms", "--metric", "mat2-split", "--grid", "lin:-2:2:5",
       "--seed-rng", "-1"], "--seed-rng"),
     ([*_CERTIFY, "--seed-rng", "-1"], "--seed-rng"),
+    # a certificate of no sample would certify any map
+    *[([*_CERTIFY, f"--grid={v}"], "--grid") for v in ("0", "random:0", "lin:-2:2:0")],
     *[(["check-axioms", "--metric", "mat2-split", f"--grid={v}"], "--grid")
       for v in ("lin:-2:2", "lin:0:1:x", "lin:-2:2:-1", "-3", "random:x",
                 "random:5:2:1", "random:5:0:inf")],

@@ -35,7 +35,6 @@ from quasifix.contraction import (
     certificate_from_json,
     search_scalar_coefficient,
     verify,
-    verify_global,
     verify_orbital_type,
 )
 from quasifix.maps import MapSpec, from_table, linear_quarter, piecewise_quarter
@@ -57,59 +56,55 @@ from reference_metrics import reference_eval_metric
 from reference_search import plain_search
 
 GRID = np.linspace(-2.0, 2.0, 17)
-PAIRS = [(x, y) for x in GRID for y in GRID]
-NONNEG_PAIRS = [(x, y) for x in (0.0, 0.5, 1.0, 2.0) for y in (0.0, 0.5, 1.0, 2.0)]
+NONNEG = [0.0, 0.5, 1.0, 2.0]
 
 
 # --- global sandwich -------------------------------------------------------------
 
 def test_quarter_map_sandwich_holds_with_half_identity():
-    cert = verify_global(linear_quarter(), mat2_split_scaled(0.25),
-                         diag2(0.5, 0.5), PAIRS, "forward", tol=1e-12)
+    cert = verify(Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25),
+                  diag2(0.5, 0.5), points=GRID, tol=1e-12)
     assert cert.valid
     assert cert.regime is Regime.FORWARD_GLOBAL
-    assert cert.samples_checked == len(PAIRS)
+    assert cert.samples_checked == len(GRID) ** 2
     assert cert.a_norm == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
 
 def test_identity_map_diagonal_pairs_hold_trivially():
+    # one point: its one sample is the pair (x, x)
     identity = MapSpec("identity", lambda x: x)
-    cert = verify_global(identity, mat2_split(), diag2(0.6, 0.6),
-                         [(x, x) for x in GRID], "forward")
-    assert cert.valid
+    for x in GRID:
+        cert = verify(Regime.FORWARD_GLOBAL, identity, mat2_split(), diag2(0.6, 0.6),
+                      points=[x])
+        assert cert.valid and cert.samples_checked == 1
 
 
 def test_backward_one_metric_defeats_small_coefficients():
-    cert = verify_global(piecewise_quarter(), scalar_backward_one(),
-                         scalar(0.9), NONNEG_PAIRS, "forward")
+    cert = verify(Regime.FORWARD_GLOBAL, piecewise_quarter(), scalar_backward_one(),
+                  scalar(0.9), points=NONNEG)
     assert not cert.valid
     # the violations are exactly the x < y pairs, where 1 <= a^2 is forced
     assert all(v["x"] < v["y"] for v in cert.violations)
 
 
 def test_order_tolerance_scales_with_the_rhs_norm():
-    # lhs = 1000 k against rhs = 0.25 * 1000 = 250, with tolerance
-    # 1e-9 * (1 + 250): an excess of 1e-7 is inside it, 1e-6 is not
+    # on the pairs of 1000 and 0, lhs = 1000 k against rhs = 0.25 * 1000 =
+    # 250 in one diagonal entry, with tolerance 1e-9 * (1 + 250): an excess
+    # of 1e-7 is inside it, 1e-6 is not
     def scaled(k):
         return MapSpec("scaled", lambda x: k * x)
 
-    pair = [(1000.0, 0.0)]
-    assert verify_global(scaled(0.25 + 1e-10), scalar_backward_one(),
-                         scalar(0.5), pair).valid
-    assert not verify_global(scaled(0.25 + 1e-9), scalar_backward_one(),
-                             scalar(0.5), pair).valid
+    points = [1000.0, 0.0]
+    assert verify(Regime.FORWARD_GLOBAL, scaled(0.25 + 1e-10), mat2_split(),
+                  diag2(0.5, 0.5), points=points).valid
+    assert not verify(Regime.FORWARD_GLOBAL, scaled(0.25 + 1e-9), mat2_split(),
+                      diag2(0.5, 0.5), points=points).valid
 
 
 def test_coefficient_norm_gate():
     with pytest.raises(CoefficientNormTooLarge):
-        verify_global(linear_quarter(), scalar_backward_one(), scalar(1.0),
-                      NONNEG_PAIRS, "forward")
-
-
-def test_direction_validation():
-    with pytest.raises(ValueError):
-        verify_global(linear_quarter(), mat2_split(), diag2(0.5, 0.5),
-                      PAIRS, "sideways")
+        verify(Regime.FORWARD_GLOBAL, linear_quarter(), scalar_backward_one(),
+               scalar(1.0), points=NONNEG)
 
 
 # --- orbital ----------------------------------------------------------------------
@@ -193,7 +188,7 @@ def test_two_step_positivity_and_commutant_gates_give_no_tol_slack(tol):
 
 def test_search_finds_the_equality_coefficient():
     cert = search_scalar_coefficient(linear_quarter(), mat2_split_scaled(0.25),
-                                     Regime.FORWARD_GLOBAL, pairs=PAIRS,
+                                     Regime.FORWARD_GLOBAL, points=GRID,
                                      tol=1e-12)
     assert cert is not None
     assert float(cert.a.data[0, 0]) == pytest.approx(0.5, abs=1e-9)
@@ -203,7 +198,7 @@ def test_search_returns_none_for_the_backward_one_negative_case():
     for map_spec in (piecewise_quarter(), linear_quarter()):
         assert search_scalar_coefficient(map_spec, scalar_backward_one(),
                                          Regime.FORWARD_GLOBAL,
-                                         pairs=NONNEG_PAIRS) is None
+                                         points=NONNEG) is None
 
 
 def test_search_on_a_fixed_point_orbit_returns_zero():
@@ -216,24 +211,24 @@ def test_search_on_a_fixed_point_orbit_returns_zero():
 
 def test_search_result_reverifies_and_is_monotone():
     cert = search_scalar_coefficient(linear_quarter(), mat2_split_scaled(0.25),
-                                     Regime.FORWARD_GLOBAL, pairs=PAIRS,
+                                     Regime.FORWARD_GLOBAL, points=GRID,
                                      tol=1e-12)
     c = float(cert.a.data[0, 0])
-    again = verify_global(linear_quarter(), mat2_split_scaled(0.25),
-                          diag2(c, c), PAIRS, "forward", tol=1e-12)
+    again = verify(Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25),
+                   diag2(c, c), points=GRID, tol=1e-12)
     assert again.valid
     cap = (1.0 - 1e-6) / math.sqrt(2)
     for cc in np.linspace(c, cap, 5):
-        step = verify_global(linear_quarter(), mat2_split_scaled(0.25),
-                             diag2(cc, cc), PAIRS, "forward", tol=1e-12)
+        step = verify(Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25),
+                      diag2(cc, cc), points=GRID, tol=1e-12)
         assert step.valid
 
 
 def test_global_certificate_implies_orbital_certificate():
     a = diag2(0.5, 0.5)
     spec = mat2_split_scaled(0.25)
-    assert verify_global(linear_quarter(), spec, a, PAIRS, "forward",
-                         tol=1e-12).valid
+    assert verify(Regime.FORWARD_GLOBAL, linear_quarter(), spec, a, points=GRID,
+                  tol=1e-12).valid
     for seed in (-2.0, 0.3, 1.0):
         assert verify_orbital_type(linear_quarter(), spec, a, seed,
                                    orbit_len=20, tol=1e-12).valid
@@ -242,20 +237,21 @@ def test_global_certificate_implies_orbital_certificate():
 def test_search_evaluates_each_sample_once(monkeypatch, one_pair_calls):
     spec = mat2_split_scaled(0.25)
     cert = search_scalar_coefficient(linear_quarter(), spec,
-                                     Regime.FORWARD_GLOBAL, pairs=PAIRS,
+                                     Regime.FORWARD_GLOBAL, points=GRID,
                                      tol=1e-12)
-    assert cert is not None and cert.samples_checked == len(PAIRS)
-    # the tables come from the batched kernel: one paired evaluation of
-    # lhs and one of base, each over every pair, not one per attempt
+    assert cert is not None and cert.samples_checked == len(GRID) ** 2
+    # the tables come from the batched kernel: one table of base on the
+    # points and one of lhs on their images, each over every pair, not one
+    # per attempt
     assert one_pair_calls == []
-    paired = []
-    payloads = contraction.paired_payloads
-    monkeypatch.setattr(contraction, "paired_payloads",
-                        lambda spec, xs, ys: paired.append(len(xs)) or payloads(spec, xs, ys))
+    tables = []
+    table = contraction._component_table
+    monkeypatch.setattr(contraction, "_component_table",
+                        lambda spec, xs: tables.append(len(xs)) or table(spec, xs))
     again = search_scalar_coefficient(linear_quarter(), spec, Regime.FORWARD_GLOBAL,
-                                      pairs=PAIRS, tol=1e-12)
+                                      points=GRID, tol=1e-12)
     assert again.a.data.tobytes() == cert.a.data.tobytes()
-    assert paired == [len(PAIRS), len(PAIRS)]
+    assert tables == [len(GRID), len(GRID)]
 
 
 @pytest.mark.parametrize("map_spec, metric", [
@@ -283,7 +279,7 @@ def test_two_step_search_builds_the_resolvent_once(monkeypatch, map_spec, metric
 
 
 @pytest.mark.parametrize("regime, map_spec, metric, samples", [
-    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), {"pairs": PAIRS}),
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), {"points": GRID}),
     (Regime.ORBITAL, piecewise_quarter(), mat2_split(), {"seed": 1.0}),
     (Regime.TWO_STEP, piecewise_quarter(), periodic_fn(), {"seed": 1.0}),
     (Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), {"seed": 2.5}),
@@ -311,22 +307,31 @@ def test_orbit_regimes_need_at_least_two_steps(regime):
 def test_points_outside_the_map_domain_still_raise():
     table = from_table({0.0: 0.0, 1.0: 0.25})
     with pytest.raises(DomainMismatch):
-        verify_global(table, mat2_split(), diag2(0.5, 0.5),
-                      [(0.0, 1.0), (1.0, 2.0)], "forward")
+        verify(Regime.FORWARD_GLOBAL, table, mat2_split(), diag2(0.5, 0.5),
+               points=[0.0, 1.0, 2.0])
     with pytest.raises(DomainMismatch):
         search_scalar_coefficient(table, mat2_split(), Regime.ORBITAL, seed=1.0)
 
 
 def test_distances_must_live_in_the_coefficient_space():
-    pairs = [(0.0, 1.0), (1.0, 0.0)]
     with pytest.raises(RealizationMismatch, match="cannot combine 'scalar' with 'mat2'"):
-        verify_global(linear_quarter(), mat2_split(), scalar(0.5), pairs)
+        verify(Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split(), scalar(0.5),
+               points=[0.0, 1.0])
     with pytest.raises(RealizationMismatch, match="different grids"):
         verify_orbital_type(linear_quarter(), periodic_fn(grid_size=8),
                             sampled(np.linspace(0.0, 1.0, 8), np.full(8, 0.5)),
                             seed=1.0)
-    # no sample, nothing to compare: the certificate is vacuous
-    assert verify_global(linear_quarter(), mat2_split(), scalar(0.5), []).valid
+
+
+@pytest.mark.parametrize("regime", [Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL])
+def test_an_empty_point_set_certifies_nothing(regime):
+    # with no sample, any coefficient would certify any map
+    metric = mat2_split()
+    for points in ([], np.empty(0)):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            verify(regime, piecewise_quarter(), metric, diag2(0.0, 0.0), points=points)
+        with pytest.raises(ValueError, match="at least one sample point"):
+            search_scalar_coefficient(piecewise_quarter(), metric, regime, points=points)
 
 
 # --- the guided search against plain bisection ---------------------------------------
@@ -376,7 +381,10 @@ def _search_tables(draw):
                         draw(st.sampled_from(list(NormKind))),
                         grid=(0.0, 0.5, 1.0) if codomain == algebra.SAMPLED else None)
     tol = draw(st.sampled_from([1e-9, 1e-12, 0.0, 1e-3, 0.5]))
-    n = draw(st.integers(1, 10))
+    if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
+        n = draw(st.integers(1, 3)) ** 2  # the pairs of a grid
+    else:
+        n = draw(st.integers(1, 10))
     width = {algebra.MAT2: 2, algebra.SAMPLED: 3, algebra.SCALAR: 1}[codomain]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e9, 1e150, 1e300, None]))
@@ -394,17 +402,27 @@ def _search_tables(draw):
         lhs[0, 0] = -lhs[0, 0] - 1.0
     lhs, base = (metrics._payloads(codomain, t if width > 1 else t[:, 0])
                  for t in (lhs, base))
-    points = [(float(i), float(i + 1)) for i in range(n)]
-    return regime, metric, tol, (points, lhs, base, None)
+    return regime, metric, tol, (_stack(regime, n), lhs, base, None)
+
+
+def _stack(regime, samples):
+    """A point stack that ``_tables`` could return with ``samples`` samples:
+    a grid of k points for k^2 samples, or an orbit of samples + 2 points."""
+    if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
+        k = math.isqrt(samples)
+        assert k * k == samples
+        return np.arange(float(k))
+    return np.arange(samples + 2.0)
 
 
 def _named_tables(regime, order, top):
     """Diagonal 2x2 tables whose largest entry is ``top``, with lhs at 0.3
-    times base, so that the threshold is u = 0.3."""
+    times base, so that the threshold is u = 0.3; the last sample is 0, as
+    d(x, x) is on a grid."""
     metric = MetricSpec("named-tables", algebra.MAT2, order, NormKind.OPERATOR)
-    base = np.array([[1.0, 0.5], [0.25, 1.0], [1.0, 0.0]]) * top
+    base = np.array([[1.0, 0.5], [0.25, 1.0], [1.0, 0.0], [0.0, 0.0]]) * top
     lhs, base = (metrics._payloads(algebra.MAT2, t) for t in (0.3 * base, base))
-    return regime, metric, 1e-9, ([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)], lhs, base, None)
+    return regime, metric, 1e-9, (_stack(regime, 4), lhs, base, None)
 
 
 _NAMED_TOPS = {"2^500-ulp": math.nextafter(2.0 ** 500, 0.0), "2^500": 2.0 ** 500,
@@ -428,18 +446,18 @@ def test_the_guided_search_is_plain_bisection_on_random_tables(case):
     identity = MapSpec("identity", lambda x: x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(contraction, "_tables", lambda *args: tables)
-        outcomes = [_search_outcome(search, identity, metric, regime, pairs=[],
-                                    seed=1.0, tol=tol)
+        outcomes = [_search_outcome(search, identity, metric, regime, seed=1.0,
+                                    tol=tol)
                     for search in (search_scalar_coefficient, plain_search)]
     assert outcomes[0] == outcomes[1]
 
 
 _CATALOG_SEARCHES = [
-    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), {"pairs": PAIRS}),
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), {"points": GRID}),
     (Regime.FORWARD_GLOBAL, linear_quarter(),
-     replace(mat2_split(), order=OrderKind.POSITIVE_CONE), {"pairs": PAIRS}),
+     replace(mat2_split(), order=OrderKind.POSITIVE_CONE), {"points": GRID}),
     (Regime.FORWARD_GLOBAL, linear_quarter(), periodic_fn(grid_size=16),
-     {"pairs": PAIRS}),
+     {"points": GRID}),
     (Regime.ORBITAL, piecewise_quarter(), mat2_split(), {"seed": 1.0}),
     (Regime.ORBITAL, linear_quarter(), scalar_backward_one(), {"seed": 2.0}),
     (Regime.TWO_STEP, piecewise_quarter(), periodic_fn(), {"seed": 1.0}),
@@ -471,10 +489,10 @@ def _guided_and_plain(monkeypatch, case):
     monkeypatch.setattr(contraction, "_tables", lambda *args: tables)
     calls = _counted_failures(monkeypatch)
     guided = _search_outcome(search_scalar_coefficient, identity, metric, regime,
-                             pairs=[], seed=1.0, tol=tol)
+                             seed=1.0, tol=tol)
     checks = len(calls)
-    plain = _search_outcome(plain_search, identity, metric, regime, pairs=[],
-                            seed=1.0, tol=tol)
+    plain = _search_outcome(plain_search, identity, metric, regime, seed=1.0,
+                            tol=tol)
     return guided, plain, checks
 
 
@@ -483,10 +501,10 @@ def test_a_table_without_a_closed_form_checks_every_midpoint(monkeypatch):
     # c, and sample 1 needs c^2 >= 1/4
     metric = MetricSpec("hand-built", algebra.SCALAR, OrderKind.POSITIVE_CONE,
                         NormKind.OPERATOR)
-    tables = ([(0.0, 1.0), (1.0, 2.0)], np.array([-1.0, 0.25]), np.array([1.0, 1.0]),
+    tables = (_stack(Regime.ORBITAL, 2), np.array([-1.0, 0.25]), np.array([1.0, 1.0]),
               None)
     guided, plain, checks = _guided_and_plain(
-        monkeypatch, (Regime.FORWARD_GLOBAL, metric, 1e-9, tables))
+        monkeypatch, (Regime.ORBITAL, metric, 1e-9, tables))
     assert checks == 2 + contraction.BISECTION_STEPS + 1
     assert guided is not None and guided == plain
 
@@ -524,18 +542,19 @@ def test_certificate_json_roundtrip():
 
 # --- batched core against the sample-by-sample loop ----------------------------
 
-def reference_violations(regime, map_spec, metric, a, *, pairs=None,
+def reference_violations(regime, map_spec, metric, a, *, points=None,
                          seed=None, orbit_len=30, tol=1e-9):
     """The per-sample loop the batched core replaced: each distance from the
     one-pair reference formulas and one reference ``leq`` per sample, in
-    sample order.  Off-diagonal entries of a sandwich of a symmetric base
-    that rounding split apart get their mean, as in the core."""
+    sample order -- every ordered pair (x, y) of the points, row by row, on
+    a grid.  Off-diagonal entries of a sandwich of a symmetric base that
+    rounding split apart get their mean, as in the core."""
     d = reference_eval_metric
     if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
         backward = regime is Regime.BACKWARD_GLOBAL
         samples = [(x, y, d(metric, map_spec.apply(x), map_spec.apply(y)),
                     d(metric, y, x) if backward else d(metric, x, y))
-                   for x, y in pairs]
+                   for x in points for y in points]
     else:
         pts = map_spec.orbit(seed, orbit_len + 2)
         far = 1 if regime is Regime.ORBITAL else 2
@@ -605,11 +624,26 @@ def test_batched_core_matches_the_per_sample_loop(codomain, order, norm_kind,
         map_spec = MapSpec("affine", lambda x: slope * x + shift)
     else:
         map_spec = piecewise_quarter()
-    # one decimal place, so that grids repeat points and distances tie
-    grid = np.round(rng.uniform(-4.0, 4.0, size=rng.integers(1, 7)), 1).tolist()
-    kwargs = {"pairs": [(x, y) for x in grid for y in grid], "seed": grid[0],
+    points = _rounded_points(rng, rng.integers(1, 7))
+    kwargs = {"points": points.tolist(), "seed": float(points[0]),
               "orbit_len": int(rng.integers(2, 9)), "tol": 1e-9}
     a = random_coefficient(rng, metric, regime)
+    _assert_matches_the_per_sample_loop(regime, map_spec, metric, a, kwargs)
+
+
+def _rounded_points(rng, shape):
+    """Random points in [-4, 4] to one decimal place, so that points repeat
+    and distances tie, with some zeros of either sign."""
+    points = np.round(rng.uniform(-4.0, 4.0, size=shape), 1)
+    zeros = rng.random(shape) < 0.2
+    points[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return points
+
+
+def _assert_matches_the_per_sample_loop(regime, map_spec, metric, a, kwargs):
+    """``verify`` fails as the per-sample loop does, or records its
+    violations: the same (x, y) bit for bit, in the same order, with the
+    same norms up to rounding."""
     try:
         expected = reference_violations(regime, map_spec, metric, a, **kwargs)
     except Exception as exc:
@@ -617,11 +651,29 @@ def test_batched_core_matches_the_per_sample_loop(codomain, order, norm_kind,
             verify(regime, map_spec, metric, a, **kwargs)
         return
     cert = verify(regime, map_spec, metric, a, **kwargs)
-    assert [(v["x"], v["y"]) for v in cert.violations] == \
-        [(x, y) for x, y, _, _ in expected]
+    assert _hex_floats([(v["x"], v["y"]) for v in cert.violations]) == \
+        _hex_floats([(np.asarray(x).tolist(), np.asarray(y).tolist())
+                     for x, y, _, _ in expected])
     for v, (_, _, lhs_norm, rhs_norm) in zip(cert.violations, expected):
         assert math.isclose(v["lhs_norm"], lhs_norm, rel_tol=1e-12, abs_tol=0.0)
         assert math.isclose(v["rhs_norm"], rhs_norm, rel_tol=1e-12, abs_tol=0.0)
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(regime=st.sampled_from([Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mult_op_global_certificates_match_the_per_sample_loop(regime, seed):
+    # function points, whose samples the table form broadcasts on the last
+    # axis; rows repeat, as points may
+    rng = np.random.default_rng(seed)
+    metric = mult_op(np.linspace(0.25, 1.0, T_GRID))
+    rows = _rounded_points(rng, (rng.integers(1, 4), T_GRID))
+    points = list(rows[rng.integers(0, len(rows), size=rng.integers(1, 6))])
+    slope, shift = rng.uniform(-1.0, 1.0, size=2)
+    map_spec = MapSpec("affine", lambda f: slope * f + shift)
+    a = random_coefficient(rng, metric, regime)
+    _assert_matches_the_per_sample_loop(regime, map_spec, metric, a,
+                                        {"points": points, "tol": 1e-9})
 
 
 def test_a_rounding_skew_of_the_sandwich_is_no_error():
@@ -633,12 +685,13 @@ def test_a_rounding_skew_of_the_sandwich_is_no_error():
     # is checked
     metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
     a = mat2(0.1, 0.3, 0.0, 0.3)
-    pairs = [(x, y) for x in (0.0, 1.5, 2.0) for y in (0.0, 1.5, 2.0)]
+    points = [0.0, 1.5, 2.0]
     sandwich = a.data.T @ np.diag([1.5, 0.0]) @ a.data
     assert sandwich[0, 1] != sandwich[1, 0]
     expected = reference_violations(Regime.FORWARD_GLOBAL, linear_quarter(), metric,
-                                    a, pairs=pairs, tol=0.0)
-    cert = verify_global(linear_quarter(), metric, a, pairs, tol=0.0)
+                                    a, points=points, tol=0.0)
+    cert = verify(Regime.FORWARD_GLOBAL, linear_quarter(), metric, a, points=points,
+                  tol=0.0)
     assert len(expected) == 6
     assert [(v["x"], v["y"], v["lhs_norm"]) for v in cert.violations] == \
         [found[:3] for found in expected]
@@ -680,16 +733,16 @@ def test_an_infinite_tolerance_checks_the_sample_at_zero(metric, a, lhs, base, t
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
 def test_verify_and_search_refuse_a_negative_or_nan_tol(tol):
-    # a NaN tol reported both samples of a true contraction as violations,
+    # a NaN tol reported the samples of a true contraction as violations,
     # and a negative one made the order strict
-    pairs = [(0.0, 1.0), (1.0, 0.0)]
+    points = [0.0, 1.0]
     calls = [
         lambda: verify(Regime.FORWARD_GLOBAL, linear_quarter(), scalar_forward_one(),
-                       scalar(0.5), pairs=pairs, tol=tol),
+                       scalar(0.5), points=points, tol=tol),
         lambda: verify_orbital_type(linear_quarter(), mat2_split(), diag2(0.5, 0.5),
                                     seed=1.0, tol=tol),
         lambda: search_scalar_coefficient(linear_quarter(), scalar_forward_one(),
-                                          Regime.FORWARD_GLOBAL, pairs=pairs, tol=tol),
+                                          Regime.FORWARD_GLOBAL, points=points, tol=tol),
         lambda: search_scalar_coefficient(linear_quarter(), mat2_split(),
                                           Regime.TWO_STEP, seed=1.0, tol=tol),
     ]
@@ -699,9 +752,9 @@ def test_verify_and_search_refuse_a_negative_or_nan_tol(tol):
 
 
 def test_verify_and_search_accept_a_zero_tol():
-    cert = verify_global(linear_quarter(), mat2_split_scaled(0.25), diag2(0.5, 0.5),
-                         PAIRS, tol=0.0)
-    assert cert.valid and cert.samples_checked == len(PAIRS)
+    cert = verify(Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25),
+                  diag2(0.5, 0.5), points=GRID, tol=0.0)
+    assert cert.valid and cert.samples_checked == len(GRID) ** 2
     found = search_scalar_coefficient(linear_quarter(), mat2_split(), Regime.ORBITAL,
                                       seed=1.0, tol=0.0)
     assert found is not None and found.valid
@@ -733,11 +786,12 @@ def test_self_adjointness_gate_fires_on_the_same_sample(skewed):
 # --- orbit tables --------------------------------------------------------------------
 
 def _two_call_orbit_tables(regime, map_spec, metric, seed, orbit_len):
-    """The orbit regimes' tables as two paired evaluations: lhs[i] =
-    d(o[i+1], o[i+2]), and base[i] = d(o[i], o[i+1]) or d(o[i], o[i+2])."""
+    """The orbit regimes' stack and tables as two paired evaluations:
+    lhs[i] = d(o[i+1], o[i+2]), and base[i] = d(o[i], o[i+1]) or
+    d(o[i], o[i+2])."""
     orbit = map_spec.orbit(seed, orbit_len + 2)
     far = orbit[1:-1] if regime is Regime.ORBITAL else orbit[2:]
-    return (list(zip(orbit, orbit[1:-1])),
+    return (metrics._points(metric, orbit),
             metrics.paired_payloads(metric, orbit[1:-1], orbit[2:]),
             metrics.paired_payloads(metric, orbit[:-2], far))
 
@@ -768,10 +822,8 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
         return
     got = contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
                               None, seed, orbit_len)
-    assert len(got[0]) == len(want[0]) == orbit_len + 1
-    for (gx, gy), (wx, wy) in zip(got[0], want[0]):
-        assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
-    for g, w in zip(got[1:3], want[1:]):
+    assert len(got[0]) == orbit_len + 3 and len(got[1]) == orbit_len + 1
+    for g, w in zip(got[:3], want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
     # the orbital regime keeps the orbit it checked, stacked, and its steps
@@ -819,9 +871,9 @@ def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
     paired = contraction._paired_on
     monkeypatch.setattr(contraction, "_paired_on",
                         lambda *args: evaluated.append(args) or paired(*args))
-    points, lhs, base, _ = contraction._tables(regime, quarter, mat2_split(),
-                                               diag2(0.0, 0.0), None, 1.0, 10)
-    assert len(points) == len(lhs) == len(base) == 11
+    stack, lhs, base, _ = contraction._tables(regime, quarter, mat2_split(),
+                                              diag2(0.0, 0.0), None, 1.0, 10)
+    assert len(stack) == 13 and len(lhs) == len(base) == 11
     assert len(applied) == 12  # the orbit of 12 steps, once
     assert len(evaluated) == evaluations
 
@@ -833,37 +885,61 @@ def _counting_quarter(applied: list) -> MapSpec:
 
 
 @pytest.mark.parametrize("regime", [Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL])
-def test_global_regimes_map_each_distinct_point_once(regime):
-    grid = np.linspace(-2.0, 2.0, 9).tolist()
-    pairs = [(x, y) for x in grid for y in grid]
+def test_global_regimes_map_each_point_once(regime):
+    # the n points are mapped once each, as floats, not once per sample;
+    # a repeated point is a row of its own and is mapped again
+    grid = np.linspace(-2.0, 2.0, 9)
+    points = [*grid, -0.0, grid[0]]
     metric = mat2_split_scaled(0.25)
     applied: list = []
-    verify(regime, _counting_quarter(applied), metric, diag2(0.3, 0.3), pairs=pairs)
-    assert len(applied) == len(grid)
-    assert all(p is q for p, q in zip(applied, grid))
+    cert = verify(regime, _counting_quarter(applied), metric, diag2(0.3, 0.3),
+                  points=points)
+    assert cert.samples_checked == len(points) ** 2
+    assert [float.hex(p) for p in applied] == [float.hex(float(x)) for x in points]
+    assert all(type(p) is float for p in applied)
     applied.clear()
-    search_scalar_coefficient(_counting_quarter(applied), metric, regime, pairs=pairs)
-    assert len(applied) == len(grid)
+    search_scalar_coefficient(_counting_quarter(applied), metric, regime, points=points)
+    assert len(applied) == len(points)
 
 
-def test_global_tables_key_their_images_by_identity():
-    # -0.0 == 0.0, and each gets its own image; equal arrays are unhashable
-    zeros = [0.0, -0.0]
-    applied: list = []
-    signed = MapSpec("signed", lambda x: applied.append(x) or math.copysign(0.5, x))
-    points, lhs, _, _ = contraction._tables(
-        Regime.FORWARD_GLOBAL, signed, scalar_forward_one(), scalar(0.0),
-        [(x, y) for x in zeros for y in zeros], None, 0)
-    assert [math.copysign(1.0, p) for p in applied] == [1.0, -1.0]
-    want = metrics.paired_payloads(scalar_forward_one(), [0.5, 0.5, -0.5, -0.5],
-                                   [0.5, -0.5, 0.5, -0.5])
-    assert lhs.tobytes() == want.tobytes()
-    metric = mult_op(np.linspace(0.25, 1.0, 4))
-    f, g = np.ones(4), np.ones(4)
-    applied.clear()
-    contraction._tables(Regime.FORWARD_GLOBAL, _counting_quarter(applied), metric,
-                        codomain_scalar(metric, 0.0), [(f, g), (g, f), (f, f)], None, 0)
-    assert [id(p) for p in applied] == [id(f), id(g)]
+def _paired_global_tables(regime, map_spec, metric, points):
+    """The global regimes' tables as two paired evaluations over the n^2
+    samples (x_i, x_j) in row-major order: lhs = d(Tx_i, Tx_j), and base =
+    d(x_i, x_j), or d(x_j, x_i) backward."""
+    def grid_pairs(seq):
+        return [x for x in seq for _ in seq], [y for _ in seq for y in seq]
+
+    xs, ys = grid_pairs(points)
+    if regime is Regime.BACKWARD_GLOBAL:
+        xs, ys = ys, xs
+    return (metrics.paired_payloads(metric, *grid_pairs([map_spec.apply(p)
+                                                          for p in points])),
+            metrics.paired_payloads(metric, xs, ys))
+
+
+@pytest.mark.parametrize("metric", ORBIT_METRICS, ids=lambda m: m.name)
+@settings(max_examples=examples(40), deadline=None)
+@given(regime=st.sampled_from([Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL]),
+       slope=st.floats(-2.0, 2.0), shift=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_global_tables_are_the_two_paired_evaluations(metric, regime, slope, shift,
+                                                      seed, n):
+    # the table form on the points and on their images gives the payloads
+    # of the paired form bit for bit, -0.0 and repeated points included
+    rng = np.random.default_rng(seed)
+    map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    if metric.name == "mult-op":
+        points = list(_rounded_points(rng, (n, metric.grid_array.size)))
+    else:
+        points = _rounded_points(rng, n).tolist()
+    want = _paired_global_tables(regime, map_spec, metric, points)
+    stack, *got, orbit = contraction._tables(
+        regime, map_spec, metric, codomain_scalar(metric, 0.0), points, None, 0)
+    assert orbit is None
+    assert stack.tobytes() == np.asarray(points, dtype=float).tobytes()
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def _hex_floats(value):
@@ -882,20 +958,18 @@ def _hex_floats(value):
 @pytest.mark.parametrize("metric", [mat2_split_scaled(0.4), mat2_split(),
                                     scalar_forward_one(), periodic_fn()],
                          ids=lambda m: m.name)
-def test_numpy_float_pairs_certify_as_their_float_pairs(regime, metric):
+def test_numpy_float_points_certify_as_their_float_points(regime, metric):
     grid = np.sort(np.random.default_rng(5).uniform(-2.0, 2.0, 11))
     grid[3] = -0.0
-    as_floats = grid.tolist()
     a = codomain_scalar(metric, 0.3)
-    got = verify(regime, linear_quarter(), metric, a,
-                 pairs=[(x, y) for x in grid for y in grid])
-    want = verify(regime, linear_quarter(), metric, a,
-                  pairs=[(x, y) for x in as_floats for y in as_floats])
-    assert got.violations
-    for field in dataclasses.fields(want):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(w, algebra.AlgebraElement):
-            g, w = algebra.element_to_json(g), algebra.element_to_json(w)
-        assert _hex_floats(g) == _hex_floats(w), field.name
-    assert all(type(v["x"]) is float and type(v["y"]) is float
-               for v in got.violations)
+    want = verify(regime, linear_quarter(), metric, a, points=grid.tolist())
+    assert want.violations
+    for points in (grid, list(grid)):  # an array, and np.float64 objects
+        got = verify(regime, linear_quarter(), metric, a, points=points)
+        for field in dataclasses.fields(want):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(w, algebra.AlgebraElement):
+                g, w = algebra.element_to_json(g), algebra.element_to_json(w)
+            assert _hex_floats(g) == _hex_floats(w), field.name
+        assert all(type(v["x"]) is float and type(v["y"]) is float
+                   for v in got.violations)

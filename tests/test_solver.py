@@ -29,7 +29,6 @@ from quasifix.contraction import (
     Regime,
     certificate_from_json,
     verify,
-    verify_global,
     verify_orbital_type,
 )
 from quasifix.convergence import orbital_lsc_check
@@ -60,13 +59,12 @@ from reference_metrics import reference_distance_norm
 from reference_algebra import reference_norm, sqrt_positive
 
 GRID = np.linspace(-3.0, 7.0, 21)
-PAIRS = [(x, y) for x in GRID for y in GRID]
 
 
 @pytest.fixture(scope="module")
 def sandwich_cert() -> ContractionCertificate:
-    return verify_global(linear_quarter(), mat2_split_scaled(0.25),
-                         diag2(0.5, 0.5), PAIRS, "forward", tol=1e-12)
+    return verify(Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25),
+                  diag2(0.5, 0.5), points=GRID, tol=1e-12)
 
 
 # --- picard iteration -------------------------------------------------------------
@@ -104,8 +102,8 @@ def test_orbital_run_accepts_through_the_lsc_gate():
 
 
 def test_invalid_certificate_is_refused():
-    bad = verify_global(piecewise_quarter(), scalar_backward_one(),
-                        scalar(0.9), [(0.0, 1.0)], "forward")
+    bad = verify(Regime.FORWARD_GLOBAL, piecewise_quarter(), scalar_backward_one(),
+                 scalar(0.9), points=[0.0, 1.0])
     assert not bad.valid
     with pytest.raises(CertificateInvalid):
         picard_solve(piecewise_quarter(), scalar_backward_one(), 1.0, bad,
@@ -324,9 +322,10 @@ def _counted(map_spec, applied):
 
 
 def _certificate(regime, metric, c=0.5):
-    """A certificate of rate c^2 that nothing checked: the solver trusts it."""
+    """A certificate of rate c^2 whose one recorded sample nothing checked:
+    the solver trusts it (a certificate of no sample it refuses)."""
     a = codomain_scalar(metric, c)
-    return ContractionCertificate(regime, a, NormKind.OPERATOR, c, 0, ())
+    return ContractionCertificate(regime, a, NormKind.OPERATOR, c, 1, ())
 
 
 @pytest.mark.parametrize("regime, map_spec, metric, seed", [
