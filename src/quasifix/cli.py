@@ -532,7 +532,7 @@ def _cmd_demo_integral(args: argparse.Namespace) -> int:
             with open(target, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["x", "f_star"])
-                for x, fx in zip(prob.grid_array, report.solution.tolist()):
+                for x, fx in zip(prob.grid, report.solution.tolist()):
                     writer.writerow([x, fx])
     _write_report(args.report, build_manifest(args), report.to_json_dict(),
                   args.out_dir)

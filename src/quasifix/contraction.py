@@ -276,8 +276,7 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         else:
             lhs = _paired_on(metric, stack, slice(1, -1), slice(2, None))
             base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
-    grid = metric._element_grid if metric.codomain == algebra.SAMPLED else None
-    algebra._require_space(like, metric.codomain, grid)
+    algebra._require_space(like, metric.codomain, metric.grid)
     return stack, lhs, base, orbit
 
 

@@ -59,7 +59,7 @@ def _periodic_axioms() -> tuple[bool, str]:
     spec = periodic_fn(period=1.0, grid_size=64)
     grid = np.linspace(-2.0, 2.0, 21)
     report = check_axioms(spec, grid, tol=1e-12)
-    t = spec.grid_array
+    t = spec.grid
     up = eval_metric(spec, 0.5, 0.0)
     down = eval_metric(spec, 0.0, 0.5)
     shapes_ok = (np.allclose(up.data, 0.5 * t)

@@ -29,13 +29,13 @@ plus two buffers of its size.  Violations are data, not exceptions.
 The catalog is the only kind of metric: a spec whose name the kernel does
 not know raises ``ValueError``.
 
-A function-valued spec checks its grid once, as an element grid, and its
-sampled values are then built by a private trusted constructor
-(``algebra._sampled_on``) that shares that grid instead of copying and
-checking it again for every value; the values themselves are still checked
-to be finite.  Public construction (``algebra.sampled``) keeps checking
-everything.  ``mult_op`` checks its grid as it builds the spec, and that one
-read-only array is both the spec's ``grid_array`` and its element grid.
+A function-valued spec checks its grid once, as it is built, and keeps it
+as one read-only float array, ``grid``.  Its sampled values are then built
+by a private trusted constructor (``algebra._sampled_on``) that shares that
+array instead of copying and checking it again for every value; the values
+themselves are still checked to be finite.  Public construction
+(``algebra.sampled``) keeps checking everything.  Specs compare and hash by
+identity: two specs built alike are equal only when they are one object.
 
 The ``mult-op`` kernel writes each symbol into its array of differences,
 so a pair's symbol takes one float array of its n samples (and a mask of n
@@ -48,8 +48,8 @@ again.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -82,19 +82,20 @@ class DomainMismatch(Exception):
     """Point is outside the metric's declared point domain."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSpec:
     """A named asymmetric metric with its codomain, order, and norm.
 
-    ``grid`` carries the sample sites of function-valued codomains (tuple so
-    the spec stays hashable and comparable), and ``grid_array`` holds the
-    same sites as a read-only float array, built once per spec.  The spec's
-    sampled values share one copy of the sites, checked once as an element
-    grid; for ``mult_op`` that copy is ``grid_array`` itself.  ``beta``
-    scales the lower-right block of the scaled matrix split; ``period`` is
-    the period of the periodic-function metric.
-    ``swap_args`` evaluates ``d(y, x)`` instead of ``d(x, y)``, which is
-    handy for order-reversal properties.
+    ``grid`` carries the sample sites of function-valued codomains: one
+    read-only float array, checked as an element grid when the spec is built
+    (a grid that cannot carry sampled values raises ``ValueError`` there),
+    which the spec's sampled values share.  ``beta`` scales the lower-right
+    block of the scaled matrix split; ``period`` is the period of the
+    periodic-function metric.  ``swap_args`` evaluates ``d(y, x)`` instead
+    of ``d(x, y)``, which is handy for order-reversal properties.
+
+    Specs compare and hash by identity, so a spec rebuilt from the same
+    fields is another spec.
     """
 
     name: str
@@ -103,24 +104,16 @@ class MetricSpec:
     norm: NormKind
     beta: float = 1.0
     period: float = 1.0
-    grid: tuple[float, ...] | None = None
+    grid: np.ndarray | None = None
     swap_args: bool = False
 
-    @cached_property
-    def grid_array(self) -> np.ndarray | None:
-        if self.grid is None:
-            return None
-        g = np.array(self.grid, dtype=float)
-        g.setflags(write=False)
-        return g
-
-    @cached_property
-    def _element_grid(self) -> np.ndarray:
-        return _checked_grid(self.grid_array)
+    def __post_init__(self) -> None:
+        if self.grid is not None or self.codomain == SAMPLED:
+            object.__setattr__(self, "grid", _checked_grid(self.grid))
 
     def _sampled(self, values: np.ndarray) -> AlgebraElement:
         """The sampled element with ``values`` on the spec's grid."""
-        return _sampled_on(self._element_grid, values)
+        return _sampled_on(self.grid, values)
 
 
 def mat2_split() -> MetricSpec:
@@ -140,11 +133,13 @@ def periodic_fn(period: float = 1.0, grid_size: int = 64) -> MetricSpec:
 
     d(x, y)(t) = (x - y) t when x >= y, else (y - x)(period - t)/period.
     """
-    if period <= 0 or grid_size < 2:
-        raise ValueError("period must be positive and grid_size >= 2")
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be a positive finite number, got {period!r}")
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     t = np.linspace(0.0, period, grid_size, endpoint=False)
     return MetricSpec(PERIODIC_FN, SAMPLED, OrderKind.POSITIVE_CONE,
-                      NormKind.OPERATOR, period=period, grid=tuple(t))
+                      NormKind.OPERATOR, period=period, grid=t)
 
 
 def scalar_forward_one() -> MetricSpec:
@@ -166,13 +161,8 @@ def mult_op(grid: Any) -> MetricSpec:
     (g - f) where g > f, and 0 on ties; its operator norm is the sup over
     the grid.
     """
-    g = _checked_grid(grid)
-    spec = MetricSpec(MULT_OP, SAMPLED, OrderKind.POSITIVE_CONE,
-                      NormKind.OPERATOR, grid=tuple(g.tolist()))
-    # the checked copy is both cached arrays (a cached_property keeps its
-    # value in the instance dict), so the spec converts its grid no further
-    vars(spec).update(grid_array=g, _element_grid=g)
-    return spec
+    return MetricSpec(MULT_OP, SAMPLED, OrderKind.POSITIVE_CONE,
+                      NormKind.OPERATOR, grid=grid)
 
 
 def reversed_metric(spec: MetricSpec) -> MetricSpec:
@@ -193,7 +183,7 @@ CATALOG: dict[str, Callable[..., MetricSpec]] = {
 
 def _require_fn_point(spec: MetricSpec, value: Any) -> np.ndarray:
     f = np.asarray(value, dtype=float)
-    if f.shape != spec.grid_array.shape:
+    if f.shape != spec.grid.shape:
         raise DomainMismatch("function point does not match the metric grid")
     if not np.all(np.isfinite(f)):
         raise DomainMismatch("function point must be finite")
@@ -244,7 +234,7 @@ def codomain_scalar(spec: MetricSpec, c: float) -> AlgebraElement:
     if spec.codomain == MAT2:
         return diag2(c, c)
     if spec.codomain == SAMPLED:
-        return spec._sampled(np.full(spec.grid_array.shape, float(c)))
+        return spec._sampled(np.full(spec.grid.shape, float(c)))
     return scalar(c)
 
 
@@ -331,7 +321,7 @@ def _points(spec: MetricSpec, points: Any) -> np.ndarray:
     raises what ``_require_fn_point`` raises for it alone.
     """
     if spec.name == MULT_OP:
-        size = spec.grid_array.size
+        size = spec.grid.size
         try:
             pts = np.array(points, dtype=float)
         except ValueError:  # ragged rows, or a row that is not numeric
@@ -354,7 +344,7 @@ def _orbit_stack(spec: MetricSpec, step: Callable[[Any], Any], seed: Any,
     point it returned last, as ``MapSpec.orbit`` hands it on; the first bad
     point raises what ``_points`` raises for it.
     """
-    shape = spec.grid_array.shape if spec.name == MULT_OP else ()
+    shape = spec.grid.shape if spec.name == MULT_OP else ()
     stack = np.empty((length + 1,) + shape)
     x = seed
     for i in range(length + 1):
@@ -409,7 +399,7 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             elif spec.name == SCALAR_BACKWARD_ONE:
                 comps = np.where(ge, X - Y, 1.0)[..., None]
             elif spec.name == PERIODIC_FN:
-                t = spec.grid_array
+                t = spec.grid
                 up = (X - Y)[..., None] * t
                 down = (Y - X)[..., None] * (spec.period - t) / spec.period
                 comps = np.where(ge[..., None], up, down)

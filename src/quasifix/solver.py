@@ -36,11 +36,11 @@ An orbital certificate from ``contraction.verify`` (or the search) keeps
 the orbit it checked in memory: its validated stack and its forward step
 payloads d(o_i, o_{i+1}) (``contraction.CheckedOrbit``; not part of the
 certificate's JSON, so a certificate read from a file has none).  When the
-solve starts from that orbit's seed, bit for bit, under the same metric,
-and ``T(seed)`` is its row 1 bit for bit, the loop takes the rows as known
-iterates before it applies T: their forward norms and d1 come from the
-stored payloads, their reverse steps from one paired evaluation after the
-loop, and their tails from the stack itself.  These are the payloads the
+solve starts from that orbit's seed, bit for bit, under the same metric
+spec object, and ``T(seed)`` is its row 1 bit for bit, the loop takes the
+rows as known iterates before it applies T: their forward norms and d1
+come from the stored payloads, their reverse steps from one paired
+evaluation after the loop, and their tails from the stack itself.  These are the payloads the
 step pairs would give, so the report is the same as without the orbit.
 The residual still applies T afresh, so a row that T does not map to the
 next one cannot certify a point that T does not fix.
@@ -205,12 +205,13 @@ def _checked_orbit(map_spec: MapSpec, metric: MetricSpec, seed: Any,
                    cert: ContractionCertificate) -> CheckedOrbit | None:
     """The orbit the certificate checked, when the solve may take its rows
     as known iterates: under a forward-only regime (the loop then stops on
-    forward steps alone), in the same metric, from a seed equal to its row 0
+    forward steps alone), in the same metric spec object (specs compare by
+    identity; a spec rebuilt alike is another), from a seed equal to its row 0
     bit for bit, whose image ``map_spec.apply(seed)`` equals its row 1 bit
     for bit.  Otherwise None, and the solve maps every iterate itself."""
     orbit = cert.orbit
     if (orbit is None or cert.regime not in _FORWARD_ONLY
-            or orbit.metric != metric
+            or orbit.metric is not metric
             or not _same_bits(seed, orbit.points[0])
             or not _same_bits(map_spec.apply(seed), orbit.points[1])):
         return None

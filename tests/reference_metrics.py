@@ -75,7 +75,7 @@ def reference_eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
         return diag2(0.0, _finite(beta * (b - a)))
     if spec.name == PERIODIC_FN:
         a, b = _require_real_point(x), _require_real_point(y)
-        t = spec.grid_array
+        t = spec.grid
         # the samples are monotone in t: check the largest one (the last
         # when x >= y, else the first) before computing them all
         if a >= b:

@@ -171,7 +171,7 @@ def test_criterion_7_integral_closed_forms_and_demo():
     worst = 0.0
     for k in (0.1, 0.5, 1.0, 4.0, 10.0):
         prob = make_problem(0.5, k, n=10_000)
-        g = prob.grid_array
+        g = prob.grid
         worst = max(worst,
                     abs(quadrature(g / (g * g + k), prob)
                         - closed_form_identity_integral(k)),

@@ -603,7 +603,7 @@ def random_coefficient(rng, metric, regime):
             m = np.diag(np.diag(m))
         a = mat2(*m.ravel())
     elif metric.codomain == "sampled":
-        a = sampled(metric.grid_array, rng.uniform(lo, 1.0, size=T_GRID))
+        a = sampled(metric.grid, rng.uniform(lo, 1.0, size=T_GRID))
     else:
         a = scalar(rng.uniform(lo, 1.0))
     size = norm(a, NormKind.OPERATOR if two_step else metric.norm)
@@ -811,7 +811,7 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
     # slopes above 1 and seeds near the largest float make orbits overflow
     map_spec = MapSpec("affine", lambda x: slope * x + shift)
     if metric.name == "mult-op":
-        seed = seed * metric.grid_array
+        seed = seed * metric.grid
     args = (regime, map_spec, metric, seed, orbit_len)
     try:
         want = _two_call_orbit_tables(*args)
@@ -929,7 +929,7 @@ def test_global_tables_are_the_two_paired_evaluations(metric, regime, slope, shi
     rng = np.random.default_rng(seed)
     map_spec = MapSpec("affine", lambda x: slope * x + shift)
     if metric.name == "mult-op":
-        points = list(_rounded_points(rng, (n, metric.grid_array.size)))
+        points = list(_rounded_points(rng, (n, metric.grid.size)))
     else:
         points = _rounded_points(rng, n).tolist()
     want = _paired_global_tables(regime, map_spec, metric, points)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasifix import contraction, integral, solver
 from quasifix.algebra import NormKind, norm
@@ -31,13 +33,15 @@ from quasifix.integral import (
 from quasifix.metrics import codomain_scalar, eval_metric
 from quasifix.solver import SolverConfig
 
+from budget import examples
+
 
 # --- quadrature ---------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 4.0, 10.0])
 def test_trapezoid_matches_closed_forms(k):
     prob = make_problem(0.5, k, n=10_000)
-    g = prob.grid_array
+    g = prob.grid
     err_id = abs(quadrature(g / (g * g + k), prob)
                  - closed_form_identity_integral(k))
     err_const = abs(quadrature(1.0 / (g * g + k), prob)
@@ -77,7 +81,7 @@ def test_zero_function_is_fixed():
 def test_identity_seed_matches_closed_form():
     alpha, k = 0.5, 4.0
     prob = make_problem(alpha, k, n=10_000)
-    g = prob.grid_array
+    g = prob.grid
     expected = 0.5 * alpha * math.log(1.0 + 1.0 / k) * g
     assert np.max(np.abs(apply_T(g, prob) - expected)) <= 1e-6
 
@@ -85,14 +89,14 @@ def test_identity_seed_matches_closed_form():
 def test_constant_seed_matches_closed_form():
     alpha, k = 0.5, 4.0
     prob = make_problem(alpha, k, n=10_000)
-    g = prob.grid_array
+    g = prob.grid
     expected = alpha * closed_form_constant_integral(k) * g
     assert np.max(np.abs(apply_T(np.ones(g.size), prob) - expected)) <= 1e-6
 
 
 def test_operator_is_linear():
     prob = make_problem(0.7, 2.0, n=256)
-    g = prob.grid_array
+    g = prob.grid
     f1, f2 = np.sin(3 * g), g ** 2
     lhs = apply_T(2.0 * f1 + 3.0 * f2, prob)
     rhs = 2.0 * apply_T(f1, prob) + 3.0 * apply_T(f2, prob)
@@ -101,7 +105,7 @@ def test_operator_is_linear():
 
 def test_operator_output_is_a_multiple_of_the_grid():
     prob = make_problem(0.7, 2.0, n=256)
-    g = prob.grid_array
+    g = prob.grid
     out = apply_T(np.cos(g), prob)
     ratio = out / g
     assert np.max(np.abs(ratio - ratio[0])) <= 1e-12 * max(1.0, abs(ratio[0]))
@@ -117,7 +121,7 @@ def test_grid_mismatch_is_rejected():
 
 def test_distance_asymmetry_factor_on_dominated_pairs():
     prob = make_problem(0.5, 4.0, n=128)
-    g = prob.grid_array
+    g = prob.grid
     f_hi = g + 1.0
     metric = problem_metric(prob)
     d_hi_lo = eval_metric(metric, f_hi, g)
@@ -197,7 +201,7 @@ def test_demo_follows_the_rank_one_closed_form(kind, n):
     # c_n = rho^n, rho = alpha <w, g/(g^2+k)>; the grid's largest point is 1
     alpha, k, tol = 0.6, 2.0, 1e-8
     prob = make_problem(alpha, k, n=n, quadrature=kind)
-    g = prob.grid_array
+    g = prob.grid
     rho = alpha * quadrature(g / (g * g + k), prob)
     c, steps = 1.0, []
     while not steps or steps[-1] > tol:
@@ -214,6 +218,20 @@ def test_demo_follows_the_rank_one_closed_form(kind, n):
     assert report.equation_residual == pytest.approx(c * (1.0 - rho), rel=1e-12)
 
 
+@settings(max_examples=examples(30), deadline=None)
+@given(rate=st.floats(0.05, 0.95), k=st.floats(0.05, 20.0), n=st.integers(2, 400),
+       kind=st.sampled_from(QuadratureKind))
+def test_the_equation_residual_is_the_explicit_sup_norm(rate, k, n, kind):
+    # the demo reads max |f* - Tf*| from the solver's residual pair; it is
+    # the explicit formula bit for bit
+    rk = math.sqrt(k)
+    prob = make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
+    report = run_demo(prob)
+    fstar = report.solution
+    explicit = float(np.max(np.abs(fstar - apply_T(fstar, prob))))
+    assert report.equation_residual.hex() == explicit.hex()
+
+
 def test_demo_refuses_non_contractive_parameters():
     with pytest.raises(NotContractive):
         run_demo(make_problem(2.0, 0.3, n=128))
@@ -226,6 +244,19 @@ def test_problem_validation():
         IntegralProblem(0.5, 4.0, (0.0, 0.5, 1.0))
     with pytest.raises(ValueError):
         IntegralProblem(0.5, 4.0, (0.5, 0.25, 1.0))
+    with pytest.raises(ValueError, match="f0 must be sampled on the grid"):
+        IntegralProblem(0.5, 4.0, (0.25, 0.5, 1.0), f0=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("alpha, k", [
+    (math.nan, 4.0), (math.inf, 4.0), (0.5, math.nan), (0.5, math.inf),
+    (-math.inf, 4.0), (0.5, -math.inf),
+])
+def test_a_parameter_that_is_not_finite_is_refused(alpha, k):
+    # a NaN rate would read as "not-contractive", and an infinite alpha
+    # divides by zero in regime_report
+    with pytest.raises(ValueError, match="alpha and k must be positive and finite"):
+        make_problem(alpha, k, n=16)
 
 
 # --- per-problem state built once ---------------------------------------------------
@@ -233,14 +264,13 @@ def test_problem_validation():
 @pytest.mark.parametrize("kind", list(QuadratureKind))
 def test_problem_state_is_built_once_and_read_only(kind):
     prob = make_problem(0.5, 4.0, n=64, quadrature=kind)
-    g = prob.grid_array
-    assert prob.grid_array is g
-    assert g.tolist() == list(prob.grid)
+    g = prob.grid
+    assert isinstance(g, np.ndarray) and g.tobytes() == uniform_grid(64).tobytes()
     with pytest.raises(ValueError):
         g[0] = 0.5
     w = prob.weights
     assert prob.weights is w
-    assert np.array_equal(w, quadrature_weights(np.asarray(prob.grid), kind))
+    assert np.array_equal(w, quadrature_weights(g, kind))
     with pytest.raises(ValueError):
         w[0] = 0.0
     d = prob.denominator
@@ -250,19 +280,19 @@ def test_problem_state_is_built_once_and_read_only(kind):
         d[0] = 1.0
     metric = problem_metric(prob)
     assert problem_metric(prob) is metric
-    assert metric.grid_array is metric.grid_array
-    assert np.array_equal(metric.grid_array, g)
+    assert np.array_equal(metric.grid, g)
     # the spec's sampled values share its one checked copy of the grid
-    assert metric._element_grid is metric.grid_array
-    assert codomain_scalar(metric, 0.5).grid is metric.grid_array
-    # the default seed x -> x is the grid array itself; a given one is cached
-    assert prob.f0_array is g
-    seeded = make_problem(0.5, 4.0, n=64, quadrature=kind, f0=np.full(64, 0.25))
-    f0 = seeded.f0_array
-    assert seeded.f0_array is f0
-    assert f0.tolist() == [0.25] * 64
+    assert codomain_scalar(metric, 0.5).grid is metric.grid
+    # the default seed x -> x is the grid array itself; a given one is a
+    # read-only copy
+    assert prob.f0 is g
+    seed = np.full(64, 0.25)
+    f0 = make_problem(0.5, 4.0, n=64, quadrature=kind, f0=seed).f0
+    assert f0 is not seed and f0.tolist() == [0.25] * 64
     with pytest.raises(ValueError):
         f0[0] = 1.0
+    # problems compare by identity
+    assert make_problem(0.5, 4.0, n=64, quadrature=kind) != prob and prob == prob
 
 
 def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
@@ -279,8 +309,8 @@ def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
     assert report.solver["converged"] and report.solver["iterations"] <= DEMO_ORBIT_LEN
     # T maps the certificate's orbit (DEMO_ORBIT_LEN + 2 steps) and then f0
     # once more, for the solver's check of the orbit's row 1; the solver's
-    # and the demo's residuals map the fixed point
-    assert len(applied) == DEMO_ORBIT_LEN + 5
+    # residual maps the fixed point, and the demo's residual reads it
+    assert len(applied) == DEMO_ORBIT_LEN + 4
     # one paired evaluation of the orbit's steps in the certificate, one of
     # their reverse order in the solve, and the residual pair one pair at a
     # time; the solver stacks no point again
@@ -288,5 +318,5 @@ def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
     assert len(one_pair_calls) == 2
     assert stacked == []
     assert not report.solution.flags.writeable
-    assert report.solution.shape == prob.grid_array.shape
+    assert report.solution.shape == prob.grid.shape
     assert np.max(np.abs(report.solution)) == report.solver["fixed_point_sup"]

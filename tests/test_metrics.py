@@ -141,7 +141,7 @@ def test_scaled_split_uses_beta_on_the_lower_block():
 
 def test_periodic_shapes_match_published_displays():
     spec = periodic_fn(period=1.0, grid_size=64)
-    t = spec.grid_array
+    t = spec.grid
     up = eval_metric(spec, 0.5, 0.0)
     down = eval_metric(spec, 0.0, 0.5)
     assert np.allclose(up.data, 0.5 * t)
@@ -199,17 +199,25 @@ def test_mult_op_refuses_a_grid_sampled_elements_cannot_use(grid, message):
 
 
 @pytest.mark.parametrize("spec", [periodic_fn(2.0, 16), mult_op(FN_GRID)], ids=_spec_id)
-def test_grid_array_is_built_once_and_read_only(spec):
-    g = spec.grid_array
-    assert spec.grid_array is g
-    assert g.dtype == np.float64 and g.tolist() == list(spec.grid)
+def test_the_spec_grid_is_one_read_only_array(spec):
+    g = spec.grid
+    assert isinstance(g, np.ndarray) and g.dtype == np.float64
     with pytest.raises(ValueError):
         g[0] = 1.0
-    # a changed copy builds its own array; hashing and equality use the tuple
+    # the spec's sampled values share it
+    assert codomain_scalar(spec, 0.5).grid is g
+    # a changed copy checks its own array; specs compare by identity
     other = reversed_metric(spec)
-    assert other.grid_array is not g and np.array_equal(other.grid_array, g)
-    assert hash(replace(spec)) == hash(spec) and replace(spec) == spec
-    assert mat2_split().grid_array is None
+    assert other.grid is not g and np.array_equal(other.grid, g)
+    assert replace(spec) != spec and {spec: 1}[spec] == 1
+    assert mat2_split().grid is None
+
+
+def test_mult_op_copies_the_grid_it_is_given():
+    grid = FN_GRID.copy()
+    spec = mult_op(grid)
+    grid[0] = -1.0
+    assert spec.grid[0] == FN_GRID[0] and grid.flags.writeable
 
 
 def test_reversed_metric_swaps_arguments():
@@ -684,7 +692,7 @@ def _outcome_of(fn, *args):
 
 def _fn_points_one_at_a_time(spec, points):
     return np.reshape([_require_fn_point(spec, f) for f in points],
-                      (-1, spec.grid_array.size))
+                      (-1, spec.grid.size))
 
 
 FN_ROW = st.lists(st.floats(-1e3, 1e3), min_size=FN_GRID.size, max_size=FN_GRID.size)
@@ -756,7 +764,7 @@ def test_sampled_values_share_the_spec_grid(spec, x, y):
     values = [eval_metric(spec, x, y), eval_metric(spec, y, x),
               codomain_scalar(spec, 0.5)]
     for d in values:
-        built = sampled(spec.grid_array, d.data)
+        built = sampled(spec.grid, d.data)
         assert d.realization == SAMPLED
         assert d.grid is values[0].grid
         assert d.grid.tobytes() == built.grid.tobytes()
@@ -772,14 +780,19 @@ def test_sampled_values_share_the_spec_grid(spec, x, y):
     (MULT_OP, (0.0, 1.0, 1.0), "increasing"),
     ("periodic-fn", (0.5, 0.25), "increasing"),
     ("periodic-fn", (0.5,), "two points"),
-], ids=["mult-op-inf", "mult-op-tie", "periodic-decreasing", "periodic-short"])
+    ("periodic-fn", None, "two points"),
+], ids=["mult-op-inf", "mult-op-tie", "periodic-decreasing", "periodic-short",
+        "periodic-none"])
 def test_values_on_a_grid_that_cannot_carry_them_are_refused(name, grid, message):
-    # a spec built directly is not checked; its first value checks the grid
-    spec = MetricSpec(name, SAMPLED, OrderKind.POSITIVE_CONE, NormKind.OPERATOR,
-                      grid=grid)
-    point = np.ones(len(grid)) if name == MULT_OP else 1.0
-    for _ in range(2):
-        with pytest.raises(ValueError, match=message):
-            eval_metric(spec, point, 0.5 * point)
-        with pytest.raises(ValueError, match=message):
-            codomain_scalar(spec, 0.5)
+    # a spec built directly checks its grid as it is built, not at its first value
+    with pytest.raises(ValueError, match=message):
+        MetricSpec(name, SAMPLED, OrderKind.POSITIVE_CONE, NormKind.OPERATOR,
+                   grid=grid)
+
+
+@pytest.mark.parametrize("period", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_periodic_fn_refuses_a_period_that_is_not_positive_and_finite(period):
+    with pytest.raises(ValueError, match="period must be a positive finite number"):
+        periodic_fn(period=period)
+
+

@@ -488,7 +488,7 @@ def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID):
     rk = math.sqrt(k)
     prob = integral.make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
     return (prob, integral.integral_operator(prob), integral.problem_metric(prob),
-            prob.f0_array, integral.demo_certificate(prob))
+            prob.f0, integral.demo_certificate(prob))
 
 
 def _assert_the_orbit_was_used(cert, runs, max_iter):
@@ -567,30 +567,51 @@ def test_a_certificate_of_another_problem_is_not_taken_as_known_iterates():
     # same grid and seed f0, another alpha: row 0 matches, row 1 does not
     prob, _, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
     other = integral.make_problem(prob.alpha * 1.25, 2.0, n=64)
-    assert np.array_equal(other.f0_array, f0)
+    assert np.array_equal(other.f0, f0)
     cfg = SolverConfig(tol=1e-8, max_iter=200)
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        integral.integral_operator(other), integral.problem_metric(other), other.f0_array,
+        integral.integral_operator(other), integral.problem_metric(other), other.f0,
         cert, cfg)
     assert json_with == json_without
-    assert applied == report.iterations + 2  # T(f0) for the check, then the solve's own
+    # the other problem's metric is another spec object, so the orbit is
+    # refused before T(f0) is formed for the check of its row 1
+    assert applied == report.iterations + 1
     # nor is the orbit of this problem in another metric, though the seed matches
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
         integral.integral_operator(prob), reversed_metric(metric), f0, cert, cfg)
     assert json_with == json_without and applied == report.iterations + 1
 
 
+def test_a_rebuilt_spec_equal_in_every_field_does_not_take_the_orbit():
+    # specs compare by identity: the orbit is taken under the spec that
+    # checked it, and not under a copy of it, and the report is the same
+    metric = scalar_backward_one()
+    cert = verify_orbital_type(linear_quarter(), metric,
+                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
+    cfg = SolverConfig(tol=1e-10)
+    runs = _with_and_without_orbit(linear_quarter(), metric, 1.0, cert, cfg)
+    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
+    rebuilt = replace(metric)
+    assert rebuilt != metric
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        linear_quarter(), rebuilt, 1.0, cert, cfg)
+    assert json_with == json_without == runs[0][0]
+    assert applied == report.iterations + 1
+
+
 def test_a_checked_orbit_of_another_map_cannot_certify_a_point_it_does_not_fix():
     # the same first step from 1.0, then another orbit: the solve walks the
     # certificate's rows, but the residual maps the last one afresh
-    cert = verify_orbital_type(linear_quarter(), scalar_backward_one(),
+    # one spec object, so the orbit is the solve's to take
+    metric = scalar_backward_one()
+    cert = verify_orbital_type(linear_quarter(), metric,
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     lifted = MapSpec("lifted", lambda x: x / 4.0 if x >= 0.2 else x / 4.0 + 0.1)
     cfg = SolverConfig(tol=1e-10)
-    report = picard_solve(lifted, scalar_backward_one(), 1.0, cert, cfg)
+    report = picard_solve(lifted, metric, 1.0, cert, cfg)
     assert report.converged and report.fixed_point < 1e-9
     assert report.residual_forward == 1.0 and not report.fixed_point_certified
-    honest = picard_solve(lifted, scalar_backward_one(), 1.0, replace(cert, orbit=None), cfg)
+    honest = picard_solve(lifted, metric, 1.0, replace(cert, orbit=None), cfg)
     assert honest.fixed_point_certified
     assert honest.fixed_point == pytest.approx(0.4 / 3.0)
 
