@@ -346,12 +346,14 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
     if not (np.all(l >= 0.0) and np.all(b >= 0.0)):
         return unknown
     b_norm = b.max(axis=1, keepdims=True)
-    k = b + tol * b_norm
-    r = l - tol
-    scale = (l.sum(axis=1, keepdims=True) + b.sum(axis=1, keepdims=True)
-             + tol * (1.0 + b_norm))
-    err = _ROUNDING_ULPS * np.finfo(float).eps * scale + _UNDERFLOW
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # sums near the float limit overflow to inf, and so the band to
+        # (-inf, inf): every midpoint then takes the exact check
+        k = b + tol * b_norm
+        r = l - tol
+        scale = (l.sum(axis=1, keepdims=True) + b.sum(axis=1, keepdims=True)
+                 + tol * (1.0 + b_norm))
+        err = _ROUNDING_ULPS * np.finfo(float).eps * scale + _UNDERFLOW
         # a component with k = 0 does not move with c: with l = 0 it compares
         # exact zeros, and otherwise, unless it certainly holds, it gives the
         # same answer at every c or leaves it open

@@ -17,30 +17,29 @@ distance symbol is (1/2)(f - g) where f > g and (g - f) where g > f, with
 sup norm over the grid, so the metric is asymmetric by the factor 2.
 
 A problem is immutable, so what depends only on it is built once per
-problem and shared by every application and distance after that.  The grid
-and the seed f0 are each one read-only array, checked when the problem is
-built; the quadrature weights, the kernel's denominator y^2 + k on the
-grid, and the metric spec follow on first use.  The spec
-(``metrics.mult_op``) keeps one checked copy of the grid, which its sampled
-values share.  Problems, like specs, compare by identity.
+problem and shared by every application and distance after that.  The
+metric spec (``metrics.mult_op``) is built with the problem: it checks the
+grid once, and its read-only copy is the problem's grid, which the spec's
+sampled values share.  The seed f0 is one read-only array too; the
+quadrature weights and the kernel's denominator y^2 + k on the grid follow
+on first use.  Problems, like specs, compare by identity.
 
 The demo maps the orbit of f0 once: the orbital certificate keeps the
 orbit it checked, in memory and not in its JSON, and ``picard_solve`` takes
-its rows as known iterates.  The report keeps the fixed point for
-``--solution`` as a read-only array.
+its rows as a prefix of known iterates.  The report keeps the fixed point
+for ``--solution`` as a read-only array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .algebra import _checked_grid
 from .contraction import ContractionCertificate, verify_orbital_type
 from .maps import MapSpec
 from .metrics import MetricSpec, codomain_scalar, mult_op
@@ -83,11 +82,11 @@ class IntegralProblem:
     """Kernel parameters, grid, and quadrature choice.
 
     ``grid`` and ``f0``, the seed function for the demo orbit, are each one
-    read-only float array, checked when the problem is built; ``f0`` is the
-    grid itself by default, the identity x -> x sampled on the grid.
+    read-only float array, checked when the problem is built; ``grid`` is
+    the grid of the problem's metric spec (``problem_metric``), and ``f0``
+    is the grid itself by default, the identity x -> x sampled on the grid.
     ``weights`` and ``denominator`` are built on first use and cached
-    read-only, and ``problem_metric`` returns one spec per problem.
-    Problems compare and hash by identity.
+    read-only.  Problems compare and hash by identity.
     """
 
     alpha: float
@@ -95,11 +94,13 @@ class IntegralProblem:
     grid: np.ndarray
     quadrature: QuadratureKind = QuadratureKind.TRAPEZOID
     f0: np.ndarray | None = None
+    _metric: MetricSpec = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < math.inf and 0.0 < self.k < math.inf):
             raise ValueError("alpha and k must be positive and finite")
-        g = _checked_grid(self.grid)
+        metric = mult_op(self.grid)  # checks the grid, once
+        g = metric.grid
         if g[0] <= 0 or g[-1] > 1:
             raise ValueError("grid must lie inside (0, 1]")
         f = g if self.f0 is None else np.array(self.f0, dtype=float)
@@ -108,6 +109,7 @@ class IntegralProblem:
         f.setflags(write=False)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "f0", f)
+        object.__setattr__(self, "_metric", metric)
 
     @cached_property
     def denominator(self) -> np.ndarray:
@@ -123,10 +125,6 @@ class IntegralProblem:
         w = quadrature_weights(self.grid, self.quadrature)
         w.setflags(write=False)
         return w
-
-    @cached_property
-    def _metric(self) -> MetricSpec:
-        return mult_op(self.grid)
 
 
 def make_problem(alpha: float, k: float, n: int = 2048,
@@ -264,15 +262,14 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
     const_err = abs(quadrature(1.0 / prob.denominator, prob)
                     - closed_form_constant_integral(k))
 
-    tf0 = apply_T(f0, prob)
-    tf0_exceeds = bool(np.all(tf0 > f0))
-    increasing = True
-    prev, cur = f0, tf0
-    for _ in range(MONOTONE_STEPS):
-        if not np.all(cur > prev):
-            increasing = False
+    # T f0 > f0 is the first of the MONOTONE_STEPS comparisons
+    cur = apply_T(f0, prob)
+    tf0_exceeds = increasing = bool(np.all(cur > f0))
+    for _ in range(MONOTONE_STEPS - 1):
+        if not increasing:
             break
         prev, cur = cur, apply_T(cur, prob)
+        increasing = bool(np.all(cur > prev))
 
     if rate < 1.0:
         regime = REGIME_CONTRACTIVE_GROWING if growth > 1.0 else REGIME_CONTRACTIVE

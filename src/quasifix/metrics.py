@@ -457,19 +457,16 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
     return _norms(spec, _component_table(spec, xs, ys)[1], kind)
 
 
-def _tail_norms(spec: MetricSpec, blocks: list,
+def _tail_norms(spec: MetricSpec, stack: np.ndarray,
                 kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
-    """Norms in ``kind`` of d(p, q) and of d(q, p) for q the last point of a
-    sequence and every p before it, in sequence order.  ``blocks`` are
-    stacks of validated points (``_points`` or ``_orbit_stack`` results)
-    whose rows, block after block, are the sequence; they are not stacked
-    again.  The values are the column and the row of
-    ``distance_norm_table`` for those points, bit for bit."""
-    last = blocks[-1][-1]
-    before = [*blocks[:-1], blocks[-1][:-1]]
-    to_last = [_norms(spec, _kernel(spec, b, last), kind) for b in before]
-    from_last = [_norms(spec, _kernel(spec, last, b), kind) for b in before]
-    return np.concatenate(to_last), np.concatenate(from_last)
+    """Norms in ``kind`` of d(p, q) and of d(q, p) for q the last row of
+    ``stack`` and every row p before it, in row order.  ``stack`` holds
+    validated points (a ``_points`` or ``_orbit_stack`` result, or a slice
+    of one), which are not stacked again.  The values are the column and
+    the row of ``distance_norm_table`` for those points, bit for bit."""
+    before, last = stack[:-1], stack[-1]
+    return (_norms(spec, _kernel(spec, before, last), kind),
+            _norms(spec, _kernel(spec, last, before), kind))
 
 
 def _norms(spec: MetricSpec, comps: np.ndarray, kind: NormKind) -> np.ndarray:

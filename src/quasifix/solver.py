@@ -23,8 +23,8 @@ lower-semicontinuity check of G(x) = d(x, Tx).
 
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
 first is the envelope's d1) is one paired evaluation with one batched norm.
-The observed tails d(x_p, x_N) and d(x_N, x_p) come from validated stacks
-of the orbit, none stacked twice: the column and the row of
+The observed tails d(x_p, x_N) and d(x_N, x_p) come from one validated
+stack of the orbit: the column and the row of
 ``metrics.distance_norm_table`` at x_N.  All of these are the values of
 ``norm`` bit for bit.  The residual pair at the final point is two one-pair
 ``eval_metric`` values of a fresh ``T x_N``.  The lower-semicontinuity gate
@@ -37,13 +37,16 @@ the orbit it checked in memory: its validated stack and its forward step
 payloads d(o_i, o_{i+1}) (``contraction.CheckedOrbit``; not part of the
 certificate's JSON, so a certificate read from a file has none).  When the
 solve starts from that orbit's seed, bit for bit, under the same metric
-spec object, and ``T(seed)`` is its row 1 bit for bit, the loop takes the
-rows as known iterates before it applies T: their forward norms and d1
-come from the stored payloads, their reverse steps from one paired
-evaluation after the loop, and their tails from the stack itself.  These are the payloads the
-step pairs would give, so the report is the same as without the orbit.
-The residual still applies T afresh, so a row that T does not map to the
-next one cannot certify a point that T does not fix.
+spec object, and ``T(seed)`` is its row 1 bit for bit, the solve takes the
+orbit as a prefix before its one mapping loop.  The regime is forward-only,
+so the prefix ends at the first stored forward norm at or below tolerance
+(or at ``max_iter``, or at the last row).  Its forward norms and d1 come
+from the stored payloads, its reverse steps from one paired evaluation, and
+a solve that stops inside it reads its tails from a view of the stack.
+These are the payloads the step pairs would give, so the report is the
+same as without the orbit.  The residual still applies T afresh, so a row
+that T does not map to the next one cannot certify a point that T does not
+fix.
 """
 
 from __future__ import annotations
@@ -235,11 +238,13 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
 
     Also evaluates the geometric tail envelope at every recorded index and
     the lower-semicontinuity gate at the final point, and reports whether
-    the fixed point is certified under the certificate's regime.  The first
-    iterates come from the orbit the certificate checked, when it carries
-    one that starts at ``seed`` under this map and metric (see the module
-    docstring); the report is the same as without it.  A certificate with
-    violations or of no sample is refused with ``CertificateInvalid``.
+    the fixed point is certified under the certificate's regime.  The orbit
+    the certificate checked comes first, as a prefix of known iterates, when
+    it starts at ``seed`` under this map and metric; then one loop maps on
+    from the last known point, which is ``seed`` when there is no orbit (see
+    the module docstring).  The report is the same as without the orbit.  A
+    certificate with violations or of no sample is refused with
+    ``CertificateInvalid``.
     """
     if not cert.valid:
         raise CertificateInvalid(
@@ -252,32 +257,35 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     display = metric.norm
     forward_only = cert.regime in _FORWARD_ONLY
 
+    # the checked orbit as a prefix: forward-only, so the first forward norm
+    # at or below tol, which the stored payloads give, ends the solve there
     orbit = _checked_orbit(map_spec, metric, seed, cert)
-    known = 0 if orbit is None else min(len(orbit.steps), cfg.max_iter)
-    if known:
-        rows = _rows(orbit.points)
-        known_fwd = batch_norm(metric.codomain, orbit.steps[:known], display).tolist()
-    points = [seed]
+    points = [seed]  # the caller's seed object, not row 0's float
     fwd_steps: list[float] = []
-    bwd_steps: list[float] = []  # of the mapped steps; the known ones follow the loop
+    bwd_steps: list[float] = []
     converged = False
-    for i in range(cfg.max_iter):
-        if i < known:  # forward-only: the reverse order does not stop the loop
-            nxt, fwd = rows[i + 1], known_fwd[i]
-        else:
-            current = points[-1]
-            nxt = map_spec.apply(current)
-            pair = _paired_on(metric, _points(metric, [current, nxt]),
-                              slice(None), slice(None, None, -1))
-            fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
-            if not i:  # the envelope's d1, in both orders
-                d1 = pair
-            bwd_steps.append(bwd)
+    if orbit is not None:
+        fwd_steps = batch_norm(metric.codomain, orbit.steps[:cfg.max_iter], display).tolist()
+        n = next((i + 1 for i, f in enumerate(fwd_steps) if f <= cfg.tol), len(fwd_steps))
+        del fwd_steps[n:]
+        converged = fwd_steps[-1] <= cfg.tol
+        bwd_steps = batch_norm(metric.codomain, _paired_on(
+            metric, orbit.points, slice(1, n + 1), slice(None, n)), display).tolist()
+        d1 = orbit.steps[:1]  # a forward-only envelope reads no reverse d1
+        points += _rows(orbit.points[1:n + 1])
+
+    while not converged and len(fwd_steps) < cfg.max_iter:
+        current = points[-1]
+        nxt = map_spec.apply(current)
+        pair = _paired_on(metric, _points(metric, [current, nxt]),
+                          slice(None), slice(None, None, -1))
+        fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
+        if not fwd_steps:  # the envelope's d1, in both orders
+            d1 = pair
         fwd_steps.append(fwd)
+        bwd_steps.append(bwd)
         points.append(nxt)
-        if fwd <= cfg.tol and (forward_only or bwd <= cfg.tol):
-            converged = True
-            break
+        converged = fwd <= cfg.tol and (forward_only or bwd <= cfg.tol)
 
     fixed_point = points[-1]
     iterations = len(points) - 1
@@ -285,43 +293,25 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     residual_forward = norm(eval_metric(metric, fixed_point, after), display)
     residual_backward = norm(eval_metric(metric, after, fixed_point), display)
 
-    # the known steps in the reverse order, as one paired evaluation whose
-    # payloads are freed before the tails are formed, and the orbit as
-    # stacks: the known rows as the certificate stacked them, and the mapped
-    # points after them
-    consumed = min(known, iterations)
-    blocks = []
-    if consumed:
-        bwd_steps[:0] = batch_norm(metric.codomain, _paired_on(
-            metric, orbit.points, slice(1, consumed + 1), slice(None, consumed)),
-            display).tolist()
-        d1 = orbit.steps[:1]  # a forward-only envelope reads no reverse d1
-        blocks.append(orbit.points[:consumed + 1])
-    mapped = points[consumed + 1:] if consumed else points
-    if mapped:
-        blocks.append(_points(metric, mapped))
-
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised
     # by the global sandwich regimes.
+    inside = orbit is not None and len(points) <= len(orbit.points)
+    stack = orbit.points[:len(points)] if inside else _points(metric, points)
     observed, observed_rev = (tuple(t.tolist()) for t in
-                              _tail_norms(metric, blocks, NormKind.OPERATOR))
+                              _tail_norms(metric, stack, NormKind.OPERATOR))
     predicted = apriori_envelope(_element(metric, d1[0]), rate, iterations)
     predicted_rev = (None if forward_only
                      else apriori_envelope(_element(metric, d1[1]), rate, iterations))
-    envelope_ok = all(o <= b + cfg.tol for o, b in zip(observed, predicted))
-    if predicted_rev is not None:
-        envelope_ok = envelope_ok and all(
-            o <= b + cfg.tol for o, b in zip(observed_rev, predicted_rev))
+    envelope_ok = all(o <= b + cfg.tol for o, b in zip(observed, predicted)) and (
+        predicted_rev is None
+        or all(o <= b + cfg.tol for o, b in zip(observed_rev, predicted_rev)))
 
     # G(x_i) = d(x_i, T x_i) over the orbit's trailing half, x_N included
     half = len(points) // 2
     lsc = lsc_holds(residual_forward, fwd_steps[half:] + [residual_forward], cfg.tol)
-    if forward_only:
-        certified = converged and residual_forward <= cfg.tol and lsc
-    else:
-        certified = (converged and residual_forward <= cfg.tol
-                     and residual_backward <= cfg.tol)
+    certified = (converged and residual_forward <= cfg.tol
+                 and (lsc if forward_only else residual_backward <= cfg.tol))
 
     return SolverReport(
         fixed_point=fixed_point, iterations=iterations, converged=converged,

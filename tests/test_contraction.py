@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -515,6 +516,23 @@ def test_tables_at_any_scale_take_the_closed_form(monkeypatch, case):
     guided, plain, checks = _guided_and_plain(monkeypatch, case)
     assert guided is not None and 1 <= checks <= 16
     assert guided == plain
+
+
+@pytest.mark.parametrize("regime, metric, samples, c", [
+    (Regime.FORWARD_GLOBAL, mat2_split(), {"points": [8e307, -8e307, 0.0]}, 0.5),
+    (Regime.ORBITAL, periodic_fn(), {"seed": 1e308}, 0.5),
+    (Regime.TWO_STEP, periodic_fn(), {"seed": 1e308}, 0.2),
+], ids=["forward-split", "orbital-periodic", "two-step-periodic"])
+def test_a_search_near_the_float_limit_warns_nothing(regime, metric, samples, c):
+    # the threshold band's sums overflow to inf, so the band is (-inf, inf)
+    # and every midpoint takes the exact check, without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        guided = _search_outcome(search_scalar_coefficient, linear_quarter(), metric,
+                                 regime, **samples)
+    assert guided is not None and float.fromhex(guided[0]) == pytest.approx(c, abs=1e-8)
+    assert guided == _search_outcome(plain_search, linear_quarter(), metric, regime,
+                                     **samples)
 
 
 def test_search_argument_validation():

@@ -13,6 +13,7 @@ from quasifix.integral import (
     DEMO_ORBIT_LEN,
     GridMismatch,
     IntegralProblem,
+    MONOTONE_STEPS,
     NotContractive,
     QuadratureKind,
     REGIME_CONTRACTIVE,
@@ -174,6 +175,20 @@ def test_growth_demand_conflicts_with_contraction():
     assert report.iterates_increasing
 
 
+@pytest.mark.parametrize("alpha, k, applied", [
+    (3.0, 0.01, MONOTONE_STEPS), (0.5, 2.0, 1), (0.9, 2.0, 1),
+], ids=["growing", "contractive", "contractive-slow"])
+def test_the_monotone_walk_maps_only_what_it_compares(monkeypatch, alpha, k, applied):
+    # T f0 > f0 is the walk's first comparison; a growing orbit compares
+    # MONOTONE_STEPS pairs of T^0 f0 .. T^MONOTONE_STEPS f0, and T f0 < f0
+    # ends the walk at its first
+    calls = []
+    monkeypatch.setattr(integral, "apply_T", lambda f, p: calls.append(f) or apply_T(f, p))
+    report = regime_report(make_problem(alpha, k, n=64))
+    assert len(calls) == applied
+    assert report.tf0_exceeds_f0 == report.iterates_increasing == (applied > 1)
+
+
 # --- demo ------------------------------------------------------------------------
 
 def test_demo_converges_to_the_zero_function():
@@ -280,8 +295,9 @@ def test_problem_state_is_built_once_and_read_only(kind):
         d[0] = 1.0
     metric = problem_metric(prob)
     assert problem_metric(prob) is metric
-    assert np.array_equal(metric.grid, g)
-    # the spec's sampled values share its one checked copy of the grid
+    # the problem's grid is the spec's one checked copy, which the spec's
+    # sampled values share
+    assert metric.grid is g
     assert codomain_scalar(metric, 0.5).grid is metric.grid
     # the default seed x -> x is the grid array itself; a given one is a
     # read-only copy

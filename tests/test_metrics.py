@@ -664,21 +664,19 @@ def test_in_place_kernels_are_the_reference_forms(spec, kind, data):
         want = [reference_norm(sampled(FN_GRID, row)) for row in batch]
         assert _hex(batch_norm(SAMPLED, batch)) == _hex(want)
 
-    # the solver's tails d(p, q) and d(q, p) for q the last function, with the
-    # functions stacked in one block or split into two; one function leaves
-    # two empty tails, and so does a last block of one function
+    # the solver's tails d(p, q) and d(q, p) for q the last function, over
+    # one stack of the functions; one function leaves two empty tails
     if not rows:
         return
-    cut = data.draw(st.integers(0, len(rows) - 1))
-    blocks = [_points(spec, part) for part in (rows[:cut], rows[cut:]) if part]
+    stack = _points(spec, rows)
     try:
         want = [[reference_distance_norm(spec, p, rows[-1], kind) for p in rows[:-1]],
                 [reference_distance_norm(spec, rows[-1], p, kind) for p in rows[:-1]]]
     except DomainMismatch:
         with pytest.raises(DomainMismatch):
-            _tail_norms(spec, blocks, kind)
+            _tail_norms(spec, stack, kind)
         return
-    assert [_hex(t) for t in _tail_norms(spec, blocks, kind)] == [_hex(t) for t in want]
+    assert [_hex(t) for t in _tail_norms(spec, stack, kind)] == [_hex(t) for t in want]
 
 
 def _outcome_of(fn, *args):

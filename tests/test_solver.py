@@ -432,6 +432,35 @@ def test_solver_lsc_gate_fails_after_a_jump():
     assert not report.fixed_point_certified
 
 
+def test_a_global_verdict_reads_the_backward_residual():
+    # x -> x/4 converges at x_N = 4^-18, whose image jumps up by 2e-10: under
+    # mat2-split-scaled(0.25) the forward residual is a quarter of it and the
+    # backward one all of it, so the lsc gate holds but a global certificate
+    # cannot certify x_N
+    jump = MapSpec("jump-up", lambda x: x / 4.0 if x > 3e-11 else x + 2e-10)
+    metric = mat2_split_scaled(0.25)
+    cfg = SolverConfig(tol=1e-10)
+    report = picard_solve(jump, metric, 1.0, _certificate(Regime.FORWARD_GLOBAL, metric),
+                          cfg)
+    assert report.converged and report.iterations == 18 and report.lsc_check
+    assert report.residual_forward <= cfg.tol < report.residual_backward
+    assert not report.fixed_point_certified
+
+
+def test_a_global_envelope_reads_the_reverse_order():
+    # x -> -x/4 alternates the steps' sign, so under mat2-split-scaled(0.25)
+    # the reverse tail from every x_p below x_N is a full distance against a
+    # budget a quarter of the forward one; the forward tail keeps its budget
+    flip = MapSpec("flip-quarter", lambda x: -x / 4.0)
+    metric = mat2_split_scaled(0.25)
+    cfg = SolverConfig(tol=1e-10)
+    report = picard_solve(flip, metric, 7.0, _certificate(Regime.FORWARD_GLOBAL, metric),
+                          cfg)
+    assert report.converged
+    assert all(o <= b + cfg.tol for o, b in zip(report.observed_tail, report.predicted_bounds))
+    assert not report.bound_envelope_ok
+
+
 def _reference_spread(metric, points):
     """The largest norm of d(p, q) over both orders of every pair of points,
     one pair at a time, by the reference formulas."""
@@ -525,9 +554,12 @@ def test_gallery_orbital_certificates_give_the_same_solve(map_spec, metric, a, t
                                                           max_iter):
     cert = verify_orbital_type(map_spec, metric, a, seed=1.0, orbit_len=30)
     cfg = SolverConfig(max_iter=max_iter, tol=tol)
-    runs = _with_and_without_orbit(map_spec, metric, 1.0, cert, cfg)
-    _assert_the_orbit_was_used(cert, runs, max_iter)
-    assert type(runs[0][1].fixed_point) is float
+    for seed in (1.0, 1):
+        runs = _with_and_without_orbit(map_spec, metric, seed, cert, cfg)
+        _assert_the_orbit_was_used(cert, runs, max_iter)
+        assert type(runs[0][1].fixed_point) is float
+        # the trace starts at the caller's seed object, not at row 0's float
+        assert type(runs[0][1].trace.points[0]) is type(seed)
     # from another seed the solve maps every iterate itself
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
         map_spec, metric, 2.0, cert, cfg)
