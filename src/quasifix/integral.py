@@ -26,8 +26,11 @@ on first use.  Problems, like specs, compare by identity.
 
 The demo maps the orbit of f0 once: the orbital certificate keeps the
 orbit it checked, in memory and not in its JSON, and ``picard_solve`` takes
-its rows as a prefix of known iterates.  The report keeps the fixed point
-for ``--solution`` as a read-only array.
+its rows as a prefix of known iterates.  The orbit is as long as the
+Picard theorem's a-priori estimate says the solve walks, up to a cap
+(``demo_certificate``); a solve that runs past it maps on, so no verdict
+rests on the estimate.  The report keeps the fixed point for
+``--solution`` as a read-only array.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ from typing import Any
 
 import numpy as np
 
+from .algebra import norm
 from .contraction import ContractionCertificate, verify_orbital_type
 from .maps import MapSpec
-from .metrics import MetricSpec, codomain_scalar, mult_op
+from .metrics import MetricSpec, codomain_scalar, eval_metric, mult_op
 from .solver import SolverConfig, SolverReport, picard_solve
 
 
@@ -60,13 +64,13 @@ class QuadratureKind(Enum):
 
 
 REGIME_CONTRACTIVE = "contractive"
-REGIME_CONTRACTIVE_GROWING = "contractive-growing"
 REGIME_NOT_CONTRACTIVE = "not-contractive"
 
 #: ``regime_report`` checks T^(i+1) f0 > T^i f0 for i = 0 .. MONOTONE_STEPS - 1.
 MONOTONE_STEPS = 5
 
-#: Consecutive orbit steps the demo's orbital certificate checks.
+#: The cap on the orbit length of the demo's orbital certificate, whose
+#: length is otherwise the a-priori step count (see ``demo_certificate``).
 DEMO_ORBIT_LEN = 30
 
 
@@ -241,11 +245,10 @@ class DemoReport:
 def regime_report(prob: IntegralProblem) -> DemoReport:
     """Classify the (alpha, k) pair and record the numeric evidence.
 
-    "contractive" means the rate is below 1; "contractive-growing"
-    additionally has the identity seed growing under T (no parameter pair
-    actually satisfies both, which the gallery records as a documented
-    inconsistency); "not-contractive" means the rate is at least 1 and the
-    fixed-point argument does not apply.  ``growth_threshold_k`` is the k
+    "contractive" means the rate is below 1; "not-contractive" means it is
+    at least 1 and the fixed-point argument does not apply.  No contractive
+    pair grows the identity seed: y/(y^2+k) <= 1/(y^2+k) on (0, 1], so
+    ``growth_value`` <= ``contraction_rate``.  ``growth_threshold_k`` is the k
     at which ``growth_value`` crosses 1: (alpha/2) ln(1 + 1/k) = 1 at
     k = 1/(exp(2/alpha) - 1), and growth exceeds 1 for every smaller k.
     """
@@ -271,10 +274,7 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
         prev, cur = cur, apply_T(cur, prob)
         increasing = bool(np.all(cur > prev))
 
-    if rate < 1.0:
-        regime = REGIME_CONTRACTIVE_GROWING if growth > 1.0 else REGIME_CONTRACTIVE
-    else:
-        regime = REGIME_NOT_CONTRACTIVE
+    regime = REGIME_CONTRACTIVE if rate < 1.0 else REGIME_NOT_CONTRACTIVE
     return DemoReport(
         alpha=alpha, k=k, grid_size=g.size, quadrature=prob.quadrature,
         rate=rate, rate_coarse_bound=alpha / k, growth=growth,
@@ -284,16 +284,28 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
         regime=regime)
 
 
-def demo_certificate(prob: IntegralProblem) -> ContractionCertificate:
+def demo_certificate(prob: IntegralProblem, tol: float) -> ContractionCertificate:
     """Orbital certificate for the demo orbit with coefficient sqrt(rate) * I;
-    it keeps the orbit of f0 that it checked, for the solve."""
+    it keeps the orbit of f0 that it checked, for the solve.
+
+    The orbit is as long as a solve to tolerance ``tol`` walks: with
+    d1 = ||d(f0, T f0)|| in the metric's norm and r = rate = ||a||^2, step
+    n + 1 is at most r^n d1, so the solve stops by step L + 1 for
+    L = ceil(ln(tol / d1) / ln r), the orbit's last checked step.  L is at
+    least 2 (also when d1 <= tol) and at most ``DEMO_ORBIT_LEN``; a solve
+    that needs more steps maps on past the orbit.
+    """
     rate = contraction_rate(prob.alpha, prob.k)
     if rate >= 1.0:
         raise NotContractive(f"rate {rate:.6f} is not below 1")
     metric = problem_metric(prob)
+    d1 = norm(eval_metric(metric, prob.f0, apply_T(prob.f0, prob)), metric.norm)
+    # a rate that underflows to 0 takes no step past d1
+    steps = math.log(d1 / tol) / -math.log(rate) if tol < d1 and rate > 0.0 else 0.0
+    orbit_len = max(2, math.ceil(min(steps, DEMO_ORBIT_LEN)))
     a = codomain_scalar(metric, math.sqrt(rate))
     return verify_orbital_type(integral_operator(prob), metric, a,
-                               prob.f0, DEMO_ORBIT_LEN)
+                               prob.f0, orbit_len)
 
 
 def run_demo(prob: IntegralProblem,
@@ -311,7 +323,7 @@ def run_demo(prob: IntegralProblem,
         raise NotContractive(
             f"rate {report.rate:.6f} is not below 1 for "
             f"alpha={prob.alpha}, k={prob.k}")
-    cert = demo_certificate(prob)
+    cert = demo_certificate(prob, cfg.tol)
     solved: SolverReport = picard_solve(integral_operator(prob),
                                         problem_metric(prob),
                                         prob.f0, cert, cfg)

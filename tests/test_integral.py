@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -166,6 +167,14 @@ def test_tiny_alpha_is_trivially_contractive():
     assert report.rate < 1e-5
 
 
+@settings(max_examples=examples(200), deadline=None)
+@given(alpha=st.floats(1e-3, 1e3), k=st.floats(1e-6, 1e6))
+def test_growth_never_exceeds_the_rate(alpha, k):
+    # y/(y^2 + k) <= 1/(y^2 + k) on (0, 1], so a growing identity seed
+    # (growth above 1) needs a rate above 1: a contractive demo never grows
+    assert growth_value(alpha, k) <= contraction_rate(alpha, k)
+
+
 def test_growth_demand_conflicts_with_contraction():
     report = regime_report(make_problem(2.0, 0.3, n=512))
     assert report.growth > 1.0
@@ -322,17 +331,75 @@ def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
     points = solver._points
     monkeypatch.setattr(solver, "_points", lambda *args: stacked.append(args) or points(*args))
     run_demo(prob, SolverConfig(tol=1e-8, max_iter=200), report)
-    assert report.solver["converged"] and report.solver["iterations"] <= DEMO_ORBIT_LEN
-    # T maps the certificate's orbit (DEMO_ORBIT_LEN + 2 steps) and then f0
-    # once more, for the solver's check of the orbit's row 1; the solver's
-    # residual maps the fixed point, and the demo's residual reads it
-    assert len(applied) == DEMO_ORBIT_LEN + 4
+    assert report.solver["converged"] and report.solver["iterations"] <= 13
+    # the certificate maps f0 once for its d1 = ||d(f0, T f0)||, whose
+    # a-priori step count to 1e-8 is L = 12; T maps its orbit (L + 2 steps)
+    # and then f0 once more, for the solver's check of the orbit's row 1;
+    # the solver's residual maps the fixed point, and the demo's residual
+    # reads it: L + 5 applications
+    assert len(applied) == 17
     # one paired evaluation of the orbit's steps in the certificate, one of
-    # their reverse order in the solve, and the residual pair one pair at a
-    # time; the solver stacks no point again
+    # their reverse order in the solve, and the certificate's d1 and the
+    # residual pair one pair at a time; the solver stacks no point again
     assert len(paired) == 2
-    assert len(one_pair_calls) == 2
+    assert len(one_pair_calls) == 3
     assert stacked == []
     assert not report.solution.flags.writeable
     assert report.solution.shape == prob.grid.shape
     assert np.max(np.abs(report.solution)) == report.solver["fixed_point_sup"]
+
+
+def _full_orbit_certificate(prob, tol):
+    """The demo's certificate on the capped orbit, whatever the tol."""
+    metric = problem_metric(prob)
+    a = codomain_scalar(metric, math.sqrt(contraction_rate(prob.alpha, prob.k)))
+    return contraction.verify_orbital_type(integral.integral_operator(prob), metric, a,
+                                           prob.f0, DEMO_ORBIT_LEN)
+
+
+@settings(max_examples=examples(40), deadline=None)
+@given(rate=st.floats(0.10, 0.45), k=st.floats(1.0, 6.0), n=st.integers(64, 512),
+       kind=st.sampled_from(QuadratureKind))
+def test_the_demo_certifies_every_step_its_solve_walks(rate, k, n, kind):
+    # the benchmark decks' rates and k, at small grids: the solve stops
+    # inside the estimate-sized orbit, and the demo's report and solution
+    # are those of a solve under the capped orbit
+    rk = math.sqrt(k)
+    prob = make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
+    cfg = SolverConfig(tol=1e-9, max_iter=200)
+    cert = integral.demo_certificate(prob, cfg.tol)
+    assert 3 <= cert.samples_checked <= DEMO_ORBIT_LEN + 1
+    report = run_demo(prob, cfg)
+    assert report.solver["fixed_point_certified"]
+    assert report.solver["iterations"] <= cert.samples_checked
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integral, "demo_certificate", _full_orbit_certificate)
+        full = run_demo(prob, cfg)
+    assert json.dumps(report.to_json_dict()) == json.dumps(full.to_json_dict())
+    assert report.solution.tobytes() == full.solution.tobytes()
+
+
+@pytest.mark.parametrize("alpha, k, f0", [
+    (0.5, 2.0, np.zeros(64)),        # f0 is the fixed point: d1 = 0
+    (0.5, 2.0, np.full(64, 1e-12)),  # d1 <= tol
+    (1e-300, 1e300, None),           # the rate underflows to 0: no ln r
+], ids=["fixed", "close", "zero-rate"])
+def test_the_orbit_is_shortest_when_no_step_follows_d1(alpha, k, f0):
+    prob = make_problem(alpha, k, n=64, f0=f0)
+    cert = integral.demo_certificate(prob, 1e-9)
+    # orbit length 2: 5 rows, 4 steps, 3 samples
+    assert cert.samples_checked == 3 and len(cert.orbit.points) == 5
+    assert run_demo(prob, SolverConfig(tol=1e-9)).solver["fixed_point_certified"]
+
+
+def test_a_slow_demo_caps_its_orbit_and_maps_past_it():
+    # rate 0.6 under the log-midpoint rule needs more steps to 1e-9 than the
+    # cap: the solve walks the capped orbit, then maps on, still certified
+    prob = make_problem(0.7639437268410976, 1.0, n=512,
+                        quadrature=QuadratureKind.MIDPOINT_LOG)
+    assert contraction_rate(prob.alpha, prob.k) == pytest.approx(0.6)
+    cert = integral.demo_certificate(prob, 1e-9)
+    assert cert.samples_checked == DEMO_ORBIT_LEN + 1
+    report = run_demo(prob, SolverConfig(tol=1e-9, max_iter=200))
+    assert report.solver["iterations"] == 39
+    assert report.solver["fixed_point_certified"]

@@ -89,7 +89,7 @@ def test_fixed_seed_returns_in_one_iteration(sandwich_cert):
     assert report.residual_backward == 0.0
 
 
-def test_orbital_run_accepts_through_the_lsc_gate():
+def test_orbital_run_is_certified_on_its_forward_residual_alone():
     cert = verify_orbital_type(piecewise_quarter(), scalar_backward_one(),
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     report = picard_solve(piecewise_quarter(), scalar_backward_one(), 1.0,
@@ -422,7 +422,7 @@ def test_solver_lsc_verdict_is_orbital_lsc_check(map_name, metric, seed, max_ite
         list(report.trace.points), report.fixed_point, map_spec, metric, tol)
 
 
-def test_solver_lsc_gate_fails_after_a_jump():
+def test_solver_lsc_check_fails_after_a_jump():
     # 1, 0.7, 0.4, 0.1, -0.2: G falls to 0.3 and jumps to 1 at the last point
     report = picard_solve(DROP, scalar_backward_one(), 1.0,
                           _certificate(Regime.ORBITAL, scalar_backward_one()),
@@ -435,7 +435,7 @@ def test_solver_lsc_gate_fails_after_a_jump():
 def test_a_global_verdict_reads_the_backward_residual():
     # x -> x/4 converges at x_N = 4^-18, whose image jumps up by 2e-10: under
     # mat2-split-scaled(0.25) the forward residual is a quarter of it and the
-    # backward one all of it, so the lsc gate holds but a global certificate
+    # backward one all of it, so the lsc check holds but a global certificate
     # cannot certify x_N
     jump = MapSpec("jump-up", lambda x: x / 4.0 if x > 3e-11 else x + 2e-10)
     metric = mat2_split_scaled(0.25)
@@ -445,6 +445,37 @@ def test_a_global_verdict_reads_the_backward_residual():
     assert report.converged and report.iterations == 18 and report.lsc_check
     assert report.residual_forward <= cfg.tol < report.residual_backward
     assert not report.fixed_point_certified
+
+
+# x -> x/4 down to 4^-18 < 3e-11, whose image jumps up: under
+# scalar-backward-one the forward residual is then 1
+JUMP_UP = MapSpec("jump-up", lambda x: x / 4.0 if x > 3e-11 else x + 2e-10)
+
+
+@pytest.mark.parametrize("regime, map_spec, metric, max_iter, fails", [
+    (Regime.ORBITAL, linear_quarter(), scalar_backward_one(), 17, "converged"),
+    (Regime.ORBITAL, JUMP_UP, scalar_backward_one(), 40, "forward"),
+    (Regime.FORWARD_GLOBAL, JUMP_UP, mat2_split_scaled(0.25), 40, "backward"),
+    (Regime.ORBITAL, linear_quarter(), scalar_backward_one(), 40, None),
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), 40, None),
+], ids=["unconverged", "forward-residual", "backward-residual", "orbital", "global"])
+def test_each_conjunct_of_the_verdict_can_void_it(regime, map_spec, metric, max_iter,
+                                                   fails):
+    # the verdict is: converged, forward residual <= tol and, under a global
+    # regime, backward residual <= tol.  Each voiding case fails exactly one
+    # conjunct; the orbital case holds with a backward residual of 1, and
+    # the global one with both
+    cfg = SolverConfig(tol=1e-10, max_iter=max_iter)
+    report = picard_solve(map_spec, metric, 1.0, _certificate(regime, metric), cfg)
+    held = {"converged": report.converged,
+            "forward": report.residual_forward <= cfg.tol,
+            "backward": regime is Regime.ORBITAL or report.residual_backward <= cfg.tol}
+    assert [name for name, ok in held.items() if not ok] == ([fails] if fails else [])
+    assert report.fixed_point_certified is (fails is None)
+    # a forward residual within tol passes the lsc check, so it gates nothing
+    assert report.lsc_check or not held["forward"]
+    if regime is Regime.ORBITAL and fails is None:
+        assert report.residual_backward == 1.0
 
 
 def test_a_global_envelope_reads_the_reverse_order():
@@ -511,13 +542,15 @@ def _with_and_without_orbit(map_spec, metric, seed, cert, cfg):
     return runs
 
 
-def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID):
+def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID, tol=1e-300):
     """The demo problem of contraction rate ``rate``, its operator, metric
-    and seed, and its orbital certificate."""
+    and seed, and its orbital certificate for a solve to ``tol``; the
+    default tol is far below a step count of ``DEMO_ORBIT_LEN``, so the
+    orbit has the capped length."""
     rk = math.sqrt(k)
     prob = integral.make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
     return (prob, integral.integral_operator(prob), integral.problem_metric(prob),
-            prob.f0, integral.demo_certificate(prob))
+            prob.f0, integral.demo_certificate(prob, tol))
 
 
 def _assert_the_orbit_was_used(cert, runs, max_iter):
@@ -537,7 +570,8 @@ def _assert_the_orbit_was_used(cert, runs, max_iter):
        max_iter=st.sampled_from([1, 5, 31, 32, 33, 200]))
 def test_the_demo_solve_is_the_same_with_and_without_the_checked_orbit(
         rate, k, n, kind, tol, max_iter):
-    _, op, metric, f0, cert = _demo_parts(rate, k, n, kind)
+    # the certificate is sized for this solve's tol, as the demo sizes it
+    _, op, metric, f0, cert = _demo_parts(rate, k, n, kind, tol)
     assume(cert.valid)
     cfg = SolverConfig(max_iter=max_iter, tol=tol)
     _assert_the_orbit_was_used(cert, _with_and_without_orbit(op, metric, f0, cert, cfg),
