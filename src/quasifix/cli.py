@@ -470,7 +470,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     map_spec = _build_map(args.map)
     regime = _REGIMES[args.regime]
     points = None
-    if regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
+    if regime.is_global:
         points = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
     if args.search:
         cert = search_scalar_coefficient(

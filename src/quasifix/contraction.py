@@ -29,8 +29,9 @@ tol (1 + ||rhs||_op), or 0 where that overflows.  ``verify`` is the one
 dispatch over regimes; ``search_scalar_coefficient`` reuses the tables
 across all its bisection attempts.  ``samples_checked`` and the order and
 fields of the violations are those of a sample-by-sample loop.  An orbital
-certificate keeps the orbit it checked, its stack and its step payloads,
-in memory for the solver (``CheckedOrbit``); they are not part of its JSON.
+certificate keeps the orbit it checked, its map, its stack and its step
+payloads, in memory for the solver (``CheckedOrbit``); they are not part of
+its JSON.
 
 For a = c I on a catalog codomain the check is componentwise (every value
 is diagonal, sampled or scalar) and monotone in u = c^2 (u = c for
@@ -71,9 +72,9 @@ from .maps import MapSpec
 from .metrics import (
     MetricSpec,
     _component_table,
-    _orbit_stack,
     _paired_on,
     _payloads,
+    _points,
     _require_tol,
     _rows,
     codomain_scalar,
@@ -115,13 +116,23 @@ class Regime(Enum):
     ORBITAL = "orbital"
     TWO_STEP = "two-step"
 
+    @property
+    def is_global(self) -> bool:
+        """Whether the regime checks every ordered pair of a point set and
+        promises convergence in both argument orders; the orbit regimes
+        (orbital, two-step) check one orbit and promise forward convergence
+        only."""
+        return self in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
+
 
 @dataclass(frozen=True, eq=False)
 class CheckedOrbit:
-    """The orbit an orbital certificate checked: ``points`` is its validated
-    stack (row 0 the seed, one row per point) and ``steps[i]`` the payload
-    of d(o_i, o_(i+1)) in ``metric``.  Both arrays are read-only."""
+    """The orbit an orbital certificate checked: ``map_spec`` is the map
+    object that walked it, ``points`` its validated stack (row 0 the seed,
+    one row per point) and ``steps[i]`` the payload of d(o_i, o_(i+1)) in
+    ``metric``.  Both arrays are read-only."""
 
+    map_spec: MapSpec
     metric: MetricSpec
     points: np.ndarray
     steps: np.ndarray
@@ -138,9 +149,10 @@ class ContractionCertificate:
 
     An orbital certificate that ``verify`` or the search built also keeps,
     in memory only, the orbit it checked (``orbit``), which
-    ``solver.picard_solve`` takes as known iterates.  ``orbit`` is outside
-    the JSON contract: ``to_json_dict`` leaves it out, and a certificate
-    read back from JSON has none.
+    ``solver.picard_solve`` takes as known iterates under the map object
+    that walked it.  ``orbit`` is outside the JSON contract:
+    ``to_json_dict`` leaves it out, and a certificate read back from JSON
+    has none.
     """
 
     regime: Regime
@@ -199,9 +211,6 @@ def _point_json(p: Any) -> Any:
     return float(p) if isinstance(p, float) or np.isscalar(p) else p
 
 
-_GLOBAL = (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
-
-
 def _gate(regime: Regime, metric: MetricSpec,
           a: AlgebraElement) -> tuple[NormKind, float]:
     """The regime's admissibility gates on ``a``.
@@ -240,18 +249,20 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     the n ``points`` of a global regime, sample i n + j is (x_i, x_j), and
     lhs and base are the metric's table form (``metrics._component_table``)
     on the images and on the points, base transposed for the backward
-    regime, flattened to n^2 payloads.  On an orbit o, stacked as it is
-    made (``metrics._orbit_stack``), sample i is (o[i], o[i+1]): ``lhs[i]``
-    = d(o[i+1], o[i+2]) and the orbital ``base[i]`` = d(o[i], o[i+1]) are
-    one paired evaluation of the steps, shifted by one; two-step evaluates
-    its base d(o[i], o[i+2]) apart.  An empty point set raises
-    ``ValueError``, as an orbit shorter than two steps does.  The distances
+    regime, flattened to n^2 payloads.  An orbit o is walked by
+    ``MapSpec.orbit`` and then stacked and checked by ``metrics._points``,
+    so a bad point raises what the point check raises for it.  Sample i of
+    an orbit is (o[i], o[i+1]): ``lhs[i]`` = d(o[i+1], o[i+2]) and the
+    orbital ``base[i]`` = d(o[i], o[i+1]) are one paired evaluation of the
+    steps, shifted by one; two-step evaluates its base d(o[i], o[i+2])
+    apart.  An empty point set raises ``ValueError``, as an orbit shorter
+    than two steps does.  The distances
     must live in the space of ``like`` (the coefficient), as ``mul`` and
     ``leq`` require: its realization is the metric's codomain, and a
     sampled one lies on the metric's element grid.
     """
     orbit = None
-    if regime in _GLOBAL:
+    if regime.is_global:
         if points is None:
             raise ValueError("global regimes need sample points")
         stack, base = _component_table(metric, points)
@@ -268,11 +279,11 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
             raise ValueError("orbital regimes need a seed point")
         if orbit_len < 2:
             raise ValueError("orbit_len must be at least 2")
-        stack = _orbit_stack(metric, map_spec.fn, seed, orbit_len + 2)
+        stack = _points(metric, map_spec.orbit(seed, orbit_len + 2))
         if regime is Regime.ORBITAL:
             steps = _paired_on(metric, stack, slice(None, -1), slice(1, None))
             lhs, base = steps[1:], steps[:-1]
-            orbit = CheckedOrbit(metric, stack, steps)
+            orbit = CheckedOrbit(map_spec, metric, stack, steps)
         else:
             lhs = _paired_on(metric, stack, slice(1, -1), slice(2, None))
             base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
@@ -386,7 +397,7 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     rhs_norms = algebra.batch_norm(a.realization, _sandwich(regime, a, base[bad]),
                                    metric.norm).tolist()
     # the (x, y) of the failing samples only, as JSON values
-    xs, ys = np.divmod(bad, len(stack)) if regime in _GLOBAL else (bad, bad + 1)
+    xs, ys = np.divmod(bad, len(stack)) if regime.is_global else (bad, bad + 1)
     violations = tuple(
         {"x": x, "y": y, "lhs_norm": ln, "rhs_norm": rn}
         for x, y, ln, rn in zip(stack[xs].tolist(), stack[ys].tolist(),
@@ -394,7 +405,7 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     return ContractionCertificate(
         regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
         samples_checked=len(lhs), violations=violations,
-        seed_point=None if regime in _GLOBAL else seed, h=h,
+        seed_point=None if regime.is_global else seed, h=h,
         h_norm=None if h is None else norm(h, NormKind.OPERATOR),
         map_name=map_spec.name, metric_name=metric.name, orbit=orbit)
 

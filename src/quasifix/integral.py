@@ -25,8 +25,9 @@ quadrature weights and the kernel's denominator y^2 + k on the grid follow
 on first use.  Problems, like specs, compare by identity.
 
 The demo maps the orbit of f0 once: the orbital certificate keeps the
-orbit it checked, in memory and not in its JSON, and ``picard_solve`` takes
-its rows as a prefix of known iterates.  The orbit is as long as the
+orbit it checked and the operator object that walked it, in memory and not
+in its JSON, and ``picard_solve``, run under that operator, takes the
+orbit's rows as a prefix of known iterates.  The orbit is as long as the
 Picard theorem's a-priori estimate says the solve walks, up to a cap
 (``demo_certificate``); a solve that runs past it maps on, so no verdict
 rests on the estimate.  The report keeps the fixed point for
@@ -286,7 +287,8 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
 
 def demo_certificate(prob: IntegralProblem, tol: float) -> ContractionCertificate:
     """Orbital certificate for the demo orbit with coefficient sqrt(rate) * I;
-    it keeps the orbit of f0 that it checked, for the solve.
+    it keeps the orbit of f0 that it checked and the operator that walked
+    it, for the solve.
 
     The orbit is as long as a solve to tolerance ``tol`` walks: with
     d1 = ||d(f0, T f0)|| in the metric's norm and r = rate = ||a||^2, step
@@ -313,9 +315,10 @@ def run_demo(prob: IntegralProblem,
              report: DemoReport | None = None) -> DemoReport:
     """Certify, solve, and verify the discretized equation residual.
 
-    The solve starts from the orbit the certificate checked (see the module
-    docstring).  ``report`` is the problem's ``regime_report`` when the
-    caller has it already; it is completed in place and returned.
+    The solve runs under the operator that walked the certificate's orbit,
+    and starts from that orbit (see the module docstring).  ``report`` is
+    the problem's ``regime_report`` when the caller has it already; it is
+    completed in place and returned.
     """
     if report is None:
         report = regime_report(prob)
@@ -324,8 +327,7 @@ def run_demo(prob: IntegralProblem,
             f"rate {report.rate:.6f} is not below 1 for "
             f"alpha={prob.alpha}, k={prob.k}")
     cert = demo_certificate(prob, cfg.tol)
-    solved: SolverReport = picard_solve(integral_operator(prob),
-                                        problem_metric(prob),
+    solved: SolverReport = picard_solve(cert.orbit.map_spec, problem_metric(prob),
                                         prob.f0, cert, cfg)
     fstar = np.asarray(solved.fixed_point)
     fstar.setflags(write=False)

@@ -14,7 +14,7 @@ contraction certificates (a point set against itself) and, through
 sequence, and a sequence's tail against itself) and the solver's observed
 tails, in either norm kind.  The paired form, ``paired_payloads``, gives
 the payloads of d(x_i, y_i) for two equally long point lists; it serves
-the orbit certificates, the solver's step pairs and the
+the orbit certificates, the solver's step and residual pairs and the
 lower-semicontinuity probe.  ``eval_metric`` is the
 paired form on one pair.  The axiom checker sweeps positivity, identity of
 indiscernibles, and the triangle inequality (in the metric's declared
@@ -40,8 +40,8 @@ identity: two specs built alike are equal only when they are one object.
 The ``mult-op`` kernel writes each symbol into its array of differences,
 so a pair's symbol takes one float array of its n samples (and a mask of n
 bools), and the sampled operator norm (``algebra.batch_norm``) takes no
-n-sized array.  An orbit goes into one validated stack as it is mapped
-(``_orbit_stack``), and paired evaluations and the solver's observed tails
+n-sized array.  An orbit is checked once, as one validated stack
+(``_points``), and paired evaluations and the solver's observed tails
 (``_tail_norms``, both orders) run on such stacks without stacking them
 again.
 """
@@ -336,32 +336,6 @@ def _points(spec: MetricSpec, points: Any) -> np.ndarray:
     return pts
 
 
-def _orbit_stack(spec: MetricSpec, step: Callable[[Any], Any], seed: Any,
-                 length: int) -> np.ndarray:
-    """The ``_points`` stack of the orbit seed, step(seed), ...,
-    step^length(seed), with each point written into its row as it is made
-    instead of collected in a list and stacked after.  ``step`` gets the
-    point it returned last, as ``MapSpec.orbit`` hands it on; the first bad
-    point raises what ``_points`` raises for it.
-    """
-    shape = spec.grid.shape if spec.name == MULT_OP else ()
-    stack = np.empty((length + 1,) + shape)
-    x = seed
-    for i in range(length + 1):
-        if i:
-            x = step(x)
-        try:
-            row = np.asarray(x, dtype=float)
-        except (TypeError, ValueError):  # ragged, or not numeric
-            row = None
-        if row is None or row.shape != shape:
-            _points(spec, [*stack[:i], x])  # raises for the first bad point
-        stack[i] = row
-    if not np.isfinite(stack).all():
-        _points(spec, list(stack))  # raises for the first point that is not finite
-    return stack
-
-
 def _rows(stack: np.ndarray) -> list:
     """The points of a stack one by one: floats for the real points, and
     views of its rows for functions."""
@@ -438,8 +412,8 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
 
 def _paired_on(spec: MetricSpec, pts: np.ndarray, xs: slice, ys: slice) -> np.ndarray:
     """``paired_payloads`` of two equally long slices of ``pts``, a stack of
-    validated points (what ``_points`` or ``_orbit_stack`` returns), which
-    is not checked or copied again."""
+    validated points (what ``_points`` returns), which is not checked or
+    copied again."""
     return _payloads(spec.codomain, _kernel(spec, pts[xs], pts[ys]))
 
 
@@ -461,9 +435,9 @@ def _tail_norms(spec: MetricSpec, stack: np.ndarray,
                 kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
     """Norms in ``kind`` of d(p, q) and of d(q, p) for q the last row of
     ``stack`` and every row p before it, in row order.  ``stack`` holds
-    validated points (a ``_points`` or ``_orbit_stack`` result, or a slice
-    of one), which are not stacked again.  The values are the column and
-    the row of ``distance_norm_table`` for those points, bit for bit."""
+    validated points (a ``_points`` result, or a slice of one), which are
+    not stacked again.  The values are the column and the row of
+    ``distance_norm_table`` for those points, bit for bit."""
     before, last = stack[:-1], stack[-1]
     return (_norms(spec, _kernel(spec, before, last), kind),
             _norms(spec, _kernel(spec, last, before), kind))

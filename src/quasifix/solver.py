@@ -25,31 +25,30 @@ reported as evidence and gates nothing: a forward residual within
 tolerance already passes it, since every tail norm is at least 0.
 
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
-first is the envelope's d1) is one paired evaluation with one batched norm.
-The observed tails d(x_p, x_N) and d(x_N, x_p) come from one validated
-stack of the orbit: the column and the row of
-``metrics.distance_norm_table`` at x_N.  All of these are the values of
-``norm`` bit for bit.  The residual pair at the final point is two one-pair
-``eval_metric`` values of a fresh ``T x_N``.  The lower-semicontinuity check
-reads G from the step list: G(x_i) = d(x_i, x_{i+1}) is the i-th forward
-step for i < N, and G(x_N) is the forward residual, so the check applies T
-to no point again.
+first is the envelope's d1), and the residual pair of the final point and a
+fresh ``T x_N``, is one paired evaluation with one batched norm.  The
+observed tails d(x_p, x_N) and d(x_N, x_p) come from one validated stack of
+the orbit: the column and the row of ``metrics.distance_norm_table`` at
+x_N.  All of these are the values of ``norm(eval_metric(...))`` bit for
+bit.  The lower-semicontinuity check reads G from the step list:
+G(x_i) = d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is
+the forward residual, so the check applies T to no point again.
 
 An orbital certificate from ``contraction.verify`` (or the search) keeps
-the orbit it checked in memory: its validated stack and its forward step
-payloads d(o_i, o_{i+1}) (``contraction.CheckedOrbit``; not part of the
-certificate's JSON, so a certificate read from a file has none).  When the
-solve starts from that orbit's seed, bit for bit, under the same metric
-spec object, and ``T(seed)`` is its row 1 bit for bit, the solve takes the
-orbit as a prefix before its one mapping loop.  The regime is forward-only,
-so the prefix ends at the first stored forward norm at or below tolerance
-(or at ``max_iter``, or at the last row).  Its forward norms and d1 come
-from the stored payloads, its reverse steps from one paired evaluation, and
-a solve that stops inside it reads its tails from a view of the stack.
-These are the payloads the step pairs would give, so the report is the
-same as without the orbit.  The residual still applies T afresh, so a row
-that T does not map to the next one cannot certify a point that T does not
-fix.
+the orbit it checked in memory: the map object that walked it, its
+validated stack and its forward step payloads d(o_i, o_{i+1})
+(``contraction.CheckedOrbit``; not part of the certificate's JSON, so a
+certificate read from a file has none).  The orbital condition holds on
+the orbit of the map that was checked, so the orbit is taken only under
+that map object and that metric spec object (a map or spec built alike is
+another object), from a seed equal to its row 0 bit for bit.  The solve
+then takes the orbit as a prefix before its one mapping loop.  The regime
+is forward-only, so the prefix ends at the first stored forward norm at or
+below tolerance (or at ``max_iter``, or at the last row).  Its forward
+norms and d1 come from the stored payloads, its reverse steps from one
+paired evaluation, and a solve that stops inside it reads its tails from a
+view of the stack.  These are the payloads the step pairs would give, so
+the report is the same as without the orbit.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ from .metrics import (
     _rows,
     _tail_norms,
     distance_norm_table,
-    eval_metric,
 )
 
 
@@ -203,25 +201,27 @@ def _certificate_rate(cert: ContractionCertificate) -> float:
     return norm(cert.a, NormKind.OPERATOR) ** 2
 
 
-#: The regimes that promise forward convergence only.
-_FORWARD_ONLY = (Regime.ORBITAL, Regime.TWO_STEP)
-
-
 def _checked_orbit(map_spec: MapSpec, metric: MetricSpec, seed: Any,
                    cert: ContractionCertificate) -> CheckedOrbit | None:
     """The orbit the certificate checked, when the solve may take its rows
     as known iterates: under a forward-only regime (the loop then stops on
-    forward steps alone), in the same metric spec object (specs compare by
-    identity; a spec rebuilt alike is another), from a seed equal to its row 0
-    bit for bit, whose image ``map_spec.apply(seed)`` equals its row 1 bit
-    for bit.  Otherwise None, and the solve maps every iterate itself."""
+    forward steps alone), under the map object that walked it and the
+    metric spec object that checked it, from a seed equal to its row 0 bit
+    for bit.  Otherwise None, and the solve maps every iterate itself.  No
+    map is applied here."""
     orbit = cert.orbit
-    if (orbit is None or cert.regime not in _FORWARD_ONLY
-            or orbit.metric is not metric
-            or not _same_bits(seed, orbit.points[0])
-            or not _same_bits(map_spec.apply(seed), orbit.points[1])):
+    if (orbit is None or cert.regime.is_global
+            or orbit.map_spec is not map_spec or orbit.metric is not metric
+            or not _same_bits(seed, orbit.points[0])):
         return None
     return orbit
+
+
+def _step_pair(metric: MetricSpec, x: Any, y: Any) -> np.ndarray:
+    """The payloads of d(x, y) and d(y, x): one stack, one paired
+    evaluation."""
+    return _paired_on(metric, _points(metric, [x, y]), slice(None),
+                      slice(None, None, -1))
 
 
 def _same_bits(point: Any, row: np.ndarray) -> bool:
@@ -243,11 +243,11 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     the lower-semicontinuity check at the final point, and reports whether
     the fixed point is certified under the certificate's regime.  The orbit
     the certificate checked comes first, as a prefix of known iterates, when
-    it starts at ``seed`` under this map and metric; then one loop maps on
-    from the last known point, which is ``seed`` when there is no orbit (see
-    the module docstring).  The report is the same as without the orbit.  A
-    certificate with violations or of no sample is refused with
-    ``CertificateInvalid``.
+    it starts at ``seed`` under the map and metric objects that checked it;
+    then one loop maps on from the last known point, which is ``seed`` when
+    there is no orbit (see the module docstring).  The report is the same as
+    without the orbit.  A certificate with violations or of no sample is
+    refused with ``CertificateInvalid``.
     """
     if not cert.valid:
         raise CertificateInvalid(
@@ -258,7 +258,7 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     if rate >= 1.0:
         raise RateNotLessThanOne(f"certificate rate {rate:.6f} is not below 1")
     display = metric.norm
-    forward_only = cert.regime in _FORWARD_ONLY
+    forward_only = not cert.regime.is_global
 
     # the checked orbit as a prefix: forward-only, so the first forward norm
     # at or below tol, which the stored payloads give, ends the solve there
@@ -280,8 +280,7 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     while not converged and len(fwd_steps) < cfg.max_iter:
         current = points[-1]
         nxt = map_spec.apply(current)
-        pair = _paired_on(metric, _points(metric, [current, nxt]),
-                          slice(None), slice(None, None, -1))
+        pair = _step_pair(metric, current, nxt)
         fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
         if not fwd_steps:  # the envelope's d1, in both orders
             d1 = pair
@@ -292,9 +291,9 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
 
     fixed_point = points[-1]
     iterations = len(points) - 1
-    after = map_spec.apply(fixed_point)
-    residual_forward = norm(eval_metric(metric, fixed_point, after), display)
-    residual_backward = norm(eval_metric(metric, after, fixed_point), display)
+    residual_forward, residual_backward = batch_norm(
+        metric.codomain, _step_pair(metric, fixed_point, map_spec.apply(fixed_point)),
+        display).tolist()
 
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised

@@ -850,7 +850,8 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
         assert orbit is None
         return
     stack = np.array(map_spec.orbit(seed, orbit_len + 2), dtype=float)
-    assert orbit.metric is metric and orbit.points.tobytes() == stack.tobytes()
+    assert orbit.map_spec is map_spec and orbit.metric is metric
+    assert orbit.points.tobytes() == stack.tobytes()
     assert orbit.steps.tobytes() == metrics.paired_payloads(
         metric, list(stack[:-1]), list(stack[1:])).tobytes()
     assert not orbit.points.flags.writeable and not orbit.steps.flags.writeable
@@ -870,15 +871,21 @@ _BAD_ORBITS = {  # a metric and an orbit (seed first) with a bad point in it
 }
 
 
+@pytest.mark.parametrize("regime", [Regime.ORBITAL, Regime.TWO_STEP])
 @pytest.mark.parametrize("metric, orbit", _BAD_ORBITS.values(), ids=_BAD_ORBITS.keys())
-def test_an_orbit_stack_raises_what_the_point_check_raises(metric, orbit):
-    # the stack checks the points as it fills its rows; its error is that of
-    # checking the whole orbit at once
+def test_an_orbit_stack_raises_what_the_point_check_raises(metric, orbit, regime):
+    # the tables walk the orbit, then check it as one stack: the error is
+    # that of checking the whole orbit at once.  The shortest orbit the
+    # tables take has 5 points, so a shorter one repeats its last point
+    orbit_len = max(2, len(orbit) - 3)
+    walked = orbit + orbit[-1:] * (orbit_len + 3 - len(orbit))
     with pytest.raises(Exception) as want:
-        metrics._points(metric, orbit)
-    images = iter(orbit[1:])
+        metrics._points(metric, walked)
+    images = iter(walked[1:])
+    map_spec = MapSpec("listed", lambda x: next(images))
     with pytest.raises(want.type, match=re.escape(str(want.value))):
-        metrics._orbit_stack(metric, lambda x: next(images), orbit[0], len(orbit) - 1)
+        contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
+                            None, walked[0], orbit_len)
 
 
 @pytest.mark.parametrize("regime, evaluations", [(Regime.ORBITAL, 1),

@@ -333,17 +333,19 @@ def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
     run_demo(prob, SolverConfig(tol=1e-8, max_iter=200), report)
     assert report.solver["converged"] and report.solver["iterations"] <= 13
     # the certificate maps f0 once for its d1 = ||d(f0, T f0)||, whose
-    # a-priori step count to 1e-8 is L = 12; T maps its orbit (L + 2 steps)
-    # and then f0 once more, for the solver's check of the orbit's row 1;
-    # the solver's residual maps the fixed point, and the demo's residual
-    # reads it: L + 5 applications
-    assert len(applied) == 17
+    # a-priori step count to 1e-8 is L = 12, and T maps its orbit (L + 2
+    # steps); the solve runs under the operator that walked the orbit, so it
+    # takes the orbit without mapping f0 again; the solver's residual maps
+    # the fixed point, and the demo's residual reads it: L + 4 applications
+    assert len(applied) == 16
     # one paired evaluation of the orbit's steps in the certificate, one of
-    # their reverse order in the solve, and the certificate's d1 and the
-    # residual pair one pair at a time; the solver stacks no point again
-    assert len(paired) == 2
-    assert len(one_pair_calls) == 3
-    assert stacked == []
+    # their reverse order in the solve and one of the residual pair; only
+    # the certificate's d1 is one pair at a time; the solver stacks only the
+    # residual pair, the fixed point and its image, and no orbit point again
+    assert len(paired) == 3
+    assert len(one_pair_calls) == 1
+    assert len(stacked) == 1 and len(stacked[0][1]) == 2
+    assert np.array_equal(stacked[0][1][0], report.solution)
     assert not report.solution.flags.writeable
     assert report.solution.shape == prob.grid.shape
     assert np.max(np.abs(report.solution)) == report.solver["fixed_point_sup"]

@@ -342,14 +342,16 @@ def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
     report = picard_solve(_counted(map_spec, applied), metric, seed,
                           _certificate(regime, metric), SolverConfig(tol=1e-10))
     assert report.converged and report.iterations > 2
-    # one paired evaluation for the step pair of every iteration, and the
-    # residual pair one pair at a time; the tails and d1 are not evaluated
-    # again, and the LSC gate reads the steps
+    # one paired evaluation for the step pair of every iteration and one for
+    # the residual pair, and no one-pair call; the tails and d1 are not
+    # evaluated again, and the LSC gate reads the steps
     x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
-    assert len(one_pair_calls) == 2
-    for (_, x, y), pair in zip(one_pair_calls, [(x_n, after), (after, x_n)]):
-        assert np.array_equal((x, y), pair)
-    assert len(paired) == report.iterations
+    assert one_pair_calls == []
+    assert len(paired) == report.iterations + 1
+    _, stack, xs, ys = paired[-1]
+    assert np.array_equal(stack, [x_n, after])
+    assert np.array_equal(stack[xs], [x_n, after])
+    assert np.array_equal(stack[ys], [after, x_n])
     assert len(applied) == report.iterations + 1
 
 
@@ -389,6 +391,30 @@ def test_step_and_residual_norms_are_the_reference_norms(metric, kind, slope, sh
         [reference_distance_norm(metric, p, x_n, op).hex() for p in pts[:-1]]
     assert [v.hex() for v in report.observed_tail_rev] == \
         [reference_distance_norm(metric, x_n, p, op).hex() for p in pts[:-1]]
+
+
+@pytest.mark.parametrize("metric",
+                         SOLVE_METRICS + [reversed_metric(m) for m in SOLVE_METRICS],
+                         ids=lambda m: m.name + ("-reversed" if m.swap_args else ""))
+@settings(max_examples=examples(25), deadline=None)
+@given(kind=st.sampled_from(NormKind), slope=st.floats(-2.0, 2.0),
+       shift=st.floats(-1.0, 1.0), seed=SOLVE_SEED, max_iter=st.integers(1, 6))
+def test_the_residual_pair_is_the_one_pair_evaluation(metric, kind, slope, shift, seed,
+                                                      max_iter):
+    # the residual pair is one paired evaluation with one batched norm, and
+    # its values are those of eval_metric and norm, one pair at a time, in
+    # both orders; slopes above 1 leave the last point unconverged
+    metric = replace(metric, norm=kind)
+    map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    if metric.name == "mult-op":
+        seed = seed * FN_GRID
+    report = picard_solve(map_spec, metric, seed,
+                          _certificate(Regime.FORWARD_GLOBAL, metric),
+                          SolverConfig(max_iter=max_iter, tol=1e-10))
+    x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
+    for got, (x, y) in [(report.residual_forward, (x_n, after)),
+                        (report.residual_backward, (after, x_n))]:
+        assert got.hex() == norm(eval_metric(metric, x, y), kind).hex()
 
 
 JUMP = MapSpec("jump-half", lambda x: x / 2.0 if x > 0 else 1.0)
@@ -533,33 +559,39 @@ def _hexed(value):
 
 def _with_and_without_orbit(map_spec, metric, seed, cert, cfg):
     """The hexed JSON report, the report and the applications of T, of the
-    solve under ``cert`` and under ``cert`` without its orbit."""
+    solve under ``cert`` and under ``cert`` without its orbit.  The orbit is
+    taken only under the map object that walked it, so the applications
+    are counted on the class, not through a wrapping map."""
     runs = []
+    apply = MapSpec.apply
     for c in (cert, replace(cert, orbit=None)):
         applied = []
-        report = picard_solve(_counted(map_spec, applied), metric, seed, c, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MapSpec, "apply",
+                       lambda self, x: applied.append(x) or apply(self, x))
+            report = picard_solve(map_spec, metric, seed, c, cfg)
         runs.append((_hexed(report.to_json_dict()), report, len(applied)))
     return runs
 
 
 def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID, tol=1e-300):
-    """The demo problem of contraction rate ``rate``, its operator, metric
-    and seed, and its orbital certificate for a solve to ``tol``; the
-    default tol is far below a step count of ``DEMO_ORBIT_LEN``, so the
-    orbit has the capped length."""
+    """The demo problem of contraction rate ``rate``, the operator its
+    certificate walked, its metric and seed, and its orbital certificate for
+    a solve to ``tol``; the default tol is far below a step count of
+    ``DEMO_ORBIT_LEN``, so the orbit has the capped length."""
     rk = math.sqrt(k)
     prob = integral.make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
-    return (prob, integral.integral_operator(prob), integral.problem_metric(prob),
-            prob.f0, integral.demo_certificate(prob, tol))
+    cert = integral.demo_certificate(prob, tol)
+    return (prob, cert.orbit.map_spec, integral.problem_metric(prob), prob.f0, cert)
 
 
 def _assert_the_orbit_was_used(cert, runs, max_iter):
-    """Both solves gave the same report; the one with the orbit applied T to
-    the seed (the check of row 1), past the known rows and at the residual."""
+    """Both solves gave the same report; the one with the orbit applied T
+    only past the known rows and at the residual."""
     (json_with, report, applied_with), (json_without, _, applied_without) = runs
     assert json_with == json_without
     known = min(len(cert.orbit.steps), max_iter)
-    assert applied_with == 2 + max(0, report.iterations - known)
+    assert applied_with == 1 + max(0, report.iterations - known)
     assert applied_without == report.iterations + 1
 
 
@@ -602,11 +634,11 @@ def test_gallery_orbital_certificates_give_the_same_solve(map_spec, metric, a, t
 
 def test_a_seed_of_the_other_sign_of_zero_is_not_the_checked_seed():
     # 0.0 and -0.0 are equal, but their orbits under x / 4 differ in sign
-    cert = verify_orbital_type(linear_quarter(), scalar_forward_one(), scalar(0.5),
-                               seed=0.0, orbit_len=30)
+    quarter, metric = linear_quarter(), scalar_forward_one()
+    cert = verify_orbital_type(quarter, metric, scalar(0.5), seed=0.0, orbit_len=30)
     cfg = SolverConfig(tol=1e-10)
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        linear_quarter(), scalar_forward_one(), -0.0, cert, cfg)
+        quarter, metric, -0.0, cert, cfg)
     assert json_with == json_without and applied == report.iterations + 1
     assert math.copysign(1.0, report.fixed_point) == -1.0
 
@@ -630,8 +662,8 @@ def test_a_max_iter_inside_the_checked_orbit_stops_there():
 
 
 def test_a_certificate_of_another_problem_is_not_taken_as_known_iterates():
-    # same grid and seed f0, another alpha: row 0 matches, row 1 does not
-    prob, _, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
+    # same grid and seed f0, another alpha: row 0 matches, the orbit does not
+    prob, op, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
     other = integral.make_problem(prob.alpha * 1.25, 2.0, n=64)
     assert np.array_equal(other.f0, f0)
     cfg = SolverConfig(tol=1e-8, max_iter=200)
@@ -639,47 +671,80 @@ def test_a_certificate_of_another_problem_is_not_taken_as_known_iterates():
         integral.integral_operator(other), integral.problem_metric(other), other.f0,
         cert, cfg)
     assert json_with == json_without
-    # the other problem's metric is another spec object, so the orbit is
-    # refused before T(f0) is formed for the check of its row 1
+    # the other problem's operator and metric are other objects, so the orbit
+    # is refused and every iterate is mapped
     assert applied == report.iterations + 1
-    # nor is the orbit of this problem in another metric, though the seed matches
+    # nor is the orbit of this problem taken under its own operator in
+    # another metric, though the seed matches
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        integral.integral_operator(prob), reversed_metric(metric), f0, cert, cfg)
+        op, reversed_metric(metric), f0, cert, cfg)
     assert json_with == json_without and applied == report.iterations + 1
 
 
 def test_a_rebuilt_spec_equal_in_every_field_does_not_take_the_orbit():
     # specs compare by identity: the orbit is taken under the spec that
     # checked it, and not under a copy of it, and the report is the same
-    metric = scalar_backward_one()
-    cert = verify_orbital_type(linear_quarter(), metric,
+    quarter, metric = linear_quarter(), scalar_backward_one()
+    cert = verify_orbital_type(quarter, metric,
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     cfg = SolverConfig(tol=1e-10)
-    runs = _with_and_without_orbit(linear_quarter(), metric, 1.0, cert, cfg)
+    runs = _with_and_without_orbit(quarter, metric, 1.0, cert, cfg)
     _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
     rebuilt = replace(metric)
     assert rebuilt != metric
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        linear_quarter(), rebuilt, 1.0, cert, cfg)
+        quarter, rebuilt, 1.0, cert, cfg)
     assert json_with == json_without == runs[0][0]
     assert applied == report.iterations + 1
 
 
 def test_a_checked_orbit_of_another_map_cannot_certify_a_point_it_does_not_fix():
-    # the same first step from 1.0, then another orbit: the solve walks the
-    # certificate's rows, but the residual maps the last one afresh
-    # one spec object, so the orbit is the solve's to take
+    # the same first step from 1.0, then another orbit: the orbit checked
+    # under x / 4 is not lifted's, so the solve maps every iterate itself,
+    # gives the report it gives without the orbit and certifies lifted's
+    # own fixed point 0.4 / 3
     metric = scalar_backward_one()
     cert = verify_orbital_type(linear_quarter(), metric,
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     lifted = MapSpec("lifted", lambda x: x / 4.0 if x >= 0.2 else x / 4.0 + 0.1)
+    assert lifted.apply(1.0) == cert.orbit.points[1]
     cfg = SolverConfig(tol=1e-10)
-    report = picard_solve(lifted, metric, 1.0, cert, cfg)
-    assert report.converged and report.fixed_point < 1e-9
-    assert report.residual_forward == 1.0 and not report.fixed_point_certified
-    honest = picard_solve(lifted, metric, 1.0, replace(cert, orbit=None), cfg)
-    assert honest.fixed_point_certified
-    assert honest.fixed_point == pytest.approx(0.4 / 3.0)
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        lifted, metric, 1.0, cert, cfg)
+    assert json_with == json_without and applied == report.iterations + 1
+    assert report.fixed_point_certified
+    assert report.fixed_point == pytest.approx(0.4 / 3.0)
+
+
+def test_the_same_function_under_another_map_object_does_not_take_the_orbit():
+    # maps, like specs, are taken by identity: a map object built alike
+    # walks the same orbit, but its solve maps every iterate itself, with
+    # the report the orbit's map gives
+    quarter, metric = linear_quarter(), scalar_backward_one()
+    cert = verify_orbital_type(quarter, metric, scalar(1 / math.sqrt(2)), seed=1.0,
+                               orbit_len=30)
+    cfg = SolverConfig(tol=1e-10)
+    runs = _with_and_without_orbit(quarter, metric, 1.0, cert, cfg)
+    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
+    alike = MapSpec(quarter.name, quarter.fn)
+    assert alike == quarter and alike is not quarter
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        alike, metric, 1.0, cert, cfg)
+    assert json_with == json_without == runs[0][0]
+    assert applied == report.iterations + 1
+
+
+def test_a_global_certificate_does_not_take_an_orbit():
+    # the prefix stops on forward steps alone, which only the orbit regimes
+    # promise: under a global regime the solve maps every iterate itself,
+    # even when the certificate carries an orbit of this map and seed
+    quarter, metric = linear_quarter(), scalar_backward_one()
+    cert = verify_orbital_type(quarter, metric, scalar(0.5), seed=1.0, orbit_len=30)
+    for regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
+        (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+            quarter, metric, 1.0, replace(cert, regime=regime), SolverConfig(tol=1e-10))
+        assert json_with == json_without and applied == report.iterations + 1
+        assert report.predicted_bounds_rev is not None
 
 
 def test_the_checked_orbit_stays_out_of_the_certificate_json():
