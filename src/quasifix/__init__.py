@@ -41,6 +41,7 @@ from .algebra import (
     scalar,
 )
 from .contraction import (
+    CertificateInvalid,
     CoefficientNormTooLarge,
     ContractionCertificate,
     NotInCommutant,
@@ -74,7 +75,6 @@ from .metrics import (
     scalar_forward_one,
 )
 from .solver import (
-    CertificateInvalid,
     OrbitTrace,
     RateNotLessThanOne,
     SolverConfig,

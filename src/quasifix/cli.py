@@ -10,7 +10,9 @@ subcommand accepts as parsed except the output paths and ``--cert``; the
 hashes of that configuration and of the content of every input file (the
 ``--cert`` file, a ``table:`` map file, an ``@`` sequence file); the
 package version; and a timestamp.  Re-running the same configuration on the
-same files reproduces the report byte-for-byte up to the timestamp.
+same files reproduces the report byte-for-byte up to the timestamp.  A
+``solve`` takes only a ``certify`` report whose manifest records its map
+and metric.
 
 The report text is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
 newline, byte for byte, written by ``_json_text`` without ``json``'s
@@ -38,6 +40,7 @@ import numpy as np
 from . import __version__, integral
 from .algebra import AlgebraElement, AlgebraError, NormKind, OrderKind, element_from_json
 from .contraction import (
+    CertificateInvalid,
     CoefficientNormTooLarge,
     ContractionCertificate,
     NotInCommutant,
@@ -52,12 +55,7 @@ from .maps import CATALOG as MAP_CATALOG
 from .maps import MapSpec, from_table
 from .metrics import CATALOG as METRIC_CATALOG
 from .metrics import MULT_OP, DomainMismatch, MetricSpec, check_axioms
-from .solver import (
-    CertificateInvalid,
-    RateNotLessThanOne,
-    SolverConfig,
-    picard_solve,
-)
+from .solver import RateNotLessThanOne, SolverConfig, picard_solve
 
 OUT_DIR_ENV = "QUASIFIX_OUT_DIR"
 
@@ -69,6 +67,10 @@ _REAL_POINT_METRICS = [name for name in METRIC_CATALOG if name != MULT_OP]
 #: plumbing, where outputs go, and ``--cert``, which is recorded by its hash.
 _NOT_CONFIG = frozenset({"command", "func", "out_dir", "report", "out",
                          "trace", "solution", "cert"})
+
+#: The options that fix a run's map and metric, which a ``solve`` and the
+#: ``certify`` run of its certificate share.
+_CERTIFIED_OPTIONS = ("map", "metric", "beta", "period", "t_grid", "norm", "order")
 
 
 class InputFileError(Exception):
@@ -408,9 +410,25 @@ def _build_map(name: str) -> MapSpec:
     return MAP_CATALOG[name]()
 
 
-def _certificate(fh) -> ContractionCertificate:
-    payload = json.load(fh)
-    return certificate_from_json(payload.get("report", payload))
+def _certified(args: argparse.Namespace, payload: Any, map_spec: MapSpec,
+               metric: MetricSpec) -> tuple[dict, ContractionCertificate]:
+    """The run manifest of ``args``, and the certificate of the ``certify``
+    report ``payload`` bound to ``map_spec`` and ``metric``.  The report's
+    manifest must record the run's ``_CERTIFIED_OPTIONS`` and map table, or
+    ``CertificateInvalid`` names the first that differs."""
+    if "manifest" not in payload:
+        raise CertificateInvalid(
+            f"{args.cert} holds no run manifest: solve reads certify reports")
+    manifest, recorded = build_manifest(args), payload["manifest"]
+    for key in _CERTIFIED_OPTIONS:
+        theirs, ours = recorded["config"].get(key), manifest["config"][key]
+        if theirs != ours:  # None: the option was not given
+            raise CertificateInvalid(f"{args.cert} was certified with "
+                                     f"--{key.replace('_', '-')} {theirs}, not {ours}")
+    if recorded["input_hashes"].get("map") != manifest["input_hashes"].get("map"):
+        raise CertificateInvalid(
+            f"{args.cert} certifies another table than --map {args.map}")
+    return manifest, certificate_from_json(payload["report"], map_spec, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +512,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec = _build_metric(args)
     map_spec = _build_map(args.map)
-    cert = _read_input(args.cert, _certificate)
+    manifest, cert = _read_input(
+        args.cert, lambda fh: _certified(args, json.load(fh), map_spec, spec))
     cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol)
-    report = picard_solve(map_spec, spec, args.seed, cert, cfg)
+    report = picard_solve(cert, args.seed, cfg)
     print(f"fixed point {report.fixed_point!r} after {report.iterations} "
           f"iterations (converged: {report.converged})")
     print(f"residuals: forward {report.residual_forward:.3e}, "
@@ -506,8 +525,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         report.trace.write_csv(_resolve_out(args.trace, args.out_dir),
                                report.predicted_bounds)
-    _write_report(args.report, build_manifest(args), report.to_json_dict(),
-                  args.out_dir)
+    _write_report(args.report, manifest, report.to_json_dict(), args.out_dir)
     return 0 if report.fixed_point_certified else 1
 
 

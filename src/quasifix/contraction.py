@@ -10,8 +10,8 @@ Four regimes are recognised:
   ``d(Ty, T^2 y) <= a* d(y, Ty) a`` for y running along one orbit;
 * two-step -- the one-sided inequality ``d(Ty, T^2 y) <= a d(y, T^2 y)``
   with a positive, structurally commuting coefficient of operator norm at
-  most 1/2.  Its certificate also carries ``h = a (I - a)^-1``, the step
-  rate the solver uses.
+  most 1/2.  Its certificate also derives ``h = a (I - a)^-1``, whose norm
+  is the step rate the solver uses.
 
 All four check ``lhs <= rhs`` sample by sample in the metric's order, and one
 core does it for each of them.  A regime only decides the two distances of a
@@ -28,10 +28,11 @@ and runs the order check on the whole batch with the per-sample tolerance
 tol (1 + ||rhs||_op), or 0 where that overflows.  ``verify`` is the one
 dispatch over regimes; ``search_scalar_coefficient`` reuses the tables
 across all its bisection attempts.  ``samples_checked`` and the order and
-fields of the violations are those of a sample-by-sample loop.  An orbital
-certificate keeps the orbit it checked, its map, its stack and its step
-payloads, in memory for the solver (``CheckedOrbit``); they are not part of
-its JSON.
+fields of the violations are those of a sample-by-sample loop.  A
+certificate holds the map and metric spec it was checked for and derives
+what its coefficient determines; an orbital certificate that the core
+built also keeps the orbit it checked in memory for the solver
+(``CheckedOrbit``), outside its JSON.
 
 For a = c I on a catalog codomain the check is componentwise (every value
 is diagonal, sampled or scalar) and monotone in u = c^2 (u = c for
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -110,6 +112,10 @@ class NotInCommutant(Exception):
     """Two-step coefficients must come from a commuting realization."""
 
 
+class CertificateInvalid(Exception):
+    """The certificate cannot back this solve."""
+
+
 class Regime(Enum):
     FORWARD_GLOBAL = "forward-global"
     BACKWARD_GLOBAL = "backward-global"
@@ -127,13 +133,10 @@ class Regime(Enum):
 
 @dataclass(frozen=True, eq=False)
 class CheckedOrbit:
-    """The orbit an orbital certificate checked: ``map_spec`` is the map
-    object that walked it, ``points`` its validated stack (row 0 the seed,
-    one row per point) and ``steps[i]`` the payload of d(o_i, o_(i+1)) in
-    ``metric``.  Both arrays are read-only."""
+    """The orbit an orbital certificate checked: ``points`` is its validated
+    stack (row 0 the seed, one row per point) and ``steps[i]`` the payload
+    of d(o_i, o_(i+1)).  Both arrays are read-only."""
 
-    map_spec: MapSpec
-    metric: MetricSpec
     points: np.ndarray
     steps: np.ndarray
 
@@ -144,33 +147,56 @@ class CheckedOrbit:
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """A checked coefficient; ``violations`` holds one dict per failing
-    sample, its points already JSON values.
+    """A coefficient checked for the map ``map_spec`` in the metric spec
+    ``metric``, the objects a solve under it runs under (its JSON names
+    them); ``violations`` holds one dict per failing sample, its points
+    already JSON values.  What the coefficient determines is derived on
+    first use, not stored: ``a_norm`` in ``norm_kind``, the two-step
+    h = a (I - a)^-1 and its operator norm, and the step ``rate``.
 
-    An orbital certificate that ``verify`` or the search built also keeps,
-    in memory only, the orbit it checked (``orbit``), which
-    ``solver.picard_solve`` takes as known iterates under the map object
-    that walked it.  ``orbit`` is outside the JSON contract:
-    ``to_json_dict`` leaves it out, and a certificate read back from JSON
-    has none.
+    ``orbit`` is the orbit an orbital certificate checked, in memory only.
+    Only the core sets it: it is no constructor argument, and ``replace``
+    drops it, so it is always an orbit of the certificate's own map, metric
+    and regime.  The JSON leaves it out.
     """
 
     regime: Regime
+    map_spec: MapSpec
+    metric: MetricSpec
     a: AlgebraElement
     norm_kind: NormKind
-    a_norm: float
     samples_checked: int
     violations: tuple
     seed_point: Any = None
-    h: AlgebraElement | None = None
-    h_norm: float | None = None
-    map_name: str = ""
-    metric_name: str = ""
-    orbit: CheckedOrbit | None = field(default=None, repr=False, compare=False)
+    orbit: CheckedOrbit | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def valid(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def a_norm(self) -> float:
+        return norm(self.a, self.norm_kind)
+
+    @cached_property
+    def h(self) -> AlgebraElement | None:
+        """a (I - a)^-1 for two-step, else None; ``ResolventInaccurate`` for
+        an ``a`` read from a file whose resolvent fails its check."""
+        if self.regime is not Regime.TWO_STEP:
+            return None
+        return mul(self.a, algebra._inverse_one_minus_unchecked(self.a))
+
+    @cached_property
+    def h_norm(self) -> float | None:
+        return None if self.h is None else norm(self.h, NormKind.OPERATOR)
+
+    @cached_property
+    def rate(self) -> float:
+        """||h|| for two-step, ||a||^2 (operator norm) for the sandwich."""
+        if self.regime is Regime.TWO_STEP:
+            return self.h_norm
+        return norm(self.a, NormKind.OPERATOR) ** 2
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,25 +209,29 @@ class ContractionCertificate:
             "seed_point": _point_json(self.seed_point),
             "h": None if self.h is None else element_to_json(self.h),
             "h_norm": self.h_norm,
-            "map": self.map_name,
-            "metric": self.metric_name,
+            "map": self.map_spec.name,
+            "metric": self.metric.name,
             "valid": self.valid,
         }
 
 
-def certificate_from_json(obj: dict) -> ContractionCertificate:
+def certificate_from_json(obj: dict, map_spec: MapSpec,
+                          metric: MetricSpec) -> ContractionCertificate:
+    """The certificate ``obj`` holds, bound to ``map_spec`` and ``metric``;
+    ``CertificateInvalid`` when ``obj`` names another map or metric."""
+    for kind, spec in (("map", map_spec), ("metric", metric)):
+        if obj.get(kind) != spec.name:
+            raise CertificateInvalid(
+                f"the certificate is for {kind} {obj.get(kind)!r}, not {spec.name!r}")
     return ContractionCertificate(
         regime=Regime(obj["regime"]),
+        map_spec=map_spec,
+        metric=metric,
         a=element_from_json(obj["a"]),
         norm_kind=NormKind(obj["norm_kind"]),
-        a_norm=float(obj["a_norm"]),
         samples_checked=int(obj["samples_checked"]),
         violations=tuple(obj.get("violations", ())),
         seed_point=obj.get("seed_point"),
-        h=None if obj.get("h") is None else element_from_json(obj["h"]),
-        h_norm=obj.get("h_norm"),
-        map_name=obj.get("map", ""),
-        metric_name=obj.get("metric", ""),
     )
 
 
@@ -211,11 +241,10 @@ def _point_json(p: Any) -> Any:
     return float(p) if isinstance(p, float) or np.isscalar(p) else p
 
 
-def _gate(regime: Regime, metric: MetricSpec,
-          a: AlgebraElement) -> tuple[NormKind, float]:
-    """The regime's admissibility gates on ``a``.
+def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement) -> None:
+    """The regime's admissibility gates on ``a``: ||a|| < 1 in the metric's
+    norm, or, for two-step, a positive diagonal a with ||a||_op <= 1/2.
 
-    Returns the certificate's norm kind and the coefficient's norm in it.
     The gates take no order tolerance as slack: a large tol would admit any
     coefficient.
     """
@@ -224,7 +253,7 @@ def _gate(regime: Regime, metric: MetricSpec,
         if a_norm >= 1.0:
             raise CoefficientNormTooLarge(
                 f"coefficient norm {a_norm:.6f} is not below 1")
-        return metric.norm, a_norm
+        return
     if not is_positive(a, 0.0):
         raise NotPositive("two-step coefficient must be positive")
     if not is_diagonal(a):
@@ -234,7 +263,6 @@ def _gate(regime: Regime, metric: MetricSpec,
     if op_norm > 0.5:
         raise CoefficientNormTooLarge(
             f"two-step coefficient operator norm {op_norm:.6f} exceeds 1/2")
-    return NormKind.OPERATOR, op_norm
 
 
 def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
@@ -283,7 +311,7 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         if regime is Regime.ORBITAL:
             steps = _paired_on(metric, stack, slice(None, -1), slice(1, None))
             lhs, base = steps[1:], steps[:-1]
-            orbit = CheckedOrbit(map_spec, metric, stack, steps)
+            orbit = CheckedOrbit(stack, steps)
         else:
             lhs = _paired_on(metric, stack, slice(1, -1), slice(2, None))
             base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
@@ -381,15 +409,10 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
 
 
 def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
-                 a: AlgebraElement, gate: tuple, tables: tuple, seed: Any,
+                 a: AlgebraElement, tables: tuple, seed: Any,
                  tol: float) -> ContractionCertificate:
-    """The certificate of ``a`` on ``tables``, given its ``_gate`` result."""
-    norm_kind, a_norm = gate
-    h = None
-    if regime is Regime.TWO_STEP:
-        # the step rate h = a (I - a)^-1; the gate has shown a positive with
-        # ||a||_op <= 1/2, so the resolvent needs no gates of its own
-        h = mul(a, algebra._inverse_one_minus_unchecked(a))
+    """The certificate of ``a``, which has passed ``_gate``, on ``tables``;
+    it keeps their checked orbit, if any."""
     stack, lhs, base, orbit = tables
     bad = np.flatnonzero(_failures(regime, metric, a, lhs, base, tol))
     # the order check wrote over its sandwiches: form the failing ones again
@@ -402,12 +425,13 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         {"x": x, "y": y, "lhs_norm": ln, "rhs_norm": rn}
         for x, y, ln, rn in zip(stack[xs].tolist(), stack[ys].tolist(),
                                 lhs_norms, rhs_norms))
-    return ContractionCertificate(
-        regime=regime, a=a, norm_kind=norm_kind, a_norm=a_norm,
+    cert = ContractionCertificate(
+        regime=regime, map_spec=map_spec, metric=metric, a=a,
+        norm_kind=NormKind.OPERATOR if regime is Regime.TWO_STEP else metric.norm,
         samples_checked=len(lhs), violations=violations,
-        seed_point=None if regime.is_global else seed, h=h,
-        h_norm=None if h is None else norm(h, NormKind.OPERATOR),
-        map_name=map_spec.name, metric_name=metric.name, orbit=orbit)
+        seed_point=None if regime.is_global else seed)
+    object.__setattr__(cert, "orbit", orbit)
+    return cert
 
 
 def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
@@ -419,16 +443,16 @@ def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     ``points`` (n >= 1), n^2 samples in row-major order; the orbital and
     two-step regimes check the orbit_len + 1 consecutive steps of the orbit
     of ``seed`` (orbit_len >= 2).  The regime's gates on ``a`` run first.
-    A two-step certificate carries h = a (I - a)^-1 and its norm; at the
+    A two-step certificate derives h = a (I - a)^-1 and its norm; at the
     boundary norm exactly 1/2 the resolvent still exists but h is no longer
     a contraction, which shows up as h_norm >= 1.  A negative or NaN
     ``tol`` raises ``ValueError``: the one makes the order strict, and every
     comparison fails with the other.
     """
     _require_tol(tol)
-    gate = _gate(regime, metric, a)
+    _gate(regime, metric, a)
     tables = _tables(regime, map_spec, metric, a, points, seed, orbit_len)
-    return _certificate(regime, map_spec, metric, a, gate, tables, seed, tol)
+    return _certificate(regime, map_spec, metric, a, tables, seed, tol)
 
 
 def verify_orbital_type(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,
@@ -456,8 +480,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     and each exact attempt c runs the core's order check on them with
     a = c I, asking only whether any sample fails -- no certificate and no
     violation list per attempt.  The regime's gates are monotone in c, so
-    they run once, at the cap, and h is built only for the returned
-    certificate.
+    they run once, at the cap.
 
     The bisection takes ``BISECTION_STEPS`` float midpoints of [0, cap].
     The end points always get the exact check.  A midpoint gets it only when
@@ -511,6 +534,5 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
                 lo = mid
     else:
         return None
-    a = codomain_scalar(metric, c)
-    return _certificate(regime, map_spec, metric, a, _gate(regime, metric, a),
+    return _certificate(regime, map_spec, metric, codomain_scalar(metric, c),
                         tables, seed, tol)

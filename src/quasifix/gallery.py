@@ -111,7 +111,7 @@ def _backward_one_orbital() -> tuple[bool, str]:
     cert = verify_orbital_type(quarter, spec, scalar(1.0 / math.sqrt(2.0)),
                                seed=1.0, orbit_len=30)
     lsc = orbital_lsc_check(quarter.orbit(1.0, 40), 0.0, quarter, spec)
-    solved = picard_solve(quarter, spec, 1.0, cert, SolverConfig(tol=1e-10))
+    solved = picard_solve(cert, 1.0, SolverConfig(tol=1e-10))
     ok = no_global and cert.valid and lsc and solved.fixed_point_certified
     return ok, (f"no global scalar certificate: {no_global}; orbital 1/sqrt(2) "
                 f"valid; limit {solved.fixed_point:.3e} certified via "

@@ -24,13 +24,13 @@ sampled values share.  The seed f0 is one read-only array too; the
 quadrature weights and the kernel's denominator y^2 + k on the grid follow
 on first use.  Problems, like specs, compare by identity.
 
-The demo maps the orbit of f0 once: the orbital certificate keeps the
-orbit it checked and the operator object that walked it, in memory and not
-in its JSON, and ``picard_solve``, run under that operator, takes the
-orbit's rows as a prefix of known iterates.  The orbit is as long as the
-Picard theorem's a-priori estimate says the solve walks, up to a cap
-(``demo_certificate``); a solve that runs past it maps on, so no verdict
-rests on the estimate.  The report keeps the fixed point for
+The demo maps the orbit of f0 once: the orbital certificate of the
+problem's operator keeps the orbit it checked, in memory and not in its
+JSON, and ``picard_solve``, which runs under the certificate's operator,
+takes the orbit's rows as a prefix of known iterates.  The orbit is as
+long as the Picard theorem's a-priori estimate says the solve walks, up to
+a cap (``demo_certificate``); a solve that runs past it maps on, so no
+verdict rests on the estimate.  The report keeps the fixed point for
 ``--solution`` as a read-only array.
 """
 
@@ -48,7 +48,7 @@ from .algebra import norm
 from .contraction import ContractionCertificate, verify_orbital_type
 from .maps import MapSpec
 from .metrics import MetricSpec, codomain_scalar, eval_metric, mult_op
-from .solver import SolverConfig, SolverReport, picard_solve
+from .solver import SolverConfig, picard_solve
 
 
 class GridMismatch(Exception):
@@ -286,9 +286,9 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
 
 
 def demo_certificate(prob: IntegralProblem, tol: float) -> ContractionCertificate:
-    """Orbital certificate for the demo orbit with coefficient sqrt(rate) * I;
-    it keeps the orbit of f0 that it checked and the operator that walked
-    it, for the solve.
+    """Orbital certificate of the problem's operator for the demo orbit, with
+    coefficient sqrt(rate) * I; it keeps the orbit of f0 that it checked,
+    for the solve.
 
     The orbit is as long as a solve to tolerance ``tol`` walks: with
     d1 = ||d(f0, T f0)|| in the metric's norm and r = rate = ||a||^2, step
@@ -315,10 +315,10 @@ def run_demo(prob: IntegralProblem,
              report: DemoReport | None = None) -> DemoReport:
     """Certify, solve, and verify the discretized equation residual.
 
-    The solve runs under the operator that walked the certificate's orbit,
-    and starts from that orbit (see the module docstring).  ``report`` is
-    the problem's ``regime_report`` when the caller has it already; it is
-    completed in place and returned.
+    The solve runs under the certificate, so under the operator it checked,
+    from its orbit (see the module docstring).  ``report`` is the problem's
+    ``regime_report`` when the caller has it already; it is completed in
+    place and returned.
     """
     if report is None:
         report = regime_report(prob)
@@ -326,9 +326,7 @@ def run_demo(prob: IntegralProblem,
         raise NotContractive(
             f"rate {report.rate:.6f} is not below 1 for "
             f"alpha={prob.alpha}, k={prob.k}")
-    cert = demo_certificate(prob, cfg.tol)
-    solved: SolverReport = picard_solve(cert.orbit.map_spec, problem_metric(prob),
-                                        prob.f0, cert, cfg)
+    solved = picard_solve(demo_certificate(prob, cfg.tol), prob.f0, cfg)
     fstar = np.asarray(solved.fixed_point)
     fstar.setflags(write=False)
     report.solver = {

@@ -1,12 +1,10 @@
 """Picard iteration with geometric a-priori error envelopes.
 
-The iteration x, Tx, T^2 x, ... runs under a contraction certificate, and
-the certificate's regime picks the rate model; no caller chooses it:
-
-* the sandwich regimes (forward-global, backward-global, orbital) contract
-  step distances at rate ``r = ||a||^2`` (operator norm);
-* the two-step regime contracts at rate ``r = ||h||`` with
-  ``h = a (I - a)^-1``, and its report calls the bound one-sided.
+The iteration x, Tx, T^2 x, ... runs under a contraction certificate, at
+the step rate ``r`` its regime proves (``ContractionCertificate.rate``; no
+caller chooses it): ``||a||^2`` (operator norm) for the sandwich regimes,
+and ``||h||`` with ``h = a (I - a)^-1`` for two-step, whose report calls
+the bound one-sided.
 
 The envelope ``apriori_envelope(d1, r, count)`` bounds d(T^p x, T^(n+1) x)
 with ``d1 = d(x, Tx)``.  The global regimes also cover the reversed order,
@@ -34,21 +32,18 @@ bit.  The lower-semicontinuity check reads G from the step list:
 G(x_i) = d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is
 the forward residual, so the check applies T to no point again.
 
-An orbital certificate from ``contraction.verify`` (or the search) keeps
-the orbit it checked in memory: the map object that walked it, its
-validated stack and its forward step payloads d(o_i, o_{i+1})
-(``contraction.CheckedOrbit``; not part of the certificate's JSON, so a
-certificate read from a file has none).  The orbital condition holds on
-the orbit of the map that was checked, so the orbit is taken only under
-that map object and that metric spec object (a map or spec built alike is
-another object), from a seed equal to its row 0 bit for bit.  The solve
-then takes the orbit as a prefix before its one mapping loop.  The regime
-is forward-only, so the prefix ends at the first stored forward norm at or
-below tolerance (or at ``max_iter``, or at the last row).  Its forward
-norms and d1 come from the stored payloads, its reverse steps from one
-paired evaluation, and a solve that stops inside it reads its tails from a
-view of the stack.  These are the payloads the step pairs would give, so
-the report is the same as without the orbit.
+The solve runs under the certificate's own map and metric spec.  An
+orbital certificate that ``contraction.verify`` (or the search) built also
+keeps the orbit it checked in memory, its validated stack and its forward
+step payloads d(o_i, o_{i+1}) (``contraction.CheckedOrbit``), and only such
+a certificate has one, so it is an orbit of the solve's own map, metric and
+forward-only regime.  From a seed equal to its row 0 bit for bit, the solve
+takes the orbit as a prefix before its one mapping loop, up to the first
+stored forward norm at or below tolerance (or ``max_iter``, or the last
+row).  Its forward norms and d1 come from the stored payloads, its reverse
+steps from one paired evaluation, and a solve that stops inside it reads
+its tails from a view of the stack.  These are the payloads the step pairs
+would give, so the report is the same as without the orbit.
 """
 
 from __future__ import annotations
@@ -60,9 +55,8 @@ from typing import Any
 import numpy as np
 
 from .algebra import AlgebraElement, NormKind, NotPositive, batch_norm, is_positive, norm
-from .contraction import CheckedOrbit, ContractionCertificate, Regime
+from .contraction import CertificateInvalid, CheckedOrbit, ContractionCertificate, Regime
 from .convergence import lsc_holds
-from .maps import MapSpec
 from .metrics import (
     MetricSpec,
     _element,
@@ -72,10 +66,6 @@ from .metrics import (
     _tail_norms,
     distance_norm_table,
 )
-
-
-class CertificateInvalid(Exception):
-    """The supplied certificate cannot back this solve."""
 
 
 class RateNotLessThanOne(Exception):
@@ -122,15 +112,16 @@ class OrbitTrace:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """A solve under ``cert``, whose rate, map and metric the report's JSON
+    records."""
+
     fixed_point: Any
     iterations: int
     converged: bool
     max_iter_exceeded: bool
     residual_forward: float
     residual_backward: float
-    rate: float
-    bound_mode: str  # "sandwich", or "one-sided" for two-step
-    norm_kind: NormKind
+    cert: ContractionCertificate
     predicted_bounds: tuple[float, ...]
     observed_tail: tuple[float, ...]
     predicted_bounds_rev: tuple[float, ...] | None
@@ -139,8 +130,6 @@ class SolverReport:
     lsc_check: bool
     fixed_point_certified: bool
     seed: Any
-    map_name: str
-    metric_name: str
     trace: OrbitTrace
 
     def to_json_dict(self) -> dict:
@@ -154,9 +143,9 @@ class SolverReport:
             "max_iter_exceeded": self.max_iter_exceeded,
             "residual_forward": self.residual_forward,
             "residual_backward": self.residual_backward,
-            "rate": self.rate,
-            "bound_mode": self.bound_mode,
-            "norm_kind": self.norm_kind.value,
+            "rate": self.cert.rate,
+            "bound_mode": "one-sided" if self.cert.regime is Regime.TWO_STEP else "sandwich",
+            "norm_kind": self.cert.metric.norm.value,
             "bound_norm_kind": NormKind.OPERATOR.value,
             "predicted_bounds": list(self.predicted_bounds),
             "observed_tail": list(self.observed_tail),
@@ -167,8 +156,8 @@ class SolverReport:
             "lsc_check": self.lsc_check,
             "fixed_point_certified": self.fixed_point_certified,
             "seed": pt(self.seed),
-            "map": self.map_name,
-            "metric": self.metric_name,
+            "map": self.cert.map_spec.name,
+            "metric": self.cert.metric.name,
             "trace": {
                 "points": [pt(p) for p in self.trace.points],
                 "fwd_step_norms": list(self.trace.fwd_step_norms),
@@ -191,30 +180,19 @@ def apriori_envelope(d1: AlgebraElement, rate: float,
     return tuple(head * rate ** p / (1.0 - rate) for p in range(count))
 
 
-def _certificate_rate(cert: ContractionCertificate) -> float:
-    """The step rate the certificate's regime proves: ||h|| for two-step,
-    ||a||^2 (operator norm) for the sandwich regimes."""
-    if cert.regime is Regime.TWO_STEP:
-        if cert.h_norm is None:
-            raise CertificateInvalid("the two-step certificate carries no h_norm")
-        return cert.h_norm
-    return norm(cert.a, NormKind.OPERATOR) ** 2
-
-
-def _checked_orbit(map_spec: MapSpec, metric: MetricSpec, seed: Any,
-                   cert: ContractionCertificate) -> CheckedOrbit | None:
-    """The orbit the certificate checked, when the solve may take its rows
-    as known iterates: under a forward-only regime (the loop then stops on
-    forward steps alone), under the map object that walked it and the
-    metric spec object that checked it, from a seed equal to its row 0 bit
-    for bit.  Otherwise None, and the solve maps every iterate itself.  No
-    map is applied here."""
+def _checked_orbit(cert: ContractionCertificate, seed: Any) -> CheckedOrbit | None:
+    """The orbit the certificate checked, when its row 0 is ``seed`` as a
+    float array bit for bit (so -0.0 is not 0.0); otherwise None, and the
+    solve maps every iterate itself.  No map is applied here."""
     orbit = cert.orbit
-    if (orbit is None or cert.regime.is_global
-            or orbit.map_spec is not map_spec or orbit.metric is not metric
-            or not _same_bits(seed, orbit.points[0])):
+    if orbit is None:
         return None
-    return orbit
+    try:
+        x = np.asarray(seed, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    row = orbit.points[0]
+    return orbit if x.shape == row.shape and x.tobytes() == row.tobytes() else None
 
 
 def _step_pair(metric: MetricSpec, x: Any, y: Any) -> np.ndarray:
@@ -224,45 +202,31 @@ def _step_pair(metric: MetricSpec, x: Any, y: Any) -> np.ndarray:
                       slice(None, None, -1))
 
 
-def _same_bits(point: Any, row: np.ndarray) -> bool:
-    """Whether ``point`` as a float array is ``row``, bit for bit (so -0.0
-    is not 0.0)."""
-    try:
-        x = np.asarray(point, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    return x.shape == row.shape and x.tobytes() == row.tobytes()
-
-
-def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
-                 cert: ContractionCertificate,
+def picard_solve(cert: ContractionCertificate, seed: Any,
                  cfg: SolverConfig = SolverConfig()) -> SolverReport:
-    """Iterate x <- T(x) until the step distance falls below tolerance.
+    """Iterate x <- T(x) from ``seed``, with T the certificate's map, until
+    the step distance in its metric falls below tolerance.
 
-    Also evaluates the geometric tail envelope at every recorded index and
-    the lower-semicontinuity check at the final point, and reports whether
-    the fixed point is certified under the certificate's regime.  The orbit
-    the certificate checked comes first, as a prefix of known iterates, when
-    it starts at ``seed`` under the map and metric objects that checked it;
-    then one loop maps on from the last known point, which is ``seed`` when
-    there is no orbit (see the module docstring).  The report is the same as
-    without the orbit.  A certificate with violations or of no sample is
-    refused with ``CertificateInvalid``.
+    Also evaluates the tail envelope at every recorded index and the
+    lower-semicontinuity check at the final point, and reports whether the
+    fixed point is certified under the certificate's regime (see the module
+    docstring).  A certificate with violations or of no sample is refused
+    with ``CertificateInvalid``.
     """
     if not cert.valid:
         raise CertificateInvalid(
             f"certificate has {len(cert.violations)} recorded violations")
     if cert.samples_checked < 1:
         raise CertificateInvalid("certificate checked no samples")
-    rate = _certificate_rate(cert)
-    if rate >= 1.0:
-        raise RateNotLessThanOne(f"certificate rate {rate:.6f} is not below 1")
+    if cert.rate >= 1.0:
+        raise RateNotLessThanOne(f"certificate rate {cert.rate:.6f} is not below 1")
+    map_spec, metric = cert.map_spec, cert.metric
     display = metric.norm
     forward_only = not cert.regime.is_global
 
     # the checked orbit as a prefix: forward-only, so the first forward norm
     # at or below tol, which the stored payloads give, ends the solve there
-    orbit = _checked_orbit(map_spec, metric, seed, cert)
+    orbit = _checked_orbit(cert, seed)
     points = [seed]  # the caller's seed object, not row 0's float
     fwd_steps: list[float] = []
     bwd_steps: list[float] = []
@@ -302,9 +266,9 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     stack = orbit.points[:len(points)] if inside else _points(metric, points)
     observed, observed_rev = (tuple(t.tolist()) for t in
                               _tail_norms(metric, stack, NormKind.OPERATOR))
-    predicted = apriori_envelope(_element(metric, d1[0]), rate, iterations)
+    predicted = apriori_envelope(_element(metric, d1[0]), cert.rate, iterations)
     predicted_rev = (None if forward_only
-                     else apriori_envelope(_element(metric, d1[1]), rate, iterations))
+                     else apriori_envelope(_element(metric, d1[1]), cert.rate, iterations))
     envelope_ok = all(o <= b + cfg.tol for o, b in zip(observed, predicted)) and (
         predicted_rev is None
         or all(o <= b + cfg.tol for o, b in zip(observed_rev, predicted_rev)))
@@ -318,21 +282,18 @@ def picard_solve(map_spec: MapSpec, metric: MetricSpec, seed: Any,
     return SolverReport(
         fixed_point=fixed_point, iterations=iterations, converged=converged,
         max_iter_exceeded=not converged, residual_forward=residual_forward,
-        residual_backward=residual_backward, rate=rate,
-        bound_mode="one-sided" if cert.regime is Regime.TWO_STEP else "sandwich",
-        norm_kind=display,
+        residual_backward=residual_backward, cert=cert,
         predicted_bounds=predicted, observed_tail=observed,
         predicted_bounds_rev=predicted_rev, observed_tail_rev=observed_rev,
         bound_envelope_ok=envelope_ok, lsc_check=lsc,
         fixed_point_certified=certified, seed=seed,
-        map_name=map_spec.name, metric_name=metric.name,
         trace=OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps)))
 
 
-def uniqueness_probe(map_spec: MapSpec, metric: MetricSpec,
-                     cert: ContractionCertificate, seeds: list,
+def uniqueness_probe(cert: ContractionCertificate, seeds: list,
                      cfg: SolverConfig = SolverConfig()) -> float:
-    """Solve from every seed and return the largest pairwise distance norm.
+    """Solve under ``cert`` from every seed and return the largest pairwise
+    distance norm, in the certificate's metric.
 
     Only a forward-global certificate carries the uniqueness argument, so
     any other regime is refused.  The spread is taken over both argument
@@ -343,9 +304,8 @@ def uniqueness_probe(map_spec: MapSpec, metric: MetricSpec,
         raise CertificateInvalid(
             "uniqueness needs a forward-global certificate; "
             f"got {cert.regime.value}")
-    results = [picard_solve(map_spec, metric, seed, cert, cfg).fixed_point
-               for seed in seeds]
-    table = distance_norm_table(metric, results, results).tolist()
+    results = [picard_solve(cert, seed, cfg).fixed_point for seed in seeds]
+    table = distance_norm_table(cert.metric, results, results).tolist()
     spread = 0.0
     for i in range(len(results)):
         for j in range(i + 1, len(results)):

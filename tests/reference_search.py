@@ -60,7 +60,5 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
                 lo = mid
     else:
         return None
-    a = codomain_scalar(metric, c)
-    return contraction._certificate(
-        regime, map_spec, metric, a, contraction._gate(regime, metric, a),
-        tables, seed, tol)
+    return contraction._certificate(regime, map_spec, metric,
+                                    codomain_scalar(metric, c), tables, seed, tol)

@@ -133,7 +133,7 @@ def test_criterion_5_solver_and_bound_envelope():
     details = []
     ok = True
     for seed in (-3.0, 0.5, 7.0):
-        rep = picard_solve(linear_quarter(), metric, seed, cert, cfg)
+        rep = picard_solve(cert, seed, cfg)
         seed_ok = (rep.converged and rep.iterations <= 25
                    and rep.residual_forward <= 1e-10
                    and rep.residual_backward <= 1e-10)
@@ -147,8 +147,7 @@ def test_criterion_5_solver_and_bound_envelope():
         ok = ok and seed_ok and env_ok
         details.append(f"seed {seed}: {rep.iterations} iters, "
                        f"residual {rep.residual_forward:.2e}, envelope {env_ok}")
-    spread = uniqueness_probe(linear_quarter(), metric, cert,
-                              [-3.0, 0.5, 7.0], cfg)
+    spread = uniqueness_probe(cert, [-3.0, 0.5, 7.0], cfg)
     ok = ok and spread <= 2e-10
     _report(5, ok, "; ".join(details) + f"; spread {spread:.2e}")
 
@@ -158,7 +157,7 @@ def test_criterion_6_two_step_rate():
                   scalar(1 / 3), seed=1.0, orbit_len=30)
     h_ok = cert.valid and abs(cert.h_norm - 0.5) <= 1e-12
     cfg = SolverConfig(max_iter=30, tol=1e-300)
-    rep = picard_solve(linear_quarter(), scalar_backward_one(), 1.0, cert, cfg)
+    rep = picard_solve(cert, 1.0, cfg)
     steps = rep.trace.fwd_step_norms
     rate_ok = len(steps) == 30 and all(
         cur <= 0.5 * prev + 1e-10 for prev, cur in zip(steps, steps[1:]))

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -310,18 +311,38 @@ def test_two_step_certify_then_solve_runs_at_the_h_rate(tmp_path):
     assert solved["predicted_bounds_rev"] is None
 
 
-def test_solve_refuses_a_two_step_certificate_without_h(tmp_path, capsys):
+def _masked(path: Path) -> str:
+    """The report text with the manifest's timestamp and certificate hash
+    masked."""
+    text = path.read_text(encoding="utf-8")
+    text = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', text)
+    return re.sub(r'"cert": "[0-9a-f]{64}"', '"cert": ""', text)
+
+
+def test_solve_derives_the_two_step_rate_whatever_the_file_says(tmp_path, capsys):
+    # the solve reads the coefficient and derives h and its norm: a file with
+    # h and h_norm nulled, or h_norm forged to 0.01, solves as the one certify
+    # wrote, at rate ||h|| = 1/2
     cert = tmp_path / "cert.json"
     payload = _two_step_cert(cert)
-    payload["report"]["h"] = payload["report"]["h_norm"] = None
-    cert.write_text(json.dumps(payload), encoding="utf-8")
-    code = main(["solve", "--map", "linear-quarter",
-                 "--metric", "scalar-backward-one", "--seed", "1",
-                 "--cert", str(cert)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+    nulled = json.loads(json.dumps(payload))
+    nulled["report"]["h"] = nulled["report"]["h_norm"] = None
+    forged = json.loads(json.dumps(payload))
+    forged["report"]["h_norm"] = 0.01
+    runs = []
+    for name, content in [("as-written", None), ("nulled", nulled), ("forged", forged)]:
+        path = cert if content is None else tmp_path / f"{name}.json"
+        if content is not None:
+            path.write_text(json.dumps(content), encoding="utf-8")
+        report = tmp_path / f"solve-{name}.json"
+        capsys.readouterr()
+        code = main(["solve", "--map", "linear-quarter",
+                     "--metric", "scalar-backward-one", "--seed", "1",
+                     "--cert", str(path), "--report", str(report)])
+        runs.append((code, capsys.readouterr(), _masked(report)))
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert json.loads(runs[0][2])["report"]["rate"] == 0.4999999999999999
 
 
 def test_solve_refuses_a_certificate_of_no_sample(tmp_path, capsys):
@@ -336,11 +357,81 @@ def test_solve_refuses_a_certificate_of_no_sample(tmp_path, capsys):
     payload["report"]["samples_checked"] = 0
     cert.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
-    code = main(["solve", "--map", "piecewise-quarter", "--metric", "mat2-split",
+    code = main(["solve", "--map", "linear-quarter", "--metric", "mat2-split",
                  "--seed", "3", "--cert", str(cert)])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == "" and err == "error: certificate checked no samples\n"
+
+
+#: A certify run whose report records every option that fixes the map and
+#: the metric, each at a value of its own.
+_CERTIFIED_RUN = ["--map", "linear-quarter", "--metric", "mat2-split-scaled",
+                  "--beta", "0.25", "--period", "1.5", "--t-grid", "16",
+                  "--norm", "operator", "--order", "entrywise"]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--map", "piecewise-quarter", "--map linear-quarter, not piecewise-quarter"),
+    ("--metric", "mat2-split", "--metric mat2-split-scaled, not mat2-split"),
+    ("--beta", "0.5", "--beta 0.25, not 0.5"),
+    ("--period", "2", "--period 1.5, not 2.0"),
+    ("--t-grid", "32", "--t-grid 16, not 32"),
+    ("--norm", "entry-sum-squares", "--norm operator, not entry-sum-squares"),
+    ("--order", "cone", "--order entrywise, not cone"),
+    ("--norm", None, "--norm operator, not None"),
+], ids=lambda v: str(v))
+def test_solve_refuses_a_certificate_of_another_run(tmp_path, capsys, option, value,
+                                                    message):
+    # the certificate is for the map and metric its certify run built; a solve
+    # that builds another of either is refused, naming the option that differs
+    cert = tmp_path / "cert.json"
+    assert main(["certify", *_CERTIFIED_RUN, "--regime", "orbital",
+                 "--a", '{"realization": "mat2", "entries": [[0.6, 0], [0, 0.6]]}',
+                 "--out", str(cert)]) == 0
+    solve = ["solve", *_CERTIFIED_RUN, "--seed", "3", "--cert", str(cert)]
+    capsys.readouterr()
+    assert main(solve) == 0
+    capsys.readouterr()
+    at = solve.index(option)
+    solve[at:at + 2] = [] if value is None else [option, value]
+    assert main(solve) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cert} was certified with {message}\n"
+
+
+def test_solve_refuses_a_certificate_of_another_map_table(tmp_path, capsys):
+    # the same table path with other content is another map
+    table, cert = tmp_path / "table.json", tmp_path / "cert.json"
+    table.write_text(json.dumps({x: 0.0 for x in (0.0, 1.0, 2.0)}), encoding="utf-8")
+    certify = [*_HALF_IDENTITY_CHECK, "--grid", "0,1,2", "--map", f"table:{table}"]
+    assert main([*certify, "--out", str(cert)]) == 0
+    solve = ["solve", "--map", f"table:{table}", "--metric", "mat2-split",
+             "--seed", "2", "--cert", str(cert)]
+    capsys.readouterr()
+    assert main(solve) == 0
+    table.write_text(json.dumps({0.0: 0.0, 1.0: 0.0, 2.0: 1.0}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(solve) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cert} certifies another table than --map table:{table}\n"
+
+
+def test_solve_refuses_a_bare_report(tmp_path, capsys):
+    # a report with no manifest records no run to compare with
+    cert = tmp_path / "cert.json"
+    assert main([*_HALF_IDENTITY_CHECK, "--out", str(cert)]) == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(_load(cert)["report"]), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["solve", "--map", "linear-quarter", "--metric", "mat2-split",
+                 "--seed", "3", "--cert", str(bare)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bare} holds no run manifest: solve reads certify reports\n"
 
 
 def test_check_axioms_keeps_the_vacuous_pass_of_an_empty_grid(capsys):

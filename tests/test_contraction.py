@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasifix import algebra, contraction, metrics
+import quasifix
+from quasifix import algebra, contraction, metrics, solver
 from quasifix.algebra import (
     NormKind,
     NotPositive,
@@ -30,6 +31,7 @@ from quasifix.algebra import (
     scale,
 )
 from quasifix.contraction import (
+    CertificateInvalid,
     CoefficientNormTooLarge,
     NotInCommutant,
     Regime,
@@ -274,8 +276,11 @@ def test_two_step_search_builds_the_resolvent_once(monkeypatch, map_spec, metric
     cert = search_scalar_coefficient(map_spec, metric, Regime.TWO_STEP,
                                      seed=1.0, orbit_len=30)
     assert cert is not None and cert.valid
-    # the gate has checked the coefficient, so h takes the ungated builder
-    # once, for the returned certificate only
+    # no attempt builds h: the returned certificate derives it on first use,
+    # through the ungated builder, since the gate has checked the
+    # coefficient, and keeps it
+    assert calls == []
+    assert cert.rate == cert.h_norm and cert.to_json_dict()["h"] is not None
     assert calls == ["_inverse_one_minus_unchecked"]
 
 
@@ -550,12 +555,51 @@ def test_certificate_json_roundtrip():
     cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
                   scalar(1 / 3), seed=1.0, orbit_len=12)
     payload = json.loads(json.dumps(cert.to_json_dict()))
-    back = certificate_from_json(payload)
+    assert payload["map"] == "linear-quarter"
+    assert payload["metric"] == "scalar-backward-one"
+    back = certificate_from_json(payload, cert.map_spec, cert.metric)
     assert back.regime is Regime.TWO_STEP
     assert back.valid
+    assert back.map_spec is cert.map_spec and back.metric is cert.metric
     assert back.h_norm == pytest.approx(cert.h_norm, abs=0.0)
     assert allclose(back.a, cert.a, tol=0.0)
-    assert back.map_name == "linear-quarter"
+    assert back.to_json_dict() == payload
+
+
+def test_a_certificate_derives_what_its_coefficient_determines():
+    # the file's a_norm, h and h_norm are not read: forged or missing, they
+    # come back as the coefficient gives them
+    cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
+                  scalar(1 / 3), seed=1.0, orbit_len=12)
+    payload = json.loads(json.dumps(cert.to_json_dict()))
+    payload.update(a_norm=0.01, h_norm=0.01, h={"realization": "scalar", "value": 0.0})
+    back = certificate_from_json(payload, cert.map_spec, cert.metric)
+    assert back.to_json_dict() == cert.to_json_dict()
+    assert back.rate == cert.rate == cert.h_norm == 0.4999999999999999
+    for key in ("a_norm", "h", "h_norm"):
+        del payload[key]
+    assert certificate_from_json(payload, cert.map_spec, cert.metric).rate == cert.rate
+    # a sandwich regime's rate is ||a||^2 in the operator norm, whatever the
+    # certificate's norm kind
+    orbital = verify(Regime.ORBITAL, linear_quarter(), mat2_split(), diag2(0.5, 0.25),
+                     seed=1.0, orbit_len=12)
+    assert orbital.h is None and orbital.h_norm is None
+    assert orbital.rate == 0.25 and orbital.a_norm == norm(orbital.a, orbital.norm_kind)
+
+
+@pytest.mark.parametrize("field", ["map", "metric"])
+def test_a_certificate_file_of_another_map_or_metric_is_refused(field):
+    cert = verify(Regime.ORBITAL, linear_quarter(), scalar_backward_one(),
+                  scalar(0.5), seed=1.0, orbit_len=12)
+    payload = json.loads(json.dumps(cert.to_json_dict()))
+    other = {"map": (piecewise_quarter(), cert.metric),
+             "metric": (cert.map_spec, scalar_forward_one())}[field]
+    with pytest.raises(CertificateInvalid, match=f"for {field} '"):
+        certificate_from_json(payload, *other)
+    del payload[field]
+    with pytest.raises(CertificateInvalid, match=f"for {field} None"):
+        certificate_from_json(payload, cert.map_spec, cert.metric)
+    assert solver.CertificateInvalid is quasifix.CertificateInvalid is CertificateInvalid
 
 
 # --- batched core against the sample-by-sample loop ----------------------------
@@ -850,7 +894,6 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
         assert orbit is None
         return
     stack = np.array(map_spec.orbit(seed, orbit_len + 2), dtype=float)
-    assert orbit.map_spec is map_spec and orbit.metric is metric
     assert orbit.points.tobytes() == stack.tobytes()
     assert orbit.steps.tobytes() == metrics.paired_payloads(
         metric, list(stack[:-1]), list(stack[1:])).tobytes()
@@ -987,14 +1030,15 @@ def test_numpy_float_points_certify_as_their_float_points(regime, metric):
     grid = np.sort(np.random.default_rng(5).uniform(-2.0, 2.0, 11))
     grid[3] = -0.0
     a = codomain_scalar(metric, 0.3)
-    want = verify(regime, linear_quarter(), metric, a, points=grid.tolist())
+    quarter = linear_quarter()
+    want = verify(regime, quarter, metric, a, points=grid.tolist())
     assert want.violations
     for points in (grid, list(grid)):  # an array, and np.float64 objects
-        got = verify(regime, linear_quarter(), metric, a, points=points)
-        for field in dataclasses.fields(want):
-            g, w = getattr(got, field.name), getattr(want, field.name)
+        got = verify(regime, quarter, metric, a, points=points)
+        for name in [field.name for field in dataclasses.fields(want)] + ["a_norm"]:
+            g, w = getattr(got, name), getattr(want, name)
             if isinstance(w, algebra.AlgebraElement):
                 g, w = algebra.element_to_json(g), algebra.element_to_json(w)
-            assert _hex_floats(g) == _hex_floats(w), field.name
+            assert _hex_floats(g) == _hex_floats(w), name
         assert all(type(v["x"]) is float and type(v["y"]) is float
                    for v in got.violations)

@@ -71,8 +71,7 @@ def sandwich_cert() -> ContractionCertificate:
 
 def test_quarter_map_reaches_zero_quickly(sandwich_cert):
     cfg = SolverConfig(tol=1e-10)
-    report = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 1.0,
-                          sandwich_cert, cfg)
+    report = picard_solve(sandwich_cert, 1.0, cfg)
     assert report.converged
     assert report.iterations <= 20
     assert abs(report.fixed_point) <= 1e-9
@@ -82,8 +81,7 @@ def test_quarter_map_reaches_zero_quickly(sandwich_cert):
 
 
 def test_fixed_seed_returns_in_one_iteration(sandwich_cert):
-    report = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 0.0,
-                          sandwich_cert, SolverConfig(tol=1e-10))
+    report = picard_solve(sandwich_cert, 0.0, SolverConfig(tol=1e-10))
     assert report.iterations == 1
     assert report.residual_forward == 0.0
     assert report.residual_backward == 0.0
@@ -92,8 +90,7 @@ def test_fixed_seed_returns_in_one_iteration(sandwich_cert):
 def test_orbital_run_is_certified_on_its_forward_residual_alone():
     cert = verify_orbital_type(piecewise_quarter(), scalar_backward_one(),
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
-    report = picard_solve(piecewise_quarter(), scalar_backward_one(), 1.0,
-                          cert, SolverConfig(tol=1e-10))
+    report = picard_solve(cert, 1.0, SolverConfig(tol=1e-10))
     assert report.converged
     assert report.lsc_check
     assert report.fixed_point_certified
@@ -106,14 +103,12 @@ def test_invalid_certificate_is_refused():
                  scalar(0.9), points=[0.0, 1.0])
     assert not bad.valid
     with pytest.raises(CertificateInvalid):
-        picard_solve(piecewise_quarter(), scalar_backward_one(), 1.0, bad,
-                     SolverConfig())
+        picard_solve(bad, 1.0, SolverConfig())
 
 
 def test_max_iter_flags_but_returns_the_report(sandwich_cert):
     cfg = SolverConfig(max_iter=3, tol=1e-300)
-    report = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 1.0,
-                          sandwich_cert, cfg)
+    report = picard_solve(sandwich_cert, 1.0, cfg)
     assert report.max_iter_exceeded
     assert not report.converged
     assert len(report.trace.points) == 4
@@ -142,8 +137,7 @@ def test_bound_requires_contractive_rate(rate):
 def test_envelope_covers_both_argument_orders(sandwich_cert):
     cfg = SolverConfig(tol=1e-10)
     for seed in (-3.0, 0.5, 7.0):
-        report = picard_solve(linear_quarter(), mat2_split_scaled(0.25), seed,
-                              sandwich_cert, cfg)
+        report = picard_solve(sandwich_cert, seed, cfg)
         assert report.bound_envelope_ok
         assert report.predicted_bounds_rev is not None
         for obs, bound in zip(report.observed_tail, report.predicted_bounds):
@@ -154,8 +148,7 @@ def test_envelope_covers_both_argument_orders(sandwich_cert):
 
 
 def test_one_step_decay_under_the_sandwich(sandwich_cert):
-    report = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 7.0,
-                          sandwich_cert, SolverConfig(tol=1e-10))
+    report = picard_solve(sandwich_cert, 7.0, SolverConfig(tol=1e-10))
     rate = 0.25  # operator norm of the coefficient, squared
     steps = report.trace.bwd_step_norms
     for prev, cur in zip(steps, steps[1:]):
@@ -166,9 +159,8 @@ def test_one_sided_rate_matches_the_resolvent_coefficient():
     cert = verify(Regime.TWO_STEP, linear_quarter(), scalar_backward_one(),
                   scalar(1 / 3), seed=1.0, orbit_len=30)
     cfg = SolverConfig(max_iter=30, tol=1e-300)
-    report = picard_solve(linear_quarter(), scalar_backward_one(), 1.0,
-                          cert, cfg)
-    assert report.rate == pytest.approx(0.5, abs=1e-12)
+    report = picard_solve(cert, 1.0, cfg)
+    assert report.to_json_dict()["rate"] == pytest.approx(0.5, abs=1e-12)
     steps = report.trace.fwd_step_norms
     assert len(steps) == 30
     for prev, cur in zip(steps, steps[1:]):
@@ -183,11 +175,11 @@ def test_two_step_certificate_sets_the_rate_under_the_default_config():
     cert = verify(Regime.TWO_STEP, piecewise_quarter(), periodic_fn(),
                   codomain_scalar(periodic_fn(), 0.2), seed=1.0, orbit_len=30)
     assert cert.valid
-    report = picard_solve(piecewise_quarter(), periodic_fn(), 2.0, cert,
-                          SolverConfig())
-    assert report.rate == cert.h_norm
-    assert report.rate == pytest.approx(0.25, abs=1e-12)
-    assert report.bound_mode == "one-sided"
+    report = picard_solve(cert, 2.0, SolverConfig())
+    solved = report.to_json_dict()
+    assert solved["rate"] == cert.h_norm
+    assert solved["rate"] == pytest.approx(0.25, abs=1e-12)
+    assert solved["bound_mode"] == "one-sided"
     assert report.predicted_bounds_rev is None
     assert report.bound_envelope_ok
 
@@ -201,40 +193,34 @@ def test_config_rejects_a_tolerance_that_is_not_positive(tol):
 # --- uniqueness --------------------------------------------------------------------
 
 def test_uniqueness_probe_spread(sandwich_cert):
-    spread = uniqueness_probe(linear_quarter(), mat2_split_scaled(0.25),
-                              sandwich_cert, [-3.0, 0.5, 7.0],
+    spread = uniqueness_probe(sandwich_cert, [-3.0, 0.5, 7.0],
                               SolverConfig(tol=1e-10))
     assert spread <= 2e-10
 
 
 def test_uniqueness_probe_single_seed(sandwich_cert):
-    assert uniqueness_probe(linear_quarter(), mat2_split_scaled(0.25),
-                            sandwich_cert, [1.0], SolverConfig(tol=1e-10)) == 0.0
+    assert uniqueness_probe(sandwich_cert, [1.0], SolverConfig(tol=1e-10)) == 0.0
 
 
 def test_uniqueness_probe_refuses_orbital_certificates():
     cert = verify_orbital_type(piecewise_quarter(), scalar_backward_one(),
                                scalar(1 / math.sqrt(2)), seed=1.0)
     with pytest.raises(CertificateInvalid):
-        uniqueness_probe(piecewise_quarter(), scalar_backward_one(), cert,
-                         [1.0, 2.0])
+        uniqueness_probe(cert, [1.0, 2.0])
 
 
 # --- determinism and export ----------------------------------------------------------
 
 def test_reports_are_deterministic(sandwich_cert):
     cfg = SolverConfig(tol=1e-10)
-    first = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 0.5,
-                         sandwich_cert, cfg)
-    second = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 0.5,
-                          sandwich_cert, cfg)
+    first = picard_solve(sandwich_cert, 0.5, cfg)
+    second = picard_solve(sandwich_cert, 0.5, cfg)
     assert json.dumps(first.to_json_dict(), sort_keys=True) == \
         json.dumps(second.to_json_dict(), sort_keys=True)
 
 
 def test_trace_csv_columns(tmp_path, sandwich_cert):
-    report = picard_solve(linear_quarter(), mat2_split_scaled(0.25), 1.0,
-                          sandwich_cert, SolverConfig(tol=1e-10))
+    report = picard_solve(sandwich_cert, 1.0, SolverConfig(tol=1e-10))
     out = tmp_path / "trace.csv"
     report.trace.write_csv(out, report.predicted_bounds)
     lines = out.read_text().strip().splitlines()
@@ -321,11 +307,12 @@ def _counted(map_spec, applied):
     return MapSpec(map_spec.name, lambda x: applied.append(x) or map_spec.apply(x))
 
 
-def _certificate(regime, metric, c=0.5):
-    """A certificate of rate c^2 whose one recorded sample nothing checked:
-    the solver trusts it (a certificate of no sample it refuses)."""
+def _certificate(regime, map_spec, metric, c=0.5):
+    """A certificate of ``map_spec`` in ``metric`` of rate c^2 whose one
+    recorded sample nothing checked: the solver trusts it (a certificate of
+    no sample it refuses)."""
     a = codomain_scalar(metric, c)
-    return ContractionCertificate(regime, a, NormKind.OPERATOR, c, 1, ())
+    return ContractionCertificate(regime, map_spec, metric, a, NormKind.OPERATOR, 1, ())
 
 
 @pytest.mark.parametrize("regime, map_spec, metric, seed", [
@@ -339,8 +326,8 @@ def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
     paired_on = solver._paired_on
     monkeypatch.setattr(solver, "_paired_on",
                         lambda *args: paired.append(args) or paired_on(*args))
-    report = picard_solve(_counted(map_spec, applied), metric, seed,
-                          _certificate(regime, metric), SolverConfig(tol=1e-10))
+    report = picard_solve(_certificate(regime, _counted(map_spec, applied), metric),
+                          seed, SolverConfig(tol=1e-10))
     assert report.converged and report.iterations > 2
     # one paired evaluation for the step pair of every iteration and one for
     # the residual pair, and no one-pair call; the tails and d1 are not
@@ -370,8 +357,7 @@ def test_step_and_residual_norms_are_the_reference_norms(metric, kind, slope, sh
     map_spec = MapSpec("affine", lambda x: slope * x + shift)
     if metric.name == "mult-op":
         seed = seed * FN_GRID
-    report = picard_solve(map_spec, metric, seed,
-                          _certificate(Regime.FORWARD_GLOBAL, metric),
+    report = picard_solve(_certificate(Regime.FORWARD_GLOBAL, map_spec, metric), seed,
                           SolverConfig(max_iter=max_iter, tol=1e-10))
 
     def want(x, y):
@@ -408,8 +394,7 @@ def test_the_residual_pair_is_the_one_pair_evaluation(metric, kind, slope, shift
     map_spec = MapSpec("affine", lambda x: slope * x + shift)
     if metric.name == "mult-op":
         seed = seed * FN_GRID
-    report = picard_solve(map_spec, metric, seed,
-                          _certificate(Regime.FORWARD_GLOBAL, metric),
+    report = picard_solve(_certificate(Regime.FORWARD_GLOBAL, map_spec, metric), seed,
                           SolverConfig(max_iter=max_iter, tol=1e-10))
     x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
     for got, (x, y) in [(report.residual_forward, (x_n, after)),
@@ -442,7 +427,7 @@ LSC_MAPS = {"linear-quarter": linear_quarter(), "piecewise-quarter": piecewise_q
          tol=1e-10)
 def test_solver_lsc_verdict_is_orbital_lsc_check(map_name, metric, seed, max_iter, tol):
     map_spec = LSC_MAPS[map_name]
-    report = picard_solve(map_spec, metric, seed, _certificate(Regime.ORBITAL, metric),
+    report = picard_solve(_certificate(Regime.ORBITAL, map_spec, metric), seed,
                           SolverConfig(max_iter=max_iter, tol=tol))
     assert report.lsc_check is orbital_lsc_check(
         list(report.trace.points), report.fixed_point, map_spec, metric, tol)
@@ -450,8 +435,7 @@ def test_solver_lsc_verdict_is_orbital_lsc_check(map_name, metric, seed, max_ite
 
 def test_solver_lsc_check_fails_after_a_jump():
     # 1, 0.7, 0.4, 0.1, -0.2: G falls to 0.3 and jumps to 1 at the last point
-    report = picard_solve(DROP, scalar_backward_one(), 1.0,
-                          _certificate(Regime.ORBITAL, scalar_backward_one()),
+    report = picard_solve(_certificate(Regime.ORBITAL, DROP, scalar_backward_one()), 1.0,
                           SolverConfig(max_iter=4))
     assert report.trace.points[-1] == pytest.approx(-0.2)
     assert report.lsc_check is False
@@ -466,8 +450,7 @@ def test_a_global_verdict_reads_the_backward_residual():
     jump = MapSpec("jump-up", lambda x: x / 4.0 if x > 3e-11 else x + 2e-10)
     metric = mat2_split_scaled(0.25)
     cfg = SolverConfig(tol=1e-10)
-    report = picard_solve(jump, metric, 1.0, _certificate(Regime.FORWARD_GLOBAL, metric),
-                          cfg)
+    report = picard_solve(_certificate(Regime.FORWARD_GLOBAL, jump, metric), 1.0, cfg)
     assert report.converged and report.iterations == 18 and report.lsc_check
     assert report.residual_forward <= cfg.tol < report.residual_backward
     assert not report.fixed_point_certified
@@ -492,7 +475,7 @@ def test_each_conjunct_of_the_verdict_can_void_it(regime, map_spec, metric, max_
     # conjunct; the orbital case holds with a backward residual of 1, and
     # the global one with both
     cfg = SolverConfig(tol=1e-10, max_iter=max_iter)
-    report = picard_solve(map_spec, metric, 1.0, _certificate(regime, metric), cfg)
+    report = picard_solve(_certificate(regime, map_spec, metric), 1.0, cfg)
     held = {"converged": report.converged,
             "forward": report.residual_forward <= cfg.tol,
             "backward": regime is Regime.ORBITAL or report.residual_backward <= cfg.tol}
@@ -511,8 +494,7 @@ def test_a_global_envelope_reads_the_reverse_order():
     flip = MapSpec("flip-quarter", lambda x: -x / 4.0)
     metric = mat2_split_scaled(0.25)
     cfg = SolverConfig(tol=1e-10)
-    report = picard_solve(flip, metric, 7.0, _certificate(Regime.FORWARD_GLOBAL, metric),
-                          cfg)
+    report = picard_solve(_certificate(Regime.FORWARD_GLOBAL, flip, metric), 7.0, cfg)
     assert report.converged
     assert all(o <= b + cfg.tol for o, b in zip(report.observed_tail, report.predicted_bounds))
     assert not report.bound_envelope_ok
@@ -536,10 +518,10 @@ def _reference_spread(metric, points):
        tol=st.sampled_from([1e-10, 1e-3, 0.1]))
 def test_uniqueness_spread_is_the_one_pair_loop(metric, seeds, tol):
     # a loose tol leaves the fixed points apart
-    cert = _certificate(Regime.FORWARD_GLOBAL, metric)
+    cert = _certificate(Regime.FORWARD_GLOBAL, linear_quarter(), metric)
     cfg = SolverConfig(tol=tol)
-    points = [picard_solve(linear_quarter(), metric, s, cert, cfg).fixed_point for s in seeds]
-    spread = uniqueness_probe(linear_quarter(), metric, cert, seeds, cfg)
+    points = [picard_solve(cert, s, cfg).fixed_point for s in seeds]
+    spread = uniqueness_probe(cert, seeds, cfg)
     assert spread.hex() == _reference_spread(metric, points).hex()
 
 
@@ -557,32 +539,30 @@ def _hexed(value):
     return value
 
 
-def _with_and_without_orbit(map_spec, metric, seed, cert, cfg):
+def _with_and_without_orbit(cert, seed, cfg):
     """The hexed JSON report, the report and the applications of T, of the
-    solve under ``cert`` and under ``cert`` without its orbit.  The orbit is
-    taken only under the map object that walked it, so the applications
-    are counted on the class, not through a wrapping map."""
+    solve under ``cert`` and under a copy of it, which has no orbit.  The
+    applications are counted on the class, so that both solves run under
+    the certificate's own map object."""
     runs = []
     apply = MapSpec.apply
-    for c in (cert, replace(cert, orbit=None)):
+    for c in (cert, replace(cert)):
         applied = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(MapSpec, "apply",
                        lambda self, x: applied.append(x) or apply(self, x))
-            report = picard_solve(map_spec, metric, seed, c, cfg)
+            report = picard_solve(c, seed, cfg)
         runs.append((_hexed(report.to_json_dict()), report, len(applied)))
     return runs
 
 
 def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID, tol=1e-300):
-    """The demo problem of contraction rate ``rate``, the operator its
-    certificate walked, its metric and seed, and its orbital certificate for
-    a solve to ``tol``; the default tol is far below a step count of
-    ``DEMO_ORBIT_LEN``, so the orbit has the capped length."""
+    """The demo problem of contraction rate ``rate``, its seed, and its
+    orbital certificate for a solve to ``tol``; the default tol is far below
+    a step count of ``DEMO_ORBIT_LEN``, so the orbit has the capped length."""
     rk = math.sqrt(k)
     prob = integral.make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
-    cert = integral.demo_certificate(prob, tol)
-    return (prob, cert.orbit.map_spec, integral.problem_metric(prob), prob.f0, cert)
+    return prob, prob.f0, integral.demo_certificate(prob, tol)
 
 
 def _assert_the_orbit_was_used(cert, runs, max_iter):
@@ -603,11 +583,10 @@ def _assert_the_orbit_was_used(cert, runs, max_iter):
 def test_the_demo_solve_is_the_same_with_and_without_the_checked_orbit(
         rate, k, n, kind, tol, max_iter):
     # the certificate is sized for this solve's tol, as the demo sizes it
-    _, op, metric, f0, cert = _demo_parts(rate, k, n, kind, tol)
+    _, f0, cert = _demo_parts(rate, k, n, kind, tol)
     assume(cert.valid)
     cfg = SolverConfig(max_iter=max_iter, tol=tol)
-    _assert_the_orbit_was_used(cert, _with_and_without_orbit(op, metric, f0, cert, cfg),
-                               max_iter)
+    _assert_the_orbit_was_used(cert, _with_and_without_orbit(cert, f0, cfg), max_iter)
 
 
 @pytest.mark.parametrize("map_spec, metric, a", [
@@ -621,14 +600,14 @@ def test_gallery_orbital_certificates_give_the_same_solve(map_spec, metric, a, t
     cert = verify_orbital_type(map_spec, metric, a, seed=1.0, orbit_len=30)
     cfg = SolverConfig(max_iter=max_iter, tol=tol)
     for seed in (1.0, 1):
-        runs = _with_and_without_orbit(map_spec, metric, seed, cert, cfg)
+        runs = _with_and_without_orbit(cert, seed, cfg)
         _assert_the_orbit_was_used(cert, runs, max_iter)
         assert type(runs[0][1].fixed_point) is float
         # the trace starts at the caller's seed object, not at row 0's float
         assert type(runs[0][1].trace.points[0]) is type(seed)
     # from another seed the solve maps every iterate itself
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        map_spec, metric, 2.0, cert, cfg)
+        cert, 2.0, cfg)
     assert json_with == json_without and applied == report.iterations + 1
 
 
@@ -638,7 +617,7 @@ def test_a_seed_of_the_other_sign_of_zero_is_not_the_checked_seed():
     cert = verify_orbital_type(quarter, metric, scalar(0.5), seed=0.0, orbit_len=30)
     cfg = SolverConfig(tol=1e-10)
     (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        quarter, metric, -0.0, cert, cfg)
+        cert, -0.0, cfg)
     assert json_with == json_without and applied == report.iterations + 1
     assert math.copysign(1.0, report.fixed_point) == -1.0
 
@@ -646,105 +625,113 @@ def test_a_seed_of_the_other_sign_of_zero_is_not_the_checked_seed():
 def test_a_solve_past_the_checked_orbit_maps_the_rest():
     # at rate 0.95 and k = 2 the demo's orbit contracts by about 0.44 a step,
     # so a solve to 1e-15 outruns the certificate's 32 steps
-    _, op, metric, f0, cert = _demo_parts(0.95, 2.0, 64)
+    _, f0, cert = _demo_parts(0.95, 2.0, 64)
     cfg = SolverConfig(tol=1e-15, max_iter=200)
-    runs = _with_and_without_orbit(op, metric, f0, cert, cfg)
+    runs = _with_and_without_orbit(cert, f0, cfg)
     assert runs[0][1].converged and runs[0][1].iterations > len(cert.orbit.steps)
     _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
 
 
 def test_a_max_iter_inside_the_checked_orbit_stops_there():
-    _, op, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
+    _, f0, cert = _demo_parts(0.5, 2.0, 64)
     cfg = SolverConfig(tol=1e-12, max_iter=5)
-    runs = _with_and_without_orbit(op, metric, f0, cert, cfg)
+    runs = _with_and_without_orbit(cert, f0, cfg)
     assert runs[0][1].iterations == 5 and runs[0][1].max_iter_exceeded
     _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
 
 
+def _solve_without_orbit(cert, seed, cfg):
+    """The hexed JSON report, the report and the applications of T of the
+    solve under ``cert``, which must hold no orbit."""
+    assert cert.orbit is None
+    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
+        cert, seed, cfg)
+    assert json_with == json_without and applied == report.iterations + 1
+    return json_with, report
+
+
 def test_a_certificate_of_another_problem_is_not_taken_as_known_iterates():
-    # same grid and seed f0, another alpha: row 0 matches, the orbit does not
-    prob, op, metric, f0, cert = _demo_parts(0.5, 2.0, 64)
+    # same grid and seed f0, another alpha: row 0 matches, the orbit does
+    # not; the certificate rebuilt for the other problem's operator solves
+    # under it and maps every iterate, as one rebuilt for another metric does
+    prob, f0, cert = _demo_parts(0.5, 2.0, 64)
     other = integral.make_problem(prob.alpha * 1.25, 2.0, n=64)
     assert np.array_equal(other.f0, f0)
     cfg = SolverConfig(tol=1e-8, max_iter=200)
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        integral.integral_operator(other), integral.problem_metric(other), other.f0,
-        cert, cfg)
-    assert json_with == json_without
-    # the other problem's operator and metric are other objects, so the orbit
-    # is refused and every iterate is mapped
-    assert applied == report.iterations + 1
-    # nor is the orbit of this problem taken under its own operator in
-    # another metric, though the seed matches
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        op, reversed_metric(metric), f0, cert, cfg)
-    assert json_with == json_without and applied == report.iterations + 1
+    _, report = _solve_without_orbit(
+        replace(cert, map_spec=integral.integral_operator(other)), f0, cfg)
+    assert report.fixed_point_certified
+    _solve_without_orbit(replace(cert, metric=reversed_metric(cert.metric)), f0, cfg)
 
 
 def test_a_rebuilt_spec_equal_in_every_field_does_not_take_the_orbit():
-    # specs compare by identity: the orbit is taken under the spec that
-    # checked it, and not under a copy of it, and the report is the same
+    # specs compare by identity: a certificate rebuilt for a copy of its
+    # spec has no orbit, and its report is the one the orbit gives
     quarter, metric = linear_quarter(), scalar_backward_one()
     cert = verify_orbital_type(quarter, metric,
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     cfg = SolverConfig(tol=1e-10)
-    runs = _with_and_without_orbit(quarter, metric, 1.0, cert, cfg)
+    runs = _with_and_without_orbit(cert, 1.0, cfg)
     _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
     rebuilt = replace(metric)
     assert rebuilt != metric
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        quarter, rebuilt, 1.0, cert, cfg)
-    assert json_with == json_without == runs[0][0]
-    assert applied == report.iterations + 1
+    json_without, _ = _solve_without_orbit(replace(cert, metric=rebuilt), 1.0, cfg)
+    assert json_without == runs[0][0]
 
 
 def test_a_checked_orbit_of_another_map_cannot_certify_a_point_it_does_not_fix():
-    # the same first step from 1.0, then another orbit: the orbit checked
-    # under x / 4 is not lifted's, so the solve maps every iterate itself,
-    # gives the report it gives without the orbit and certifies lifted's
-    # own fixed point 0.4 / 3
+    # the same first step from 1.0, then another orbit: the certificate of
+    # x / 4 rebuilt for lifted has no orbit, so its solve maps every iterate
+    # under lifted and certifies lifted's own fixed point 0.4 / 3
     metric = scalar_backward_one()
     cert = verify_orbital_type(linear_quarter(), metric,
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     lifted = MapSpec("lifted", lambda x: x / 4.0 if x >= 0.2 else x / 4.0 + 0.1)
     assert lifted.apply(1.0) == cert.orbit.points[1]
-    cfg = SolverConfig(tol=1e-10)
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        lifted, metric, 1.0, cert, cfg)
-    assert json_with == json_without and applied == report.iterations + 1
+    _, report = _solve_without_orbit(replace(cert, map_spec=lifted), 1.0,
+                                     SolverConfig(tol=1e-10))
     assert report.fixed_point_certified
     assert report.fixed_point == pytest.approx(0.4 / 3.0)
 
 
 def test_the_same_function_under_another_map_object_does_not_take_the_orbit():
-    # maps, like specs, are taken by identity: a map object built alike
-    # walks the same orbit, but its solve maps every iterate itself, with
-    # the report the orbit's map gives
+    # a certificate rebuilt for a map object built alike has no orbit: its
+    # solve maps every iterate itself, with the report the orbit gives
     quarter, metric = linear_quarter(), scalar_backward_one()
     cert = verify_orbital_type(quarter, metric, scalar(1 / math.sqrt(2)), seed=1.0,
                                orbit_len=30)
     cfg = SolverConfig(tol=1e-10)
-    runs = _with_and_without_orbit(quarter, metric, 1.0, cert, cfg)
+    runs = _with_and_without_orbit(cert, 1.0, cfg)
     _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
     alike = MapSpec(quarter.name, quarter.fn)
     assert alike == quarter and alike is not quarter
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        alike, metric, 1.0, cert, cfg)
-    assert json_with == json_without == runs[0][0]
-    assert applied == report.iterations + 1
+    json_without, _ = _solve_without_orbit(replace(cert, map_spec=alike), 1.0, cfg)
+    assert json_without == runs[0][0]
 
 
 def test_a_global_certificate_does_not_take_an_orbit():
     # the prefix stops on forward steps alone, which only the orbit regimes
-    # promise: under a global regime the solve maps every iterate itself,
-    # even when the certificate carries an orbit of this map and seed
+    # promise: an orbital certificate rebuilt under a global regime has no
+    # orbit, and its solve maps every iterate itself
     quarter, metric = linear_quarter(), scalar_backward_one()
     cert = verify_orbital_type(quarter, metric, scalar(0.5), seed=1.0, orbit_len=30)
     for regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
-        (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-            quarter, metric, 1.0, replace(cert, regime=regime), SolverConfig(tol=1e-10))
-        assert json_with == json_without and applied == report.iterations + 1
+        _, report = _solve_without_orbit(replace(cert, regime=regime), 1.0,
+                                         SolverConfig(tol=1e-10))
         assert report.predicted_bounds_rev is not None
+
+
+def test_only_the_core_attaches_an_orbit():
+    cert = verify_orbital_type(linear_quarter(), scalar_backward_one(),
+                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
+    assert cert.orbit is not None
+    with pytest.raises(TypeError, match="orbit"):
+        ContractionCertificate(cert.regime, cert.map_spec, cert.metric, cert.a,
+                               cert.norm_kind, cert.samples_checked, cert.violations,
+                               cert.seed_point, orbit=cert.orbit)
+    with pytest.raises(ValueError, match="orbit"):
+        replace(cert, orbit=cert.orbit)
+    assert replace(cert).orbit is None
 
 
 def test_the_checked_orbit_stays_out_of_the_certificate_json():
@@ -752,5 +739,7 @@ def test_the_checked_orbit_stays_out_of_the_certificate_json():
                                scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
     assert cert.orbit is not None and len(cert.orbit.points) == 33
     assert "orbit" not in cert.to_json_dict()
-    assert cert == replace(cert, orbit=None) and "orbit=" not in repr(cert)
-    assert certificate_from_json(json.loads(json.dumps(cert.to_json_dict()))).orbit is None
+    assert cert == replace(cert) and "orbit=" not in repr(cert)
+    back = certificate_from_json(json.loads(json.dumps(cert.to_json_dict())),
+                                 cert.map_spec, cert.metric)
+    assert back.orbit is None
