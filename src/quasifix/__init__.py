@@ -24,6 +24,7 @@ from .algebra import (
     NotSelfAdjoint,
     OrderKind,
     PreconditionNormTooLarge,
+    QuasifixError,
     RealizationMismatch,
     ResolventInaccurate,
     add,

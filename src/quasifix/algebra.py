@@ -32,7 +32,13 @@ SCALAR = "scalar"
 DEFAULT_TOL = 1e-9
 
 
-class AlgebraError(Exception):
+class QuasifixError(Exception):
+    """Base class of every error the package raises on purpose: an argument,
+    point or certificate it refuses, or a file it cannot read or write.  The
+    command line prints any of them as one ``error:`` line and exits 1."""
+
+
+class AlgebraError(QuasifixError):
     """Base class for errors raised by algebra operations."""
 
 

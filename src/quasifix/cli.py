@@ -3,16 +3,20 @@
 Subcommands: check-axioms, classify, certify, solve, demo-integral, gallery.
 Each subcommand accepts only the options it reads, and each option's
 argparse ``type`` checks its value.  Exit codes follow the usual
-convention: 0 on success, 1 when a violation or failure was found or an
-input file cannot be read, 2 on usage errors.  Every emitted JSON report
-embeds a run manifest: the configuration, which is every option the
-subcommand accepts as parsed except the output paths and ``--cert``; the
-hashes of that configuration and of the content of every input file (the
-``--cert`` file, a ``table:`` map file, an ``@`` sequence file); the
-package version; and a timestamp.  Re-running the same configuration on the
-same files reproduces the report byte-for-byte up to the timestamp.  A
-``solve`` takes only a ``certify`` report whose manifest records its map
-and metric.
+convention: 0 on success, 1 when a violation or failure was found, an
+input file cannot be read or an output file cannot be written, 2 on usage
+errors; every error the package raises (``QuasifixError``) is one
+``error:`` line on stderr, never a traceback.  An output path is taken
+relative to ``--out-dir`` (default ``$QUASIFIX_OUT_DIR``), and its missing
+directories are created.  Every emitted JSON report embeds a run manifest:
+the configuration, which is every option the subcommand accepts as parsed
+except the output paths and ``--cert``; the hashes of that configuration
+and of every input file (the ``--cert`` file, a ``table:`` map file, an
+``@`` sequence file), each read once and hashed from the bytes the run
+parsed; the package version; and a timestamp.  Re-running the same
+configuration on the same files reproduces the report byte-for-byte up to
+the timestamp.  A ``solve`` takes only a ``certify`` report whose manifest
+records its map and metric.
 
 The report text is ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
 newline, byte for byte, written by ``_json_text`` without ``json``'s
@@ -26,6 +30,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -38,24 +43,22 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, integral
-from .algebra import AlgebraElement, AlgebraError, NormKind, OrderKind, element_from_json
+from .algebra import AlgebraElement, NormKind, OrderKind, QuasifixError, element_from_json
 from .contraction import (
     CertificateInvalid,
-    CoefficientNormTooLarge,
     ContractionCertificate,
-    NotInCommutant,
     Regime,
     certificate_from_json,
     search_scalar_coefficient,
     verify,
 )
-from .convergence import WindowTooLarge, classify, trace
+from .convergence import classify, trace
 from .gallery import run_gallery
 from .maps import CATALOG as MAP_CATALOG
 from .maps import MapSpec, from_table
 from .metrics import CATALOG as METRIC_CATALOG
-from .metrics import MULT_OP, DomainMismatch, MetricSpec, check_axioms
-from .solver import RateNotLessThanOne, SolverConfig, picard_solve
+from .metrics import MULT_OP, MetricSpec, check_axioms
+from .solver import SolverConfig, picard_solve
 
 OUT_DIR_ENV = "QUASIFIX_OUT_DIR"
 
@@ -64,49 +67,31 @@ OUT_DIR_ENV = "QUASIFIX_OUT_DIR"
 _REAL_POINT_METRICS = [name for name in METRIC_CATALOG if name != MULT_OP]
 
 #: Parsed names that are not part of a run's configuration: the subcommand's
-#: plumbing, where outputs go, and ``--cert``, which is recorded by its hash.
-_NOT_CONFIG = frozenset({"command", "func", "out_dir", "report", "out",
-                         "trace", "solution", "cert"})
+#: plumbing, where outputs go, ``--cert``, which is recorded by its hash, and
+#: the hashes of the input files themselves.
+_NOT_CONFIG = frozenset({"command", "func", "out_dir", "report", "trace",
+                         "solution", "cert", "input_hashes"})
 
 #: The options that fix a run's map and metric, which a ``solve`` and the
 #: ``certify`` run of its certificate share.
 _CERTIFIED_OPTIONS = ("map", "metric", "beta", "period", "t_grid", "norm", "order")
 
 
-class InputFileError(Exception):
-    """A file named on the command line is missing or does not hold what its
-    option expects."""
+class FileError(QuasifixError):
+    """A file named on the command line cannot be read or written, or does
+    not hold what its option expects."""
 
 
 # ---------------------------------------------------------------------------
 # manifest and report plumbing
 # ---------------------------------------------------------------------------
 
-def _canonical_json(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _input_files(parsed: dict) -> dict[str, str]:
-    """The files a run reads, by the key of their hash in the manifest:
-    ``cert`` for ``--cert``, ``map`` for a ``table:FILE`` map and ``seq``
-    for an ``@FILE`` sequence."""
-    files = {}
-    if "cert" in parsed:
-        files["cert"] = parsed["cert"]
-    if parsed.get("map", "").startswith("table:"):
-        files["map"] = parsed["map"][len("table:"):]
-    if parsed.get("seq", "").startswith("@"):
-        files["seq"] = parsed["seq"][1:]
-    return files
-
-
 def build_manifest(args: argparse.Namespace) -> dict:
-    parsed = vars(args)
-    config = {k: v for k, v in parsed.items() if k not in _NOT_CONFIG}
-    hashes = {"config": hashlib.sha256(
-        _canonical_json(config).encode()).hexdigest()}
-    for key, path in _input_files(parsed).items():
-        hashes[key] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The run manifest of ``args``, whose ``input_hashes`` holds the hash
+    of every input file ``_read_input`` has read."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    hashes = {"config": hashlib.sha256(canonical.encode()).hexdigest(), **args.input_hashes}
     return {
         "command": args.command,
         "config": config,
@@ -114,14 +99,6 @@ def build_manifest(args: argparse.Namespace) -> dict:
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-
-
-def _resolve_out(path: str, out_dir: str | None) -> Path:
-    p = Path(path)
-    if p.is_absolute():
-        return p
-    base = out_dir or os.environ.get(OUT_DIR_ENV)
-    return (Path(base) / p) if base else p
 
 
 def _json_text(obj: Any) -> str:
@@ -262,25 +239,39 @@ def _key_text(key: Any) -> str:
     return encode_basestring_ascii(text)
 
 
-def _write_report(path: str | None, manifest: dict, report: dict,
-                  out_dir: str | None) -> None:
-    if path is None:
-        return
-    payload = _json_text({"manifest": manifest, "report": report}) + "\n"
-    target = _resolve_out(path, out_dir)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(payload, encoding="utf-8")
-
-
-def _read_input(path: str, parse: Callable[[Any], Any]) -> Any:
-    """``parse`` applied to the open text file at ``path``; a missing file,
-    or one ``parse`` cannot read, raises ``InputFileError``."""
+def _write_output(path: str, text: str, out_dir: str | None) -> None:
+    """Write ``text`` as it is to ``path``, taken relative to ``out_dir``
+    or else ``$QUASIFIX_OUT_DIR``, after creating its missing directories;
+    every output file of a run is written here.  A path that cannot be
+    written raises ``FileError``."""
+    target = Path(out_dir or os.environ.get(OUT_DIR_ENV) or "") / path
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return parse(fh)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileError(f"cannot write {target}: {type(exc).__name__}: {exc}") from None
+
+
+def _csv_text(rows: Any) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _read_input(args: argparse.Namespace, key: str, path: str,
+                parse: Callable[[str], Any]) -> Any:
+    """``parse`` applied to the text of the file at ``path``, which is read
+    once: the sha256 of its bytes goes to the run's manifest under ``key``
+    (``cert``, ``map`` or ``seq``) before ``parse`` runs.  A missing file,
+    or one ``parse`` cannot read, raises ``FileError``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        args.input_hashes[key] = hashlib.sha256(data).hexdigest()
+        return parse(data.decode("utf-8"))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise InputFileError(
-            f"cannot read {path}: {type(exc).__name__}: {exc}") from None
+        raise FileError(f"cannot read {path}: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +348,8 @@ def _nonempty_grid(spec: str) -> None:
 
 
 def _seq_points(spec: str) -> list[float]:
-    """The points of a ``--seq`` spec; a malformed one raises ``ValueError``,
-    and an ``@file`` that cannot be read, ``InputFileError``."""
-    if spec.startswith("@"):
-        return _read_input(spec[1:], lambda fh: [float(row[0])
-                                                 for row in csv.reader(fh) if row])
+    """The points of an inline ``--seq`` spec; a malformed one raises
+    ``ValueError``."""
     if spec.startswith("harmonic:"):
         _, x, n = spec.split(":")
         return [float(x) * (1.0 + 1.0 / i) for i in range(1, _count(n) + 1)]
@@ -403,39 +391,39 @@ def _build_metric(args: argparse.Namespace) -> MetricSpec:
     return spec
 
 
-def _build_map(name: str) -> MapSpec:
-    if name.startswith("table:"):
-        return _read_input(name[len("table:"):], lambda fh: from_table(
-            {float(k): float(v) for k, v in json.load(fh).items()}))
-    return MAP_CATALOG[name]()
+def _build_map(args: argparse.Namespace) -> MapSpec:
+    if args.map.startswith("table:"):
+        return _read_input(args, "map", args.map[len("table:"):], lambda text: from_table(
+            {float(k): float(v) for k, v in json.loads(text).items()}))
+    return MAP_CATALOG[args.map]()
 
 
 def _certified(args: argparse.Namespace, payload: Any, map_spec: MapSpec,
-               metric: MetricSpec) -> tuple[dict, ContractionCertificate]:
-    """The run manifest of ``args``, and the certificate of the ``certify``
-    report ``payload`` bound to ``map_spec`` and ``metric``.  The report's
-    manifest must record the run's ``_CERTIFIED_OPTIONS`` and map table, or
-    ``CertificateInvalid`` names the first that differs."""
+               metric: MetricSpec) -> ContractionCertificate:
+    """The certificate of the ``certify`` report ``payload`` bound to
+    ``map_spec`` and ``metric``.  The report's manifest must record the
+    run's ``_CERTIFIED_OPTIONS`` and map table, or ``CertificateInvalid``
+    names the first that differs."""
     if "manifest" not in payload:
         raise CertificateInvalid(
             f"{args.cert} holds no run manifest: solve reads certify reports")
-    manifest, recorded = build_manifest(args), payload["manifest"]
+    recorded = payload["manifest"]
     for key in _CERTIFIED_OPTIONS:
-        theirs, ours = recorded["config"].get(key), manifest["config"][key]
+        theirs, ours = recorded["config"].get(key), getattr(args, key)
         if theirs != ours:  # None: the option was not given
             raise CertificateInvalid(f"{args.cert} was certified with "
                                      f"--{key.replace('_', '-')} {theirs}, not {ours}")
-    if recorded["input_hashes"].get("map") != manifest["input_hashes"].get("map"):
+    if recorded["input_hashes"].get("map") != args.input_hashes.get("map"):
         raise CertificateInvalid(
             f"{args.cert} certifies another table than --map {args.map}")
-    return manifest, certificate_from_json(payload["report"], map_spec, metric)
+    return certificate_from_json(payload["report"], map_spec, metric)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_check_axioms(args: argparse.Namespace) -> int:
+def _cmd_check_axioms(args: argparse.Namespace) -> tuple[int, dict]:
     spec = _build_metric(args)
     pts = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
     report = check_axioms(spec, pts, tol=args.tol)
@@ -448,14 +436,16 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     if witness is not None:  # numpy scalars print by numpy version
         witness = tuple(float(p) for p in witness)
     print(f"  asymmetry witness     : {witness}")
-    _write_report(args.report, build_manifest(args), report.to_json_dict(),
-                  args.out_dir)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_json_dict()
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
     spec = _build_metric(args)
-    seq = _seq_points(args.seq)
+    if args.seq.startswith("@"):  # the first CSV column
+        seq = _read_input(args, "seq", args.seq[1:], lambda text: [
+            float(row[0]) for row in csv.reader(io.StringIO(text, newline="")) if row])
+    else:
+        seq = _seq_points(args.seq)
     verdict = classify(seq, args.candidate, spec, args.eps, args.window)
     print(f"forward          : {verdict.forward.value}")
     print(f"backward         : {verdict.backward.value}")
@@ -463,16 +453,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     print(f"backward cauchy  : {verdict.backward_cauchy.value}")
     if args.trace:
         data = trace(seq, spec, candidate=args.candidate)
-        target = _resolve_out(args.trace, args.out_dir)
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "x_n", "fwd_dist", "bwd_dist"])
-            for n, x in enumerate(data.points):
-                writer.writerow([n, x, data.forward_dists[n],
-                                 data.backward_dists[n]])
-    _write_report(args.report, build_manifest(args), verdict.to_json_dict(),
-                  args.out_dir)
-    return 0
+        rows = [[n, x, data.forward_dists[n], data.backward_dists[n]]
+                for n, x in enumerate(data.points)]
+        _write_output(args.trace, _csv_text([["n", "x_n", "fwd_dist", "bwd_dist"], *rows]),
+                      args.out_dir)
+    return 0, verdict.to_json_dict()
 
 
 _REGIMES = {
@@ -483,9 +468,9 @@ _REGIMES = {
 }
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict | None]:
     spec = _build_metric(args)
-    map_spec = _build_map(args.map)
+    map_spec = _build_map(args)
     regime = _REGIMES[args.regime]
     points = None
     if regime.is_global:
@@ -497,23 +482,21 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         if cert is None:
             print("no scalar certificate exists below the regime cap",
                   file=sys.stderr)
-            return 1
+            return 1, None
     else:
         cert = verify(regime, map_spec, spec, _coefficient(args.a), points=points,
                       seed=args.seed, orbit_len=args.orbit_len, tol=args.tol)
     print(f"regime {cert.regime.value}: coefficient norm {cert.a_norm:.9f}, "
           f"{cert.samples_checked} samples, "
           f"{len(cert.violations)} violations")
-    _write_report(args.out, build_manifest(args), cert.to_json_dict(),
-                  args.out_dir)
-    return 0 if cert.valid else 1
+    return (0 if cert.valid else 1), cert.to_json_dict()
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
     spec = _build_metric(args)
-    map_spec = _build_map(args.map)
-    manifest, cert = _read_input(
-        args.cert, lambda fh: _certified(args, json.load(fh), map_spec, spec))
+    map_spec = _build_map(args)
+    cert = _read_input(args, "cert", args.cert,
+                       lambda text: _certified(args, json.loads(text), map_spec, spec))
     cfg = SolverConfig(max_iter=args.max_iter, tol=args.tol)
     report = picard_solve(cert, args.seed, cfg)
     print(f"fixed point {report.fixed_point!r} after {report.iterations} "
@@ -523,13 +506,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"bound envelope ok: {report.bound_envelope_ok}; "
           f"certified: {report.fixed_point_certified}")
     if args.trace:
-        report.trace.write_csv(_resolve_out(args.trace, args.out_dir),
-                               report.predicted_bounds)
-    _write_report(args.report, manifest, report.to_json_dict(), args.out_dir)
-    return 0 if report.fixed_point_certified else 1
+        _write_output(args.trace, _csv_text(report.trace.rows(report.predicted_bounds)),
+                      args.out_dir)
+    return (0 if report.fixed_point_certified else 1), report.to_json_dict()
 
 
-def _cmd_demo_integral(args: argparse.Namespace) -> int:
+def _cmd_demo_integral(args: argparse.Namespace) -> tuple[int, dict]:
     prob = integral.make_problem(
         args.alpha, args.k, n=args.grid_size,
         quadrature=integral.QuadratureKind(args.quadrature))
@@ -546,15 +528,9 @@ def _cmd_demo_integral(args: argparse.Namespace) -> int:
         if report.equation_residual > args.tol:
             status = 1
         if args.solution:
-            target = _resolve_out(args.solution, args.out_dir)
-            with open(target, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "f_star"])
-                for x, fx in zip(prob.grid, report.solution.tolist()):
-                    writer.writerow([x, fx])
-    _write_report(args.report, build_manifest(args), report.to_json_dict(),
-                  args.out_dir)
-    return status
+            _write_output(args.solution, _csv_text(
+                [["x", "f_star"], *zip(prob.grid, report.solution.tolist())]), args.out_dir)
+    return status, report.to_json_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +609,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--orbit-len", type=_bounded(int, 2), default=30,
                    dest="orbit_len")
     p.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
-    p.add_argument("--out", default=None)
+    # certify names its report --out; it is args.report, as for the others
+    p.add_argument("--out", default=None, dest="report", metavar="OUT")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("solve", parents=[metric_opts, outputs],
@@ -662,18 +639,22 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_demo_integral)
 
     p = sub.add_parser("gallery", help="run the worked-example fixtures")
-    p.set_defaults(func=lambda args: run_gallery())
+    p.set_defaults(func=lambda args: (run_gallery(), None))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, and write the report it returns, if any, to
+    ``--report`` (``--out`` for certify) when that is given."""
     args = _make_parser().parse_args(argv)
+    args.input_hashes = {}  # filled by _read_input
     try:
-        return args.func(args)
-    except (AlgebraError, DomainMismatch, WindowTooLarge, CertificateInvalid,
-            CoefficientNormTooLarge, NotInCommutant, RateNotLessThanOne,
-            integral.GridMismatch, integral.NotContractive,
-            InputFileError) as exc:
+        status, report = args.func(args)
+        if report is not None and args.report is not None:
+            _write_output(args.report, _json_text(
+                {"manifest": build_manifest(args), "report": report}) + "\n", args.out_dir)
+        return status
+    except QuasifixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,6 +62,7 @@ from .algebra import (
     AlgebraElement,
     NormKind,
     NotPositive,
+    QuasifixError,
     adjoint,
     element_from_json,
     element_to_json,
@@ -104,15 +105,15 @@ _ROUNDING_ULPS = 64
 _UNDERFLOW = 2.0 ** -1060
 
 
-class CoefficientNormTooLarge(Exception):
+class CoefficientNormTooLarge(QuasifixError):
     """Coefficient norm violates the regime's admissibility gate."""
 
 
-class NotInCommutant(Exception):
+class NotInCommutant(QuasifixError):
     """Two-step coefficients must come from a commuting realization."""
 
 
-class CertificateInvalid(Exception):
+class CertificateInvalid(QuasifixError):
     """The certificate cannot back this solve."""
 
 
@@ -151,8 +152,8 @@ class ContractionCertificate:
     ``metric``, the objects a solve under it runs under (its JSON names
     them); ``violations`` holds one dict per failing sample, its points
     already JSON values.  What the coefficient determines is derived on
-    first use, not stored: ``a_norm`` in ``norm_kind``, the two-step
-    h = a (I - a)^-1 and its operator norm, and the step ``rate``.
+    first use, not stored: ``norm_kind`` and ``a_norm`` in it, the
+    two-step h = a (I - a)^-1 and its operator norm, and the step ``rate``.
 
     ``orbit`` is the orbit an orbital certificate checked, in memory only.
     Only the core sets it: it is no constructor argument, and ``replace``
@@ -164,7 +165,6 @@ class ContractionCertificate:
     map_spec: MapSpec
     metric: MetricSpec
     a: AlgebraElement
-    norm_kind: NormKind
     samples_checked: int
     violations: tuple
     seed_point: Any = None
@@ -174,6 +174,11 @@ class ContractionCertificate:
     @property
     def valid(self) -> bool:
         return not self.violations
+
+    @cached_property
+    def norm_kind(self) -> NormKind:
+        """The norm of the regime's gate: operator for two-step, else the metric's."""
+        return NormKind.OPERATOR if self.regime is Regime.TWO_STEP else self.metric.norm
 
     @cached_property
     def a_norm(self) -> float:
@@ -218,17 +223,19 @@ class ContractionCertificate:
 def certificate_from_json(obj: dict, map_spec: MapSpec,
                           metric: MetricSpec) -> ContractionCertificate:
     """The certificate ``obj`` holds, bound to ``map_spec`` and ``metric``;
-    ``CertificateInvalid`` when ``obj`` names another map or metric."""
+    ``CertificateInvalid`` when ``obj`` names another map or metric, and
+    what ``_gate`` raises when its coefficient fails the regime's gates."""
     for kind, spec in (("map", map_spec), ("metric", metric)):
         if obj.get(kind) != spec.name:
             raise CertificateInvalid(
                 f"the certificate is for {kind} {obj.get(kind)!r}, not {spec.name!r}")
+    regime, a = Regime(obj["regime"]), element_from_json(obj["a"])
+    _gate(regime, metric, a)
     return ContractionCertificate(
-        regime=Regime(obj["regime"]),
+        regime=regime,
         map_spec=map_spec,
         metric=metric,
-        a=element_from_json(obj["a"]),
-        norm_kind=NormKind(obj["norm_kind"]),
+        a=a,
         samples_checked=int(obj["samples_checked"]),
         violations=tuple(obj.get("violations", ())),
         seed_point=obj.get("seed_point"),
@@ -427,7 +434,6 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
                                 lhs_norms, rhs_norms))
     cert = ContractionCertificate(
         regime=regime, map_spec=map_spec, metric=metric, a=a,
-        norm_kind=NormKind.OPERATOR if regime is Regime.TWO_STEP else metric.norm,
         samples_checked=len(lhs), violations=violations,
         seed_point=None if regime.is_global else seed)
     object.__setattr__(cert, "orbit", orbit)

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
-from .algebra import batch_norm
+from .algebra import QuasifixError, batch_norm
 from .maps import MapSpec
 from .metrics import MetricSpec, distance_norm_table, paired_payloads
 
 
-class WindowTooLarge(Exception):
+class WindowTooLarge(QuasifixError):
     """The inspection window does not fit inside the sequence."""
 
 

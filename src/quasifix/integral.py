@@ -44,18 +44,18 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import norm
+from .algebra import QuasifixError, norm
 from .contraction import ContractionCertificate, verify_orbital_type
 from .maps import MapSpec
 from .metrics import MetricSpec, codomain_scalar, eval_metric, mult_op
 from .solver import SolverConfig, picard_solve
 
 
-class GridMismatch(Exception):
+class GridMismatch(QuasifixError):
     """Sampled function does not live on the problem grid."""
 
 
-class NotContractive(Exception):
+class NotContractive(QuasifixError):
     """The demo requires a contraction rate below 1."""
 
 
@@ -318,14 +318,11 @@ def run_demo(prob: IntegralProblem,
     The solve runs under the certificate, so under the operator it checked,
     from its orbit (see the module docstring).  ``report`` is the problem's
     ``regime_report`` when the caller has it already; it is completed in
-    place and returned.
+    place and returned.  A problem whose rate is not below 1 raises
+    ``NotContractive`` from ``demo_certificate``.
     """
     if report is None:
         report = regime_report(prob)
-    if report.regime == REGIME_NOT_CONTRACTIVE:
-        raise NotContractive(
-            f"rate {report.rate:.6f} is not below 1 for "
-            f"alpha={prob.alpha}, k={prob.k}")
     solved = picard_solve(demo_certificate(prob, cfg.tol), prob.f0, cfg)
     fstar = np.asarray(solved.fixed_point)
     fstar.setflags(write=False)

@@ -61,6 +61,7 @@ from .algebra import (
     AlgebraElement,
     NormKind,
     OrderKind,
+    QuasifixError,
     RealizationMismatch,
     _checked_grid,
     _sampled_on,
@@ -78,7 +79,7 @@ SCALAR_BACKWARD_ONE = "scalar-backward-one"
 MULT_OP = "mult-op"
 
 
-class DomainMismatch(Exception):
+class DomainMismatch(QuasifixError):
     """Point is outside the metric's declared point domain."""
 
 

@@ -48,13 +48,20 @@ would give, so the report is the same as without the orbit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement, NormKind, NotPositive, batch_norm, is_positive, norm
+from .algebra import (
+    AlgebraElement,
+    NormKind,
+    NotPositive,
+    QuasifixError,
+    batch_norm,
+    is_positive,
+    norm,
+)
 from .contraction import CertificateInvalid, CheckedOrbit, ContractionCertificate, Regime
 from .convergence import lsc_holds
 from .metrics import (
@@ -68,7 +75,7 @@ from .metrics import (
 )
 
 
-class RateNotLessThanOne(Exception):
+class RateNotLessThanOne(QuasifixError):
     """Geometric bounds need a contraction rate strictly below 1."""
 
 
@@ -96,18 +103,17 @@ class OrbitTrace:
     fwd_step_norms: tuple[float, ...]
     bwd_step_norms: tuple[float, ...]
 
-    def write_csv(self, path, bounds: tuple[float, ...] | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "x_n", "fwd_step_norm", "bwd_step_norm", "bound_p"])
-            for n, pt in enumerate(self.points):
-                xval = float(np.max(np.abs(pt))) if isinstance(pt, np.ndarray) else pt
-                fwd = self.fwd_step_norms[n - 1] if n >= 1 else ""
-                bwd = self.bwd_step_norms[n - 1] if n >= 1 else ""
-                bound = ""
-                if bounds is not None and n < len(bounds):
-                    bound = bounds[n]
-                writer.writerow([n, xval, fwd, bwd, bound])
+    def rows(self, bounds: tuple[float, ...] | None = None) -> list[list]:
+        """CSV rows, header first: per iterate x_n (an array's sup norm), the
+        step norms into it and ``bounds[n]``, with "" where there is none."""
+        rows: list[list] = [["n", "x_n", "fwd_step_norm", "bwd_step_norm", "bound_p"]]
+        for n, pt in enumerate(self.points):
+            xval = float(np.max(np.abs(pt))) if isinstance(pt, np.ndarray) else pt
+            fwd = self.fwd_step_norms[n - 1] if n >= 1 else ""
+            bwd = self.bwd_step_norms[n - 1] if n >= 1 else ""
+            bound = bounds[n] if bounds is not None and n < len(bounds) else ""
+            rows.append([n, xval, fwd, bwd, bound])
+        return rows
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quasifix.cli import _json_text, _make_parser, _write_report, main
+from quasifix.cli import _json_text, _make_parser, main
 from quasifix.gallery import run_gallery
 
 from budget import examples
@@ -345,6 +345,34 @@ def test_solve_derives_the_two_step_rate_whatever_the_file_says(tmp_path, capsys
     assert json.loads(runs[0][2])["report"]["rate"] == 0.4999999999999999
 
 
+@pytest.mark.parametrize("certify, solve, a, message", [
+    (None, "scalar-backward-one", {"realization": "scalar", "value": -0.4},
+     "two-step coefficient must be positive"),
+    (None, "scalar-backward-one", {"realization": "scalar", "value": 0.6},
+     "two-step coefficient operator norm 0.600000 exceeds 1/2"),
+    (_HALF_IDENTITY_CHECK, "mat2-split",
+     {"realization": "mat2", "entries": [[0.8, 0], [0, 0.8]]},
+     "coefficient norm 1.131371 is not below 1"),
+], ids=["two-step-negative", "two-step-above-half", "forward-norm-one"])
+def test_solve_refuses_a_coefficient_that_fails_its_gate(tmp_path, capsys, certify,
+                                                         solve, a, message):
+    # a coefficient edited in the file is gated as certify gates it
+    cert = tmp_path / "cert.json"
+    if certify is None:
+        payload = _two_step_cert(cert)
+    else:
+        assert main([*certify, "--out", str(cert)]) == 0
+        payload = _load(cert)
+    payload["report"]["a"] = a
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["solve", "--map", "linear-quarter", "--metric", solve,
+                 "--seed", "3", "--cert", str(cert)])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_solve_refuses_a_certificate_of_no_sample(tmp_path, capsys):
     # the zero coefficient that an empty grid once certified for any map,
     # as certify wrote it: no violation, and no sample
@@ -575,9 +603,16 @@ def test_the_report_writer_refuses_circular_containers():
             write(loop)
 
 
-def test_unwritten_reports_are_not_serialized():
-    # an object json cannot encode shows whether the report was serialized
-    _write_report(None, {}, {"unserializable": object()}, None)
+def test_unwritten_reports_are_not_serialized(tmp_path, monkeypatch, capsys):
+    # an object json cannot encode shows whether the report was serialized:
+    # a run without --report writes nothing, so it never meets the object
+    from quasifix.convergence import ConvergenceVerdict
+
+    monkeypatch.setattr(ConvergenceVerdict, "to_json_dict",
+                        lambda self: {"unserializable": object()})
+    assert main(_CLASSIFY) == 0
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        main([*_CLASSIFY, "--report", str(tmp_path / "unused.json")])
 
 
 # --- demo-integral ----------------------------------------------------------------
@@ -934,3 +969,109 @@ def test_manifests_hash_the_content_of_map_and_sequence_files(tmp_path, kind):
     assert first["config"] == second["config"]
     assert first[kind] != second[kind]
     assert first[kind] == hashlib.sha256(contents[0].encode()).hexdigest()
+
+
+def test_every_input_file_is_read_once_and_hashed_as_read(tmp_path, monkeypatch):
+    # the manifest hashes the bytes the run parsed: each input file is opened
+    # once, and its hash is that of its bytes
+    import builtins
+    import io
+
+    table, cert, seq = tmp_path / "table.json", tmp_path / "cert.json", tmp_path / "seq.csv"
+    table.write_text(json.dumps({x: 0.0 for x in (0.0, 1.0, 2.0)}), encoding="utf-8")
+    seq.write_bytes(b"1.5\r\n1.25\r\n1.125\r\n")
+    assert main([*_HALF_IDENTITY_CHECK, "--grid", "0,1,2", "--map", f"table:{table}",
+                 "--out", str(cert)]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    runs = [
+        (["solve", "--map", f"table:{table}", "--metric", "mat2-split", "--seed", "2",
+          "--cert", str(cert)], {"map": table, "cert": cert}),
+        ([*_CLASSIFY[:3], "--seq", f"@{seq}", *_CLASSIFY[5:]], {"seq": seq}),
+    ]
+    for i, (argv, files) in enumerate(runs):
+        report = tmp_path / f"report-{i}.json"
+        opened.clear()
+        assert main([*argv, "--report", str(report)]) == 0
+        assert sorted(map(str, opened)) == sorted(map(str, [*files.values(), report]))
+        hashes = _load(report)["manifest"]["input_hashes"]
+        assert set(hashes) == {"config", *files}
+        for key, path in files.items():
+            assert hashes[key] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+#: Each output option of each subcommand, after a run that exits 0; a
+#: {cert} argument is a certificate that the test writes first.
+_OUTPUTS = [
+    (["check-axioms", "--metric", "mat2-split", "--grid", "5"], "--report"),
+    (_CLASSIFY, "--report"),
+    (_CLASSIFY, "--trace"),
+    (_CERTIFY, "--out"),
+    *[(["solve", "--map", "linear-quarter", "--metric", "mat2-split", "--seed", "1",
+        "--cert", "{cert}"], option) for option in ("--report", "--trace")],
+    (_DEMO, "--report"),
+    (_DEMO, "--solution"),
+]
+
+
+def _with_cert(argv: list[str], tmp_path: Path) -> list[str]:
+    cert = tmp_path / "cert.json"
+    if "{cert}" in argv and not cert.exists():
+        assert main([*_CERTIFY, "--out", str(cert)]) == 0
+    return [str(cert) if a == "{cert}" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, option", _OUTPUTS, ids=lambda v: v if isinstance(v, str)
+                         else v[0])
+def test_outputs_go_into_directories_that_do_not_exist_yet(tmp_path, capsys, argv,
+                                                           option):
+    target = tmp_path / "new" / "deeper" / "out.txt"
+    assert main([*_with_cert(argv, tmp_path), option, str(target)]) == 0
+    assert target.read_text(encoding="utf-8")
+    relative = Path("nested") / "out.txt"
+    assert main([*_with_cert(argv, tmp_path), option, str(relative),
+                 "--out-dir", str(tmp_path / "base")]) == 0
+    assert (tmp_path / "base" / relative).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, option", _OUTPUTS, ids=lambda v: v if isinstance(v, str)
+                         else v[0])
+def test_an_output_that_cannot_be_written_is_an_error(tmp_path, capsys, argv, option):
+    # a path under a regular file: its directory cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    argv = _with_cert(argv, tmp_path)
+    capsys.readouterr()
+    assert main([*argv, option, str(blocker / "out.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocker / 'out.txt'}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
+def test_every_error_class_of_the_package_derives_from_one_base():
+    # main catches QuasifixError alone, so every error class a module of the
+    # package defines must be one
+    import importlib
+    import inspect
+    import pkgutil
+
+    import quasifix
+    from quasifix import QuasifixError
+
+    found = set()
+    for info in pkgutil.iter_modules(quasifix.__path__):
+        module = importlib.import_module(f"quasifix.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                found.add(cls)
+    assert len(found) >= 16
+    assert all(issubclass(cls, QuasifixError) for cls in found), \
+        sorted(cls.__name__ for cls in found if not issubclass(cls, QuasifixError))

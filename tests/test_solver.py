@@ -219,13 +219,14 @@ def test_reports_are_deterministic(sandwich_cert):
         json.dumps(second.to_json_dict(), sort_keys=True)
 
 
-def test_trace_csv_columns(tmp_path, sandwich_cert):
+def test_trace_csv_columns(sandwich_cert):
     report = picard_solve(sandwich_cert, 1.0, SolverConfig(tol=1e-10))
-    out = tmp_path / "trace.csv"
-    report.trace.write_csv(out, report.predicted_bounds)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,x_n,fwd_step_norm,bwd_step_norm,bound_p"
-    assert len(lines) == len(report.trace.points) + 1
+    header, first, *rest = report.trace.rows(report.predicted_bounds)
+    assert header == ["n", "x_n", "fwd_step_norm", "bwd_step_norm", "bound_p"]
+    assert first == [0, 1.0, "", "", report.predicted_bounds[0]]
+    assert len(rest) == len(report.trace.points) - 1
+    assert all(len(row) == len(header) for row in rest)
+    assert [row[2] for row in rest] == list(report.trace.fwd_step_norms)
 
 
 # --- envelope head -------------------------------------------------------------------
@@ -312,7 +313,7 @@ def _certificate(regime, map_spec, metric, c=0.5):
     recorded sample nothing checked: the solver trusts it (a certificate of
     no sample it refuses)."""
     a = codomain_scalar(metric, c)
-    return ContractionCertificate(regime, map_spec, metric, a, NormKind.OPERATOR, 1, ())
+    return ContractionCertificate(regime, map_spec, metric, a, 1, ())
 
 
 @pytest.mark.parametrize("regime, map_spec, metric, seed", [
@@ -727,7 +728,7 @@ def test_only_the_core_attaches_an_orbit():
     assert cert.orbit is not None
     with pytest.raises(TypeError, match="orbit"):
         ContractionCertificate(cert.regime, cert.map_spec, cert.metric, cert.a,
-                               cert.norm_kind, cert.samples_checked, cert.violations,
+                               cert.samples_checked, cert.violations,
                                cert.seed_point, orbit=cert.orbit)
     with pytest.raises(ValueError, match="orbit"):
         replace(cert, orbit=cert.orbit)
