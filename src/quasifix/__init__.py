@@ -53,7 +53,6 @@ from .contraction import (
 )
 from .convergence import (
     ConvergenceVerdict,
-    SequenceTrace,
     Verdict,
     WindowTooLarge,
     classify,

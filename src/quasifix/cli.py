@@ -52,7 +52,7 @@ from .contraction import (
     search_scalar_coefficient,
     verify,
 )
-from .convergence import classify, trace
+from .convergence import classify
 from .gallery import run_gallery
 from .maps import CATALOG as MAP_CATALOG
 from .maps import MapSpec, from_table
@@ -452,9 +452,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
     print(f"forward cauchy   : {verdict.forward_cauchy.value}")
     print(f"backward cauchy  : {verdict.backward_cauchy.value}")
     if args.trace:
-        data = trace(seq, spec, candidate=args.candidate)
-        rows = [[n, x, data.forward_dists[n], data.backward_dists[n]]
-                for n, x in enumerate(data.points)]
+        rows = zip(range(len(seq)), seq, verdict.forward_dists, verdict.backward_dists)
         _write_output(args.trace, _csv_text([["n", "x_n", "fwd_dist", "bwd_dist"], *rows]),
                       args.out_dir)
     return 0, verdict.to_json_dict()
@@ -588,7 +586,7 @@ def _make_parser() -> argparse.ArgumentParser:
                         "or X,Y,...")
     p.add_argument("--candidate", type=float, required=True)
     p.add_argument("--eps", type=_POSITIVE, required=True)
-    p.add_argument("--window", type=int, required=True)
+    p.add_argument("--window", type=_bounded(int, 1), required=True)
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_classify)

@@ -249,12 +249,16 @@ def _point_json(p: Any) -> Any:
 
 
 def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement) -> None:
-    """The regime's admissibility gates on ``a``: ||a|| < 1 in the metric's
-    norm, or, for two-step, a positive diagonal a with ||a||_op <= 1/2.
+    """The regime's admissibility gates on ``a``: it lives in the space of
+    the metric's distances, as ``mul`` and ``leq`` require (its realization
+    is the metric's codomain, and a sampled one lies on the metric's element
+    grid); then ||a|| < 1 in the metric's norm, or, for two-step, a positive
+    diagonal a with ||a||_op <= 1/2.
 
     The gates take no order tolerance as slack: a large tol would admit any
     coefficient.
     """
+    algebra._require_space(a, metric.codomain, metric.grid)
     if regime is not Regime.TWO_STEP:
         a_norm = norm(a, metric.norm)
         if a_norm >= 1.0:
@@ -272,10 +276,9 @@ def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement) -> None:
             f"two-step coefficient operator norm {op_norm:.6f} exceeds 1/2")
 
 
-def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
-            like: AlgebraElement, points: Any, seed: Any,
-            orbit_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                     CheckedOrbit | None]:
+def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec, points: Any,
+            seed: Any, orbit_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                CheckedOrbit | None]:
     """The regime's samples as (stack, lhs, base, orbit): the validated
     points, the two tables in sample order, and the orbital regime's
     ``CheckedOrbit`` (None for the other regimes).
@@ -291,10 +294,7 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     orbital ``base[i]`` = d(o[i], o[i+1]) are one paired evaluation of the
     steps, shifted by one; two-step evaluates its base d(o[i], o[i+2])
     apart.  An empty point set raises ``ValueError``, as an orbit shorter
-    than two steps does.  The distances
-    must live in the space of ``like`` (the coefficient), as ``mul`` and
-    ``leq`` require: its realization is the metric's codomain, and a
-    sampled one lies on the metric's element grid.
+    than two steps does.
     """
     orbit = None
     if regime.is_global:
@@ -322,7 +322,6 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         else:
             lhs = _paired_on(metric, stack, slice(1, -1), slice(2, None))
             base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
-    algebra._require_space(like, metric.codomain, metric.grid)
     return stack, lhs, base, orbit
 
 
@@ -457,7 +456,7 @@ def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     """
     _require_tol(tol)
     _gate(regime, metric, a)
-    tables = _tables(regime, map_spec, metric, a, points, seed, orbit_len)
+    tables = _tables(regime, map_spec, metric, points, seed, orbit_len)
     return _certificate(regime, map_spec, metric, a, tables, seed, tol)
 
 
@@ -513,8 +512,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     else:
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
-    tables = _tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
-                     points, seed, orbit_len)
+    tables = _tables(regime, map_spec, metric, points, seed, orbit_len)
     _, lhs, base, _ = tables
     # for a = c I with c >= 0 every gate is monotone in c, so the gates
     # pass on all of [0, cap] once they pass at the cap

@@ -8,13 +8,14 @@ behaviour of its tail.  Thresholds are scalar: the order-interval condition
 and that is the implemented reading.
 
 Verdicts are evidence over a finite window, not proofs; every verdict
-records the tail data it was derived from.
+records the tail data it was derived from, and keeps the candidate's
+distances to every point.
 
-A trace takes its distances as rectangular tables through
-``metrics.distance_norm_table``: the candidate against every point in both
-argument orders, and the inspection window against itself.  The values are
-the one-pair ``distance_norm`` values bit for bit, and the tables cover the
-pairs the one-pair loop would evaluate, so they reject the same points.
+``classify`` is the one pass over a sequence: it validates the points and
+the candidate once, as one stack (``metrics._points``), takes the
+candidate's distances in both argument orders from ``metrics._tail_norms``
+on that stack, and the window's from one table of the tail against itself.
+The values are the one-pair ``distance_norm`` values bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
+import numpy as np
+
 from .algebra import QuasifixError, batch_norm
 from .maps import MapSpec
-from .metrics import MetricSpec, distance_norm_table, paired_payloads
+from .metrics import MetricSpec, _kernel, _norms, _points, _tail_norms, paired_payloads
 
 
 class WindowTooLarge(QuasifixError):
@@ -39,29 +42,18 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class SequenceTrace:
-    """Distance data of a point sequence, ready for classification.
-
-    ``forward_dists[n]`` is the norm of d(candidate, x_n), ``backward_dists``
-    the swapped order; both are empty when no candidate was supplied.
-    ``pair_dists`` holds (p, n, d(x_p, x_n), d(x_n, x_p)) norms for p < n
-    inside the inspection window.
-    """
-
-    points: tuple
-    metric_name: str
-    forward_dists: tuple[float, ...]
-    backward_dists: tuple[float, ...]
-    pair_dists: tuple[tuple[int, int, float, float], ...]
-
-
-@dataclass(frozen=True)
 class ConvergenceVerdict:
+    """The four verdicts and their evidence.  ``forward_dists[n]`` is the
+    norm of d(candidate, x_n) and ``backward_dists[n]`` the swapped order,
+    for every point of the sequence; they stay out of the JSON."""
+
     forward: Verdict
     backward: Verdict
     forward_cauchy: Verdict
     backward_cauchy: Verdict
     evidence: dict
+    forward_dists: tuple[float, ...]
+    backward_dists: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,23 +65,10 @@ class ConvergenceVerdict:
         }
 
 
-def trace(points: list, metric: MetricSpec, candidate: Any = None,
-          window: int | None = None) -> SequenceTrace:
-    """Compute the distance arrays a classification needs."""
-    pts = tuple(points)
-    fwd: tuple[float, ...] = ()
-    bwd: tuple[float, ...] = ()
-    if candidate is not None and pts:
-        fwd = tuple(distance_norm_table(metric, [candidate], pts)[0].tolist())
-        bwd = tuple(distance_norm_table(metric, pts, [candidate])[:, 0].tolist())
-    pairs: tuple[tuple[int, int, float, float], ...] = ()
-    if window is not None and window >= 2:
-        idx = range(len(pts) - window, len(pts))
-        tail = [pts[p] for p in idx]
-        rows = distance_norm_table(metric, tail, tail).tolist()
-        pairs = tuple((idx[i], idx[j], rows[i][j], rows[j][i])
-                      for i in range(window) for j in range(i + 1, window))
-    return SequenceTrace(pts, metric.name, fwd, bwd, pairs)
+def _verdict(value: float | None, eps: float) -> Verdict:
+    if value is None:
+        return Verdict.INCONCLUSIVE
+    return Verdict.CONVERGES if value <= eps else Verdict.DIVERGES
 
 
 def classify(seq: list, candidate: Any, metric: MetricSpec, eps: float,
@@ -98,40 +77,40 @@ def classify(seq: list, candidate: Any, metric: MetricSpec, eps: float,
 
     Forward convergence requires every d(candidate, x_n) norm in the tail to
     stay at or below ``eps``; backward swaps the argument order.  The Cauchy
-    verdicts come from all ordered index pairs inside the tail and are
-    INCONCLUSIVE when the window is too small to contain a pair.
+    verdicts come from all ordered index pairs inside the tail -- the upper
+    triangle of the tail's table for d(x_p, x_n) with p < n, and of its
+    transpose for d(x_n, x_p) -- and are INCONCLUSIVE when the window is
+    too small to contain a pair.  ``eps`` must be a positive number, and
+    the window must fit the sequence (``WindowTooLarge``) before any point
+    is looked at.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ValueError("eps must be positive")
     if window < 1 or window >= len(seq):
         raise WindowTooLarge(
             f"window {window} does not fit a sequence of length {len(seq)}")
-    data = trace(seq, metric, candidate, window)
-    tail_fwd = data.forward_dists[-window:]
-    tail_bwd = data.backward_dists[-window:]
-    forward = Verdict.CONVERGES if max(tail_fwd) <= eps else Verdict.DIVERGES
-    backward = Verdict.CONVERGES if max(tail_bwd) <= eps else Verdict.DIVERGES
-    if data.pair_dists:
-        pair_fwd = max(p[2] for p in data.pair_dists)
-        pair_bwd = max(p[3] for p in data.pair_dists)
-        forward_cauchy = Verdict.CONVERGES if pair_fwd <= eps else Verdict.DIVERGES
-        backward_cauchy = Verdict.CONVERGES if pair_bwd <= eps else Verdict.DIVERGES
-    else:
-        pair_fwd = pair_bwd = None
-        forward_cauchy = backward_cauchy = Verdict.INCONCLUSIVE
+    stack = _points(metric, [*seq, candidate])
+    # the candidate is the stack's last row: d(x_n, c) comes first, then d(c, x_n)
+    bwd, fwd = (tuple(v.tolist()) for v in _tail_norms(metric, stack, metric.norm))
+    tail = stack[len(seq) - window:-1]
+    table = _norms(metric, _kernel(metric, tail[:, None], tail[None, :]), metric.norm)
+    upper = np.triu_indices(window, 1)
+    pair_fwd, pair_bwd = (float(t[upper].max()) if window > 1 else None
+                          for t in (table, table.T))
+    tail_fwd, tail_bwd = fwd[-window:], bwd[-window:]
+    maxima = (max(tail_fwd), max(tail_bwd), pair_fwd, pair_bwd)
     evidence = {
         "eps": eps,
         "window": window,
         "length": len(seq),
-        "tail_forward_max": max(tail_fwd),
-        "tail_backward_max": max(tail_bwd),
+        "tail_forward_max": maxima[0],
+        "tail_backward_max": maxima[1],
         "pair_forward_max": pair_fwd,
         "pair_backward_max": pair_bwd,
         "tail_forward": list(tail_fwd),
         "tail_backward": list(tail_bwd),
     }
-    return ConvergenceVerdict(forward, backward, forward_cauchy,
-                              backward_cauchy, evidence)
+    return ConvergenceVerdict(*(_verdict(m, eps) for m in maxima), evidence, fwd, bwd)
 
 
 def orbital_lsc_check(orbit: list, x0: Any, map_spec: MapSpec,

@@ -10,9 +10,10 @@ each catalog metric's formulas, once, over broadcastable point arrays, in
 two forms.  The table form turns two point sets into the components of
 d(x_i, y_j) for every pair; it serves the axiom sweep and the global
 contraction certificates (a point set against itself) and, through
-``distance_norm_table``, the convergence windows (a candidate against a
-sequence, and a sequence's tail against itself) and the solver's observed
-tails, in either norm kind.  The paired form, ``paired_payloads``, gives
+``distance_norm_table``, the uniqueness probe's spread, in either norm
+kind.  The convergence window is no caller of the table form: it is one
+``_kernel`` table of a validated stack's tail against itself, normed by
+``_norms``.  The paired form, ``paired_payloads``, gives
 the payloads of d(x_i, y_i) for two equally long point lists; it serves
 the orbit certificates, the solver's step and residual pairs and the
 lower-semicontinuity probe.  ``eval_metric`` is the
@@ -41,9 +42,9 @@ The ``mult-op`` kernel writes each symbol into its array of differences,
 so a pair's symbol takes one float array of its n samples (and a mask of n
 bools), and the sampled operator norm (``algebra.batch_norm``) takes no
 n-sized array.  An orbit is checked once, as one validated stack
-(``_points``), and paired evaluations and the solver's observed tails
-(``_tail_norms``, both orders) run on such stacks without stacking them
-again.
+(``_points``), and paired evaluations, the solver's observed tails and a
+convergence candidate's distances to a sequence (``_tail_norms``, both
+orders) run on such stacks without stacking them again.
 """
 
 from __future__ import annotations

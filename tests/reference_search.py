@@ -35,9 +35,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
     else:
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
-    tables = contraction._tables(regime, map_spec, metric,
-                                 codomain_scalar(metric, 0.0), points, seed,
-                                 orbit_len)
+    tables = contraction._tables(regime, map_spec, metric, points, seed, orbit_len)
     _, lhs, base, _ = tables
     try:
         contraction._gate(regime, metric, codomain_scalar(metric, cap))

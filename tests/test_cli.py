@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasifix import cli, convergence, metrics
 from quasifix.cli import _json_text, _make_parser, main
 from quasifix.gallery import run_gallery
 
@@ -114,6 +115,13 @@ _HALF_IDENTITY_CHECK = [
     "certify", "--map", "linear-quarter", "--metric", "mat2-split",
     "--regime", "forward", "--grid", "lin:-2:2:5",
     "--a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}']
+_ORBITAL_CHECK = [
+    "certify", "--map", "linear-quarter", "--metric", "mat2-split",
+    "--regime", "orbital", "--seed", "1.0",
+    "--a", '{"realization": "mat2", "entries": [[0.6, 0], [0, 0.6]]}']
+_PERIODIC_CHECK = [
+    "certify", "--map", "linear-quarter", "--metric", "periodic-fn",
+    "--regime", "orbital", "--search", "--seed", "1.0"]
 
 
 @pytest.mark.parametrize("tol", ["-1", "-1e-300", "nan"])
@@ -156,6 +164,34 @@ def test_classify_forward_only_sequence(tmp_path, capsys):
     lines = trace.read_text().strip().splitlines()
     assert lines[0] == "n,x_n,fwd_dist,bwd_dist"
     assert len(lines) == 201
+
+
+def test_classify_trace_classifies_once(tmp_path, monkeypatch):
+    # every distance is evaluated once: the candidate against each of the
+    # 50 points in both orders, and the 5-point window against itself; the
+    # CSV writes the verdict's own distances
+    rows, verdicts = [], []
+    kernel, classify = metrics._kernel, cli.classify
+
+    def counted(spec, X, Y):
+        comps = kernel(spec, X, Y)
+        rows.append(comps[..., 0].size)
+        return comps
+
+    for module in (metrics, convergence):
+        monkeypatch.setattr(module, "_kernel", counted)
+    monkeypatch.setattr(cli, "classify", lambda *a: verdicts.append(classify(*a)) or verdicts[-1])
+    trace = tmp_path / "t.csv"
+    assert main(["classify", "--metric", "scalar-forward-one", "--seq", "harmonic:1.0:50",
+                 "--candidate", "1.0", "--eps", "0.1", "--window", "5",
+                 "--trace", str(trace)]) == 0
+    assert sum(rows) == 2 * 50 + 5 * 5
+    (verdict,) = verdicts
+    header, *body = trace.read_text().splitlines()
+    assert header == "n,x_n,fwd_dist,bwd_dist" and len(body) == 50
+    cells = [line.split(",") for line in body]
+    assert [float(c[2]).hex() for c in cells] == [v.hex() for v in verdict.forward_dists]
+    assert [float(c[3]).hex() for c in cells] == [v.hex() for v in verdict.backward_dists]
 
 
 # --- certify and solve ----------------------------------------------------------
@@ -353,7 +389,14 @@ def test_solve_derives_the_two_step_rate_whatever_the_file_says(tmp_path, capsys
     (_HALF_IDENTITY_CHECK, "mat2-split",
      {"realization": "mat2", "entries": [[0.8, 0], [0, 0.8]]},
      "coefficient norm 1.131371 is not below 1"),
-], ids=["two-step-negative", "two-step-above-half", "forward-norm-one"])
+    # a coefficient outside the metric's codomain, or on another grid
+    (_ORBITAL_CHECK, "mat2-split", {"realization": "scalar", "value": 0.1},
+     "cannot combine 'scalar' with 'mat2'"),
+    (_PERIODIC_CHECK, "periodic-fn",
+     {"realization": "sampled", "grid": [0.0, 0.5], "values": [0.1, 0.1]},
+     "sampled elements live on different grids"),
+], ids=["two-step-negative", "two-step-above-half", "forward-norm-one",
+        "orbital-scalar-for-mat2", "orbital-another-grid"])
 def test_solve_refuses_a_coefficient_that_fails_its_gate(tmp_path, capsys, certify,
                                                          solve, a, message):
     # a coefficient edited in the file is gated as certify gates it
@@ -823,6 +866,7 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
 @pytest.mark.parametrize("argv, option", [
     *[([*_CLASSIFY[:-4], "--window", "2", "--eps", v], "--eps")
       for v in ("0", "-1", "nan")],
+    *[([*_CLASSIFY[:-2], "--window", v], "--window") for v in ("0", "-1")],
     *[(["check-axioms", "--metric", "periodic-fn", "--period", v], "--period")
       for v in ("0", "-1", "nan")],
     (["check-axioms", "--metric", "periodic-fn", "--t-grid", "1"], "--t-grid"),

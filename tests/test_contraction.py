@@ -879,11 +879,9 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
         want = _two_call_orbit_tables(*args)
     except Exception as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
-                                None, seed, orbit_len)
+            contraction._tables(regime, map_spec, metric, None, seed, orbit_len)
         return
-    got = contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
-                              None, seed, orbit_len)
+    got = contraction._tables(regime, map_spec, metric, None, seed, orbit_len)
     assert len(got[0]) == orbit_len + 3 and len(got[1]) == orbit_len + 1
     for g, w in zip(got[:3], want):
         assert g.shape == w.shape
@@ -927,8 +925,7 @@ def test_an_orbit_stack_raises_what_the_point_check_raises(metric, orbit, regime
     images = iter(walked[1:])
     map_spec = MapSpec("listed", lambda x: next(images))
     with pytest.raises(want.type, match=re.escape(str(want.value))):
-        contraction._tables(regime, map_spec, metric, codomain_scalar(metric, 0.0),
-                            None, walked[0], orbit_len)
+        contraction._tables(regime, map_spec, metric, None, walked[0], orbit_len)
 
 
 @pytest.mark.parametrize("regime, evaluations", [(Regime.ORBITAL, 1),
@@ -940,7 +937,7 @@ def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
     monkeypatch.setattr(contraction, "_paired_on",
                         lambda *args: evaluated.append(args) or paired(*args))
     stack, lhs, base, _ = contraction._tables(regime, quarter, mat2_split(),
-                                              diag2(0.0, 0.0), None, 1.0, 10)
+                                              None, 1.0, 10)
     assert len(stack) == 13 and len(lhs) == len(base) == 11
     assert len(applied) == 12  # the orbit of 12 steps, once
     assert len(evaluated) == evaluations
@@ -1001,8 +998,7 @@ def test_global_tables_are_the_two_paired_evaluations(metric, regime, slope, shi
     else:
         points = _rounded_points(rng, n).tolist()
     want = _paired_global_tables(regime, map_spec, metric, points)
-    stack, *got, orbit = contraction._tables(
-        regime, map_spec, metric, codomain_scalar(metric, 0.0), points, None, 0)
+    stack, *got, orbit = contraction._tables(regime, map_spec, metric, points, None, 0)
     assert orbit is None
     assert stack.tobytes() == np.asarray(points, dtype=float).tobytes()
     for g, w in zip(got, want):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from quasifix import metrics
 from quasifix.algebra import NormKind
 from quasifix.convergence import (
-    SequenceTrace,
     Verdict,
     WindowTooLarge,
     classify,
     orbital_lsc_check,
-    trace,
 )
 from quasifix.maps import MapSpec, linear_quarter
 from quasifix.metrics import (
@@ -36,22 +34,27 @@ from reference_metrics import reference_distance_norm
 
 # One-pair reference: every distance goes through the one-pair reference
 # formulas, in the order the classification reads them.
-def reference_trace(points: list, metric: MetricSpec, candidate=None,
-                    window: int | None = None) -> SequenceTrace:
+def reference_classify(seq: list, candidate, metric: MetricSpec, eps: float,
+                       window: int) -> tuple:
+    """The verdicts, the candidate's distances in both orders and the
+    window's pair maxima (None without a pair) of the one-pair reference."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if window < 1 or window >= len(seq):
+        raise WindowTooLarge(f"window {window} does not fit")
     d = reference_distance_norm
-    pts = tuple(points)
-    fwd: tuple[float, ...] = ()
-    bwd: tuple[float, ...] = ()
-    if candidate is not None:
-        fwd = tuple(d(metric, candidate, x) for x in pts)
-        bwd = tuple(d(metric, x, candidate) for x in pts)
-    pairs: list[tuple[int, int, float, float]] = []
-    if window is not None and window >= 2:
-        start = len(pts) - window
-        for p in range(start, len(pts)):
-            for n in range(p + 1, len(pts)):
-                pairs.append((p, n, d(metric, pts[p], pts[n]), d(metric, pts[n], pts[p])))
-    return SequenceTrace(pts, metric.name, fwd, bwd, tuple(pairs))
+    fwd = [d(metric, candidate, x) for x in seq]
+    bwd = [d(metric, x, candidate) for x in seq]
+    tail = seq[len(seq) - window:]
+    pairs = [(d(metric, x, y), d(metric, y, x))
+             for p, x in enumerate(tail) for y in tail[p + 1:]]
+    pair_fwd = max((f for f, _ in pairs), default=None)
+    pair_bwd = max((b for _, b in pairs), default=None)
+    maxima = (max(fwd[-window:]), max(bwd[-window:]), pair_fwd, pair_bwd)
+    verdicts = [Verdict.INCONCLUSIVE if m is None
+                else Verdict.CONVERGES if m <= eps else Verdict.DIVERGES
+                for m in maxima]
+    return verdicts, fwd, bwd, pair_fwd, pair_bwd
 
 
 def harmonic_scaled(x: float, n: int) -> list[float]:
@@ -165,20 +168,23 @@ def test_periodic_metric_limits_are_controlled_by_plain_gaps():
     assert verdict.backward is Verdict.CONVERGES
 
 
-# --- traces -----------------------------------------------------------------------
+# --- the verdict's distances ---------------------------------------------------------
 
-def test_trace_records_pairwise_window():
+def test_the_verdict_keeps_every_distance_and_the_window_maxima():
     spec = mat2_split()
-    data = trace([1.0, 0.5, 0.25], spec, candidate=0.0, window=3)
-    assert len(data.forward_dists) == 3
-    assert len(data.pair_dists) == 3  # (0,1), (0,2), (1,2)
-    p, n, old_new, new_old = data.pair_dists[0]
-    assert (p, n) == (0, 1)
-    assert old_new == reference_distance_norm(spec, 1.0, 0.5)
-    assert new_old == reference_distance_norm(spec, 0.5, 1.0)
+    seq = [1.0, 0.5, 0.25]
+    verdict = classify(seq, 0.0, spec, eps=0.3, window=2)
+    d = reference_distance_norm
+    assert verdict.forward_dists == tuple(d(spec, 0.0, x) for x in seq)
+    assert verdict.backward_dists == tuple(d(spec, x, 0.0) for x in seq)
+    assert verdict.evidence["pair_forward_max"] == d(spec, 0.5, 0.25)
+    assert verdict.evidence["pair_backward_max"] == d(spec, 0.25, 0.5)
+    # the distances stay out of the JSON
+    assert set(verdict.to_json_dict()) == {"forward", "backward", "forward_cauchy",
+                                           "backward_cauchy", "evidence"}
 
 
-# --- batched trace against the one-pair reference ----------------------------------
+# --- classification against the one-pair reference ----------------------------------
 
 FN_GRID = np.linspace(0.125, 1.0, 4)
 TRACE_SPECS = [
@@ -197,28 +203,43 @@ def _trace_id(spec):
     return "-".join([spec.name, spec.norm.value] + ["reversed"] * spec.swap_args)
 
 
-def _outcome(fn, *args):
-    """The trace's values as exact bits (``float.hex``), or the exception type.
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def _outcome(*args):
+    """The classification's verdicts, distances and pair maxima as exact
+    bits (``float.hex``), or the exception type.
 
     Norms whose squares are beyond the float range are taken on scaled
     values, without a RuntimeWarning, in both forms."""
     try:
-        data = fn(*args)
+        verdict = classify(*args)
     except Exception as exc:
         return type(exc)
-    values = [*data.forward_dists, *data.backward_dists,
-              *(v for pair in data.pair_dists for v in pair[2:])]
+    values = [*verdict.forward_dists, *verdict.backward_dists]
     assert all(type(v) is float for v in values)
-    return (data.metric_name, len(data.points),
-            [v.hex() for v in data.forward_dists],
-            [v.hex() for v in data.backward_dists],
-            [(p, n, a.hex(), b.hex()) for p, n, a, b in data.pair_dists])
+    evidence = verdict.evidence
+    return ([verdict.forward, verdict.backward, verdict.forward_cauchy,
+             verdict.backward_cauchy],
+            [v.hex() for v in verdict.forward_dists],
+            [v.hex() for v in verdict.backward_dists],
+            _hex(evidence["pair_forward_max"]), _hex(evidence["pair_backward_max"]))
+
+
+def _reference_outcome(*args):
+    try:
+        verdicts, fwd, bwd, pair_fwd, pair_bwd = reference_classify(*args)
+    except Exception as exc:
+        return type(exc)
+    return (verdicts, [v.hex() for v in fwd], [v.hex() for v in bwd],
+            _hex(pair_fwd), _hex(pair_bwd))
 
 
 @pytest.mark.parametrize("spec", TRACE_SPECS, ids=_trace_id)
 @settings(max_examples=examples(30), deadline=None)
 @given(data=st.data())
-def test_trace_matches_the_one_pair_reference(spec, data):
+def test_classify_matches_the_one_pair_reference(spec, data):
     # a small pool drawn with repeats, so points and distances coincide;
     # values near the largest float make distances and their norms overflow
     value = st.one_of(st.floats(-8.0, 8.0), st.floats(allow_infinity=False),
@@ -228,16 +249,17 @@ def test_trace_matches_the_one_pair_reference(spec, data):
     pool = data.draw(st.lists(value, min_size=1, max_size=4))
     point = st.sampled_from(pool)
     seq = data.draw(st.lists(point, max_size=7))
-    candidate = data.draw(st.none() | point)
-    window = data.draw(st.none() | st.integers(-1, len(seq) + 2))
+    candidate = data.draw(point)
+    window = data.draw(st.integers(-1, len(seq) + 2))
+    eps = data.draw(st.sampled_from([1e-300, 0.5, 4.0, 1e308]))
     if spec.name == "mult-op":
         seq = [np.asarray(f) for f in seq]
-        candidate = None if candidate is None else np.asarray(candidate)
-    assert _outcome(trace, seq, spec, candidate, window) == \
-        _outcome(reference_trace, seq, spec, candidate, window)
+        candidate = np.asarray(candidate)
+    assert _outcome(seq, candidate, spec, eps, window) == \
+        _reference_outcome(seq, candidate, spec, eps, window)
 
 
-def test_trace_windows_evaluate_no_pair_one_at_a_time(monkeypatch):
+def test_classify_evaluates_no_pair_one_at_a_time(monkeypatch):
     calls = []
     one_pair = metrics.eval_metric
 
@@ -254,15 +276,21 @@ def test_trace_windows_evaluate_no_pair_one_at_a_time(monkeypatch):
     verdict = classify(seq, 1.0, scalar_forward_one(), eps=0.01, window=40)
     assert verdict.forward is Verdict.CONVERGES
     # the candidate distances and the window pairs come from tables
-    assert len(calls) <= 2
+    assert not calls
 
 
 @pytest.mark.parametrize("spec", TRACE_SPECS, ids=_trace_id)
-def test_trace_of_an_empty_sequence_evaluates_nothing(spec):
-    # the one-pair loop never looks at the candidate when there is no point
+def test_a_window_that_does_not_fit_is_refused_before_any_point_is_read(spec):
     candidate = np.full(FN_GRID.size, np.nan) if spec.name == "mult-op" else np.nan
-    data = trace([], spec, candidate, window=None)
-    assert data.forward_dists == data.backward_dists == data.pair_dists == ()
     point = np.zeros(FN_GRID.size) if spec.name == "mult-op" else 0.0
-    assert metrics.distance_norm_table(spec, [], [point] * 3).shape == (0, 3)
-    assert metrics.distance_norm_table(spec, [point] * 2, []).shape == (2, 0)
+    for seq in ([], [point]):
+        with pytest.raises(WindowTooLarge):
+            classify(seq, candidate, spec, eps=1.0, window=1)
+    with pytest.raises(metrics.DomainMismatch):
+        classify([point, point], candidate, spec, eps=1.0, window=1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+def test_eps_must_be_a_positive_number(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        classify([1.0, 0.5, 0.25], 0.0, scalar_forward_one(), eps=eps, window=2)

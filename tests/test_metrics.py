@@ -752,6 +752,13 @@ def test_distance_norm_table_is_the_norm_of_each_distance(spec, kind, data):
         assert _hex(default) == _hex(want)
 
 
+@pytest.mark.parametrize("spec", BINDING_SPECS, ids=_spec_id)
+def test_an_empty_side_gives_an_empty_table(spec):
+    point = np.zeros(FN_GRID.size) if spec.name == MULT_OP else 0.0
+    assert distance_norm_table(spec, [], [point] * 3).shape == (0, 3)
+    assert distance_norm_table(spec, [point] * 2, []).shape == (2, 0)
+
+
 # --- sampled values on a spec's grid --------------------------------------------------
 
 @pytest.mark.parametrize("spec, x, y", [
