@@ -301,12 +301,19 @@ _NON_NEGATIVE = _bounded(float, 0.0)
 _POSITIVE = _bounded(float, 0.0, strict=True)
 
 
-def _checked_by(check: Callable[[str], Any], name: str):
-    """argparse type: the text as typed, once ``check`` accepts it; argparse
-    reports a ``ValueError`` from ``check`` as an invalid ``name`` value."""
-    def text_as_typed(text: str) -> str:
-        check(text)
-        return text
+class _Typed(str):
+    """An option's text as typed, which the manifest records; ``parsed`` is
+    what its check made of it, which the command reads."""
+
+
+def _checked_by(parse: Callable[[str], Any], name: str):
+    """argparse type: the text as typed, as a ``_Typed`` whose ``parsed`` is
+    what ``parse`` returns for it; argparse reports a ``ValueError`` from
+    ``parse`` as an invalid ``name`` value."""
+    def text_as_typed(text: str) -> _Typed:
+        typed = _Typed(text)
+        typed.parsed = parse(text)
+        return typed
     text_as_typed.__name__ = name
     return text_as_typed
 
@@ -445,7 +452,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, dict]:
         seq = _read_input(args, "seq", args.seq[1:], lambda text: [
             float(row[0]) for row in csv.reader(io.StringIO(text, newline="")) if row])
     else:
-        seq = _seq_points(args.seq)
+        seq = args.seq.parsed
     verdict = classify(seq, args.candidate, spec, args.eps, args.window)
     print(f"forward          : {verdict.forward.value}")
     print(f"backward         : {verdict.backward.value}")
@@ -482,7 +489,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict | None]:
                   file=sys.stderr)
             return 1, None
     else:
-        cert = verify(regime, map_spec, spec, _coefficient(args.a), points=points,
+        cert = verify(regime, map_spec, spec, args.a.parsed, points=points,
                       seed=args.seed, orbit_len=args.orbit_len, tol=args.tol)
     print(f"regime {cert.regime.value}: coefficient norm {cert.a_norm:.9f}, "
           f"{cert.samples_checked} samples, "
@@ -501,6 +508,9 @@ def _cmd_solve(args: argparse.Namespace) -> tuple[int, dict]:
           f"iterations (converged: {report.converged})")
     print(f"residuals: forward {report.residual_forward:.3e}, "
           f"backward {report.residual_backward:.3e}")
+    if report.failing_samples:
+        print(f"walked samples failing the certificate: {report.failing_samples} "
+              f"of {report.iterations}")
     print(f"bound envelope ok: {report.bound_envelope_ok}; "
           f"certified: {report.fixed_point_certified}")
     if args.trace:
@@ -580,8 +590,8 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="forward/backward convergence verdicts")
     # an @FILE sequence is read by the command, where a bad file exits 1
     p.add_argument("--seq", required=True,
-                   type=_checked_by(lambda spec: spec.startswith("@")
-                                    or _seq_points(spec), "sequence"),
+                   type=_checked_by(lambda spec: None if spec.startswith("@")
+                                    else _seq_points(spec), "sequence"),
                    help="@FILE (first CSV column), harmonic:X:N, geom:X0:R:N "
                         "or X,Y,...")
     p.add_argument("--candidate", type=float, required=True)

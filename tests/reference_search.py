@@ -2,7 +2,8 @@
 
 ``plain_search`` is ``contraction.search_scalar_coefficient`` without the
 closed-form threshold: every bisection midpoint runs the exact order check
-of the verification core.  The property tests hold the guided search to it
+of the verification core at tolerance 0, and the certificate it returns is
+checked at ``tol``.  The property tests hold the guided search to it
 bit for bit.  It reaches the core through the module, so a test that
 replaces ``contraction._tables`` feeds both searches the same tables.
 """
@@ -36,7 +37,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
         cap = (1.0 - SEARCH_CAP_MARGIN) / norm(codomain_scalar(metric, 1.0),
                                                metric.norm)
     tables = contraction._tables(regime, map_spec, metric, points, seed, orbit_len)
-    _, lhs, base, _ = tables
+    _, lhs, base = tables
     try:
         contraction._gate(regime, metric, codomain_scalar(metric, cap))
     except (CoefficientNormTooLarge, NotPositive, NotInCommutant):
@@ -44,7 +45,7 @@ def plain_search(map_spec: MapSpec, metric: MetricSpec, regime: Regime, *,
 
     def holds(c: float) -> bool:
         a = codomain_scalar(metric, c)
-        return not contraction._failures(regime, metric, a, lhs, base, tol).any()
+        return not contraction._failures(regime, metric, a, lhs, base, 0.0).any()
 
     if holds(0.0):
         c = 0.0

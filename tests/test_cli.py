@@ -416,6 +416,80 @@ def test_solve_refuses_a_coefficient_that_fails_its_gate(tmp_path, capsys, certi
     assert out == "" and err == f"error: {message}\n"
 
 
+_FORWARD_SEARCH = ["certify", "--map", "linear-quarter", "--metric", "mat2-split",
+                   "--regime", "forward", "--search", "--grid", "lin:-2:2:9"]
+_QUARTER_SPLIT_SOLVE = ["solve", "--map", "linear-quarter", "--metric", "mat2-split",
+                        "--seed", "3"]
+#: A finite map whose orbit from 1.0 steps down by 10 and then by 1/0.1,
+#: and from 2.0 steps by 0.01 and then by 199.
+_DROP_TABLE = {"1": 0.1, "0.1": 0, "0": 0, "2": 1.99, "1.99": 0}
+
+
+def _forged_forward(cert: Path) -> None:
+    assert main([*_FORWARD_SEARCH, "--out", str(cert)]) == 0
+    payload = _load(cert)
+    payload["report"]["a"]["entries"] = [[0.01, 0.0], [0.0, 0.01]]
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _zero_at_tol_100(cert: Path) -> None:
+    assert main([*_FORWARD_SEARCH[:-3], "--grid", "lin:-2:2:9", "--tol", "100",
+                 "--a", '{"realization": "mat2", "entries": [[0, 0], [0, 0]]}',
+                 "--out", str(cert)]) == 0
+
+
+def _table_orbital(cert: Path) -> list[str]:
+    table = cert.with_name("table.json")
+    table.write_text(json.dumps(_DROP_TABLE), encoding="utf-8")
+    assert main(["certify", "--map", f"table:{table}", "--metric", "mat2-split",
+                 "--regime", "orbital", "--search", "--seed", "1.0",
+                 "--out", str(cert)]) == 0
+    return ["solve", "--map", f"table:{table}", "--metric", "mat2-split", "--seed", "2"]
+
+
+@pytest.mark.parametrize("make, solve, failing", [
+    (_forged_forward, _QUARTER_SPLIT_SOLVE, "15 of 17"),
+    (_two_step_cert, ["solve", "--map", "linear-quarter", "--metric",
+                      "scalar-backward-one", "--seed", "-3"], "538 of 540"),
+    (_table_orbital, None, "1 of 3"),
+    (_zero_at_tol_100, _QUARTER_SPLIT_SOLVE, "15 of 17"),
+], ids=["forward-a-edited-to-0.01", "two-step-from-another-seed",
+        "orbital-table-from-another-seed", "zero-a-at-tol-100"])
+def test_solve_does_not_certify_steps_its_coefficient_fails(tmp_path, capsys, make,
+                                                            solve, failing):
+    # each certificate passes its gates, and each solve converges, but a
+    # walked step breaks the certificate's inequality: the solve exits 1
+    cert = tmp_path / "cert.json"
+    made = make(cert)
+    solve = solve or made  # the table case names its table file in the argv
+    capsys.readouterr()
+    assert main([*solve, "--cert", str(cert)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "(converged: True)" in out[0]
+    assert out[2:] == [f"walked samples failing the certificate: {failing}",
+                       "bound envelope ok: False; certified: False"]
+
+
+@pytest.mark.parametrize("metric", ["mat2-split", "mat2-split-scaled"])
+@pytest.mark.parametrize("samples", [["--regime", "forward", "--grid", "lin:-2:2:9"],
+                                     ["--regime", "orbital", "--seed", "1.0"]],
+                         ids=["forward", "orbital"])
+def test_the_searched_quarter_coefficient_is_at_least_one_half(tmp_path, capsys, metric,
+                                                               samples):
+    # x/4 shrinks every step by exactly 1/4 = c^2: the order tolerance must
+    # not lower c below 1/2, and the solve from another seed then certifies
+    # with its envelope holding
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--map", "linear-quarter", "--metric", metric, *samples,
+                 "--search", "--out", str(cert)]) == 0
+    assert _load(cert)["report"]["a"]["entries"][0][0] >= 0.5
+    capsys.readouterr()
+    assert main(["solve", "--map", "linear-quarter", "--metric", metric,
+                 "--seed", "3.7", "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "bound envelope ok: True; certified: True")
+
+
 def test_solve_refuses_a_certificate_of_no_sample(tmp_path, capsys):
     # the zero coefficient that an empty grid once certified for any map,
     # as certify wrote it: no violation, and no sample
@@ -742,7 +816,7 @@ GALLERY_LINES = [
     "PASS  quarter-map-sandwich-equality — x/4 under the beta=1/4 split metric "
     "meets the sandwich bound with equality at coefficient I/2; the minimal "
     "scalar is 1/2 (half-identity certificate valid, minimal scalar "
-    "0.499999999999502)",
+    "0.5000000000001451)",
     "XFAIL sandwich-coefficient-consistency — the two published coefficient "
     "displays for the quarter-map sandwich agree with each other (stated "
     "diagonal 0.577350 vs displayed 0.500000) [documented inconsistency: the "
@@ -925,6 +999,27 @@ def test_manifests_record_every_option_the_subcommand_accepts(tmp_path):
         dests = {a.dest for a in subcommands[name]._actions} - {"help"}
         assert set(manifest["config"]) == dests - _NOT_CONFIG, name
         assert ("cert" in manifest["input_hashes"]) == ("cert" in dests)
+
+
+@pytest.mark.parametrize("argv, parser, option, text", [
+    (["classify", "--metric", "scalar-forward-one", "--seq", "harmonic:1.5:40",
+      "--candidate", "1.5", "--eps", "0.1", "--window", "5"],
+     "_seq_points", "seq", "harmonic:1.5:40"),
+    ([*_CERTIFY[:7], "--a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}'],
+     "element_from_json", "a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}'),
+], ids=["seq", "a"])
+def test_an_option_is_parsed_once_and_recorded_as_typed(tmp_path, monkeypatch, argv,
+                                                         parser, option, text):
+    # the argparse type parses the value, the command reads what it parsed,
+    # and the manifest records the text as typed
+    calls = []
+    parse = getattr(cli, parser)
+    monkeypatch.setattr(cli, parser, lambda *args: calls.append(args) or parse(*args))
+    report = tmp_path / "report.json"
+    assert main([*argv, "--out" if argv[0] == "certify" else "--report", str(report)]) == 0
+    assert len(calls) == 1
+    config = _load(report)["manifest"]["config"]
+    assert config[option] == text and type(config[option]) is str
 
 
 def test_the_seed_of_a_random_grid_reaches_the_config_hash(tmp_path):

@@ -408,7 +408,7 @@ def _search_tables(draw):
         lhs[0, 0] = -lhs[0, 0] - 1.0
     lhs, base = (metrics._payloads(codomain, t if width > 1 else t[:, 0])
                  for t in (lhs, base))
-    return regime, metric, tol, (_stack(regime, n), lhs, base, None)
+    return regime, metric, tol, (_stack(regime, n), lhs, base)
 
 
 def _stack(regime, samples):
@@ -428,7 +428,7 @@ def _named_tables(regime, order, top):
     metric = MetricSpec("named-tables", algebra.MAT2, order, NormKind.OPERATOR)
     base = np.array([[1.0, 0.5], [0.25, 1.0], [1.0, 0.0], [0.0, 0.0]]) * top
     lhs, base = (metrics._payloads(algebra.MAT2, t) for t in (0.3 * base, base))
-    return regime, metric, 1e-9, (_stack(regime, 4), lhs, base, None)
+    return regime, metric, 1e-9, (_stack(regime, 4), lhs, base)
 
 
 _NAMED_TOPS = {"2^500-ulp": math.nextafter(2.0 ** 500, 0.0), "2^500": 2.0 ** 500,
@@ -507,8 +507,7 @@ def test_a_table_without_a_closed_form_checks_every_midpoint(monkeypatch):
     # c, and sample 1 needs c^2 >= 1/4
     metric = MetricSpec("hand-built", algebra.SCALAR, OrderKind.POSITIVE_CONE,
                         NormKind.OPERATOR)
-    tables = (_stack(Regime.ORBITAL, 2), np.array([-1.0, 0.25]), np.array([1.0, 1.0]),
-              None)
+    tables = (_stack(Regime.ORBITAL, 2), np.array([-1.0, 0.25]), np.array([1.0, 1.0]))
     guided, plain, checks = _guided_and_plain(
         monkeypatch, (Regime.ORBITAL, metric, 1e-9, tables))
     assert checks == 2 + contraction.BISECTION_STEPS + 1
@@ -883,19 +882,9 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
         return
     got = contraction._tables(regime, map_spec, metric, None, seed, orbit_len)
     assert len(got[0]) == orbit_len + 3 and len(got[1]) == orbit_len + 1
-    for g, w in zip(got[:3], want):
+    for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
-    # the orbital regime keeps the orbit it checked, stacked, and its steps
-    orbit = got[3]
-    if regime is Regime.TWO_STEP:
-        assert orbit is None
-        return
-    stack = np.array(map_spec.orbit(seed, orbit_len + 2), dtype=float)
-    assert orbit.points.tobytes() == stack.tobytes()
-    assert orbit.steps.tobytes() == metrics.paired_payloads(
-        metric, list(stack[:-1]), list(stack[1:])).tobytes()
-    assert not orbit.points.flags.writeable and not orbit.steps.flags.writeable
 
 
 _FN = np.linspace(0.25, 1.0, 4)
@@ -936,8 +925,8 @@ def test_orbit_tables_map_the_orbit_once(monkeypatch, regime, evaluations):
     paired = contraction._paired_on
     monkeypatch.setattr(contraction, "_paired_on",
                         lambda *args: evaluated.append(args) or paired(*args))
-    stack, lhs, base, _ = contraction._tables(regime, quarter, mat2_split(),
-                                              None, 1.0, 10)
+    stack, lhs, base = contraction._tables(regime, quarter, mat2_split(),
+                                           None, 1.0, 10)
     assert len(stack) == 13 and len(lhs) == len(base) == 11
     assert len(applied) == 12  # the orbit of 12 steps, once
     assert len(evaluated) == evaluations
@@ -998,8 +987,7 @@ def test_global_tables_are_the_two_paired_evaluations(metric, regime, slope, shi
     else:
         points = _rounded_points(rng, n).tolist()
     want = _paired_global_tables(regime, map_spec, metric, points)
-    stack, *got, orbit = contraction._tables(regime, map_spec, metric, points, None, 0)
-    assert orbit is None
+    stack, *got = contraction._tables(regime, map_spec, metric, points, None, 0)
     assert stack.tobytes() == np.asarray(points, dtype=float).tobytes()
     for g, w in zip(got, want):
         assert g.shape == w.shape

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from quasifix import contraction, integral, solver
 from quasifix.algebra import NormKind, norm
 from quasifix.integral import (
-    DEMO_ORBIT_LEN,
     GridMismatch,
     IntegralProblem,
     MONOTONE_STEPS,
@@ -33,7 +32,7 @@ from quasifix.integral import (
     uniform_grid,
 )
 from quasifix.metrics import codomain_scalar, eval_metric
-from quasifix.solver import SolverConfig
+from quasifix.solver import SolverConfig, picard_solve
 
 from budget import examples
 
@@ -320,7 +319,7 @@ def test_problem_state_is_built_once_and_read_only(kind):
     assert make_problem(0.5, 4.0, n=64, quadrature=kind) != prob and prob == prob
 
 
-def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
+def test_run_demo_maps_and_checks_every_walked_step(monkeypatch, one_pair_calls):
     prob = make_problem(0.5, 2.0, n=512)
     report = regime_report(prob)
     applied, paired, stacked = [], [], []
@@ -330,78 +329,91 @@ def test_run_demo_maps_the_orbit_once(monkeypatch, one_pair_calls):
                             paired.append(args) or _f(*args))
     points = solver._points
     monkeypatch.setattr(solver, "_points", lambda *args: stacked.append(args) or points(*args))
+    failures = solver._failures
+    checked = []
+    monkeypatch.setattr(solver, "_failures",
+                        lambda *args: checked.append(args) or failures(*args))
     run_demo(prob, SolverConfig(tol=1e-8, max_iter=200), report)
-    assert report.solver["converged"] and report.solver["iterations"] <= 13
-    # the certificate maps f0 once for its d1 = ||d(f0, T f0)||, whose
-    # a-priori step count to 1e-8 is L = 12, and T maps its orbit (L + 2
-    # steps); the solve runs under the operator that walked the orbit, so it
-    # takes the orbit without mapping f0 again; the solver's residual maps
-    # the fixed point, and the demo's residual reads it: L + 4 applications
-    assert len(applied) == 16
-    # one paired evaluation of the orbit's steps in the certificate, one of
-    # their reverse order in the solve and one of the residual pair; only
-    # the certificate's d1 is one pair at a time; the solver stacks only the
-    # residual pair, the fixed point and its image, and no orbit point again
-    assert len(paired) == 3
+    n = report.solver["iterations"]
+    assert report.solver["converged"] and n == 9
+    # the certificate maps f0 once for its distance d(f0, T f0) and its
+    # shortest orbit (4 steps) once; the solve maps each of its n iterates
+    # and the fixed point for the residual, which the demo's residual reads
+    assert len(applied) == 1 + 4 + n + 1
+    # one paired evaluation of the orbit's steps in the certificate; in the
+    # solve, one per forward step, the residual's included, and one of all
+    # the reverse steps; only the certificate's d(f0, T f0) is one pair at
+    # a time
+    assert len(paired) == 1 + (n + 1) + 1
     assert len(one_pair_calls) == 1
-    assert len(stacked) == 1 and len(stacked[0][1]) == 2
-    assert np.array_equal(stacked[0][1][0], report.solution)
+    # the solver checks f0 with its image, then each new point once, the
+    # fixed point's image last, and no point again for its tails and its
+    # checked samples
+    assert [len(args[1]) for args in stacked] == [2] + [1] * n
+    assert np.array_equal(stacked[-2][1][0], report.solution)
+    # one check of the n walked samples, under the certificate's a
+    (regime, _, a, lhs, base, tol), = checked
+    assert regime is contraction.Regime.ORBITAL and tol == 1e-8
+    assert len(lhs) == len(base) == n
+    assert report.solver["fixed_point_certified"]
     assert not report.solution.flags.writeable
     assert report.solution.shape == prob.grid.shape
     assert np.max(np.abs(report.solution)) == report.solver["fixed_point_sup"]
 
 
-def _full_orbit_certificate(prob, tol):
-    """The demo's certificate on the capped orbit, whatever the tol."""
+def _long_orbit_certificate(prob):
+    """The demo's coefficient checked on 30 steps of the orbit of f0."""
     metric = problem_metric(prob)
     a = codomain_scalar(metric, math.sqrt(contraction_rate(prob.alpha, prob.k)))
     return contraction.verify_orbital_type(integral.integral_operator(prob), metric, a,
-                                           prob.f0, DEMO_ORBIT_LEN)
+                                           prob.f0, 30)
 
 
 @settings(max_examples=examples(40), deadline=None)
 @given(rate=st.floats(0.10, 0.45), k=st.floats(1.0, 6.0), n=st.integers(64, 512),
        kind=st.sampled_from(QuadratureKind))
 def test_the_demo_certifies_every_step_its_solve_walks(rate, k, n, kind):
-    # the benchmark decks' rates and k, at small grids: the solve stops
-    # inside the estimate-sized orbit, and the demo's report and solution
-    # are those of a solve under the capped orbit
+    # the benchmark decks' rates and k, at small grids: no walked step fails
+    # the certificate's inequality, and the demo's report and solution are
+    # those of a solve under a certificate of a longer orbit
     rk = math.sqrt(k)
     prob = make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
     cfg = SolverConfig(tol=1e-9, max_iter=200)
-    cert = integral.demo_certificate(prob, cfg.tol)
-    assert 3 <= cert.samples_checked <= DEMO_ORBIT_LEN + 1
+    cert = integral.demo_certificate(prob)
+    assert cert.samples_checked == 3 and cert.valid
+    assert picard_solve(cert, prob.f0, cfg).failing_samples == 0
     report = run_demo(prob, cfg)
     assert report.solver["fixed_point_certified"]
-    assert report.solver["iterations"] <= cert.samples_checked
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(integral, "demo_certificate", _full_orbit_certificate)
+        mp.setattr(integral, "demo_certificate", _long_orbit_certificate)
         full = run_demo(prob, cfg)
     assert json.dumps(report.to_json_dict()) == json.dumps(full.to_json_dict())
     assert report.solution.tobytes() == full.solution.tobytes()
 
 
 @pytest.mark.parametrize("alpha, k, f0", [
+    (0.5, 2.0, None),
     (0.5, 2.0, np.zeros(64)),        # f0 is the fixed point: d1 = 0
     (0.5, 2.0, np.full(64, 1e-12)),  # d1 <= tol
-    (1e-300, 1e300, None),           # the rate underflows to 0: no ln r
-], ids=["fixed", "close", "zero-rate"])
-def test_the_orbit_is_shortest_when_no_step_follows_d1(alpha, k, f0):
+    (1e-300, 1e300, None),           # the rate underflows to 0
+], ids=["default", "fixed", "close", "zero-rate"])
+def test_the_demo_certificate_checks_the_shortest_orbit(alpha, k, f0):
     prob = make_problem(alpha, k, n=64, f0=f0)
-    cert = integral.demo_certificate(prob, 1e-9)
+    cert = integral.demo_certificate(prob)
     # orbit length 2: 5 rows, 4 steps, 3 samples
-    assert cert.samples_checked == 3 and len(cert.orbit.points) == 5
+    assert cert.samples_checked == 3 and cert.valid
     assert run_demo(prob, SolverConfig(tol=1e-9)).solver["fixed_point_certified"]
 
 
-def test_a_slow_demo_caps_its_orbit_and_maps_past_it():
-    # rate 0.6 under the log-midpoint rule needs more steps to 1e-9 than the
-    # cap: the solve walks the capped orbit, then maps on, still certified
+def test_a_slow_demo_checks_every_step_it_walks():
+    # rate 0.6 under the log-midpoint rule takes 39 steps to 1e-9, far past
+    # the certificate's orbit; each of them is checked, and none fails
     prob = make_problem(0.7639437268410976, 1.0, n=512,
                         quadrature=QuadratureKind.MIDPOINT_LOG)
     assert contraction_rate(prob.alpha, prob.k) == pytest.approx(0.6)
-    cert = integral.demo_certificate(prob, 1e-9)
-    assert cert.samples_checked == DEMO_ORBIT_LEN + 1
-    report = run_demo(prob, SolverConfig(tol=1e-9, max_iter=200))
+    cfg = SolverConfig(tol=1e-9, max_iter=200)
+    solved = picard_solve(integral.demo_certificate(prob), prob.f0, cfg)
+    assert solved.iterations == 39 and solved.failing_samples == 0
+    report = run_demo(prob, cfg)
     assert report.solver["iterations"] == 39
     assert report.solver["fixed_point_certified"]

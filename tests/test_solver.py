@@ -11,10 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quasifix import integral, solver
+from quasifix import solver
 from quasifix.algebra import (
     NormKind,
     NotPositive,
+    adjoint,
     allclose,
     diag2,
     is_positive,
@@ -27,7 +28,6 @@ from quasifix.algebra import (
 from quasifix.contraction import (
     ContractionCertificate,
     Regime,
-    certificate_from_json,
     verify,
     verify_orbital_type,
 )
@@ -55,8 +55,8 @@ from quasifix.solver import (
 
 from budget import examples
 from lemma_checks import random_psd
-from reference_metrics import reference_distance_norm
-from reference_algebra import reference_norm, sqrt_positive
+from reference_metrics import reference_distance_norm, reference_eval_metric
+from reference_algebra import reference_leq, reference_norm, sqrt_positive
 
 GRID = np.linspace(-3.0, 7.0, 21)
 
@@ -330,16 +330,22 @@ def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
     report = picard_solve(_certificate(regime, _counted(map_spec, applied), metric),
                           seed, SolverConfig(tol=1e-10))
     assert report.converged and report.iterations > 2
-    # one paired evaluation for the step pair of every iteration and one for
-    # the residual pair, and no one-pair call; the tails and d1 are not
+    # one paired evaluation for the step of every iteration and one for the
+    # residual, and no one-pair call; a forward-only walk evaluates its
+    # reverse steps after the walk, all at once.  The tails and d1 are not
     # evaluated again, and the LSC gate reads the steps
     x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
+    forward_only = not regime.is_global
     assert one_pair_calls == []
-    assert len(paired) == report.iterations + 1
+    assert len(paired) == report.iterations + 1 + forward_only
     _, stack, xs, ys = paired[-1]
-    assert np.array_equal(stack, [x_n, after])
-    assert np.array_equal(stack[xs], [x_n, after])
-    assert np.array_equal(stack[ys], [after, x_n])
+    if forward_only:
+        walked = [*report.trace.points, after]
+        assert np.array_equal(stack[xs], walked[1:])
+        assert np.array_equal(stack[ys], walked[:-1])
+    else:
+        assert np.array_equal(stack[xs], [x_n, after])
+        assert np.array_equal(stack[ys], [after, x_n])
     assert len(applied) == report.iterations + 1
 
 
@@ -526,221 +532,97 @@ def test_uniqueness_spread_is_the_one_pair_loop(metric, seeds, tol):
     assert spread.hex() == _reference_spread(metric, points).hex()
 
 
-# --- the certificate's checked orbit ------------------------------------------------
+# --- the walked-step check ------------------------------------------------------
 
-def _hexed(value):
-    """A JSON value with every float as its hex text, so that equal values
-    are equal bit for bit (-0.0 is not 0.0)."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, dict):
-        return {key: _hexed(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_hexed(v) for v in value]
-    return value
-
-
-def _with_and_without_orbit(cert, seed, cfg):
-    """The hexed JSON report, the report and the applications of T, of the
-    solve under ``cert`` and under a copy of it, which has no orbit.  The
-    applications are counted on the class, so that both solves run under
-    the certificate's own map object."""
-    runs = []
-    apply = MapSpec.apply
-    for c in (cert, replace(cert)):
-        applied = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(MapSpec, "apply",
-                       lambda self, x: applied.append(x) or apply(self, x))
-            report = picard_solve(c, seed, cfg)
-        runs.append((_hexed(report.to_json_dict()), report, len(applied)))
-    return runs
+def _reference_failing_samples(regime, metric, a, walked, tol):
+    """The walked samples (x_i, x_(i+1)), i < len(walked) - 2, on which the
+    regime's inequality fails, one pair at a time by the reference formulas:
+    lhs d(x_(i+1), x_(i+2)) against the sandwich (or, for two-step, the
+    product) of the base d(x_i, x_(i+1)), d(x_(i+1), x_i) backward, or
+    d(x_i, x_(i+2)) for two-step."""
+    d = reference_eval_metric
+    failing = 0
+    for i in range(len(walked) - 2):
+        lhs = d(metric, walked[i + 1], walked[i + 2])
+        if regime is Regime.BACKWARD_GLOBAL:
+            base = d(metric, walked[i + 1], walked[i])
+        else:
+            base = d(metric, walked[i], walked[i + (2 if regime is Regime.TWO_STEP else 1)])
+        rhs = mul(a, base) if regime is Regime.TWO_STEP else mul(mul(adjoint(a), base), a)
+        failing += not reference_leq(lhs, rhs, metric.order,
+                                     tol * (1.0 + reference_norm(rhs, NormKind.OPERATOR)))
+    return failing
 
 
-def _demo_parts(rate, k, n, kind=integral.QuadratureKind.TRAPEZOID, tol=1e-300):
-    """The demo problem of contraction rate ``rate``, its seed, and its
-    orbital certificate for a solve to ``tol``; the default tol is far below
-    a step count of ``DEMO_ORBIT_LEN``, so the orbit has the capped length."""
-    rk = math.sqrt(k)
-    prob = integral.make_problem(rate * rk / math.atan(1.0 / rk), k, n=n, quadrature=kind)
-    return prob, prob.f0, integral.demo_certificate(prob, tol)
-
-
-def _assert_the_orbit_was_used(cert, runs, max_iter):
-    """Both solves gave the same report; the one with the orbit applied T
-    only past the known rows and at the residual."""
-    (json_with, report, applied_with), (json_without, _, applied_without) = runs
-    assert json_with == json_without
-    known = min(len(cert.orbit.steps), max_iter)
-    assert applied_with == 1 + max(0, report.iterations - known)
-    assert applied_without == report.iterations + 1
-
-
+@pytest.mark.parametrize("metric", STEP_METRICS + [mult_op(FN_GRID)], ids=lambda m: m.name)
 @settings(max_examples=examples(40), deadline=None)
-@given(rate=st.floats(0.05, 0.95), k=st.floats(0.2, 8.0), n=st.integers(2, 300),
-       kind=st.sampled_from(integral.QuadratureKind),
-       tol=st.sampled_from([1e-12, 1e-8, 1e-3]),
-       max_iter=st.sampled_from([1, 5, 31, 32, 33, 200]))
-def test_the_demo_solve_is_the_same_with_and_without_the_checked_orbit(
-        rate, k, n, kind, tol, max_iter):
-    # the certificate is sized for this solve's tol, as the demo sizes it
-    _, f0, cert = _demo_parts(rate, k, n, kind, tol)
-    assume(cert.valid)
-    cfg = SolverConfig(max_iter=max_iter, tol=tol)
-    _assert_the_orbit_was_used(cert, _with_and_without_orbit(cert, f0, cfg), max_iter)
+@given(regime=st.sampled_from(Regime), c=st.floats(0.0, 0.49),
+       slope=st.floats(-1.0, 1.0), shift=st.floats(-1.0, 1.0),
+       seed=st.floats(-8.0, 8.0), tol=st.sampled_from([1e-10, 1e-6, 0.1]),
+       max_iter=st.sampled_from([1, 2, 5, 200]))
+def test_the_walked_check_is_the_one_pair_loop(metric, regime, c, slope, shift, seed,
+                                               tol, max_iter):
+    # x -> slope x + shift moves by |slope| a step, against a rate of c^2
+    # (c/(1 - c) for two-step): some solves fail samples, some none
+    map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    if metric.name == "mult-op":
+        seed = seed * FN_GRID
+    cert = _certificate(regime, map_spec, metric, c)
+    report = picard_solve(cert, seed, SolverConfig(tol=tol, max_iter=max_iter))
+    walked = [*report.trace.points, map_spec.apply(report.fixed_point)]
+    assert report.failing_samples == _reference_failing_samples(
+        regime, metric, cert.a, walked, tol)
+    assert not (report.fixed_point_certified and report.failing_samples)
+    assert "failing_samples" not in report.to_json_dict()
 
 
-@pytest.mark.parametrize("map_spec, metric, a", [
-    (linear_quarter(), scalar_backward_one(), scalar(1 / math.sqrt(2))),
-    (piecewise_quarter(), mat2_split(), diag2(1 / math.sqrt(3), 1 / math.sqrt(3))),
-], ids=["linear-quarter", "piecewise-quarter"])
-@pytest.mark.parametrize("tol, max_iter", [(1e-10, 1000), (1e-300, 200), (1e-10, 4)],
-                         ids=["converges", "exhausts", "short"])
-def test_gallery_orbital_certificates_give_the_same_solve(map_spec, metric, a, tol,
-                                                          max_iter):
-    cert = verify_orbital_type(map_spec, metric, a, seed=1.0, orbit_len=30)
-    cfg = SolverConfig(max_iter=max_iter, tol=tol)
-    for seed in (1.0, 1):
-        runs = _with_and_without_orbit(cert, seed, cfg)
-        _assert_the_orbit_was_used(cert, runs, max_iter)
-        assert type(runs[0][1].fixed_point) is float
-        # the trace starts at the caller's seed object, not at row 0's float
-        assert type(runs[0][1].trace.points[0]) is type(seed)
-    # from another seed the solve maps every iterate itself
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        cert, 2.0, cfg)
-    assert json_with == json_without and applied == report.iterations + 1
+@pytest.mark.parametrize("metric", STEP_METRICS + [mult_op(FN_GRID)], ids=lambda m: m.name)
+@settings(max_examples=examples(40), deadline=None)
+@given(regime=st.sampled_from([Regime.ORBITAL, Regime.TWO_STEP]),
+       c=st.floats(0.0, 0.49), slope=st.floats(-1.0, 1.0), shift=st.floats(-1.0, 1.0),
+       seed=st.floats(-8.0, 8.0), orbit_len=st.integers(2, 12),
+       tol=st.sampled_from([1e-10, 1e-6, 0.1]), short=st.integers(0, 12))
+def test_a_solve_inside_the_checked_orbit_fails_no_walked_sample(
+        metric, regime, c, slope, shift, seed, orbit_len, tol, short):
+    # the walked samples of a solve from the certificate's own seed that
+    # stops within orbit_len + 1 steps are samples the certificate checked,
+    # at the same tolerance, so none of them fails
+    map_spec = MapSpec("affine", lambda x: slope * x + shift)
+    if metric.name == "mult-op":
+        seed = seed * FN_GRID
+    cert = verify(regime, map_spec, metric, codomain_scalar(metric, c), seed=seed,
+                  orbit_len=orbit_len, tol=tol)
+    assume(cert.valid and cert.rate < 1.0)
+    cfg = SolverConfig(tol=tol, max_iter=max(1, orbit_len + 1 - short))
+    assert picard_solve(cert, seed, cfg).failing_samples == 0
 
 
-def test_a_seed_of_the_other_sign_of_zero_is_not_the_checked_seed():
-    # 0.0 and -0.0 are equal, but their orbits under x / 4 differ in sign
-    quarter, metric = linear_quarter(), scalar_forward_one()
-    cert = verify_orbital_type(quarter, metric, scalar(0.5), seed=0.0, orbit_len=30)
-    cfg = SolverConfig(tol=1e-10)
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        cert, -0.0, cfg)
-    assert json_with == json_without and applied == report.iterations + 1
-    assert math.copysign(1.0, report.fixed_point) == -1.0
-
-
-def test_a_solve_past_the_checked_orbit_maps_the_rest():
-    # at rate 0.95 and k = 2 the demo's orbit contracts by about 0.44 a step,
-    # so a solve to 1e-15 outruns the certificate's 32 steps
-    _, f0, cert = _demo_parts(0.95, 2.0, 64)
-    cfg = SolverConfig(tol=1e-15, max_iter=200)
-    runs = _with_and_without_orbit(cert, f0, cfg)
-    assert runs[0][1].converged and runs[0][1].iterations > len(cert.orbit.steps)
-    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
-
-
-def test_a_max_iter_inside_the_checked_orbit_stops_there():
-    _, f0, cert = _demo_parts(0.5, 2.0, 64)
-    cfg = SolverConfig(tol=1e-12, max_iter=5)
-    runs = _with_and_without_orbit(cert, f0, cfg)
-    assert runs[0][1].iterations == 5 and runs[0][1].max_iter_exceeded
-    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
-
-
-def _solve_without_orbit(cert, seed, cfg):
-    """The hexed JSON report, the report and the applications of T of the
-    solve under ``cert``, which must hold no orbit."""
-    assert cert.orbit is None
-    (json_with, report, applied), (json_without, _, _) = _with_and_without_orbit(
-        cert, seed, cfg)
-    assert json_with == json_without and applied == report.iterations + 1
-    return json_with, report
-
-
-def test_a_certificate_of_another_problem_is_not_taken_as_known_iterates():
-    # same grid and seed f0, another alpha: row 0 matches, the orbit does
-    # not; the certificate rebuilt for the other problem's operator solves
-    # under it and maps every iterate, as one rebuilt for another metric does
-    prob, f0, cert = _demo_parts(0.5, 2.0, 64)
-    other = integral.make_problem(prob.alpha * 1.25, 2.0, n=64)
-    assert np.array_equal(other.f0, f0)
-    cfg = SolverConfig(tol=1e-8, max_iter=200)
-    _, report = _solve_without_orbit(
-        replace(cert, map_spec=integral.integral_operator(other)), f0, cfg)
-    assert report.fixed_point_certified
-    _solve_without_orbit(replace(cert, metric=reversed_metric(cert.metric)), f0, cfg)
-
-
-def test_a_rebuilt_spec_equal_in_every_field_does_not_take_the_orbit():
-    # specs compare by identity: a certificate rebuilt for a copy of its
-    # spec has no orbit, and its report is the one the orbit gives
-    quarter, metric = linear_quarter(), scalar_backward_one()
-    cert = verify_orbital_type(quarter, metric,
-                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
-    cfg = SolverConfig(tol=1e-10)
-    runs = _with_and_without_orbit(cert, 1.0, cfg)
-    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
-    rebuilt = replace(metric)
-    assert rebuilt != metric
-    json_without, _ = _solve_without_orbit(replace(cert, metric=rebuilt), 1.0, cfg)
-    assert json_without == runs[0][0]
-
-
-def test_a_checked_orbit_of_another_map_cannot_certify_a_point_it_does_not_fix():
-    # the same first step from 1.0, then another orbit: the certificate of
-    # x / 4 rebuilt for lifted has no orbit, so its solve maps every iterate
-    # under lifted and certifies lifted's own fixed point 0.4 / 3
-    metric = scalar_backward_one()
-    cert = verify_orbital_type(linear_quarter(), metric,
-                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
-    lifted = MapSpec("lifted", lambda x: x / 4.0 if x >= 0.2 else x / 4.0 + 0.1)
-    assert lifted.apply(1.0) == cert.orbit.points[1]
-    _, report = _solve_without_orbit(replace(cert, map_spec=lifted), 1.0,
-                                     SolverConfig(tol=1e-10))
-    assert report.fixed_point_certified
-    assert report.fixed_point == pytest.approx(0.4 / 3.0)
-
-
-def test_the_same_function_under_another_map_object_does_not_take_the_orbit():
-    # a certificate rebuilt for a map object built alike has no orbit: its
-    # solve maps every iterate itself, with the report the orbit gives
+def test_a_solve_maps_each_iterate_once_from_either_zero():
+    # 0.0 and -0.0 are equal, but their orbits under x / 4 differ in sign;
+    # each walked iterate is mapped once, and the fixed point once more
     quarter, metric = linear_quarter(), scalar_backward_one()
     cert = verify_orbital_type(quarter, metric, scalar(1 / math.sqrt(2)), seed=1.0,
                                orbit_len=30)
-    cfg = SolverConfig(tol=1e-10)
-    runs = _with_and_without_orbit(cert, 1.0, cfg)
-    _assert_the_orbit_was_used(cert, runs, cfg.max_iter)
-    alike = MapSpec(quarter.name, quarter.fn)
-    assert alike == quarter and alike is not quarter
-    json_without, _ = _solve_without_orbit(replace(cert, map_spec=alike), 1.0, cfg)
-    assert json_without == runs[0][0]
+    for seed in (0.0, -0.0, 1.0):
+        applied = []
+        report = picard_solve(replace(cert, map_spec=_counted(quarter, applied)), seed,
+                              SolverConfig(tol=1e-10))
+        assert len(applied) == report.iterations + 1 and report.fixed_point_certified
+        assert math.copysign(1.0, report.fixed_point) == math.copysign(1.0, seed)
 
 
-def test_a_global_certificate_does_not_take_an_orbit():
-    # the prefix stops on forward steps alone, which only the orbit regimes
-    # promise: an orbital certificate rebuilt under a global regime has no
-    # orbit, and its solve maps every iterate itself
-    quarter, metric = linear_quarter(), scalar_backward_one()
-    cert = verify_orbital_type(quarter, metric, scalar(0.5), seed=1.0, orbit_len=30)
-    for regime in (Regime.FORWARD_GLOBAL, Regime.BACKWARD_GLOBAL):
-        _, report = _solve_without_orbit(replace(cert, regime=regime), 1.0,
-                                         SolverConfig(tol=1e-10))
-        assert report.predicted_bounds_rev is not None
-
-
-def test_only_the_core_attaches_an_orbit():
-    cert = verify_orbital_type(linear_quarter(), scalar_backward_one(),
-                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
-    assert cert.orbit is not None
-    with pytest.raises(TypeError, match="orbit"):
-        ContractionCertificate(cert.regime, cert.map_spec, cert.metric, cert.a,
-                               cert.samples_checked, cert.violations,
-                               cert.seed_point, orbit=cert.orbit)
-    with pytest.raises(ValueError, match="orbit"):
-        replace(cert, orbit=cert.orbit)
-    assert replace(cert).orbit is None
-
-
-def test_the_checked_orbit_stays_out_of_the_certificate_json():
-    cert = verify_orbital_type(linear_quarter(), scalar_backward_one(),
-                               scalar(1 / math.sqrt(2)), seed=1.0, orbit_len=30)
-    assert cert.orbit is not None and len(cert.orbit.points) == 33
-    assert "orbit" not in cert.to_json_dict()
-    assert cert == replace(cert) and "orbit=" not in repr(cert)
-    back = certificate_from_json(json.loads(json.dumps(cert.to_json_dict())),
-                                 cert.map_spec, cert.metric)
-    assert back.orbit is None
+@pytest.mark.parametrize("regime, map_spec, metric, c, seed, failing", [
+    # a = 0.01 I on x / 4: every step whose tail is not within tol fails
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split(), 0.01, 3.0, 15),
+    # a = 1/3 from seed -3: steps of norm 1 under scalar-backward-one
+    (Regime.TWO_STEP, linear_quarter(), scalar_backward_one(), 1 / 3, -3.0, 538),
+    # a = 0 certifies no map that moves a point, whatever the certify tol
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split(), 0.0, 3.0, 15),
+], ids=["forward-forged", "two-step-negative-seed", "forward-zero"])
+def test_a_failing_walked_sample_voids_the_certification(regime, map_spec, metric, c,
+                                                          seed, failing):
+    report = picard_solve(_certificate(regime, map_spec, metric, c), seed,
+                          SolverConfig(tol=1e-9))
+    assert report.converged and report.residual_forward <= 1e-9
+    assert report.failing_samples == failing
+    assert not report.fixed_point_certified
