@@ -18,7 +18,12 @@ distance to fall below tolerance before stopping; orbital and two-step
 certificates promise forward convergence only, so they stop on the
 (old, new) order.  A fixed point is certified when the solve converged,
 its residual d(x_N, T x_N) is within tolerance, in both orders under a
-global regime, and no walked step fails the certificate's inequality.  The
+global regime, no walked step fails the certificate's inequality, and the
+observed tails keep within their envelopes.  A walked sample passes with
+the relative tolerance tol (1 + ||rhs||) of ``contraction._failures``, and
+an envelope holds with the absolute tolerance tol, so a coefficient a hair
+below the true one passes every sample and still breaks the envelope of a
+far seed; the envelope gate refuses that solve.  The
 lower-semicontinuity check of G(x) = d(x, Tx) is reported as evidence and
 gates nothing: a forward residual within tolerance already passes it, since
 every tail norm is at least 0.
@@ -193,7 +198,7 @@ def apriori_envelope(d1: AlgebraElement, rate: float,
     r = ||a||^2, and two-step's d(x_(n+1), x_(n+2)) <= a d(x_n, x_(n+2))
     with r = ||a (I - a)^-1||.  ``picard_solve`` checks that inequality on
     the steps it walks, up to its tolerance, and certifies no solve that
-    fails it.
+    fails it or whose observed tail exceeds B_p + tol.
     """
     if not 0.0 <= rate < 1.0:
         raise RateNotLessThanOne(f"rate {rate:.6f} is not inside [0, 1)")
@@ -298,7 +303,8 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
     # G(x_i) = d(x_i, T x_i) over the orbit's trailing half, x_N included
     half = len(points) // 2
     lsc = lsc_holds(residual_forward, fwd_steps[half:] + [residual_forward], cfg.tol)
-    certified = (converged and not failing and residual_forward <= cfg.tol
+    certified = (converged and not failing and envelope_ok
+                 and residual_forward <= cfg.tol
                  and (forward_only or residual_backward <= cfg.tol))
 
     return SolverReport(

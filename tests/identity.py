@@ -1,7 +1,7 @@
 """Compare what the CLI writes at a base revision with what the working tree
 writes, run by run.
 
-    python3 tests/identity.py --base REV [--show N]
+    python3 tests/identity.py --base REV
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory.
 One corpus of runs then goes through each side's ``quasifix.cli.main``, in
@@ -12,7 +12,8 @@ one subprocess per side, each in a working directory of its own:
   which this script only reads), every CLI op as the deck has it, and every
   ``solve`` and ``classify`` op once more with ``--trace`` and every
   ``demo-integral`` op with ``--solution``;
-* the gallery, and the runs of the CI's console-script step.
+* the gallery, and the runs of the CI's console-script step that read no
+  hand-edited file.
 
 A run is its exit code, its stdout and stderr, and the text of every file
 it writes, with the report's timestamp and the hash of ``solve``'s
@@ -68,7 +69,13 @@ Path(sys.argv[1]).write_text(json.dumps(results), encoding="utf-8")
 _TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 _CERT_HASH = re.compile(r'"cert": "[0-9a-f]{64}"')
 
-#: The runs of the CI's console-script step (its shell checks left out).
+#: Differing runs printed with a diff; the rest are only counted.
+SHOWN = 5
+
+#: The runs of the CI's console-script step in ``.github/workflows/tests.yml``,
+#: in its order, without its shell checks; keep the two in step.  Left out:
+#: the solves of certificates the step edits with ``python -c`` first, and
+#: the trace written under a regular file, which no argv alone sets up.
 _CI_RUNS = [
     ["check-axioms", "--metric", "mat2-split", "--grid", "5"],
     ["demo-integral", "--grid", "4096", "--solution", "solution.csv"],
@@ -79,9 +86,21 @@ _CI_RUNS = [
      "--seed", "1.0", "--out", "setup/ci-orbital.json"],
     ["solve", "--map", "linear-quarter", "--metric", "mat2-split", "--seed", "3",
      "--cert", "setup/ci-orbital.json", "--trace", "trace.csv", "--report", "report.json"],
+    ["solve", "--map", "piecewise-quarter", "--metric", "mat2-split", "--seed", "3",
+     "--cert", "setup/ci-orbital.json"],
+    ["solve", "--map", "linear-quarter", "--order", "cone", "--metric", "mat2-split",
+     "--seed", "3", "--cert", "setup/ci-orbital.json"],
     ["certify", "--map", "linear-quarter", "--metric", "mat2-split-scaled", "--regime",
      "forward", "--a", '{"realization": "mat2", "entries": [[0.3, 0], [0, 0.3]]}',
      "--grid", "random:19", "--out", "report.json"],
+    ["demo-integral", "--grid", "64", "--solution", "out/new/solution.csv"],
+    ["certify", "--map", "linear-quarter", "--metric", "scalar-backward-one", "--regime",
+     "two-step", "--a", '{"realization": "scalar", "value": 0.3333333333333333}',
+     "--seed", "1.0", "--out", "setup/ci-two-step.json"],
+    ["solve", "--map", "linear-quarter", "--metric", "scalar-backward-one", "--seed", "-3",
+     "--cert", "setup/ci-two-step.json", "--report", "report.json"],
+    ["certify", "--map", "linear-quarter", "--metric", "mat2-split", "--regime", "forward",
+     "--search", "--grid", "lin:-2:2:9", "--out", "setup/ci-forward.json"],
     ["classify", "--metric", "scalar-forward-one", "--seq", "harmonic:1.0:50",
      "--candidate", "1.0", "--eps", "0.1", "--window", "5", "--trace", "trace.csv",
      "--report", "report.json"],
@@ -160,8 +179,6 @@ def export(rev: str, into: Path) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare with")
-    parser.add_argument("--show", type=int, default=5,
-                        help="how many differing runs to print (default 5)")
     args = parser.parse_args(argv)
     argvs = corpus()
     with tempfile.TemporaryDirectory(prefix="quasifix-identity-") as tmp:
@@ -172,11 +189,11 @@ def main(argv: list[str] | None = None) -> int:
                  if b != h]
     print(f"{len(argvs) - len(differing)} of {len(argvs)} runs identical "
           f"(base {args.base}, head the working tree)")
-    for argv, b, h in differing[:args.show]:
+    for argv, b, h in differing[:SHOWN]:
         print(f"\ndiffers: {' '.join(argv)}")
         print("\n".join("  " + line for line in _diff(b, h)))
-    if len(differing) > args.show:
-        print(f"\n... and {len(differing) - args.show} more differing runs")
+    if len(differing) > SHOWN:
+        print(f"\n... and {len(differing) - SHOWN} more differing runs")
     return 1 if differing else 0
 
 

@@ -432,6 +432,17 @@ def _forged_forward(cert: Path) -> None:
     cert.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _nearly_true_forward(cert: Path) -> None:
+    # c^2 = 1/4 - 1e-10 on x / 4: every walked sample passes within its
+    # relative tolerance, but from seed 100 the tail exceeds the envelope
+    # by more than the absolute tol
+    assert main([*_FORWARD_SEARCH, "--out", str(cert)]) == 0
+    payload = _load(cert)
+    c = math.sqrt(0.25 - 1e-10)
+    payload["report"]["a"]["entries"] = [[c, 0.0], [0.0, c]]
+    cert.write_text(json.dumps(payload), encoding="utf-8")
+
+
 def _zero_at_tol_100(cert: Path) -> None:
     assert main([*_FORWARD_SEARCH[:-3], "--grid", "lin:-2:2:9", "--tol", "100",
                  "--a", '{"realization": "mat2", "entries": [[0, 0], [0, 0]]}',
@@ -453,12 +464,15 @@ def _table_orbital(cert: Path) -> list[str]:
                       "scalar-backward-one", "--seed", "-3"], "538 of 540"),
     (_table_orbital, None, "1 of 3"),
     (_zero_at_tol_100, _QUARTER_SPLIT_SOLVE, "15 of 17"),
+    (_nearly_true_forward, [*_QUARTER_SPLIT_SOLVE[:-1], "100"], None),
 ], ids=["forward-a-edited-to-0.01", "two-step-from-another-seed",
-        "orbital-table-from-another-seed", "zero-a-at-tol-100"])
+        "orbital-table-from-another-seed", "zero-a-at-tol-100",
+        "forward-a-a-hair-low-from-100"])
 def test_solve_does_not_certify_steps_its_coefficient_fails(tmp_path, capsys, make,
                                                             solve, failing):
     # each certificate passes its gates, and each solve converges, but a
-    # walked step breaks the certificate's inequality: the solve exits 1
+    # walked step breaks the certificate's inequality, or the tail breaks
+    # the envelope it rests on: the solve exits 1
     cert = tmp_path / "cert.json"
     made = make(cert)
     solve = solve or made  # the table case names its table file in the argv
@@ -466,8 +480,8 @@ def test_solve_does_not_certify_steps_its_coefficient_fails(tmp_path, capsys, ma
     assert main([*solve, "--cert", str(cert)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "(converged: True)" in out[0]
-    assert out[2:] == [f"walked samples failing the certificate: {failing}",
-                       "bound envelope ok: False; certified: False"]
+    walked = [f"walked samples failing the certificate: {failing}"] if failing else []
+    assert out[2:] == [*walked, "bound envelope ok: False; certified: False"]
 
 
 @pytest.mark.parametrize("metric", ["mat2-split", "mat2-split-scaled"])

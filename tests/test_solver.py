@@ -603,12 +603,16 @@ def test_a_solve_maps_each_iterate_once_from_either_zero():
     quarter, metric = linear_quarter(), scalar_backward_one()
     cert = verify_orbital_type(quarter, metric, scalar(1 / math.sqrt(2)), seed=1.0,
                                orbit_len=30)
-    for seed in (0.0, -0.0, 1.0):
+    for seed in (0.0, -0.0, 1.0, 1):
         applied = []
         report = picard_solve(replace(cert, map_spec=_counted(quarter, applied)), seed,
                               SolverConfig(tol=1e-10))
         assert len(applied) == report.iterations + 1 and report.fixed_point_certified
         assert math.copysign(1.0, report.fixed_point) == math.copysign(1.0, seed)
+        # the trace starts at the caller's seed object; the fixed point is
+        # the map's float image
+        assert type(report.trace.points[0]) is type(seed)
+        assert type(report.fixed_point) is float
 
 
 @pytest.mark.parametrize("regime, map_spec, metric, c, seed, failing", [
