@@ -113,7 +113,7 @@ class NotInCommutant(QuasifixError):
 
 
 class CertificateInvalid(QuasifixError):
-    """The certificate cannot back this solve."""
+    """The certificate cannot back a solve."""
 
 
 class Regime(Enum):
@@ -298,8 +298,10 @@ def _orbit_tables(regime: Regime, metric: MetricSpec, stack: np.ndarray,
     lhs[i] is d(o_(i+1), o_(i+2)) = ``steps[i + 1]``, and base[i] is
     d(o_i, o_(i+1)) (forward-global, orbital), ``reverse[i]`` =
     d(o_(i+1), o_i) (backward-global) or d(o_i, o_(i+2)) (two-step, one
-    paired evaluation).  Without ``steps`` the steps the regime reads are
-    one paired evaluation here: two-step never reads d(o_0, o_1).
+    paired evaluation).  A solve passes both orders of the steps it walked,
+    ``steps`` and ``reverse``, whatever the regime.  Without ``steps`` the
+    steps the regime reads are one paired evaluation here: two-step never
+    reads d(o_0, o_1).
     """
     if regime is Regime.TWO_STEP:
         lhs = (steps[1:] if steps is not None
@@ -428,11 +430,25 @@ def verify(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     a contraction, which shows up as h_norm >= 1.  A negative or NaN
     ``tol`` raises ``ValueError``: the one makes the order strict, and every
     comparison fails with the other.
+
+    A sample *moves* when its lhs has a nonzero component.  When no sample
+    fails at ``tol`` but every moving one fails at tolerance 0, the
+    tolerance alone decided the check (a zero ``a`` under a large ``tol``
+    passes any map), and ``CertificateInvalid`` is raised instead of
+    returning a certificate.
     """
     _require_tol(tol)
     _gate(regime, metric, a)
     tables = _tables(regime, map_spec, metric, points, seed, orbit_len)
-    return _certificate(regime, map_spec, metric, a, tables, seed, tol)
+    cert = _certificate(regime, map_spec, metric, a, tables, seed, tol)
+    if cert.valid and tol:
+        _, lhs, base = tables
+        moving = lhs.reshape(len(lhs), -1).any(axis=1)
+        if moving.any() and _failures(regime, metric, a, lhs, base, 0.0)[moving].all():
+            raise CertificateInvalid(
+                f"all {np.count_nonzero(moving)} moving samples fail at tolerance 0 "
+                f"and pass only within tolerance {tol!r}")
+    return cert
 
 
 def verify_orbital_type(map_spec: MapSpec, metric: MetricSpec, a: AlgebraElement,

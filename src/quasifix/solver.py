@@ -28,17 +28,20 @@ lower-semicontinuity check of G(x) = d(x, Tx) is reported as evidence and
 gates nothing: a forward residual within tolerance already passes it, since
 every tail norm is at least 0.
 
-Each distance is evaluated once.  Each step pair d(x, Tx), d(Tx, x) (the
-first is the envelope's d1), and the residual pair of the final point and a
-fresh ``T x_N``, is one validated stack of the two points, one paired
-evaluation and one batched norm; the points and the payloads go into two
-buffers that double as needed, so the orbit's stack and its step payloads
-are never built again.  The observed tails d(x_p, x_N) and d(x_N, x_p) come
-from that stack: the column and the row of ``metrics.distance_norm_table``
-at x_N.  All of these are the values of ``norm(eval_metric(...))`` bit for
-bit.  The lower-semicontinuity check reads G from the step list:
-G(x_i) = d(x_i, x_{i+1}) is the i-th forward step for i < N, and G(x_N) is
-the forward residual, so the check applies T to no point again.
+Each distance is evaluated once, in one pattern for every regime.  Each
+step pair d(x, Tx), d(Tx, x) (the first step's gives the envelopes' d1),
+and the residual pair of the final point and a fresh ``T x_N``, is one
+validated stack of the two points, one paired evaluation of both orders and
+one batched norm; the regime decides only which order the stop, the
+residual gate and the reversed envelope read.  The points and the payloads
+go into two buffers that double as needed, so the orbit's stack and its
+step payloads are never built again.  The observed tails d(x_p, x_N) and
+d(x_N, x_p) come from that stack: the column and the row of
+``metrics.distance_norm_table`` at x_N.  All of these are the values of
+``norm(eval_metric(...))`` bit for bit.  The lower-semicontinuity check
+reads G from the step list: G(x_i) = d(x_i, x_{i+1}) is the i-th forward
+step for i < N, and G(x_N) is the forward residual, so the check applies T
+to no point again.
 
 The solve runs under the certificate's own map, metric and coefficient, and
 checks its inequality on the samples (x_i, x_{i+1}), i < N, that it walks
@@ -242,12 +245,11 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
     if cert.rate >= 1.0:
         raise RateNotLessThanOne(f"certificate rate {cert.rate:.6f} is not below 1")
     map_spec, metric = cert.map_spec, cert.metric
-    display = metric.norm
     forward_only = not cert.regime.is_global
 
-    # stack[i] is x_i validated; steps[i] holds d(x_i, x_(i+1)) and, where
-    # the stop reads it, d(x_(i+1), x_i).  A function point is kept as its
-    # stack row, so that the map's own array is not held as well
+    # stack[i] is x_i validated; steps[i] holds d(x_i, x_(i+1)) and
+    # d(x_(i+1), x_i).  A function point is kept as its stack row, so that
+    # the map's own array is not held as well
     points = [seed]  # the caller's seed, then the walk's points
     stack = steps = None
     fwd_steps: list[float] = []
@@ -258,29 +260,21 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
         image = map_spec.apply(points[-1])
         new = [image] if n else [seed, image]  # the seed is checked with its image
         stack = _put(stack, n + 2 - len(new), _points(metric, new))
-        pair = (_paired_on(metric, stack, slice(n, n + 1), slice(n + 1, n + 2))
-                if forward_only
-                else _paired_on(metric, stack[n:n + 2], slice(None), slice(None, None, -1)))
+        pair = _paired_on(metric, stack[n:n + 2], slice(None), slice(None, None, -1))
         steps = _put(steps, n, pair[None])
-        norms = batch_norm(metric.codomain, pair, display).tolist()
+        norms = batch_norm(metric.codomain, pair, metric.norm).tolist()
         if converged or n == cfg.max_iter:  # the residual pair of x_N and T x_N
             break
         fwd_steps.append(norms[0])
-        bwd_steps += norms[1:]
+        bwd_steps.append(norms[1])
         points.append(image if stack.ndim == 1 else stack[n + 1])
         converged = norms[0] <= cfg.tol and (forward_only or norms[1] <= cfg.tol)
 
     fixed_point = points[-1]
     iterations = n
     stack, steps = stack[:n + 2], steps[:n + 1]
-    if forward_only:  # the reverse steps, which the stop did not read, at once
-        reverse = _paired_on(metric, stack, slice(1, None), slice(None, -1))
-        *bwd_steps, residual_backward = batch_norm(metric.codomain, reverse,
-                                                   display).tolist()
-        residual_forward = norms[0]
-    else:
-        reverse = steps[:, 1]
-        residual_forward, residual_backward = norms
+    reverse = steps[:, 1]
+    residual_forward, residual_backward = norms
 
     # the walked samples (x_i, x_(i+1)), i < N, on the stack x_0 .. x_(N+1)
     lhs, base = _orbit_tables(cert.regime, metric, stack, steps[:, 0], reverse)

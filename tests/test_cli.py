@@ -443,10 +443,13 @@ def _nearly_true_forward(cert: Path) -> None:
     cert.write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _zero_at_tol_100(cert: Path) -> None:
-    assert main([*_FORWARD_SEARCH[:-3], "--grid", "lin:-2:2:9", "--tol", "100",
-                 "--a", '{"realization": "mat2", "entries": [[0, 0], [0, 0]]}',
-                 "--out", str(cert)]) == 0
+def _zero_forward(cert: Path) -> None:
+    # the zero coefficient that certify refuses at --tol 100 (see
+    # test_certify_refuses_a_check_only_the_tolerance_passes), put in a file
+    assert main([*_FORWARD_SEARCH, "--out", str(cert)]) == 0
+    payload = _load(cert)
+    payload["report"]["a"]["entries"] = [[0.0, 0.0], [0.0, 0.0]]
+    cert.write_text(json.dumps(payload), encoding="utf-8")
 
 
 def _table_orbital(cert: Path) -> list[str]:
@@ -463,10 +466,10 @@ def _table_orbital(cert: Path) -> list[str]:
     (_two_step_cert, ["solve", "--map", "linear-quarter", "--metric",
                       "scalar-backward-one", "--seed", "-3"], "538 of 540"),
     (_table_orbital, None, "1 of 3"),
-    (_zero_at_tol_100, _QUARTER_SPLIT_SOLVE, "15 of 17"),
+    (_zero_forward, _QUARTER_SPLIT_SOLVE, "15 of 17"),
     (_nearly_true_forward, [*_QUARTER_SPLIT_SOLVE[:-1], "100"], None),
 ], ids=["forward-a-edited-to-0.01", "two-step-from-another-seed",
-        "orbital-table-from-another-seed", "zero-a-at-tol-100",
+        "orbital-table-from-another-seed", "forward-a-edited-to-zero",
         "forward-a-a-hair-low-from-100"])
 def test_solve_does_not_certify_steps_its_coefficient_fails(tmp_path, capsys, make,
                                                             solve, failing):
@@ -482,6 +485,35 @@ def test_solve_does_not_certify_steps_its_coefficient_fails(tmp_path, capsys, ma
     assert "(converged: True)" in out[0]
     walked = [f"walked samples failing the certificate: {failing}"] if failing else []
     assert out[2:] == [*walked, "bound envelope ok: False; certified: False"]
+
+
+def test_certify_refuses_a_check_only_the_tolerance_passes(tmp_path, capsys):
+    # a = 0 passes every sample of x / 4 only within --tol 100: each of the
+    # 72 moving samples fails at tolerance 0, so certify writes nothing and
+    # exits 1 with one error line
+    cert = tmp_path / "cert.json"
+    code = main([*_FORWARD_SEARCH[:-3], "--grid", "lin:-2:2:9", "--tol", "100",
+                 "--a", '{"realization": "mat2", "entries": [[0, 0], [0, 0]]}',
+                 "--out", str(cert)])
+    assert code == 1 and not cert.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: all 72 moving samples fail at tolerance 0 "
+                                 "and pass only within tolerance 100.0\n")
+
+
+def test_solve_refuses_a_reverse_step_that_overflows(tmp_path, capsys):
+    # under beta = 1e300 the forward steps of x / 4 from 1e9 are finite, but
+    # the first reverse step d(x_1, x_0) scales 7.5e8 by beta: the orbital
+    # solve, which stops on the forward order, exits 1 with one error line
+    cert = tmp_path / "cert.json"
+    metric = ["--map", "linear-quarter", "--metric", "mat2-split-scaled", "--beta", "1e300"]
+    assert main(["certify", *metric, "--regime", "orbital", "--seed", "1.0",
+                 "--a", '{"realization": "mat2", "entries": [[0.6, 0], [0, 0.6]]}',
+                 "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["solve", *metric, "--seed", "1e9", "--cert", str(cert)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: distance overflows: the points are too far apart\n"
 
 
 @pytest.mark.parametrize("metric", ["mat2-split", "mat2-split-scaled"])

@@ -91,17 +91,24 @@ def test_backward_one_metric_defeats_small_coefficients():
 
 
 def test_order_tolerance_scales_with_the_rhs_norm():
-    # on the pairs of 1000 and 0, lhs = 1000 k against rhs = 0.25 * 1000 =
-    # 250 in one diagonal entry, with tolerance 1e-9 * (1 + 250): an excess
-    # of 1e-7 is inside it, 1e-6 is not
+    # T maps 1000 to 1000 k and every other point x to x / 4.  On the pairs
+    # of 1000 and 0, lhs = 1000 k against rhs = 0.25 * 1000 = 250 in one
+    # diagonal entry, with tolerance 1e-9 * (1 + 250); on those of 1000 and
+    # 4, 1000 k - 1 against 249: an excess of 1e-7 is inside either
+    # tolerance, 1e-6 is not.  The pairs of 4 and 0 hold exactly
     def scaled(k):
-        return MapSpec("scaled", lambda x: k * x)
+        return MapSpec("scaled", lambda x: k * x if x == 1000.0 else x / 4)
 
-    points = [1000.0, 0.0]
+    points = [1000.0, 4.0, 0.0]
     assert verify(Regime.FORWARD_GLOBAL, scaled(0.25 + 1e-10), mat2_split(),
                   diag2(0.5, 0.5), points=points).valid
     assert not verify(Regime.FORWARD_GLOBAL, scaled(0.25 + 1e-9), mat2_split(),
                       diag2(0.5, 0.5), points=points).valid
+    # without the exact pairs every moving sample passes only within the
+    # tolerance, and the check is refused
+    with pytest.raises(CertificateInvalid, match="2 moving samples"):
+        verify(Regime.FORWARD_GLOBAL, scaled(0.25 + 1e-10), mat2_split(),
+               diag2(0.5, 0.5), points=[1000.0, 0.0])
 
 
 def test_coefficient_norm_gate():

@@ -341,10 +341,9 @@ def test_run_demo_maps_and_checks_every_walked_step(monkeypatch, one_pair_calls)
     # and the fixed point for the residual, which the demo's residual reads
     assert len(applied) == 1 + 4 + n + 1
     # one paired evaluation of the orbit's steps in the certificate; in the
-    # solve, one per forward step, the residual's included, and one of all
-    # the reverse steps; only the certificate's d(f0, T f0) is one pair at
-    # a time
-    assert len(paired) == 1 + (n + 1) + 1
+    # solve, one of both orders per step, the residual's included; only the
+    # certificate's d(f0, T f0) is one pair at a time
+    assert len(paired) == 1 + (n + 1)
     assert len(one_pair_calls) == 1
     # the solver checks f0 with its image, then each new point once, the
     # fixed point's image last, and no point again for its tails and its

@@ -309,43 +309,40 @@ def _counted(map_spec, applied):
 
 
 def _certificate(regime, map_spec, metric, c=0.5):
-    """A certificate of ``map_spec`` in ``metric`` of rate c^2 whose one
+    """A certificate of a = c I for ``map_spec`` in ``metric`` whose one
     recorded sample nothing checked: the solver trusts it (a certificate of
     no sample it refuses)."""
     a = codomain_scalar(metric, c)
     return ContractionCertificate(regime, map_spec, metric, a, 1, ())
 
 
-@pytest.mark.parametrize("regime, map_spec, metric, seed", [
-    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), 7.0),
-    (Regime.ORBITAL, piecewise_quarter(), scalar_backward_one(), -3.0),
-    (Regime.ORBITAL, linear_quarter(), mult_op(FN_GRID), FN_GRID),
-], ids=["forward-mat2", "orbital-scalar", "orbital-mult-op"])
+@pytest.mark.parametrize("regime, map_spec, metric, seed, c", [
+    (Regime.FORWARD_GLOBAL, linear_quarter(), mat2_split_scaled(0.25), 7.0, 0.5),
+    (Regime.BACKWARD_GLOBAL, linear_quarter(), scalar_forward_one(), 5.0, 0.5),
+    (Regime.ORBITAL, piecewise_quarter(), scalar_backward_one(), -3.0, 0.5),
+    (Regime.ORBITAL, linear_quarter(), mult_op(FN_GRID), FN_GRID, 0.5),
+    (Regime.TWO_STEP, linear_quarter(), mat2_split(), 3.0, 0.25),
+], ids=["forward-mat2", "backward-scalar", "orbital-scalar", "orbital-mult-op",
+        "two-step-mat2"])
 def test_solve_evaluates_each_distance_once(monkeypatch, one_pair_calls, regime,
-                                            map_spec, metric, seed):
+                                            map_spec, metric, seed, c):
     applied, paired = [], []
     paired_on = solver._paired_on
     monkeypatch.setattr(solver, "_paired_on",
                         lambda *args: paired.append(args) or paired_on(*args))
-    report = picard_solve(_certificate(regime, _counted(map_spec, applied), metric),
+    report = picard_solve(_certificate(regime, _counted(map_spec, applied), metric, c),
                           seed, SolverConfig(tol=1e-10))
     assert report.converged and report.iterations > 2
-    # one paired evaluation for the step of every iteration and one for the
-    # residual, and no one-pair call; a forward-only walk evaluates its
-    # reverse steps after the walk, all at once.  The tails and d1 are not
-    # evaluated again, and the LSC gate reads the steps
+    # whatever the regime, one paired evaluation of both orders for the step
+    # of every iteration and one for the residual, and no one-pair call.
+    # The tails and d1 are not evaluated again, and the LSC gate reads the
+    # steps
     x_n, after = report.fixed_point, map_spec.apply(report.fixed_point)
-    forward_only = not regime.is_global
     assert one_pair_calls == []
-    assert len(paired) == report.iterations + 1 + forward_only
+    assert len(paired) == report.iterations + 1
     _, stack, xs, ys = paired[-1]
-    if forward_only:
-        walked = [*report.trace.points, after]
-        assert np.array_equal(stack[xs], walked[1:])
-        assert np.array_equal(stack[ys], walked[:-1])
-    else:
-        assert np.array_equal(stack[xs], [x_n, after])
-        assert np.array_equal(stack[ys], [after, x_n])
+    assert np.array_equal(stack[xs], [x_n, after])
+    assert np.array_equal(stack[ys], [after, x_n])
     assert len(applied) == report.iterations + 1
 
 
@@ -356,15 +353,19 @@ SOLVE_SEED = st.floats(-1e3, 1e3) | st.sampled_from([3e-200, -1e-170, 1e200, -5e
 
 @pytest.mark.parametrize("metric", SOLVE_METRICS, ids=lambda m: m.name)
 @settings(max_examples=examples(25), deadline=None)
-@given(kind=st.sampled_from(NormKind), slope=st.floats(-0.9, 0.9),
-       shift=st.floats(-1.0, 1.0), seed=SOLVE_SEED, max_iter=st.integers(1, 12))
-def test_step_and_residual_norms_are_the_reference_norms(metric, kind, slope, shift,
-                                                        seed, max_iter):
+@given(regime=st.sampled_from(Regime), kind=st.sampled_from(NormKind),
+       slope=st.floats(-0.9, 0.9), shift=st.floats(-1.0, 1.0), seed=SOLVE_SEED,
+       max_iter=st.integers(1, 12))
+def test_step_and_residual_norms_are_the_reference_norms(metric, regime, kind, slope,
+                                                        shift, seed, max_iter):
+    # every regime walks both orders of each step; two-step needs c = 1/4
+    # for a rate below 1
     metric = replace(metric, norm=kind)
     map_spec = MapSpec("affine", lambda x: slope * x + shift)
     if metric.name == "mult-op":
         seed = seed * FN_GRID
-    report = picard_solve(_certificate(Regime.FORWARD_GLOBAL, map_spec, metric), seed,
+    c = 0.25 if regime is Regime.TWO_STEP else 0.5
+    report = picard_solve(_certificate(regime, map_spec, metric, c), seed,
                           SolverConfig(max_iter=max_iter, tol=1e-10))
 
     def want(x, y):
@@ -586,12 +587,16 @@ def test_a_solve_inside_the_checked_orbit_fails_no_walked_sample(
         metric, regime, c, slope, shift, seed, orbit_len, tol, short):
     # the walked samples of a solve from the certificate's own seed that
     # stops within orbit_len + 1 steps are samples the certificate checked,
-    # at the same tolerance, so none of them fails
+    # at the same tolerance, so none of them fails.  A check that only the
+    # tolerance passes is refused and gives no certificate to solve under
     map_spec = MapSpec("affine", lambda x: slope * x + shift)
     if metric.name == "mult-op":
         seed = seed * FN_GRID
-    cert = verify(regime, map_spec, metric, codomain_scalar(metric, c), seed=seed,
-                  orbit_len=orbit_len, tol=tol)
+    try:
+        cert = verify(regime, map_spec, metric, codomain_scalar(metric, c), seed=seed,
+                      orbit_len=orbit_len, tol=tol)
+    except CertificateInvalid:
+        assume(False)
     assume(cert.valid and cert.rate < 1.0)
     cfg = SolverConfig(tol=tol, max_iter=max(1, orbit_len + 1 - short))
     assert picard_solve(cert, seed, cfg).failing_samples == 0
