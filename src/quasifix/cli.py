@@ -325,9 +325,10 @@ def _count(text: str) -> int:
     return n
 
 
-def _grid_points(spec: str, rng: np.random.Generator | None) -> np.ndarray | int:
-    """The points of a ``--grid`` spec, or with ``rng`` None only their
-    number; a malformed spec raises ``ValueError``."""
+def _grid_points(spec: str) -> tuple[int, Callable[[int], np.ndarray]]:
+    """The number of points of a ``--grid`` spec, and a function of the
+    ``--seed-rng`` seed that gives them; a malformed spec raises
+    ``ValueError``."""
     if spec.startswith("lin:"):
         _, lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), _count(n)
@@ -337,21 +338,23 @@ def _grid_points(spec: str, rng: np.random.Generator | None) -> np.ndarray | int
         lo, hi = map(float, bounds + ["-2.0", "2.0"][len(bounds):])
         if not -math.inf < lo <= hi < math.inf:
             raise ValueError(f"bounds must be finite and ordered, got {lo}, {hi}")
-        return n if rng is None else np.sort(rng.uniform(lo, hi, size=n))
+        return n, lambda seed: np.sort(np.random.default_rng(seed).uniform(lo, hi, size=n))
     elif "," in spec:
         points = np.asarray([float(v) for v in spec.split(",")])
-        return len(points) if rng is None else points
+        return len(points), lambda seed: points
     else:
         lo, hi, n = -2.0, 2.0, _count(spec)
-    return n if rng is None else np.linspace(lo, hi, n)
+    return n, lambda seed: np.linspace(lo, hi, n)
 
 
-def _nonempty_grid(spec: str) -> None:
+def _nonempty_grid(spec: str) -> tuple[int, Callable[[int], np.ndarray]]:
     """A certify ``--grid``: a global certificate checks every pair of its
     points, and one with no point would certify any map."""
-    if not _grid_points(spec, None):
+    n, draw = _grid_points(spec)
+    if not n:
         raise argparse.ArgumentTypeError(
             f"a certificate needs at least one grid point, got {spec!r}")
+    return n, draw
 
 
 def _seq_points(spec: str) -> list[float]:
@@ -432,7 +435,8 @@ def _certified(args: argparse.Namespace, payload: Any, map_spec: MapSpec,
 
 def _cmd_check_axioms(args: argparse.Namespace) -> tuple[int, dict]:
     spec = _build_metric(args)
-    pts = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
+    _, draw = args.grid.parsed
+    pts = draw(args.seed_rng)
     report = check_axioms(spec, pts, tol=args.tol)
     print(f"metric {spec.name}: {report.pairs_tested} pairs, "
           f"{report.triples_tested} triples")
@@ -479,7 +483,8 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict | None]:
     regime = _REGIMES[args.regime]
     points = None
     if regime.is_global:
-        points = _grid_points(args.grid, np.random.default_rng(args.seed_rng))
+        _, draw = args.grid.parsed
+        points = draw(args.seed_rng)
     if args.search:
         cert = search_scalar_coefficient(
             map_spec, spec, regime, points=points, seed=args.seed,
@@ -566,7 +571,7 @@ def _make_parser() -> argparse.ArgumentParser:
     metric_opts.add_argument("--order", choices=[k.value for k in OrderKind],
                              default=None, help="override the metric's order kind")
 
-    grid_type = _checked_by(lambda spec: _grid_points(spec, None), "grid")
+    grid_type = _checked_by(lambda spec: _grid_points(spec), "grid")
     grid_help = ("N points on [-2, 2], lin:LO:HI:N, random:N[:LO[:HI]] "
                  "(drawn with --seed-rng) or X,Y,...")
     seed_rng_opts = argparse.ArgumentParser(add_help=False)

@@ -23,9 +23,17 @@ partial order) over every ordered triple of a sample set, and records one
 asymmetry witness pair when it finds one.  Its triangle step first screens
 the pairs (x, y) with the table's min-plus square, the componentwise
 ``fmin`` over z of d(x, z) + d(z, y): at tol >= 0 a triple can fail only
-where a component of that min lies more than tol below d(x, y).  The exact
-order check then runs on the flagged pairs alone, and memory is the table
-plus two buffers of its size.  Violations are data, not exceptions.
+where a component of that min lies more than tol below d(x, y).
+``periodic-fn``, whose components are affine in t for each pair, screens
+on its first and last components alone, with a rounding margin: the least
+of d(x, z) + d(z, y) - d(x, y) over z is concave in t, so it is least at
+an end of the t-grid.  Its positivity and identity checks read those two
+components alone too, as they hold each pair's least component and largest
+magnitude.  The exact order check then runs on every component of the
+flagged pairs alone, and memory is the table plus two buffers of the
+screened components' size.  The witness is searched row by row and the
+search stops at the first pair it finds.  Violations are data, not
+exceptions.
 
 The catalog is the only kind of metric: a spec whose name the kernel does
 not know raises ``ValueError``.
@@ -375,10 +383,15 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
             elif spec.name == SCALAR_BACKWARD_ONE:
                 comps = np.where(ge, X - Y, 1.0)[..., None]
             elif spec.name == PERIODIC_FN:
+                # (x - y) t where x >= y, else (y - x)(period - t) / period,
+                # each written only where it is taken
                 t = spec.grid
-                up = (X - Y)[..., None] * t
-                down = (Y - X)[..., None] * (spec.period - t) / spec.period
-                comps = np.where(ge[..., None], up, down)
+                comps = np.empty(ge.shape + t.shape)
+                up = ge[..., None]
+                down = ~up
+                np.multiply((X - Y)[..., None], t, out=comps, where=up)
+                np.multiply((Y - X)[..., None], spec.period - t, out=comps, where=down)
+                np.divide(comps, spec.period, out=comps, where=down)
             else:
                 raise ValueError(f"unknown metric {spec.name!r}")
     if not np.isfinite(comps).all():
@@ -475,8 +488,41 @@ def check_axioms(spec: MetricSpec, sample_points: list,
     z.  The exact check then runs on the flagged pairs alone, one x at a
     time, with the arithmetic of an exhaustive check, so violations come
     out in (x, y, z) order with the same ``lhs`` and ``rhs`` values.
-    Memory is O(n^2) components: the table, plus two buffers of its size
-    for the screen (the min-plus square, and the sums of one x).
+    Memory is O(n^2) components: the table, plus two buffers for the screen
+    (the min-plus square, and the sums of one x).
+
+    ``periodic-fn``, in either argument order, screens on its first and
+    last components alone, so its buffers hold two components per pair.
+    Every rounding is monotone, so each pair's computed components are
+    monotone in t, and those two hold the pair's least component and its
+    largest magnitude: the positivity and identity checks read them alone,
+    with the values a pass over every component gives.  For one pair each
+    component is affine in t in exact arithmetic on the stored grid,
+    (x - y) t or (y - x)(P - t)/P, so for each z the exact
+    S_z(t) = d(x, z)(t) + d(z, y)(t) - d(x, y)(t) is affine in t, and the
+    min over z of S_z is concave: on the grid it is least at t_0 or t_{m-1}.
+    Rounding is bounded as ``contraction._threshold_band`` bounds it.  Let
+    M be the largest magnitude of the end components, which is that of the
+    whole table.  A computed component is within 2 eps of its exact value,
+    relative (at most four roundings), plus u = 2^-1074 / min(P, 1) for a
+    product that underflows before the division by P.  The sum and the
+    difference add 2.5 eps M, so a computed difference is within
+    E = 9 eps M + 3u of S_z.  If tol is below the margin, z = y gives an
+    exact 0 at every pair, and every pair is flagged.  Otherwise a failing
+    component (its difference below -tol, so tol < 3M) puts S_z below
+    -tol + E there, and so below -tol + E at an end of the grid.  There the
+    sum is finite (an overflowing one has S_z > -E), and the computed
+    difference is below -tol + 2E.  So comparing the end differences with
+    margin - tol flags every pair that can fail, for a margin above 2E plus
+    the rounding of margin - tol (1.5 eps M).  The margin is
+    64 eps M + 2^-1060 / min(P, 1), which is over three times that.  At
+    ``tol`` 0 the margin flags every pair: the exact check then runs on all
+    n^2 pairs, with the same violations.
+
+    The asymmetry witness, the first pair i < j in row-major order whose
+    two distances differ by more than ``tol`` in some component, is found
+    row by row: row i of the table against its column i, stopping at the
+    first row that holds one.
 
     A negative or NaN ``tol`` raises ``ValueError``; the screen is not
     sound for the one, and every comparison passes with the other.  Points
@@ -488,6 +534,14 @@ def check_axioms(spec: MetricSpec, sample_points: list,
     if spec.order is OrderKind.ENTRYWISE and spec.codomain != MAT2:
         raise RealizationMismatch("entrywise order is defined for mat2 only")
     return _sweep(spec, *_component_table(spec, sample_points), tol)
+
+
+#: The ``periodic-fn`` triangle screen's rounding margin, in ulps of the
+#: table's largest magnitude (the derivation in ``check_axioms`` needs about
+#: 20), and an allowance for products that underflow before the division by
+#: the period.
+_SCREEN_ULPS = 64
+_UNDERFLOW = 2.0 ** -1060
 
 
 def _require_tol(tol: float) -> None:
@@ -503,41 +557,33 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
     report = AxiomReport(metric=spec.name, tol=tol,
                          pairs_tested=n * n, triples_tested=n * n * n)
 
-    # positivity over all ordered pairs
-    min_comp = table.min(axis=-1)
+    # positivity over all ordered pairs; the end components hold each
+    # pair's least component and largest magnitude
+    ends = _end_components(spec, table)
+    min_comp = ends.min(axis=-1)
     bad = np.argwhere(min_comp < -tol)
     for i, j in bad:
         report.positivity_violations.append(
             {"x": pts[i], "y": pts[j], "min_component": float(min_comp[i, j])})
 
     # identity of indiscernibles
-    diag_nonzero = np.abs(table[np.arange(n), np.arange(n)]).max(axis=-1)
+    diag_nonzero = np.abs(ends[np.arange(n), np.arange(n)]).max(axis=-1)
     for (i,) in np.argwhere(diag_nonzero != 0.0):
         report.identity_violations.append(
             {"x": pts[i], "y": pts[i], "kind": "nonzero-at-diagonal",
              "max_component": float(diag_nonzero[i])})
-    offdiag_norm = np.abs(table).max(axis=-1)
+    offdiag_norm = np.abs(ends).max(axis=-1)
     near_zero = (offdiag_norm <= tol) & ~np.eye(n, dtype=bool)
     for i, j in np.argwhere(near_zero):
         report.identity_violations.append(
             {"x": pts[i], "y": pts[j], "kind": "zero-at-distinct-points",
              "max_component": float(offdiag_norm[i, j])})
 
-    # triangle over all ordered triples (x, y, z).  The screen, one x at a
-    # time: sums[k, j] = d(x_i, z_k) + d(z_k, y_j), and low[i, j] is their
-    # fmin over k (see the docstring)
-    low = np.empty_like(table)
-    sums = np.empty_like(table)
-    for i in range(n):
-        np.add(table[i][:, None, :], table, out=sums)
-        np.fmin.reduce(sums, axis=0, out=low[i])
-    flagged = np.any(np.subtract(low, table, out=sums) < -tol, axis=-1)
-    del low, sums
-    if spec.order is OrderKind.ENTRYWISE:
-        flagged |= np.any(table < -tol, axis=-1)
-    # the exact check on the flagged pairs, one x at a time: for x = pts[i]
-    # and y_j = pts[rows[r]], lhs[r] = d(x, y_j) and
+    # triangle over all ordered triples (x, y, z), checked exactly on the
+    # pairs the screen flags, one x at a time: for x = pts[i] and
+    # y_j = pts[rows[r]], lhs[r] = d(x, y_j) and
     # rhs[r, k] = d(x, z_k) + d(z_k, y_j)
+    flagged = _triangle_screen(spec, table, tol)
     table_t = np.swapaxes(table, 0, 1)
     for i in np.flatnonzero(flagged.any(axis=1)):
         rows = np.flatnonzero(flagged[i])
@@ -552,8 +598,42 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
                 {"x": pts[i], "y": pts[rows[r]], "z": pts[k],
                  "lhs": lhs[r, 0].tolist(), "rhs": rhs[r, k].tolist()})
 
-    # the first pair i < j, in row-major order, whose two orders differ
-    gap = np.abs(table - table_t).max(axis=-1)
-    for i, j in np.argwhere(np.triu(gap > tol, k=1))[:1]:
-        report.asymmetry_witness = (pts[i], pts[j])
+    # the first pair i < j, in row-major order, whose two orders differ:
+    # row i of the table against its column i, one i at a time
+    for i in range(n - 1):
+        gap = np.abs(table[i, i + 1:] - table[i + 1:, i]).max(axis=-1)
+        (later,) = np.nonzero(gap > tol)
+        if later.size:
+            report.asymmetry_witness = (pts[i], pts[i + 1 + later[0]])
+            break
     return report
+
+
+def _triangle_screen(spec: MetricSpec, table: np.ndarray, tol: float) -> np.ndarray:
+    """flagged[i, j]: whether the triangle step checks the triples
+    (x_i, x_j, z) exactly, for the component table C[i, j, :] = d(x_i, x_j)
+    at ``tol`` >= 0, as ``check_axioms`` describes it: from every component
+    with no margin, or for ``periodic-fn`` from its two end components with
+    its rounding margin."""
+    comps, margin = _end_components(spec, table), 0.0
+    if spec.name == PERIODIC_FN:
+        margin = (_SCREEN_ULPS * np.finfo(float).eps * float(np.abs(comps).max(initial=0.0))
+                  + _UNDERFLOW / min(abs(spec.period), 1.0))
+    # one x at a time: sums[k, j] = d(x_i, z_k) + d(z_k, y_j), and low[i, j]
+    # is their fmin over k
+    low = np.empty_like(comps)
+    sums = np.empty_like(comps)
+    for i in range(len(comps)):
+        np.add(comps[i][:, None, :], comps, out=sums)
+        np.fmin.reduce(sums, axis=0, out=low[i])
+    flagged = np.any(np.subtract(low, comps, out=sums) < margin - tol, axis=-1)
+    if spec.order is OrderKind.ENTRYWISE:
+        flagged |= np.any(table < -tol, axis=-1)
+    return flagged
+
+
+def _end_components(spec: MetricSpec, table: np.ndarray) -> np.ndarray:
+    """The components of ``table`` that hold each pair's least component
+    and largest magnitude: the first and the last for ``periodic-fn``, whose
+    computed components are monotone in t for each pair, else every one."""
+    return table[..., [0, -1]] if spec.name == PERIODIC_FN else table

@@ -78,6 +78,9 @@ SHOWN = 5
 #: the trace written under a regular file, which no argv alone sets up.
 _CI_RUNS = [
     ["check-axioms", "--metric", "mat2-split", "--grid", "5"],
+    ["check-axioms", "--metric", "periodic-fn", "--grid", "random:41", "--seed-rng", "7"],
+    ["check-axioms", "--metric", "periodic-fn", "--period", "0.001", "--t-grid", "100",
+     "--grid", "1e150,-1e150,0,3e149"],
     ["demo-integral", "--grid", "4096", "--solution", "solution.csv"],
     ["demo-integral", "--alpha", "0.7639437268410976", "--k", "1",
      "--quadrature", "midpoint-log", "--grid", "4096", "--report", "report.json"],

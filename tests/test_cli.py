@@ -1053,7 +1053,12 @@ def test_manifests_record_every_option_the_subcommand_accepts(tmp_path):
      "_seq_points", "seq", "harmonic:1.5:40"),
     ([*_CERTIFY[:7], "--a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}'],
      "element_from_json", "a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}'),
-], ids=["seq", "a"])
+    (["check-axioms", "--metric", "periodic-fn", "--grid", "random:41", "--seed-rng", "7"],
+     "_grid_points", "grid", "random:41"),
+    ([*_CERTIFY[:7], "--a", '{"realization": "mat2", "entries": [[0.5, 0], [0, 0.5]]}',
+      "--grid", "random:7", "--seed-rng", "3"],
+     "_grid_points", "grid", "random:7"),
+], ids=["seq", "a", "check-axioms-grid", "certify-grid"])
 def test_an_option_is_parsed_once_and_recorded_as_typed(tmp_path, monkeypatch, argv,
                                                          parser, option, text):
     # the argparse type parses the value, the command reads what it parsed,

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from quasifix.algebra import (
     sampled,
 )
 from quasifix.metrics import (
+    PERIODIC_FN,
     AxiomReport,
     DomainMismatch,
     MetricSpec,
@@ -43,10 +45,12 @@ from quasifix.metrics import (
     scalar_backward_one,
     scalar_forward_one,
     _component_table,
+    _kernel,
     _points,
     _require_fn_point,
     _sweep,
     _tail_norms,
+    _triangle_screen,
 )
 
 from budget import examples
@@ -56,7 +60,7 @@ from reference_metrics import (
     reference_eval_metric,
     reference_mult_op_values,
 )
-from reference_sweep import reference_check_axioms, reference_sweep
+from reference_sweep import reference_check_axioms, reference_screen, reference_sweep
 
 CATALOG_SPECS = [
     mat2_split(),
@@ -432,6 +436,88 @@ def test_screen_keeps_the_failures_at_the_tolerance_edge(beta, tol, ulps):
         _hexed(reference_sweep(spec, pts, table, tol).to_json_dict())
 
 
+# --- the periodic-fn screen on the end components ---------------------------------
+
+PERIODS = st.sampled_from([1e-3, 1.0, 7.0])
+EPS = np.finfo(float).eps
+
+
+def _wide_points(rng, most):
+    """Up to ``most`` points drawn with repeats from a pool at a magnitude
+    between 1e-3 and 1e307, where the rounding of the distances sets the
+    screen's margin (sums of two distances stay finite at every period
+    here), or, for ``most`` of 20 and more, sometimes 20 points in +-1e150,
+    where a screen on the end components without its margin misses pairs.
+    Half the pools lie below 10, where distances straddle the tolerances."""
+    if most >= 20 and rng.random() < 0.25:
+        return list(rng.uniform(-1e150, 1e150, size=20))
+    scale = 10.0 ** (rng.uniform(-3.0, 1.0) if rng.random() < 0.5 else rng.uniform(1.0, 307.0))
+    pool = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8))) * scale
+    return [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, most + 1))]
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), period=PERIODS, size=st.integers(2, 100),
+       reverse=st.booleans(), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_the_end_component_screen_flags_every_pair_the_full_screen_flags(
+        seed, period, size, reverse, tol):
+    # at 2 samples the ends are every component, and the two screens differ
+    # only by the margin
+    spec = periodic_fn(period, size)
+    if reverse:
+        spec = reversed_metric(spec)
+    points = _wide_points(np.random.default_rng(seed), most=20)
+    table = _component_table(spec, points)[1]
+    flagged = _triangle_screen(spec, table, tol)
+    assert not np.any(reference_screen(spec, table, tol) & ~flagged)
+    assert _hexed(check_axioms(spec, points, tol).to_json_dict()) == \
+        _hexed(reference_check_axioms(spec, points, tol).to_json_dict())
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), period=PERIODS, size=st.integers(2, 100),
+       reverse=st.booleans())
+def test_periodic_components_lie_on_the_line_through_their_ends(seed, period, size,
+                                                                reverse):
+    # the claims the sweep rests on.  A pair's computed components are
+    # monotone in t.  In exact rational arithmetic: each computed component
+    # is within 2 eps of its exact value, relative, plus
+    # u = 2^-1074 / min(P, 1), and the exact components of a pair lie on one
+    # line in t; so a component and the line through the computed end
+    # components at its t are at most 4 eps M + 2u apart, for M the pair's
+    # largest magnitude
+    spec = periodic_fn(period, size)
+    if reverse:
+        spec = reversed_metric(spec)
+    pts = _points(spec, _wide_points(np.random.default_rng(seed), most=6))
+    table = _kernel(spec, pts[:, None], pts[None, :])
+    t = [Fraction(v) for v in spec.grid.tolist()]
+    weights = [(v - t[0]) / (t[-1] - t[0]) for v in t]
+    u = Fraction(2.0 ** -1074) / Fraction(min(period, 1.0))
+    for comps in table.reshape(-1, size).tolist():
+        steps = list(zip(comps, comps[1:]))
+        assert all(a <= b for a, b in steps) or all(a >= b for a, b in steps)
+        first, last = Fraction(comps[0]), Fraction(comps[-1])
+        bound = 4 * Fraction(EPS) * Fraction(max(map(abs, comps))) + 2 * u
+        for c, w in zip(comps, weights):
+            assert abs(Fraction(c) - (first + w * (last - first))) <= bound
+
+
+@pytest.mark.parametrize("spec", [s for s in SCREEN_SPECS if s.name != PERIODIC_FN],
+                         ids=_spec_id)
+@settings(max_examples=examples(25), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_other_metrics_keep_the_full_screen(spec, seed, tol):
+    rng = np.random.default_rng(seed)
+    points = _sample_points(rng, spec)
+    if spec in HAND_BUILT:
+        table = HAND_BUILT[spec](np.array(points, dtype=float))
+    else:
+        table = _component_table(spec, points)[1]
+    assert np.array_equal(_triangle_screen(spec, table, tol),
+                          reference_screen(spec, table, tol))
+
+
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
 def test_sweep_refuses_a_negative_or_nan_tolerance(tol):
     # a NaN tolerance failed no comparison, so every axiom passed; a negative
@@ -593,9 +679,9 @@ def test_a_metric_outside_the_catalog_is_refused_everywhere(codomain, grid):
 
 
 def test_triangle_sweep_memory_is_quadratic_in_the_sample_count():
-    # 61 points x 64 samples: the table is 1.9 MB, and the screened triangle
-    # step holds one more buffer of its size (the sums of one x); a sweep
-    # that holds all n^3 triples at once needs over 100 MB per temporary
+    # 61 points x 64 samples: the table is 1.9 MB, and the sweep holds at
+    # most two more arrays of its size; a sweep that holds all n^3 triples
+    # at once needs over 100 MB per temporary
     tracemalloc.start()
     try:
         report = check_axioms(periodic_fn(1.0, 64), np.linspace(-2, 2, 61), tol=1e-12)
@@ -603,7 +689,7 @@ def test_triangle_sweep_memory_is_quadratic_in_the_sample_count():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 32 * 2**20
+    assert peak < 3 * 61 * 61 * 64 * 8
 
 
 # --- fast forms against their references -------------------------------------------
