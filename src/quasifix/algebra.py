@@ -27,6 +27,14 @@ MAT2 = "mat2"
 SAMPLED = "sampled"
 SCALAR = "scalar"
 
+#: The batch layout of diagonal 2x2 payloads: the two diagonal entries of
+#: each, shape (N, 2).  No element has it.  The batch operations take it
+#: wherever they take ``MAT2``, and give what ``MAT2`` gives on the payloads
+#: with zeros off the diagonal, bit for bit up to the sign of a zero entry:
+#: each 2x2 closed form takes entry columns, and this layout passes zero
+#: off-diagonal columns.
+DIAG2 = "diag2"
+
 #: Absolute tolerance on eigenvalues/samples when deciding positivity.
 #: Eigensolvers routinely report -1e-16-scale noise on PSD inputs.
 DEFAULT_TOL = 1e-9
@@ -157,7 +165,7 @@ def _checked_grid(grid: Any) -> np.ndarray:
 
 def _set_payload(a: AlgebraElement, data: np.ndarray) -> None:
     """Freeze ``data`` as the payload of ``a``, if all its entries are finite."""
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise ValueError("payload must be finite (no NaN/Inf)")
     data.setflags(write=False)
     object.__setattr__(a, "data", data)
@@ -346,22 +354,33 @@ def allclose(a: AlgebraElement, b: AlgebraElement, tol: float = 1e-12) -> bool:
 # batched operations
 #
 # A batch stacks the payloads of N elements of one realization along a new
-# leading axis: shape (N, 2, 2), (N, m) or (N,).  These are the only
-# definitions of the norms, the cone and the orders; ``norm``, ``is_positive``
-# and ``leq`` run them on a batch of one.  Spaces (realization and grid) are
-# the caller's to check, since a payload carries neither.
+# leading axis: shape (N, 2, 2), (N, m) or (N,), or (N, 2) for diagonal 2x2
+# payloads in the ``DIAG2`` layout.  These are the only definitions of the
+# norms, the cone and the orders; ``norm``, ``is_positive`` and ``leq`` run
+# them on a batch of one.  Spaces (realization and grid) are the caller's to
+# check, since a payload carries neither.
 # ---------------------------------------------------------------------------
 
 def _require_finite_batch(data: np.ndarray) -> None:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise ValueError("payload must be finite (no NaN/Inf)")
 
 
-def _sym2_eigvals_batch(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sym2_eigvals(m00: Any, m01: Any, m11: Any) -> tuple[np.ndarray, np.ndarray]:
+    """The (low, high) eigenvalues of the symmetric 2x2 matrices with entry
+    columns m00, m01 = m10 and m11; m01 None stands for zeros, where
+    hypot(x, 0) is |x| (C99 Annex F)."""
     # halves first: the sum of two finite entries can overflow, their mean not
-    half_tr = 0.5 * m[:, 0, 0] + 0.5 * m[:, 1, 1]
-    disc = np.hypot(0.5 * m[:, 0, 0] - 0.5 * m[:, 1, 1], m[:, 0, 1])
+    h00, h11 = 0.5 * m00, 0.5 * m11
+    half_tr = h00 + h11
+    disc = np.abs(h00 - h11) if m01 is None else np.hypot(h00 - h11, m01)
     return half_tr - disc, half_tr + disc
+
+
+def _top_eigval_of_square(d: np.ndarray) -> np.ndarray:
+    """The high eigenvalue of m^T m for every 2x2 payload m of ``d``."""
+    m = np.matmul(np.swapaxes(d, 1, 2), d)
+    return _sym2_eigvals(m[:, 0, 0], m[:, 0, 1], m[:, 1, 1])[1]
 
 
 def _require_self_adjoint_batch(stacks: tuple[np.ndarray, ...], tol: np.ndarray) -> None:
@@ -371,7 +390,9 @@ def _require_self_adjoint_batch(stacks: tuple[np.ndarray, ...], tol: np.ndarray)
     first = None  # (sample, skew) of the earliest failing sample so far
     for m in stacks:
         skew = np.abs(m[:, 0, 1] - m[:, 1, 0])
-        bad = np.flatnonzero(skew > tol * (1.0 + np.abs(m).max(axis=(1, 2))))
+        with np.errstate(over="ignore"):  # a bound past the floats passes any skew
+            bound = tol * (1.0 + np.abs(m).max(axis=(1, 2)))
+        bad = np.flatnonzero(skew > bound)
         if bad.size and (first is None or bad[0] < first[0]):
             first = (bad[0], skew[bad[0]])
     if first is not None:
@@ -381,7 +402,8 @@ def _require_self_adjoint_batch(stacks: tuple[np.ndarray, ...], tol: np.ndarray)
 def batch_mul(realization: str, a: np.ndarray, b: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """``mul`` sample by sample; either side may be a single payload.  The
-    product goes into ``out`` when one is given, which may be ``a`` or ``b``."""
+    product goes into ``out`` when one is given, which may be ``a`` or ``b``.
+    A ``DIAG2`` product is entrywise, as the product of diagonal matrices is."""
     product = np.matmul if realization == MAT2 else np.multiply
     out = product(a, b, out=out)
     _require_finite_batch(out)
@@ -414,9 +436,11 @@ def batch_norm(realization: str, data: np.ndarray,
         return np.abs(data)
     if kind is NormKind.ENTRY_SUM_SQUARES:
         return _root_batch(lambda d: (d * d).sum(axis=tuple(range(1, d.ndim))), data)
-    if realization == MAT2:
+    if realization == DIAG2:  # m^T m is diag(m00^2, m11^2)
         return _root_batch(
-            lambda d: _sym2_eigvals_batch(np.matmul(np.swapaxes(d, 1, 2), d))[1], data)
+            lambda d: _sym2_eigvals(d[:, 0] * d[:, 0], None, d[:, 1] * d[:, 1])[1], data)
+    if realization == MAT2:
+        return _root_batch(_top_eigval_of_square, data)
     # max |x| is max(max x, -min x), without an array of |x|; the abs turns
     # a -0.0 that either side can leave into +0.0, as max |x| has it
     out = np.maximum(data.max(axis=1), -data.min(axis=1))
@@ -432,13 +456,14 @@ def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
     Raises ``RealizationMismatch`` for the entrywise order off 2x2, and under
     the cone ``NotSelfAdjoint`` for a skewed matrix of a or b, ``ValueError``
     for a non-finite b - a, then what ``_in_cone`` raises: in that order,
-    each for its first failing sample.
+    each for its first failing sample.  ``DIAG2`` payloads are never skewed.
     """
     if order is OrderKind.ENTRYWISE:
-        if realization != MAT2 and len(a):
+        if realization not in (MAT2, DIAG2) and len(a):
             raise RealizationMismatch("entrywise order is defined for mat2 only")
-        t = tol[:, None, None]
-        return np.all(b >= a - t, axis=(1, 2)) & np.all(a >= -t, axis=(1, 2))
+        entries = tuple(range(1, a.ndim))
+        t = tol.reshape((-1,) + (1,) * len(entries))
+        return np.all((b >= a - t) & (a >= -t), axis=entries)
     if realization == MAT2:
         _require_self_adjoint_batch((a, b), tol)
     diff = np.subtract(b, a, out=out)
@@ -449,13 +474,19 @@ def batch_leq(realization: str, a: np.ndarray, b: np.ndarray,
 def _in_cone(realization: str, d: np.ndarray, tol: np.ndarray) -> np.ndarray:
     """Whether the least sample of d[i], or the low eigenvalue of a matrix
     that must be symmetric up to tol[i], is at least -tol[i], as a bool array."""
-    if realization != MAT2:
+    if realization not in (MAT2, DIAG2):
         lo = d if d.ndim == 1 else d.min(axis=1)
         return lo >= -tol
-    _require_self_adjoint_batch((d,), tol)
+    if realization == MAT2:
+        _require_self_adjoint_batch((d,), tol)
     # an eigenvalue beyond the float range is +-inf, on its side of the cone
     with np.errstate(over="ignore"):
-        lo, _ = _sym2_eigvals_batch(0.5 * d + 0.5 * np.swapaxes(d, 1, 2))
+        if realization == DIAG2:
+            sym = 0.5 * d + 0.5 * d
+            lo, _ = _sym2_eigvals(sym[:, 0], None, sym[:, 1])
+        else:
+            sym = 0.5 * d + 0.5 * np.swapaxes(d, 1, 2)
+            lo, _ = _sym2_eigvals(sym[:, 0, 0], sym[:, 0, 1], sym[:, 1, 1])
     return lo >= -tol
 
 

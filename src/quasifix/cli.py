@@ -33,9 +33,11 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 import sys
 from datetime import datetime, timezone
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
@@ -112,11 +114,13 @@ def _json_text(obj: Any) -> str:
     distinct floats (grid points, distance norms), so each text is made once
     per call.  It raises what ``json.dumps`` raises for what it refuses.
 
-    A list of flat dicts -- a certificate's violations -- is written as
-    rows (``_append_rows``): when every row has the first row's ``str``
-    keys and only ``float`` or ``str`` values, the keys are sorted and their
-    texts made once for the whole list.  Any other list is written element
-    by element, as is one whose rows stop fitting part way.
+    A list of flat dicts -- a certificate's violations -- is written by
+    column (``_append_rows``) when every row is a dict with the first row's
+    ``str`` keys and only ``float`` or ``str`` values: the texts of each
+    key's column are made in one pass over its values, or over its distinct
+    values where they repeat (``_column_texts``), and the rows' pieces, key
+    texts and value texts in turn, are joined once.  Any other list is
+    written element by element.
     """
     out: list[str] = []
     _append_json(obj, "\n", out, set(), {})
@@ -153,7 +157,7 @@ def _append_json(o: Any, newline: str, out: list[str], open_ids: set,
         if id(o) in open_ids:
             raise ValueError("Circular reference detected")
         inner = newline + "  "
-        if not is_dict and type(o[0]) is dict and _append_rows(o, inner, out, floats):
+        if not is_dict and type(o[0]) is dict and _append_rows(o, inner, out):
             out.append(newline + "]")
             return
         open_ids.add(id(o))
@@ -182,44 +186,70 @@ def _append_json(o: Any, newline: str, out: list[str], open_ids: set,
             f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _append_rows(rows: list | tuple, inner: str, out: list[str],
-                 floats: dict) -> bool:
+def _append_rows(rows: list | tuple, inner: str, out: list[str]) -> bool:
     """Append the JSON text of ``rows`` up to its closing bracket, which
     ``inner`` indents one level deeper than, and return True; or append
     nothing and return False when some row is not a dict with the first
     row's ``str`` keys and only ``float`` or ``str`` values."""
     first = rows[0]
-    if not first or any(type(key) is not str for key in first):
+    if not first or any(type(key) is not str or type(value) not in (float, str)
+                        for key, value in first.items()):
         return False
-    row_inner = inner + "  "
-    fields = [(key, ("," if i else "{") + row_inner + encode_basestring_ascii(key) + ": ")
-              for i, key in enumerate(sorted(first))]
-    start = len(out)
-    sep = "[" + inner
-    for row in rows:
-        if type(row) is not dict or len(row) != len(fields):
-            del out[start:]
-            return False
-        out.append(sep)
-        for key, head in fields:
-            value = row.get(key)  # None, which does not fit, if it lacks the key
-            cls = type(value)
-            if cls is float:
-                if value:
-                    text = floats.get(value)
-                    if text is None:
-                        text = floats[value] = _float_text(value)
-                else:  # 0.0 == -0.0, but the texts differ
-                    text = _float_text(value)
-            elif cls is str:
-                text = encode_basestring_ascii(value)
-            else:
-                del out[start:]
-                return False
-            out.append(head + text)
-        out.append(inner + "}")
-        sep = "," + inner
+    keys = sorted(first)
+    if set(map(type, rows)) != {dict} or set(map(len, rows)) != {len(keys)}:
+        return False
+    try:  # a row of the right length that lacks a key has another key
+        columns = [list(map(operator.itemgetter(key), rows)) for key in keys]
+    except KeyError:
+        return False
+    texts = list(map(_column_texts, columns))
+    if None in texts:
+        return False
+    # the rows' pieces, joined once: before each text its key, and before a
+    # row's first key the end of the row before it
+    heads = ["," + inner + "  " + encode_basestring_ascii(key) + ": " for key in keys]
+    opening = "{" + heads[0][1:]
+    heads[0] = inner + "}," + inner + opening
+    width = 2 * len(keys)
+    pieces = [""] * (width * len(rows))
+    for j, column_texts in enumerate(texts):
+        pieces[2 * j::width] = [heads[j]] * len(rows)
+        pieces[2 * j + 1::width] = column_texts
+    pieces[0] = "[" + inner + opening
+    out.append("".join(pieces) + inner + "}")
     return True
+
+
+def _column_texts(values: list) -> list[str] | None:
+    """The JSON texts of one column of row values, or None when the column
+    is not all ``float`` or all ``str``.
+
+    A float column's texts are ``float.__repr__`` of its values, respelled
+    where a value is not finite, as the column's sum shows.  When at most
+    half of its values are distinct (grid points, the norms of a ``lin:``
+    grid's distances), the text of each distinct value is made once and
+    looked up in one table.  That table holds one text for 0.0 == -0.0, so
+    a column with zeros of both signs writes its zeros one by one; each
+    NaN object is a key of its own.
+    """
+    types = set(map(type, values))
+    if types == {str}:
+        return list(map(encode_basestring_ascii, values))
+    if types != {float}:
+        return None
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        texts = list(map(float.__repr__, values))
+    else:
+        table = dict(zip(distinct, map(float.__repr__, distinct)))
+        texts = list(map(table.__getitem__, values))
+        if 0.0 in table and len(set(map(math.copysign, repeat(1.0),
+                                         filter(operator.not_, values)))) > 1:
+            texts = [text if value else float.__repr__(value)
+                     for value, text in zip(values, texts)]
+    if not math.isfinite(sum(values)):
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
 
 
 def _key_text(key: Any) -> str:

@@ -24,10 +24,18 @@ each distance evaluated once: the global tables are the metric's table
 form on the points and on their images, and the orbit tables are one
 paired evaluation of the orbit's steps, shifted by one (``_orbit_tables``,
 the one rule that also turns the steps a Picard solve walks into samples).
-The core forms ``rhs`` -- the sandwich (a* base) a, or a base for
-two-step, in the operation order of ``mul`` -- and runs the order check on
-the whole batch with the per-sample tolerance tol (1 + ||rhs||_op), or 0
-where that overflows.  ``verify`` is the one dispatch over regimes;
+The tables hold each distance in the diagonal layout of its codomain
+(``metrics._diagonals``): a 2x2 value, which is diagonal for every catalog
+metric, as its two diagonal entries.  The core forms ``rhs`` -- the
+sandwich (a* base) a, or a base for two-step, in the operation order of
+``mul`` -- and runs the order check on the whole batch with the per-sample
+tolerance tol (1 + ||rhs||_op), or 0 where that overflows.  For a diagonal
+``a`` (every ``a = c I`` a search tries among them) the sandwich, both norms
+and the order check run entry by entry on the two components
+(``algebra.DIAG2``), whose closed forms are the 2x2 ones with zero
+off-diagonal entries, so they give the 2x2 results bit for bit; any other
+``a`` takes the tables as 2x2 payloads (``_operands``).  ``verify`` is the
+one dispatch over regimes;
 ``search_scalar_coefficient`` reuses the tables across all its bisection
 attempts.  ``samples_checked`` and the order and fields of the violations
 are those of a sample-by-sample loop.  A certificate holds the map and
@@ -59,11 +67,12 @@ import numpy as np
 
 from . import algebra
 from .algebra import (
+    DIAG2,
+    MAT2,
     AlgebraElement,
     NormKind,
     NotPositive,
     QuasifixError,
-    adjoint,
     element_from_json,
     element_to_json,
     is_diagonal,
@@ -75,6 +84,8 @@ from .maps import MapSpec
 from .metrics import (
     MetricSpec,
     _component_table,
+    _diagonals,
+    _layout,
     _paired_on,
     _payloads,
     _points,
@@ -257,13 +268,14 @@ def _gate(regime: Regime, metric: MetricSpec, a: AlgebraElement) -> None:
 def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec, points: Any,
             seed: Any, orbit_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The regime's samples as (stack, lhs, base): the validated points and
-    the two tables in sample order.
+    the two tables in sample order, their distances in the diagonal layout
+    (``metrics._diagonals``).
 
     Every point is mapped once and every distance is evaluated once.  For
     the n ``points`` of a global regime, sample i n + j is (x_i, x_j), and
     lhs and base are the metric's table form (``metrics._component_table``)
     on the images and on the points, base transposed for the backward
-    regime, flattened to n^2 payloads.  An orbit o is walked by
+    regime, flattened to n^2 distances.  An orbit o is walked by
     ``MapSpec.orbit`` and then stacked and checked by ``metrics._points``,
     so a bad point raises what the point check raises for it, and
     ``_orbit_tables`` gives the samples (o[i], o[i+1]).  An empty point set
@@ -279,7 +291,7 @@ def _tables(regime: Regime, map_spec: MapSpec, metric: MetricSpec, points: Any,
         _, lhs = _component_table(metric, [map_spec.apply(p) for p in _rows(stack)])
         if regime is Regime.BACKWARD_GLOBAL:
             base = base.swapaxes(0, 1)
-        lhs, base = (_payloads(metric.codomain, t.reshape(n * n, -1))
+        lhs, base = (_diagonals(metric.codomain, t.reshape(n * n, -1))
                      for t in (lhs, base))
         return stack, lhs, base
     if seed is None:
@@ -294,7 +306,8 @@ def _orbit_tables(regime: Regime, metric: MetricSpec, stack: np.ndarray,
                   steps: np.ndarray | None = None, reverse: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, base) of the samples (o_i, o_(i+1)), i < len(stack) - 2, of the
-    orbit ``stack``, for a certificate's orbit and a solve's walk alike.
+    orbit ``stack``, for a certificate's orbit and a solve's walk alike, in
+    the diagonal layout.
     lhs[i] is d(o_(i+1), o_(i+2)) = ``steps[i + 1]``, and base[i] is
     d(o_i, o_(i+1)) (forward-global, orbital), ``reverse[i]`` =
     d(o_(i+1), o_i) (backward-global) or d(o_i, o_(i+2)) (two-step, one
@@ -312,18 +325,39 @@ def _orbit_tables(regime: Regime, metric: MetricSpec, stack: np.ndarray,
     return steps[1:], (reverse if regime is Regime.BACKWARD_GLOBAL else steps)[:-1]
 
 
-def _sandwich(regime: Regime, a: AlgebraElement, base: np.ndarray) -> np.ndarray:
-    """The right-hand side of each sample for coefficient ``a``: the
-    sandwich (a* base) a, or a base for two-step, in the operation order of
-    ``mul``.  The sandwich of a symmetric 2x2 base is symmetric, so where
-    rounding splits its off-diagonal entries apart both get their mean; the
-    diagonal and equal entries stay as they are."""
-    kind = a.realization
+def _operands(metric: MetricSpec, a: AlgebraElement,
+              *tables: np.ndarray) -> tuple[str, np.ndarray, tuple]:
+    """(layout, coefficient, tables): how the core computes with ``a`` on
+    ``tables``, which hold distances in the diagonal layout.
+
+    A diagonal ``a`` (every ``a`` but a 2x2 one with an entry off its
+    diagonal) keeps the tables as they are, in the codomain's batch layout
+    (``metrics._layout``), and is itself its diagonal: the two diagonal
+    entries of a 2x2 ``a`` (``algebra.DIAG2``).  Every product, norm and
+    order check is then entrywise, on the components.  Any other ``a``
+    takes the tables as 2x2 payloads, with +0.0 off the diagonal.
+    """
+    layout = _layout(metric.codomain)
+    if layout != DIAG2:
+        return layout, a.data, tables
+    if is_diagonal(a):
+        return DIAG2, a.data.diagonal(), tables
+    return MAT2, a.data, tuple(_payloads(MAT2, t) for t in tables)
+
+
+def _sandwich(regime: Regime, kind: str, a: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The right-hand side of each sample for the coefficient payload ``a``
+    in the batch layout ``kind`` (see ``_operands``): the sandwich
+    (a* base) a, or a base for two-step, in the operation order of ``mul``.
+    The sandwich of a symmetric 2x2 base is symmetric, so where rounding
+    splits its off-diagonal entries apart both get their mean; the diagonal
+    and equal entries stay as they are."""
     if regime is Regime.TWO_STEP:
-        return algebra.batch_mul(kind, a.data, base)
-    rhs = algebra.batch_mul(kind, adjoint(a).data, base)
-    algebra.batch_mul(kind, rhs, a.data, out=rhs)
-    if kind == algebra.MAT2:
+        return algebra.batch_mul(kind, a, base)
+    # a* is the transpose of a 2x2 a, and a itself in every other layout
+    rhs = algebra.batch_mul(kind, a.T.copy() if kind == MAT2 else a, base)
+    algebra.batch_mul(kind, rhs, a, out=rhs)
+    if kind == MAT2:
         up, down = rhs[:, 0, 1], rhs[:, 1, 0]
         split = (up != down) & (base[:, 0, 1] == base[:, 1, 0])
         if split.any():  # halves first: the sum of two entries can overflow
@@ -334,21 +368,28 @@ def _sandwich(regime: Regime, a: AlgebraElement, base: np.ndarray) -> np.ndarray
 def _failures(regime: Regime, metric: MetricSpec, a: AlgebraElement,
               lhs: np.ndarray, base: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the samples where lhs <= rhs fails, for rhs the ``_sandwich``
-    of ``a`` and ``base``.
+    of ``a`` and ``base``, tables in the diagonal layout.
 
-    Each sample is compared in the metric's order with tolerance
-    tol (1 + ||rhs||_op), or with tolerance 0 where that is not finite: an
-    infinite tolerance would pass any sample.  The order check writes
-    rhs - lhs over rhs, which nothing reads after it.
+    Each sample is compared in the metric's order with its
+    ``_tolerances``.  The order check writes rhs - lhs over rhs, which
+    nothing reads after it.
     """
-    kind = a.realization
-    rhs = _sandwich(regime, a, base)
+    kind, a, (lhs, base) = _operands(metric, a, lhs, base)
+    rhs = _sandwich(regime, kind, a, base)
+    tolr = _tolerances(kind, rhs, tol)
+    return ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr, out=rhs)
+
+
+def _tolerances(kind: str, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """The order check's tolerance of each sample whose right-hand side is
+    ``rhs``, in the batch layout ``kind``: tol (1 + ||rhs||_op), or 0 where
+    that is not finite, as an infinite tolerance would pass any sample."""
     tolr = np.zeros(len(rhs))
     if tol:
         with np.errstate(over="ignore"):
             scaled = tol * (1.0 + algebra.batch_norm(kind, rhs))
         np.copyto(tolr, scaled, where=np.isfinite(scaled))
-    return ~algebra.batch_leq(kind, lhs, rhs, metric.order, tolr, out=rhs)
+    return tolr
 
 
 def _threshold_band(regime: Regime, lhs: np.ndarray,
@@ -361,19 +402,16 @@ def _threshold_band(regime: Regime, lhs: np.ndarray,
     check can differ from Q_j by the sample's rounding bound e, so a
     component certainly fails for u < (l_j - e)/b_j and certainly holds for
     u > (l_j + e)/b_j; the maxima over all components give the band, which
-    is then widened by ``THRESHOLD_MARGIN``.  Every 2x2 value of a table
-    is diagonal (``metrics._payloads`` writes +0.0 off the diagonal), so
-    the components are its diagonal entries.  The closed form needs
+    is then widened by ``THRESHOLD_MARGIN``.  The tables hold every 2x2
+    value as its two diagonal entries, its components.  The closed form needs
     non-negative values (there the entrywise order's other condition,
     l >= 0, always holds); otherwise, and when the band is not finite, it
     is (-inf, inf) and every c needs the exact check.
     """
     unknown = (-math.inf, math.inf)
-    if lhs.ndim == 3:
-        lhs, base = (np.diagonal(t, axis1=1, axis2=2) for t in (lhs, base))
     l = lhs.reshape(len(lhs), -1)
     b = base.reshape(len(base), -1)
-    if not (np.all(l >= 0.0) and np.all(b >= 0.0)):
+    if not ((l >= 0.0).all() and (b >= 0.0).all()):
         return unknown
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # sums near the float limit overflow to inf, and so the band to
@@ -401,8 +439,9 @@ def _certificate(regime: Regime, map_spec: MapSpec, metric: MetricSpec,
     stack, lhs, base = tables
     bad = np.flatnonzero(_failures(regime, metric, a, lhs, base, tol))
     # the order check wrote over its sandwiches: form the failing ones again
-    lhs_norms = algebra.batch_norm(a.realization, lhs[bad], metric.norm).tolist()
-    rhs_norms = algebra.batch_norm(a.realization, _sandwich(regime, a, base[bad]),
+    kind, coef, (lhs_bad, base_bad) = _operands(metric, a, lhs[bad], base[bad])
+    lhs_norms = algebra.batch_norm(kind, lhs_bad, metric.norm).tolist()
+    rhs_norms = algebra.batch_norm(kind, _sandwich(regime, kind, coef, base_bad),
                                    metric.norm).tolist()
     # the (x, y) of the failing samples only, as JSON values
     xs, ys = np.divmod(bad, len(stack)) if regime.is_global else (bad, bad + 1)

@@ -15,9 +15,13 @@ kind.  The convergence window is no caller of the table form: it is one
 ``_kernel`` table of a validated stack's tail against itself, normed by
 ``_norms``.  The paired form, ``paired_payloads``, gives
 the payloads of d(x_i, y_i) for two equally long point lists; it serves
-the orbit certificates, the solver's step and residual pairs and the
-lower-semicontinuity probe.  ``eval_metric`` is the
-paired form on one pair.  The axiom checker sweeps positivity, identity of
+the lower-semicontinuity probe, and its distances in the diagonal layout
+(``_paired_on``) serve the orbit certificates and the solver's step and
+residual pairs.  ``eval_metric`` is the paired form on one pair.  The
+diagonal layout (``_diagonals``) keeps a 2x2 value as its two diagonal
+entries, the batch layout ``algebra.DIAG2``; the norms of the table forms
+and the verification core compute on it, and ``_payloads`` expands it into
+2x2 payloads for elements.  The axiom checker sweeps positivity, identity of
 indiscernibles, and the triangle inequality (in the metric's declared
 partial order) over every ordered triple of a sample set, and records one
 asymmetry witness pair when it finds one.  Its triangle step first screens
@@ -64,6 +68,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .algebra import (
+    DIAG2,
     MAT2,
     SAMPLED,
     SCALAR,
@@ -224,14 +229,16 @@ def mult_op_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
     """Evaluate the metric at an ordered pair of points: the one payload of
     ``paired_payloads(spec, [x], [y])``."""
-    return _element(spec, paired_payloads(spec, [x], [y])[0])
+    return _element(spec, _paired_on(spec, _points(spec, [x, y]), slice(0, 1),
+                                     slice(1, 2))[0])
 
 
-def _element(spec: MetricSpec, payload: np.ndarray) -> AlgebraElement:
-    """The element of the metric's codomain with payload ``payload``."""
+def _element(spec: MetricSpec, diagonal: np.ndarray) -> AlgebraElement:
+    """The element of the metric's codomain whose distance in the diagonal
+    layout (``_diagonals``) is ``diagonal``."""
     if spec.codomain == SAMPLED:
-        return spec._sampled(payload)
-    return AlgebraElement(spec.codomain, payload)
+        return spec._sampled(diagonal)
+    return AlgebraElement(spec.codomain, _payloads(spec.codomain, diagonal))
 
 
 def distance_norm(spec: MetricSpec, x: Any, y: Any) -> float:
@@ -311,15 +318,26 @@ def _jsonify(obj: Any) -> Any:
     return obj
 
 
-def _payloads(codomain: str, components: np.ndarray) -> np.ndarray:
-    """Element payloads from components along the last axis: diagonal 2x2
+def _diagonals(codomain: str, components: np.ndarray) -> np.ndarray:
+    """Distances from their components along the last axis, in the diagonal
+    layout of the codomain's batches (``_layout``): a 2x2 value as its two
+    diagonal entries, a sampled one as its samples, a scalar as its value."""
+    return components[..., 0] if codomain == SCALAR else components
+
+
+def _layout(codomain: str) -> str:
+    """The realization the batch operations take distances of ``codomain``
+    as, in the diagonal layout: ``algebra.DIAG2`` for 2x2 values."""
+    return DIAG2 if codomain == MAT2 else codomain
+
+
+def _payloads(codomain: str, diagonals: np.ndarray) -> np.ndarray:
+    """Element payloads from distances in the diagonal layout: diagonal 2x2
     matrices, sample vectors, or scalars.  The off-diagonal entries are +0.0,
     as in ``diag2``, also next to a -0.0 component."""
     if codomain == MAT2:
-        return np.where(_DIAGONAL, components[..., :, None], 0.0)
-    if codomain == SCALAR:
-        return components[..., 0]
-    return components
+        return np.where(_DIAGONAL, diagonals[..., :, None], 0.0)
+    return diagonals
 
 
 def _points(spec: MetricSpec, points: Any) -> np.ndarray:
@@ -394,7 +412,16 @@ def _kernel(spec: MetricSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
                 np.divide(comps, spec.period, out=comps, where=down)
             else:
                 raise ValueError(f"unknown metric {spec.name!r}")
-    if not np.isfinite(comps).all():
+    finite = np.isfinite(comps).all()
+    if not finite and spec.name == PERIODIC_FN:
+        # a product (y - x)(period - t) past the float range can have a
+        # finite quotient: those entries alone divide first, so every
+        # other entry keeps its bits
+        with np.errstate(over="ignore"):
+            np.multiply((Y - X)[..., None], (spec.period - t) / spec.period, out=comps,
+                        where=down & np.isinf(comps))
+        finite = np.isfinite(comps).all()
+    if not finite:
         raise DomainMismatch(_OVERFLOW)
     return comps
 
@@ -421,15 +448,16 @@ def paired_payloads(spec: MetricSpec, xs: Any, ys: Any) -> np.ndarray:
     """
     if len(xs) != len(ys):
         raise ValueError("paired distances need as many xs as ys")
-    return _paired_on(spec, _points(spec, [*xs, *ys]), slice(None, len(xs)),
-                      slice(len(xs), None))
+    return _payloads(spec.codomain, _paired_on(spec, _points(spec, [*xs, *ys]),
+                                               slice(None, len(xs)), slice(len(xs), None)))
 
 
 def _paired_on(spec: MetricSpec, pts: np.ndarray, xs: slice, ys: slice) -> np.ndarray:
-    """``paired_payloads`` of two equally long slices of ``pts``, a stack of
+    """The distances of ``paired_payloads``, in the diagonal layout
+    (``_diagonals``), of two equally long slices of ``pts``, a stack of
     validated points (what ``_points`` returns), which is not checked or
     copied again."""
-    return _payloads(spec.codomain, _kernel(spec, pts[xs], pts[ys]))
+    return _diagonals(spec.codomain, _kernel(spec, pts[xs], pts[ys]))
 
 
 def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
@@ -438,9 +466,9 @@ def distance_norm_table(spec: MetricSpec, xs: Any, ys: Any,
     ``kind`` (by default the metric's own).
 
     The batched form of ``norm(eval_metric(spec, x, y), kind)``, with the
-    same values bit for bit: the component table's diagonal 2x2 values are
-    stacked back into 2x2 payloads, so every codomain goes through the
-    norm's own closed form.
+    same values bit for bit: the component table's 2x2 values go to the
+    norm's closed form in the ``DIAG2`` layout, which passes it zero
+    off-diagonal entries.
     """
     kind = spec.norm if kind is None else kind
     return _norms(spec, _component_table(spec, xs, ys)[1], kind)
@@ -461,9 +489,9 @@ def _tail_norms(spec: MetricSpec, stack: np.ndarray,
 def _norms(spec: MetricSpec, comps: np.ndarray, kind: NormKind) -> np.ndarray:
     """The norm in ``kind`` of every distance of the component array
     ``comps`` (components on its last axis), shaped like its other axes."""
-    data = _payloads(spec.codomain, comps)
+    data = _diagonals(spec.codomain, comps)
     flat = data.reshape((-1,) + data.shape[comps.ndim - 1:])
-    return batch_norm(spec.codomain, flat, kind).reshape(comps.shape[:-1])
+    return batch_norm(_layout(spec.codomain), flat, kind).reshape(comps.shape[:-1])
 
 
 def check_axioms(spec: MetricSpec, sample_points: list,
@@ -477,7 +505,9 @@ def check_axioms(spec: MetricSpec, sample_points: list,
     The triangle step screens before it checks.  A triple (x, y, z) fails
     when some component of d(x, z) + d(z, y) - d(x, y) is below
     -tol (1 + ||d(x, z) + d(z, y)||), and for tol >= 0 that bound is at
-    most -tol.  So a failure needs a component c with
+    most -tol.  A sum of two finite distances can pass the float range:
+    at tol 0 the bound is still 0, and at tol > 0 it is -inf, so the triple
+    passes.  So a failure needs a component c with
     low(x, y)_c - d(x, y)_c < -tol, where low(x, y) is the componentwise
     min over every z of d(x, z) + d(z, y): the table's min-plus square.
     Float subtraction is monotone, so the rounded differences keep that
@@ -493,10 +523,18 @@ def check_axioms(spec: MetricSpec, sample_points: list,
 
     ``periodic-fn``, in either argument order, screens on its first and
     last components alone, so its buffers hold two components per pair.
-    Every rounding is monotone, so each pair's computed components are
-    monotone in t, and those two hold the pair's least component and its
-    largest magnitude: the positivity and identity checks read them alone,
-    with the values a pass over every component gives.  For one pair each
+    Each pair's computed components are monotone in t, and those two hold
+    the pair's least component and its largest magnitude: the positivity
+    and identity checks read them alone, with the values a pass over every
+    component gives.  A component is (x - y) t, or (y - x) r / P with
+    r = P - t rounded, computed product first; where that product passes
+    the float range, which happens at the smallest t of the pair, as
+    (y - x)(r / P).  Every rounding is monotone, so either formula alone is
+    monotone in t.  Where a pair's components change formula, from t_{k-1}
+    to t_k, the divide-first one is at least (1 - eps)(y - x) r_{k-1} / P
+    and the product-first one at most (1 + eps)(y - x) r_k / P.  Since
+    r_{k-1} - r_k is within 2 eps P of P/m, the two keep their order for any
+    grid of fewer than 2^50 points.  For one pair each
     component is affine in t in exact arithmetic on the stored grid,
     (x - y) t or (y - x)(P - t)/P, so for each z the exact
     S_z(t) = d(x, z)(t) + d(z, y)(t) - d(x, y)(t) is affine in t, and the
@@ -504,8 +542,9 @@ def check_axioms(spec: MetricSpec, sample_points: list,
     Rounding is bounded as ``contraction._threshold_band`` bounds it.  Let
     M be the largest magnitude of the end components, which is that of the
     whole table.  A computed component is within 2 eps of its exact value,
-    relative (at most four roundings), plus u = 2^-1074 / min(P, 1) for a
-    product that underflows before the division by P.  The sum and the
+    relative (at most four roundings, by either formula), plus
+    u = 2^-1074 / min(P, 1) for a product that underflows before the
+    division by P.  The sum and the
     difference add 2.5 eps M, so a computed difference is within
     E = 9 eps M + 3u of S_z.  If tol is below the margin, z = y gives an
     exact 0 at every pair, and every pair is flagged.  Otherwise a failing
@@ -549,6 +588,7 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
 
 
+@np.errstate(over="ignore")  # a sum of two finite distances can pass the floats
 def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
            tol: float) -> AxiomReport:
     """The axiom report of the component table C[i, j, :] = d(pts[i], pts[j])
@@ -589,7 +629,8 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
         rows = np.flatnonzero(flagged[i])
         lhs = table[i, rows][:, None, :]
         rhs = table[i][None, :, :] + table_t[rows]
-        tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True))
+        # at tol 0 the tolerance is 0, also where the sum overflows
+        tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True)) if tol else 0.0
         fails = np.any(rhs - lhs < -tolr, axis=-1)
         if spec.order is OrderKind.ENTRYWISE:
             fails |= np.any(lhs < -tol, axis=-1)
@@ -609,6 +650,7 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
     return report
 
 
+@np.errstate(over="ignore")  # as in _sweep
 def _triangle_screen(spec: MetricSpec, table: np.ndarray, tol: float) -> np.ndarray:
     """flagged[i, j]: whether the triangle step checks the triples
     (x_i, x_j, z) exactly, for the component table C[i, j, :] = d(x_i, x_j)

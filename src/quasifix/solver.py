@@ -33,9 +33,10 @@ step pair d(x, Tx), d(Tx, x) (the first step's gives the envelopes' d1),
 and the residual pair of the final point and a fresh ``T x_N``, is one
 validated stack of the two points, one paired evaluation of both orders and
 one batched norm; the regime decides only which order the stop, the
-residual gate and the reversed envelope read.  The points and the payloads
+residual gate and the reversed envelope read.  The points and the distances
 go into two buffers that double as needed, so the orbit's stack and its
-step payloads are never built again.  The observed tails d(x_p, x_N) and
+step distances (in the diagonal layout of ``metrics._paired_on``) are
+never built again.  The observed tails d(x_p, x_N) and
 d(x_N, x_p) come from that stack: the column and the row of
 ``metrics.distance_norm_table`` at x_N.  All of these are the values of
 ``norm(eval_metric(...))`` bit for bit.  The lower-semicontinuity check
@@ -46,7 +47,7 @@ to no point again.
 The solve runs under the certificate's own map, metric and coefficient, and
 checks its inequality on the samples (x_i, x_{i+1}), i < N, that it walks
 (x_{N+1} = T x_N is the residual's image): ``contraction._orbit_tables``
-makes the kept step payloads the samples, and ``contraction._failures``
+makes the kept step distances the samples, and ``contraction._failures``
 checks them at the solve's tolerance.  Every envelope rests on that
 inequality along this orbit, so a failing sample voids the certification.
 """
@@ -78,6 +79,7 @@ from .convergence import lsc_holds
 from .metrics import (
     MetricSpec,
     _element,
+    _layout,
     _paired_on,
     _points,
     _tail_norms,
@@ -262,7 +264,7 @@ def picard_solve(cert: ContractionCertificate, seed: Any,
         stack = _put(stack, n + 2 - len(new), _points(metric, new))
         pair = _paired_on(metric, stack[n:n + 2], slice(None), slice(None, None, -1))
         steps = _put(steps, n, pair[None])
-        norms = batch_norm(metric.codomain, pair, metric.norm).tolist()
+        norms = batch_norm(_layout(metric.codomain), pair, metric.norm).tolist()
         if converged or n == cfg.max_iter:  # the residual pair of x_N and T x_N
             break
         fwd_steps.append(norms[0])

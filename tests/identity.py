@@ -13,7 +13,11 @@ one subprocess per side, each in a working directory of its own:
   ``solve`` and ``classify`` op once more with ``--trace`` and every
   ``demo-integral`` op with ``--solution``;
 * the gallery, and the runs of the CI's console-script step that read no
-  hand-edited file.
+  hand-edited file;
+* explicit ``certify`` checks on ``mat2-split`` that no deck runs
+  (``_CERTIFY_RUNS``): each ``--norm`` and ``--order`` override and
+  ``--tol 0``, with positive, negative and non-diagonal coefficients that
+  violate and that hold.
 
 A run is its exit code, its stdout and stderr, and the text of every file
 it writes, with the report's timestamp and the hash of ``solve``'s
@@ -110,6 +114,20 @@ _CI_RUNS = [
 ]
 
 
+#: ``certify`` runs on ``mat2-split`` beside the decks: the forward and the
+#: orbital regime under every override, each with c I and -c I for c = 0.3
+#: (violating) and 0.5 (holding), and with c I plus 0.1 above the diagonal.
+_COEFFICIENT = '{"realization": "mat2", "entries": [[%r, %r], [0.0, %r]]}'
+_CERTIFY_RUNS = [
+    ["certify", "--map", "linear-quarter", "--metric", "mat2-split", *regime, *override,
+     "--a", _COEFFICIENT % (c, off, c), "--out", "report.json"]
+    for regime in (["--regime", "forward", "--grid", "lin:-2:2:9"],
+                   ["--regime", "orbital", "--seed", "1.5"])
+    for override in ([], ["--norm", "operator"], ["--order", "cone"], ["--tol", "0"])
+    for c, off in ((0.3, 0.0), (0.5, 0.0), (-0.3, 0.0), (-0.5, 0.0), (0.3, 0.1), (0.5, 0.1))
+]
+
+
 def _outputs(argv: list[str]) -> list[str]:
     """The files a run writes: the values of its output options."""
     return [argv[i + 1] for i, arg in enumerate(argv[:-1])
@@ -134,7 +152,7 @@ def corpus() -> list[list[str]]:
                         argvs.append([*op.argv, "--trace", "trace.csv"])
                     elif op.argv[0] == "demo-integral":
                         argvs.append([*op.argv, "--solution", "solution.csv"])
-    return argvs + [["gallery"]] + _CI_RUNS
+    return argvs + [["gallery"]] + _CI_RUNS + _CERTIFY_RUNS
 
 
 def run_side(src: Path, work: Path, argvs: list[list[str]]) -> list[dict]:

@@ -82,8 +82,11 @@ def reference_eval_metric(spec: MetricSpec, x: Any, y: Any) -> AlgebraElement:
             _finite((a - b) * float(t[-1]))
             values = (a - b) * t
         else:
-            _finite((b - a) * (spec.period - float(t[0])) / spec.period)
-            values = (b - a) * (spec.period - t) / spec.period
+            # the product first; where it passes the float range, the
+            # quotient (period - t) / period first
+            values = [_finite((b - a) * r / spec.period if math.isfinite((b - a) * r)
+                              else (b - a) * (r / spec.period))
+                      for r in (spec.period - t).tolist()]
         return spec._sampled(values)
     if spec.name == SCALAR_FORWARD_ONE:
         a, b = _require_real_point(x), _require_real_point(y)

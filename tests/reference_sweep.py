@@ -27,6 +27,7 @@ from quasifix.algebra import OrderKind
 from quasifix.metrics import AxiomReport, MetricSpec
 
 
+@np.errstate(over="ignore")
 def reference_triangle_violations(spec: MetricSpec, pts: Any, table: np.ndarray,
                                   tol: float) -> list[dict]:
     """Every failing triple of the component table, in (x, y, z) order."""
@@ -38,7 +39,7 @@ def reference_triangle_violations(spec: MetricSpec, pts: Any, table: np.ndarray,
     for i in range(n):
         lhs = table[i][:, None, :]
         rhs = table[i][None, :, :] + table_t
-        tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True))
+        tolr = tol * (1.0 + np.abs(rhs).max(axis=-1, keepdims=True)) if tol else 0.0
         fails = np.any(rhs - lhs < -tolr, axis=-1)
         if spec.order is OrderKind.ENTRYWISE:
             fails |= np.any(lhs < -tol, axis=-1)
@@ -49,6 +50,7 @@ def reference_triangle_violations(spec: MetricSpec, pts: Any, table: np.ndarray,
     return violations
 
 
+@np.errstate(over="ignore")
 def reference_screen(spec: MetricSpec, table: np.ndarray, tol: float) -> np.ndarray:
     """flagged[i, j]: whether some component of the fmin over every z of
     d(x_i, z) + d(z, x_j) lies more than ``tol`` below d(x_i, x_j), or, for

@@ -111,6 +111,15 @@ def test_check_axioms_accepts_a_zero_tolerance():
                  "--tol", "0"]) == 0
 
 
+def test_check_axioms_takes_a_periodic_distance_whose_product_overflows(capsys):
+    # d(x, y)(0) = (y - x)(7 - 0) / 7 = 5e307, though (y - x) 7 overflows
+    spec = metrics.periodic_fn(7.0, 2)
+    assert metrics.eval_metric(spec, -2.5e307, 2.5e307).data.tolist() == [5e307, 2.5e307]
+    assert main(["check-axioms", "--metric", "periodic-fn", "--period", "7",
+                 "--t-grid", "2", "--grid=-2.5e307,2.5e307"]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 _HALF_IDENTITY_CHECK = [
     "certify", "--map", "linear-quarter", "--metric", "mat2-split",
     "--regime", "forward", "--grid", "lin:-2:2:5",
@@ -715,16 +724,29 @@ def test_the_report_writer_writes_what_json_dumps_writes(tree):
 #: applied to one drawn row; None leaves every row fitting.
 _MISFITS = [None, "missing key", "extra key", "non-str key", "nested value",
             "np.float64", "int, bool or None", "not a dict"]
+#: Row values: NaN as one shared object and as objects of their own.
 _ROW_VALUES = st.one_of(
     st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.1]),
-    _TEXT)
+    st.builds(float, st.just("nan")), _TEXT)
+_ROW_KEYS = st.one_of(_TEXT, st.sampled_from(["%", "%s", "%(x)s", "100%", "x"]))
 
 
 @st.composite
 def _row_lists(draw):
-    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
-    rows = draw(st.lists(st.fixed_dictionaries({k: _ROW_VALUES for k in keys}),
-                         min_size=1, max_size=6))
+    keys = draw(st.lists(_ROW_KEYS, min_size=1, max_size=4, unique=True))
+    # up to 100 rows; each column draws from a pool of a few values, which
+    # then repeat as grid points do (0.0 and -0.0 among them) and take the
+    # writer's table of distinct texts, or draws every value afresh
+    count = draw(st.integers(1, 100))
+    columns = []
+    for _ in keys:
+        if draw(st.booleans()):
+            pool = draw(st.lists(_ROW_VALUES, min_size=1, max_size=3))
+            values = st.sampled_from(pool)
+        else:
+            values = _ROW_VALUES
+        columns.append(draw(st.lists(values, min_size=count, max_size=count)))
+    rows = [dict(zip(keys, row)) for row in zip(*columns)]
     misfit = draw(st.sampled_from(_MISFITS))
     row = draw(st.sampled_from(rows))
     key = draw(st.sampled_from(keys))
@@ -752,6 +774,10 @@ def _row_lists(draw):
 @example([{"x": 0.0, "y": -0.0}, {"x": -0.0, "y": 0.0}])
 @example([{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": 2.0, "z": 3.0}])
 @example([{"x": 1.0, "y": 2.0}, {"x": 1.0, "y": [2.0]}])
+# columns of few values, as grid points are: zeros of both signs, and NaN as
+# one object and as objects of their own
+@example([{"x": x, "y%s": y} for x, y in zip([0.0, -0.0, 1.5, 0.0] * 20,
+                                             [math.nan, float("nan"), 2.0] * 27)])
 @given(_row_lists())
 def test_the_report_writer_writes_rows_as_json_dumps_does(rows):
     expected = _dumps_outcome(lambda t: json.dumps(t, sort_keys=True, indent=2), rows)

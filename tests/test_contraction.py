@@ -383,8 +383,8 @@ def _search_tables(draw):
     u = rate (u = c^2, or c for two-step) and the bisection runs, with
     relative noise, components of order tol (where the check cancels),
     zeros, and scales up to 1e300; some tables have negative values, where
-    no closed form applies.  2x2 values are diagonal, as every table of
-    the kernel is.
+    no closed form applies.  The tables hold their distances in the
+    diagonal layout, as ``contraction._tables`` does.
     """
     regime = draw(st.sampled_from(list(Regime)))
     codomain = draw(st.sampled_from([algebra.MAT2, algebra.SAMPLED, algebra.SCALAR]))
@@ -413,8 +413,7 @@ def _search_tables(draw):
         lhs[near_tol] = tol * (1.0 + tol_noise * rng.uniform(-1.0, 1.0, near_tol.sum()))
     if draw(st.integers(0, 9)) == 0:
         lhs[0, 0] = -lhs[0, 0] - 1.0
-    lhs, base = (metrics._payloads(codomain, t if width > 1 else t[:, 0])
-                 for t in (lhs, base))
+    lhs, base = (metrics._diagonals(codomain, t) for t in (lhs, base))
     return regime, metric, tol, (_stack(regime, n), lhs, base)
 
 
@@ -429,13 +428,12 @@ def _stack(regime, samples):
 
 
 def _named_tables(regime, order, top):
-    """Diagonal 2x2 tables whose largest entry is ``top``, with lhs at 0.3
-    times base, so that the threshold is u = 0.3; the last sample is 0, as
-    d(x, x) is on a grid."""
+    """Tables of diagonal 2x2 values whose largest entry is ``top``, with
+    lhs at 0.3 times base, so that the threshold is u = 0.3; the last sample
+    is 0, as d(x, x) is on a grid."""
     metric = MetricSpec("named-tables", algebra.MAT2, order, NormKind.OPERATOR)
     base = np.array([[1.0, 0.5], [0.25, 1.0], [1.0, 0.0], [0.0, 0.0]]) * top
-    lhs, base = (metrics._payloads(algebra.MAT2, t) for t in (0.3 * base, base))
-    return regime, metric, 1e-9, (_stack(regime, 4), lhs, base)
+    return regime, metric, 1e-9, (_stack(regime, 4), 0.3 * base, base)
 
 
 _NAMED_TOPS = {"2^500-ulp": math.nextafter(2.0 ** 500, 0.0), "2^500": 2.0 ** 500,
@@ -776,18 +774,18 @@ def test_the_sandwich_mean_does_not_overflow():
     base = np.diag([1.7e308, 0.0])[None]
     split = a.data.T @ base[0] @ a.data
     assert split[0, 1] != split[1, 0]
-    rhs = contraction._sandwich(Regime.FORWARD_GLOBAL, a, base)
+    rhs = contraction._sandwich(Regime.FORWARD_GLOBAL, algebra.MAT2, a.data, base)
     assert rhs[0, 0, 1] == rhs[0, 1, 0] == 0.5 * split[0, 1] + 0.5 * split[1, 0]
     assert math.isfinite(rhs[0, 0, 1])
     failed = contraction._failures(Regime.FORWARD_GLOBAL, metric, a,
-                                   np.zeros((1, 2, 2)), base, 0.0)
+                                   np.zeros((1, 2)), np.array([[1.7e308, 0.0]]), 0.0)
     assert failed.shape == (1,)
 
 
 @pytest.mark.parametrize("metric, a, lhs, base, tol", [
     # ||rhs||_op = 1.7e308 (0.81 + 0.9025) is beyond the floats
     (replace(mat2_split(), order=OrderKind.POSITIVE_CONE), mat2(0.9, 0.95, 0.0, 0.95),
-     np.diag([1.7e308, 1.7e308]), np.diag([1.7e308, 0.0]), 1e-9),
+     np.array([1.7e308, 1.7e308]), np.array([1.7e308, 0.0]), 1e-9),
     # ||rhs||_op = 1e10 is finite, tol (1 + ||rhs||_op) is not
     (scalar_forward_one(), scalar(0.5), np.array(2e10), np.array(4e10), 1e300),
 ], ids=["norm-overflows", "tolerance-overflows"])
@@ -835,7 +833,9 @@ SKEW = np.array([[0.0, 1e-3], [0.0, 0.0]])
 def test_self_adjointness_gate_fires_on_the_same_sample(skewed):
     # a skew that is not the sandwich's rounding, in lhs or in a non-symmetric
     # base, is refused at tol 0 for the first sample that has it, with the
-    # message the one-pair reference gives
+    # message the one-pair reference gives.  The core's tables hold diagonal
+    # values, so no table of it carries a skew: the 2x2 sandwich and order
+    # check it runs for a non-diagonal a are given skewed payloads here
     metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
     a = diag2(0.5, 0.25)
     lhs, base = np.zeros((3, 2, 2)), np.stack([np.eye(2)] * 3)
@@ -846,9 +846,125 @@ def test_self_adjointness_gate_fires_on_the_same_sample(skewed):
         for l, b in zip(lhs, base):
             rhs = mul(mul(adjoint(a), mat2(*b.ravel())), a)
             reference_leq(mat2(*l.ravel()), rhs, metric.order, 0.0)
+    rhs = contraction._sandwich(Regime.FORWARD_GLOBAL, algebra.MAT2, a.data, base)
     with pytest.raises(NotSelfAdjoint) as got:
-        contraction._failures(Regime.FORWARD_GLOBAL, metric, a, lhs, base, 0.0)
+        algebra.batch_leq(algebra.MAT2, lhs, rhs, metric.order, np.zeros(3))
     assert str(got.value) == str(want.value)
+
+
+# --- the component core against the 2x2 core ---------------------------------------
+
+def _two_by_two_operands(metric, a, *tables):
+    """``contraction._operands`` with no diagonal path: every mat2 ``a``
+    takes the tables as 2x2 payloads."""
+    return algebra.MAT2, a.data, tuple(metrics._payloads(algebra.MAT2, t) for t in tables)
+
+
+def _core_outcome(regime, metric, a, tables, tol):
+    """What the core makes of ``a`` on ``tables`` at ``tol``, as bits to
+    compare: the failure mask, each sample's tolerance and the violations'
+    norms as ``float.hex``; or the type of what the core raised."""
+    stack, lhs, base = tables
+    try:
+        failed = contraction._failures(regime, metric, a, lhs, base, tol)
+        kind, coef, (base,) = contraction._operands(metric, a, base)
+        rhs = contraction._sandwich(regime, kind, coef, base)
+        tolerances = [t.hex() for t in contraction._tolerances(kind, rhs, tol).tolist()]
+        cert = contraction._certificate(regime, MapSpec("identity", lambda x: x), metric,
+                                        a, tables, 1.0, tol)
+    except Exception as exc:
+        return type(exc)
+    return (failed.tolist(), tolerances,
+            [(v["lhs_norm"].hex(), v["rhs_norm"].hex()) for v in cert.violations])
+
+
+def _both_cores(regime, metric, a, tables, tol):
+    """``_core_outcome`` of the component core and of the 2x2 core."""
+    outcomes = []
+    for operands in (contraction._operands, _two_by_two_operands):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(contraction, "_operands", operands)
+            outcomes.append(_core_outcome(regime, metric, a, tables, tol))
+    return outcomes
+
+
+_CORE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 5e-324, 2.0 ** -1022, 1e154, 1e300,
+                     1e308, 1.7976931348623157e308]),
+    st.floats(-1e308, 1e308), st.floats(-2.0, 2.0))
+_COEFFICIENT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.3, -0.3, 1.0, -1.0, 1.5]),
+    st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(regime=st.sampled_from(list(Regime)), scaled=st.booleans(),
+       norm_kind=st.sampled_from([None, *NormKind]),
+       order=st.sampled_from([None, *OrderKind]),
+       diagonal=st.tuples(_COEFFICIENT_ENTRIES, _COEFFICIENT_ENTRIES),
+       off_diagonal=st.tuples(st.sampled_from([0.0, -0.0]), st.sampled_from([0.0, -0.0])),
+       side=st.integers(1, 3), tol=st.sampled_from([0.0, 1e-9, 0.5, 1e300]),
+       data=st.data())
+def test_the_component_core_is_the_2x2_core_bit_for_bit(regime, scaled, norm_kind, order,
+                                                        diagonal, off_diagonal, side, tol,
+                                                        data):
+    # a diagonal a (its zeros off the diagonal signed either way) on any
+    # mat2 tables, sign and scale up to the float limit: entrywise on the
+    # components, the core's masks, tolerances, violation norms and errors
+    # are the 2x2 core's, bit for bit
+    metric = mat2_split_scaled(0.25) if scaled else mat2_split()
+    if norm_kind is not None:
+        metric = replace(metric, norm=norm_kind)
+    if order is not None:
+        metric = replace(metric, order=order)
+    a = mat2(diagonal[0], off_diagonal[0], off_diagonal[1], diagonal[1])
+    samples = side * side if regime.is_global else side + 2
+    lhs, base = (np.array(data.draw(st.lists(st.tuples(_CORE_ENTRIES, _CORE_ENTRIES),
+                                             min_size=samples, max_size=samples)))
+                 for _ in range(2))
+    outcomes = _both_cores(regime, metric, a, (_stack(regime, samples), lhs, base), tol)
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("lhs", [[1.7976931348623157e308, 1.75e308],
+                                 [1.75e308, 1.7976931348623157e308]])
+def test_a_cone_eigenvalue_past_the_float_range_fails_unwarned(lhs):
+    # rhs - lhs = (-max, -1.75e308): the low eigenvalue's closed form rounds
+    # past -max on the components as on the 2x2 payloads, and either core
+    # takes it as -inf, outside the cone, with no overflow warning
+    metric = replace(mat2_split(), order=OrderKind.POSITIVE_CONE)
+    tables = (_stack(Regime.FORWARD_GLOBAL, 1), np.array([lhs]), np.array([[1.0, 1.0]]))
+    outcomes = _both_cores(Regime.FORWARD_GLOBAL, metric, diag2(0.0, 0.0), tables, 0.0)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [True]
+
+
+def test_a_diagonal_coefficient_forms_no_2x2_product(monkeypatch):
+    # the sandwiches, norms and order checks of a diagonal a run on the two
+    # components: no table is expanded into 2x2 payloads, and no stack of
+    # matrices meets np.matmul (a's own operator norm is one matrix)
+    products, expanded = [], []
+    matmul, payloads = np.matmul, contraction._payloads
+
+    def counted_matmul(x, y, *args, **kwargs):
+        products.append(max(len(np.shape(x)), len(np.shape(y))) == 3 and len(x) > 1)
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    monkeypatch.setattr(contraction, "_payloads",
+                        lambda *args: expanded.append(args) or payloads(*args))
+    metric = mat2_split_scaled(0.25)
+    for a in (diag2(0.3, 0.3), diag2(0.5, -0.5)):
+        verify(Regime.FORWARD_GLOBAL, linear_quarter(), metric, a, points=GRID)
+        verify(Regime.ORBITAL, linear_quarter(), metric, a, seed=1.0)
+    assert search_scalar_coefficient(linear_quarter(), metric, Regime.FORWARD_GLOBAL,
+                                     points=GRID) is not None
+    assert search_scalar_coefficient(piecewise_quarter(), mat2_split(), Regime.ORBITAL,
+                                     seed=1.0) is not None
+    assert not any(products) and not expanded
+    verify(Regime.FORWARD_GLOBAL, linear_quarter(), metric, mat2(0.3, 0.1, 0.0, 0.3),
+           points=GRID)
+    assert any(products) and expanded
 
 
 # --- orbit tables --------------------------------------------------------------------
@@ -889,6 +1005,8 @@ def test_orbit_tables_are_the_two_paired_evaluations(metric, regime, slope, shif
         return
     got = contraction._tables(regime, map_spec, metric, None, seed, orbit_len)
     assert len(got[0]) == orbit_len + 3 and len(got[1]) == orbit_len + 1
+    # the tables hold the payloads' distances in the diagonal layout
+    got = (got[0], *(metrics._payloads(metric.codomain, t) for t in got[1:]))
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -996,6 +1114,7 @@ def test_global_tables_are_the_two_paired_evaluations(metric, regime, slope, shi
     want = _paired_global_tables(regime, map_spec, metric, points)
     stack, *got = contraction._tables(regime, map_spec, metric, points, None, 0)
     assert stack.tobytes() == np.asarray(points, dtype=float).tobytes()
+    got = [metrics._payloads(metric.codomain, t) for t in got]
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()

@@ -442,17 +442,28 @@ PERIODS = st.sampled_from([1e-3, 1.0, 7.0])
 EPS = np.finfo(float).eps
 
 
-def _wide_points(rng, most):
+def _wide_points(rng, most, spec):
     """Up to ``most`` points drawn with repeats from a pool at a magnitude
     between 1e-3 and 1e307, where the rounding of the distances sets the
-    screen's margin (sums of two distances stay finite at every period
-    here), or, for ``most`` of 20 and more, sometimes 20 points in +-1e150,
-    where a screen on the end components without its margin misses pairs.
-    Half the pools lie below 10, where distances straddle the tolerances."""
-    if most >= 20 and rng.random() < 0.25:
+    screen's margin, or, a quarter of the time, from a pool at the edge of
+    the float range for ``spec``: its ends +-s are the points farthest
+    apart whose distance is finite, so at a period above 1 their pair takes
+    the divide-first path, and sums of two distances pass the float range.
+    For ``most`` of 20 and more it is sometimes 20 points in +-1e150, where
+    a screen on the end components without its margin misses pairs.  Half
+    the other pools lie below 10, where distances straddle the tolerances."""
+    roll = rng.random()
+    if most >= 20 and roll < 0.25:
         return list(rng.uniform(-1e150, 1e150, size=20))
-    scale = 10.0 ** (rng.uniform(-3.0, 1.0) if rng.random() < 0.5 else rng.uniform(1.0, 307.0))
-    pool = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8))) * scale
+    if roll >= 0.75:
+        # (x - y) t at the last t stays finite, and (y - x)(P - t) / P is at
+        # most y - x
+        s = np.finfo(float).max / (2.0 * max(float(spec.grid[-1]), 1.0)) * (1.0 - 1e-9)
+        pool = np.concatenate([[-s, s], rng.uniform(-s, s, size=int(rng.integers(0, 6)))])
+    else:
+        scale = 10.0 ** (rng.uniform(-3.0, 1.0) if rng.random() < 0.5
+                         else rng.uniform(1.0, 307.0))
+        pool = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 8))) * scale
     return [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, most + 1))]
 
 
@@ -466,7 +477,7 @@ def test_the_end_component_screen_flags_every_pair_the_full_screen_flags(
     spec = periodic_fn(period, size)
     if reverse:
         spec = reversed_metric(spec)
-    points = _wide_points(np.random.default_rng(seed), most=20)
+    points = _wide_points(np.random.default_rng(seed), 20, spec)
     table = _component_table(spec, points)[1]
     flagged = _triangle_screen(spec, table, tol)
     assert not np.any(reference_screen(spec, table, tol) & ~flagged)
@@ -489,7 +500,7 @@ def test_periodic_components_lie_on_the_line_through_their_ends(seed, period, si
     spec = periodic_fn(period, size)
     if reverse:
         spec = reversed_metric(spec)
-    pts = _points(spec, _wide_points(np.random.default_rng(seed), most=6))
+    pts = _points(spec, _wide_points(np.random.default_rng(seed), 6, spec))
     table = _kernel(spec, pts[:, None], pts[None, :])
     t = [Fraction(v) for v in spec.grid.tolist()]
     weights = [(v - t[0]) / (t[-1] - t[0]) for v in t]
@@ -501,6 +512,43 @@ def test_periodic_components_lie_on_the_line_through_their_ends(seed, period, si
         bound = 4 * Fraction(EPS) * Fraction(max(map(abs, comps))) + 2 * u
         for c, w in zip(comps, weights):
             assert abs(Fraction(c) - (first + w * (last - first))) <= bound
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_a_periodic_sweep_past_the_float_range_is_the_exhaustive_sweep(tol):
+    # at period 7 the pair (-2.5e307, 2.5e307) computes its component at
+    # t = 0 divide first, as 5e307 * 7 passes the float range, and sums of
+    # two distances through it pass it too: the screened sweep still
+    # reports what the exhaustive one reports, unwarned
+    spec = periodic_fn(7.0, 2)
+    points = [-2.5e307, 2.5e307, 0.0, 1e307, -2.5e307]
+    table = _component_table(spec, points)[1]
+    assert table[0, 1].tolist() == [5e307, 2.5e307]
+    with np.errstate(over="ignore"):
+        assert np.isinf(table[:, :, None, :] + table[None, :, :, :]).any()
+    assert _hexed(check_axioms(spec, points, tol).to_json_dict()) == \
+        _hexed(reference_check_axioms(spec, points, tol).to_json_dict())
+
+
+OVERFLOWING_SUM = MetricSpec("overflowing-sum", MAT2, OrderKind.POSITIVE_CONE,
+                             NormKind.OPERATOR)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_a_sum_past_the_float_range_has_tolerance_0_at_tol_0(tol):
+    # d(0, 1) + d(1, 2) = (inf, 0) falls short of d(0, 2) = (0, 1) in its
+    # finite component.  At tol 0 the tolerance is 0, so the triple fails;
+    # at tol > 0 it is tol (1 + inf) = inf, so the triple passes
+    pts = np.array([0.0, 1.0, 2.0])
+    table = np.ones((3, 3, 2))
+    table[np.arange(3), np.arange(3)] = 0.0
+    table[0, 1] = table[1, 2] = (1e308, 0.0)
+    table[0, 2] = (0.0, 1.0)
+    report = _sweep(OVERFLOWING_SUM, pts, table, tol)
+    triples = [(v["x"], v["y"], v["z"]) for v in report.triangle_violations]
+    assert ((0.0, 2.0, 1.0) in triples) == (tol == 0.0)
+    assert _hexed(report.to_json_dict()) == \
+        _hexed(reference_sweep(OVERFLOWING_SUM, pts, table, tol).to_json_dict())
 
 
 @pytest.mark.parametrize("spec", [s for s in SCREEN_SPECS if s.name != PERIODIC_FN],
@@ -639,7 +687,7 @@ def test_sweep_rejects_points_and_distances_eval_metric_rejects(spec, points,
     (mat2_split(), 1e308, -1e308),
     (mat2_split_scaled(0.5), -1.7e308, 1e308),
     (periodic_fn(3.0, 8), 1e308, 0.0),
-    (periodic_fn(3.0, 8), 0.0, 1e308),
+    (periodic_fn(3.0, 8), -1e308, 1e308),
     (scalar_forward_one(), -1e308, 1e308),
     (scalar_backward_one(), 1e308, -1e308),
     (mult_op(FN_GRID), np.full(4, -1e308), np.full(4, 1e308)),
@@ -649,6 +697,23 @@ def test_eval_metric_rejects_overflowing_distances(spec, x, y):
     for one_pair in (eval_metric, reference_eval_metric):
         with pytest.raises(DomainMismatch, match="overflows"):
             one_pair(spec, x, y)
+
+
+@pytest.mark.parametrize("period, t_grid, x, y", [
+    (7.0, 2, -2.5e307, 2.5e307), (3.0, 8, 0.0, 1e308), (1.5, 4, -8e307, 8e307),
+], ids=["period-7", "period-3", "period-1.5"])
+def test_a_periodic_product_past_the_float_range_divides_first(period, t_grid, x, y):
+    # (y - x)(P - t) overflows for P - t > 1 where (y - x)(P - t) / P does
+    # not: those entries compute (y - x)((P - t) / P), and every entry whose
+    # product is finite keeps the product-first bits
+    spec = periodic_fn(period, t_grid)
+    d, rest = y - x, period - spec.grid
+    with np.errstate(over="ignore"):
+        product_first = d * rest / period
+    want = np.where(np.isinf(product_first), d * (rest / period), product_first)
+    assert np.isinf(product_first).any() and np.isfinite(want).all()
+    for one_pair in (eval_metric, reference_eval_metric):
+        assert _hex(one_pair(spec, x, y).data) == _hex(want)
 
 
 @pytest.mark.parametrize("spec", [periodic_fn(), scalar_forward_one(),
