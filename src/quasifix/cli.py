@@ -71,7 +71,7 @@ _REAL_POINT_METRICS = [name for name in METRIC_CATALOG if name != MULT_OP]
 #: Parsed names that are not part of a run's configuration: the subcommand's
 #: plumbing, where outputs go, ``--cert``, which is recorded by its hash, and
 #: the hashes of the input files themselves.
-_NOT_CONFIG = frozenset({"command", "func", "out_dir", "report", "trace",
+_NOT_CONFIG = frozenset({"command", "func", "usage_error", "out_dir", "report", "trace",
                          "solution", "cert", "input_hashes"})
 
 #: The options that fix a run's map and metric, which a ``solve`` and the
@@ -114,9 +114,10 @@ def _json_text(obj: Any) -> str:
     distinct floats (grid points, distance norms), so each text is made once
     per call.  It raises what ``json.dumps`` raises for what it refuses.
 
-    A list of flat dicts -- a certificate's violations -- is written by
-    column (``_append_rows``) when every row is a dict with the first row's
-    ``str`` keys and only ``float`` or ``str`` values: the texts of each
+    A list of flat dicts -- a certificate's violations, and the axiom
+    sweep's positivity and identity violations at real points -- is written
+    by column (``_append_rows``) when every row is a dict with the first
+    row's ``str`` keys and only ``float`` or ``str`` values: the texts of each
     key's column are made in one pass over its values, or over its distinct
     values where they repeat (``_column_texts``), and the rows' pieces, key
     texts and value texts in turn, are joined once.  Any other list is
@@ -358,7 +359,8 @@ def _count(text: str) -> int:
 def _grid_points(spec: str) -> tuple[int, Callable[[int], np.ndarray]]:
     """The number of points of a ``--grid`` spec, and a function of the
     ``--seed-rng`` seed that gives them; a malformed spec raises
-    ``ValueError``."""
+    ``ValueError``, as do ``lin:`` or ``random:`` bounds that are not a
+    finite distance apart."""
     if spec.startswith("lin:"):
         _, lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), _count(n)
@@ -366,14 +368,17 @@ def _grid_points(spec: str) -> tuple[int, Callable[[int], np.ndarray]]:
         _, n, *bounds = spec.split(":")
         n = _count(n)
         lo, hi = map(float, bounds + ["-2.0", "2.0"][len(bounds):])
-        if not -math.inf < lo <= hi < math.inf:
-            raise ValueError(f"bounds must be finite and ordered, got {lo}, {hi}")
-        return n, lambda seed: np.sort(np.random.default_rng(seed).uniform(lo, hi, size=n))
+        if not lo <= hi:
+            raise ValueError(f"bounds must be ordered, got {lo}, {hi}")
     elif "," in spec:
         points = np.asarray([float(v) for v in spec.split(",")])
         return len(points), lambda seed: points
     else:
         lo, hi, n = -2.0, 2.0, _count(spec)
+    if not math.isfinite(hi - lo):  # also where a bound is not finite
+        raise ValueError(f"bounds must be finite and a finite distance apart, got {lo}, {hi}")
+    if spec.startswith("random:"):
+        return n, lambda seed: np.sort(np.random.default_rng(seed).uniform(lo, hi, size=n))
     return n, lambda seed: np.linspace(lo, hi, n)
 
 
@@ -421,7 +426,10 @@ def _build_metric(args: argparse.Namespace) -> MetricSpec:
     if name == "mat2-split-scaled":
         spec = METRIC_CATALOG[name](beta=args.beta)
     elif name == "periodic-fn":
-        spec = METRIC_CATALOG[name](period=args.period, grid_size=args.t_grid)
+        try:
+            spec = METRIC_CATALOG[name](period=args.period, grid_size=args.t_grid)
+        except ValueError:  # the t-grid's spacing period / t_grid rounds to 0
+            args.usage_error("argument --period/--t-grid: too short a period for its t-grid")
     else:
         spec = METRIC_CATALOG[name]()
     if args.norm is not None:
@@ -473,10 +481,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[int, dict]:
     print(f"  positivity violations : {len(report.positivity_violations)}")
     print(f"  identity violations   : {len(report.identity_violations)}")
     print(f"  triangle violations   : {len(report.triangle_violations)}")
-    witness = report.asymmetry_witness
-    if witness is not None:  # numpy scalars print by numpy version
-        witness = tuple(float(p) for p in witness)
-    print(f"  asymmetry witness     : {witness}")
+    print(f"  asymmetry witness     : {report.asymmetry_witness}")
     return (0 if report.passed else 1), report.to_json_dict()
 
 
@@ -619,7 +624,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=grid_type, default="41", help=grid_help)
     p.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_check_axioms)
+    p.set_defaults(func=_cmd_check_axioms, usage_error=p.error)
 
     p = sub.add_parser("classify", parents=[metric_opts, outputs],
                        help="forward/backward convergence verdicts")
@@ -634,7 +639,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_bounded(int, 1), required=True)
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, usage_error=p.error)
 
     map_type = _checked_by(_check_map, "map")
     map_help = f"one of {sorted(MAP_CATALOG)} or table:FILE (JSON point -> point)"
@@ -654,7 +659,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_NON_NEGATIVE, default=1e-9)
     # certify names its report --out; it is args.report, as for the others
     p.add_argument("--out", default=None, dest="report", metavar="OUT")
-    p.set_defaults(func=_cmd_certify)
+    p.set_defaults(func=_cmd_certify, usage_error=p.error)
 
     p = sub.add_parser("solve", parents=[metric_opts, outputs],
                        help="Picard iteration under a certificate")
@@ -666,7 +671,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_POSITIVE, default=1e-9)
     p.add_argument("--trace", default=None)
     p.add_argument("--report", default=None)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("demo-integral", parents=[outputs],
                        help="discretized integral-equation demo")

@@ -264,7 +264,9 @@ def regime_report(prob: IntegralProblem) -> DemoReport:
     for _ in range(MONOTONE_STEPS - 1):
         if not increasing:
             break
-        prev, cur = cur, apply_T(cur, prob)
+        # an iterate past the floats maps to NaN, which compares as not increasing
+        with np.errstate(invalid="ignore"):
+            prev, cur = cur, apply_T(cur, prob)
         increasing = bool(np.all(cur > prev))
 
     regime = REGIME_CONTRACTIVE if rate < 1.0 else REGIME_NOT_CONTRACTIVE

@@ -37,7 +37,7 @@ magnitude.  The exact order check then runs on every component of the
 flagged pairs alone, and memory is the table plus two buffers of the
 screened components' size.  The witness is searched row by row and the
 search stops at the first pair it finds.  Violations are data, not
-exceptions.
+exceptions: report rows of JSON values, made once where the sweep finds them.
 
 The catalog is the only kind of metric: a spec whose name the kernel does
 not know raises ``ValueError``.
@@ -264,7 +264,9 @@ class AxiomReport:
     """Outcome of an axiom sweep over a finite sample set.
 
     Violation entries carry the offending points plus the numeric detail
-    that failed: the extreme component, or the triangle's two sides.
+    that failed: the extreme component, or the triangle's two sides.  Rows
+    and ``asymmetry_witness`` hold JSON values, as the sweep makes them:
+    floats, ``kind`` strings, and lists for function points and sides.
     """
 
     metric: str
@@ -299,23 +301,11 @@ class AxiomReport:
             "pairs_tested": self.pairs_tested,
             "triples_tested": self.triples_tested,
             "passed": self.passed,
-            "identity_violations": _jsonify(self.identity_violations),
-            "positivity_violations": _jsonify(self.positivity_violations),
-            "triangle_violations": _jsonify(self.triangle_violations),
-            "asymmetry_witness": _jsonify(self.asymmetry_witness),
+            "identity_violations": self.identity_violations,
+            "positivity_violations": self.positivity_violations,
+            "triangle_violations": self.triangle_violations,
+            "asymmetry_witness": self.asymmetry_witness,
         }
-
-
-def _jsonify(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _diagonals(codomain: str, components: np.ndarray) -> np.ndarray:
@@ -589,7 +579,7 @@ def _require_tol(tol: float) -> None:
 
 
 @np.errstate(over="ignore")  # a sum of two finite distances can pass the floats
-def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
+def _sweep(spec: MetricSpec, pts: np.ndarray, table: np.ndarray,
            tol: float) -> AxiomReport:
     """The axiom report of the component table C[i, j, :] = d(pts[i], pts[j])
     at ``tol`` >= 0, as ``check_axioms`` describes it."""
@@ -601,23 +591,22 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
     # pair's least component and largest magnitude
     ends = _end_components(spec, table)
     min_comp = ends.min(axis=-1)
-    bad = np.argwhere(min_comp < -tol)
-    for i, j in bad:
-        report.positivity_violations.append(
-            {"x": pts[i], "y": pts[j], "min_component": float(min_comp[i, j])})
+    ii, jj = np.nonzero(min_comp < -tol)
+    report.positivity_violations = [
+        {"x": x, "y": y, "min_component": v}
+        for x, y, v in zip(pts[ii].tolist(), pts[jj].tolist(), min_comp[ii, jj].tolist())]
 
     # identity of indiscernibles
     diag_nonzero = np.abs(ends[np.arange(n), np.arange(n)]).max(axis=-1)
-    for (i,) in np.argwhere(diag_nonzero != 0.0):
-        report.identity_violations.append(
-            {"x": pts[i], "y": pts[i], "kind": "nonzero-at-diagonal",
-             "max_component": float(diag_nonzero[i])})
+    (ii,) = np.nonzero(diag_nonzero != 0.0)
+    report.identity_violations = [
+        {"x": x, "y": y, "kind": "nonzero-at-diagonal", "max_component": v}
+        for x, y, v in zip(pts[ii].tolist(), pts[ii].tolist(), diag_nonzero[ii].tolist())]
     offdiag_norm = np.abs(ends).max(axis=-1)
-    near_zero = (offdiag_norm <= tol) & ~np.eye(n, dtype=bool)
-    for i, j in np.argwhere(near_zero):
-        report.identity_violations.append(
-            {"x": pts[i], "y": pts[j], "kind": "zero-at-distinct-points",
-             "max_component": float(offdiag_norm[i, j])})
+    ii, jj = np.nonzero((offdiag_norm <= tol) & ~np.eye(n, dtype=bool))
+    report.identity_violations += [
+        {"x": x, "y": y, "kind": "zero-at-distinct-points", "max_component": v}
+        for x, y, v in zip(pts[ii].tolist(), pts[jj].tolist(), offdiag_norm[ii, jj].tolist())]
 
     # triangle over all ordered triples (x, y, z), checked exactly on the
     # pairs the screen flags, one x at a time: for x = pts[i] and
@@ -634,10 +623,12 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
         fails = np.any(rhs - lhs < -tolr, axis=-1)
         if spec.order is OrderKind.ENTRYWISE:
             fails |= np.any(lhs < -tol, axis=-1)
-        for r, k in np.argwhere(fails):
-            report.triangle_violations.append(
-                {"x": pts[i], "y": pts[rows[r]], "z": pts[k],
-                 "lhs": lhs[r, 0].tolist(), "rhs": rhs[r, k].tolist()})
+        rr, kk = np.nonzero(fails)
+        report.triangle_violations += [
+            {"x": x, "y": y, "z": z, "lhs": a, "rhs": b}
+            for x, y, z, a, b in zip(pts[np.full(rr.size, i)].tolist(), pts[rows[rr]].tolist(),
+                                     pts[kk].tolist(), lhs[rr, 0].tolist(),
+                                     rhs[rr, kk].tolist())]
 
     # the first pair i < j, in row-major order, whose two orders differ:
     # row i of the table against its column i, one i at a time
@@ -645,7 +636,7 @@ def _sweep(spec: MetricSpec, pts: Any, table: np.ndarray,
         gap = np.abs(table[i, i + 1:] - table[i + 1:, i]).max(axis=-1)
         (later,) = np.nonzero(gap > tol)
         if later.size:
-            report.asymmetry_witness = (pts[i], pts[i + 1 + later[0]])
+            report.asymmetry_witness = (pts[i].tolist(), pts[i + 1 + later[0]].tolist())
             break
     return report
 

@@ -14,6 +14,8 @@ one subprocess per side, each in a working directory of its own:
   ``demo-integral`` op with ``--solution``;
 * the gallery, and the runs of the CI's console-script step that read no
   hand-edited file;
+* ``check-axioms`` runs that write positivity, triangle and identity
+  violation rows (``_SWEEP_RUNS``), which no deck writes;
 * explicit ``certify`` checks on ``mat2-split`` that no deck runs
   (``_CERTIFY_RUNS``): each ``--norm`` and ``--order`` override and
   ``--tol 0``, with positive, negative and non-diagonal coefficients that
@@ -114,6 +116,20 @@ _CI_RUNS = [
 ]
 
 
+#: ``check-axioms`` runs that write every kind of violation row, which no
+#: deck writes: positivity and triangle rows (a negative ``--beta``, under
+#: each order), list-valued triangle rows (``periodic-fn`` at ``--tol 0``),
+#: and identity rows of repeated points at ``--tol 0``.
+_SWEEP_RUNS = [
+    *[["check-axioms", "--metric", "mat2-split-scaled", "--beta", "-0.5", "--grid", "7",
+       "--order", order, "--report", "report.json"] for order in ("entrywise", "cone")],
+    ["check-axioms", "--metric", "periodic-fn", "--tol", "0", "--grid", "random:8",
+     "--seed-rng", "3", "--report", "report.json"],
+    *[["check-axioms", "--metric", metric, "--tol", "0", "--grid=0.5,-1,0.5,2,-1,0.5",
+       "--report", "report.json"] for metric in ("scalar-forward-one", "periodic-fn")],
+]
+
+
 #: ``certify`` runs on ``mat2-split`` beside the decks: the forward and the
 #: orbital regime under every override, each with c I and -c I for c = 0.3
 #: (violating) and 0.5 (holding), and with c I plus 0.1 above the diagonal.
@@ -152,7 +168,7 @@ def corpus() -> list[list[str]]:
                         argvs.append([*op.argv, "--trace", "trace.csv"])
                     elif op.argv[0] == "demo-integral":
                         argvs.append([*op.argv, "--solution", "solution.csv"])
-    return argvs + [["gallery"]] + _CI_RUNS + _CERTIFY_RUNS
+    return argvs + [["gallery"]] + _CI_RUNS + _SWEEP_RUNS + _CERTIFY_RUNS
 
 
 def run_side(src: Path, work: Path, argvs: list[list[str]]) -> list[dict]:

@@ -5,7 +5,8 @@ every ordered triple, one x at a time, as the sweep did before it screened
 the pairs (x, y) with the table's min-plus square, with the positivity and
 identity checks reading every component, and with the asymmetry witness
 taken from the whole table of gaps at once; ``reference_check_axioms``
-is ``metrics.check_axioms`` with that sweep.  The property tests hold the
+is ``metrics.check_axioms`` with that sweep.  Their rows hold plain values
+taken with ``.tolist()`` one index at a time.  The property tests hold the
 screened sweep's reports to them field for field, with every ``lhs`` and
 ``rhs`` value bit for bit, on catalog tables and on hand-built tables with
 NaN, negative and tolerance-edge components.
@@ -45,7 +46,7 @@ def reference_triangle_violations(spec: MetricSpec, pts: Any, table: np.ndarray,
             fails |= np.any(lhs < -tol, axis=-1)
         for j, k in np.argwhere(fails):
             violations.append(
-                {"x": pts[i], "y": pts[j], "z": pts[k],
+                {"x": pts[i].tolist(), "y": pts[j].tolist(), "z": pts[k].tolist(),
                  "lhs": table[i, j].tolist(), "rhs": rhs[j, k].tolist()})
     return violations
 
@@ -69,15 +70,16 @@ def reference_pair_violations(pts: Any, table: np.ndarray,
     from every component of every pair."""
     n = len(pts)
     min_comp = table.min(axis=-1)
-    positivity = [{"x": pts[i], "y": pts[j], "min_component": float(min_comp[i, j])}
+    positivity = [{"x": pts[i].tolist(), "y": pts[j].tolist(),
+                   "min_component": float(min_comp[i, j])}
                   for i, j in np.argwhere(min_comp < -tol)]
     diag_nonzero = np.abs(table[np.arange(n), np.arange(n)]).max(axis=-1)
-    identity = [{"x": pts[i], "y": pts[i], "kind": "nonzero-at-diagonal",
-                 "max_component": float(diag_nonzero[i])}
+    identity = [{"x": pts[i].tolist(), "y": pts[i].tolist(),
+                 "kind": "nonzero-at-diagonal", "max_component": float(diag_nonzero[i])}
                 for (i,) in np.argwhere(diag_nonzero != 0.0)]
     norms = np.abs(table).max(axis=-1)
-    identity += [{"x": pts[i], "y": pts[j], "kind": "zero-at-distinct-points",
-                  "max_component": float(norms[i, j])}
+    identity += [{"x": pts[i].tolist(), "y": pts[j].tolist(),
+                  "kind": "zero-at-distinct-points", "max_component": float(norms[i, j])}
                  for i, j in np.argwhere((norms <= tol) & ~np.eye(n, dtype=bool))]
     return positivity, identity
 
@@ -87,7 +89,7 @@ def reference_asymmetry_witness(pts: Any, table: np.ndarray, tol: float) -> tupl
     by more than ``tol`` in some component, from the whole table of gaps."""
     gap = np.abs(table - np.swapaxes(table, 0, 1)).max(axis=-1)
     for i, j in np.argwhere(np.triu(gap > tol, k=1))[:1]:
-        return pts[i], pts[j]
+        return pts[i].tolist(), pts[j].tolist()
     return None
 
 

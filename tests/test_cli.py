@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1036,6 +1037,59 @@ def test_options_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
 ], ids=lambda v: v[-1] if isinstance(v, list) else v)
 def test_bad_values_are_usage_errors_that_name_their_option(argv, option, capsys):
     assert f"argument {option}" in _usage_error(argv, capsys)
+
+
+def _single_usage_error(argv: list[str], capsys) -> str:
+    """The usage error of ``argv``, raised with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _usage_error(argv, capsys)
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    return err
+
+
+_PERIODIC_OPTS = ["--metric", "periodic-fn", "--period"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_PERIODIC_OPTS, "1e-322", "--t-grid", "64"],
+    [*_PERIODIC_OPTS, "5e-324", "--t-grid", "2"],
+], ids=["1e-322:64", "5e-324:2"])
+@pytest.mark.parametrize("command", [
+    ["check-axioms"],
+    ["certify", "--map", "linear-quarter", "--regime", "forward", "--search"],
+    ["classify", "--seq", "1,2", "--candidate", "1", "--eps", "0.1", "--window", "1"],
+    ["solve", "--map", "linear-quarter", "--seed", "1", "--cert", "unused.json"],
+], ids=lambda command: command[0])
+def test_a_period_too_small_for_its_t_grid_is_a_usage_error(command, argv, capsys):
+    # the t-grid's spacing period / t-grid rounds to 0, so its points collapse
+    assert "argument --period/--t-grid" in _single_usage_error([*command, *argv], capsys)
+
+
+@pytest.mark.parametrize("grid", ["lin:-inf:1:15", "lin:-1e308:1e308:15", "lin:nan:1:3",
+                                  "random:5:-1e308:1e308", "random:5:-inf:0"])
+@pytest.mark.parametrize("command", [
+    ["check-axioms", "--metric", "mat2-split"],
+    ["certify", "--map", "linear-quarter", "--metric", "mat2-split", "--regime", "forward",
+     "--search"],
+], ids=lambda command: command[0])
+def test_grid_bounds_not_a_finite_distance_apart_are_usage_errors(command, grid, capsys):
+    assert "argument --grid" in _single_usage_error([*command, "--grid", grid], capsys)
+
+
+def test_a_demo_whose_monotone_walk_leaves_the_floats_exits_1_unwarned(tmp_path, capsys):
+    # T^2 f0 is inf at alpha 1e300, and T^3 f0 NaN: the walk reads that as
+    # not increasing, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["demo-integral", "--alpha", "1e300", "--k", "1", "--grid", "2",
+                     "--report", str(tmp_path / "demo.json")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out.endswith(", regime not-contractive\n") and out.count("\n") == 1
+    assert err == ""
+    report = _load(tmp_path / "demo.json")["report"]
+    assert report["tf0_exceeds_f0"] is True and report["iterates_increasing"] is False
 
 
 def _subcommands() -> dict[str, argparse.ArgumentParser]:

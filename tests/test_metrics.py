@@ -24,6 +24,7 @@ from quasifix.algebra import (
     norm,
     sampled,
 )
+from quasifix.cli import _json_text
 from quasifix.metrics import (
     PERIODIC_FN,
     AxiomReport,
@@ -87,6 +88,8 @@ def _check_axioms_generic(spec: MetricSpec, points: list,
     report = AxiomReport(metric=spec.name, tol=tol,
                          pairs_tested=n * n, triples_tested=n * n * n)
     table = [[reference_eval_metric(spec, x, y) for y in points] for x in points]
+    # the rows hold points as JSON values, as check_axioms writes them
+    points = [np.asarray(p, dtype=float).tolist() for p in points]
 
     for i, x in enumerate(points):
         for j, y in enumerate(points):
@@ -405,6 +408,35 @@ def test_screened_sweep_is_the_exhaustive_sweep(spec, seed, tol):
     else:
         got, want = check_axioms(spec, points, tol), reference_check_axioms(spec, points, tol)
     assert _hexed(got.to_json_dict()) == _hexed(want.to_json_dict())
+
+
+def _is_json_value(v):
+    # type, not isinstance: np.float64 subclasses float
+    return type(v) in (float, str) or type(v) is list and all(type(c) is float for c in v)
+
+
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=_spec_id)
+@settings(max_examples=examples(25), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_sweep_rows_hold_plain_json_values(spec, seed, tol):
+    # catalog sweeps of repeated points write identity rows, and the
+    # hand-built tables positivity, triangle and (NaN) nonzero-diagonal rows
+    rng = np.random.default_rng(seed)
+    points = _sample_points(rng, spec)
+    if spec is SQUARED_GAP_NAN:
+        points.insert(int(rng.integers(0, len(points) + 1)), _NAN_POINT)
+    if spec in HAND_BUILT:
+        pts = np.array(points, dtype=float)
+        report = _sweep(spec, pts, HAND_BUILT[spec](pts), tol)
+    else:
+        report = check_axioms(spec, points, tol)
+    rows = (report.positivity_violations + report.identity_violations
+            + report.triangle_violations)
+    assert all(_is_json_value(v) for row in rows for v in row.values())
+    witness = report.asymmetry_witness
+    assert witness is None or all(map(_is_json_value, witness))
+    payload = report.to_json_dict()
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_a_nan_sum_at_one_z_hides_no_failure_at_another():
