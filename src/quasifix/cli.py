@@ -165,8 +165,9 @@ def _append_json(o: Any, newline: str, out: list[str], open_ids: set,
         sep = ("{" if is_dict else "[") + inner
         for key, value in sorted(o.items()) if is_dict else enumerate(o):
             if is_dict:
+                # a key of another type as json writes it, or json's TypeError
                 sep += (encode_basestring_ascii(key) if type(key) is str
-                        else _key_text(key)) + ": "
+                        else json.dumps({key: None})[1:-7]) + ": "
             # the leaves a report is made of, written in place
             cls = type(value)
             if cls is float and value:  # 0.0 == -0.0, but the texts differ
@@ -251,23 +252,6 @@ def _column_texts(values: list) -> list[str] | None:
     if not math.isfinite(sum(values)):
         texts = [_NON_FINITE.get(text, text) for text in texts]
     return texts
-
-
-def _key_text(key: Any) -> str:
-    """A dict key as ``json`` writes it: a str, or the text of a float,
-    bool, None or int key, quoted."""
-    if isinstance(key, str):
-        text = key
-    elif isinstance(key, float):
-        text = _float_text(key)
-    elif key is True or key is False or key is None:
-        text = "null" if key is None else "true" if key else "false"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, "
-                        f"not {type(key).__name__}")
-    return encode_basestring_ascii(text)
 
 
 def _write_output(path: str, text: str, out_dir: str | None) -> None:
@@ -661,8 +645,11 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, dest="report", metavar="OUT")
     p.set_defaults(func=_cmd_certify, usage_error=p.error)
 
+    certified = ("A solve is certified when T moved x_N by at most --tol, and the "
+                 "certificate's inequality held, within tolerance, on every walked "
+                 "step; a bound on d(x_N, x*) needs that inequality beyond the walk too.")
     p = sub.add_parser("solve", parents=[metric_opts, outputs],
-                       help="Picard iteration under a certificate")
+                       help="Picard iteration under a certificate", description=certified)
     p.add_argument("--map", type=map_type, required=True, help=map_help)
     p.add_argument("--seed", type=float, required=True)
     p.add_argument("--cert", required=True)
@@ -674,7 +661,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve, usage_error=p.error)
 
     p = sub.add_parser("demo-integral", parents=[outputs],
-                       help="discretized integral-equation demo")
+                       help="discretized integral-equation demo", description=certified)
     p.add_argument("--alpha", type=_POSITIVE, default=0.5)
     p.add_argument("--k", type=_POSITIVE, default=4.0)
     p.add_argument("--grid", type=_bounded(int, 2), default=2048, dest="grid_size")

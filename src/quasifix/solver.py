@@ -50,6 +50,10 @@ checks its inequality on the samples (x_i, x_{i+1}), i < N, that it walks
 makes the kept step distances the samples, and ``contraction._failures``
 checks them at the solve's tolerance.  Every envelope rests on that
 inequality along this orbit, so a failing sample voids the certification.
+
+What "certified" claims: T moved x_N by at most tol, and the certificate's
+inequality held, within tolerance, on every walked step.  A bound on
+d(x_N, x*) needs that inequality beyond the walk too.
 """
 
 from __future__ import annotations
@@ -203,7 +207,10 @@ def apriori_envelope(d1: AlgebraElement, rate: float,
     r = ||a||^2, and two-step's d(x_(n+1), x_(n+2)) <= a d(x_n, x_(n+2))
     with r = ||a (I - a)^-1||.  ``picard_solve`` checks that inequality on
     the steps it walks, up to its tolerance, and certifies no solve that
-    fails it or whose observed tail exceeds B_p + tol.
+    fails it or whose observed tail exceeds B_p + tol.  A walked sample
+    passes only within tol (1 + ||rhs||), which gives the steps no more than
+    s_(n+1) <= r (1 + tol) s_n + tol; so this envelope is the one of
+    tol = 0, and not a bound of the perturbed contraction.
     """
     if not 0.0 <= rate < 1.0:
         raise RateNotLessThanOne(f"rate {rate:.6f} is not inside [0, 1)")

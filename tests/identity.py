@@ -12,8 +12,8 @@ one subprocess per side, each in a working directory of its own:
   which this script only reads), every CLI op as the deck has it, and every
   ``solve`` and ``classify`` op once more with ``--trace`` and every
   ``demo-integral`` op with ``--solution``;
-* the gallery, and the runs of the CI's console-script step that read no
-  hand-edited file;
+* the console script's runs (``RUNS`` of ``tests/test_console_script.py``,
+  the gallery among them) that read no hand-edited file, in their order;
 * ``check-axioms`` runs that write positivity, triangle and identity
   violation rows (``_SWEEP_RUNS``), which no deck writes;
 * explicit ``certify`` checks on ``mat2-split`` that no deck runs
@@ -58,7 +58,8 @@ from quasifix import cli
 runs, results = json.load(sys.stdin), []
 for run in runs:
     for name in run["files"]:
-        Path(name).unlink(missing_ok=True)
+        if Path(name).is_file():
+            Path(name).unlink()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -77,44 +78,6 @@ _CERT_HASH = re.compile(r'"cert": "[0-9a-f]{64}"')
 
 #: Differing runs printed with a diff; the rest are only counted.
 SHOWN = 5
-
-#: The runs of the CI's console-script step in ``.github/workflows/tests.yml``,
-#: in its order, without its shell checks; keep the two in step.  Left out:
-#: the solves of certificates the step edits with ``python -c`` first, and
-#: the trace written under a regular file, which no argv alone sets up.
-_CI_RUNS = [
-    ["check-axioms", "--metric", "mat2-split", "--grid", "5"],
-    ["check-axioms", "--metric", "periodic-fn", "--grid", "random:41", "--seed-rng", "7"],
-    ["check-axioms", "--metric", "periodic-fn", "--period", "0.001", "--t-grid", "100",
-     "--grid", "1e150,-1e150,0,3e149"],
-    ["demo-integral", "--grid", "4096", "--solution", "solution.csv"],
-    ["demo-integral", "--alpha", "0.7639437268410976", "--k", "1",
-     "--quadrature", "midpoint-log", "--grid", "4096", "--report", "report.json"],
-    ["certify", "--map", "linear-quarter", "--metric", "mat2-split", "--regime",
-     "orbital", "--a", '{"realization": "mat2", "entries": [[0.6, 0], [0, 0.6]]}',
-     "--seed", "1.0", "--out", "setup/ci-orbital.json"],
-    ["solve", "--map", "linear-quarter", "--metric", "mat2-split", "--seed", "3",
-     "--cert", "setup/ci-orbital.json", "--trace", "trace.csv", "--report", "report.json"],
-    ["solve", "--map", "piecewise-quarter", "--metric", "mat2-split", "--seed", "3",
-     "--cert", "setup/ci-orbital.json"],
-    ["solve", "--map", "linear-quarter", "--order", "cone", "--metric", "mat2-split",
-     "--seed", "3", "--cert", "setup/ci-orbital.json"],
-    ["certify", "--map", "linear-quarter", "--metric", "mat2-split-scaled", "--regime",
-     "forward", "--a", '{"realization": "mat2", "entries": [[0.3, 0], [0, 0.3]]}',
-     "--grid", "random:19", "--out", "report.json"],
-    ["demo-integral", "--grid", "64", "--solution", "out/new/solution.csv"],
-    ["certify", "--map", "linear-quarter", "--metric", "scalar-backward-one", "--regime",
-     "two-step", "--a", '{"realization": "scalar", "value": 0.3333333333333333}',
-     "--seed", "1.0", "--out", "setup/ci-two-step.json"],
-    ["solve", "--map", "linear-quarter", "--metric", "scalar-backward-one", "--seed", "-3",
-     "--cert", "setup/ci-two-step.json", "--report", "report.json"],
-    ["certify", "--map", "linear-quarter", "--metric", "mat2-split", "--regime", "forward",
-     "--search", "--grid", "lin:-2:2:9", "--out", "setup/ci-forward.json"],
-    ["classify", "--metric", "scalar-forward-one", "--seq", "harmonic:1.0:50",
-     "--candidate", "1.0", "--eps", "0.1", "--window", "5", "--trace", "trace.csv",
-     "--report", "report.json"],
-]
-
 
 #: ``check-axioms`` runs that write every kind of violation row, which no
 #: deck writes: positivity and triangle rows (a negative ``--beta``, under
@@ -155,6 +118,7 @@ def corpus() -> list[list[str]]:
     since the solve ops read their certificates."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
+    from test_console_script import RUNS
 
     argvs = [argv for w in WORKLOADS for argv in workloads.setup_argvs(w, "setup")]
     for workload in WORKLOADS:
@@ -168,7 +132,8 @@ def corpus() -> list[list[str]]:
                         argvs.append([*op.argv, "--trace", "trace.csv"])
                     elif op.argv[0] == "demo-integral":
                         argvs.append([*op.argv, "--solution", "solution.csv"])
-    return argvs + [["gallery"]] + _CI_RUNS + _SWEEP_RUNS + _CERTIFY_RUNS
+    console = [run.argv for run in RUNS if run.edit is None]
+    return argvs + console + _SWEEP_RUNS + _CERTIFY_RUNS
 
 
 def run_side(src: Path, work: Path, argvs: list[list[str]]) -> list[dict]:

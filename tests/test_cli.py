@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -713,8 +716,17 @@ def _dumps_outcome(write, tree):
         return type(exc)
 
 
+class _Key(str):
+    """A ``str`` subclass: the writer gives its keys to json's own key rule."""
+
+
 @settings(max_examples=examples(200), deadline=None)
 @example([0.0, -0.0, {"x": -0.0, "y": 0.0}, (1.5, 1.5, math.nan, math.nan)])
+# keys of every kind json takes, and a refused key beside them
+@example({1: 0.5, -3: "x", 2 ** 200: None})
+@example({math.nan: 1.0, math.inf: 2.0, -math.inf: [3.0], -0.0: 4.0})
+@example([{True: 1.0, False: 2.0}, {None: 0.5}, {_Key("k\u00e9"): 1.0, "j": 2.0}])
+@example({"valid": {1: 2.0, 2.5: 0.5}, "refused": {(1, 2): 0.5}})
 @given(st.one_of(_json_trees(_LEAVES), _json_trees(st.one_of(_LEAVES, _REFUSED))))
 def test_the_report_writer_writes_what_json_dumps_writes(tree):
     expected = _dumps_outcome(lambda t: json.dumps(t, sort_keys=True, indent=2), tree)
@@ -1345,3 +1357,115 @@ def test_every_error_class_of_the_package_derives_from_one_base():
     assert len(found) >= 16
     assert all(issubclass(cls, QuasifixError) for cls in found), \
         sorted(cls.__name__ for cls in found if not issubclass(cls, QuasifixError))
+
+
+# --- a grammar fuzz of the command line -----------------------------------------
+
+#: Option values at the edges of the floats.
+_EDGES = st.sampled_from(["0", "-0", "1e-300", "-1e-300", "1e300", "-1e300", "1.7e308",
+                          "nan", "inf", "-inf", "5e-324", "-5e-324"])
+
+
+def _values(*plain: str) -> st.SearchStrategy:
+    """A plain value two times in three, else an edge value."""
+    return st.one_of(st.sampled_from(plain), st.sampled_from(plain), _EDGES)
+
+
+def _option(name: str, values: st.SearchStrategy, required: bool = False) -> st.SearchStrategy:
+    """The option ``name`` with a drawn value, or, unless ``required``, no option."""
+    with_value = values.map(lambda v: [f"--{name}={v}"])
+    return with_value if required else st.one_of(st.just([]), with_value)
+
+
+def _argv(*parts: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(*parts).map(lambda lists: [arg for part in lists for arg in part])
+
+
+# each list of choices below ends with the value its option refuses, since
+# hypothesis draws the first values of a list most often
+#: Grids and sequences of fewer than 40 points.
+_COUNTS = st.integers(0, 39).map(str)
+_BOUNDS = _values("-2", "2", "0", "1")
+_GRIDS = st.one_of(
+    _COUNTS, st.builds("lin:{}:{}:{}".format, _BOUNDS, _BOUNDS, _COUNTS),
+    st.builds("random:{}".format, _COUNTS),
+    st.builds("random:{}:{}:{}".format, _COUNTS, _BOUNDS, _BOUNDS),
+    st.lists(_BOUNDS, min_size=1, max_size=6).map(",".join))
+_SEQUENCES = st.one_of(
+    st.builds("harmonic:{}:{}".format, _BOUNDS, _COUNTS),
+    st.builds("geom:{}:{}:{}".format, _BOUNDS, _values("0.5", "2"), _COUNTS),
+    st.lists(_BOUNDS, min_size=1, max_size=6).map(",".join))
+_TOLS = _values("1e-9", "1e-6", "0.1")
+_METRIC_OPTIONS = _argv(
+    _option("metric", st.sampled_from(cli._REAL_POINT_METRICS), required=True),
+    _option("beta", _values("0.25", "-0.5")), _option("period", _values("1", "0.001")),
+    _option("t-grid", st.sampled_from(["2", "3", "8", "64", "1"])),
+    _option("norm", st.sampled_from(["operator", "entry-sum-squares"])),
+    _option("order", st.sampled_from(["cone", "entrywise"])))
+_NUMBERS = _values("0.25", "0.5", "0.6", "-0.4").map(float)
+_COEFFICIENTS = st.one_of(
+    st.builds(lambda v: {"realization": "scalar", "value": v}, _NUMBERS),
+    st.builds(lambda a, b, c, d: {"realization": "mat2", "entries": [[a, b], [c, d]]},
+              _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS))
+
+
+@st.composite
+def _command_lines(draw) -> list[list[str]]:
+    """One run of a subcommand, or a certify run and a solve of its
+    certificate; ``{dir}`` stands for the run's directory."""
+    command = draw(st.sampled_from(["check-axioms", "classify", "certify", "demo-integral"]))
+    report = ["--report", "{dir}/report.json"]
+    if command == "demo-integral":
+        return [[command, *draw(_argv(
+            _option("grid", st.integers(1, 512), required=True),
+            _option("alpha", _values("0.5", "0.9")), _option("k", _values("1", "2")),
+            _option("quadrature", st.sampled_from(["trapezoid", "midpoint-log"])),
+            _option("tol", _TOLS))), *report, "--solution", "{dir}/solution.csv"]]
+    metric = draw(_METRIC_OPTIONS)
+    if command == "check-axioms":
+        return [[command, *metric, *draw(_argv(
+            _option("grid", _GRIDS, required=True), _option("tol", _TOLS),
+            _option("seed-rng", st.sampled_from(["0", "3", "7", "-1"])))), *report]]
+    if command == "classify":
+        return [[command, *metric, *draw(_argv(
+            _option("seq", _SEQUENCES, required=True),
+            _option("candidate", _BOUNDS, required=True),
+            _option("eps", _TOLS, required=True),
+            _option("window", st.sampled_from(["1", "5", "40", "0"]), required=True))),
+            "--trace", "{dir}/trace.csv", *report]]
+    run_map = draw(_option("map", st.sampled_from(
+        ["linear-quarter", "piecewise-quarter", "table:{dir}/none.json"]), required=True))
+    coefficient = draw(st.one_of(st.just(["--search"]), _COEFFICIENTS.map(
+        lambda a: ["--a", json.dumps(a)])))
+    certify = [command, *metric, *run_map, *coefficient, *draw(_argv(
+        _option("regime", st.sampled_from(sorted(cli._REGIMES)), required=True),
+        _option("grid", _GRIDS, required=True), _option("seed", _BOUNDS),
+        _option("orbit-len", st.sampled_from(["2", "5", "30", "1"])), _option("tol", _TOLS))),
+        "--out", "{dir}/cert.json"]
+    solve = ["solve", *metric, *run_map, *draw(_argv(
+        _option("seed", _BOUNDS, required=True),
+        _option("max-iter", st.sampled_from(["1", "5", "1000", "0"])), _option("tol", _TOLS))),
+        "--cert", "{dir}/cert.json", "--trace", "{dir}/trace.csv", *report]
+    return [certify, solve]
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(_command_lines())
+def test_every_command_line_ends_in_an_exit_code_and_at_most_one_error_line(argvs):
+    # pytest's settings make a RuntimeWarning an error, so a warning fails
+    # the run as a traceback does
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([arg.replace("{dir}", tmp) for arg in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            err = err.getvalue()
+            if code == 2:
+                assert err.startswith("usage: quasifix "), err
+            else:
+                assert code in (0, 1)
+                assert err == "" or (err.count("\n") == 1 and err.startswith(
+                    ("error: ", "no scalar certificate "))), err
